@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .flow import DISK_RADIUS_DEFAULT
 from .geometry import ChartedGeometry, make_flat_magnetic, make_sphere_magnetic
 
 __all__ = [
@@ -222,7 +223,9 @@ def grid_points(cfg: RunConfig, geo: ChartedGeometry) -> np.ndarray:
             raise ConfigError(
                 f"grid axis x{i+1} leaves the chart box (+-{geo.chart_box})"
             )
-    if abs(cfg.time) > 1.25 + 1e-12:
-        raise ConfigError("time target outside the continuation disk of radius 1.25")
+    if abs(cfg.time) > DISK_RADIUS_DEFAULT + 1e-12:
+        raise ConfigError(
+            f"time target outside the continuation disk of radius {DISK_RADIUS_DEFAULT}"
+        )
     mesh = np.meshgrid(*values, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)

@@ -12,9 +12,11 @@ the vector potential along the base trajectory.
 Complex time: the system is integrated along a polyline in the complex time
 disk; since the right-hand side is holomorphic the result is path independent
 wherever the continuation exists, which the verification suite checks rather
-than assumes.  The integrator is an embedded Dormand-Prince 5(4) pair acting
-on the complexified state, shared-stepsize over an optional batch axis with
-per-row failure masking.
+than assumes.  The integrator is the DOP853 8(5,3) Runge-Kutta pair of
+Dormand and Prince (Hairer, Norsett and Wanner, Solving ODEs I, Sec. II.10)
+acting on the complexified state, shared-stepsize over an optional batch axis
+with per-row failure masking.  Each right-hand-side call evaluates the
+geometry once for the field, its Jacobian and the variational term.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import dop853 as _dop
 from .geometry import ChartedGeometry, PhasePoint
 
 __all__ = [
@@ -129,6 +132,10 @@ class FlowOpts:
     """Integrator options.
 
     Defaults target ~1e-8 end-to-end accuracy for the verification suites.
+
+    With ``track_det`` the tangent-map determinant is sampled at accepted
+    steps only, so ``det_min`` is the minimum over those few points (a
+    handful per unit time with the eighth-order pair), not over the path.
     """
 
     rel_tol: float = 1e-11
@@ -193,16 +200,41 @@ class BatchFlowResult:
 # vector field and its derivative
 # ---------------------------------------------------------------------------
 
+def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks of small matrices, as a sum of outer products.
+
+    numpy's stacked matmul makes one BLAS call per matrix, which at 2x2 to
+    4x4 costs several times the arithmetic; a loop over the shared index
+    runs each term over the whole batch at once.
+    """
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k, None] * b[..., None, k, :]
+    return out
+
+
+def _contract_mid(d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j d[..., l, j, w] v[..., j] for a derivative array d.
+
+    With d = dg and v = p this is T[l, w], the x-derivative of dx/ds.  It
+    also gives the quadratic term of dp/ds, sum_jk dg^{jk}/dx^l p_j p_k =
+    sum_j p_j T[j, l], and (g being symmetric) that term's p-derivative,
+    -T transposed.
+    """
+    return _bmm(v[..., None, None, :], d)[..., 0, :]
+
+
+def _field(g, T, b, p):
+    """(dx/ds, dp/ds) from g, T = _contract_mid(dg, p) and beta."""
+    gp = np.einsum("...jk,...k->...j", g, p)
+    pdot = -0.5 * np.einsum("...j,...jl->...l", p, T) + np.einsum("...lj,...j->...l", b, gp)
+    return gp, pdot
+
+
 def field_components(geo: ChartedGeometry, x: np.ndarray, p: np.ndarray):
     """(dx/ds, dp/ds) of the twisted Hamiltonian field, batched."""
-    g = geo.inv_metric(x)
-    dg = geo.inv_metric_deriv(x)
-    b = geo.beta(x)
-    gp = np.einsum("...jk,...k->...j", g, p)
-    pdot = -0.5 * np.einsum("...jkl,...j,...k->...l", dg, p, p) + np.einsum(
-        "...lj,...j->...l", b, gp
-    )
-    return gp, pdot
+    T = _contract_mid(geo.inv_metric_deriv(x), p)
+    return _field(geo.inv_metric(x), T, geo.beta(x), p)
 
 
 def hamiltonian_field(geo: ChartedGeometry, z: PhasePoint) -> np.ndarray:
@@ -213,66 +245,50 @@ def hamiltonian_field(geo: ChartedGeometry, z: PhasePoint) -> np.ndarray:
     return np.concatenate([xdot, pdot])
 
 
-def _field_jacobian(geo: ChartedGeometry, x: np.ndarray, p: np.ndarray, gp=None):
-    """DX of the field w.r.t. (x, p), shape (..., 2n, 2n)."""
-    n = geo.dim
-    g = geo.inv_metric(x)
-    dg = geo.inv_metric_deriv(x)
-    b = geo.beta(x)
-    d2g = geo.inv_metric_deriv2_or_fd(x)
-    db = geo.beta_deriv_or_fd(x)
-    if gp is None:
-        gp = np.einsum("...jk,...k->...j", g, p)
-    DX = np.zeros(x.shape[:-1] + (2 * n, 2 * n), dtype=complex)
-    DX[..., :n, :n] = np.einsum("...ljw,...j->...lw", dg, p)
-    DX[..., :n, n:] = g
-    DX[..., n:, :n] = (
-        -0.5 * np.einsum("...jklw,...j,...k->...lw", d2g, p, p)
-        + np.einsum("...ljw,...j->...lw", db, gp)
-        + np.einsum("...lj,...jkw,...k->...lw", b, dg, p)
-    )
-    DX[..., n:, n:] = -np.einsum("...wkl,...k->...lw", dg, p) + np.einsum(
-        "...lj,...jw->...lw", b, g
-    )
-    return DX
-
-
 def _rhs(geo: ChartedGeometry, Y: np.ndarray) -> np.ndarray:
-    """Right-hand side for the packed state [x, p, q, vec(jac)]."""
+    """Right-hand side for the packed state [x, p, q, vec(jac)].
+
+    Each geometry term is evaluated once; the field, its Jacobian DX and the
+    variational term DX @ jac share them.
+    """
     m = Y.shape[0]
     n = geo.dim
     n2 = 2 * n
     x = Y[:, :n]
     p = Y[:, n:n2]
     J = Y[:, n2 + 1 :].reshape(m, n2, n2)
-    xdot, pdot = field_components(geo, x, p)
-    A = geo.potential(x)
-    qdot = np.einsum("mj,mj->m", A, xdot)
-    DX = _field_jacobian(geo, x, p, gp=xdot)
+    g = geo.inv_metric(x)
+    b = geo.beta(x)
+    T = _contract_mid(geo.inv_metric_deriv(x), p)
+    d2gp = np.einsum("mjklw,mj->mklw", geo.inv_metric_deriv2_or_fd(x), p)
+    xdot, pdot = _field(g, T, b, p)
+
+    # DX by blocks: d(xdot)/d(x, p) = [T, g]; d(pdot)/d(x, p) is the
+    # quadratic-term and beta-derivative part plus beta @ [T, g]
+    DX = np.empty((m, n2, n2), dtype=complex)
+    DX[:, :n, :n] = T
+    DX[:, :n, n:] = g
+    DX[:, n:, :n] = -0.5 * np.einsum("mklw,mk->mlw", d2gp, p) + _contract_mid(
+        geo.beta_deriv_or_fd(x), xdot
+    )
+    DX[:, n:, n:] = -T.transpose(0, 2, 1)
+    DX[:, n:] += _bmm(b, DX[:, :n])
+
     out = np.empty_like(Y)
     out[:, :n] = xdot
     out[:, n:n2] = pdot
-    out[:, n2] = qdot
-    out[:, n2 + 1 :] = (DX @ J).reshape(m, -1)
+    out[:, n2] = np.einsum("mj,mj->m", geo.potential(x), xdot)
+    out[:, n2 + 1 :] = _bmm(DX, J).reshape(m, -1)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4), complex state, batched with per-row masking
+# DOP853 8(5,3), complex state, batched with per-row masking
 # ---------------------------------------------------------------------------
 
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+# one coefficient matrix for the step: row 0 gives the 8th-order solution,
+# rows 1 and 2 the 5th- and 3rd-order error estimates
+_WEIGHTS = np.stack([_dop.B, _dop.E5, _dop.E3])
 
 
 def _pack(Z0: np.ndarray, n: int) -> np.ndarray:
@@ -301,6 +317,32 @@ def _check_rows(geo, Y, opts, real_mode):
     return chart_bad | p_bad, reasons
 
 
+def _step_factor(err_norm: float) -> float:
+    """Next step over this one: 0.9 err^(-1/8), clamped to [0.2, 10]."""
+    if err_norm == 0.0:
+        return 10.0
+    return min(10.0, max(0.2, 0.9 * err_norm ** (-1.0 / 8.0)))
+
+
+def _error_norms(Y, y_new, err5, err3, h, opts):
+    """Hairer's combined 5th/3rd-order error norm of each row.
+
+    err5 and err3 are the unscaled estimator sums (without the step h); a
+    row's norm is h |e5|^2 / sqrt(D (|e5|^2 + 0.01 |e3|^2)) with both errors
+    divided componentwise by abs_tol + rel_tol max(|Y|, |y_new|).
+    Non-finite rows get an infinite norm.
+    """
+    scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(Y), np.abs(y_new))
+    with np.errstate(divide="ignore"):
+        e5 = np.square(np.abs(err5) / scale).sum(axis=1)
+        e3 = np.square(np.abs(err3) / scale).sum(axis=1)
+        denom = e5 + 0.01 * e3
+        err_row = h * e5 / np.sqrt(denom * Y.shape[1])
+    err_row[denom == 0.0] = 0.0
+    err_row[~np.isfinite(err_row) | ~np.isfinite(y_new).all(axis=1)] = np.inf
+    return err_row
+
+
 def _integrate_path(
     geo: ChartedGeometry,
     Z0: np.ndarray,
@@ -310,7 +352,8 @@ def _integrate_path(
 ):
     """Integrate the packed system along a complex-time polyline.
 
-    Z0: (m, 2n) complex start states. Returns (Y, ok, reasons, det_min, steps).
+    Z0: (m, 2n) complex start states. Returns (Y, ok, reasons, det_min, steps),
+    where steps counts attempted (accepted and rejected) shared steps.
     """
     Z0 = np.asarray(Z0, dtype=complex)
     m = Z0.shape[0]
@@ -325,7 +368,6 @@ def _integrate_path(
 
     def fail_rows(mask, why):
         """Record failing rows and park them at a benign state."""
-        nonlocal Y
         Yfail[mask] = Y[mask]
         if isinstance(why, str):
             reasons[mask] = why
@@ -338,7 +380,18 @@ def _integrate_path(
     if bad.any():
         fail_rows(bad, why)
 
-    k = np.empty((7,) + Y.shape, dtype=complex)
+    # K[i] holds the field at stage i; K[0] is the field at Y (first same as
+    # last: it is the final evaluation of the previous accepted step)
+    K = np.empty((_dop.N_STAGES,) + Y.shape, dtype=complex)
+    Kr = K.reshape(_dop.N_STAGES, -1).view(np.float64)
+
+    def combine(weights, stages):
+        """weights @ K[:stages] as complex states, computed as one real
+        matrix product on the float view of the stages."""
+        return (weights @ Kr[:stages]).view(complex).reshape(weights.shape[:-1] + Y.shape)
+
+    if active.any():
+        K[0] = _rhs(geo, Y)
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(waypoints[:-1], waypoints[1:]):
             seg = complex(b) - complex(a)
@@ -348,7 +401,6 @@ def _integrate_path(
             direction = seg / length
             s = 0.0
             h = min(0.1, length)
-            k[0] = _rhs(geo, Y)
             while s < length and active.any():
                 steps += 1
                 if steps > opts.max_steps:
@@ -356,43 +408,35 @@ def _integrate_path(
                     break
                 h = min(h, length - s)
                 H = h * direction
-                for i, row in enumerate(_DP_A):
-                    incr = sum(c * k[j] for j, c in enumerate(row) if c != 0.0)
-                    k[i + 1] = _rhs(geo, Y + H * incr)
-                y5 = Y + H * sum(c * k[j] for j, c in enumerate(_DP_B5) if c != 0.0)
-                err = H * sum(c * k[j] for j, c in enumerate(_DP_ERR) if c != 0.0)
-                scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(Y), np.abs(y5))
-                with np.errstate(divide="ignore"):
-                    ratio = np.abs(err) / scale
-                ratio[~np.isfinite(ratio)] = np.inf
-                err_row = np.sqrt(np.mean(ratio**2, axis=1))
+                for i in range(1, _dop.N_STAGES):
+                    K[i] = _rhs(geo, Y + H * combine(_dop.A[i, :i], i))
+                y8, err5, err3 = combine(_WEIGHTS, _dop.N_STAGES)
+                y_new = Y + H * y8
+                err_row = _error_norms(Y, y_new, err5, err3, h, opts)
                 err_row[~active] = 0.0
-                err_row[~np.isfinite(y5).all(axis=1) & active] = np.inf
                 err_norm = err_row.max()
                 if err_norm <= 1.0:
-                    Y = y5
+                    Y = y_new
                     s += h
-                    k[0] = k[6]  # FSAL
                     bad, why = _check_rows(geo, Y, opts, real_mode)
                     bad &= active
                     if bad.any():
                         fail_rows(bad, why)
-                        if active.any():
-                            k[0] = _rhs(geo, Y)
+                    if active.any():
+                        K[0] = _rhs(geo, Y)
                     if opts.track_det and active.any():
                         J = Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)
                         d = np.abs(np.linalg.det(J[active]))
                         det_min[active] = np.minimum(det_min[active], d)
-                    fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-                    h = h * fac
+                    h = h * _step_factor(err_norm)
                 else:
                     if h <= opts.min_step * max(1.0, length):
                         # cannot resolve: fail the offending rows, keep going
                         fail_rows(active & (err_row > 1.0), REASON_TOL)
                         if active.any():
-                            k[0] = _rhs(geo, Y)
+                            K[0] = _rhs(geo, Y)
                         continue
-                    h = h * max(0.1, 0.9 * err_norm ** -0.2)
+                    h = h * _step_factor(err_norm)
 
     failed = reasons != ""
     Y[failed] = Yfail[failed]

@@ -407,7 +407,7 @@ def pointwise_geometry(
     ``inv_metric`` with the geometry's fd_step.
     """
 
-    def vectorize(fn, out_rank):
+    def vectorize(fn):
         def wrapped(x):
             x = np.asarray(x)
             if x.ndim == 1:
@@ -418,17 +418,17 @@ def pointwise_geometry(
 
         return wrapped
 
-    gv = vectorize(inv_metric, 2)
+    gv = vectorize(inv_metric)
     if inv_metric_deriv is None:
         gd = lambda x: _fd_last_axis(gv, x, 1e-5)
     else:
-        gd = vectorize(inv_metric_deriv, 3)
+        gd = vectorize(inv_metric_deriv)
     return ChartedGeometry(
         dim=dim,
         inv_metric=gv,
         inv_metric_deriv=gd,
-        beta=vectorize(beta, 2),
-        potential=vectorize(potential, 1),
+        beta=vectorize(beta),
+        potential=vectorize(potential),
         chart_box=chart_box,
         complex_radius=complex_radius,
         name=name,

@@ -581,8 +581,7 @@ def _i_ddbar_defect(B: float, mass_freq: float, rng) -> float:
                 ) / (4 * h * h)
         # H_{a b-bar} = p_a^T hess conj(p_b) with p = d/dz columns
         P = 0.5 * np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]])
-        H = P.conj().T @ hess @ P  # indices: dz_a dzbar_b ... P maps z-index to real
-        H = H.conj().T if False else P.T @ hess @ P.conj()
+        H = P.T @ hess @ P.conj()
         # i H_{ab} dz_a ^ dzbar_b as a real 2-form matrix
         dz = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j]])  # dz_a on real basis vectors
         W = np.zeros((4, 4), dtype=complex)

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import sample_flat, sample_sphere
+import magtube
+from magtube import dop853
 from magtube import oracles as orc
 from magtube.flow import (
     BlowUpError,
@@ -221,6 +227,49 @@ def test_flow_many_matches_single(flat_geo, rng):
     st = flow_complex(flat_geo, PhasePoint(Z[0, :2], Z[0, 2:]), 1j)
     assert np.abs(res.x[0] - st.x).max() < 1e-10
     assert np.abs(res.jac[0] - st.jac).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# integrator core
+# ---------------------------------------------------------------------------
+
+def test_dop853_tables_match_reference():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    n = dop853.N_STAGES
+    assert n == ref.N_STAGES == 12
+    assert np.array_equal(dop853.A, ref.A[:n, :n])
+    assert np.array_equal(dop853.B, ref.B)
+    # the estimators' weight on the first-same-as-last stage is zero
+    assert np.array_equal(dop853.E3, ref.E3[:n]) and ref.E3[n] == 0.0
+    assert np.array_equal(dop853.E5, ref.E5[:n]) and ref.E5[n] == 0.0
+
+
+def test_import_does_not_load_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(magtube.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, magtube; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_flow_to_i_step_count_and_accuracy(flat_geo, sphere_geo):
+    # eighth-order steps: a handful per unit time at the default tolerances
+    z = np.array([[0.3, -0.2, 0.9, 0.5]])
+    res = flow_many(flat_geo, z, ComplexTime(1j))
+    assert res.ok[0] and res.steps <= 12
+    want = orc.flat_flow_oracle(1.0, 1.0, z[0], 1j)
+    assert np.abs(np.concatenate([res.x[0], res.p[0]]) - want).max() < 1e-10
+    assert np.abs(res.jac[0] - orc.flat_flow_jacobian(1.0, 1.0, 1j)).max() < 1e-10
+
+    z = np.array([[0.05, -0.08, 0.3, 0.2]])
+    res = flow_many(sphere_geo, z, ComplexTime(1j))
+    assert res.ok[0] and res.steps <= 12
+    x0, p0 = orc.sphere_chart_to_embedding(z[:, :2], z[:, 2:], 1.0)
+    xo, po = orc.sphere_flow_oracle(x0, p0, 1.0, 1.0, 1j)
+    xs, ps = orc.sphere_chart_to_embedding(res.x, res.p, 1.0)
+    assert max(np.abs(xs - xo).max(), np.abs(ps - po).max()) < 1e-10
 
 
 # ---------------------------------------------------------------------------
