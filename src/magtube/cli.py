@@ -69,8 +69,6 @@ def _load(args) -> RunConfig:
         cfg.seed = args.seed
     if getattr(args, "jobs", None) is not None:
         cfg.jobs = args.jobs
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
     if getattr(args, "suite", None):
         cfg.suite = args.suite
     return cfg
@@ -408,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=None, help="random seed override")
         p.add_argument("--jobs", type=int, default=None, help="worker processes")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     p = sub.add_parser("flow", help="flow the configured grid")
     common(p)

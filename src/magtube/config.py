@@ -3,7 +3,7 @@
 Geometry keys:   kind = flat|sphere, dim, B (row-major matrix with rows
 separated by ';'), mass_freq, radius, field.  Run keys: grid (comma list of
 axis specs name:min:max:count over x1.. p1..), time (complex literal),
-path (comma list of complex literals), suite, seed, jobs, tol, out.
+path (comma list of complex literals), suite, seed, jobs, out.
 
 Complex literals use 'i' or 'j': "0.3+0.8i", "-i", "1.2", "2i".  Environment
 variables with the MAGTUBE_ prefix override file keys (e.g. MAGTUBE_SEED=7).
@@ -85,7 +85,6 @@ class RunConfig:
     suite: str = "all"
     seed: int = 1234
     jobs: int = 1
-    tol: float = 1e-8
     out: Optional[str] = None
 
     raw: dict = dataclass_field(default_factory=dict)
@@ -93,7 +92,7 @@ class RunConfig:
 
 _KNOWN_KEYS = {
     "kind", "dim", "B", "mass_freq", "radius", "field",
-    "grid", "time", "path", "suite", "seed", "jobs", "tol", "out",
+    "grid", "time", "path", "suite", "seed", "jobs", "out",
 }
 
 
@@ -165,8 +164,6 @@ def _config_from_pairs(pairs: dict) -> RunConfig:
             cfg.seed = int(pairs["seed"])
         if "jobs" in pairs:
             cfg.jobs = int(pairs["jobs"])
-        if "tol" in pairs:
-            cfg.tol = float(pairs["tol"])
         if "out" in pairs:
             cfg.out = pairs["out"]
     except ConfigError:

@@ -16,8 +16,10 @@ the tanh term in kappa1 is pinned empirically by the adaptedness identity
 Im dbar kappa1 = theta^A, which holds for B/2 and fails for B; see
 ``resolve_kappa1_coefficient``.
 
-Derivatives of computed scalars use central differences with step 1e-4 and
-one level of Richardson extrapolation.
+Phase-space derivatives of computed scalars all go through
+``phase_gradient``, the one stencil: central differences with step
+``FD_STEP`` = 1e-4 and one level of Richardson extrapolation, evaluated for
+every row of a batch with a single call of the batched function.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "potential_f",
     "potential_f_many",
     "theta_A_covector",
-    "theta_A_apply",
     "kde_residual",
     "kde_residual_many",
     "dbar_residual",
@@ -64,6 +65,27 @@ def _richardson_pairs(h: float):
     offsets = np.array([h, -h, h / 2, -h / 2])
     weights = np.array([-1 / (6 * h), 1 / (6 * h), 4 / (3 * h), -4 / (3 * h)])
     return offsets, weights
+
+
+def phase_gradient(batch_fun: Callable, Z: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """Richardson central-difference gradient over the 2n real phase
+    coordinates at every row of Z, shape (m, 2n, ...).
+
+    ``batch_fun`` maps (N, 2n) rows to ``(vals, ok, reasons)`` with ``vals``
+    of shape (N, ...); it is called once, on all stencil rows in (row,
+    coordinate, offset) order.  A closed form may return ``ok = True``.
+    """
+    Z = np.asarray(Z, dtype=float)
+    m, d = Z.shape
+    offs, wts = _richardson_pairs(h)
+    shift = np.zeros((d, len(offs), d))
+    shift[np.arange(d), :, np.arange(d)] = offs
+    vals, ok, reasons = batch_fun((Z[:, None, None, :] + shift).reshape(-1, d))
+    if not np.all(ok):
+        raise RuntimeError(f"stencil failure: {[r for r in reasons if r][0]}")
+    vals = np.asarray(vals)
+    vals = vals.reshape(m, d, len(offs), *vals.shape[1:])
+    return np.moveaxis(vals, 2, -1) @ wts
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +128,6 @@ def theta_A_covector(geo: ChartedGeometry, z: PhasePoint) -> np.ndarray:
     return np.concatenate([z.p + A, np.zeros(geo.dim, dtype=complex)])
 
 
-def theta_A_apply(geo: ChartedGeometry, z: PhasePoint, V: np.ndarray) -> complex:
-    """theta^A contracted with a (complex) tangent vector V = (dx, dp)."""
-    return complex(theta_A_covector(geo, z) @ np.asarray(V, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # residual checks of the defining identities
 # ---------------------------------------------------------------------------
@@ -129,8 +146,7 @@ def kde_residual_many(
     """
     opts = opts or FlowOpts()
     Z = np.asarray(Z, dtype=float)
-    m, d = Z.shape
-    n = geo.dim
+    m, n = len(Z), geo.dim
     offs, wts = _richardson_pairs(h)
 
     df_dsigma = np.zeros(m, dtype=complex)
@@ -140,16 +156,7 @@ def kde_residual_many(
             raise RuntimeError(f"stencil failure: {[r for r in reasons if r][0]}")
         df_dsigma += w * vals
 
-    rows = np.repeat(Z, d * len(offs), axis=0)
-    shift = np.zeros((d * len(offs), d))
-    for mm in range(d):
-        for io, o in enumerate(offs):
-            shift[mm * len(offs) + io, mm] = o
-    rows += np.tile(shift, (m, 1))
-    vals, ok, reasons = potential_f_many(geo, rows, sigma, opts)
-    if not ok.all():
-        raise RuntimeError(f"stencil failure: {[r for r in reasons if r][0]}")
-    grad = vals.reshape(m, d, len(offs)) @ wts
+    grad = phase_gradient(lambda rows: potential_f_many(geo, rows, sigma, opts), Z, h)
 
     from .flow import field_components
 
@@ -190,20 +197,9 @@ def dbar_residual_many(
     """
     opts = opts or FlowOpts()
     Z = np.asarray(Z, dtype=float)
-    m, d = Z.shape
-    offs, wts = _richardson_pairs(h)
-    rows = np.repeat(Z, d * len(offs), axis=0)
-    shift = np.zeros((d * len(offs), d))
-    for mm in range(d):
-        for io, o in enumerate(offs):
-            shift[mm * len(offs) + io, mm] = o
-    rows += np.tile(shift, (m, 1))
-    vals, ok, reasons = potential_f_many(geo, rows, -1j, opts)
-    if not ok.all():
-        raise RuntimeError(f"stencil failure: {[r for r in reasons if r][0]}")
-    grad = vals.reshape(m, d, len(offs)) @ wts  # (m, 2n) complex
+    m, n = len(Z), geo.dim
+    grad = phase_gradient(lambda rows: potential_f_many(geo, rows, -1j, opts), Z, h)
 
-    n = geo.dim
     A = geo.potential(Z[:, :n])
     theta = np.concatenate([Z[:, n:] + A, np.zeros((m, n))], axis=1)
     defect = np.einsum("md,mdk->mk", grad, frames_conj) - np.einsum(
@@ -228,23 +224,6 @@ def dbar_residual(
     return float(
         dbar_residual_many(geo, z.as_vector().real[None, :], frame_conj[None], h, opts)[0]
     )
-
-
-def phase_gradient(batch_fun: Callable, z0: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Richardson central-difference gradient of a batched scalar function
-    over the 2n real phase coordinates."""
-    d = z0.shape[0]
-    offs, wts = _richardson_pairs(h)
-    rows = []
-    for m in range(d):
-        e = np.zeros(d)
-        e[m] = 1.0
-        for o in offs:
-            rows.append(z0 + o * e)
-    vals, ok, reasons = batch_fun(np.array(rows))
-    if not np.all(ok):
-        raise RuntimeError(f"stencil failure: {[r for r in reasons if r][0]}")
-    return np.asarray(vals).reshape(d, len(offs)) @ wts
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +288,17 @@ def resolve_kappa1_coefficient(
     """
     from .oracles import flat_complex_coordinates
 
+    Z = np.asarray(samples, dtype=float)
+    A = 0.5 * (B * np.stack([-Z[:, 1], Z[:, 0]], axis=1))
+    theta = np.concatenate([Z[:, 2:] + A, np.zeros((len(Z), 2))], axis=1)
     residuals = {}
     for c in (0.5, 1.0):
-        worst = 0.0
-        for row in np.asarray(samples, dtype=float):
-            # gradient of kappa1 over phase coordinates (cheap closed form)
-            d = 4
-            offs, wts = _richardson_pairs(h)
-            grad = np.zeros(d)
-            for m in range(d):
-                e = np.zeros(d)
-                e[m] = 1.0
-                vals = []
-                for o in offs:
-                    zc = flat_complex_coordinates(B, mass_freq, row + o * e)
-                    vals.append(kappa1_flat(B, mass_freq, zc[0], zc[1], c))
-                grad[m] = np.asarray(vals) @ wts
-            lhs = 0.5 * (J.T @ grad)
-            A = 0.5 * np.array([-B * row[1], B * row[0]])
-            theta = np.concatenate([row[2:] + A, np.zeros(2)])
-            worst = max(worst, float(np.abs(lhs - theta).max()))
-        residuals[c] = worst
+        def kappa1(rows, c=c):
+            zc = flat_complex_coordinates(B, mass_freq, rows)
+            return kappa1_flat(B, mass_freq, zc[:, 0], zc[:, 1], c), True, None
+
+        lhs = 0.5 * (phase_gradient(kappa1, Z, h) @ J)
+        residuals[c] = float(np.abs(lhs - theta).max())
     chosen = 0.5 if residuals[0.5] <= residuals[1.0] else 1.0
     if residuals[chosen] > tol:
         raise RuntimeError(

@@ -36,7 +36,6 @@ __all__ = [
     "transversality_check",
     "assemble_J",
     "acs_point",
-    "acs_many",
     "integrability_residual",
     "integrability_residual_many",
     "normalized_zero_section_frame_change",
@@ -217,15 +216,6 @@ def assemble_J(frame: LagrangianFrame, geo: ChartedGeometry) -> ACSPointData:
 def acs_point(geo, z: PhasePoint, t, opts=None) -> ACSPointData:
     """Convenience: transport the frame and assemble J in one call."""
     return assemble_J(frame_at(geo, z, t, opts), geo)
-
-
-def acs_many(geo, pairs, opts=None):
-    """Batch form: a list of (z, t) pairs to a list of ACSPointData.
-
-    Grid evaluation parallelizes trivially; this serial form is the
-    reference implementation the CSV emitters build on.
-    """
-    return [acs_point(geo, z, t, opts) for z, t in pairs]
 
 
 # ---------------------------------------------------------------------------

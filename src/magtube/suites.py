@@ -35,6 +35,7 @@ from .kahler import (
     dbar_residual_many,
     kappa2_flat,
     kde_residual_many,
+    phase_gradient,
     potential_f,
     potential_f_many,
     resolve_kappa1_coefficient,
@@ -602,33 +603,15 @@ def _i_ddbar_defect(B: float, mass_freq: float, rng) -> float:
 
 def _extension_dbar_defect(geo: ChartedGeometry, Z: np.ndarray, opts) -> float:
     """Max dbar defect of f o pi o Phi_i for coordinate / quadratic f."""
-    h = 1e-4
-    offs = np.array([h, -h, h / 2, -h / 2])
-    wts = np.array([-1 / (6 * h), 1 / (6 * h), 4 / (3 * h), -4 / (3 * h)])
-    m, d = Z.shape
-    rows = np.repeat(Z, d * len(offs), axis=0)
-    shift = np.zeros((d * len(offs), d))
-    for mm in range(d):
-        for io, o in enumerate(offs):
-            shift[mm * len(offs) + io, mm] = o
-    rows += np.tile(shift, (m, 1))
-    res = flow_many(geo, rows, ComplexTime(1j), opts)
-    if not res.ok.all():
-        raise RuntimeError("extension stencil left the tube")
-    bases = res.x.reshape(m, d, len(offs), geo.dim)
-    F, ok, _, _ = frames_at_many(geo, Z, 1j, opts)
-    funcs = [
-        lambda xc: xc[..., 0],
-        lambda xc: xc[..., 1],
-        lambda xc: xc[..., 0] ** 2,
-        lambda xc: xc[..., 0] * xc[..., 1],
-    ]
-    worst = 0.0
-    for f in funcs:
-        grad = np.einsum("mdo,o->md", f(bases), wts)
-        defect = np.einsum("md,mdk->mk", grad, F.conj())
-        worst = max(worst, float(np.abs(defect).max()))
-    return worst
+
+    def monomials(rows):  # f = x1, x2, x1^2, x1 x2 at pi o Phi_i
+        res = flow_many(geo, rows, ComplexTime(1j), opts)
+        x1, x2 = res.x[:, 0], res.x[:, 1]
+        return np.stack([x1, x2, x1**2, x1 * x2], axis=1), res.ok, res.reasons
+
+    grad = phase_gradient(monomials, Z)  # (m, 2n, 4)
+    F = frames_at_many(geo, Z, 1j, opts)[0]
+    return float(np.abs(np.einsum("mdf,mdk->mfk", grad, F.conj())).max())
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +765,10 @@ def _random_sphere_states(rng, m, r, pmax=2.0):
     x = rng.normal(size=(m, 3))
     x *= r / np.linalg.norm(x, axis=1, keepdims=True)
     v = rng.normal(size=(m, 3))
-    v -= (np.einsum("mi,mi->m", v, x) / r**2)[:, None] * x
+    # project twice: one pass leaves x.v at ~1e-12 when v is nearly radial,
+    # and the embedding quadric a.a = r^2 holds only for tangent v
+    for _ in range(2):
+        v -= (np.einsum("mi,mi->m", v, x) / r**2)[:, None] * x
     norm = np.linalg.norm(v, axis=1, keepdims=True)
     v *= rng.uniform(0.05, pmax, (m, 1)) / norm
     return x, v

@@ -50,7 +50,6 @@ mass_freq = 1.0
 grid = x1:-0.3:0.3:2, p1:-0.5:0.5:2
 time = i
 seed = 7
-tol = 1e-8
 """
 
 
@@ -76,10 +75,8 @@ def test_parse_config_rejects_bad_grid():
 
 def test_env_override(monkeypatch):
     monkeypatch.setenv("MAGTUBE_SEED", "99")
-    monkeypatch.setenv("MAGTUBE_TOL", "1e-6")
     cfg = parse_config_text(FLAT_CFG)
     assert cfg.seed == 99
-    assert cfg.tol == 1e-6
 
 
 def test_build_geometry_kinds():
@@ -320,6 +317,17 @@ def test_cmd_verify_suite_from_config(tmp_path):
 def test_cli_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "c.cfg", "kind = flat\ngrid = x1:-100:100:2\n")
     assert main(["flow", "--config", cfg]) == 2
+
+
+def test_tol_is_rejected(tmp_path):
+    # no step tolerance is configurable: the key and the flag are both errors
+    with pytest.raises(ConfigError):
+        parse_config_text("kind = flat\ntol = 1e-8\n")
+    cfg = _write(tmp_path, "c.cfg", "suite = geometry\ntol = 1e-8\n")
+    assert main(["verify", "--config", cfg]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "geometry", "--tol", "1e-8"])
+    assert exc.value.code == 2
 
 
 def test_cmd_sweep_deterministic(tmp_path):

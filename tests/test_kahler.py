@@ -6,12 +6,14 @@ from magtube import oracles as orc
 from magtube.flow import FlowOpts
 from magtube.geometry import PhasePoint
 from magtube.kahler import (
+    FD_STEP,
     dbar_residual,
     holomorphic_extension,
     kappa1_flat,
     kappa2_flat,
     kde_residual,
     kde_residual_many,
+    phase_gradient,
     potential_f,
     potential_f_many,
     potential_sample,
@@ -172,6 +174,49 @@ def test_kappa1_coefficient_resolution(flat_geo, rng):
     assert coeff == 0.5
     assert residuals[0.5] < 1e-8
     assert residuals[1.0] > 1e-2  # the alternative candidate coefficient fails
+
+
+# ---------------------------------------------------------------------------
+# the shared phase-space stencil
+# ---------------------------------------------------------------------------
+
+def test_phase_gradient_of_vector_cubic(rng):
+    Z = sample_flat(rng, 5)
+    calls = []
+
+    def cubic(rows):
+        calls.append(rows)
+        z0, z1, z2, z3 = rows.T
+        s = rows.sum(axis=1)
+        return np.stack([z0**3 + z1 * z2 * z3, z2**2 * z0 - z3, s**3], axis=1), True, None
+
+    grad = phase_gradient(cubic, Z)
+    assert grad.shape == (5, 4, 3)
+    z0, z1, z2, z3 = Z.T
+    s2 = 3 * Z.sum(axis=1) ** 2
+    zero = np.zeros_like(z0)
+    ref = np.stack([
+        np.stack([3 * z0**2, z2 * z3, z1 * z3, z1 * z2], axis=1),
+        np.stack([z2**2, zero, 2 * z2 * z0, zero - 1], axis=1),
+        np.stack([s2, s2, s2, s2], axis=1),
+    ], axis=2)
+    assert np.abs(grad - ref).max() < 1e-8
+    # one batched call, stencil rows in (row, coordinate, offset) order
+    assert len(calls) == 1
+    rows = calls[0].reshape(5, 4, 4, 4)
+    offs = (FD_STEP, -FD_STEP, FD_STEP / 2, -FD_STEP / 2)
+    for i, a, o in np.ndindex(5, 4, 4):
+        want = Z[i].copy()
+        want[a] += offs[o]
+        assert np.array_equal(rows[i, a, o], want)
+
+
+def test_phase_gradient_raises_on_failed_row(flat_geo):
+    # every stencil row of the second point, near the momentum cap, blows up at -i
+    Z = np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 90.0, 0.0]])
+    opts = FlowOpts(p_cap=100.0)
+    with pytest.raises(RuntimeError, match="stencil failure: BLOWUP"):
+        phase_gradient(lambda rows: potential_f_many(flat_geo, rows, -1j, opts), Z)
 
 
 # ---------------------------------------------------------------------------

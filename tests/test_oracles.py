@@ -153,6 +153,18 @@ def test_sphere_state_constraints_survive_complex_time(rng):
     assert cx < 1e-12 and cp < 1e-12
 
 
+def test_sphere_suite_states_are_tangent():
+    # nearly radial draws (seed 110) once left x.p at ~1e-12 after projection
+    from magtube.suites import _random_sphere_states, run_suite
+
+    assert run_suite("sphere-oracle", 110)["passed"]
+    rng = np.random.default_rng(110)
+    for r in (1.0, 2.0):
+        x, p = _random_sphere_states(rng, 20000, r)
+        xp = np.abs(np.einsum("mi,mi->m", x, p))
+        assert (xp <= 1e-14 * r * np.linalg.norm(p, axis=1)).all()
+
+
 def test_moment_map_norm_identity(rng):
     x, p = _states(rng, 50, r=1.3)
     J = orc.sphere_moment_map(x, p, 1.3, 0.7)
