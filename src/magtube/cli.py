@@ -36,6 +36,7 @@ from .kahler import (
     potential_f_many,
 )
 from .structure import (
+    LagrangianFrame,
     assemble_J,
     frames_at_many,
     integrability_residual_many,
@@ -78,6 +79,13 @@ def _time_of(cfg: RunConfig):
     if cfg.time.imag == 0.0 and not cfg.path:
         return cfg.time.real
     return ComplexTime(cfg.time, cfg.path)
+
+
+def _complex_time_of(cfg: RunConfig, command: str) -> ComplexTime:
+    t = _time_of(cfg)
+    if isinstance(t, float):
+        raise ConfigError(f"{command} requires a complex time (Im t != 0)")
+    return t
 
 
 def _chunks(m: int, jobs: int):
@@ -228,11 +236,12 @@ def cmd_acs(args) -> int:
     cfg = _load(args)
     geo = build_geometry(cfg)
     Z = grid_points(cfg, geo)
-    t = _time_of(cfg)
-    if isinstance(t, float):
-        raise ConfigError("acs requires a complex time (Im t != 0)")
+    t = _complex_time_of(cfg, "acs")
     n = geo.dim
     F, ok, reasons, _ = frames_at_many(geo, Z, t)
+    integ = np.full(Z.shape[0], np.nan)
+    if ok.any():
+        integ[ok] = integrability_residual_many(geo, Z[ok].real, t)
     header = [f"x{j+1}" for j in range(n)] + [f"p{j+1}" for j in range(n)]
     header += ["transversality", "min_positivity_eig", "integrability_residual"]
     header += [f"J{a}{b}" for a in range(2 * n) for b in range(2 * n)]
@@ -241,17 +250,11 @@ def cmd_acs(args) -> int:
     for i in range(Z.shape[0]):
         vals = [_fmt(v) for v in np.real(Z[i])]
         if ok[i]:
-            from .structure import LagrangianFrame
-
             z = PhasePoint(Z[i, :n].real, Z[i, n:].real)
             frame = LagrangianFrame(base=z, time=complex(cfg.time), F=F[i])
             acs = assemble_J(frame, geo)
-            try:
-                integ = float(integrability_residual_many(geo, Z[i : i + 1].real, t)[0])
-            except RuntimeError:
-                integ = float("nan")
             vals += [_fmt(acs.transversality), _fmt(float(acs.positivity_spectrum.min())),
-                     _fmt(integ)]
+                     _fmt(float(integ[i]))]
             vals += [_fmt(v) for v in acs.J.reshape(-1)]
             vals += ["ok", ""]
         else:
@@ -305,9 +308,7 @@ def cmd_extend(args) -> int:
     geo = build_geometry(cfg)
     Z = grid_points(cfg, geo)
     f = _parse_monomial(args.function, geo.dim)
-    t = _time_of(cfg)
-    if isinstance(t, float):
-        raise ConfigError("extend requires a complex time (Im t != 0)")
+    t = _complex_time_of(cfg, "extend")
     res = flow_many(geo, Z, t)
     vals = f(res.x)
     n = geo.dim
@@ -361,7 +362,7 @@ def cmd_sweep(args) -> int:
         bases = bases[:, :n] if bases.shape[1] >= n else np.zeros((4, n))
     else:
         bases = np.zeros((1, n))
-    t = _time_of(cfg)
+    t = _complex_time_of(cfg, "sweep")
     ndir = 16
     header = ["p_shell", "n_points", "success_fraction", "min_transversality",
               "min_positivity_eig"]
@@ -374,7 +375,7 @@ def cmd_sweep(args) -> int:
             for d in dirs:
                 Z.append(np.concatenate([b, rho * d]))
         Z = np.array(Z)
-        F, ok, reasons, _ = frames_at_many(geo, Z, t if not isinstance(t, float) else 1j)
+        F, ok, reasons, _ = frames_at_many(geo, Z, t)
         frac = float(ok.mean())
         min_trans, min_pos = np.inf, np.inf
         for i in np.nonzero(ok)[0]:

@@ -82,6 +82,14 @@ class StepSizeError(FlowError):
     reason = REASON_TOL
 
 
+def _raise_for(reason, time):
+    if reason == REASON_CHART_EXIT:
+        raise ChartExitError("trajectory left the chart box", time)
+    if reason == REASON_TOL:
+        raise StepSizeError("step size underflow / accuracy unreachable", time)
+    raise BlowUpError("trajectory left the continuation tube", time)
+
+
 @dataclass(frozen=True)
 class ComplexTime:
     """A complex time target with a continuation path from 0.
@@ -133,9 +141,9 @@ class FlowOpts:
 
     Defaults target ~1e-8 end-to-end accuracy for the verification suites.
 
-    With ``track_det`` the tangent-map determinant is sampled at accepted
-    steps only, so ``det_min`` is the minimum over those few points (a
-    handful per unit time with the eighth-order pair), not over the path.
+    The tangent-map determinant is always sampled, at accepted steps only,
+    so ``det_min`` is the minimum over those few points (a handful per unit
+    time with the eighth-order pair), not over the path.
     """
 
     rel_tol: float = 1e-11
@@ -143,7 +151,6 @@ class FlowOpts:
     max_steps: int = 100_000
     min_step: float = 1e-14
     p_cap: float = 1e8
-    track_det: bool = True
 
 
 @dataclass
@@ -188,8 +195,9 @@ class BatchFlowResult:
     time: complex
 
     def state(self, i: int) -> FlowState:
+        """Row i as a FlowState; raises the row's FlowError if it failed."""
         if not self.ok[i]:
-            raise FlowError(f"row {i} failed: {self.reasons[i]}")
+            _raise_for(self.reasons[i], self.time)
         return FlowState(
             self.x[i], self.p[i], self.jac[i], complex(self.quad[i]),
             self.time, float(self.det_min[i]), self.steps,
@@ -424,7 +432,6 @@ def _integrate_path(
                         fail_rows(bad, why)
                     if active.any():
                         K[0] = _rhs(geo, Y)
-                    if opts.track_det and active.any():
                         J = Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)
                         d = np.abs(np.linalg.det(J[active]))
                         det_min[active] = np.minimum(det_min[active], d)
@@ -444,33 +451,9 @@ def _integrate_path(
     return Y, ok, [r if r else None for r in reasons], det_min, steps
 
 
-def _unpack_result(geo, Y, ok, reasons, det_min, steps, time) -> BatchFlowResult:
-    n = geo.dim
-    m = Y.shape[0]
-    return BatchFlowResult(
-        x=Y[:, :n],
-        p=Y[:, n : 2 * n],
-        jac=Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n),
-        quad=Y[:, 2 * n],
-        ok=ok,
-        reasons=reasons,
-        det_min=det_min,
-        steps=steps,
-        time=time,
-    )
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def _raise_for(reason, time):
-    if reason == REASON_CHART_EXIT:
-        raise ChartExitError("trajectory left the chart box", time)
-    if reason == REASON_TOL:
-        raise StepSizeError("step size underflow / accuracy unreachable", time)
-    raise BlowUpError("trajectory left the continuation tube", time)
-
 
 def flow_real(
     geo: ChartedGeometry,
@@ -480,18 +463,9 @@ def flow_real(
 ) -> FlowState:
     """Flow a real phase point for a real time, with tangent map and
     potential quadrature.  Raises on chart exit or integration failure."""
-    opts = opts or FlowOpts()
     if not z0.is_real(1e-9):
         raise ValueError("flow_real requires a real initial point")
-    sigma = float(sigma)
-    Z0 = z0.as_vector()[None, :]
-    Y, ok, reasons, det_min, steps = _integrate_path(
-        geo, Z0, [0.0, sigma], opts, real_mode=True
-    )
-    if not ok[0]:
-        _raise_for(reasons[0], sigma)
-    res = _unpack_result(geo, Y, ok, reasons, det_min, steps, sigma)
-    return res.state(0)
+    return flow_many(geo, z0.as_vector()[None, :], float(sigma), opts).state(0)
 
 
 def flow_complex(
@@ -506,22 +480,10 @@ def flow_complex(
     path).  The start point must be real; holomorphy makes the result path
     independent, which is a verified property rather than an assumption.
     """
-    opts = opts or FlowOpts()
     if not z0.is_real(1e-9):
         raise ValueError("flow_complex requires a real initial point")
-    t = as_complex_time(t)
-    return _flow_complex_from(geo, z0.as_vector(), t, opts)
-
-
-def _flow_complex_from(geo, z0_vector, t: ComplexTime, opts) -> FlowState:
-    """Internal: complex start states allowed (used for frame transport)."""
-    Y, ok, reasons, det_min, steps = _integrate_path(
-        geo, np.asarray(z0_vector, dtype=complex)[None, :], t.waypoints, opts,
-        real_mode=False,
-    )
-    if not ok[0]:
-        _raise_for(reasons[0], t.target)
-    return _unpack_result(geo, Y, ok, reasons, det_min, steps, t.target).state(0)
+    Z0 = z0.as_vector()[None, :]
+    return flow_many(geo, Z0, as_complex_time(t), opts, real_mode=False).state(0)
 
 
 def flow_many(
@@ -552,7 +514,18 @@ def flow_many(
     Y, ok, reasons, det_min, steps = _integrate_path(
         geo, np.asarray(Z0, dtype=complex), waypoints, opts, real_mode=real_mode
     )
-    return _unpack_result(geo, Y, ok, reasons, det_min, steps, target)
+    n = geo.dim
+    return BatchFlowResult(
+        x=Y[:, :n],
+        p=Y[:, n : 2 * n],
+        jac=Y[:, 2 * n + 1 :].reshape(-1, 2 * n, 2 * n),
+        quad=Y[:, 2 * n],
+        ok=ok,
+        reasons=reasons,
+        det_min=det_min,
+        steps=steps,
+        time=target,
+    )
 
 
 def radius_estimate(C: float, A: float, dist: float) -> float:

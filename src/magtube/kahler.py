@@ -16,6 +16,10 @@ the tanh term in kappa1 is pinned empirically by the adaptedness identity
 Im dbar kappa1 = theta^A, which holds for B/2 and fails for B; see
 ``resolve_kappa1_coefficient``.
 
+Single-point functions (``potential_f``, ``kde_residual``,
+``dbar_residual``, ``holomorphic_extension``) are one-row calls of the
+batched code path.
+
 Phase-space derivatives of computed scalars all go through
 ``phase_gradient``, the one stencil: central differences with step
 ``FD_STEP`` = 1e-4 and one level of Richardson extrapolation, evaluated for
@@ -30,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .flow import FlowOpts, as_complex_time, flow_many, _flow_complex_from
+from .flow import FlowOpts, as_complex_time, flow_many, _raise_for
 from .geometry import ChartedGeometry, PhasePoint, energy
 
 __all__ = [
@@ -97,12 +101,14 @@ def potential_f(geo: ChartedGeometry, z: PhasePoint, t, opts: Optional[FlowOpts]
 
     The integral is the flow quadrature along the path from 0 to -t with the
     orientation int_{-t}^0 = -int_0^{-t}; f_0 = 0 and conj(f_t) = f_conj(t).
+    The one-row case of ``potential_f_many``; raises the row's FlowError if
+    the flow to -t fails.
     """
-    opts = opts or FlowOpts()
     t = as_complex_time(t)
-    st = _flow_complex_from(geo, z.as_vector(), t.reversed(), opts)
-    E = complex(energy(geo, z.x, z.p))
-    return t.target * E - complex(st.quad)
+    vals, ok, reasons = potential_f_many(geo, z.as_vector()[None, :], t, opts)
+    if not ok[0]:
+        _raise_for(reasons[0], -t.target)
+    return complex(vals[0])
 
 
 def potential_f_many(geo, Z: np.ndarray, t, opts: Optional[FlowOpts] = None):
@@ -321,11 +327,10 @@ def holomorphic_extension(
     """Value of the holomorphic extension f o pi o Phi_i at z.
 
     ``f`` must itself be evaluable at complex base points reached by the
-    flow (any analytic closed form qualifies).
+    flow (any analytic closed form qualifies).  ``z`` may be complex.
     """
-    opts = opts or FlowOpts()
-    st = _flow_complex_from(geo, z.as_vector(), as_complex_time(t), opts)
-    return complex(f(st.x))
+    res = flow_many(geo, z.as_vector()[None, :], as_complex_time(t), opts, real_mode=False)
+    return complex(f(res.state(0).x))
 
 
 def section_weight(geo: ChartedGeometry, z: PhasePoint, k: int, opts=None) -> complex:

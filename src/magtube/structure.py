@@ -7,6 +7,10 @@ back along the reversed path.  Frames are column-orthonormalized (with a
 deterministic phase convention) after transport; every reported quantity is
 invariant under right multiplication of the frame by an invertible matrix, so
 this is a pure conditioning device.
+
+Each operation has one batched implementation; the single-point functions
+(``frame_at``, ``integrability_residual``) are its one-row case and raise
+where the batch reports a failed row.
 """
 
 from __future__ import annotations
@@ -16,14 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import (
-    FlowOpts,
-    as_complex_time,
-    flow_many,
-    _flow_complex_from,
-    _integrate_path,
-    _unpack_result,
-)
+from .flow import FlowOpts, as_complex_time, flow_many, _raise_for
 from .geometry import ChartedGeometry, PhasePoint, twisted_symplectic_matrix
 
 __all__ = [
@@ -116,21 +113,15 @@ def frame_at(
 ) -> LagrangianFrame:
     """Transported vertical frame at a real point for complex time t.
 
-    Flows z backwards along the reversed path to w, then transports the
-    vertical frame [0; 1] at w forward by the variational tangent map; the
-    returned columns are orthonormalized.  The defect of the round trip
-    (which must return to z) is reported as ``inverse_residual``.
+    The one-row case of ``frames_at_many``; raises the row's FlowError if
+    the transport fails.
     """
-    opts = opts or FlowOpts()
     t = as_complex_time(t)
-    back = _flow_complex_from(geo, z.as_vector(), t.reversed(), opts)
-    w = np.concatenate([back.x, back.p])
-    fwd = _flow_complex_from(geo, w, t, opts)
-    n = geo.dim
-    F = fwd.jac[:, n:]
-    residual = float(np.abs(np.concatenate([fwd.x, fwd.p]) - z.as_vector()).max())
-    return LagrangianFrame(base=z, time=t.target, F=orthonormalize(F),
-                           inverse_residual=residual)
+    F, ok, reasons, inv_res = frames_at_many(geo, z.as_vector()[None, :], t, opts)
+    if not ok[0]:
+        _raise_for(reasons[0], t.target)
+    return LagrangianFrame(base=z, time=t.target, F=F[0],
+                           inverse_residual=float(inv_res[0]))
 
 
 def frames_at_many(
@@ -141,6 +132,11 @@ def frames_at_many(
 ):
     """Batch frame transport.
 
+    Flows each row z backwards along the reversed path to w, then transports
+    the vertical frame [0; 1] at w forward by the variational tangent map;
+    the columns are orthonormalized.  The defect of the round trip (which
+    must return to z) is reported as the inverse residual.
+
     Returns (F, ok, reasons, inverse_residuals) with F of shape (m, 2n, n).
     """
     opts = opts or FlowOpts()
@@ -149,8 +145,7 @@ def frames_at_many(
     back = flow_many(geo, Z, t.reversed(), opts, real_mode=False)
     W = np.concatenate([back.x, back.p], axis=1)
     W[~back.ok] = 0.0  # parked; masked out below
-    Yf, okf, reasons_f, _, _ = _integrate_path(geo, W, t.waypoints, opts, real_mode=False)
-    fwd = _unpack_result(geo, Yf, okf, reasons_f, None, 0, t.target)
+    fwd = flow_many(geo, W, t, opts, real_mode=False)
     n = geo.dim
     ok = back.ok & fwd.ok
     reasons = [rb or rf for rb, rf in zip(back.reasons, fwd.reasons)]
@@ -229,7 +224,10 @@ def integrability_residual_many(
     h: float = 1e-4,
     opts: Optional[FlowOpts] = None,
 ) -> np.ndarray:
-    """Bracket-closure defects for all rows of Z, stencil-batched."""
+    """Bracket-closure defects for all rows of Z, stencil-batched.
+
+    A row whose stencil left the tube gets NaN; the other rows are computed.
+    """
     opts = opts or FlowOpts()
     Z = np.asarray(Z, dtype=float)
     mpts, n2 = Z.shape
@@ -241,13 +239,10 @@ def integrability_residual_many(
         shift[1 + 2 * m, m] = h
         shift[2 + 2 * m, m] = -h
     stencil += np.tile(shift, (mpts, 1))
-    F_all, ok, reasons, _ = frames_at_many(geo, stencil, t, opts)
-    if not ok.all():
-        bad = [r for r in reasons if r]
-        raise RuntimeError(f"stencil point left the tube: {bad[0]}")
+    F_all, ok, _, _ = frames_at_many(geo, stencil, t, opts)
     F_all = F_all.reshape(mpts, width, n2, n)
-    out = np.empty(mpts)
-    for i in range(mpts):
+    out = np.full(mpts, np.nan)
+    for i in np.flatnonzero(ok.reshape(mpts, width).all(axis=1)):
         Fc = F_all[i, 0]
         dF = (F_all[i, 1::2] - F_all[i, 2::2]) / (2 * h)  # (n2, 2n, n)
         proj_out = np.eye(n2) - Fc @ Fc.conj().T
@@ -274,11 +269,13 @@ def integrability_residual(
     Frame vector fields are sampled on a central-difference stencil in the 2n
     real phase coordinates; Lie brackets of frame columns are projected onto
     the orthogonal complement of the frame span at z.  The max projection
-    norm vanishes for an involutive (integrable) distribution.
+    norm vanishes for an involutive (integrable) distribution.  Raises
+    RuntimeError if a stencil point leaves the tube.
     """
-    return float(
-        integrability_residual_many(geo, z.as_vector().real[None, :], t, h, opts)[0]
-    )
+    out = float(integrability_residual_many(geo, z.as_vector().real[None, :], t, h, opts)[0])
+    if np.isnan(out):
+        raise RuntimeError("stencil point left the tube")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import oracles as orc
-from .flow import ComplexTime, FlowOpts, flow_complex, flow_many, radius_estimate
+from .flow import ComplexTime, FlowError, FlowOpts, flow_complex, flow_many, radius_estimate
 from .geometry import (
     ChartedGeometry,
     PhasePoint,
@@ -42,6 +42,7 @@ from .kahler import (
     section_weight,
 )
 from .structure import (
+    LagrangianFrame,
     assemble_J,
     frame_at,
     frames_at_many,
@@ -122,6 +123,23 @@ def _geometry_samples(rng, geo_kind, m, **kw):
 
 def _rng(seed: int, channel: int):
     return np.random.default_rng([seed, channel])
+
+
+def _zero_section_flow(geo: ChartedGeometry, xs: np.ndarray, t, opts):
+    """States of the zero-section points (x, 0) continued along ComplexTime(t),
+    one batch; raises FlowError if a row fails."""
+    Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
+    res = flow_many(geo, Z, ComplexTime(t), opts, real_mode=False)
+    return [res.state(i) for i in range(len(xs))]
+
+
+def _frames(geo: ChartedGeometry, Z: np.ndarray, t, opts) -> np.ndarray:
+    """Transported frames at every row of Z, one batch; raises FlowError if
+    a row fails."""
+    F, ok, reasons, _ = frames_at_many(geo, Z, t, opts)
+    if not ok.all():
+        raise FlowError(f"frame transport failed: {[r for r in reasons if r][0]}")
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +294,16 @@ def suite_flow(seed: int) -> List[CheckResult]:
     zs_cases = [("flat", _flat(1.0, 1.0)), ("flat", _flat(1.0, 0.5)), ("sphere", _sphere())]
     for kind, geo in zs_cases:
         xs = rng.uniform(-0.3, 0.3, (2, 2)) * (1.0 if kind == "flat" else SPHERE_R)
-        for x0 in xs:
-            g0 = geo.inv_metric(x0)
-            b0 = geo.beta(x0)
-            for sig in (0.5, 1j, 0.3 + 0.8j):
-                st = flow_complex(geo, PhasePoint(x0, [0, 0]), sig, opts)
-                ref = orc.zero_section_linearization(b0, sig, g0)
+        Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
+        g0, b0 = geo.inv_metric(xs), geo.beta(xs)
+        for sig in (0.5, 1j, 0.3 + 0.8j):
+            for i, st in enumerate(_zero_section_flow(geo, xs, sig, opts)):
+                ref = orc.zero_section_linearization(b0[i], sig, g0[i])
                 worst_jac = max(worst_jac, float(np.abs(st.jac - ref).max()))
-                fr = frame_at(geo, PhasePoint(x0, [0, 0]), sig if sig != 0.5 else 1j, opts)
-                ref_frame = orc.zero_section_frame(b0, sig if sig != 0.5 else 1j, g0)
-                worst_span = max(worst_span, subspace_distance(fr.F, ref_frame))
+        for sig in (1j, 0.3 + 0.8j):
+            for i, F in enumerate(_frames(geo, Z, sig, opts)):
+                ref_frame = orc.zero_section_frame(b0[i], sig, g0[i])
+                worst_span = max(worst_span, subspace_distance(F, ref_frame))
     checks.append(CheckResult("zero_section_jacobian", worst_jac, 1e-9))
     checks.append(CheckResult("zero_section_frame_span", worst_span, 1e-9))
 
@@ -366,35 +384,29 @@ def suite_frames(seed: int) -> List[CheckResult]:
             min_pos = min(min_pos, float(np.linalg.eigvalsh(M).min()))
 
         # conjugate frame spans the conjugate-time subspace
-        Fm, okm, _, _ = frames_at_many(geo, Z[:5], -1j, opts)
+        Fm = frames_at_many(geo, Z[:5], -1j, opts)[0]
         for i in range(5):
             worst_conj_span = max(worst_conj_span, subspace_distance(F[i].conj(), Fm[i]))
 
-        # J at conjugate times are opposite; omega(X, JX) > 0
+        # J at conjugate times are opposite; omega(X, JX) > 0; gauge
+        # invariance under random right-multiplication
         for i in range(3):
             z = PhasePoint(Z[i, :2], Z[i, 2:])
-            acs_p = assemble_J(frame_at(geo, z, 1j, opts), geo)
-            acs_m = assemble_J(frame_at(geo, z, -1j, opts), geo)
+            acs_p = assemble_J(LagrangianFrame(z, 1j, F[i]), geo)
+            acs_m = assemble_J(LagrangianFrame(z, -1j, Fm[i]), geo)
             worst_conjJ = max(worst_conjJ, float(np.abs(acs_p.J + acs_m.J).max()))
             omz = twisted_symplectic_matrix(geo, z.x).real
             Sym = omz @ acs_p.J
             Sym = 0.5 * (Sym + Sym.T)
             min_metric_pos = min(min_metric_pos, float(np.linalg.eigvalsh(Sym).min()))
 
-        # gauge invariance under random right-multiplication
-        for i in range(3):
-            z = PhasePoint(Z[i, :2], Z[i, 2:])
-            fr = frame_at(geo, z, 1j, opts)
             G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            import dataclasses
-
-            fr2 = dataclasses.replace(fr, F=orthonormalize(fr.F @ G))
-            a1, a2 = assemble_J(fr, geo), assemble_J(fr2, geo)
+            acs_g = assemble_J(LagrangianFrame(z, 1j, orthonormalize(F[i] @ G)), geo)
             worst_gauge = max(
                 worst_gauge,
-                float(np.abs(a1.J - a2.J).max()),
-                float(np.abs(a1.positivity_spectrum - a2.positivity_spectrum).max()),
-                abs(a1.transversality - a2.transversality),
+                float(np.abs(acs_p.J - acs_g.J).max()),
+                float(np.abs(acs_p.positivity_spectrum - acs_g.positivity_spectrum).max()),
+                abs(acs_p.transversality - acs_g.transversality),
             )
 
     checks.append(CheckResult("lagrangian_residual", worst_lagr, 1e-8))
@@ -413,13 +425,12 @@ def suite_frames(seed: int) -> List[CheckResult]:
 
     # zero-section Hermitian form against the closed-form positivity matrix
     worst = 0.0
-    for kind, geo in [("flat", _flat(1.0, 0.5)), ("sphere", _sphere())]:
-        for x0 in rng.uniform(-0.2, 0.2, (2, 2)):
-            T, btil = normalized_zero_section_frame_change(geo, x0)
-            L = T[:2, :2]
-            for t in (1j, 0.3 + 0.8j):
-                st = flow_complex(geo, PhasePoint(x0, [0, 0]), t, opts)
-                Fn = T @ st.jac[:, 2:] @ L.T
+    for geo in (_flat(1.0, 0.5), _sphere()):
+        xs = rng.uniform(-0.2, 0.2, (2, 2))
+        changes = [normalized_zero_section_frame_change(geo, x0) for x0 in xs]
+        for t in (1j, 0.3 + 0.8j):
+            for (T, btil), st in zip(changes, _zero_section_flow(geo, xs, t, opts)):
+                Fn = T @ st.jac[:, 2:] @ T[:2, :2].T
                 om_t = np.block([[-btil, np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
                 M = 1j * Fn.conj().T @ om_t @ Fn
                 worst = max(worst, float(np.abs(M - orc.zero_section_positivity_matrix(btil, t)).max()))
@@ -431,13 +442,14 @@ def suite_frames(seed: int) -> List[CheckResult]:
     # totally real zero-section: vertical block of the frame is nonsingular
     min_block, min_horiz = np.inf, np.inf
     for kind, geo in cases:
-        for x0 in rng.uniform(-0.2, 0.2, (3, 2)):
-            T, btil = normalized_zero_section_frame_change(geo, x0)
-            st = flow_complex(geo, PhasePoint(x0, [0, 0]), 1j, opts)
+        xs = rng.uniform(-0.2, 0.2, (3, 2))
+        F = _frames(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), 1j, opts)
+        for i, st in enumerate(_zero_section_flow(geo, xs, 1j, opts)):
+            T, btil = normalized_zero_section_frame_change(geo, xs[i])
             Fn = T @ st.jac[:, 2:]
             min_block = min(min_block, float(np.linalg.svd(Fn[2:], compute_uv=False)[-1]))
             min_block = min(min_block, float(np.linalg.svd(expm(1j * btil), compute_uv=False)[-1]))
-            acs = assemble_J(frame_at(geo, PhasePoint(x0, [0, 0]), 1j, opts), geo)
+            acs = assemble_J(LagrangianFrame(PhasePoint(xs[i], [0, 0]), 1j, F[i]), geo)
             Eh = np.vstack([np.eye(2), np.zeros((2, 2))])
             min_horiz = min(min_horiz, float(
                 np.linalg.svd(np.hstack([Eh, acs.J @ Eh]), compute_uv=False)[-1]))
@@ -504,7 +516,7 @@ def suite_kahler(seed: int) -> List[CheckResult]:
                               1e-5))
 
     # kappa1: coefficient resolution by the adaptedness identity
-    acs = assemble_J(frame_at(flat, PhasePoint(Zf[0, :2], Zf[0, 2:]), 1j, opts), flat)
+    acs = assemble_J(LagrangianFrame(PhasePoint(Zf[0, :2], Zf[0, 2:]), 1j, Ff[0]), flat)
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, Zf[:10])
     checks.append(CheckResult("kappa1_adapted", residuals[coeff], 1e-6,
                               note=f"tanh coefficient resolved to {coeff} * B "
@@ -701,9 +713,8 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
     for B, mass_freq in FLAT_CASES:
         geo = _flat(B, mass_freq)
         Fo = orc.flat_frame_columns(B, mass_freq, 1j)
-        for row in _sample_flat(rng, 5):
-            fr = frame_at(geo, PhasePoint(row[:2], row[2:]), 1j, opts)
-            worst = max(worst, subspace_distance(fr.F, Fo))
+        for F in _frames(geo, _sample_flat(rng, 5), 1j, opts):
+            worst = max(worst, subspace_distance(F, Fo))
     checks.append(CheckResult("frame_closed_form", worst, 1e-9))
 
     # determinant of [F, conj F] on the raw transported columns

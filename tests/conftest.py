@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magtube.geometry import make_flat_magnetic, make_sphere_magnetic
+from magtube.geometry import make_flat_magnetic, make_sphere_magnetic, pointwise_geometry
 
 SEED = 20240811
 
@@ -43,4 +43,21 @@ def sample_flat(rng, m, xmax=0.8, pmax=1.2):
 def sample_sphere(rng, m, umax=0.14, pmax=0.4):
     return np.concatenate(
         [rng.uniform(-umax, umax, (m, 2)), rng.uniform(-pmax, pmax, (m, 2))], axis=1
+    )
+
+
+def tiny_validity_geometry():
+    """Analytic data with a complex singularity close to the real chart:
+    continuation fails once |p| is large."""
+    return pointwise_geometry(
+        dim=2,
+        inv_metric=lambda x: np.eye(2) / (1.0 - (x[0] ** 2 + x[1] ** 2)),
+        beta=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        potential=lambda x: 0.5 * np.array([-x[1], x[0]]),
+        chart_box=0.9,
+        complex_radius=0.7,
+        inv_metric_deriv=lambda x: np.einsum(
+            "jk,l->jkl", np.eye(2), 2.0 * x / (1.0 - (x[0] ** 2 + x[1] ** 2)) ** 2
+        ),
+        name="tight",
     )

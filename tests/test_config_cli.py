@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import tiny_validity_geometry
 from magtube import oracles as orc
 from magtube.cli import main
 from magtube.config import (
@@ -264,19 +265,8 @@ def test_cmd_sweep_decays_for_tight_geometry(rng):
     # forced failure: a custom chart with a nearby complex singularity loses
     # continuation as |p| grows (exercised through the library API)
     from magtube.flow import FlowOpts, flow_many
-    from magtube.geometry import pointwise_geometry
 
-    geo = pointwise_geometry(
-        dim=2,
-        inv_metric=lambda x: np.eye(2) / (1.0 - (x[0] ** 2 + x[1] ** 2)),
-        beta=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        potential=lambda x: 0.5 * np.array([-x[1], x[0]]),
-        chart_box=0.9,
-        complex_radius=0.7,
-        inv_metric_deriv=lambda x: np.einsum(
-            "jk,l->jkl", np.eye(2), 2.0 * x / (1.0 - (x[0] ** 2 + x[1] ** 2)) ** 2
-        ),
-    )
+    geo = tiny_validity_geometry()
     opts = FlowOpts(max_steps=1500)
     fractions = []
     for rho in (0.1, 1.0, 3.0):
@@ -317,6 +307,11 @@ def test_cmd_verify_suite_from_config(tmp_path):
 def test_cli_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "c.cfg", "kind = flat\ngrid = x1:-100:100:2\n")
     assert main(["flow", "--config", cfg]) == 2
+    # sweep has no structure to explore at a real time; it is not replaced by i
+    cfg = _write(tmp_path, "r.cfg", "kind = flat\ngrid = p1:0.2:1.5:2\ntime = 0.5\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_tol_is_rejected(tmp_path):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import sample_flat, sample_sphere
+from conftest import sample_flat, sample_sphere, tiny_validity_geometry
 import magtube
 from magtube import dop853
 from magtube import oracles as orc
@@ -21,12 +21,7 @@ from magtube.flow import (
     hamiltonian_field,
     radius_estimate,
 )
-from magtube.geometry import (
-    PhasePoint,
-    energy,
-    pointwise_geometry,
-    twisted_symplectic_matrix,
-)
+from magtube.geometry import PhasePoint, energy, twisted_symplectic_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +145,10 @@ def test_flow_complex_path_independent(flat_geo, sphere_geo, rng):
 
 
 def test_flow_complex_inverse_consistency(flat_geo):
-    from magtube.flow import _flow_complex_from
-
     z0 = PhasePoint([0.3, -0.2], [0.8, 0.4])
     t = ComplexTime(0.3 + 0.8j)
     out = flow_complex(flat_geo, z0, t)
-    back = _flow_complex_from(
-        flat_geo, np.concatenate([out.x, out.p]), t.reversed(), FlowOpts()
-    )
+    back = flow_many(flat_geo, out.as_vector()[None, :], t.reversed(), real_mode=False).state(0)
     assert np.abs(back.as_vector() - z0.as_vector()).max() < 1e-8
 
 
@@ -176,29 +167,13 @@ def test_complex_time_validation():
 # failure modes
 # ---------------------------------------------------------------------------
 
-def _tiny_validity_geometry():
-    # analytic data with a complex singularity close to the real chart
-    return pointwise_geometry(
-        dim=2,
-        inv_metric=lambda x: np.eye(2) / (1.0 - (x[0] ** 2 + x[1] ** 2)),
-        beta=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        potential=lambda x: 0.5 * np.array([-x[1], x[0]]),
-        chart_box=0.9,
-        complex_radius=0.7,
-        inv_metric_deriv=lambda x: np.einsum(
-            "jk,l->jkl", np.eye(2), 2.0 * x / (1.0 - (x[0] ** 2 + x[1] ** 2)) ** 2
-        ),
-        name="tight",
-    )
-
-
 def test_chart_exit_detected(flat_geo_free):
     with pytest.raises(ChartExitError):
         flow_real(flat_geo_free, PhasePoint([0, 0], [80.0, 0]), 1.0)
 
 
 def test_blow_up_detected():
-    geo = _tiny_validity_geometry()
+    geo = tiny_validity_geometry()
     with pytest.raises(BlowUpError):
         flow_complex(geo, PhasePoint([0.0, 0.0], [2.5, 0.0]), 1j,
                      FlowOpts(max_steps=2000))
@@ -207,6 +182,9 @@ def test_blow_up_detected():
 def test_step_budget_exhaustion(flat_geo):
     with pytest.raises(StepSizeError):
         flow_real(flat_geo, PhasePoint([0, 0], [1, 0]), 1.0, FlowOpts(max_steps=3))
+    # det_min is always sampled: there is no switch for it
+    with pytest.raises(TypeError):
+        FlowOpts(track_det=False)
 
 
 def test_flow_many_records_per_row_failures(flat_geo_free):
@@ -221,12 +199,24 @@ def test_flow_many_records_per_row_failures(flat_geo_free):
     assert np.abs(res.x[0] - np.array([0.5, 0.0])).max() < 1e-12
 
 
-def test_flow_many_matches_single(flat_geo, rng):
+def test_flow_many_matches_single(flat_geo, sphere_geo, rng):
     Z = sample_flat(rng, 6)
     res = flow_many(flat_geo, Z, ComplexTime(1j))
     st = flow_complex(flat_geo, PhasePoint(Z[0, :2], Z[0, 2:]), 1j)
     assert np.abs(res.x[0] - st.x).max() < 1e-10
     assert np.abs(res.jac[0] - st.jac).max() < 1e-9
+    # a single-point flow is the one-row batch, bit for bit
+    for geo, row in ((flat_geo, Z[:1]), (sphere_geo, sample_sphere(rng, 1))):
+        z = PhasePoint(row[0, :2], row[0, 2:])
+        for single, batch in (
+            (flow_real(geo, z, 0.4), flow_many(geo, row, 0.4).state(0)),
+            (flow_complex(geo, z, 0.3 + 0.8j),
+             flow_many(geo, row, ComplexTime(0.3 + 0.8j), real_mode=False).state(0)),
+        ):
+            for name in ("x", "p", "jac"):
+                assert np.array_equal(getattr(single, name), getattr(batch, name))
+            assert single.quad == batch.quad and single.time == batch.time
+            assert single.det_min == batch.det_min
 
 
 # ---------------------------------------------------------------------------

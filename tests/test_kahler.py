@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import sample_flat, sample_sphere
+from conftest import sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import oracles as orc
-from magtube.flow import FlowOpts
+from magtube.flow import BlowUpError, FlowOpts
 from magtube.geometry import PhasePoint
 from magtube.kahler import (
     FD_STEP,
@@ -277,6 +277,18 @@ def test_potential_sample_assembly(flat_geo):
     assert abs(ps.kappa2 - (2j * ps.f_minus_i).real) < 1e-14
     assert ps.kde_residual < 1e-6
     assert ps.dbar_residual < 1e-6
+
+
+def test_potential_f_is_one_row_of_potential_f_many(flat_geo, sphere_geo):
+    row = np.array([[0.1, -0.05, 0.3, 0.2]])
+    z = PhasePoint(row[0, :2], row[0, 2:])
+    for geo in (flat_geo, sphere_geo):
+        for t in (-1j, 0.5, 0.3 + 0.8j):
+            vals, ok, _ = potential_f_many(geo, row, t)
+            assert ok[0] and potential_f(geo, z, t) == vals[0]
+    with pytest.raises(BlowUpError):
+        potential_f(tiny_validity_geometry(), PhasePoint([0.0, 0.0], [2.5, 0.0]), -1j,
+                    FlowOpts(max_steps=2000))
 
 
 def test_potential_f_many_flags_failures(flat_geo):

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import sample_flat, sample_sphere
+from conftest import sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import oracles as orc
-from magtube.flow import flow_complex
+from magtube.flow import BlowUpError, FlowOpts, flow_complex
 from magtube.geometry import PhasePoint, twisted_symplectic_matrix
 from magtube.structure import (
     acs_point,
@@ -13,6 +13,7 @@ from magtube.structure import (
     frame_at,
     frames_at_many,
     integrability_residual,
+    integrability_residual_many,
     normalized_zero_section_frame_change,
     orthonormalize,
     positivity_matrix,
@@ -47,12 +48,22 @@ def test_frame_on_zero_section_matches_block_exponential(sphere_geo):
         assert subspace_distance(fr.F, ref) < 1e-9
 
 
-def test_frames_at_many_agrees_with_single(flat_geo, rng):
+def test_frames_at_many_agrees_with_single(flat_geo, sphere_geo, rng):
     Z = sample_flat(rng, 4)
     F, ok, reasons, inv = frames_at_many(flat_geo, Z, 1j)
     assert ok.all()
     fr0 = frame_at(flat_geo, PhasePoint(Z[0, :2], Z[0, 2:]), 1j)
     assert subspace_distance(F[0], fr0.F) < 1e-9
+    # a single-point frame is the one-row batch, bit for bit
+    row = np.array([[0.1, -0.05, 0.3, 0.2]])
+    for t in (1j, 0.3 + 0.8j):
+        fr = frame_at(sphere_geo, PhasePoint(row[0, :2], row[0, 2:]), t)
+        F, ok, _, inv = frames_at_many(sphere_geo, row, t)
+        assert ok[0] and np.array_equal(fr.F, F[0])
+        assert fr.inverse_residual == inv[0]
+    with pytest.raises(BlowUpError):
+        frame_at(tiny_validity_geometry(), PhasePoint([0.0, 0.0], [2.5, 0.0]), 1j,
+                 FlowOpts(max_steps=2000))
 
 
 def test_conjugate_frame_spans_conjugate_time(sphere_geo):
@@ -191,6 +202,18 @@ def test_integrability_sphere_complex_time(sphere_geo):
     for t in (1j, 0.3 + 0.8j):
         res = integrability_residual(sphere_geo, PhasePoint([0.1, -0.05], [0.3, 0.2]), t)
         assert res < 1e-4
+
+
+def test_integrability_failure_is_per_row():
+    # the second row's stencil leaves the tube; the others are still computed
+    geo = tiny_validity_geometry()
+    opts = FlowOpts(max_steps=2000)
+    Z = np.array([[0.1, 0.0, 0.2, 0.0], [0.0, 0.0, 2.5, 0.0], [0.0, 0.1, 0.0, -0.2]])
+    res = integrability_residual_many(geo, Z, 1j, opts=opts)
+    assert np.isnan(res[1])
+    assert np.isfinite(res[[0, 2]]).all() and res[[0, 2]].max() < 1e-4
+    with pytest.raises(RuntimeError, match="left the tube"):
+        integrability_residual(geo, PhasePoint(Z[1, :2], Z[1, 2:]), 1j, opts=opts)
 
 
 # ---------------------------------------------------------------------------
