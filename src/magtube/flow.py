@@ -5,9 +5,12 @@ The equations of motion in a chart are
     dx^l/ds = g^{lj}(x) p_j
     dp_l/ds = -(1/2) dg^{jk}/dx^l p_j p_k + beta_{lj}(x) g^{jk}(x) p_k
 
-integrated together with the first variational equation dJ/ds = DX(z) J for
-the transported tangent map and the line integral dq/ds = A_j(x) dx^j/ds of
-the vector potential along the base trajectory.
+integrated together with the line integral dq/ds = A_j(x) dx^j/ds of the
+vector potential along the base trajectory and, only when the caller asks for
+it (``tangent=True``, the default), the first variational equation
+dJ/ds = DX(z) J for the transported tangent map.  The phase point and the
+quadrature need neither the field Jacobian DX nor the second derivatives of
+the geometry, so a tangent-free flow skips them.
 
 Complex time: the system is integrated along a polyline in the complex time
 disk; since the right-hand side is holomorphic the result is path independent
@@ -16,7 +19,8 @@ than assumes.  The integrator is the DOP853 8(5,3) Runge-Kutta pair of
 Dormand and Prince (Hairer, Norsett and Wanner, Solving ODEs I, Sec. II.10)
 acting on the complexified state, shared-stepsize over an optional batch axis
 with per-row failure masking.  Each right-hand-side call evaluates the
-geometry once for the field, its Jacobian and the variational term.
+geometry once for the field and, with the tangent map, its Jacobian and
+the variational term.
 """
 
 from __future__ import annotations
@@ -141,9 +145,10 @@ class FlowOpts:
 
     Defaults target ~1e-8 end-to-end accuracy for the verification suites.
 
-    The tangent-map determinant is always sampled, at accepted steps only,
-    so ``det_min`` is the minimum over those few points (a handful per unit
-    time with the eighth-order pair), not over the path.
+    With the tangent map (``tangent=True``) its determinant is sampled at
+    accepted steps only, so ``det_min`` is the minimum over those few points
+    (a handful per unit time with the eighth-order pair), not over the path;
+    a tangent-free flow reports NaN.
     """
 
     rel_tol: float = 1e-11
@@ -155,11 +160,11 @@ class FlowOpts:
 
 @dataclass
 class FlowState:
-    """Flowed phase point with transported tangent map and quadrature."""
+    """Flowed phase point with quadrature and (if carried) tangent map."""
 
     x: np.ndarray
     p: np.ndarray
-    jac: np.ndarray
+    jac: Optional[np.ndarray]
     quad: complex
     time: complex
     det_min: float = np.inf
@@ -176,17 +181,18 @@ class FlowState:
         return bool(
             np.abs(self.x.imag).max() < tol
             and np.abs(self.p.imag).max() < tol
-            and np.abs(self.jac.imag).max() < tol
+            and (self.jac is None or np.abs(self.jac.imag).max() < tol)
         )
 
 
 @dataclass
 class BatchFlowResult:
-    """Vectorized flow result; failed rows carry a reason code."""
+    """Vectorized flow result; failed rows carry a reason code.  ``jac`` is
+    None and ``det_min`` NaN for a tangent-free flow."""
 
     x: np.ndarray
     p: np.ndarray
-    jac: np.ndarray
+    jac: Optional[np.ndarray]
     quad: np.ndarray
     ok: np.ndarray
     reasons: list
@@ -199,7 +205,8 @@ class BatchFlowResult:
         if not self.ok[i]:
             _raise_for(self.reasons[i], self.time)
         return FlowState(
-            self.x[i], self.p[i], self.jac[i], complex(self.quad[i]),
+            self.x[i], self.p[i], None if self.jac is None else self.jac[i],
+            complex(self.quad[i]),
             self.time, float(self.det_min[i]), self.steps,
         )
 
@@ -254,22 +261,31 @@ def hamiltonian_field(geo: ChartedGeometry, z: PhasePoint) -> np.ndarray:
 
 
 def _rhs(geo: ChartedGeometry, Y: np.ndarray) -> np.ndarray:
-    """Right-hand side for the packed state [x, p, q, vec(jac)].
+    """Right-hand side for the packed state (see ``_pack``).
 
-    Each geometry term is evaluated once; the field, its Jacobian DX and the
-    variational term DX @ jac share them.
+    Each geometry term is evaluated once.  A tangent-free state [x, p, q]
+    gets the field and the quadrature only; with [x, p, q, vec(jac)] the
+    field Jacobian DX, which needs the second derivatives of g and beta, and
+    the variational term DX @ jac share the same evaluations.
     """
     m = Y.shape[0]
     n = geo.dim
     n2 = 2 * n
     x = Y[:, :n]
     p = Y[:, n:n2]
-    J = Y[:, n2 + 1 :].reshape(m, n2, n2)
     g = geo.inv_metric(x)
     b = geo.beta(x)
     T = _contract_mid(geo.inv_metric_deriv(x), p)
-    d2gp = np.einsum("mjklw,mj->mklw", geo.inv_metric_deriv2_or_fd(x), p)
     xdot, pdot = _field(g, T, b, p)
+    out = np.empty_like(Y)
+    out[:, :n] = xdot
+    out[:, n:n2] = pdot
+    out[:, n2] = np.einsum("mj,mj->m", geo.potential(x), xdot)
+    if Y.shape[1] == n2 + 1:
+        return out
+
+    J = Y[:, n2 + 1 :].reshape(m, n2, n2)
+    d2gp = np.einsum("mjklw,mj->mklw", geo.inv_metric_deriv2_or_fd(x), p)
 
     # DX by blocks: d(xdot)/d(x, p) = [T, g]; d(pdot)/d(x, p) is the
     # quadratic-term and beta-derivative part plus beta @ [T, g]
@@ -281,11 +297,6 @@ def _rhs(geo: ChartedGeometry, Y: np.ndarray) -> np.ndarray:
     )
     DX[:, n:, n:] = -T.transpose(0, 2, 1)
     DX[:, n:] += _bmm(b, DX[:, :n])
-
-    out = np.empty_like(Y)
-    out[:, :n] = xdot
-    out[:, n:n2] = pdot
-    out[:, n2] = np.einsum("mj,mj->m", geo.potential(x), xdot)
     out[:, n2 + 1 :] = _bmm(DX, J).reshape(m, -1)
     return out
 
@@ -299,12 +310,15 @@ def _rhs(geo: ChartedGeometry, Y: np.ndarray) -> np.ndarray:
 _WEIGHTS = np.stack([_dop.B, _dop.E5, _dop.E3])
 
 
-def _pack(Z0: np.ndarray, n: int) -> np.ndarray:
+def _pack(Z0: np.ndarray, n: int, tangent: bool) -> np.ndarray:
+    """Start state [x, p, q = 0], followed by vec(jac) = vec(1) if the
+    tangent map is carried."""
     m = Z0.shape[0]
-    D = 2 * n + 1 + 4 * n * n
+    D = 2 * n + 1 + (4 * n * n if tangent else 0)
     Y = np.zeros((m, D), dtype=complex)
     Y[:, : 2 * n] = Z0
-    Y[:, 2 * n + 1 :] = np.eye(2 * n, dtype=complex).reshape(-1)
+    if tangent:
+        Y[:, 2 * n + 1 :] = np.eye(2 * n, dtype=complex).reshape(-1)
     return Y
 
 
@@ -357,21 +371,25 @@ def _integrate_path(
     waypoints: Sequence[complex],
     opts: FlowOpts,
     real_mode: bool,
+    *,
+    tangent: bool = True,
 ):
     """Integrate the packed system along a complex-time polyline.
 
     Z0: (m, 2n) complex start states. Returns (Y, ok, reasons, det_min, steps),
-    where steps counts attempted (accepted and rejected) shared steps.
+    where steps counts attempted (accepted and rejected) shared steps.  The
+    tangent map (and with it det_min, NaN otherwise) is carried only if
+    ``tangent``.
     """
     Z0 = np.asarray(Z0, dtype=complex)
     m = Z0.shape[0]
     n = geo.dim
-    Y = _pack(Z0, n)
+    Y = _pack(Z0, n, tangent)
     active = np.ones(m, dtype=bool)
     reasons = np.array([""] * m, dtype=object)
-    det_min = np.full(m, np.inf)
+    det_min = np.full(m, np.inf if tangent else np.nan)
     Yfail = Y.copy()
-    benign = _pack(np.zeros((1, 2 * n)), n)[0]  # chart origin, jac = 1
+    benign = _pack(np.zeros((1, 2 * n)), n, tangent)[0]  # chart origin, jac = 1
     steps = 0
 
     def fail_rows(mask, why):
@@ -432,9 +450,10 @@ def _integrate_path(
                         fail_rows(bad, why)
                     if active.any():
                         K[0] = _rhs(geo, Y)
-                        J = Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)
-                        d = np.abs(np.linalg.det(J[active]))
-                        det_min[active] = np.minimum(det_min[active], d)
+                        if tangent:
+                            J = Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)
+                            d = np.abs(np.linalg.det(J[active]))
+                            det_min[active] = np.minimum(det_min[active], d)
                     h = h * _step_factor(err_norm)
                 else:
                     if h <= opts.min_step * max(1.0, length):
@@ -460,12 +479,16 @@ def flow_real(
     z0: PhasePoint,
     sigma: float,
     opts: Optional[FlowOpts] = None,
+    *,
+    tangent: bool = True,
 ) -> FlowState:
-    """Flow a real phase point for a real time, with tangent map and
-    potential quadrature.  Raises on chart exit or integration failure."""
+    """Flow a real phase point for a real time, with potential quadrature
+    and (if ``tangent``) tangent map.  Raises on chart exit or integration
+    failure."""
     if not z0.is_real(1e-9):
         raise ValueError("flow_real requires a real initial point")
-    return flow_many(geo, z0.as_vector()[None, :], float(sigma), opts).state(0)
+    Z0 = z0.as_vector()[None, :]
+    return flow_many(geo, Z0, float(sigma), opts, tangent=tangent).state(0)
 
 
 def flow_complex(
@@ -473,6 +496,8 @@ def flow_complex(
     z0: PhasePoint,
     t,
     opts: Optional[FlowOpts] = None,
+    *,
+    tangent: bool = True,
 ) -> FlowState:
     """Analytic continuation of the flow along a complex-time path.
 
@@ -483,7 +508,9 @@ def flow_complex(
     if not z0.is_real(1e-9):
         raise ValueError("flow_complex requires a real initial point")
     Z0 = z0.as_vector()[None, :]
-    return flow_many(geo, Z0, as_complex_time(t), opts, real_mode=False).state(0)
+    return flow_many(
+        geo, Z0, as_complex_time(t), opts, real_mode=False, tangent=tangent
+    ).state(0)
 
 
 def flow_many(
@@ -492,12 +519,17 @@ def flow_many(
     t,
     opts: Optional[FlowOpts] = None,
     real_mode: Optional[bool] = None,
+    *,
+    tangent: bool = True,
 ) -> BatchFlowResult:
     """Flow a batch of phase points (rows of Z0 = [x, p]) to a common time.
 
     Rows that exit the chart / continuation region are reported through
     ``ok`` and ``reasons`` instead of raising.  Real times carry no disk
-    constraint (the disk bounds the analytic continuation only).
+    constraint (the disk bounds the analytic continuation only).  With
+    ``tangent=False`` only the phase point and the quadrature are
+    integrated: ``jac`` is None and ``det_min`` NaN, and neither the field
+    Jacobian nor the geometry's second derivatives are evaluated.
     """
     opts = opts or FlowOpts()
     if not isinstance(t, ComplexTime) and complex(t).imag == 0.0:
@@ -512,13 +544,14 @@ def flow_many(
         if real_mode is None:
             real_mode = tt.target.imag == 0.0 and all(w.imag == 0.0 for w in tt.waypoints)
     Y, ok, reasons, det_min, steps = _integrate_path(
-        geo, np.asarray(Z0, dtype=complex), waypoints, opts, real_mode=real_mode
+        geo, np.asarray(Z0, dtype=complex), waypoints, opts, real_mode=real_mode,
+        tangent=tangent,
     )
     n = geo.dim
     return BatchFlowResult(
         x=Y[:, :n],
         p=Y[:, n : 2 * n],
-        jac=Y[:, 2 * n + 1 :].reshape(-1, 2 * n, 2 * n),
+        jac=Y[:, 2 * n + 1 :].reshape(-1, 2 * n, 2 * n) if tangent else None,
         quad=Y[:, 2 * n],
         ok=ok,
         reasons=reasons,

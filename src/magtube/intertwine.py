@@ -59,9 +59,9 @@ def check_flow_reversal(
     opts = opts or FlowOpts()
     geo_minus = _minus_geometry(geo_plus, geo_minus)
     lhs = fiber_inversion(
-        flow_real(geo_minus, fiber_inversion(z), sigma, opts).phase_point
+        flow_real(geo_minus, fiber_inversion(z), sigma, opts, tangent=False).phase_point
     )
-    rhs = flow_real(geo_plus, z, -sigma, opts).phase_point
+    rhs = flow_real(geo_plus, z, -sigma, opts, tangent=False).phase_point
     return float(np.abs(lhs.as_vector() - rhs.as_vector()).max())
 
 

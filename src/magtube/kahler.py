@@ -112,11 +112,14 @@ def potential_f(geo: ChartedGeometry, z: PhasePoint, t, opts: Optional[FlowOpts]
 
 
 def potential_f_many(geo, Z: np.ndarray, t, opts: Optional[FlowOpts] = None):
-    """Batch f_t over rows of Z = [x, p]; returns (values, ok, reasons)."""
+    """Batch f_t over rows of Z = [x, p]; returns (values, ok, reasons).
+
+    f_t needs the phase point and the quadrature only, so the flow carries
+    no tangent map."""
     opts = opts or FlowOpts()
     t = as_complex_time(t)
     Z = np.asarray(Z, dtype=complex)
-    res = flow_many(geo, Z, t.reversed(), opts, real_mode=False)
+    res = flow_many(geo, Z, t.reversed(), opts, real_mode=False, tangent=False)
     n = geo.dim
     E = energy(geo, Z[:, :n], Z[:, n:])
     vals = t.target * E - res.quad
@@ -329,7 +332,8 @@ def holomorphic_extension(
     ``f`` must itself be evaluable at complex base points reached by the
     flow (any analytic closed form qualifies).  ``z`` may be complex.
     """
-    res = flow_many(geo, z.as_vector()[None, :], as_complex_time(t), opts, real_mode=False)
+    res = flow_many(geo, z.as_vector()[None, :], as_complex_time(t), opts,
+                    real_mode=False, tangent=False)
     return complex(f(res.state(0).x))
 
 

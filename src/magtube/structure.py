@@ -2,11 +2,12 @@
 
 The frame at (z, t) spans the analytic continuation of the flow-transported
 vertical subspace: the vertical frame at w = Phi_{-t}(z) is pushed forward by
-the tangent map of Phi_{t}, computed by integrating the variational equations
-back along the reversed path.  Frames are column-orthonormalized (with a
-deterministic phase convention) after transport; every reported quantity is
-invariant under right multiplication of the frame by an invertible matrix, so
-this is a pure conditioning device.
+the tangent map of Phi_{t}.  The backward flow to w carries no tangent map;
+the variational equations are integrated only on the way forward from w.
+Frames are column-orthonormalized (with a deterministic phase convention)
+after transport; every reported quantity is invariant under right
+multiplication of the frame by an invertible matrix, so this is a pure
+conditioning device.
 
 Each operation has one batched implementation; the single-point functions
 (``frame_at``, ``integrability_residual``) are its one-row case and raise
@@ -132,17 +133,18 @@ def frames_at_many(
 ):
     """Batch frame transport.
 
-    Flows each row z backwards along the reversed path to w, then transports
-    the vertical frame [0; 1] at w forward by the variational tangent map;
-    the columns are orthonormalized.  The defect of the round trip (which
-    must return to z) is reported as the inverse residual.
+    Flows each row z backwards along the reversed path to w (phase point
+    only), then transports the vertical frame [0; 1] at w forward by the
+    variational tangent map; the columns are orthonormalized.  The defect of
+    the round trip (which must return to z) is reported as the inverse
+    residual.  A failed row gets an all-NaN frame and an infinite residual.
 
     Returns (F, ok, reasons, inverse_residuals) with F of shape (m, 2n, n).
     """
     opts = opts or FlowOpts()
     t = as_complex_time(t)
     Z = np.asarray(Z, dtype=complex)
-    back = flow_many(geo, Z, t.reversed(), opts, real_mode=False)
+    back = flow_many(geo, Z, t.reversed(), opts, real_mode=False, tangent=False)
     W = np.concatenate([back.x, back.p], axis=1)
     W[~back.ok] = 0.0  # parked; masked out below
     fwd = flow_many(geo, W, t, opts, real_mode=False)
@@ -150,6 +152,7 @@ def frames_at_many(
     ok = back.ok & fwd.ok
     reasons = [rb or rf for rb, rf in zip(back.reasons, fwd.reasons)]
     F = orthonormalize(fwd.jac[:, :, n:])
+    F[~ok] = np.nan
     endpoints = np.concatenate([fwd.x, fwd.p], axis=1)
     inv_res = np.abs(endpoints - Z).max(axis=1)
     inv_res[~ok] = np.inf

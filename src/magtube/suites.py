@@ -284,7 +284,8 @@ def suite_flow(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("hamiltonian_field_inversion", worst, 1e-7))
 
     # zero-section: field vanishes, points are fixed
-    zfix = flow_complex(_flat(1.0, 1.0), PhasePoint([0.3, -0.4], [0, 0]), 0.3 + 0.8j, opts)
+    zfix = flow_complex(_flat(1.0, 1.0), PhasePoint([0.3, -0.4], [0, 0]), 0.3 + 0.8j, opts,
+                        tangent=False)
     checks.append(CheckResult("zero_section_fixed",
                               float(np.abs(zfix.as_vector() - np.array([0.3, -0.4, 0, 0])).max()),
                               1e-12))
@@ -312,8 +313,8 @@ def suite_flow(seed: int) -> List[CheckResult]:
     for kind, geo in cases:
         Z = _geometry_samples(rng, kind, 20)
         mid = complex(rng.uniform(0.3, 0.8), rng.uniform(-0.2, 0.4))
-        rA = flow_many(geo, Z, ComplexTime(1j), opts)
-        rB = flow_many(geo, Z, ComplexTime(1j, (mid, 1j)), opts)
+        rA = flow_many(geo, Z, ComplexTime(1j), opts, tangent=False)
+        rB = flow_many(geo, Z, ComplexTime(1j, (mid, 1j)), opts, tangent=False)
         worst = max(worst, float(np.abs(
             np.concatenate([rA.x - rB.x, rA.p - rB.p], axis=1)).max()))
     checks.append(CheckResult("path_independence", worst, 1e-9))
@@ -534,14 +535,14 @@ def suite_kahler(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("extension_dbar_sphere", worst_sph, 1e-6))
 
     z = PhasePoint(Zf[0, :2], Zf[0, 2:])
-    st = flow_complex(flat, z, 1j, opts)
+    st = flow_complex(flat, z, 1j, opts, tangent=False)
     z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, z.as_vector())
     checks.append(CheckResult("extension_coordinates",
                               float(max(abs(st.x[0] - z1), abs(st.x[1] - z2))), 1e-8))
     checks.append(CheckResult("extension_ring_property",
                               float(abs(st.x[0] ** 2 - z1**2)), 1e-8,
                               note="extension of x1^2 equals the square of the extension"))
-    st0 = flow_complex(flat, PhasePoint([0.3, -0.2], [0, 0]), 1j, opts)
+    st0 = flow_complex(flat, PhasePoint([0.3, -0.2], [0, 0]), 1j, opts, tangent=False)
     checks.append(CheckResult("extension_zero_section",
                               float(np.abs(st0.x - np.array([0.3, -0.2])).max()), 1e-12))
 
@@ -617,7 +618,7 @@ def _extension_dbar_defect(geo: ChartedGeometry, Z: np.ndarray, opts) -> float:
     """Max dbar defect of f o pi o Phi_i for coordinate / quadratic f."""
 
     def monomials(rows):  # f = x1, x2, x1^2, x1 x2 at pi o Phi_i
-        res = flow_many(geo, rows, ComplexTime(1j), opts)
+        res = flow_many(geo, rows, ComplexTime(1j), opts, tangent=False)
         x1, x2 = res.x[:, 0], res.x[:, 1]
         return np.stack([x1, x2, x1**2, x1 * x2], axis=1), res.ok, res.reasons
 
@@ -697,11 +698,11 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
         geo = _flat(B, mass_freq)
         Z = _sample_flat(rng, 200)
         for sig in COMPLEX_TARGETS:
-            res = flow_many(geo, Z, ComplexTime(complex(sig)), opts)
+            res = flow_many(geo, Z, ComplexTime(complex(sig)), opts, tangent=False)
             ref = orc.flat_flow_oracle(B, mass_freq, Z, sig)
             worst_flow = max(worst_flow, float(np.abs(
                 np.concatenate([res.x, res.p], axis=1) - ref).max()))
-        res_i = flow_many(geo, Z, ComplexTime(1j), opts)
+        res_i = flow_many(geo, Z, ComplexTime(1j), opts, tangent=False)
         zc = orc.flat_complex_coordinates(B, mass_freq, Z)
         worst_z = max(worst_z, float(np.abs(res_i.x - zc).max()))
     checks.append(CheckResult("flow_oracle_equivalence", worst_flow, 1e-8,
@@ -748,14 +749,14 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
     # geodesic limit and Larmor periodicity
     geo0 = _flat(0.0, 1.0)
     Z = _sample_flat(rng, 20)
-    res = flow_many(geo0, Z, 0.9, opts)
+    res = flow_many(geo0, Z, 0.9, opts, tangent=False)
     straight = Z[:, :2] + 0.9 * Z[:, 2:]
     worst = float(np.abs(np.concatenate([res.x - straight, res.p - Z[:, 2:]], axis=1)).max())
     checks.append(CheckResult("geodesic_limit", worst, 1e-10))
 
     geo = _flat(1.0, 1.0)
     Z = _sample_flat(rng, 10, pmax=1.0)
-    res = flow_many(geo, Z, 2 * np.pi, opts)
+    res = flow_many(geo, Z, 2 * np.pi, opts, tangent=False)
     worst = float(np.abs(np.concatenate([res.x, res.p], axis=1) - Z).max())
     checks.append(CheckResult("larmor_periodicity", worst, 1e-8))
 
@@ -829,7 +830,8 @@ def suite_sphere_oracle(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("oracle_constraints_complex", worst_cplx, 1e-12))
 
     # engine flow through the chart against the rotation exponential,
-    # momenta up to |p| = 2 and times throughout |sigma| <= 1.2
+    # momenta up to |p| = 2 and times throughout |sigma| <= 1.2; these flows
+    # keep the tangent map, whose error control `magtube flow` also uses
     sph = _sphere()
     dirs = rng.normal(size=(100, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -219,6 +219,44 @@ def test_flow_many_matches_single(flat_geo, sphere_geo, rng):
             assert single.det_min == batch.det_min
 
 
+def test_tangent_free_flow_matches_tangent_flow(flat_geo, sphere_geo, rng):
+    for geo, Z in ((flat_geo, sample_flat(rng, 6)), (sphere_geo, sample_sphere(rng, 6))):
+        for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):
+            full = flow_many(geo, Z, t)
+            bare = flow_many(geo, Z, t, tangent=False)
+            assert full.ok.all() and bare.ok.all()
+            for name in ("x", "p", "quad"):
+                assert np.abs(getattr(full, name) - getattr(bare, name)).max() < 1e-12
+            assert bare.jac is None and np.isnan(bare.det_min).all()
+            st = bare.state(0)
+            assert st.jac is None and np.isnan(st.det_min)
+            assert np.array_equal(st.x, bare.x[0]) and st.quad == bare.quad[0]
+            assert not st.is_real()
+    # a real time keeps a tangent-free state real
+    z = PhasePoint([0.1, -0.2], [0.4, 0.3])
+    st = flow_real(sphere_geo, z, 0.4, tangent=False)
+    assert st.jac is None and st.is_real()
+    assert flow_complex(sphere_geo, z, 1j, tangent=False).jac is None
+
+
+def test_default_flow_carries_the_tangent_map(flat_geo, sphere_geo, rng):
+    # the default is the tangent flow, bit for bit
+    for geo, row in ((flat_geo, sample_flat(rng, 1)), (sphere_geo, sample_sphere(rng, 1))):
+        z = PhasePoint(row[0, :2], row[0, 2:])
+        for default, explicit in (
+            (flow_real(geo, z, 0.4), flow_real(geo, z, 0.4, tangent=True)),
+            (flow_complex(geo, z, 0.3 + 0.8j), flow_complex(geo, z, 0.3 + 0.8j, tangent=True)),
+            (flow_many(geo, row, ComplexTime(1j)).state(0),
+             flow_many(geo, row, ComplexTime(1j), tangent=True).state(0)),
+        ):
+            assert default.jac.shape == (4, 4) and np.isfinite(default.det_min)
+            for name in ("x", "p", "jac"):
+                assert np.array_equal(getattr(default, name), getattr(explicit, name))
+            assert default.quad == explicit.quad and default.det_min == explicit.det_min
+    with pytest.raises(TypeError):
+        flow_many(flat_geo, sample_flat(rng, 1), 0.4, None, None, False)
+
+
 # ---------------------------------------------------------------------------
 # integrator core
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import oracles as orc
-from magtube.flow import BlowUpError, FlowOpts, flow_complex
+from magtube.flow import BlowUpError, ComplexTime, FlowOpts, flow_complex, flow_many
 from magtube.geometry import PhasePoint, twisted_symplectic_matrix
+from magtube.kahler import potential_f_many
 from magtube.structure import (
     acs_point,
     assemble_J,
@@ -64,6 +65,47 @@ def test_frames_at_many_agrees_with_single(flat_geo, sphere_geo, rng):
     with pytest.raises(BlowUpError):
         frame_at(tiny_validity_geometry(), PhasePoint([0.0, 0.0], [2.5, 0.0]), 1j,
                  FlowOpts(max_steps=2000))
+
+
+def test_failed_row_frame_is_nan():
+    # the middle row blows up on the way back; it must not report the frame
+    # of the chart origin where the integrator parks it
+    geo = tiny_validity_geometry()
+    Z = np.array([[0.1, 0.0, 0.2, 0.0], [0.0, 0.0, 2.5, 0.0], [0.0, 0.1, 0.0, -0.2]])
+    F, ok, reasons, inv = frames_at_many(geo, Z, 1j, FlowOpts(max_steps=2000))
+    assert list(ok) == [True, False, True] and reasons[1] == "BLOWUP"
+    assert np.isnan(F[1]).all() and inv[1] == np.inf
+    assert np.isfinite(F[[0, 2]]).all() and np.isfinite(inv[[0, 2]]).all()
+
+
+def test_tangent_free_paths_skip_second_derivatives(sphere_geo, rng):
+    calls = {"inv_metric_deriv2": 0, "beta_deriv": 0}
+
+    def counted(name):
+        fn = getattr(sphere_geo, name)
+
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    geo = dataclasses.replace(sphere_geo, **{name: counted(name) for name in calls})
+    Z = sample_sphere(rng, 5)
+    t = ComplexTime(0.3 + 0.8j)
+
+    potential_f_many(geo, Z, t)
+    assert calls == {"inv_metric_deriv2": 0, "beta_deriv": 0}
+
+    # frames: only the forward pass from the backward endpoints carries
+    # the tangent map
+    back = flow_many(geo, Z, t.reversed(), real_mode=False, tangent=False)
+    assert calls == {"inv_metric_deriv2": 0, "beta_deriv": 0}
+    flow_many(geo, np.concatenate([back.x, back.p], axis=1), t, real_mode=False)
+    forward = dict(calls)
+    assert forward["inv_metric_deriv2"] > 0 and forward["beta_deriv"] > 0
+    calls.update(inv_metric_deriv2=0, beta_deriv=0)
+    frames_at_many(geo, Z, t)
+    assert calls == forward
 
 
 def test_conjugate_frame_spans_conjugate_time(sphere_geo):
