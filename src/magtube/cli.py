@@ -238,10 +238,7 @@ def cmd_acs(args) -> int:
     Z = grid_points(cfg, geo)
     t = _complex_time_of(cfg, "acs")
     n = geo.dim
-    F, ok, reasons, _ = frames_at_many(geo, Z, t)
-    integ = np.full(Z.shape[0], np.nan)
-    if ok.any():
-        integ[ok] = integrability_residual_many(geo, Z[ok].real, t)
+    F, ok, reasons, integ = integrability_residual_many(geo, Z, t)
     header = [f"x{j+1}" for j in range(n)] + [f"p{j+1}" for j in range(n)]
     header += ["transversality", "min_positivity_eig", "integrability_residual"]
     header += [f"J{a}{b}" for a in range(2 * n) for b in range(2 * n)]
@@ -400,6 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="magtube",
         description="magnetic adapted complex structures on cotangent tubes",
     )
+    ap.add_argument("--debug", action="store_true",
+                    help="re-raise errors with the full traceback")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -447,9 +446,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
+        if args.debug:
+            raise
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # check/runtime failure
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

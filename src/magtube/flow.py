@@ -124,10 +124,6 @@ class ComplexTime:
     def waypoints(self):
         return (0.0 + 0.0j,) + self.path
 
-    def segments(self):
-        w = self.waypoints
-        return [(w[i], w[i + 1]) for i in range(len(w) - 1)]
-
     def reversed(self) -> "ComplexTime":
         """Path from 0 to -target, mirror image of this path."""
         return ComplexTime(-self.target, tuple(-w for w in self.path), self.disk_radius)

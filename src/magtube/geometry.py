@@ -108,10 +108,6 @@ class ChartedGeometry:
             return self.beta_deriv(x)
         return _fd_last_axis(self.beta, x, self.fd_step)
 
-    def in_chart(self, x: Array) -> bool:
-        """Real point inside the chart box."""
-        return bool(np.all(np.abs(np.real(x)) < self.chart_box))
-
     def in_complex_region(self, x: Array) -> bool:
         return bool(np.all(np.abs(x) < self.complex_radius))
 
@@ -162,12 +158,6 @@ class PhasePoint:
 
     def as_vector(self) -> Array:
         return np.concatenate([self.x, self.p])
-
-    @staticmethod
-    def from_vector(v: Array) -> "PhasePoint":
-        v = np.asarray(v)
-        n = v.shape[0] // 2
-        return PhasePoint(v[:n], v[n:])
 
     def is_real(self, tol: float = REAL_TOL) -> bool:
         return bool(

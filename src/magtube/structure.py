@@ -2,12 +2,15 @@
 
 The frame at (z, t) spans the analytic continuation of the flow-transported
 vertical subspace: the vertical frame at w = Phi_{-t}(z) is pushed forward by
-the tangent map of Phi_{t}.  The backward flow to w carries no tangent map;
-the variational equations are integrated only on the way forward from w.
-Frames are column-orthonormalized (with a deterministic phase convention)
-after transport; every reported quantity is invariant under right
-multiplication of the frame by an invertible matrix, so this is a pure
-conditioning device.
+the tangent map of Phi_{t}.  Since Phi_t o Phi_{-t} = id, that push-forward
+is DPhi_{-t}(z)^{-1} [0; 1], so one backward flow with the tangent map gives
+the frame and no forward pass is made.  The transport's twisted-symplectic
+defect |M^T Omega(w) M - Omega(z)|, M = DPhi_{-t}(z), is reported with every
+frame as its inverse residual: it is the residual of the symplectic inverse
+identity M^{-1} = Omega(z)^{-1} M^T Omega(w).  Frames are
+column-orthonormalized (with a deterministic phase convention) after
+transport; every reported quantity is invariant under right multiplication
+of the frame by an invertible matrix, so this is a pure conditioning device.
 
 Each operation has one batched implementation; the single-point functions
 (``frame_at``, ``integrability_residual``) are its one-row case and raise
@@ -81,14 +84,13 @@ class LagrangianFrame:
     base: PhasePoint
     time: complex
     F: np.ndarray
-    inverse_residual: float = 0.0  # |Phi_t(Phi_{-t}(z)) - z| from the transport
+    # twisted-symplectic defect max|M^T Omega(w) M - Omega(z)| of the
+    # transport M = DPhi_{-t}(z), w = Phi_{-t}(z)
+    inverse_residual: float = 0.0
 
     @property
     def dim(self) -> int:
         return self.F.shape[1]
-
-    def conjugate_pair(self) -> np.ndarray:
-        return np.concatenate([self.F, self.F.conj()], axis=1)
 
 
 @dataclass
@@ -133,30 +135,33 @@ def frames_at_many(
 ):
     """Batch frame transport.
 
-    Flows each row z backwards along the reversed path to w (phase point
-    only), then transports the vertical frame [0; 1] at w forward by the
-    variational tangent map; the columns are orthonormalized.  The defect of
-    the round trip (which must return to z) is reported as the inverse
-    residual.  A failed row gets an all-NaN frame and an infinite residual.
+    Flows each row z backwards along the reversed path to w = Phi_{-t}(z)
+    with the tangent map M = DPhi_{-t}(z); the transported vertical frame at
+    z is M^{-1} [0; 1], column-orthonormalized.  The inverse residual is the
+    twisted-symplectic defect max|M^T Omega(w) M - Omega(z)|, the residual of
+    the symplectic inverse identity M^{-1} = Omega(z)^{-1} M^T Omega(w).  A
+    failed row gets an all-NaN frame and an infinite residual.
 
     Returns (F, ok, reasons, inverse_residuals) with F of shape (m, 2n, n).
     """
     opts = opts or FlowOpts()
     t = as_complex_time(t)
     Z = np.asarray(Z, dtype=complex)
-    back = flow_many(geo, Z, t.reversed(), opts, real_mode=False, tangent=False)
-    W = np.concatenate([back.x, back.p], axis=1)
-    W[~back.ok] = 0.0  # parked; masked out below
-    fwd = flow_many(geo, W, t, opts, real_mode=False)
+    back = flow_many(geo, Z, t.reversed(), opts, real_mode=False)
     n = geo.dim
-    ok = back.ok & fwd.ok
-    reasons = [rb or rf for rb, rf in zip(back.reasons, fwd.reasons)]
-    F = orthonormalize(fwd.jac[:, :, n:])
+    ok = back.ok
+    M, W = back.jac, back.x
+    M[~ok] = np.eye(2 * n)  # parked; masked out below
+    W[~ok] = 0.0
+    vertical = np.zeros((2 * n, n))
+    vertical[n:] = np.eye(n)
+    F = orthonormalize(np.linalg.solve(M, np.broadcast_to(vertical, (len(Z), 2 * n, n))))
     F[~ok] = np.nan
-    endpoints = np.concatenate([fwd.x, fwd.p], axis=1)
-    inv_res = np.abs(endpoints - Z).max(axis=1)
+    defect = (M.swapaxes(1, 2) @ twisted_symplectic_matrix(geo, W) @ M
+              - twisted_symplectic_matrix(geo, Z[:, :n]))
+    inv_res = np.abs(defect).max(axis=(1, 2))
     inv_res[~ok] = np.inf
-    return F, ok, reasons, inv_res
+    return F, ok, back.reasons, inv_res
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +231,16 @@ def integrability_residual_many(
     t,
     h: float = 1e-4,
     opts: Optional[FlowOpts] = None,
-) -> np.ndarray:
+):
     """Bracket-closure defects for all rows of Z, stencil-batched.
 
-    A row whose stencil left the tube gets NaN; the other rows are computed.
+    Frames are transported once for the whole central-difference stencil;
+    the centre rows (offset 0) are the frames at Z themselves, so they are
+    returned with the defects.  A row whose stencil left the tube gets a NaN
+    defect; the other rows are computed.
+
+    Returns (F, ok, reasons, residuals): the frames, ok flags and reasons of
+    the centre rows, as ``frames_at_many`` gives them, and the defects.
     """
     opts = opts or FlowOpts()
     Z = np.asarray(Z, dtype=float)
@@ -242,22 +253,22 @@ def integrability_residual_many(
         shift[1 + 2 * m, m] = h
         shift[2 + 2 * m, m] = -h
     stencil += np.tile(shift, (mpts, 1))
-    F_all, ok, _, _ = frames_at_many(geo, stencil, t, opts)
+    F_all, ok, reasons, _ = frames_at_many(geo, stencil, t, opts)
     F_all = F_all.reshape(mpts, width, n2, n)
+    ok = ok.reshape(mpts, width)
     out = np.full(mpts, np.nan)
-    for i in np.flatnonzero(ok.reshape(mpts, width).all(axis=1)):
-        Fc = F_all[i, 0]
-        dF = (F_all[i, 1::2] - F_all[i, 2::2]) / (2 * h)  # (n2, 2n, n)
-        proj_out = np.eye(n2) - Fc @ Fc.conj().T
-        worst = 0.0
-        for a in range(n):
-            for b in range(a + 1, n):
-                bracket = np.einsum("m,mk->k", Fc[:, a], dF[:, :, b]) - np.einsum(
-                    "m,mk->k", Fc[:, b], dF[:, :, a]
-                )
-                worst = max(worst, float(np.linalg.norm(proj_out @ bracket)))
-        out[i] = worst
-    return out
+    sel = ok.all(axis=1)
+    if sel.any():
+        Fc = F_all[sel, 0]  # (k, 2n, n)
+        dF = (F_all[sel, 1::2] - F_all[sel, 2::2]) / (2 * h)  # (k, 2n, 2n, n): d/dz^m F
+        # D[k, a, :, b] = (X_a . grad) X_b; the bracket [X_a, X_b] is
+        # D[:, a, :, b] - D[:, b, :, a], projected off the frame span
+        D = np.einsum("kma,kmjb->kajb", Fc, dF)
+        bracket = D - D.transpose(0, 3, 2, 1)
+        proj_out = np.eye(n2) - Fc @ Fc.conj().swapaxes(1, 2)
+        normal = np.einsum("kij,kajb->kaib", proj_out, bracket)
+        out[sel] = np.linalg.norm(normal, axis=2).max(axis=(1, 2))
+    return F_all[:, 0], ok[:, 0], reasons[::width], out
 
 
 def integrability_residual(
@@ -275,7 +286,7 @@ def integrability_residual(
     norm vanishes for an involutive (integrable) distribution.  Raises
     RuntimeError if a stencil point leaves the tube.
     """
-    out = float(integrability_residual_many(geo, z.as_vector().real[None, :], t, h, opts)[0])
+    out = float(integrability_residual_many(geo, z.as_vector().real[None, :], t, h, opts)[3][0])
     if np.isnan(out):
         raise RuntimeError("stencil point left the tube")
     return out

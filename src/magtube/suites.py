@@ -155,7 +155,8 @@ def suite_geometry(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("flat_validation", max(rep.residuals[k] for k in
                                                      ("metric_symmetry", "beta_antisymmetry",
                                                       "reality", "exterior_derivative",
-                                                      "inv_metric_deriv")), 1e-10))
+                                                      "inv_metric_deriv", "inv_metric_deriv2",
+                                                      "beta_deriv")), 1e-10))
 
     sph = _sphere()
     edge = rng.uniform(-0.45, 0.45, (100, 2)) * SPHERE_R
@@ -163,7 +164,8 @@ def suite_geometry(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("sphere_validation", max(reps.residuals[k] for k in
                                                        ("metric_symmetry", "beta_antisymmetry",
                                                         "reality", "exterior_derivative",
-                                                        "inv_metric_deriv")), 1e-7))
+                                                        "inv_metric_deriv", "inv_metric_deriv2",
+                                                        "beta_deriv")), 1e-7))
     checks.append(CheckResult("metric_positive_definite",
                               min(rep.residuals["metric_min_eigenvalue"],
                                   reps.residuals["metric_min_eigenvalue"]), 0.0, kind="min"))
@@ -319,13 +321,19 @@ def suite_flow(seed: int) -> List[CheckResult]:
             np.concatenate([rA.x - rB.x, rA.p - rB.p], axis=1)).max()))
     checks.append(CheckResult("path_independence", worst, 1e-9))
 
-    # inverse consistency: out along the path and back recovers the start
+    # inverse consistency: back along the reversed path and out again
+    # recovers the start
     worst = 0.0
     for kind, geo in cases:
         Z = _geometry_samples(rng, kind, 15)
-        for t in (1j, 0.3 + 0.8j):
-            _, ok, _, inv_res = frames_at_many(geo, Z, t, opts)
-            worst = max(worst, float(inv_res[ok].max()))
+        for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):
+            back = flow_many(geo, Z, t.reversed(), opts, real_mode=False, tangent=False)
+            W = np.concatenate([back.x, back.p], axis=1)
+            W[~back.ok] = 0.0  # parked; masked out below
+            out = flow_many(geo, W, t, opts, real_mode=False, tangent=False)
+            ok = back.ok & out.ok
+            trip = np.abs(np.concatenate([out.x, out.p], axis=1) - Z).max(axis=1)
+            worst = max(worst, float(trip[ok].max()))
     checks.append(CheckResult("inverse_consistency", worst, 1e-8))
 
     checks.append(CheckResult("radius_estimate_value",
@@ -462,10 +470,10 @@ def suite_frames(seed: int) -> List[CheckResult]:
     for t in (1j, 0.3 + 0.8j):
         Zf = _sample_flat(rng, 20, xmax=0.6, pmax=1.0)
         worst_flat = max(worst_flat, float(integrability_residual_many(
-            _flat(1.0, 1.0), Zf, t, 1e-4, opts).max()))
+            _flat(1.0, 1.0), Zf, t, 1e-4, opts)[3].max()))
         Zs = _sample_sphere(rng, 20, umax=0.12, pmax=0.35)
         worst_sph = max(worst_sph, float(integrability_residual_many(
-            _sphere(), Zs, t, 1e-4, opts).max()))
+            _sphere(), Zs, t, 1e-4, opts)[3].max()))
     checks.append(CheckResult("integrability_flat", worst_flat, 1e-4))
     checks.append(CheckResult("integrability_sphere", worst_sph, 1e-4))
     return checks

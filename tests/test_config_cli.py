@@ -352,3 +352,21 @@ def test_cmd_flow_parallel_jobs(tmp_path):
                    for line in open(out2).read().strip().splitlines()[1:]])
     # rows agree to integrator accuracy (chunking changes shared step sizes)
     assert np.abs(r1 - r2).max() < 1e-9
+
+
+def test_debug_reraises_with_traceback(tmp_path, monkeypatch, capsys):
+    bad = _write(tmp_path, "c.cfg", "kind = flat\ngrid = x1:-100:100:2\n")
+    with pytest.raises(ConfigError):
+        main(["--debug", "flow", "--config", bad])
+
+    def boom(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("magtube.cli.build_geometry", boom)
+    cfg = _write(tmp_path, "g.cfg", "kind = flat\ngrid = p1:0.2:1.5:2\n")
+    capsys.readouterr()
+    assert main(["flow", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: boom\n"
+    with pytest.raises(RuntimeError, match="boom") as exc:
+        main(["--debug", "flow", "--config", cfg])
+    assert exc.traceback[-1].name == "boom"

@@ -182,3 +182,21 @@ def test_negated_field(sphere_geo, rng):
     assert np.allclose(neg.beta(u), -sphere_geo.beta(u))
     assert np.allclose(neg.potential(u), -sphere_geo.potential(u))
     assert np.allclose(neg.inv_metric(u), sphere_geo.inv_metric(u))
+
+
+def test_geometry_suite_checks_second_derivatives(monkeypatch):
+    # frames come from the tangent map, which uses d2g: the gate must see it
+    from magtube import suites
+
+    sphere = suites._sphere
+
+    def bad_sphere():
+        geo = sphere()
+        d2g = geo.inv_metric_deriv2
+        return dataclasses.replace(geo, inv_metric_deriv2=lambda x: (1 + 1e-6) * d2g(x))
+
+    checks = {c.name: c for c in suites.suite_geometry(1234)}
+    assert checks["sphere_validation"].passed and checks["flat_validation"].passed
+    monkeypatch.setattr(suites, "_sphere", bad_sphere)
+    checks = {c.name: c for c in suites.suite_geometry(1234)}
+    assert not checks["sphere_validation"].passed

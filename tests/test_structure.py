@@ -96,16 +96,55 @@ def test_tangent_free_paths_skip_second_derivatives(sphere_geo, rng):
     potential_f_many(geo, Z, t)
     assert calls == {"inv_metric_deriv2": 0, "beta_deriv": 0}
 
-    # frames: only the forward pass from the backward endpoints carries
-    # the tangent map
-    back = flow_many(geo, Z, t.reversed(), real_mode=False, tangent=False)
-    assert calls == {"inv_metric_deriv2": 0, "beta_deriv": 0}
-    flow_many(geo, np.concatenate([back.x, back.p], axis=1), t, real_mode=False)
-    forward = dict(calls)
-    assert forward["inv_metric_deriv2"] > 0 and forward["beta_deriv"] > 0
+    # frames: the one backward flow carries the tangent map
+    flow_many(geo, Z, t.reversed(), real_mode=False)
+    backward = dict(calls)
+    assert backward["inv_metric_deriv2"] > 0 and backward["beta_deriv"] > 0
     calls.update(inv_metric_deriv2=0, beta_deriv=0)
     frames_at_many(geo, Z, t)
-    assert calls == forward
+    assert calls == backward
+
+
+def test_frames_at_many_makes_one_flow(sphere_geo, rng, monkeypatch):
+    import magtube.structure as structure
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("tangent", True))
+        return flow_many(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "flow_many", counted)
+    F, ok, _, _ = frames_at_many(sphere_geo, sample_sphere(rng, 4), 0.3 + 0.8j)
+    assert ok.all() and calls == [True]
+
+
+def _round_trip_frames(geo, Z, t):
+    """Vertical frame at w = Phi_{-t}(z) pushed forward by DPhi_t(w)."""
+    t = ComplexTime(t)
+    back = flow_many(geo, Z, t.reversed(), real_mode=False, tangent=False)
+    fwd = flow_many(geo, np.concatenate([back.x, back.p], axis=1), t, real_mode=False)
+    assert back.ok.all() and fwd.ok.all()
+    return orthonormalize(fwd.jac[:, :, geo.dim:])
+
+
+def test_frames_match_round_trip(flat_geo, sphere_geo, rng):
+    cases = [(flat_geo, sample_flat(rng, 6)), (sphere_geo, sample_sphere(rng, 6, pmax=1.0))]
+    for geo, Z in cases:
+        for t in (1j, 0.3 + 0.8j):
+            F, ok, _, inv = frames_at_many(geo, Z, t)
+            assert ok.all() and inv.max() < 1e-11
+            for Fi, Ri in zip(F, _round_trip_frames(geo, Z, t)):
+                assert subspace_distance(Fi, Ri) < 1e-12
+
+
+def test_inverse_residual_sees_a_wrong_second_derivative(sphere_geo, rng):
+    # the symplectic defect of the transport catches a 1e-4 error in d(beta)
+    Z = sample_sphere(rng, 6, pmax=1.0)
+    assert frames_at_many(sphere_geo, Z, 1j)[3].max() < 1e-8
+    db = sphere_geo.beta_deriv
+    bad = dataclasses.replace(sphere_geo, beta_deriv=lambda x: (1 + 1e-4) * db(x))
+    assert frames_at_many(bad, Z, 1j)[3].max() > 1e-8
 
 
 def test_conjugate_frame_spans_conjugate_time(sphere_geo):
@@ -251,11 +290,53 @@ def test_integrability_failure_is_per_row():
     geo = tiny_validity_geometry()
     opts = FlowOpts(max_steps=2000)
     Z = np.array([[0.1, 0.0, 0.2, 0.0], [0.0, 0.0, 2.5, 0.0], [0.0, 0.1, 0.0, -0.2]])
-    res = integrability_residual_many(geo, Z, 1j, opts=opts)
+    F, ok, reasons, res = integrability_residual_many(geo, Z, 1j, opts=opts)
     assert np.isnan(res[1])
     assert np.isfinite(res[[0, 2]]).all() and res[[0, 2]].max() < 1e-4
+    # the centre row itself fails, and only that row
+    assert list(ok) == [True, False, True] and reasons[1] == "BLOWUP"
+    assert np.isnan(F[1]).all() and np.isfinite(F[[0, 2]]).all()
     with pytest.raises(RuntimeError, match="left the tube"):
         integrability_residual(geo, PhasePoint(Z[1, :2], Z[1, 2:]), 1j, opts=opts)
+
+
+def test_integrability_centre_frames_are_the_frames(flat_geo, sphere_geo, rng):
+    for geo, Z in ((flat_geo, sample_flat(rng, 3)), (sphere_geo, sample_sphere(rng, 3))):
+        for t in (1j, 0.3 + 0.8j):
+            F, ok, reasons, _ = integrability_residual_many(geo, Z, t)
+            Fd, okd, reasons_d, _ = frames_at_many(geo, Z, t)
+            assert ok.all() and okd.all() and reasons == reasons_d
+            assert np.abs(F - Fd).max() < 1e-12
+
+
+def _loop_bracket_defect(F_all, h):
+    """Per-row loop over frame column pairs: the reference for the batched
+    bracket.  F_all is (m, 1 + 4n, 2n, n) in the stencil order."""
+    out = []
+    for Fs in F_all:
+        Fc = Fs[0]
+        dF = (Fs[1::2] - Fs[2::2]) / (2 * h)
+        proj_out = np.eye(Fc.shape[0]) - Fc @ Fc.conj().T
+        worst = 0.0
+        for a in range(Fc.shape[1]):
+            for b in range(a + 1, Fc.shape[1]):
+                bracket = Fc[:, a] @ dF[:, :, b] - Fc[:, b] @ dF[:, :, a]
+                worst = max(worst, float(np.linalg.norm(proj_out @ bracket)))
+        out.append(worst)
+    return np.array(out)
+
+
+def test_batched_bracket_matches_loop(sphere_geo, rng):
+    Z, h = sample_sphere(rng, 4), 1e-4
+    for t in (1j, 0.3 + 0.8j):
+        res = integrability_residual_many(sphere_geo, Z, t, h)[3]
+        shift = np.zeros((9, 4))
+        for m in range(4):
+            shift[1 + 2 * m, m], shift[2 + 2 * m, m] = h, -h
+        stencil = (Z[:, None, :] + shift).reshape(-1, 4)
+        F_all = frames_at_many(sphere_geo, stencil, t)[0].reshape(4, 9, 4, 2)
+        ref = _loop_bracket_defect(F_all, h)
+        assert ref.max() > 1e-12 and np.abs(res - ref).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
