@@ -18,9 +18,11 @@ wherever the continuation exists, which the verification suite checks rather
 than assumes.  The integrator is the DOP853 8(5,3) Runge-Kutta pair of
 Dormand and Prince (Hairer, Norsett and Wanner, Solving ODEs I, Sec. II.10)
 acting on the complexified state, shared-stepsize over an optional batch axis
-with per-row failure masking.  Each right-hand-side call evaluates the
-geometry once for the field and, with the tangent map, its Jacobian and
-the variational term.
+with per-row failure masking.  Each right-hand-side call reads the geometry
+through one ``geo.jet`` call: first order for the field and the quadrature,
+second order with the tangent map for the field Jacobian and the
+variational term.  The contractions with derivatives the jet reports as
+identically zero (``None``; all of them on the flat chart) are skipped.
 """
 
 from __future__ import annotations
@@ -235,17 +237,22 @@ def _contract_mid(d: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _bmm(v[..., None, None, :], d)[..., 0, :]
 
 
-def _field(g, T, b, p):
-    """(dx/ds, dp/ds) from g, T = _contract_mid(dg, p) and beta."""
+def _field(g, dg, b, p):
+    """(dx/ds, dp/ds, T) from the jet's g, dg and beta, with
+    T = _contract_mid(dg, p); T is None where dg is."""
     gp = np.einsum("...jk,...k->...j", g, p)
-    pdot = -0.5 * np.einsum("...j,...jl->...l", p, T) + np.einsum("...lj,...j->...l", b, gp)
-    return gp, pdot
+    pdot = np.einsum("...lj,...j->...l", b, gp)
+    if dg is None:
+        return gp, pdot, None
+    T = _contract_mid(dg, p)
+    return gp, -0.5 * np.einsum("...j,...jl->...l", p, T) + pdot, T
 
 
 def field_components(geo: ChartedGeometry, x: np.ndarray, p: np.ndarray):
     """(dx/ds, dp/ds) of the twisted Hamiltonian field, batched."""
-    T = _contract_mid(geo.inv_metric_deriv(x), p)
-    return _field(geo.inv_metric(x), T, geo.beta(x), p)
+    g, dg, b, _ = geo.jet(x, 1)
+    xdot, pdot, _ = _field(g, dg, b, p)
+    return xdot, pdot
 
 
 def hamiltonian_field(geo: ChartedGeometry, z: PhasePoint) -> np.ndarray:
@@ -259,39 +266,42 @@ def hamiltonian_field(geo: ChartedGeometry, z: PhasePoint) -> np.ndarray:
 def _rhs(geo: ChartedGeometry, Y: np.ndarray) -> np.ndarray:
     """Right-hand side for the packed state (see ``_pack``).
 
-    Each geometry term is evaluated once.  A tangent-free state [x, p, q]
-    gets the field and the quadrature only; with [x, p, q, vec(jac)] the
-    field Jacobian DX, which needs the second derivatives of g and beta, and
-    the variational term DX @ jac share the same evaluations.
+    The geometry is read once, by one ``geo.jet`` call.  A tangent-free
+    state [x, p, q] gets the field and the quadrature from the first-order
+    jet; with [x, p, q, vec(jac)] the second-order jet also gives the field
+    Jacobian DX and the variational term DX @ jac.  Derivatives the jet
+    returns as None vanish identically, and their contractions are skipped.
     """
     m = Y.shape[0]
     n = geo.dim
     n2 = 2 * n
     x = Y[:, :n]
     p = Y[:, n:n2]
-    g = geo.inv_metric(x)
-    b = geo.beta(x)
-    T = _contract_mid(geo.inv_metric_deriv(x), p)
-    xdot, pdot = _field(g, T, b, p)
+    tangent = Y.shape[1] > n2 + 1
+    jet = geo.jet(x, 2 if tangent else 1)
+    g, dg, b, A = jet[:4]
+    xdot, pdot, T = _field(g, dg, b, p)
     out = np.empty_like(Y)
     out[:, :n] = xdot
     out[:, n:n2] = pdot
-    out[:, n2] = np.einsum("mj,mj->m", geo.potential(x), xdot)
-    if Y.shape[1] == n2 + 1:
+    out[:, n2] = np.einsum("mj,mj->m", A, xdot)
+    if not tangent:
         return out
 
     J = Y[:, n2 + 1 :].reshape(m, n2, n2)
-    d2gp = np.einsum("mjklw,mj->mklw", geo.inv_metric_deriv2_or_fd(x), p)
-
+    d2g, db = jet[4:]
     # DX by blocks: d(xdot)/d(x, p) = [T, g]; d(pdot)/d(x, p) is the
     # quadratic-term and beta-derivative part plus beta @ [T, g]
-    DX = np.empty((m, n2, n2), dtype=complex)
-    DX[:, :n, :n] = T
+    DX = np.zeros((m, n2, n2), dtype=complex)
     DX[:, :n, n:] = g
-    DX[:, n:, :n] = -0.5 * np.einsum("mklw,mk->mlw", d2gp, p) + _contract_mid(
-        geo.beta_deriv_or_fd(x), xdot
-    )
-    DX[:, n:, n:] = -T.transpose(0, 2, 1)
+    if T is not None:
+        DX[:, :n, :n] = T
+        DX[:, n:, n:] = -T.transpose(0, 2, 1)
+    if d2g is not None:
+        d2gp = np.einsum("mjklw,mj->mklw", d2g, p)
+        DX[:, n:, :n] = -0.5 * np.einsum("mklw,mk->mlw", d2gp, p)
+    if db is not None:
+        DX[:, n:, :n] += _contract_mid(db, xdot)
     DX[:, n:] += _bmm(b, DX[:, :n])
     out[:, n2 + 1 :] = _bmm(DX, J).reshape(m, -1)
     return out

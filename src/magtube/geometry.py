@@ -17,6 +17,20 @@ maps an (..., n) array of chart points to
 
 Use :func:`pointwise_geometry` to wrap per-point evaluators that do not
 broadcast.
+
+Jet convention: ``ChartedGeometry.jet(x, order)`` is the one read of the
+chart data per right-hand-side evaluation.  It returns (g, dg, beta, A), and
+at ``order=2`` also (d2g, dbeta), in the shapes above with d2g
+(..., n, n, n, n) and dbeta (..., n, n, n).  ``None`` in place of an array
+means that derivative vanishes identically.  By default the jet composes the
+six evaluators (second derivatives through the finite-difference fallbacks,
+never ``None``).  A chart may carry a :class:`FusedJet`, closed forms that
+share work between the six arrays; it is valid only for the evaluators it
+was built from, so a geometry whose evaluators differ from the fused jet's
+(``dataclasses.replace`` of any evaluator, ``with_negated_field``) drops it
+and composes.  ``validate_geometry`` checks a fused jet against the
+evaluators.  The built-in charts build their evaluators and their fused jet
+from the same formula kernels, so both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ import numpy as np
 __all__ = [
     "GeometryError",
     "ChartedGeometry",
+    "FusedJet",
     "PhasePoint",
     "make_flat_magnetic",
     "make_sphere_magnetic",
@@ -50,6 +65,15 @@ REAL_TOL = 1e-12  # |Im| threshold under which a value counts as real
 
 class GeometryError(ValueError):
     """Invalid chart data (wrong shapes, broken symmetries, bad parameters)."""
+
+
+@dataclass(frozen=True)
+class FusedJet:
+    """A closed-form jet ``fn(x, order)`` and the evaluators it reproduces,
+    in the order of ``ChartedGeometry.evaluators``."""
+
+    fn: Callable[[Array, int], tuple]
+    evaluators: tuple
 
 
 @dataclass(frozen=True)
@@ -74,6 +98,9 @@ class ChartedGeometry:
         differences of ``inv_metric_deriv``.
     beta_deriv : callable, optional
         Exact (..., j, k, m) = d beta_{jk}/dx^m, same fallback rule.
+    fused_jet : FusedJet, optional
+        Closed-form jet of the built-in charts; dropped when the evaluators
+        are not the ones it was built from (see module docstring).
     """
 
     dim: int
@@ -87,6 +114,7 @@ class ChartedGeometry:
     inv_metric_deriv2: Optional[Callable[[Array], Array]] = None
     beta_deriv: Optional[Callable[[Array], Array]] = None
     fd_step: float = 1e-5  # step for the finite-difference fallbacks
+    fused_jet: Optional[FusedJet] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -95,6 +123,28 @@ class ChartedGeometry:
             raise GeometryError("chart_box must be positive")
         if not (self.complex_radius > 0):
             raise GeometryError("complex_radius must be positive")
+        fused = self.fused_jet
+        if fused is not None and any(
+            a is not b for a, b in zip(fused.evaluators, self.evaluators, strict=True)
+        ):
+            object.__setattr__(self, "fused_jet", None)
+
+    @property
+    def evaluators(self) -> tuple:
+        """(inv_metric, inv_metric_deriv, beta, potential, inv_metric_deriv2,
+        beta_deriv), the order of the jet's arrays."""
+        return (self.inv_metric, self.inv_metric_deriv, self.beta, self.potential,
+                self.inv_metric_deriv2, self.beta_deriv)
+
+    def jet(self, x: Array, order: int = 1) -> tuple:
+        """(g, dg, beta, A) at x, plus (d2g, dbeta) at ``order=2``; ``None``
+        marks a derivative that vanishes identically (fused jets only)."""
+        if self.fused_jet is not None:
+            return self.fused_jet.fn(x, order)
+        first = (self.inv_metric(x), self.inv_metric_deriv(x), self.beta(x), self.potential(x))
+        if order < 2:
+            return first
+        return first + (self.inv_metric_deriv2_or_fd(x), self.beta_deriv_or_fd(x))
 
     # -- derived evaluators -------------------------------------------------
 
@@ -217,10 +267,25 @@ def make_flat_magnetic(dim: int, B_matrix, mass_freq: float) -> ChartedGeometry:
         raise GeometryError("mass_freq must be positive")
 
     ginv = np.eye(dim) / mass_freq
+    typed = {}  # dtype -> (g, beta, B/2), cast once
+
+    # g, beta and A are shared by the evaluators and the fused jet, so both
+    # give the same bits; the jet reports the vanishing derivatives as None
+    def _consts(x):
+        dt = np.result_type(x.dtype, float)
+        if dt not in typed:
+            typed[dt] = tuple(a.astype(dt) for a in (ginv, B, 0.5 * B))
+        return typed[dt]
+
+    def _filled(c, x):
+        # a filled copy: np.broadcast_to costs several times more per call
+        out = np.empty(x.shape[:-1] + c.shape, dtype=c.dtype)
+        out[...] = c
+        return out
 
     def inv_metric(x):
         x = np.asarray(x)
-        return np.broadcast_to(ginv, x.shape[:-1] + (dim, dim)).astype(x.dtype)
+        return _filled(_consts(x)[0], x)
 
     def inv_metric_deriv(x):
         x = np.asarray(x)
@@ -232,7 +297,7 @@ def make_flat_magnetic(dim: int, B_matrix, mass_freq: float) -> ChartedGeometry:
 
     def beta(x):
         x = np.asarray(x)
-        return np.broadcast_to(B, x.shape[:-1] + (dim, dim)).astype(x.dtype)
+        return _filled(_consts(x)[1], x)
 
     def beta_deriv(x):
         x = np.asarray(x)
@@ -240,8 +305,13 @@ def make_flat_magnetic(dim: int, B_matrix, mass_freq: float) -> ChartedGeometry:
 
     def potential(x):
         x = np.asarray(x)
-        # A_j = (1/2) B_{kj} x^k
-        return 0.5 * np.einsum("kj,...k->...j", B, x)
+        return x @ _consts(x)[2]  # A_j = (1/2) B_{kj} x^k
+
+    def jet(x, order=1):
+        x = np.asarray(x)
+        g, b, half_b = _consts(x)
+        first = (_filled(g, x), None, _filled(b, x), x @ half_b)
+        return first if order < 2 else first + (None, None)
 
     return ChartedGeometry(
         dim=dim,
@@ -254,6 +324,8 @@ def make_flat_magnetic(dim: int, B_matrix, mass_freq: float) -> ChartedGeometry:
         name=f"flat(dim={dim}, mass_freq={mass_freq})",
         inv_metric_deriv2=inv_metric_deriv2,
         beta_deriv=beta_deriv,
+        fused_jet=FusedJet(jet, (inv_metric, inv_metric_deriv, beta, potential,
+                                 inv_metric_deriv2, beta_deriv)),
     )
 
 
@@ -305,64 +377,61 @@ def make_sphere_magnetic(r: float, B: float) -> ChartedGeometry:
     if not (r > 0):
         raise GeometryError("radius must be positive")
     B = float(B)
+    r4 = r**4
 
+    # one kernel per array, shared by the evaluators and the fused jet, so
+    # both give the same bits; the jet computes q = r^2 + u.u once
     def _q(u):
         return r**2 + np.einsum("...j,...j->...", u, u)
 
-    def inv_metric(u):
-        u = np.asarray(u)
-        q = _q(u)
+    def _g(u, q):
         out = np.zeros(u.shape[:-1] + (2, 2), dtype=q.dtype)
-        val = q**2 / (4.0 * r**4)
-        out[..., 0, 0] = val
-        out[..., 1, 1] = val
+        out[..., 0, 0] = out[..., 1, 1] = q**2 / (4.0 * r4)
         return out
 
-    def inv_metric_deriv(u):
-        u = np.asarray(u)
-        q = _q(u)
+    def _dg(u, q):
         out = np.zeros(u.shape[:-1] + (2, 2, 2), dtype=q.dtype)
-        for l in range(2):
-            val = q * u[..., l] / r**4
-            out[..., 0, 0, l] = val
-            out[..., 1, 1, l] = val
+        out[..., 0, 0, :] = out[..., 1, 1, :] = q[..., None] * u / r4
         return out
 
-    def inv_metric_deriv2(u):
-        u = np.asarray(u)
-        q = _q(u)
-        out = np.zeros(u.shape[:-1] + (2, 2, 2, 2), dtype=q.dtype)
-        for l in range(2):
-            for m in range(2):
-                val = (2.0 * u[..., l] * u[..., m] + (q if l == m else 0.0)) / r**4
-                out[..., 0, 0, l, m] = val
-                out[..., 1, 1, l, m] = val
-        return out
-
-    def beta(u):
-        u = np.asarray(u)
-        q = _q(u)
+    def _beta(u, q):
         out = np.zeros(u.shape[:-1] + (2, 2), dtype=q.dtype)
-        b12 = -4.0 * B * r**4 / q**2
-        out[..., 0, 1] = b12
-        out[..., 1, 0] = -b12
+        out[..., 0, 1] = -4.0 * B * r4 / q**2
+        out[..., 1, 0] = -out[..., 0, 1]
         return out
 
-    def beta_deriv(u):
-        u = np.asarray(u)
-        q = _q(u)
-        out = np.zeros(u.shape[:-1] + (2, 2, 2), dtype=q.dtype)
-        for m in range(2):
-            d12 = 16.0 * B * r**4 * u[..., m] / q**3
-            out[..., 0, 1, m] = d12
-            out[..., 1, 0, m] = -d12
-        return out
-
-    def potential(u):
-        u = np.asarray(u)
-        q = _q(u)
+    def _potential(u, q):
         h = 2.0 * B * r**2 / q
         return np.stack([h * u[..., 1], -h * u[..., 0]], axis=-1)
+
+    def _d2g(u, q):
+        val = 2.0 * u[..., :, None] * u[..., None, :]
+        val[..., 0, 0] += q
+        val[..., 1, 1] += q
+        out = np.zeros(u.shape[:-1] + (2, 2, 2, 2), dtype=q.dtype)
+        out[..., 0, 0, :, :] = out[..., 1, 1, :, :] = val / r4
+        return out
+
+    def _beta_deriv(u, q):
+        out = np.zeros(u.shape[:-1] + (2, 2, 2), dtype=q.dtype)
+        out[..., 0, 1, :] = 16.0 * B * r4 * u / (q**3)[..., None]
+        out[..., 1, 0, :] = -out[..., 0, 1, :]
+        return out
+
+    def evaluator(kernel):
+        def fn(u):
+            u = np.asarray(u)
+            return kernel(u, _q(u))
+        return fn
+
+    inv_metric, inv_metric_deriv, beta, potential, inv_metric_deriv2, beta_deriv = map(
+        evaluator, (_g, _dg, _beta, _potential, _d2g, _beta_deriv))
+
+    def jet(u, order=1):
+        u = np.asarray(u)
+        q = _q(u)
+        first = (_g(u, q), _dg(u, q), _beta(u, q), _potential(u, q))
+        return first if order < 2 else first + (_d2g(u, q), _beta_deriv(u, q))
 
     return ChartedGeometry(
         dim=2,
@@ -378,6 +447,8 @@ def make_sphere_magnetic(r: float, B: float) -> ChartedGeometry:
         name=f"sphere(r={r}, B={B})",
         inv_metric_deriv2=inv_metric_deriv2,
         beta_deriv=beta_deriv,
+        fused_jet=FusedJet(jet, (inv_metric, inv_metric_deriv, beta, potential,
+                                 inv_metric_deriv2, beta_deriv)),
     )
 
 
@@ -453,8 +524,10 @@ def validate_geometry(
 
     Checks: g symmetric and positive definite, beta antisymmetric, the
     finite-difference exterior derivative dA against beta, inv_metric_deriv
-    against finite differences of inv_metric, and reality of all evaluators
-    at real arguments.
+    against finite differences of inv_metric (and the exact second
+    derivatives against finite differences of the first), reality of all
+    evaluators at real arguments, and ``jet``: the second-order jet against
+    the evaluators, which is nonzero only for a fused jet.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
@@ -509,5 +582,11 @@ def validate_geometry(
     if geo.beta_deriv is not None:
         db_fd = _fd_last_axis(geo.beta, pts, fd_step)
         record("beta_deriv", flat(geo.beta_deriv(pts) - db_fd))
+
+    # the jet the flows read against the evaluators (zero for a composed
+    # jet); a None entry must match an all-zero evaluator array
+    evals = (g, dg, b, A, geo.inv_metric_deriv2_or_fd(pts), geo.beta_deriv_or_fd(pts))
+    record("jet", np.maximum.reduce([
+        flat(ev if j is None else j - ev) for j, ev in zip(geo.jet(pts, 2), evals)]))
 
     return report

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .flow import FlowOpts, as_complex_time, flow_many, _raise_for
+from .flow import FlowOpts, as_complex_time, field_components, flow_many, _raise_for
 from .geometry import ChartedGeometry, PhasePoint, energy
 
 __all__ = [
@@ -166,8 +166,6 @@ def kde_residual_many(
         df_dsigma += w * vals
 
     grad = phase_gradient(lambda rows: potential_f_many(geo, rows, sigma, opts), Z, h)
-
-    from .flow import field_components
 
     x, p = Z[:, :n], Z[:, n:]
     xdot, pdot = field_components(geo, x, p)

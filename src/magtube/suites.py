@@ -16,7 +16,15 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import oracles as orc
-from .flow import ComplexTime, FlowError, FlowOpts, flow_complex, flow_many, radius_estimate
+from .flow import (
+    ComplexTime,
+    FlowError,
+    FlowOpts,
+    field_components,
+    flow_complex,
+    flow_many,
+    radius_estimate,
+)
 from .geometry import (
     ChartedGeometry,
     PhasePoint,
@@ -156,7 +164,7 @@ def suite_geometry(seed: int) -> List[CheckResult]:
                                                      ("metric_symmetry", "beta_antisymmetry",
                                                       "reality", "exterior_derivative",
                                                       "inv_metric_deriv", "inv_metric_deriv2",
-                                                      "beta_deriv")), 1e-10))
+                                                      "beta_deriv", "jet")), 1e-10))
 
     sph = _sphere()
     edge = rng.uniform(-0.45, 0.45, (100, 2)) * SPHERE_R
@@ -165,7 +173,7 @@ def suite_geometry(seed: int) -> List[CheckResult]:
                                                        ("metric_symmetry", "beta_antisymmetry",
                                                         "reality", "exterior_derivative",
                                                         "inv_metric_deriv", "inv_metric_deriv2",
-                                                        "beta_deriv")), 1e-7))
+                                                        "beta_deriv", "jet")), 1e-7))
     checks.append(CheckResult("metric_positive_definite",
                               min(rep.residuals["metric_min_eigenvalue"],
                                   reps.residuals["metric_min_eigenvalue"]), 0.0, kind="min"))
@@ -336,17 +344,46 @@ def suite_flow(seed: int) -> List[CheckResult]:
             worst = max(worst, float(trip[ok].max()))
     checks.append(CheckResult("inverse_consistency", worst, 1e-8))
 
+    # the sphere's tangent map against a contour derivative of the
+    # tangent-free flow, which never evaluates second derivatives
+    Z = _sample_sphere(rng, 6, umax=0.12 * SPHERE_R, pmax=0.35)
+    checks.append(CheckResult("tangent_map_contour",
+                              _tangent_map_contour_defect(_sphere(), Z, ComplexTime(1j), opts),
+                              1e-10))
+
     checks.append(CheckResult("radius_estimate_value",
                               abs(radius_estimate(1.0, 1.0, float(np.exp(-1.2))) - 1.2),
                               1e-12))
     return checks
 
 
+def _tangent_map_contour_defect(geo: ChartedGeometry, Z: np.ndarray, t, opts) -> float:
+    """max |jac - dPhi_t/dz| over the rows of Z, dPhi_t/dz by Cauchy contours.
+
+    The flow is holomorphic in the start point, so the derivative along a
+    start coordinate d is the trapezoid rule (1/(N r)) sum_k w^-k
+    Phi_t(z + r w^k e_d), w = exp(2 pi i / N), on a circle in the
+    complexified coordinate; its error falls like r^N.  All contour nodes go
+    through one tangent-free flow; raises FlowError if a row fails.
+    """
+    nodes, radius = 8, 0.01
+    m, D = Z.shape
+    w = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    shifts = radius * w[None, :, None] * np.eye(D)[:, None, :]  # (d, k, column)
+    rows = (Z[:, None, None, :] + shifts).reshape(-1, D)  # row order (point, d, k)
+    ring = flow_many(geo, rows, t, opts, real_mode=False, tangent=False)
+    ref = flow_many(geo, Z, t, opts, real_mode=False)
+    if not (ring.ok.all() and ref.ok.all()):
+        raise FlowError("contour flow failed: "
+                        f"{[r for r in ring.reasons + ref.reasons if r][0]}")
+    phi = np.concatenate([ring.x, ring.p], axis=1).reshape(m, D, nodes, D)
+    deriv = np.einsum("mdkc,k->mcd", phi, w.conj()) / (nodes * radius)
+    return float(np.abs(deriv - ref.jac).max())
+
+
 def _field_inversion_defect(geo: ChartedGeometry, row: np.ndarray, h: float = 1e-6) -> float:
     """|X_E - Omega^{-1} dE| with dE from central finite differences."""
     n = geo.dim
-    from .flow import field_components
-
     xdot, pdot = field_components(geo, row[:n], row[n:])
     XE = np.concatenate([xdot, pdot])
     dE = np.zeros(2 * n, dtype=complex)

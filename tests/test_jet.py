@@ -1,0 +1,163 @@
+"""The geometry jet: fused closed forms against the composed evaluators, the
+rule that replacing an evaluator drops a fused jet, and the gates that see a
+wrong fused or variational second derivative."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from conftest import sample_flat, sample_sphere
+from magtube import cli, suites
+from magtube.config import parse_config_text
+from magtube.flow import _pack, _rhs, field_components
+from magtube.geometry import (
+    ChartedGeometry,
+    FusedJet,
+    make_flat_magnetic,
+    make_sphere_magnetic,
+)
+
+EVALUATORS = ("inv_metric", "inv_metric_deriv", "beta", "potential",
+              "inv_metric_deriv2", "beta_deriv")
+
+
+def _fused_geometries():
+    return [
+        make_flat_magnetic(2, [[0.0, 1.0], [-1.0, 0.0]], 0.7),
+        make_flat_magnetic(3, [[0.0, 1.0, -0.4], [-1.0, 0.0, 0.3], [0.4, -0.3, 0.0]], 1.3),
+        make_sphere_magnetic(1.3, 0.8),
+    ]
+
+
+def _composed(geo):
+    return dataclasses.replace(geo, fused_jet=None)
+
+
+def _complex_points(rng, m, n, scale):
+    return scale * (rng.uniform(-1, 1, (m, n)) + 0.5j * rng.uniform(-1, 1, (m, n)))
+
+
+# The built-in jets share their formulas with the evaluators, so the fused
+# and composed paths agree bit for bit: a run whose evaluators are wrapped
+# (and so composes) reproduces an unwrapped run exactly.
+
+@pytest.mark.parametrize("geo", _fused_geometries(), ids=lambda g: g.name)
+def test_fused_jet_matches_composed_jet(geo, rng):
+    assert geo.fused_jet is not None
+    for x in (_complex_points(rng, 7, geo.dim, 0.3), _complex_points(rng, 1, geo.dim, 0.3)[0]):
+        for order, length in ((1, 4), (2, 6)):
+            fused = geo.jet(x, order)
+            composed = _composed(geo).jet(x, order)
+            assert len(fused) == len(composed) == length
+            for f, c in zip(fused, composed):
+                if f is None:
+                    assert np.abs(c).max() == 0.0
+                else:
+                    assert f.shape == c.shape and f.dtype == c.dtype
+                    assert np.array_equal(f, c)
+
+
+def test_flat_jet_marks_the_vanishing_derivatives():
+    geo = make_flat_magnetic(2, [[0.0, 1.0], [-1.0, 0.0]], 1.0)
+    g, dg, b, A, d2g, db = geo.jet(np.zeros((3, 2), dtype=complex), 2)
+    assert dg is None and d2g is None and db is None
+    assert g.shape == b.shape == (3, 2, 2) and A.shape == (3, 2)
+    assert all(a is not None for a in make_sphere_magnetic(1.0, 1.0).jet(np.zeros(2), 2))
+
+
+@pytest.mark.parametrize("tangent", [False, True])
+def test_rhs_fused_matches_composed(tangent, rng):
+    for geo, Z in ((_fused_geometries()[0], sample_flat(rng, 6)),
+                   (_fused_geometries()[2], sample_sphere(rng, 6))):
+        Y = _pack(Z + 0.1j * rng.uniform(-1, 1, Z.shape), geo.dim, tangent)
+        if tangent:
+            Y[:, 2 * geo.dim + 1 :] += rng.normal(size=(6, 4 * geo.dim**2))
+        assert np.array_equal(_rhs(geo, Y), _rhs(_composed(geo), Y))
+
+
+@pytest.mark.parametrize("tangent", [False, True])
+def test_rhs_reads_the_geometry_through_one_jet_call(tangent, rng):
+    sphere = make_sphere_magnetic(1.0, 1.0)
+    calls = []
+
+    def forbidden(x):
+        raise AssertionError("evaluator called outside the jet")
+
+    def jet(x, order):
+        calls.append(order)
+        return sphere.jet(x, order)
+
+    evals = tuple(forbidden for _ in EVALUATORS)
+    geo = ChartedGeometry(2, *evals[:4], chart_box=3.0, complex_radius=0.6,
+                          inv_metric_deriv2=evals[4], beta_deriv=evals[5],
+                          fused_jet=FusedJet(jet, evals))
+    Z = sample_sphere(rng, 5)
+    _rhs(geo, _pack(Z, 2, tangent))
+    assert calls == [2 if tangent else 1]
+    calls.clear()
+    xdot, pdot = field_components(geo, Z[:, :2], Z[:, 2:])
+    assert calls == [1]
+    ref = field_components(sphere, Z[:, :2], Z[:, 2:])
+    assert np.array_equal(xdot, ref[0]) and np.array_equal(pdot, ref[1])
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_replacing_an_evaluator_drops_the_fused_jet(name, rng):
+    for geo in (_fused_geometries()[0], _fused_geometries()[2]):
+        fn = getattr(geo, name)
+        replaced = dataclasses.replace(geo, **{name: lambda x, _fn=fn: 2.0 * _fn(x)})
+        assert replaced.fused_jet is None
+        x = _complex_points(rng, 3, geo.dim, 0.2)
+        index = EVALUATORS.index(name)
+        assert np.allclose(replaced.jet(x, 2)[index], 2.0 * fn(x))
+    sphere = _fused_geometries()[2]
+    assert dataclasses.replace(sphere, name="same evaluators").fused_jet is sphere.fused_jet
+    assert sphere.with_negated_field().fused_jet is None
+
+
+def test_built_geometries_carry_the_fused_jet():
+    built = [
+        cli.build_geometry(parse_config_text("kind = flat\nB = 0 1; -1 0\n")),
+        cli.build_geometry(parse_config_text("kind = flat\ndim = 3\n")),
+        cli.build_geometry(parse_config_text("kind = sphere\nradius = 2\nfield = 0.5\n")),
+        suites._flat(1.0, 0.5),
+        suites._sphere(),
+    ]
+    assert all(geo.fused_jet is not None for geo in built)
+
+
+def _scaled_fused_d2g(geo, factor):
+    """geo with correct evaluators but a fused jet whose d2g is scaled."""
+    fused = geo.fused_jet
+
+    def jet(x, order, _fn=fused.fn):
+        out = _fn(x, order)
+        return out if order < 2 else out[:4] + (factor * out[4], out[5])
+    return dataclasses.replace(geo, fused_jet=FusedJet(jet, fused.evaluators))
+
+
+def _check(suite, name):
+    return next(c for c in suite(1234) if c.name == name)
+
+
+def test_wrong_fused_second_derivative_fails_both_gates(monkeypatch):
+    assert _check(suites.suite_flow, "tangent_map_contour").passed
+    sphere = suites._sphere
+    monkeypatch.setattr(suites, "_sphere", lambda: _scaled_fused_d2g(sphere(), 1 + 1e-6))
+    assert suites._sphere().fused_jet is not None
+    assert not _check(suites.suite_geometry, "sphere_validation").passed
+    assert not _check(suites.suite_flow, "tangent_map_contour").passed
+
+
+@pytest.mark.parametrize("name", ["inv_metric_deriv2", "beta_deriv"])
+def test_tangent_map_contour_sees_a_wrong_second_derivative(name, monkeypatch):
+    sphere = suites._sphere
+
+    def bad_sphere():
+        geo = sphere()
+        fn = getattr(geo, name)
+        return dataclasses.replace(geo, **{name: lambda x: (1 + 1e-6) * fn(x)})
+
+    monkeypatch.setattr(suites, "_sphere", bad_sphere)
+    assert not _check(suites.suite_flow, "tangent_map_contour").passed
