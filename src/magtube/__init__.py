@@ -43,14 +43,12 @@ from .structure import (
     transversality_check,
 )
 from .kahler import (
-    PotentialSample,
     dbar_residual,
     holomorphic_extension,
     kappa1_flat,
     kappa2_flat,
     kde_residual,
     potential_f,
-    potential_sample,
     section_weight,
 )
 from .intertwine import (

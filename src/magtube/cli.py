@@ -41,6 +41,7 @@ from .structure import (
     frames_at_many,
     integrability_residual_many,
     positivity_matrix,
+    transversality_check,
 )
 from .suites import SUITE_NAMES, run_suite
 
@@ -170,18 +171,15 @@ def _frame_header(n: int):
 
 def _rows_frame(geo, Z, t):
     F, ok, reasons, inv_res = frames_at_many(geo, Z, t)
+    smin = np.full(len(Z), np.nan)
+    smin[ok] = transversality_check(F[ok])
+    inv_res[~ok] = np.nan
     rows = []
     for i in range(Z.shape[0]):
         vals = [_fmt(v) for v in np.real(Z[i])]
         for v in F[i].reshape(-1):
             vals += [_fmt(v.real), _fmt(v.imag)]
-        if ok[i]:
-            S = np.concatenate([F[i], F[i].conj()], axis=1)
-            smin = float(np.linalg.svd(S, compute_uv=False)[-1])
-        else:
-            smin = float("nan")
-        vals += [_fmt(smin), _fmt(float(inv_res[i]) if ok[i] else float("nan")),
-                 "ok" if ok[i] else "failed", reasons[i] or ""]
+        vals += [_fmt(smin[i]), _fmt(inv_res[i]), "ok" if ok[i] else "failed", reasons[i] or ""]
         rows.append(vals)
     return rows
 
@@ -306,7 +304,7 @@ def cmd_extend(args) -> int:
     Z = grid_points(cfg, geo)
     f = _parse_monomial(args.function, geo.dim)
     t = _complex_time_of(cfg, "extend")
-    res = flow_many(geo, Z, t)
+    res = flow_many(geo, Z, t, tangent=False)
     vals = f(res.x)
     n = geo.dim
     header = [f"x{j+1}" for j in range(n)] + [f"p{j+1}" for j in range(n)]
@@ -340,7 +338,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Empirical tube exploration: continuation success and structure margins
-    per |p| shell."""
+    per |p| shell, from the distinct base points of the grid."""
     cfg = _load(args)
     geo = build_geometry(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -350,15 +348,7 @@ def cmd_sweep(args) -> int:
         radii = np.linspace(max(1e-3, p_axes[0].lo), p_axes[0].hi, p_axes[0].count)
     else:
         radii = np.linspace(0.1, 1.0, 8)
-    x_axes = [ax for ax in cfg.grid if ax.name.startswith("x")]
-    if x_axes:
-        bases = np.stack(
-            [np.resize(ax.values(), 4) if ax.name == f"x{i+1}" else np.zeros(4)
-             for i, ax in enumerate(x_axes[:n])], axis=1
-        )
-        bases = bases[:, :n] if bases.shape[1] >= n else np.zeros((4, n))
-    else:
-        bases = np.zeros((1, n))
+    bases = np.unique(grid_points(cfg, geo)[:, :n], axis=0)
     t = _complex_time_of(cfg, "sweep")
     ndir = 16
     header = ["p_shell", "n_points", "success_fraction", "min_transversality",
@@ -367,20 +357,13 @@ def cmd_sweep(args) -> int:
     for rho in radii:
         dirs = rng.normal(size=(ndir, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        Z = []
-        for b in bases:
-            for d in dirs:
-                Z.append(np.concatenate([b, rho * d]))
-        Z = np.array(Z)
+        Z = np.concatenate([np.repeat(bases, ndir, axis=0),
+                            np.tile(rho * dirs, (len(bases), 1))], axis=1)
         F, ok, reasons, _ = frames_at_many(geo, Z, t)
         frac = float(ok.mean())
-        min_trans, min_pos = np.inf, np.inf
-        for i in np.nonzero(ok)[0]:
-            S = np.concatenate([F[i], F[i].conj()], axis=1)
-            min_trans = min(min_trans, float(np.linalg.svd(S, compute_uv=False)[-1]))
-            z = PhasePoint(Z[i, :n], Z[i, n:])
-            M = positivity_matrix(geo, z, F[i])
-            min_pos = min(min_pos, float(np.linalg.eigvalsh(M).min()))
+        min_trans = np.min(transversality_check(F[ok]), initial=np.inf)
+        M = positivity_matrix(geo, Z[ok, :n], F[ok])
+        min_pos = np.min(np.linalg.eigvalsh(M), initial=np.inf)
         rows.append([_fmt(float(rho)), str(len(Z)), _fmt(frac),
                      _fmt(min_trans if np.isfinite(min_trans) else float("nan")),
                      _fmt(min_pos if np.isfinite(min_pos) else float("nan"))])

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import DISK_RADIUS_DEFAULT
+from .flow import ComplexTime
 from .geometry import ChartedGeometry, make_flat_magnetic, make_sphere_magnetic
 
 __all__ = [
@@ -204,8 +204,9 @@ def grid_points(cfg: RunConfig, geo: ChartedGeometry) -> np.ndarray:
     """Row-major cartesian product of the grid axes as (m, 2n) phase rows.
 
     Axes are named x1..xn, p1..pn; omitted axes are held at zero.  Base
-    coordinates must lie inside the chart box and the time target inside the
-    disk (checked here so the CLI can fail fast with a config error).
+    coordinates must lie inside the chart box, and the time and its path
+    must make a valid ``ComplexTime`` (checked here so the CLI can fail fast
+    with a config error).
     """
     n = geo.dim
     names = [f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
@@ -220,9 +221,9 @@ def grid_points(cfg: RunConfig, geo: ChartedGeometry) -> np.ndarray:
             raise ConfigError(
                 f"grid axis x{i+1} leaves the chart box (+-{geo.chart_box})"
             )
-    if abs(cfg.time) > DISK_RADIUS_DEFAULT + 1e-12:
-        raise ConfigError(
-            f"time target outside the continuation disk of radius {DISK_RADIUS_DEFAULT}"
-        )
+    try:
+        ComplexTime(cfg.time, cfg.path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     mesh = np.meshgrid(*values, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)

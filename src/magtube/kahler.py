@@ -29,7 +29,6 @@ every row of a batch with a single call of the batched function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +37,6 @@ from .flow import FlowOpts, as_complex_time, field_components, flow_many, _raise
 from .geometry import ChartedGeometry, PhasePoint, energy
 
 __all__ = [
-    "PotentialSample",
     "potential_f",
     "potential_f_many",
     "theta_A_covector",
@@ -52,7 +50,6 @@ __all__ = [
     "resolve_kappa1_coefficient",
     "holomorphic_extension",
     "section_weight",
-    "potential_sample",
     "FD_STEP",
 ]
 
@@ -344,48 +341,3 @@ def section_weight(geo: ChartedGeometry, z: PhasePoint, k: int, opts=None) -> co
     if k < 1:
         raise ValueError("k must be a positive integer")
     return complex(np.exp(-1j * k * potential_f(geo, z, -1j, opts)))
-
-
-@dataclass
-class PotentialSample:
-    """f at -i and +i with the derived potential and identity residuals."""
-
-    base: PhasePoint
-    f_minus_i: complex
-    f_plus_i: complex
-    kappa2: float
-    kde_residual: float
-    dbar_residual: float
-
-    @property
-    def conjugation_defect(self) -> float:
-        return abs(np.conj(self.f_minus_i) - self.f_plus_i)
-
-
-def potential_sample(
-    geo: ChartedGeometry,
-    z: PhasePoint,
-    frame_conj: Optional[np.ndarray] = None,
-    kde_sigma: float = 0.3,
-    h: float = FD_STEP,
-    opts: Optional[FlowOpts] = None,
-) -> PotentialSample:
-    """Assemble the full potential data at one real phase point."""
-    opts = opts or FlowOpts()
-    fm = potential_f(geo, z, -1j, opts)
-    fp = potential_f(geo, z, 1j, opts)
-    kappa2 = float((2j * fm).real)
-    kde = kde_residual(geo, z, kde_sigma, h, opts)
-    if frame_conj is None:
-        from .structure import frame_at
-
-        frame_conj = frame_at(geo, z, 1j, opts).F.conj()
-    dbar = dbar_residual(geo, z, frame_conj, h, opts)
-    return PotentialSample(
-        base=z,
-        f_minus_i=fm,
-        f_plus_i=fp,
-        kappa2=kappa2,
-        kde_residual=kde,
-        dbar_residual=dbar,
-    )

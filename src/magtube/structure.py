@@ -35,6 +35,7 @@ __all__ = [
     "frame_at",
     "frames_at_many",
     "transversality_check",
+    "positivity_matrix",
     "assemble_J",
     "acs_point",
     "integrability_residual",
@@ -64,17 +65,18 @@ def orthonormalize(F: np.ndarray) -> np.ndarray:
     return Q * phase.conj()[..., None, :]
 
 
-def subspace_distance(A: np.ndarray, B: np.ndarray) -> float:
+def subspace_distance(A: np.ndarray, B: np.ndarray):
     """sin of the largest principal angle between the column spans.
 
-    Computed as the spectral norm of the difference of orthogonal projectors,
-    which stays accurate down to ~1e-15 for nearly equal spans.
+    Batched over (broadcast) leading axes, one value per pair of matrices.
+    Computed as the spectral norm of the difference of orthogonal
+    projectors, which stays accurate down to ~1e-15 for nearly equal spans.
     """
     Qa = orthonormalize(A)
     Qb = orthonormalize(B)
     Pa = Qa @ Qa.conj().swapaxes(-1, -2)
     Pb = Qb @ Qb.conj().swapaxes(-1, -2)
-    return float(np.linalg.norm(Pa - Pb, ord=2))
+    return np.linalg.norm(Pa - Pb, ord=2, axis=(-2, -1))
 
 
 @dataclass
@@ -168,24 +170,26 @@ def frames_at_many(
 # pointwise structure checks
 # ---------------------------------------------------------------------------
 
-def transversality_check(frame) -> float:
+def transversality_check(frame):
     """Smallest singular value of [F, conj F]; > threshold certifies that the
-    subspace meets its conjugate only at zero."""
+    subspace meets its conjugate only at zero.  Batched over the leading axes
+    of F, one value per frame."""
     F = frame.F if isinstance(frame, LagrangianFrame) else np.asarray(frame)
     S = np.concatenate([F, F.conj()], axis=-1)
-    return float(np.linalg.svd(S, compute_uv=False)[..., -1].min())
+    return np.linalg.svd(S, compute_uv=False).min(axis=-1)
 
 
-def positivity_matrix(geo: ChartedGeometry, z: PhasePoint, F: np.ndarray) -> np.ndarray:
+def positivity_matrix(geo: ChartedGeometry, x: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Hermitian matrix of the pairing -i omega(Z, conj Z) on frame columns.
 
     With the convention omega(X, Y) = X . Omega . Y, Omega = [[-beta, 1],
     [-1, 0]], the matrix is i F* Omega F; its positive definiteness for
-    Im t > 0 is the Kaehler condition.
+    Im t > 0 is the Kaehler condition.  Batched over base points x (..., n)
+    and frames F (..., 2n, n).
     """
-    Om = twisted_symplectic_matrix(geo, z.x)
-    M = 1j * F.conj().T @ Om @ F
-    return 0.5 * (M + M.conj().T)
+    Om = twisted_symplectic_matrix(geo, x)
+    M = 1j * F.conj().swapaxes(-1, -2) @ Om @ F
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def assemble_J(frame: LagrangianFrame, geo: ChartedGeometry) -> ACSPointData:
@@ -196,17 +200,17 @@ def assemble_J(frame: LagrangianFrame, geo: ChartedGeometry) -> ACSPointData:
     orthonormalized frame, which makes it frame-gauge invariant.
     """
     F = frame.F
-    n2, n = F.shape
-    S = np.concatenate([F, F.conj()], axis=1)
-    smin = float(np.linalg.svd(S, compute_uv=False)[-1])
+    n = F.shape[1]
+    smin = transversality_check(F)
     if smin < TRANSVERSALITY_THRESHOLD:
         raise np.linalg.LinAlgError(
             f"frame not transversal to its conjugate (smin={smin:.3e}); "
             "no almost complex structure at this point/time"
         )
+    S = np.concatenate([F, F.conj()], axis=1)
     D = np.diag(np.concatenate([np.full(n, 1j), np.full(n, -1j)]))
     Jc = S @ D @ np.linalg.inv(S)
-    M = positivity_matrix(geo, frame.base, F)
+    M = positivity_matrix(geo, frame.base.x, F)
     return ACSPointData(
         base=frame.base,
         J=Jc.real.copy(),

@@ -312,9 +312,9 @@ def suite_flow(seed: int) -> List[CheckResult]:
                 ref = orc.zero_section_linearization(b0[i], sig, g0[i])
                 worst_jac = max(worst_jac, float(np.abs(st.jac - ref).max()))
         for sig in (1j, 0.3 + 0.8j):
-            for i, F in enumerate(_frames(geo, Z, sig, opts)):
-                ref_frame = orc.zero_section_frame(b0[i], sig, g0[i])
-                worst_span = max(worst_span, subspace_distance(F, ref_frame))
+            ref = np.stack([orc.zero_section_frame(b0[i], sig, g0[i]) for i in range(len(xs))])
+            worst_span = max(worst_span,
+                             float(subspace_distance(_frames(geo, Z, sig, opts), ref).max()))
     checks.append(CheckResult("zero_section_jacobian", worst_jac, 1e-9))
     checks.append(CheckResult("zero_section_frame_span", worst_span, 1e-9))
 
@@ -423,16 +423,13 @@ def suite_frames(seed: int) -> List[CheckResult]:
         om = twisted_symplectic_matrix(geo, Z[:, :2])
         lagr = np.einsum("mji,mjk,mkl->mil", F, om, F)  # complex-bilinear F^T Om F
         worst_lagr = max(worst_lagr, float(np.abs(lagr).max()))
-        S = np.concatenate([F, F.conj()], axis=2)
-        min_trans = min(min_trans, float(np.linalg.svd(S, compute_uv=False)[:, -1].min()))
-        for i in range(Z.shape[0]):
-            M = positivity_matrix(geo, PhasePoint(Z[i, :2], Z[i, 2:]), F[i])
-            min_pos = min(min_pos, float(np.linalg.eigvalsh(M).min()))
+        min_trans = min(min_trans, float(transversality_check(F).min()))
+        M = positivity_matrix(geo, Z[:, :2], F)
+        min_pos = min(min_pos, float(np.linalg.eigvalsh(M).min()))
 
         # conjugate frame spans the conjugate-time subspace
         Fm = frames_at_many(geo, Z[:5], -1j, opts)[0]
-        for i in range(5):
-            worst_conj_span = max(worst_conj_span, subspace_distance(F[i].conj(), Fm[i]))
+        worst_conj_span = max(worst_conj_span, float(subspace_distance(F[:5].conj(), Fm).max()))
 
         # J at conjugate times are opposite; omega(X, JX) > 0; gauge
         # invariance under random right-multiplication
@@ -684,47 +681,37 @@ def suite_intertwine(seed: int) -> List[CheckResult]:
     flat = _flat(1.0, 1.0)
     sph = _sphere()
 
-    z = PhasePoint([0.0, 0.0], [1.0, 0.0])
+    z = np.array([[0.0, 0.0, 1.0, 0.0]])
     checks.append(CheckResult("flow_reversal_geodesic",
-                              check_flow_reversal(flat0, None, z, 0.7, opts), 1e-10))
-
-    worst = 0.0
-    for row in _sample_flat(rng, 10, xmax=0.6, pmax=1.0):
-        worst = max(worst, check_flow_reversal(flat, None, PhasePoint(row[:2], row[2:]), 0.7, opts))
-    checks.append(CheckResult("flow_reversal_flat", worst, 1e-9))
+                              float(check_flow_reversal(flat0, z, 0.7, opts).max()), 1e-10))
+    Z = _sample_flat(rng, 10, xmax=0.6, pmax=1.0)
+    checks.append(CheckResult("flow_reversal_flat",
+                              float(check_flow_reversal(flat, Z, 0.7, opts).max()), 1e-9))
 
     # the same identity evaluated on the closed-form flow alone
-    worst = 0.0
-    for row in _sample_flat(rng, 10):
-        lhs = orc.flat_flow_oracle(-1.0, 1.0, np.concatenate([row[:2], -row[2:]]), 0.7)
-        lhs = np.concatenate([lhs[:2], -lhs[2:]])
-        rhs = orc.flat_flow_oracle(1.0, 1.0, row, -0.7)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    checks.append(CheckResult("flow_reversal_flat_oracle", worst, 1e-12))
+    Z = _sample_flat(rng, 10)
+    nu = np.diag([1.0, 1.0, -1.0, -1.0])
+    lhs = orc.flat_flow_oracle(-1.0, 1.0, Z @ nu, 0.7) @ nu
+    rhs = orc.flat_flow_oracle(1.0, 1.0, Z, -0.7)
+    checks.append(CheckResult("flow_reversal_flat_oracle", float(np.abs(lhs - rhs).max()), 1e-12))
 
-    worst = 0.0
-    for row in _sample_sphere(rng, 10):
-        worst = max(worst, check_flow_reversal(sph, None, PhasePoint(row[:2], row[2:]), 0.5, opts))
-    checks.append(CheckResult("flow_reversal_sphere", worst, 1e-8))
+    Z = _sample_sphere(rng, 10)
+    checks.append(CheckResult("flow_reversal_sphere",
+                              float(check_flow_reversal(sph, Z, 0.5, opts).max()), 1e-8))
 
-    zf = PhasePoint([0.2, 0.1], [0.6, -0.3])
-    zs = PhasePoint([0.1, -0.05], [0.3, 0.2])
-    checks.append(CheckResult("frame_intertwine_geodesic",
-                              check_frame_intertwine(flat0, None, zf, 1j, opts), 1e-8))
-    checks.append(CheckResult("frame_intertwine_flat",
-                              check_frame_intertwine(flat, None, zf, 1j, opts), 1e-7))
-    checks.append(CheckResult("frame_intertwine_sphere",
-                              check_frame_intertwine(sph, None, zs, 1j, opts), 1e-6))
-    checks.append(CheckResult("frame_intertwine_shifted_flat",
-                              check_shifted_frame_intertwine(flat, None, zf, 0.3 + 0.8j, opts),
-                              1e-6))
-    checks.append(CheckResult("frame_intertwine_shifted_sphere",
-                              check_shifted_frame_intertwine(sph, None, zs, 0.3 + 0.8j, opts),
-                              1e-6))
+    zf = np.array([[0.2, 0.1, 0.6, -0.3]])
+    zs = np.array([[0.1, -0.05, 0.3, 0.2]])
+    for name, geo, z, tol in (("frame_intertwine_geodesic", flat0, zf, 1e-8),
+                              ("frame_intertwine_flat", flat, zf, 1e-7),
+                              ("frame_intertwine_sphere", sph, zs, 1e-6)):
+        checks.append(CheckResult(name, float(check_frame_intertwine(geo, z, 1j, opts).max()), tol))
+    for name, geo, z in (("frame_intertwine_shifted_flat", flat, zf),
+                         ("frame_intertwine_shifted_sphere", sph, zs)):
+        checks.append(CheckResult(
+            name, float(check_shifted_frame_intertwine(geo, z, 0.3 + 0.8j, opts).max()), 1e-6))
 
     # nu is an involution: pushing a frame through twice recovers its span
-    F = frame_at(flat, zf, 1j, opts).F
-    nu = np.diag([1.0, 1.0, -1.0, -1.0])
+    F = _frames(flat, zf, 1j, opts)[0]
     checks.append(CheckResult("involution", subspace_distance(nu @ (nu @ F), F), 1e-10))
     return checks
 
@@ -759,8 +746,8 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
     for B, mass_freq in FLAT_CASES:
         geo = _flat(B, mass_freq)
         Fo = orc.flat_frame_columns(B, mass_freq, 1j)
-        for F in _frames(geo, _sample_flat(rng, 5), 1j, opts):
-            worst = max(worst, subspace_distance(F, Fo))
+        worst = max(worst, float(subspace_distance(_frames(geo, _sample_flat(rng, 5), 1j, opts),
+                                                   Fo).max()))
     checks.append(CheckResult("frame_closed_form", worst, 1e-9))
 
     # determinant of [F, conj F] on the raw transported columns

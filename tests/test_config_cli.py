@@ -314,6 +314,47 @@ def test_cli_config_error_exit_code(tmp_path):
     assert not out.exists()
 
 
+def test_bad_path_is_config_error(tmp_path):
+    # a waypoint outside the time disk, and a path that misses the target
+    for path in ("2, i", "0.5"):
+        cfg = _write(tmp_path, "c.cfg",
+                     f"kind = flat\ngrid = p1:0.2:1.5:2\ntime = i\npath = {path}\n")
+        assert main(["flow", "--config", cfg]) == 2
+
+
+def test_cmd_sweep_bases_from_x_axes(tmp_path, monkeypatch):
+    import magtube.cli as cli
+
+    seen = []
+    frames_at_many = cli.frames_at_many
+
+    def recording(geo, Z, t, opts=None):
+        seen.append(Z)
+        return frames_at_many(geo, Z, t, opts)
+
+    monkeypatch.setattr(cli, "frames_at_many", recording)
+    cfg = _write(tmp_path, "c.cfg",
+                 "kind = flat\nB = 0 1; -1 0\ngrid = x1:-0.3:0.3:3, p1:0.2:1.5:2\ntime = i\n")
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    rows = [line.split(",") for line in open(out).read().strip().splitlines()]
+    assert [row[rows[0].index("n_points")] for row in rows[1:]] == ["48", "48"]
+    for Z in seen:
+        assert len(Z) == 48
+        assert np.array_equal(np.unique(Z[:, 0]), [-0.3, 0.0, 0.3])
+        assert not Z[:, 1].any()
+
+
+def test_cmd_sweep_shell_with_no_success(tmp_path):
+    # far outside the sphere's tube every row fails: the margins are nan
+    cfg = _write(tmp_path, "c.cfg",
+                 "kind = sphere\nradius = 1\nfield = 1\ngrid = p1:6:8:2\ntime = i\n")
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    rows = open(out).read().strip().splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows] == [["0", "nan", "nan"]] * 2
+
+
 def test_tol_is_rejected(tmp_path):
     # no step tolerance is configurable: the key and the flag are both errors
     with pytest.raises(ConfigError):

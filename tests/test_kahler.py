@@ -16,7 +16,6 @@ from magtube.kahler import (
     phase_gradient,
     potential_f,
     potential_f_many,
-    potential_sample,
     resolve_kappa1_coefficient,
     section_weight,
     theta_A_covector,
@@ -269,14 +268,6 @@ def test_weight_modulus_is_heat_kernel_density(rng):
         x, y, u, v = z1.real, z1.imag, z2.real, z2.imag
         exponent = lam * (u * y - v * x) - lam / np.tanh(2 * lam * tt) * (v**2 + y**2)
         assert abs(abs(w) ** 2 - np.exp(exponent)) < 1e-10
-
-
-def test_potential_sample_assembly(flat_geo):
-    ps = potential_sample(flat_geo, PhasePoint([0.3, -0.1], [0.5, 0.2]))
-    assert ps.conjugation_defect < 1e-10
-    assert abs(ps.kappa2 - (2j * ps.f_minus_i).real) < 1e-14
-    assert ps.kde_residual < 1e-6
-    assert ps.dbar_residual < 1e-6
 
 
 def test_potential_f_is_one_row_of_potential_f_many(flat_geo, sphere_geo):

@@ -219,7 +219,7 @@ def test_positivity_zero_section_free_case():
     tau = 0.8
     st = flow_complex(geo, PhasePoint([0.1, 0.2], [0, 0]), 1j * tau)
     F = st.jac[:, 2:]
-    M = positivity_matrix(geo, PhasePoint([0.1, 0.2], [0, 0]), F)
+    M = positivity_matrix(geo, np.array([0.1, 0.2]), F)
     assert np.abs(M - (2 * tau / 0.5) * np.eye(2)).max() < 1e-9
 
 
@@ -348,6 +348,23 @@ def test_subspace_distance_extremes():
     b = np.vstack([np.zeros((2, 2)), np.eye(2)]).astype(complex)
     assert subspace_distance(a, a) < 1e-14
     assert subspace_distance(a, b) == pytest.approx(1.0)
+
+
+def test_frame_checks_batch_over_rows(sphere_geo, rng):
+    # one value per row, as the one-row calls give it; transversality bit
+    # for bit, since the frame CSV's column is computed over the batch
+    Z = sample_sphere(rng, 6)
+    F = frames_at_many(sphere_geo, Z, 1j)[0]
+    G = frames_at_many(sphere_geo, Z, 0.3 + 0.8j)[0]
+    trans = transversality_check(F)
+    dist = subspace_distance(F, G)
+    M = positivity_matrix(sphere_geo, Z[:, :2], F)
+    assert trans.shape == dist.shape == (6,) and M.shape == (6, 2, 2)
+    assert dist.min() > 1e-3
+    for i in range(6):
+        assert trans[i] == transversality_check(F[i])
+        assert abs(dist[i] - subspace_distance(F[i], G[i])) < 1e-14
+        assert np.abs(M[i] - positivity_matrix(sphere_geo, Z[i, :2], F[i])).max() < 1e-14
 
 
 def test_orthonormalize_phase_convention(rng):
