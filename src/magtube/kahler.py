@@ -20,10 +20,14 @@ Single-point functions (``potential_f``, ``kde_residual``,
 ``dbar_residual``, ``holomorphic_extension``) are one-row calls of the
 batched code path.
 
-Phase-space derivatives of computed scalars all go through
-``phase_gradient``, the one stencil: central differences with step
-``FD_STEP`` = 1e-4 and one level of Richardson extrapolation, evaluated for
-every row of a batch with a single call of the batched function.
+Every phase-space derivative of a computed quantity goes through
+``phase_gradient``, the one derivative rule.  The flow, the transported
+frame columns, f_t and the closed-form potentials are holomorphic in the
+start point, so a derivative along a real phase coordinate is the trapezoid
+rule on a circle of radius ``CONTOUR_RADIUS`` in the complexified coordinate
+with ``CONTOUR_NODES`` nodes, evaluated for every row of a batch with a
+single call of the batched function.  The sigma derivative of the defining
+differential equation uses the same nodes in complex sigma.
 """
 
 from __future__ import annotations
@@ -50,43 +54,47 @@ __all__ = [
     "resolve_kappa1_coefficient",
     "holomorphic_extension",
     "section_weight",
-    "FD_STEP",
 ]
 
-FD_STEP = 1e-4
+# Trapezoid rule for f'(z) = (1/2 pi i) oint f(s) / (s - z)^2 ds on the circle
+# |s - z| = r: f'(z) ~ sum_k f(z + RING_k) WEIGHTS_k with error O(r^N) plus
+# rounding O(eps / r).  N = 4 keeps four evaluations per coordinate; at that
+# N, r = 1e-3 balances the two: the sphere's tangent map at t = i reads
+# about 1e-12 against 4e-10 at r = 1e-2 and 2e-12 at r = 1e-4.
+CONTOUR_NODES = 4
+CONTOUR_RADIUS = 1e-3
+_RING = CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+_WEIGHTS = 1.0 / (CONTOUR_NODES * _RING)
 
 
 # ---------------------------------------------------------------------------
-# finite differences (central, one Richardson level)
+# derivatives from holomorphy (Cauchy contours)
 # ---------------------------------------------------------------------------
 
-def _richardson_pairs(h: float):
-    """Offsets and weights so that sum_k w_k f(x + o_k) approximates f'(x)
-    with O(h^4) error."""
-    offsets = np.array([h, -h, h / 2, -h / 2])
-    weights = np.array([-1 / (6 * h), 1 / (6 * h), 4 / (3 * h), -4 / (3 * h)])
-    return offsets, weights
+def phase_gradient(batch_fun: Callable, Z: np.ndarray):
+    """Contour gradient over the 2n phase coordinates at every row of Z.
 
+    ``batch_fun`` maps (M, 2n) complex rows to ``(vals, ok, reasons)`` with
+    ``vals`` of shape (M, ...) and must be holomorphic in each coordinate.  It
+    is called once, on the centre rows Z followed by the contour rows
+    z + RING_k e_d in (row, coordinate d, node k) order; a closed form may
+    return ``ok = True`` and ``reasons = None``.
 
-def phase_gradient(batch_fun: Callable, Z: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Richardson central-difference gradient over the 2n real phase
-    coordinates at every row of Z, shape (m, 2n, ...).
-
-    ``batch_fun`` maps (N, 2n) rows to ``(vals, ok, reasons)`` with ``vals``
-    of shape (N, ...); it is called once, on all stencil rows in (row,
-    coordinate, offset) order.  A closed form may return ``ok = True``.
+    Returns ``(vals, ok, reasons, grad)``: the batch contract at the centre
+    rows plus the (m, 2n, ...) gradient.  A row whose centre or any contour
+    node failed gets a NaN gradient; nothing is raised.
     """
-    Z = np.asarray(Z, dtype=float)
+    Z = np.asarray(Z)
     m, d = Z.shape
-    offs, wts = _richardson_pairs(h)
-    shift = np.zeros((d, len(offs), d))
-    shift[np.arange(d), :, np.arange(d)] = offs
-    vals, ok, reasons = batch_fun((Z[:, None, None, :] + shift).reshape(-1, d))
-    if not np.all(ok):
-        raise RuntimeError(f"stencil failure: {[r for r in reasons if r][0]}")
+    shift = _RING[None, :, None] * np.eye(d)[:, None, :]  # (coordinate, node, column)
+    rows = np.concatenate([Z, (Z[:, None, None, :] + shift).reshape(-1, d)])
+    vals, ok, reasons = batch_fun(rows)
     vals = np.asarray(vals)
-    vals = vals.reshape(m, d, len(offs), *vals.shape[1:])
-    return np.moveaxis(vals, 2, -1) @ wts
+    ok = np.broadcast_to(ok, len(rows))
+    grad = np.moveaxis(vals[m:].reshape(m, d, len(_RING), *vals.shape[1:]), 2, -1) @ _WEIGHTS
+    grad[~(ok[:m] & ok[m:].reshape(m, -1).all(axis=1))] = np.nan
+    reasons = [None] * m if reasons is None else list(reasons[:m])
+    return vals[:m], ok[:m].copy(), reasons, grad
 
 
 # ---------------------------------------------------------------------------
@@ -142,27 +150,20 @@ def kde_residual_many(
     geo: ChartedGeometry,
     Z: np.ndarray,
     sigma: float,
-    h: float = FD_STEP,
     opts: Optional[FlowOpts] = None,
 ) -> np.ndarray:
     """Vectorized defect of df/dsigma + X_E(f) - (theta^A(X_E) - E).
 
-    One batched flow per sigma offset plus one for the full phase-space
-    stencil of all rows of Z.
+    df/dsigma is the contour rule in complex sigma (one batched flow per
+    node) and X_E(f) contracts ``phase_gradient`` of f_sigma (one batched
+    flow).  A row whose contour left the tube gets a NaN defect.
     """
     opts = opts or FlowOpts()
     Z = np.asarray(Z, dtype=float)
-    m, n = len(Z), geo.dim
-    offs, wts = _richardson_pairs(h)
-
-    df_dsigma = np.zeros(m, dtype=complex)
-    for o, w in zip(offs, wts):
-        vals, ok, reasons = potential_f_many(geo, Z, sigma + o, opts)
-        if not ok.all():
-            raise RuntimeError(f"stencil failure: {[r for r in reasons if r][0]}")
-        df_dsigma += w * vals
-
-    grad = phase_gradient(lambda rows: potential_f_many(geo, rows, sigma, opts), Z, h)
+    n = geo.dim
+    df_dsigma = sum(w * potential_f_many(geo, Z, sigma + s, opts)[0]
+                    for s, w in zip(_RING, _WEIGHTS))
+    grad = phase_gradient(lambda rows: potential_f_many(geo, rows, sigma, opts), Z)[3]
 
     x, p = Z[:, :n], Z[:, n:]
     xdot, pdot = field_components(geo, x, p)
@@ -173,36 +174,44 @@ def kde_residual_many(
     return np.abs(df_dsigma + np.einsum("md,md->m", grad, XE) - rhs)
 
 
+def _one_residual(residuals: np.ndarray) -> float:
+    """The single row of a residual batch; raises where its contour failed."""
+    out = float(residuals[0])
+    if np.isnan(out):
+        raise RuntimeError("contour node left the tube")
+    return out
+
+
 def kde_residual(
     geo: ChartedGeometry,
     z: PhasePoint,
     sigma: float,
-    h: float = FD_STEP,
     opts: Optional[FlowOpts] = None,
 ) -> float:
     """Defect of df_sigma/dsigma + X_E(f_sigma) - (theta^A(X_E) - E) at (z, sigma).
 
-    theta^A(X_E) - E = E + A(g p); both derivative terms are computed by
-    Richardson-extrapolated central differences of the flow-quadrature f.
+    theta^A(X_E) - E = E + A(g p); both derivative terms are contour
+    derivatives of the flow-quadrature f.  Raises RuntimeError if a contour
+    node leaves the tube.
     """
-    return float(kde_residual_many(geo, z.as_vector().real[None, :], sigma, h, opts)[0])
+    return _one_residual(kde_residual_many(geo, z.as_vector().real[None, :], sigma, opts))
 
 
 def dbar_residual_many(
     geo: ChartedGeometry,
     Z: np.ndarray,
     frames_conj: np.ndarray,
-    h: float = FD_STEP,
     opts: Optional[FlowOpts] = None,
 ) -> np.ndarray:
     """Vectorized defect of dbar f_{-i} = (theta^A)^(0,1).
 
-    ``frames_conj`` is (m, 2n, n): per-row (0,1) direction columns.
+    ``frames_conj`` is (m, 2n, n): per-row (0,1) direction columns.  A row
+    whose contour left the tube gets a NaN defect.
     """
     opts = opts or FlowOpts()
     Z = np.asarray(Z, dtype=float)
     m, n = len(Z), geo.dim
-    grad = phase_gradient(lambda rows: potential_f_many(geo, rows, -1j, opts), Z, h)
+    grad = phase_gradient(lambda rows: potential_f_many(geo, rows, -1j, opts), Z)[3]
 
     A = geo.potential(Z[:, :n])
     theta = np.concatenate([Z[:, n:] + A, np.zeros((m, n))], axis=1)
@@ -216,7 +225,6 @@ def dbar_residual(
     geo: ChartedGeometry,
     z: PhasePoint,
     frame_conj: np.ndarray,
-    h: float = FD_STEP,
     opts: Optional[FlowOpts] = None,
 ) -> float:
     """Defect of dbar f_{-i} = (theta^A)^(0,1) at z.
@@ -224,10 +232,10 @@ def dbar_residual(
     ``frame_conj`` holds (0,1) direction columns (the conjugate of the frame
     spanning the +i transported subspace).  For each column Zbar the residual
     is |Zbar(f_{-i}) - theta^A(Zbar)|; the max over columns is returned.
+    Raises RuntimeError if a contour node leaves the tube.
     """
-    return float(
-        dbar_residual_many(geo, z.as_vector().real[None, :], frame_conj[None], h, opts)[0]
-    )
+    return _one_residual(
+        dbar_residual_many(geo, z.as_vector().real[None, :], frame_conj[None], opts))
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +250,22 @@ def _coth_times(B: float, mass_freq: float) -> float:
     return B / math.tanh(Bt)
 
 
+def _kappa_xyuv(B: float, mass_freq: float, x, y, u, v, tanh_coefficient: float):
+    """kappa1 with tanh coefficient c as a polynomial in the real coordinates
+    x + i y = z1, u + i v = z2 (c = 0 gives kappa2); the polynomial continues
+    holomorphically to complex (x, y, u, v)."""
+    return (-B * (u * y - v * x) + _coth_times(B, mass_freq) * (v**2 + y**2)
+            + tanh_coefficient * B * math.tanh(B / mass_freq / 2)
+            * (x**2 - y**2 + u**2 - v**2))
+
+
 def kappa2_flat(B: float, mass_freq: float, z1: complex, z2: complex) -> float:
     """Kaehler potential Re(2i f_{-i}) on the plane, in complex coordinates:
 
     kappa2 = -B (u y - v x) + B coth(B/mass_freq) (v^2 + y^2),
     z1 = x + i y, z2 = u + i v.  Not adapted to theta^A.
     """
-    x, y = z1.real, z1.imag
-    u, v = z2.real, z2.imag
-    return -B * (u * y - v * x) + _coth_times(B, mass_freq) * (v**2 + y**2)
+    return _kappa_xyuv(B, mass_freq, z1.real, z1.imag, z2.real, z2.imag, 0.0)
 
 
 def kappa1_flat(
@@ -267,12 +282,7 @@ def kappa1_flat(
     the identity Im dbar kappa1 = theta^A holds only for c = 1/2, which is
     the default.  Pass c = 1 to evaluate the rejected variant.
     """
-    x, y = z1.real, z1.imag
-    u, v = z2.real, z2.imag
-    Bt = B / mass_freq
-    return kappa2_flat(B, mass_freq, z1, z2) + tanh_coefficient * B * math.tanh(
-        Bt / 2
-    ) * (x**2 - y**2 + u**2 - v**2)
+    return _kappa_xyuv(B, mass_freq, z1.real, z1.imag, z2.real, z2.imag, tanh_coefficient)
 
 
 def resolve_kappa1_coefficient(
@@ -280,8 +290,7 @@ def resolve_kappa1_coefficient(
     mass_freq: float,
     J: np.ndarray,
     samples: np.ndarray,
-    h: float = FD_STEP,
-    tol: float = 1e-6,
+    tol: float = 1e-10,
 ):
     """Empirically select the tanh coefficient of kappa1 by the dbar test.
 
@@ -298,10 +307,13 @@ def resolve_kappa1_coefficient(
     residuals = {}
     for c in (0.5, 1.0):
         def kappa1(rows, c=c):
+            # Re z and Im z continued holomorphically: (z(w) +- conj z(conj w)) / 2
             zc = flat_complex_coordinates(B, mass_freq, rows)
-            return kappa1_flat(B, mass_freq, zc[:, 0], zc[:, 1], c), True, None
+            zr = flat_complex_coordinates(B, mass_freq, rows.conj()).conj()
+            re, im = (zc + zr) / 2, (zc - zr) / 2j
+            return _kappa_xyuv(B, mass_freq, re[:, 0], im[:, 0], re[:, 1], im[:, 1], c), True, None
 
-        lhs = 0.5 * (phase_gradient(kappa1, Z, h) @ J)
+        lhs = 0.5 * (phase_gradient(kappa1, Z)[3] @ J)
         residuals[c] = float(np.abs(lhs - theta).max())
     chosen = 0.5 if residuals[0.5] <= residuals[1.0] else 1.0
     if residuals[chosen] > tol:

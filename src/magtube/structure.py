@@ -26,6 +26,7 @@ import numpy as np
 
 from .flow import FlowOpts, as_complex_time, flow_many, _raise_for
 from .geometry import ChartedGeometry, PhasePoint, twisted_symplectic_matrix
+from .kahler import _one_residual, phase_gradient
 
 __all__ = [
     "LagrangianFrame",
@@ -54,9 +55,10 @@ TRANSVERSALITY_THRESHOLD = 1e-6
 def orthonormalize(F: np.ndarray) -> np.ndarray:
     """QR-orthonormalize columns with positive-real diagonal of R.
 
-    The phase convention makes the result a smooth function of a smoothly
-    varying full-rank input, which the finite-difference bracket computation
-    relies on.  Batched over leading axes.
+    The phase convention makes the result a deterministic function of the
+    input columns; it uses complex conjugates, so the result is not
+    holomorphic in the base point and is never differentiated (brackets
+    use the raw transported columns).  Batched over leading axes.
     """
     Q, R = np.linalg.qr(np.asarray(F))
     d = np.diagonal(R, axis1=-2, axis2=-1).copy()
@@ -129,24 +131,20 @@ def frame_at(
                            inverse_residual=float(inv_res[0]))
 
 
-def frames_at_many(
-    geo: ChartedGeometry,
-    Z: np.ndarray,
-    t,
-    opts: Optional[FlowOpts] = None,
-):
-    """Batch frame transport.
+def _transport(geo: ChartedGeometry, Z: np.ndarray, t, opts: Optional[FlowOpts]):
+    """Raw transported vertical columns at every row of Z.
 
     Flows each row z backwards along the reversed path to w = Phi_{-t}(z)
-    with the tangent map M = DPhi_{-t}(z); the transported vertical frame at
-    z is M^{-1} [0; 1], column-orthonormalized.  The inverse residual is the
-    twisted-symplectic defect max|M^T Omega(w) M - Omega(z)|, the residual of
-    the symplectic inverse identity M^{-1} = Omega(z)^{-1} M^T Omega(w).  A
-    failed row gets an all-NaN frame and an infinite residual.
+    with the tangent map M = DPhi_{-t}(z); the transported vertical columns
+    at z are X = M^{-1} [0; 1], holomorphic in z.  The inverse residual is
+    the twisted-symplectic defect max|M^T Omega(w) M - Omega(z)|, the
+    residual of the symplectic inverse identity
+    M^{-1} = Omega(z)^{-1} M^T Omega(w).  A failed row is parked at M = I,
+    so its columns are finite but meaningless, and gets an infinite
+    residual.
 
-    Returns (F, ok, reasons, inverse_residuals) with F of shape (m, 2n, n).
+    Returns (X, ok, reasons, inverse_residuals) with X of shape (m, 2n, n).
     """
-    opts = opts or FlowOpts()
     t = as_complex_time(t)
     Z = np.asarray(Z, dtype=complex)
     back = flow_many(geo, Z, t.reversed(), opts, real_mode=False)
@@ -157,13 +155,31 @@ def frames_at_many(
     W[~ok] = 0.0
     vertical = np.zeros((2 * n, n))
     vertical[n:] = np.eye(n)
-    F = orthonormalize(np.linalg.solve(M, np.broadcast_to(vertical, (len(Z), 2 * n, n))))
-    F[~ok] = np.nan
+    X = np.linalg.solve(M, np.broadcast_to(vertical, (len(Z), 2 * n, n)))
     defect = (M.swapaxes(1, 2) @ twisted_symplectic_matrix(geo, W) @ M
               - twisted_symplectic_matrix(geo, Z[:, :n]))
     inv_res = np.abs(defect).max(axis=(1, 2))
     inv_res[~ok] = np.inf
-    return F, ok, back.reasons, inv_res
+    return X, ok, back.reasons, inv_res
+
+
+def frames_at_many(
+    geo: ChartedGeometry,
+    Z: np.ndarray,
+    t,
+    opts: Optional[FlowOpts] = None,
+):
+    """Batch frame transport: the column-orthonormalized transported
+    vertical columns of one backward flow with the tangent map, and its
+    twisted-symplectic defect as the inverse residual.  A failed row gets an
+    all-NaN frame and an infinite residual.
+
+    Returns (F, ok, reasons, inverse_residuals) with F of shape (m, 2n, n).
+    """
+    X, ok, reasons, inv_res = _transport(geo, Z, t, opts)
+    F = orthonormalize(X)
+    F[~ok] = np.nan
+    return F, ok, reasons, inv_res
 
 
 # ---------------------------------------------------------------------------
@@ -233,67 +249,51 @@ def integrability_residual_many(
     geo: ChartedGeometry,
     Z: np.ndarray,
     t,
-    h: float = 1e-4,
     opts: Optional[FlowOpts] = None,
 ):
-    """Bracket-closure defects for all rows of Z, stencil-batched.
+    """Bracket-closure defects for all rows of Z.
 
-    Frames are transported once for the whole central-difference stencil;
-    the centre rows (offset 0) are the frames at Z themselves, so they are
-    returned with the defects.  A row whose stencil left the tube gets a NaN
-    defect; the other rows are computed.
+    The raw transported columns X_a are holomorphic in the base point, so
+    their derivatives come from ``phase_gradient``: one transport over the
+    centre rows and their contour nodes.  The orthonormalized frame is not
+    differentiated, since its phase convention is not holomorphic;
+    involutivity does not depend on the choice of frame.  The bracket
+    [X_a, X_b] is projected off the span at z and normalised by
+    |X_a||X_b|; the max over column pairs vanishes for an involutive
+    (integrable) distribution.  A row whose centre or contour left the tube
+    gets a NaN defect; the other rows are computed.
 
-    Returns (F, ok, reasons, residuals): the frames, ok flags and reasons of
-    the centre rows, as ``frames_at_many`` gives them, and the defects.
+    Returns (F, ok, reasons, residuals): the orthonormalized centre columns,
+    ok flags and reasons of the centre rows, as ``frames_at_many`` gives
+    them, and the defects.
     """
-    opts = opts or FlowOpts()
-    Z = np.asarray(Z, dtype=float)
-    mpts, n2 = Z.shape
-    n = geo.dim
-    width = 1 + 2 * n2
-    stencil = np.repeat(Z, width, axis=0)
-    shift = np.zeros((width, n2))
-    for m in range(n2):
-        shift[1 + 2 * m, m] = h
-        shift[2 + 2 * m, m] = -h
-    stencil += np.tile(shift, (mpts, 1))
-    F_all, ok, reasons, _ = frames_at_many(geo, stencil, t, opts)
-    F_all = F_all.reshape(mpts, width, n2, n)
-    ok = ok.reshape(mpts, width)
-    out = np.full(mpts, np.nan)
-    sel = ok.all(axis=1)
-    if sel.any():
-        Fc = F_all[sel, 0]  # (k, 2n, n)
-        dF = (F_all[sel, 1::2] - F_all[sel, 2::2]) / (2 * h)  # (k, 2n, 2n, n): d/dz^m F
-        # D[k, a, :, b] = (X_a . grad) X_b; the bracket [X_a, X_b] is
-        # D[:, a, :, b] - D[:, b, :, a], projected off the frame span
-        D = np.einsum("kma,kmjb->kajb", Fc, dF)
-        bracket = D - D.transpose(0, 3, 2, 1)
-        proj_out = np.eye(n2) - Fc @ Fc.conj().swapaxes(1, 2)
-        normal = np.einsum("kij,kajb->kaib", proj_out, bracket)
-        out[sel] = np.linalg.norm(normal, axis=2).max(axis=(1, 2))
-    return F_all[:, 0], ok[:, 0], reasons[::width], out
+    X, ok, reasons, dX = phase_gradient(lambda rows: _transport(geo, rows, t, opts)[:3], Z)
+    F = orthonormalize(X)
+    F[~ok] = np.nan
+    # D[k, a, :, b] = (X_a . grad) X_b; the bracket [X_a, X_b] is
+    # D[:, a, :, b] - D[:, b, :, a], projected off the frame span
+    D = np.einsum("kja,kjib->kaib", X, dX)
+    bracket = D - D.transpose(0, 3, 2, 1)
+    proj_out = np.eye(X.shape[1]) - F @ F.conj().swapaxes(1, 2)
+    normal = np.linalg.norm(np.einsum("kij,kajb->kaib", proj_out, bracket), axis=2)
+    size = np.linalg.norm(X, axis=1)
+    return F, ok, reasons, (normal / (size[:, :, None] * size[:, None, :])).max(axis=(1, 2))
 
 
 def integrability_residual(
     geo: ChartedGeometry,
     z: PhasePoint,
     t,
-    h: float = 1e-4,
     opts: Optional[FlowOpts] = None,
 ) -> float:
     """Bracket-closure defect of the frame distribution at z.
 
-    Frame vector fields are sampled on a central-difference stencil in the 2n
-    real phase coordinates; Lie brackets of frame columns are projected onto
-    the orthogonal complement of the frame span at z.  The max projection
-    norm vanishes for an involutive (integrable) distribution.  Raises
-    RuntimeError if a stencil point leaves the tube.
+    The one-row case of ``integrability_residual_many``: Lie brackets of the
+    transported columns, from contour derivatives in the 2n phase
+    coordinates, projected off the span at z and normalised by the column
+    lengths.  Raises RuntimeError if a contour node leaves the tube.
     """
-    out = float(integrability_residual_many(geo, z.as_vector().real[None, :], t, h, opts)[3][0])
-    if np.isnan(out):
-        raise RuntimeError("stencil point left the tube")
-    return out
+    return _one_residual(integrability_residual_many(geo, z.as_vector().real[None, :], t, opts)[3])
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,8 @@ def test_criterion_04_lagrangian_transversality_positivity(report):
 
 def test_criterion_05_integrability(report):
     _gate(report, 5,
-          [("frames", "integrability_flat", 1e-4, "max"),
-           ("frames", "integrability_sphere", 1e-4, "max")],
+          [("frames", "integrability_flat", 1e-11, "max"),
+           ("frames", "integrability_sphere", 1e-10, "max")],
           "bracket closure of the transported distribution")
 
 
@@ -111,12 +111,12 @@ def test_criterion_06_totally_real_zero_section(report):
 
 def test_criterion_07_kahler_potential_identities(report):
     _gate(report, 7,
-          [("kahler", "kde_flat", 1e-6, "max"),
-           ("kahler", "kde_sphere", 1e-6, "max"),
-           ("kahler", "dbar_flat", 1e-6, "max"),
-           ("kahler", "dbar_sphere", 1e-5, "max"),
+          [("kahler", "kde_flat", 1e-9, "max"),
+           ("kahler", "kde_sphere", 1e-12, "max"),
+           ("kahler", "dbar_flat", 1e-10, "max"),
+           ("kahler", "dbar_sphere", 1e-10, "max"),
            ("kahler", "kappa2_closed_form", 1e-7, "max"),
-           ("kahler", "kappa1_adapted", 1e-6, "max")],
+           ("kahler", "kappa1_adapted", 1e-10, "max")],
           "generating-function and potential identities")
     note = _check(report, "kahler", "kappa1_adapted")["note"]
     assert "0.5" in note  # resolved tanh coefficient is recorded
@@ -124,8 +124,8 @@ def test_criterion_07_kahler_potential_identities(report):
 
 def test_criterion_08_holomorphy_of_extensions(report):
     _gate(report, 8,
-          [("kahler", "extension_dbar_flat", 1e-6, "max"),
-           ("kahler", "extension_dbar_sphere", 1e-6, "max"),
+          [("kahler", "extension_dbar_flat", 1e-10, "max"),
+           ("kahler", "extension_dbar_sphere", 1e-10, "max"),
            ("flow", "path_independence", 1e-9, "max")],
           "dbar-closure of extensions and path independence")
 

@@ -223,6 +223,23 @@ def test_cmd_potential_columns(tmp_path):
         assert float(row[header.index("kde_residual")]) < 1e-6
 
 
+def test_cmd_potential_row_at_the_tube_edge(tmp_path):
+    # the -i flow of the last row stays inside the tube (edge at p1 ~ 2.35597)
+    # but its dbar contour does not: that row's dbar_residual is nan, the
+    # command still succeeds
+    cfg = _write(tmp_path, "c.cfg",
+                 "kind = sphere\nradius = 1\nfield = 1\ngrid = p1:2.3:2.35595:3\ntime = i\n")
+    out = str(tmp_path / "pot.csv")
+    assert main(["potential", "--config", cfg, "--out", out]) == 0
+    rows = [line.split(",") for line in open(out).read().strip().splitlines()]
+    header, data = rows[0], rows[1:]
+    kde = [float(r[header.index("kde_residual")]) for r in data]
+    dbar = [float(r[header.index("dbar_residual")]) for r in data]
+    assert [r[header.index("status")] for r in data] == ["ok"] * 3
+    assert max(kde) < 1e-8 and max(dbar[:2]) < 1e-10
+    assert np.isnan(dbar[2])
+
+
 def test_cmd_acs_columns(tmp_path):
     cfg = _write(
         tmp_path,

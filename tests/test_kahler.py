@@ -6,8 +6,10 @@ from magtube import oracles as orc
 from magtube.flow import BlowUpError, FlowOpts
 from magtube.geometry import PhasePoint
 from magtube.kahler import (
-    FD_STEP,
+    CONTOUR_NODES,
+    CONTOUR_RADIUS,
     dbar_residual,
+    dbar_residual_many,
     holomorphic_extension,
     kappa1_flat,
     kappa2_flat,
@@ -189,8 +191,9 @@ def test_phase_gradient_of_vector_cubic(rng):
         s = rows.sum(axis=1)
         return np.stack([z0**3 + z1 * z2 * z3, z2**2 * z0 - z3, s**3], axis=1), True, None
 
-    grad = phase_gradient(cubic, Z)
-    assert grad.shape == (5, 4, 3)
+    vals, ok, reasons, grad = phase_gradient(cubic, Z)
+    assert grad.shape == (5, 4, 3) and vals.shape == (5, 3)
+    assert ok.all() and reasons == [None] * 5
     z0, z1, z2, z3 = Z.T
     s2 = 3 * Z.sum(axis=1) ** 2
     zero = np.zeros_like(z0)
@@ -199,23 +202,47 @@ def test_phase_gradient_of_vector_cubic(rng):
         np.stack([z2**2, zero, 2 * z2 * z0, zero - 1], axis=1),
         np.stack([s2, s2, s2, s2], axis=1),
     ], axis=2)
-    assert np.abs(grad - ref).max() < 1e-8
-    # one batched call, stencil rows in (row, coordinate, offset) order
+    # the four-node trapezoid rule is exact for a cubic, up to rounding
+    assert np.abs(grad - ref).max() < 1e-12
+    # one batched call: the centre rows, then the contour rows in
+    # (row, coordinate, node) order, node k at radius r and angle 2 pi k / N
     assert len(calls) == 1
-    rows = calls[0].reshape(5, 4, 4, 4)
-    offs = (FD_STEP, -FD_STEP, FD_STEP / 2, -FD_STEP / 2)
-    for i, a, o in np.ndindex(5, 4, 4):
-        want = Z[i].copy()
-        want[a] += offs[o]
-        assert np.array_equal(rows[i, a, o], want)
+    assert np.array_equal(calls[0][:5], Z)
+    rows = calls[0][5:].reshape(5, 4, CONTOUR_NODES, 4)
+    for i, a, k in np.ndindex(5, 4, CONTOUR_NODES):
+        want = Z[i].astype(complex)
+        want[a] += CONTOUR_RADIUS * np.exp(2j * np.pi * k / CONTOUR_NODES)
+        assert np.abs(rows[i, a, k] - want).max() < 1e-18
+    assert np.abs(vals - cubic(Z)[0]).max() < 1e-14
 
 
-def test_phase_gradient_raises_on_failed_row(flat_geo):
-    # every stencil row of the second point, near the momentum cap, blows up at -i
+def test_phase_gradient_nan_on_failed_row(flat_geo):
+    # the second point, near the momentum cap, blows up at -i; the first
+    # row is still differentiated and nothing is raised
     Z = np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 90.0, 0.0]])
     opts = FlowOpts(p_cap=100.0)
-    with pytest.raises(RuntimeError, match="stencil failure: BLOWUP"):
-        phase_gradient(lambda rows: potential_f_many(flat_geo, rows, -1j, opts), Z)
+    vals, ok, reasons, grad = phase_gradient(
+        lambda rows: potential_f_many(flat_geo, rows, -1j, opts), Z)
+    assert list(ok) == [True, False] and reasons == [None, "BLOWUP"]
+    assert np.isfinite(grad[0]).all() and np.isnan(grad[1]).all()
+    assert np.isfinite(vals[0]) and np.isnan(vals[1])
+
+
+def test_single_point_residuals_raise_where_the_contour_fails(sphere_geo):
+    # the -i flow of this row stays inside the tube (edge at p1 ~ 2.35597),
+    # but contour nodes at radius 1e-3 do not
+    Z = np.array([[0.0, 0.0, 2.3, 0.0], [0.0, 0.0, 2.35595, 0.0]])
+    _, ok, _ = potential_f_many(sphere_geo, Z, -1j)
+    assert ok.all()
+    frames_conj = np.stack([frame_at(sphere_geo, PhasePoint(r[:2], r[2:]), 1j).F.conj()
+                            for r in Z])
+    res = dbar_residual_many(sphere_geo, Z, frames_conj)
+    assert res[0] < 1e-10 and np.isnan(res[1])
+    z = PhasePoint(Z[1, :2], Z[1, 2:])
+    with pytest.raises(RuntimeError, match="left the tube"):
+        dbar_residual(sphere_geo, z, frames_conj[1])
+    with pytest.raises(RuntimeError, match="left the tube"):
+        kde_residual(sphere_geo, z, -1j)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from conftest import sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import oracles as orc
 from magtube.flow import BlowUpError, ComplexTime, FlowOpts, flow_complex, flow_many
 from magtube.geometry import PhasePoint, twisted_symplectic_matrix
-from magtube.kahler import potential_f_many
+from magtube import structure, suites
+from magtube.kahler import CONTOUR_NODES, CONTOUR_RADIUS, potential_f_many
 from magtube.structure import (
     acs_point,
     assemble_J,
@@ -309,34 +310,88 @@ def test_integrability_centre_frames_are_the_frames(flat_geo, sphere_geo, rng):
             assert np.abs(F - Fd).max() < 1e-12
 
 
-def _loop_bracket_defect(F_all, h):
-    """Per-row loop over frame column pairs: the reference for the batched
-    bracket.  F_all is (m, 1 + 4n, 2n, n) in the stencil order."""
+def _contour_rows(Z):
+    """The centre rows, then the contour rows in (row, coordinate, node)
+    order, as ``phase_gradient`` lays them out; also the node weights."""
+    ring = CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+    shift = ring[None, :, None] * np.eye(Z.shape[1])[:, None, :]
+    return np.concatenate([Z, (Z[:, None, None, :] + shift).reshape(-1, Z.shape[1])]), 1 / (
+        CONTOUR_NODES * ring)
+
+
+def _loop_bracket_defect(X_all, m, weights):
+    """Per-row loop over column pairs: the reference for the batched bracket.
+    X_all holds the raw transported columns of the contour layout of m rows."""
+    X_ring = X_all[m:].reshape(m, -1, CONTOUR_NODES, *X_all.shape[1:])
     out = []
-    for Fs in F_all:
-        Fc = Fs[0]
-        dF = (Fs[1::2] - Fs[2::2]) / (2 * h)
-        proj_out = np.eye(Fc.shape[0]) - Fc @ Fc.conj().T
+    for X, ring in zip(X_all[:m], X_ring):
+        dX = sum(w * ring[:, k] for k, w in enumerate(weights))  # d/dz^j X
+        F = orthonormalize(X)
+        proj_out = np.eye(X.shape[0]) - F @ F.conj().T
         worst = 0.0
-        for a in range(Fc.shape[1]):
-            for b in range(a + 1, Fc.shape[1]):
-                bracket = Fc[:, a] @ dF[:, :, b] - Fc[:, b] @ dF[:, :, a]
-                worst = max(worst, float(np.linalg.norm(proj_out @ bracket)))
+        for a in range(X.shape[1]):
+            for b in range(a + 1, X.shape[1]):
+                bracket = X[:, a] @ dX[:, :, b] - X[:, b] @ dX[:, :, a]
+                size = np.linalg.norm(X[:, a]) * np.linalg.norm(X[:, b])
+                worst = max(worst, float(np.linalg.norm(proj_out @ bracket)) / size)
         out.append(worst)
     return np.array(out)
 
 
 def test_batched_bracket_matches_loop(sphere_geo, rng):
-    Z, h = sample_sphere(rng, 4), 1e-4
+    Z = sample_sphere(rng, 4)
+    rows, weights = _contour_rows(Z)
     for t in (1j, 0.3 + 0.8j):
-        res = integrability_residual_many(sphere_geo, Z, t, h)[3]
-        shift = np.zeros((9, 4))
-        for m in range(4):
-            shift[1 + 2 * m, m], shift[2 + 2 * m, m] = h, -h
-        stencil = (Z[:, None, :] + shift).reshape(-1, 4)
-        F_all = frames_at_many(sphere_geo, stencil, t)[0].reshape(4, 9, 4, 2)
-        ref = _loop_bracket_defect(F_all, h)
-        assert ref.max() > 1e-12 and np.abs(res - ref).max() < 1e-14
+        res = integrability_residual_many(sphere_geo, Z, t)[3]
+        X_all, ok, _, _ = structure._transport(sphere_geo, rows, t, FlowOpts())
+        assert ok.all()
+        ref = _loop_bracket_defect(X_all, 4, weights)
+        assert ref.max() > 1e-16 and np.abs(res - ref).max() < 1e-14
+
+
+def _closed_form_transport(second_column):
+    """A stand-in for the transport: X_1 = e_1, X_2 = e_2 + second_column(z)."""
+    def transport(geo, Z, t, opts):
+        X = np.zeros((len(Z), 4, 2), dtype=complex)
+        X[:, 0, 0] = 1.0
+        X[:, 1, 1] = 1.0
+        X[:, :, 1] += second_column(Z)
+        return X, np.ones(len(Z), dtype=bool), [None] * len(Z), np.zeros(len(Z))
+    return transport
+
+
+def test_integrability_sees_a_non_involutive_distribution(flat_geo, rng, monkeypatch):
+    Z = sample_flat(rng, 5)
+    e = np.eye(4)
+    # [X_1, X_2] = e_3, outside span{e_1, e_2 + z_0 e_3}: normalised
+    # residual 1 / (1 + z_0^2)
+    monkeypatch.setattr(structure, "_transport",
+                        _closed_form_transport(lambda Z: Z[:, :1] * e[2]))
+    res = integrability_residual_many(flat_geo, Z, 1j)[3]
+    assert np.abs(res - 1 / (1 + Z[:, 0] ** 2)).max() < 1e-9
+    # [X_1, X_2] = e_1 for X_2 = e_2 + z_0 e_1: involutive
+    monkeypatch.setattr(structure, "_transport",
+                        _closed_form_transport(lambda Z: Z[:, :1] * e[0]))
+    assert integrability_residual_many(flat_geo, Z, 1j)[3].max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["inv_metric_deriv2", "beta_deriv"])
+def test_integrability_sees_a_wrong_second_derivative(name, monkeypatch):
+    # the brackets see the sphere's tangent map: a 1 + 1e-6 scale of either
+    # second-derivative evaluator fails the integrability_sphere check
+    def check():
+        return next(c for c in suites.suite_frames(1234) if c.name == "integrability_sphere")
+
+    assert check().passed
+    sphere = suites._sphere
+
+    def bad_sphere():
+        geo = sphere()
+        fn = getattr(geo, name)
+        return dataclasses.replace(geo, **{name: lambda x: (1 + 1e-6) * fn(x)})
+
+    monkeypatch.setattr(suites, "_sphere", bad_sphere)
+    assert not check().passed
 
 
 # ---------------------------------------------------------------------------
