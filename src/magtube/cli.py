@@ -33,7 +33,6 @@ from .geometry import PhasePoint
 from .kahler import (
     dbar_residual_many,
     kde_residual_many,
-    potential_f_many,
 )
 from .structure import (
     LagrangianFrame,
@@ -185,15 +184,12 @@ def _rows_frame(geo, Z, t):
 
 
 def _rows_potential(geo, Z):
-    n = geo.dim
-    fm, okm, reasons = potential_f_many(geo, Z, -1j)
     F, okf, reasons_f, _ = frames_at_many(geo, Z, 1j)
+    fm, okm, reasons, dbar = dbar_residual_many(geo, Z, F.conj())
     ok = okm & okf
     kde = np.full(Z.shape[0], np.nan)
-    dbar = np.full(Z.shape[0], np.nan)
     if ok.any():
         kde[ok] = kde_residual_many(geo, Z[ok], 0.3)
-        dbar[ok] = dbar_residual_many(geo, Z[ok], F[ok].conj())
     rows = []
     for i in range(Z.shape[0]):
         kappa2 = float((2j * fm[i]).real) if ok[i] else float("nan")

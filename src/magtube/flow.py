@@ -13,7 +13,8 @@ quadrature need neither the field Jacobian DX nor the second derivatives of
 the geometry, so a tangent-free flow skips them.
 
 Complex time: the system is integrated along a polyline in the complex time
-disk; since the right-hand side is holomorphic the result is path independent
+disk (each row along its own straight path when the rows have their own
+targets); since the right-hand side is holomorphic the result is path independent
 wherever the continuation exists, which the verification suite checks rather
 than assumes.  The integrator is the DOP853 8(5,3) Runge-Kutta pair of
 Dormand and Prince (Hairer, Norsett and Wanner, Solving ODEs I, Sec. II.10)
@@ -186,7 +187,8 @@ class FlowState:
 @dataclass
 class BatchFlowResult:
     """Vectorized flow result; failed rows carry a reason code.  ``jac`` is
-    None and ``det_min`` NaN for a tangent-free flow."""
+    None and ``det_min`` NaN for a tangent-free flow.  ``time`` is the
+    common target, or the (m,) array of per-row targets."""
 
     x: np.ndarray
     p: np.ndarray
@@ -196,16 +198,18 @@ class BatchFlowResult:
     reasons: list
     det_min: np.ndarray
     steps: int
-    time: complex
+    time: complex | np.ndarray
 
     def state(self, i: int) -> FlowState:
-        """Row i as a FlowState; raises the row's FlowError if it failed."""
+        """Row i as a FlowState at its own time; raises the row's FlowError
+        if it failed."""
+        time = self.time[i] if np.ndim(self.time) else self.time
         if not self.ok[i]:
-            _raise_for(self.reasons[i], self.time)
+            _raise_for(self.reasons[i], time)
         return FlowState(
             self.x[i], self.p[i], None if self.jac is None else self.jac[i],
             complex(self.quad[i]),
-            self.time, float(self.det_min[i]), self.steps,
+            time, float(self.det_min[i]), self.steps,
         )
 
 
@@ -380,16 +384,23 @@ def _integrate_path(
     *,
     tangent: bool = True,
 ):
-    """Integrate the packed system along a complex-time polyline.
+    """Integrate the packed system along complex-time polylines.
 
-    Z0: (m, 2n) complex start states. Returns (Y, ok, reasons, det_min, steps),
-    where steps counts attempted (accepted and rejected) shared steps.  The
-    tangent map (and with it det_min, NaN otherwise) is carried only if
-    ``tangent``.
+    Z0: (m, 2n) complex start states.  ``waypoints`` (K,) is one polyline
+    for every row; (m, K) gives each row its own.  On each segment the
+    shared step parameter runs over the longest row segment L, and row r
+    advances by h seg_r / L.  Step control (``_error_norms``) still sees h,
+    which overstates the local error of a row whose segment is shorter: the
+    control is conservative for such rows.  Returns (Y, ok, reasons, det_min,
+    steps), where steps counts attempted (accepted and rejected) shared
+    steps.  The tangent map (and with it det_min, NaN otherwise) is carried
+    only if ``tangent``.
     """
     Z0 = np.asarray(Z0, dtype=complex)
     m = Z0.shape[0]
     n = geo.dim
+    W = np.asarray(waypoints, dtype=complex)
+    W = np.broadcast_to(W, (m, W.shape[-1]))
     Y = _pack(Z0, n, tangent)
     active = np.ones(m, dtype=bool)
     reasons = np.array([""] * m, dtype=object)
@@ -425,12 +436,18 @@ def _integrate_path(
     if active.any():
         K[0] = _rhs(geo, Y)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(waypoints[:-1], waypoints[1:]):
-            seg = complex(b) - complex(a)
-            length = abs(seg)
-            if length == 0 or not active.any():
+        for seg in np.diff(W, axis=1).T:
+            if not active.any():
+                break
+            # |seg| and seg / length as Python's complex abs and complex /
+            # float form them (hypot; Smith's rule with a zero imaginary
+            # divisor), to the last bit and the sign of zero
+            length = float(np.hypot(seg.real, seg.imag).max())
+            if length == 0:
                 continue
-            direction = seg / length
+            direction = np.empty_like(seg)
+            direction.real = (seg.real + seg.imag * 0.0) / length
+            direction.imag = (seg.imag - seg.real * 0.0) / length
             s = 0.0
             h = min(0.1, length)
             while s < length and active.any():
@@ -439,7 +456,7 @@ def _integrate_path(
                     fail_rows(active.copy(), REASON_TOL)
                     break
                 h = min(h, length - s)
-                H = h * direction
+                H = (h * direction)[:, None]
                 for i in range(1, _dop.N_STAGES):
                     K[i] = _rhs(geo, Y + H * combine(_dop.A[i, :i], i))
                 y8, err5, err3 = combine(_WEIGHTS, _dop.N_STAGES)
@@ -528,9 +545,11 @@ def flow_many(
     *,
     tangent: bool = True,
 ) -> BatchFlowResult:
-    """Flow a batch of phase points (rows of Z0 = [x, p]) to a common time.
+    """Flow a batch of phase points (rows of Z0 = [x, p]) in one integration.
 
-    Rows that exit the chart / continuation region are reported through
+    ``t`` is a common time (a number, or a ComplexTime with its path) or an
+    (m,) array of per-row targets, each reached along the straight path from
+    0.  Rows that exit the chart / continuation region are reported through
     ``ok`` and ``reasons`` instead of raising.  Real times carry no disk
     constraint (the disk bounds the analytic continuation only).  With
     ``tangent=False`` only the phase point and the quadrature are
@@ -538,7 +557,15 @@ def flow_many(
     Jacobian nor the geometry's second derivatives are evaluated.
     """
     opts = opts or FlowOpts()
-    if not isinstance(t, ComplexTime) and complex(t).imag == 0.0:
+    if np.ndim(t):
+        target = np.asarray(t)
+        complex_rows = target.imag != 0.0
+        if (np.abs(target[complex_rows]) > DISK_RADIUS_DEFAULT + 1e-12).any():
+            raise ValueError(f"target outside the time disk of radius {DISK_RADIUS_DEFAULT}")
+        waypoints = np.stack([np.zeros(len(target)), target], axis=1)
+        if real_mode is None:
+            real_mode = not complex_rows.any()
+    elif not isinstance(t, ComplexTime) and complex(t).imag == 0.0:
         waypoints = (0.0, complex(t).real)
         target = complex(t).real
         if real_mode is None:

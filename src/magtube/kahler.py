@@ -72,16 +72,17 @@ _WEIGHTS = 1.0 / (CONTOUR_NODES * _RING)
 # ---------------------------------------------------------------------------
 
 def phase_gradient(batch_fun: Callable, Z: np.ndarray):
-    """Contour gradient over the 2n phase coordinates at every row of Z.
+    """Contour gradient over the d columns of Z at every row.
 
-    ``batch_fun`` maps (M, 2n) complex rows to ``(vals, ok, reasons)`` with
+    The columns are the 2n phase coordinates (kde appends the time sigma).
+    ``batch_fun`` maps (M, d) complex rows to ``(vals, ok, reasons)`` with
     ``vals`` of shape (M, ...) and must be holomorphic in each coordinate.  It
     is called once, on the centre rows Z followed by the contour rows
     z + RING_k e_d in (row, coordinate d, node k) order; a closed form may
     return ``ok = True`` and ``reasons = None``.
 
     Returns ``(vals, ok, reasons, grad)``: the batch contract at the centre
-    rows plus the (m, 2n, ...) gradient.  A row whose centre or any contour
+    rows plus the (m, d, ...) gradient.  A row whose centre or any contour
     node failed gets a NaN gradient; nothing is raised.
     """
     Z = np.asarray(Z)
@@ -119,15 +120,21 @@ def potential_f(geo: ChartedGeometry, z: PhasePoint, t, opts: Optional[FlowOpts]
 def potential_f_many(geo, Z: np.ndarray, t, opts: Optional[FlowOpts] = None):
     """Batch f_t over rows of Z = [x, p]; returns (values, ok, reasons).
 
-    f_t needs the phase point and the quadrature only, so the flow carries
-    no tangent map."""
+    ``t`` is a common time or an (m,) array of per-row times; either way
+    every row flows to its own -t in one integration.  f_t needs the phase
+    point and the quadrature only, so the flow carries no tangent map."""
     opts = opts or FlowOpts()
-    t = as_complex_time(t)
+    if np.ndim(t):
+        target = np.asarray(t, dtype=complex)
+        back = -target
+    else:
+        t = as_complex_time(t)
+        target, back = t.target, t.reversed()
     Z = np.asarray(Z, dtype=complex)
-    res = flow_many(geo, Z, t.reversed(), opts, real_mode=False, tangent=False)
+    res = flow_many(geo, Z, back, opts, real_mode=False, tangent=False)
     n = geo.dim
     E = energy(geo, Z[:, :n], Z[:, n:])
-    vals = t.target * E - res.quad
+    vals = target * E - res.quad
     vals[~res.ok] = np.nan
     return vals, res.ok, res.reasons
 
@@ -154,16 +161,18 @@ def kde_residual_many(
 ) -> np.ndarray:
     """Vectorized defect of df/dsigma + X_E(f) - (theta^A(X_E) - E).
 
-    df/dsigma is the contour rule in complex sigma (one batched flow per
-    node) and X_E(f) contracts ``phase_gradient`` of f_sigma (one batched
-    flow).  A row whose contour left the tube gets a NaN defect.
+    One ``phase_gradient`` call over the columns (x, p, sigma) gives both
+    df/dsigma (the contour in complex sigma) and the phase gradient that
+    X_E(f) contracts; every contour row flows to its own -sigma in one
+    batched flow.  A row whose contour left the tube gets a NaN defect.
     """
     opts = opts or FlowOpts()
     Z = np.asarray(Z, dtype=float)
     n = geo.dim
-    df_dsigma = sum(w * potential_f_many(geo, Z, sigma + s, opts)[0]
-                    for s, w in zip(_RING, _WEIGHTS))
-    grad = phase_gradient(lambda rows: potential_f_many(geo, rows, sigma, opts), Z)[3]
+    grad = phase_gradient(
+        lambda rows: potential_f_many(geo, rows[:, :-1], rows[:, -1], opts),
+        np.column_stack([Z, np.full(len(Z), sigma)]))[3]
+    df_dsigma, grad = grad[:, -1], grad[:, :-1]
 
     x, p = Z[:, :n], Z[:, n:]
     xdot, pdot = field_components(geo, x, p)
@@ -207,18 +216,23 @@ def dbar_residual_many(
 
     ``frames_conj`` is (m, 2n, n): per-row (0,1) direction columns.  A row
     whose contour left the tube gets a NaN defect.
+
+    Returns (f, ok, reasons, residuals): f_{-i} with the ok flags and
+    reasons of the centre rows, as ``potential_f_many`` gives them, and the
+    defects.
     """
     opts = opts or FlowOpts()
     Z = np.asarray(Z, dtype=float)
     m, n = len(Z), geo.dim
-    grad = phase_gradient(lambda rows: potential_f_many(geo, rows, -1j, opts), Z)[3]
+    f, ok, reasons, grad = phase_gradient(
+        lambda rows: potential_f_many(geo, rows, -1j, opts), Z)
 
     A = geo.potential(Z[:, :n])
     theta = np.concatenate([Z[:, n:] + A, np.zeros((m, n))], axis=1)
     defect = np.einsum("md,mdk->mk", grad, frames_conj) - np.einsum(
         "md,mdk->mk", theta.astype(complex), frames_conj
     )
-    return np.abs(defect).max(axis=1)
+    return f, ok, reasons, np.abs(defect).max(axis=1)
 
 
 def dbar_residual(
@@ -235,7 +249,7 @@ def dbar_residual(
     Raises RuntimeError if a contour node leaves the tube.
     """
     return _one_residual(
-        dbar_residual_many(geo, z.as_vector().real[None, :], frame_conj[None], opts))
+        dbar_residual_many(geo, z.as_vector().real[None, :], frame_conj[None], opts)[3])
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def suite_geometry(seed: int) -> List[CheckResult]:
 
     # complex-extension consistency: degree-4 Taylor from the real chart
     checks.append(CheckResult("flat_analyticity", _taylor_defect(flat, rng, 0.5), 1e-10))
-    checks.append(CheckResult("sphere_analyticity", _taylor_defect(sph, rng, 0.1), 2e-5))
+    checks.append(CheckResult("sphere_analyticity", _taylor_defect(sph, rng, 0.1), 1e-8))
 
     # constant-field chart: beta independent of x, metric derivatives zero
     pts = rng.uniform(-1, 1, (20, 2))
@@ -516,8 +516,8 @@ def suite_kahler(seed: int) -> List[CheckResult]:
                               float(kde_residual_many(sph, Zs, 0.2, opts=opts).max()), 1e-12))
 
     # f at +-i: conjugation symmetry, reality of kappa2, closed form on the plane
-    fm, okm, _ = potential_f_many(flat, Zf, -1j, opts)
-    fp, okp, _ = potential_f_many(flat, Zf, 1j, opts)
+    fm, fp = np.split(potential_f_many(flat, np.concatenate([Zf, Zf]),
+                                       np.repeat([-1j, 1j], len(Zf)), opts)[0], 2)
     checks.append(CheckResult("f_conjugation", float(np.abs(np.conj(fm) - fp).max()), 1e-8))
     kappa2_num = 1j * (fm - fp)
     checks.append(CheckResult("kappa2_reality", float(np.abs(kappa2_num.imag).max()), 1e-10))
@@ -534,11 +534,11 @@ def suite_kahler(seed: int) -> List[CheckResult]:
     # dbar f_{-i} = (theta^A)^{0,1}
     Ff, okf, _, _ = frames_at_many(flat, Zf, 1j, opts)
     checks.append(CheckResult("dbar_flat",
-                              float(dbar_residual_many(flat, Zf, Ff.conj(), opts=opts).max()),
+                              float(dbar_residual_many(flat, Zf, Ff.conj(), opts=opts)[3].max()),
                               1e-10))
     Fs, oks, _, _ = frames_at_many(sph, Zs, 1j, opts)
     checks.append(CheckResult("dbar_sphere",
-                              float(dbar_residual_many(sph, Zs, Fs.conj(), opts=opts).max()),
+                              float(dbar_residual_many(sph, Zs, Fs.conj(), opts=opts)[3].max()),
                               1e-10))
 
     # kappa1: coefficient resolution by the adaptedness identity
@@ -727,14 +727,11 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
                               note="det[F, conj F] = -4 sinh^2(Btilde)/B^2"))
 
     # f_sigma closed form
-    worst = 0.0
     geo = _flat(1.0, 1.0)
     Z = _sample_flat(rng, 20)
-    for sig in (0.5, -0.8):
-        vals, ok, _ = potential_f_many(geo, Z, sig, opts)
-        ref = orc.flat_f_sigma(1.0, 1.0, Z, sig)
-        worst = max(worst, float(np.abs(vals - ref).max()))
-    checks.append(CheckResult("f_sigma_closed_form", worst, 1e-9))
+    vals = potential_f_many(geo, np.concatenate([Z, Z]), np.repeat([0.5, -0.8], len(Z)), opts)[0]
+    ref = np.concatenate([orc.flat_f_sigma(1.0, 1.0, Z, sig) for sig in (0.5, -0.8)])
+    checks.append(CheckResult("f_sigma_closed_form", float(np.abs(vals - ref).max()), 1e-9))
 
     # 2 i f_{-i} at the distinguished point equals sinh(Btilde)
     fm = potential_f(geo, PhasePoint([0, 0], [1, 0]), -1j, opts)

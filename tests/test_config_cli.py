@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_validity_geometry
+from magtube import flow
 from magtube import oracles as orc
 from magtube.cli import main
 from magtube.config import (
@@ -238,6 +239,32 @@ def test_cmd_potential_row_at_the_tube_edge(tmp_path):
     assert [r[header.index("status")] for r in data] == ["ok"] * 3
     assert max(kde) < 1e-8 and max(dbar[:2]) < 1e-10
     assert np.isnan(dbar[2])
+
+
+CHART_CONFIGS = {
+    "flat": "kind = flat\nB = 0 1; -1 0\n",
+    "sphere": "kind = sphere\nradius = 1\nfield = 1\n",
+}
+
+
+@pytest.mark.parametrize("chart", sorted(CHART_CONFIGS))
+@pytest.mark.parametrize("command, budget", [("frame", 1), ("acs", 1), ("potential", 3)])
+def test_grid_command_flow_budget(tmp_path, monkeypatch, chart, command, budget):
+    # flows per chart: frames from one backward flow; acs from the
+    # integrability contour; potential from the frames, the dbar contour
+    # (which also gives f_{-i}) and the kde contour over (x, p, sigma)
+    original = flow._integrate_path
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_integrate_path", counting)
+    cfg = _write(tmp_path, "c.cfg", CHART_CONFIGS[chart]
+                 + "grid = x1:-0.1:0.1:2, p1:0.2:0.3:2\ntime = i\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == budget, calls
 
 
 def test_cmd_acs_columns(tmp_path):

@@ -219,6 +219,49 @@ def test_flow_many_matches_single(flat_geo, sphere_geo, rng):
             assert single.det_min == batch.det_min
 
 
+def test_flow_many_per_row_targets_match_one_row_flows(flat_geo, flat_geo_free, sphere_geo, rng):
+    # each row reaches its own time along its own straight path, as it would
+    # alone; the shared step only runs over the longest path
+    t = np.array([1j, 0.3 + 0.8j, -0.5j, -0.2 - 1j, 0.0])
+    for geo, Z in ((flat_geo, sample_flat(rng, 5)), (sphere_geo, sample_sphere(rng, 5))):
+        res = flow_many(geo, Z, t)
+        assert res.ok.all() and np.array_equal(res.time, t)
+        for i, ti in enumerate(t):
+            one = flow_many(geo, Z[i : i + 1], ComplexTime(ti), real_mode=False).state(0)
+            st = res.state(i)
+            assert st.time == ti
+            for name in ("x", "p", "quad", "jac"):
+                assert np.abs(getattr(st, name) - getattr(one, name)).max() < 1e-12
+    # real per-row times keep real mode; a failed row keeps its reason and time
+    Z = np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 80.0, 0.0], [0.1, 0.1, -0.4, 0.2]])
+    t = np.array([0.5, 1.0, -0.7])
+    res = flow_many(flat_geo_free, Z, t)
+    assert list(res.ok) == [True, False, True] and res.reasons[1] == "CHART_EXIT"
+    with pytest.raises(ChartExitError) as err:
+        res.state(1)
+    assert err.value.time == 1.0
+    for i in (0, 2):
+        one = flow_real(flat_geo_free, PhasePoint(Z[i, :2], Z[i, 2:]), t[i])
+        assert np.abs(res.state(i).x - one.x).max() < 1e-12
+    with pytest.raises(ValueError, match="time disk"):
+        flow_many(flat_geo, Z[:2], np.array([1j, 2j]))
+
+
+def test_scalar_time_is_a_full_array_of_it(flat_geo, sphere_geo, rng):
+    # a common time runs the per-row code with equal rows, bit for bit
+    for geo, Z in ((flat_geo, sample_flat(rng, 4)), (sphere_geo, sample_sphere(rng, 4))):
+        for t in (1j, -1j, 0.4, -0.3 - 0.8j):
+            for tangent in (True, False):
+                common = flow_many(geo, Z, t, tangent=tangent)
+                rows = flow_many(geo, Z, np.full(len(Z), t), tangent=tangent)
+                for name in ("x", "p", "quad", "ok", "det_min"):
+                    assert np.array_equal(getattr(common, name), getattr(rows, name),
+                                          equal_nan=True)
+                assert common.steps == rows.steps
+                assert (common.jac is None and rows.jac is None
+                        or np.array_equal(common.jac, rows.jac))
+
+
 def test_tangent_free_flow_matches_tangent_flow(flat_geo, sphere_geo, rng):
     for geo, Z in ((flat_geo, sample_flat(rng, 6)), (sphere_geo, sample_sphere(rng, 6))):
         for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):

@@ -236,7 +236,8 @@ def test_single_point_residuals_raise_where_the_contour_fails(sphere_geo):
     assert ok.all()
     frames_conj = np.stack([frame_at(sphere_geo, PhasePoint(r[:2], r[2:]), 1j).F.conj()
                             for r in Z])
-    res = dbar_residual_many(sphere_geo, Z, frames_conj)
+    f, ok, _, res = dbar_residual_many(sphere_geo, Z, frames_conj)
+    assert ok.all() and np.isfinite(f).all()
     assert res[0] < 1e-10 and np.isnan(res[1])
     z = PhasePoint(Z[1, :2], Z[1, 2:])
     with pytest.raises(RuntimeError, match="left the tube"):
