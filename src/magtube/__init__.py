@@ -6,6 +6,8 @@ time, and verifies its defining identities numerically against closed-form
 solutions on the constant-field plane and the invariant-field sphere.
 """
 
+import importlib
+
 from .geometry import (
     ChartedGeometry,
     GeometryError,
@@ -56,7 +58,16 @@ from .intertwine import (
     check_frame_intertwine,
     check_shifted_frame_intertwine,
 )
-from . import oracles
-from .suites import run_suite
 
 __version__ = "0.1.0"
+
+
+# The closed-form oracles and the suites need scipy and only ``verify`` runs
+# them, so they load on first access instead of with the engine.  A
+# ``from . import oracles`` here would re-enter this hook without end.
+def __getattr__(name):
+    if name == "oracles":
+        return importlib.import_module(".oracles", __name__)
+    if name == "run_suite":
+        return importlib.import_module(".suites", __name__).run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

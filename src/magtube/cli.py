@@ -23,11 +23,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_geometry, grid_points, load_config
+from .config import (
+    SUITE_NAMES,
+    ConfigError,
+    RunConfig,
+    build_geometry,
+    check_run_keys,
+    grid_points,
+    load_config,
+)
 from .flow import ComplexTime, flow_many
 from .geometry import PhasePoint
 from .kahler import (
@@ -42,7 +49,6 @@ from .structure import (
     positivity_matrix,
     transversality_check,
 )
-from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -72,7 +78,7 @@ def _load(args) -> RunConfig:
         cfg.jobs = args.jobs
     if getattr(args, "suite", None):
         cfg.suite = args.suite
-    return cfg
+    return check_run_keys(cfg)
 
 
 def _time_of(cfg: RunConfig):
@@ -119,6 +125,10 @@ def _map_rows(cfg: RunConfig, m: int, task: str):
         for lo, hi in spans:
             out.extend(_flow_chunk(cfg.raw, lo, hi, task))
         return out
+    # imported here: the pool module pulls in multiprocessing, which serial
+    # runs never need
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         futs = [pool.submit(_flow_chunk, cfg.raw, lo, hi, task) for lo, hi in spans]
         out = []
@@ -319,10 +329,10 @@ def cmd_extend(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    suite = cfg.suite or "all"
-    if suite not in SUITE_NAMES:
-        raise ConfigError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    report = run_suite(suite, cfg.seed)
+    # the suites and their scipy oracles load only for this command
+    from .suites import run_suite
+
+    report = run_suite(cfg.suite, cfg.seed)
     text = json.dumps(report, indent=2, sort_keys=True)
     if cfg.out and cfg.out != "-":
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -384,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="path to key=value config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=None, help="random seed override")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="worker processes (at least 1); only flow, frame and "
+                            "potential use more than one")
 
     p = sub.add_parser("flow", help="flow the configured grid")
     common(p)

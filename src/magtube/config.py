@@ -30,9 +30,18 @@ __all__ = [
     "load_config",
     "build_geometry",
     "grid_points",
+    "check_run_keys",
+    "SUITE_NAMES",
 ]
 
 ENV_PREFIX = "MAGTUBE_"
+
+# the registry in ``magtube.suites`` in its order, then "all"; kept here so
+# that checking a config does not import the suites
+SUITE_NAMES = [
+    "geometry", "flow", "frames", "kahler", "intertwine", "flat-oracle", "sphere-oracle",
+    "all",
+]
 
 
 class ConfigError(ValueError):
@@ -170,6 +179,16 @@ def _config_from_pairs(pairs: dict) -> RunConfig:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    return check_run_keys(cfg)
+
+
+def check_run_keys(cfg: RunConfig) -> RunConfig:
+    """Reject a suite no command runs and a worker count below one; the CLI
+    calls this again after its flags override the config."""
+    if cfg.suite not in SUITE_NAMES:
+        raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITE_NAMES}")
+    if cfg.jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
     return cfg
 
 

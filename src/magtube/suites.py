@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import oracles as orc
+from .config import SUITE_NAMES
 from .flow import (
     ComplexTime,
     FlowError,
@@ -916,9 +917,6 @@ def suite_functions() -> Dict[str, Callable[[int], List[CheckResult]]]:
         "flat-oracle": suite_flat_oracle,
         "sphere-oracle": suite_sphere_oracle,
     }
-
-
-SUITE_NAMES = list(suite_functions()) + ["all"]
 
 
 def run_suite(name: str, seed: int = 1234) -> dict:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_validity_geometry
-from magtube import flow
+from magtube import cli, config, flow, suites
 from magtube import oracles as orc
 from magtube.cli import main
 from magtube.config import (
@@ -79,6 +79,33 @@ def test_env_override(monkeypatch):
     monkeypatch.setenv("MAGTUBE_SEED", "99")
     cfg = parse_config_text(FLAT_CFG)
     assert cfg.seed == 99
+
+
+def test_suite_names_match_registry():
+    assert config.SUITE_NAMES == list(suites.suite_functions()) + ["all"]
+
+
+def test_bad_suite_is_config_error_on_every_command(tmp_path, monkeypatch):
+    with pytest.raises(ConfigError):
+        parse_config_text("suite = bogus\n")
+    cfg = _write(tmp_path, "c.cfg", FLAT_CFG + "suite = bogus\n")
+    assert main(["flow", "--config", cfg]) == 2
+    assert main(["verify", "--config", cfg]) == 2
+    monkeypatch.setenv("MAGTUBE_SUITE", "bogus")
+    assert main(["frame", "--config", _write(tmp_path, "d.cfg", FLAT_CFG)]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_config_error(tmp_path, monkeypatch, jobs):
+    with pytest.raises(ConfigError):
+        parse_config_text(f"jobs = {jobs}\n")
+    bad = _write(tmp_path, "bad.cfg", FLAT_CFG + f"jobs = {jobs}\n")
+    assert main(["flow", "--config", bad]) == 2
+    good = _write(tmp_path, "good.cfg", FLAT_CFG)
+    for command in ("flow", "acs", "verify"):
+        assert main([command, "--config", good, "--jobs", jobs]) == 2
+    monkeypatch.setenv("MAGTUBE_JOBS", jobs)
+    assert main(["potential", "--config", good]) == 2
 
 
 def test_build_geometry_kinds():
@@ -437,6 +464,33 @@ def test_cmd_flow_parallel_jobs(tmp_path):
                    for line in open(out2).read().strip().splitlines()[1:]])
     # rows agree to integrator accuracy (chunking changes shared step sizes)
     assert np.abs(r1 - r2).max() < 1e-9
+
+
+def test_cmd_frame_pool_rows_are_the_chunk_rows(tmp_path, monkeypatch):
+    # --jobs 2 starts a real pool, and its CSV holds, byte for byte, the rows
+    # of the two chunks computed in this process
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = _write(
+        tmp_path,
+        "c.cfg",
+        "kind = sphere\nradius = 1\nfield = 1\ngrid = x1:-0.2:0.2:3, p2:-0.5:0.5:3\n",
+    )
+    out = tmp_path / "j2.csv"
+    assert main(["frame", "--config", cfg, "--jobs", "2", "--out", str(out)]) == 0
+    assert pools == [2]
+    raw = load_config(cfg).raw
+    rows = cli._flow_chunk(raw, 0, 4, "frame") + cli._flow_chunk(raw, 4, 9, "frame")
+    header = cli._frame_header(2)
+    assert out.read_text() == "\n".join(",".join(r) for r in [header] + rows) + "\n"
 
 
 def test_debug_reraises_with_traceback(tmp_path, monkeypatch, capsys):

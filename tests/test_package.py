@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -15,3 +18,38 @@ def test_module_all_resolves(name):
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing
     exec(f"from magtube.{name} import *", {})
+
+
+BOUNDARY_PROBE = """
+import os, sys
+import magtube.cli as cli
+
+d = sys.argv[1]
+cfg = os.path.join(d, "c.cfg")
+with open(cfg, "w") as fh:
+    fh.write("kind = flat\\nB = 0 1; -1 0\\ngrid = x1:-0.3:0.3:2, p1:0.2:0.6:2\\n")
+assert cli.main(["frame", "--config", cfg, "--jobs", "1", "--out", os.path.join(d, "f.csv")]) == 0
+print(sorted(m for m in ("scipy", "concurrent.futures.process") if m in sys.modules))
+
+import magtube
+from magtube import oracles, run_suite
+assert oracles is magtube.oracles and oracles.__name__ == "magtube.oracles"
+assert run_suite is magtube.run_suite
+assert cli.main(["verify", "--suite", "geometry", "--out", os.path.join(d, "v.json")]) == 0
+assert run_suite is sys.modules["magtube.suites"].run_suite
+try:
+    magtube.no_such_name
+except AttributeError:
+    print("ok")
+"""
+
+
+def test_engine_commands_leave_scipy_and_the_pool_unloaded(tmp_path):
+    # a serial grid command imports neither the oracles' scipy nor the process
+    # pool; verify and the lazy package attributes still load them on demand
+    src = os.path.dirname(os.path.dirname(os.path.abspath(magtube.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", BOUNDARY_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]", "ok"]
