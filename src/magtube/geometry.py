@@ -23,14 +23,23 @@ chart data per right-hand-side evaluation.  It returns (g, dg, beta, A), and
 at ``order=2`` also (d2g, dbeta), in the shapes above with d2g
 (..., n, n, n, n) and dbeta (..., n, n, n).  ``None`` in place of an array
 means that derivative vanishes identically.  By default the jet composes the
-six evaluators (second derivatives through the finite-difference fallbacks,
-never ``None``).  A chart may carry a :class:`FusedJet`, closed forms that
-share work between the six arrays; it is valid only for the evaluators it
-was built from, so a geometry whose evaluators differ from the fused jet's
-(``dataclasses.replace`` of any evaluator, ``with_negated_field``) drops it
-and composes.  ``validate_geometry`` checks a fused jet against the
-evaluators.  The built-in charts build their evaluators and their fused jet
+evaluators, never ``None``; a chart without ``inv_metric_deriv2`` or
+``beta_deriv`` gets that derivative by the contour rule below.  A chart may
+carry a :class:`FusedJet`, closed forms that share work between the six
+arrays; it is valid only for the evaluators it was built from, so a geometry
+whose evaluators differ from the fused jet's (``dataclasses.replace`` of any
+evaluator, ``with_negated_field``) drops it and composes.
+``validate_geometry`` checks a fused jet against the composed one.  The
+built-in charts build their evaluators and their fused jet
 from the same formula kernels, so both paths give the same bits.
+
+Derivative rule: the evaluators are holomorphic, so a derivative along a real
+chart coordinate is the trapezoid rule on a circle of radius
+``CONTOUR_RADIUS`` with ``CONTOUR_NODES`` nodes in the complexified
+coordinate (Lyness and Moler 1967).  It composes the jet's missing
+derivatives, the default dg of :func:`pointwise_geometry` and the references
+of :func:`validate_geometry`; ``kahler.phase_gradient`` uses the same ring
+for phase-space derivatives of computed quantities.
 """
 
 from __future__ import annotations
@@ -61,6 +70,17 @@ __all__ = [
 Array = np.ndarray
 
 REAL_TOL = 1e-12  # |Im| threshold under which a value counts as real
+
+# Trapezoid rule for f'(z) = (1/2 pi i) oint f(s) / (s - z)^2 ds on the circle
+# |s - z| = r: f'(z) ~ sum_k f(z + RING_k) WEIGHTS_k with error O(r^N) plus
+# rounding O(eps / r).  N = 4 keeps four evaluations per coordinate; at that
+# N, r = 1e-3 balances the two: the sphere's tangent map at t = i reads
+# about 1e-12 against 4e-10 at r = 1e-2 and 2e-12 at r = 1e-4, and the same
+# ring gives the sphere's d2g and dbeta to about 1e-11.
+CONTOUR_NODES = 4
+CONTOUR_RADIUS = 1e-3
+_RING = CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+_WEIGHTS = 1.0 / (CONTOUR_NODES * _RING)
 
 
 class GeometryError(ValueError):
@@ -94,10 +114,10 @@ class ChartedGeometry:
         complex-time flow are aborted once they leave this region.
     inv_metric_deriv2 : callable, optional
         Exact second derivatives (..., j, k, l, m) = d^2 g^{jk}/dx^l dx^m.
-        When absent the variational equations fall back to central finite
-        differences of ``inv_metric_deriv``.
+        When absent the jet takes contour derivatives of ``inv_metric_deriv``.
     beta_deriv : callable, optional
-        Exact (..., j, k, m) = d beta_{jk}/dx^m, same fallback rule.
+        Exact (..., j, k, m) = d beta_{jk}/dx^m; when absent, contour
+        derivatives of ``beta``.
     fused_jet : FusedJet, optional
         Closed-form jet of the built-in charts; dropped when the evaluators
         are not the ones it was built from (see module docstring).
@@ -113,7 +133,6 @@ class ChartedGeometry:
     name: str = "custom"
     inv_metric_deriv2: Optional[Callable[[Array], Array]] = None
     beta_deriv: Optional[Callable[[Array], Array]] = None
-    fd_step: float = 1e-5  # step for the finite-difference fallbacks
     fused_jet: Optional[FusedJet] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -138,25 +157,16 @@ class ChartedGeometry:
 
     def jet(self, x: Array, order: int = 1) -> tuple:
         """(g, dg, beta, A) at x, plus (d2g, dbeta) at ``order=2``; ``None``
-        marks a derivative that vanishes identically (fused jets only)."""
+        marks a derivative that vanishes identically (fused jets only), and a
+        missing second-derivative evaluator is composed by contour."""
         if self.fused_jet is not None:
             return self.fused_jet.fn(x, order)
         first = (self.inv_metric(x), self.inv_metric_deriv(x), self.beta(x), self.potential(x))
         if order < 2:
             return first
-        return first + (self.inv_metric_deriv2_or_fd(x), self.beta_deriv_or_fd(x))
-
-    # -- derived evaluators -------------------------------------------------
-
-    def inv_metric_deriv2_or_fd(self, x: Array) -> Array:
-        if self.inv_metric_deriv2 is not None:
-            return self.inv_metric_deriv2(x)
-        return _fd_last_axis(self.inv_metric_deriv, x, self.fd_step)
-
-    def beta_deriv_or_fd(self, x: Array) -> Array:
-        if self.beta_deriv is not None:
-            return self.beta_deriv(x)
-        return _fd_last_axis(self.beta, x, self.fd_step)
+        d2g, db = self.inv_metric_deriv2, self.beta_deriv
+        return first + (_contour_last_axis(self.inv_metric_deriv, x) if d2g is None else d2g(x),
+                        _contour_last_axis(self.beta, x) if db is None else db(x))
 
     def in_complex_region(self, x: Array) -> bool:
         return bool(np.all(np.abs(x) < self.complex_radius))
@@ -174,19 +184,20 @@ class ChartedGeometry:
         )
 
 
-def _fd_last_axis(fn: Callable[[Array], Array], x: Array, h: float) -> Array:
-    """Central finite difference of fn over each chart coordinate.
+def _contour_last_axis(fn: Callable[[Array], Array], x: Array) -> Array:
+    """Contour derivative of a holomorphic evaluator over each chart coordinate.
 
-    Returns fn(x) with one extra trailing axis of length n holding d/dx^m.
+    Returns fn(x) with one extra trailing axis of length n holding d/dx^m,
+    from one fn call on the n * CONTOUR_NODES ring points stacked on a new
+    leading axis.  At real x the result is real, as fn's derivative is there.
     """
     x = np.asarray(x)
     n = x.shape[-1]
-    cols = []
-    for m in range(n):
-        e = np.zeros(n, dtype=x.dtype)
-        e[m] = h
-        cols.append((fn(x + e) - fn(x - e)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    shift = np.eye(n)[:, None, :] * _RING[None, :, None]  # (coordinate, node, column)
+    vals = fn(x + shift.reshape(-1, *(1,) * (x.ndim - 1), n))
+    vals = vals.reshape(n, len(_RING), *vals.shape[1:])
+    grad = np.moveaxis(np.tensordot(_WEIGHTS, vals, (0, 1)), 0, -1)
+    return grad if np.iscomplexobj(x) else grad.real
 
 
 @dataclass
@@ -464,8 +475,8 @@ def pointwise_geometry(
 ) -> ChartedGeometry:
     """Build a ChartedGeometry from per-point (non-broadcasting) evaluators.
 
-    ``inv_metric_deriv`` defaults to central finite differences of
-    ``inv_metric`` with the geometry's fd_step.
+    ``inv_metric_deriv`` defaults to contour derivatives of ``inv_metric``,
+    and the jet composes the second derivatives the same way.
     """
 
     def vectorize(fn):
@@ -481,7 +492,7 @@ def pointwise_geometry(
 
     gv = vectorize(inv_metric)
     if inv_metric_deriv is None:
-        gd = lambda x: _fd_last_axis(gv, x, 1e-5)
+        gd = lambda x: _contour_last_axis(gv, x)
     else:
         gd = vectorize(inv_metric_deriv)
     return ChartedGeometry(
@@ -517,17 +528,16 @@ class GeometryReport:
 def validate_geometry(
     geo: ChartedGeometry,
     samples: Sequence,
-    fd_step: float = 1e-5,
     tol: float = 1e-8,
 ) -> GeometryReport:
     """Run the chart invariants on real sample points.
 
     Checks: g symmetric and positive definite, beta antisymmetric, the
-    finite-difference exterior derivative dA against beta, inv_metric_deriv
-    against finite differences of inv_metric (and the exact second
-    derivatives against finite differences of the first), reality of all
-    evaluators at real arguments, and ``jet``: the second-order jet against
-    the evaluators, which is nonzero only for a fused jet.
+    exterior derivative dA against beta, inv_metric_deriv against inv_metric
+    (and the exact second derivatives against the first), all derivatives by
+    the contour rule; reality of g, dg, beta, A and the composed jet's d2g
+    and dbeta at real arguments; and ``jet``: the second-order jet against
+    the composed one, which is nonzero only for a fused jet.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
@@ -542,6 +552,12 @@ def validate_geometry(
     dg = geo.inv_metric_deriv(pts)
     b = geo.beta(pts)
     A = geo.potential(pts)
+    # contour references; the composed jet takes the missing second
+    # derivatives from the same calls
+    dA, dg_ref, d2g_ref, db_ref = (_contour_last_axis(fn, pts) for fn in (
+        geo.potential, geo.inv_metric, geo.inv_metric_deriv, geo.beta))
+    d2g = d2g_ref if geo.inv_metric_deriv2 is None else geo.inv_metric_deriv2(pts)
+    db = db_ref if geo.beta_deriv is None else geo.beta_deriv(pts)
 
     def record(name, res_per_point):
         res_per_point = np.asarray(res_per_point)
@@ -555,11 +571,7 @@ def validate_geometry(
     flat = lambda a: np.abs(a).reshape(a.shape[0], -1).max(axis=1)
     record("metric_symmetry", flat(g - np.swapaxes(g, -1, -2)))
     record("beta_antisymmetry", flat(b + np.swapaxes(b, -1, -2)))
-    record(
-        "reality",
-        np.maximum.reduce([flat(np.imag(g)), flat(np.imag(b)), flat(np.imag(A)),
-                           flat(np.imag(dg))]),
-    )
+    record("reality", np.maximum.reduce([flat(np.imag(a)) for a in (g, dg, b, A, d2g, db)]))
 
     eigmin = np.linalg.eigvalsh(np.real(g)).min(axis=-1)
     report.residuals["metric_min_eigenvalue"] = float(eigmin.min())
@@ -567,26 +579,18 @@ def validate_geometry(
     if not np.all(eigmin > 0):
         report.failures.append("metric_min_eigenvalue")
 
-    # dA = beta via central differences of the potential
-    dA = _fd_last_axis(geo.potential, pts, fd_step)  # (..., k, j) = dA_k/dx^j
     ext = np.swapaxes(dA, -1, -2) - dA  # (dA)_{jk} = d_j A_k - d_k A_j
     record("exterior_derivative", flat(ext - b))
-
-    # inv_metric_deriv against finite differences of inv_metric
-    dg_fd = _fd_last_axis(geo.inv_metric, pts, fd_step)
-    record("inv_metric_deriv", flat(dg - dg_fd))
-
+    record("inv_metric_deriv", flat(dg - dg_ref))
     if geo.inv_metric_deriv2 is not None:
-        d2_fd = _fd_last_axis(geo.inv_metric_deriv, pts, fd_step)
-        record("inv_metric_deriv2", flat(geo.inv_metric_deriv2(pts) - d2_fd))
+        record("inv_metric_deriv2", flat(d2g - d2g_ref))
     if geo.beta_deriv is not None:
-        db_fd = _fd_last_axis(geo.beta, pts, fd_step)
-        record("beta_deriv", flat(geo.beta_deriv(pts) - db_fd))
+        record("beta_deriv", flat(db - db_ref))
 
-    # the jet the flows read against the evaluators (zero for a composed
-    # jet); a None entry must match an all-zero evaluator array
-    evals = (g, dg, b, A, geo.inv_metric_deriv2_or_fd(pts), geo.beta_deriv_or_fd(pts))
+    # the jet the flows read against the composed jet (zero unless fused);
+    # a None entry must match an all-zero array
     record("jet", np.maximum.reduce([
-        flat(ev if j is None else j - ev) for j, ev in zip(geo.jet(pts, 2), evals)]))
+        flat(ev if j is None else j - ev)
+        for j, ev in zip(geo.jet(pts, 2), (g, dg, b, A, d2g, db))]))
 
     return report

@@ -27,7 +27,10 @@ start point, so a derivative along a real phase coordinate is the trapezoid
 rule on a circle of radius ``CONTOUR_RADIUS`` in the complexified coordinate
 with ``CONTOUR_NODES`` nodes, evaluated for every row of a batch with a
 single call of the batched function.  The sigma derivative of the defining
-differential equation uses the same nodes in complex sigma.
+differential equation uses the same nodes in complex sigma.  The ring and
+its weights live in ``geometry``, whose chart derivatives (composed jets,
+``pointwise_geometry``'s dg, the ``validate_geometry`` references) follow
+the same rule.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .flow import FlowOpts, as_complex_time, field_components, flow_many, _raise_for
+from .geometry import CONTOUR_NODES, CONTOUR_RADIUS, _RING, _WEIGHTS
 from .geometry import ChartedGeometry, PhasePoint, energy
 
 __all__ = [
@@ -55,17 +59,6 @@ __all__ = [
     "holomorphic_extension",
     "section_weight",
 ]
-
-# Trapezoid rule for f'(z) = (1/2 pi i) oint f(s) / (s - z)^2 ds on the circle
-# |s - z| = r: f'(z) ~ sum_k f(z + RING_k) WEIGHTS_k with error O(r^N) plus
-# rounding O(eps / r).  N = 4 keeps four evaluations per coordinate; at that
-# N, r = 1e-3 balances the two: the sphere's tangent map at t = i reads
-# about 1e-12 against 4e-10 at r = 1e-2 and 2e-12 at r = 1e-4.
-CONTOUR_NODES = 4
-CONTOUR_RADIUS = 1e-3
-_RING = CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
-_WEIGHTS = 1.0 / (CONTOUR_NODES * _RING)
-
 
 # ---------------------------------------------------------------------------
 # derivatives from holomorphy (Cauchy contours)

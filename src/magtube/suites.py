@@ -166,7 +166,7 @@ def suite_geometry(seed: int) -> List[CheckResult]:
                                                      ("metric_symmetry", "beta_antisymmetry",
                                                       "reality", "exterior_derivative",
                                                       "inv_metric_deriv", "inv_metric_deriv2",
-                                                      "beta_deriv", "jet")), 1e-10))
+                                                      "beta_deriv", "jet")), 1e-11))
 
     sph = _sphere()
     edge = rng.uniform(-0.45, 0.45, (100, 2)) * SPHERE_R
@@ -175,7 +175,7 @@ def suite_geometry(seed: int) -> List[CheckResult]:
                                                        ("metric_symmetry", "beta_antisymmetry",
                                                         "reality", "exterior_derivative",
                                                         "inv_metric_deriv", "inv_metric_deriv2",
-                                                        "beta_deriv", "jet")), 1e-7))
+                                                        "beta_deriv", "jet")), 1e-8))
     checks.append(CheckResult("metric_positive_definite",
                               min(rep.residuals["metric_min_eigenvalue"],
                                   reps.residuals["metric_min_eigenvalue"]), 0.0, kind="min"))

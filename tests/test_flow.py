@@ -22,6 +22,7 @@ from magtube.flow import (
     radius_estimate,
 )
 from magtube.geometry import PhasePoint, energy, twisted_symplectic_matrix
+from magtube.kahler import phase_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -40,20 +41,15 @@ def test_field_vanishes_on_zero_section(flat_geo, sphere_geo):
 
 
 def test_field_matches_symplectic_inversion(sphere_geo, rng):
-    # X solves omega(X, .) = dE with dE from central finite differences
-    h = 1e-6
-    for row in sample_sphere(rng, 10):
-        X = hamiltonian_field(sphere_geo, PhasePoint(row[:2], row[2:]))
-        dE = np.zeros(4)
-        for m in range(4):
-            e = np.zeros(4)
-            e[m] = h
-            dE[m] = np.real(
-                energy(sphere_geo, row[:2] + e[:2], row[2:] + e[2:])
-                - energy(sphere_geo, row[:2] - e[:2], row[2:] - e[2:])
-            ) / (2 * h)
-        om = twisted_symplectic_matrix(sphere_geo, row[:2]).real
-        assert np.abs(np.linalg.solve(om.T, dE) - X).max() < 1e-7
+    # X solves omega(X, .) = dE with dE by the contour rule
+    Z = sample_sphere(rng, 10)
+    def E(rows):
+        return energy(sphere_geo, rows[:, :2], rows[:, 2:]), True, None
+
+    dE = phase_gradient(E, Z)[3]
+    om = twisted_symplectic_matrix(sphere_geo, Z[:, :2]).real
+    X = np.stack([hamiltonian_field(sphere_geo, PhasePoint(row[:2], row[2:])) for row in Z])
+    assert np.abs(np.linalg.solve(om.swapaxes(1, 2), dE.real[..., None])[..., 0] - X).max() < 1e-11
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,18 @@ def test_validate_flat(flat_geo, rng):
 
 def test_validate_sphere_near_edge(sphere_geo, rng):
     samples = rng.uniform(-0.45, 0.45, (60, 2))
-    report = validate_geometry(sphere_geo, samples, fd_step=1e-5)
+    report = validate_geometry(sphere_geo, samples)
     assert report.passed
-    assert report.residuals["exterior_derivative"] < 1e-7
+    assert report.residuals["exterior_derivative"] < 1e-9
+
+
+def test_validate_checks_reality_of_second_derivatives(sphere_geo, rng):
+    for name in ("inv_metric_deriv2", "beta_deriv"):
+        fn = getattr(sphere_geo, name)
+        bad = dataclasses.replace(sphere_geo, **{name: lambda u, _fn=fn: _fn(u) + 1e-6j})
+        report = validate_geometry(bad, rng.uniform(-0.3, 0.3, (20, 2)))
+        assert "reality" in report.failures
+        assert report.residuals["reality"] == pytest.approx(1e-6)
 
 
 def test_validate_flags_corrupted_potential(sphere_geo, rng):
@@ -161,7 +170,7 @@ def test_twisted_symplectic_matrix(flat_geo):
 
 
 def test_pointwise_geometry_wrapper(rng):
-    # per-point evaluators with finite-difference metric derivatives
+    # per-point evaluators with contour metric derivatives
     geo = pointwise_geometry(
         dim=2,
         inv_metric=lambda x: np.eye(2) * (1.0 + 0.1 * (x[0] ** 2 + x[1] ** 2)),
@@ -170,8 +179,10 @@ def test_pointwise_geometry_wrapper(rng):
         chart_box=2.0,
         complex_radius=1.0,
     )
-    report = validate_geometry(geo, rng.uniform(-0.5, 0.5, (20, 2)), tol=1e-6)
+    report = validate_geometry(geo, rng.uniform(-0.5, 0.5, (20, 2)))
     assert report.passed
+    # real derivatives at real points, as the evaluators give them
+    assert geo.inv_metric_deriv(np.array([0.1, 0.2])).dtype == float
     # broadcasting over a batch axis
     assert geo.inv_metric(rng.uniform(-0.5, 0.5, (7, 2))).shape == (7, 2, 2)
 
@@ -184,16 +195,18 @@ def test_negated_field(sphere_geo, rng):
     assert np.allclose(neg.inv_metric(u), sphere_geo.inv_metric(u))
 
 
-def test_geometry_suite_checks_second_derivatives(monkeypatch):
-    # frames come from the tangent map, which uses d2g: the gate must see it
+@pytest.mark.parametrize("name", ["inv_metric_deriv2", "beta_deriv"])
+def test_geometry_suite_checks_second_derivatives(name, monkeypatch):
+    # frames come from the tangent map, which uses d2g and dbeta: the gate
+    # must see either scaled by 1 + 1e-6
     from magtube import suites
 
     sphere = suites._sphere
 
     def bad_sphere():
         geo = sphere()
-        d2g = geo.inv_metric_deriv2
-        return dataclasses.replace(geo, inv_metric_deriv2=lambda x: (1 + 1e-6) * d2g(x))
+        fn = getattr(geo, name)
+        return dataclasses.replace(geo, **{name: lambda x: (1 + 1e-6) * fn(x)})
 
     checks = {c.name: c for c in suites.suite_geometry(1234)}
     assert checks["sphere_validation"].passed and checks["flat_validation"].passed

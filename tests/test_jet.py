@@ -10,13 +10,14 @@ import pytest
 from conftest import sample_flat, sample_sphere
 from magtube import cli, suites
 from magtube.config import parse_config_text
-from magtube.flow import _pack, _rhs, field_components
+from magtube.flow import ComplexTime, FlowOpts, _pack, _rhs, field_components
 from magtube.geometry import (
     ChartedGeometry,
     FusedJet,
     make_flat_magnetic,
     make_sphere_magnetic,
 )
+from magtube.structure import integrability_residual_many
 
 EVALUATORS = ("inv_metric", "inv_metric_deriv", "beta", "potential",
               "inv_metric_deriv2", "beta_deriv")
@@ -161,3 +162,30 @@ def test_tangent_map_contour_sees_a_wrong_second_derivative(name, monkeypatch):
 
     monkeypatch.setattr(suites, "_sphere", bad_sphere)
     assert not _check(suites.suite_flow, "tangent_map_contour").passed
+
+
+# A chart without second-derivative evaluators gets them by the contour rule,
+# accurate enough for the sphere's derivative tolerances (1e-10).
+
+def _sphere_without_second_derivatives():
+    return dataclasses.replace(suites._sphere(), inv_metric_deriv2=None, beta_deriv=None)
+
+
+def test_composed_second_derivatives_match_closed_forms(rng):
+    sphere, geo = suites._sphere(), _sphere_without_second_derivatives()
+    assert geo.fused_jet is None
+    x = _complex_points(rng, 20, 2, 0.3)
+    for composed, exact in zip(geo.jet(x, 2)[4:], (sphere.inv_metric_deriv2(x),
+                                                   sphere.beta_deriv(x))):
+        assert composed.dtype == complex
+        assert np.abs(composed - exact).max() < 1e-10
+    real = geo.jet(x.real, 2)
+    assert all(a.dtype == float for a in real)
+
+
+def test_composed_sphere_meets_the_derivative_tolerances():
+    geo = _sphere_without_second_derivatives()
+    Z = suites._sample_sphere(np.random.default_rng(5), 20, umax=0.12, pmax=0.35)
+    for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):
+        assert integrability_residual_many(geo, Z, t)[3].max() < 1e-10
+    assert suites._tangent_map_contour_defect(geo, Z, ComplexTime(1j), FlowOpts()) < 1e-10
