@@ -57,6 +57,24 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _csv_rows(columns, ok, reasons):
+    """CSV rows from whole arrays.
+
+    ``columns`` are arrays with the row axis first, written side by side
+    in row-major order, a complex one as (Re, Im) pairs; every value is
+    formatted as ``_fmt`` does, and each row ends with its status and
+    reason (empty for an ok row).  The values are formatted from Python
+    floats, one ``tolist`` call per row, which is faster than formatting
+    numpy scalars and gives the same text.
+    """
+    m = len(ok)
+    blocks = [np.asarray(c).reshape(m, -1) for c in columns]
+    blocks = [np.ascontiguousarray(b).view(float) if np.iscomplexobj(b) else b for b in blocks]
+    values = np.concatenate(blocks, axis=1).astype(float, copy=False)
+    return [[f"{v:.17g}" for v in row.tolist()] + (["ok", ""] if good else ["failed", why or ""])
+            for row, good, why in zip(values, ok, reasons)]
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     lines += [",".join(row) for row in rows]
@@ -157,16 +175,7 @@ def _flow_header(n: int):
 
 def _rows_flow(geo, Z, t):
     res = flow_many(geo, Z, t)
-    rows = []
-    for i in range(Z.shape[0]):
-        vals = []
-        for v in list(res.x[i]) + list(res.p[i]) + [res.quad[i]]:
-            vals += [_fmt(v.real), _fmt(v.imag)]
-        for v in res.jac[i].reshape(-1):
-            vals += [_fmt(v.real), _fmt(v.imag)]
-        vals += ["ok" if res.ok[i] else "failed", res.reasons[i] or ""]
-        rows.append(vals)
-    return rows
+    return _csv_rows([res.x, res.p, res.quad, res.jac], res.ok, res.reasons)
 
 
 def _frame_header(n: int):
@@ -183,14 +192,7 @@ def _rows_frame(geo, Z, t):
     smin = np.full(len(Z), np.nan)
     smin[ok] = transversality_check(F[ok])
     inv_res[~ok] = np.nan
-    rows = []
-    for i in range(Z.shape[0]):
-        vals = [_fmt(v) for v in np.real(Z[i])]
-        for v in F[i].reshape(-1):
-            vals += [_fmt(v.real), _fmt(v.imag)]
-        vals += [_fmt(smin[i]), _fmt(inv_res[i]), "ok" if ok[i] else "failed", reasons[i] or ""]
-        rows.append(vals)
-    return rows
+    return _csv_rows([np.real(Z), F, smin, inv_res], ok, reasons)
 
 
 def _rows_potential(geo, Z):
@@ -200,18 +202,9 @@ def _rows_potential(geo, Z):
     kde = np.full(Z.shape[0], np.nan)
     if ok.any():
         kde[ok] = kde_residual_many(geo, Z[ok], 0.3)
-    rows = []
-    for i in range(Z.shape[0]):
-        kappa2 = float((2j * fm[i]).real) if ok[i] else float("nan")
-        weight_mod = float(np.exp(-kappa2 / 2.0)) if ok[i] else float("nan")
-        vals = [_fmt(v) for v in np.real(Z[i])]
-        vals += [_fmt(fm[i].real if ok[i] else float("nan")),
-                 _fmt(fm[i].imag if ok[i] else float("nan")),
-                 _fmt(kappa2), _fmt(float(kde[i])), _fmt(float(dbar[i])), _fmt(weight_mod),
-                 "ok" if ok[i] else "failed",
-                 (reasons[i] or reasons_f[i] or "") if not ok[i] else ""]
-        rows.append(vals)
-    return rows
+    f_re, f_im, kappa2 = (np.where(ok, v, np.nan) for v in (fm.real, fm.imag, (2j * fm).real))
+    return _csv_rows([np.real(Z), f_re, f_im, kappa2, kde, dbar, np.exp(-kappa2 / 2.0)], ok,
+                     [r or rf for r, rf in zip(reasons, reasons_f)])
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +240,13 @@ def cmd_acs(args) -> int:
     header += ["transversality", "min_positivity_eig", "integrability_residual"]
     header += [f"J{a}{b}" for a in range(2 * n) for b in range(2 * n)]
     header += ["status", "reason"]
-    rows = []
-    for i in range(Z.shape[0]):
-        vals = [_fmt(v) for v in np.real(Z[i])]
-        if ok[i]:
-            z = PhasePoint(Z[i, :n].real, Z[i, n:].real)
-            frame = LagrangianFrame(base=z, time=complex(cfg.time), F=F[i])
-            acs = assemble_J(frame, geo)
-            vals += [_fmt(acs.transversality), _fmt(float(acs.positivity_spectrum.min())),
-                     _fmt(float(integ[i]))]
-            vals += [_fmt(v) for v in acs.J.reshape(-1)]
-            vals += ["ok", ""]
-        else:
-            vals += [_fmt(float("nan"))] * (3 + 4 * n * n) + ["failed", reasons[i] or ""]
-        rows.append(vals)
-    _write_csv(cfg.out, header, rows)
+    vals = np.full((Z.shape[0], 3 + 4 * n * n), np.nan)
+    for i in np.flatnonzero(ok):
+        z = PhasePoint(Z[i, :n].real, Z[i, n:].real)
+        acs = assemble_J(LagrangianFrame(base=z, time=complex(cfg.time), F=F[i]), geo)
+        vals[i, :3] = acs.transversality, acs.positivity_spectrum.min(), integ[i]
+        vals[i, 3:] = acs.J.reshape(-1)
+    _write_csv(cfg.out, header, _csv_rows([np.real(Z), vals], ok, reasons))
     return 0
 
 
@@ -315,15 +300,8 @@ def cmd_extend(args) -> int:
     n = geo.dim
     header = [f"x{j+1}" for j in range(n)] + [f"p{j+1}" for j in range(n)]
     header += ["extension_re", "extension_im", "status", "reason"]
-    rows = []
-    for i in range(Z.shape[0]):
-        row = [_fmt(v) for v in np.real(Z[i])]
-        if res.ok[i]:
-            row += [_fmt(vals[i].real), _fmt(vals[i].imag), "ok", ""]
-        else:
-            row += [_fmt(float("nan"))] * 2 + ["failed", res.reasons[i] or ""]
-        rows.append(row)
-    _write_csv(cfg.out, header, rows)
+    ext = np.where(res.ok[:, None], np.stack([vals.real, vals.imag], axis=1), np.nan)
+    _write_csv(cfg.out, header, _csv_rows([np.real(Z), ext], res.ok, res.reasons))
     return 0
 
 

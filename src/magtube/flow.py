@@ -19,11 +19,14 @@ wherever the continuation exists, which the verification suite checks rather
 than assumes.  The integrator is the DOP853 8(5,3) Runge-Kutta pair of
 Dormand and Prince (Hairer, Norsett and Wanner, Solving ODEs I, Sec. II.10)
 acting on the complexified state, shared-stepsize over an optional batch axis
-with per-row failure masking.  Each right-hand-side call reads the geometry
-through one ``geo.jet`` call: first order for the field and the quadrature,
-second order with the tangent map for the field Jacobian and the
-variational term.  The contractions with derivatives the jet reports as
-identically zero (``None``; all of them on the flat chart) are skipped.
+with per-row failure masking; a step's first stage is the field at its start
+point, evaluated once for every attempt from there and never at the end of
+the path.  Each right-hand-side call reads the geometry through one
+``geo.jet`` call: first order for the field and the quadrature, second order
+with the tangent map for the variational term.  That term is formed by the
+blocks of DX (Hairer, Norsett and Wanner, Sec. I.14) without building DX,
+and the blocks and contractions whose factor the jet reports as identically
+zero (``None``; dg, d2g and dbeta on the flat chart) are skipped.
 """
 
 from __future__ import annotations
@@ -272,9 +275,16 @@ def _rhs(geo: ChartedGeometry, Y: np.ndarray) -> np.ndarray:
 
     The geometry is read once, by one ``geo.jet`` call.  A tangent-free
     state [x, p, q] gets the field and the quadrature from the first-order
-    jet; with [x, p, q, vec(jac)] the second-order jet also gives the field
-    Jacobian DX and the variational term DX @ jac.  Derivatives the jet
-    returns as None vanish identically, and their contractions are skipped.
+    jet.  With [x, p, q, vec(jac)] the second-order jet also gives the
+    variational term DX @ jac, formed by blocks without building DX: with
+    jac = [Jx; Jp], T = _contract_mid(dg, p) and
+    Q = -(1/2) d2g(p, p) + dbeta . xdot,
+
+        d(Jx) = T Jx + g Jp,    d(Jp) = Q Jx - T^T Jp + beta d(Jx).
+
+    Derivatives the jet returns as None vanish identically, and the blocks
+    they would give are skipped (on the flat chart only g Jp and beta d(Jx)
+    remain).
     """
     m = Y.shape[0]
     n = geo.dim
@@ -293,21 +303,26 @@ def _rhs(geo: ChartedGeometry, Y: np.ndarray) -> np.ndarray:
         return out
 
     J = Y[:, n2 + 1 :].reshape(m, n2, n2)
+    Jx, Jp = J[:, :n], J[:, n:]
     d2g, db = jet[4:]
-    # DX by blocks: d(xdot)/d(x, p) = [T, g]; d(pdot)/d(x, p) is the
-    # quadratic-term and beta-derivative part plus beta @ [T, g]
-    DX = np.zeros((m, n2, n2), dtype=complex)
-    DX[:, :n, n:] = g
+    dJx = _bmm(g, Jp)
     if T is not None:
-        DX[:, :n, :n] = T
-        DX[:, n:, n:] = -T.transpose(0, 2, 1)
+        dJx += _bmm(T, Jx)
+    dJp = _bmm(b, dJx)
+    if T is not None:
+        dJp -= _bmm(T.transpose(0, 2, 1), Jp)
+    Q = None
     if d2g is not None:
         d2gp = np.einsum("mjklw,mj->mklw", d2g, p)
-        DX[:, n:, :n] = -0.5 * np.einsum("mklw,mk->mlw", d2gp, p)
+        Q = -0.5 * np.einsum("mklw,mk->mlw", d2gp, p)
     if db is not None:
-        DX[:, n:, :n] += _contract_mid(db, xdot)
-    DX[:, n:] += _bmm(b, DX[:, :n])
-    out[:, n2 + 1 :] = _bmm(DX, J).reshape(m, -1)
+        dbx = _contract_mid(db, xdot)
+        Q = dbx if Q is None else Q + dbx
+    if Q is not None:
+        dJp += _bmm(Q, Jx)
+    dJ = out[:, n2 + 1 :].reshape(m, n2, n2)
+    dJ[:, :n] = dJx
+    dJ[:, n:] = dJp
     return out
 
 
@@ -423,9 +438,11 @@ def _integrate_path(
     if bad.any():
         fail_rows(bad, why)
 
-    # K[i] holds the field at stage i; K[0] is the field at Y (first same as
-    # last: it is the final evaluation of the previous accepted step)
+    # K[i] holds the field at stage i; K[0] is the field at Y, reused by
+    # every step attempted from the same Y.  It is evaluated when a step
+    # needs it, so the field at the end point of the path is never formed.
     K = np.empty((_dop.N_STAGES,) + Y.shape, dtype=complex)
+    k0_stale = True
     Kr = K.reshape(_dop.N_STAGES, -1).view(np.float64)
 
     def combine(weights, stages):
@@ -433,8 +450,6 @@ def _integrate_path(
         matrix product on the float view of the stages."""
         return (weights @ Kr[:stages]).view(complex).reshape(weights.shape[:-1] + Y.shape)
 
-    if active.any():
-        K[0] = _rhs(geo, Y)
     with np.errstate(over="ignore", invalid="ignore"):
         for seg in np.diff(W, axis=1).T:
             if not active.any():
@@ -457,6 +472,9 @@ def _integrate_path(
                     break
                 h = min(h, length - s)
                 H = (h * direction)[:, None]
+                if k0_stale:
+                    K[0] = _rhs(geo, Y)
+                    k0_stale = False
                 for i in range(1, _dop.N_STAGES):
                     K[i] = _rhs(geo, Y + H * combine(_dop.A[i, :i], i))
                 y8, err5, err3 = combine(_WEIGHTS, _dop.N_STAGES)
@@ -471,19 +489,17 @@ def _integrate_path(
                     bad &= active
                     if bad.any():
                         fail_rows(bad, why)
-                    if active.any():
-                        K[0] = _rhs(geo, Y)
-                        if tangent:
-                            J = Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)
-                            d = np.abs(np.linalg.det(J[active]))
-                            det_min[active] = np.minimum(det_min[active], d)
+                    k0_stale = True
+                    if tangent and active.any():
+                        J = Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)
+                        d = np.abs(np.linalg.det(J[active]))
+                        det_min[active] = np.minimum(det_min[active], d)
                     h = h * _step_factor(err_norm)
                 else:
                     if h <= opts.min_step * max(1.0, length):
                         # cannot resolve: fail the offending rows, keep going
                         fail_rows(active & (err_row > 1.0), REASON_TOL)
-                        if active.any():
-                            K[0] = _rhs(geo, Y)
+                        k0_stale = True
                         continue
                     h = h * _step_factor(err_norm)
 

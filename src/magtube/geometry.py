@@ -536,8 +536,9 @@ def validate_geometry(
     exterior derivative dA against beta, inv_metric_deriv against inv_metric
     (and the exact second derivatives against the first), all derivatives by
     the contour rule; reality of g, dg, beta, A and the composed jet's d2g
-    and dbeta at real arguments; and ``jet``: the second-order jet against
-    the composed one, which is nonzero only for a fused jet.
+    and dbeta at real arguments; and, for a chart with a fused jet only,
+    ``jet``: its second-order jet against the composed one (a composed jet
+    would be compared with itself).
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
@@ -587,10 +588,11 @@ def validate_geometry(
     if geo.beta_deriv is not None:
         record("beta_deriv", flat(db - db_ref))
 
-    # the jet the flows read against the composed jet (zero unless fused);
-    # a None entry must match an all-zero array
-    record("jet", np.maximum.reduce([
-        flat(ev if j is None else j - ev)
-        for j, ev in zip(geo.jet(pts, 2), (g, dg, b, A, d2g, db))]))
+    # the fused jet the flows read against the composed jet; a None entry
+    # must match an all-zero array
+    if geo.fused_jet is not None:
+        record("jet", np.maximum.reduce([
+            flat(ev if j is None else j - ev)
+            for j, ev in zip(geo.jet(pts, 2), (g, dg, b, A, d2g, db))]))
 
     return report

@@ -156,26 +156,25 @@ def _frames(geo: ChartedGeometry, Z: np.ndarray, t, opts) -> np.ndarray:
 # geometry suite
 # ---------------------------------------------------------------------------
 
+def _max_residual(report) -> float:
+    """The largest invariant residual of a geometry report: every recorded
+    one (``jet`` and the second derivatives only where the chart has them)
+    except the metric eigenvalue."""
+    return max(v for k, v in report.residuals.items() if k != "metric_min_eigenvalue")
+
+
 def suite_geometry(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 0)
     checks = []
 
     flat = _flat(1.0, 1.0)
     rep = validate_geometry(flat, rng.uniform(-1, 1, (100, 2)))
-    checks.append(CheckResult("flat_validation", max(rep.residuals[k] for k in
-                                                     ("metric_symmetry", "beta_antisymmetry",
-                                                      "reality", "exterior_derivative",
-                                                      "inv_metric_deriv", "inv_metric_deriv2",
-                                                      "beta_deriv", "jet")), 1e-11))
+    checks.append(CheckResult("flat_validation", _max_residual(rep), 1e-11))
 
     sph = _sphere()
     edge = rng.uniform(-0.45, 0.45, (100, 2)) * SPHERE_R
     reps = validate_geometry(sph, edge)
-    checks.append(CheckResult("sphere_validation", max(reps.residuals[k] for k in
-                                                       ("metric_symmetry", "beta_antisymmetry",
-                                                        "reality", "exterior_derivative",
-                                                        "inv_metric_deriv", "inv_metric_deriv2",
-                                                        "beta_deriv", "jet")), 1e-8))
+    checks.append(CheckResult("sphere_validation", _max_residual(reps), 1e-8))
     checks.append(CheckResult("metric_positive_definite",
                               min(rep.residuals["metric_min_eigenvalue"],
                                   reps.residuals["metric_min_eigenvalue"]), 0.0, kind="min"))

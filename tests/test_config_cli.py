@@ -493,6 +493,47 @@ def test_cmd_frame_pool_rows_are_the_chunk_rows(tmp_path, monkeypatch):
     assert out.read_text() == "\n".join(",".join(r) for r in [header] + rows) + "\n"
 
 
+def test_csv_rows_match_per_value_formatting():
+    # whole-array rows against per-value formatting of numpy scalars,
+    # including -0.0, infinities, a subnormal and a failed row of NaNs
+    rng = np.random.default_rng(3)
+    real = rng.normal(size=(4, 2)) * 10.0 ** rng.integers(-300, 300, (4, 2))
+    real[0] = -0.0, 5e-324
+    cplx = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    cplx[2, 0, 1] = complex(-0.0, np.inf)
+    last = np.array([2.0, np.nan, -np.inf, 1 / 3])
+    cplx[1] = real[1] = np.nan
+    ok, reasons = np.array([True, False, True, True]), [None, "BLOWUP", None, None]
+    want = []
+    for i in range(4):
+        vals = [f"{float(v):.17g}" for v in real[i]]
+        for v in cplx[i].reshape(-1):
+            vals += [f"{float(v.real):.17g}", f"{float(v.imag):.17g}"]
+        vals.append(f"{float(last[i]):.17g}")
+        want.append(vals + (["ok", ""] if ok[i] else ["failed", reasons[i]]))
+    got = cli._csv_rows([real, cplx, last], ok, reasons)
+    assert got == want
+    assert got[0][:2] == ["-0", "4.9406564584124654e-324"] and got[1][-2:] == ["failed", "BLOWUP"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cmd_flow_rows_are_the_chunk_rows(tmp_path, jobs):
+    # one row per grid point, failed rows included, byte for byte the rows of
+    # the chunks that --jobs splits the grid into
+    cfg = _write(
+        tmp_path,
+        "c.cfg",
+        "kind = sphere\nradius = 1\nfield = 1\ngrid = x1:-0.2:0.7:3, p2:-0.5:0.5:3\ntime = i\n",
+    )
+    out = tmp_path / "flow.csv"
+    assert main(["flow", "--config", cfg, "--jobs", str(jobs), "--out", str(out)]) == 0
+    raw = load_config(cfg).raw
+    rows = [row for lo, hi in cli._chunks(9, jobs) for row in cli._flow_chunk(raw, lo, hi, "flow")]
+    assert [r[-2] for r in rows].count("failed") == 3
+    header = cli._flow_header(2)
+    assert out.read_text() == "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
 def test_debug_reraises_with_traceback(tmp_path, monkeypatch, capsys):
     bad = _write(tmp_path, "c.cfg", "kind = flat\ngrid = x1:-100:100:2\n")
     with pytest.raises(ConfigError):

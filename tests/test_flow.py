@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from magtube.flow import (
     hamiltonian_field,
     radius_estimate,
 )
-from magtube.geometry import PhasePoint, energy, twisted_symplectic_matrix
+from magtube.geometry import FusedJet, PhasePoint, energy, twisted_symplectic_matrix
 from magtube.kahler import phase_gradient
 
 
@@ -319,6 +320,29 @@ def test_import_does_not_load_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_flow_evaluates_the_field_twelve_times_per_step(flat_geo, sphere_geo, rng):
+    # one field evaluation per DOP853 stage; the first stage of a step is the
+    # field at its start, and the field at the end of the path is never formed
+    times = (ComplexTime(1j), ComplexTime(0.3 + 0.8j, (0.3, 0.3 + 0.8j)), 0.7)
+    for geo, Z in ((flat_geo, sample_flat(rng, 5)), (sphere_geo, sample_sphere(rng, 5))):
+        calls = []
+
+        def jet(x, order, _jet=geo.jet):
+            calls.append(order)
+            return _jet(x, order)
+
+        counted = dataclasses.replace(geo, fused_jet=FusedJet(jet, geo.evaluators))
+        for t in times:
+            for tangent in (True, False):
+                calls.clear()
+                res = flow_many(counted, Z, t, tangent=tangent)
+                assert res.ok.all() and len(calls) == 12 * res.steps
+                ref = flow_many(geo, Z, t, tangent=tangent)
+                for name in ("x", "p", "quad", "det_min") + (("jac",) if tangent else ()):
+                    assert np.array_equal(getattr(res, name), getattr(ref, name),
+                                          equal_nan=True)
 
 
 def test_flow_to_i_step_count_and_accuracy(flat_geo, sphere_geo):

@@ -187,6 +187,16 @@ def test_pointwise_geometry_wrapper(rng):
     assert geo.inv_metric(rng.uniform(-0.5, 0.5, (7, 2))).shape == (7, 2, 2)
 
 
+def test_validate_records_the_jet_only_for_a_fused_jet(sphere_geo, rng):
+    # a composed jet would be compared with itself and always read 0
+    samples = rng.uniform(-0.3, 0.3, (10, 2))
+    fused = validate_geometry(sphere_geo, samples)
+    assert sphere_geo.fused_jet is not None and "jet" in fused.residuals
+    composed = dataclasses.replace(sphere_geo, fused_jet=None)
+    report = validate_geometry(composed, samples)
+    assert report.passed and "jet" not in report.residuals
+
+
 def test_negated_field(sphere_geo, rng):
     neg = sphere_geo.with_negated_field()
     u = rng.uniform(-0.3, 0.3, (5, 2))

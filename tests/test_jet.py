@@ -16,7 +16,9 @@ from magtube.geometry import (
     FusedJet,
     make_flat_magnetic,
     make_sphere_magnetic,
+    validate_geometry,
 )
+from magtube.kahler import phase_gradient
 from magtube.structure import integrability_residual_many
 
 EVALUATORS = ("inv_metric", "inv_metric_deriv", "beta", "potential",
@@ -189,3 +191,64 @@ def test_composed_sphere_meets_the_derivative_tolerances():
     for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):
         assert integrability_residual_many(geo, Z, t)[3].max() < 1e-10
     assert suites._tangent_map_contour_defect(geo, Z, ComplexTime(1j), FlowOpts()) < 1e-10
+
+
+# The variational term of the tangent RHS, formed by blocks, against DX @ J
+# with DX the contour gradient of the field.  The generic chart has dim 3, a
+# non-conformal metric and a non-constant field, so an index swap in T, T^T,
+# d2g or dbeta, invisible on the conformal sphere, shows there.
+
+def _generic_chart():
+    """g^{-1} = (1 + eps s^2) I + eps x x^T with s = a.x, and the cubic
+    A = (x.v)^3 w + (1/2) x B; no second-derivative evaluators."""
+    eps, a = 0.4, np.array([0.3, -0.5, 0.7])
+    v, w = np.array([0.6, 0.2, -0.4]), np.array([-0.3, 0.8, 0.5])
+    B = np.array([[0.0, 1.0, -0.4], [-1.0, 0.0, 0.3], [0.4, -0.3, 0.0]])
+    eye = np.eye(3)
+
+    def inv_metric(x):
+        s = x @ a
+        return (1.0 + eps * s**2)[..., None, None] * eye + eps * x[..., :, None] * x[..., None, :]
+
+    def inv_metric_deriv(x):
+        xe = np.einsum("...k,jl->...jkl", x, eye)  # delta_jl x_k
+        s = (x @ a)[..., None, None, None]
+        return 2.0 * eps * s * eye[:, :, None] * a + eps * (xe + np.swapaxes(xe, -2, -3))
+
+    def beta(x):
+        c = 3.0 * (x @ v) ** 2
+        return c[..., None, None] * (np.outer(v, w) - np.outer(w, v)) + B
+
+    def potential(x):
+        return (x @ v)[..., None] ** 3 * w + 0.5 * x @ B
+
+    return ChartedGeometry(3, inv_metric, inv_metric_deriv, beta, potential,
+                           chart_box=1.0, complex_radius=1.0, name="generic(dim=3)")
+
+
+def test_generic_chart_is_a_valid_geometry(rng):
+    report = validate_geometry(_generic_chart(), rng.uniform(-0.4, 0.4, (20, 3)))
+    assert report.passed and report.residuals["exterior_derivative"] < 1e-11
+
+
+def _field_jacobian(geo, Z):
+    """DX at the rows Z, by the package's one derivative rule."""
+    n = geo.dim
+
+    def field(rows):
+        return np.concatenate(field_components(geo, rows[:, :n], rows[:, n:]), axis=1), True, None
+
+    return np.swapaxes(phase_gradient(field, Z)[3], 1, 2)
+
+
+@pytest.mark.parametrize("geo", [make_sphere_magnetic(1.3, 0.8),
+                                 _sphere_without_second_derivatives(), _generic_chart()],
+                         ids=["sphere", "composed-sphere", "generic"])
+def test_variational_term_is_the_field_jacobian_times_the_tangent_map(geo, rng):
+    n2 = 2 * geo.dim
+    Z = _complex_points(rng, 6, n2, 0.3)
+    J = rng.normal(size=(6, n2, n2)) + 1j * rng.normal(size=(6, n2, n2))
+    Y = _pack(Z, geo.dim, True)
+    Y[:, n2 + 1 :] = J.reshape(6, -1)
+    got = _rhs(geo, Y)[:, n2 + 1 :].reshape(6, n2, n2)
+    assert np.abs(got - _field_jacobian(geo, Z) @ J).max() < 1e-10
