@@ -24,7 +24,6 @@ from .flow import (
     ChartExitError,
     ComplexTime,
     FlowError,
-    FlowOpts,
     FlowState,
     StepSizeError,
     flow_complex,

@@ -136,6 +136,8 @@ def _config_from_pairs(pairs: dict) -> RunConfig:
             cfg.kind = pairs["kind"].lower()
         if "dim" in pairs:
             cfg.dim = int(pairs["dim"])
+            if cfg.dim < 1:
+                raise ConfigError(f"dim must be at least 1, got {cfg.dim}")
         if "B" in pairs:
             rows = [
                 [float(v) for v in row.split()]
@@ -158,9 +160,10 @@ def _config_from_pairs(pairs: dict) -> RunConfig:
                 parts = spec.split(":")
                 if len(parts) != 4:
                     raise ConfigError(f"grid axis {spec!r} is not name:min:max:count")
-                cfg.grid.append(
-                    GridAxis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
-                )
+                axis = GridAxis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
+                if axis.count < 1:
+                    raise ConfigError(f"grid axis {axis.name} needs count >= 1, got {axis.count}")
+                cfg.grid.append(axis)
         if "time" in pairs:
             cfg.time = parse_complex(pairs["time"])
         if "path" in pairs:

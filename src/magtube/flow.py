@@ -27,6 +27,14 @@ with the tangent map for the variational term.  That term is formed by the
 blocks of DX (Hairer, Norsett and Wanner, Sec. I.14) without building DX,
 and the blocks and contractions whose factor the jet reports as identically
 zero (``None``; dg, d2g and dbeta on the flat chart) are skipped.
+
+The integrator has one configuration: its tolerances, step budget, smallest
+step and momentum cap are the module constants ``REL_TOL``, ``ABS_TOL``,
+``MAX_STEPS``, ``MIN_STEP`` and ``P_CAP``, not parameters; the only option of
+a flow is whether it carries the tangent map.  Where a row must stay is
+decided per row: a row whose start point and path are real must stay inside
+the real chart box (``CHART_EXIT``), every other row inside the chart's
+complex validity region (``BLOWUP``), whatever else is in its batch.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from .geometry import ChartedGeometry, PhasePoint
 
 __all__ = [
     "ComplexTime",
-    "FlowOpts",
     "FlowState",
     "BatchFlowResult",
     "FlowError",
@@ -57,7 +64,15 @@ __all__ = [
     "radius_estimate",
 ]
 
-DISK_RADIUS_DEFAULT = 1.25  # 1 + epsilon with the default epsilon = 0.25
+DISK_RADIUS = 1.25  # 1 + epsilon with epsilon = 0.25
+
+# Integrator constants; they aim at ~1e-8 end-to-end accuracy in the
+# verification suites.
+REL_TOL = 1e-11
+ABS_TOL = 1e-13
+MAX_STEPS = 100_000  # attempted steps per flow; past it every active row fails TOL
+MIN_STEP = 1e-14  # times max(1, segment length): below it rejected rows fail TOL
+P_CAP = 1e8  # a row with |p| above it fails BLOWUP
 
 REASON_BLOWUP = "BLOWUP"
 REASON_CHART_EXIT = "CHART_EXIT"
@@ -106,13 +121,12 @@ class ComplexTime:
 
     The path is a polyline given by its waypoints after the origin; the
     default is the single straight segment 0 -> target.  Everything must stay
-    inside the disk of radius ``disk_radius`` (waypoints suffice: the disk is
+    inside the disk of radius ``DISK_RADIUS`` (waypoints suffice: the disk is
     convex).
     """
 
     target: complex
     path: tuple = ()
-    disk_radius: float = DISK_RADIUS_DEFAULT
 
     def __post_init__(self):
         object.__setattr__(self, "target", complex(self.target))
@@ -121,10 +135,8 @@ class ComplexTime:
             raise ValueError("path must end at the target")
         object.__setattr__(self, "path", path)
         for w in path:
-            if abs(w) > self.disk_radius + 1e-12:
-                raise ValueError(
-                    f"waypoint {w} outside the time disk of radius {self.disk_radius}"
-                )
+            if abs(w) > DISK_RADIUS + 1e-12:
+                raise ValueError(f"waypoint {w} outside the time disk of radius {DISK_RADIUS}")
 
     @property
     def waypoints(self):
@@ -132,32 +144,13 @@ class ComplexTime:
 
     def reversed(self) -> "ComplexTime":
         """Path from 0 to -target, mirror image of this path."""
-        return ComplexTime(-self.target, tuple(-w for w in self.path), self.disk_radius)
+        return ComplexTime(-self.target, tuple(-w for w in self.path))
 
 
 def as_complex_time(t) -> ComplexTime:
     if isinstance(t, ComplexTime):
         return t
     return ComplexTime(complex(t))
-
-
-@dataclass
-class FlowOpts:
-    """Integrator options.
-
-    Defaults target ~1e-8 end-to-end accuracy for the verification suites.
-
-    With the tangent map (``tangent=True``) its determinant is sampled at
-    accepted steps only, so ``det_min`` is the minimum over those few points
-    (a handful per unit time with the eighth-order pair), not over the path;
-    a tangent-free flow reports NaN.
-    """
-
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-13
-    max_steps: int = 100_000
-    min_step: float = 1e-14
-    p_cap: float = 1e8
 
 
 @dataclass
@@ -189,9 +182,14 @@ class FlowState:
 
 @dataclass
 class BatchFlowResult:
-    """Vectorized flow result; failed rows carry a reason code.  ``jac`` is
-    None and ``det_min`` NaN for a tangent-free flow.  ``time`` is the
-    common target, or the (m,) array of per-row targets."""
+    """Vectorized flow result; failed rows carry a reason code.  ``time`` is
+    the common target, or the (m,) array of per-row targets.
+
+    With the tangent map its determinant is sampled at accepted steps only,
+    so ``det_min`` is the minimum over those few points (a handful per unit
+    time with the eighth-order pair), not over the path.  ``jac`` is None
+    and ``det_min`` NaN for a tangent-free flow.
+    """
 
     x: np.ndarray
     p: np.ndarray
@@ -347,19 +345,23 @@ def _pack(Z0: np.ndarray, n: int, tangent: bool) -> np.ndarray:
     return Y
 
 
-def _check_rows(geo, Y, opts, real_mode):
-    """Per-row validity; returns (bad mask, reason array)."""
+def _check_rows(geo, Y, real_rows):
+    """Per-row validity; returns (bad mask, reason array).
+
+    A real row must stay inside the real chart box (CHART_EXIT), any other
+    row inside the complex validity region (BLOWUP).
+    """
     n = geo.dim
     x = Y[:, :n]
     p = Y[:, n : 2 * n]
     finite = np.isfinite(Y).all(axis=1)
-    if real_mode:
-        chart_bad = (np.abs(x.real) >= geo.chart_box).any(axis=1)
-        reason_chart = REASON_CHART_EXIT
-    else:
-        chart_bad = (np.abs(x) >= geo.complex_radius).any(axis=1)
-        reason_chart = REASON_BLOWUP
-    p_bad = (np.abs(p) > opts.p_cap).any(axis=1) | ~finite
+    chart_bad = np.where(
+        real_rows,
+        (np.abs(x.real) >= geo.chart_box).any(axis=1),
+        (np.abs(x) >= geo.complex_radius).any(axis=1),
+    )
+    reason_chart = np.where(real_rows, REASON_CHART_EXIT, REASON_BLOWUP)
+    p_bad = (np.abs(p) > P_CAP).any(axis=1) | ~finite
     reasons = np.where(p_bad, REASON_BLOWUP, np.where(chart_bad, reason_chart, ""))
     return chart_bad | p_bad, reasons
 
@@ -371,15 +373,15 @@ def _step_factor(err_norm: float) -> float:
     return min(10.0, max(0.2, 0.9 * err_norm ** (-1.0 / 8.0)))
 
 
-def _error_norms(Y, y_new, err5, err3, h, opts):
+def _error_norms(Y, y_new, err5, err3, h):
     """Hairer's combined 5th/3rd-order error norm of each row.
 
     err5 and err3 are the unscaled estimator sums (without the step h); a
     row's norm is h |e5|^2 / sqrt(D (|e5|^2 + 0.01 |e3|^2)) with both errors
-    divided componentwise by abs_tol + rel_tol max(|Y|, |y_new|).
+    divided componentwise by ABS_TOL + REL_TOL max(|Y|, |y_new|).
     Non-finite rows get an infinite norm.
     """
-    scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(Y), np.abs(y_new))
+    scale = ABS_TOL + REL_TOL * np.maximum(np.abs(Y), np.abs(y_new))
     with np.errstate(divide="ignore"):
         e5 = np.square(np.abs(err5) / scale).sum(axis=1)
         e3 = np.square(np.abs(err3) / scale).sum(axis=1)
@@ -394,16 +396,16 @@ def _integrate_path(
     geo: ChartedGeometry,
     Z0: np.ndarray,
     waypoints: Sequence[complex],
-    opts: FlowOpts,
-    real_mode: bool,
     *,
     tangent: bool = True,
 ):
     """Integrate the packed system along complex-time polylines.
 
     Z0: (m, 2n) complex start states.  ``waypoints`` (K,) is one polyline
-    for every row; (m, K) gives each row its own.  On each segment the
-    shared step parameter runs over the longest row segment L, and row r
+    for every row; (m, K) gives each row its own.  A row whose start state
+    and path are real is checked against the real chart box, any other row
+    against the complex validity region (``_check_rows``).  On each segment
+    the shared step parameter runs over the longest row segment L, and row r
     advances by h seg_r / L.  Step control (``_error_norms``) still sees h,
     which overstates the local error of a row whose segment is shorter: the
     control is conservative for such rows.  Returns (Y, ok, reasons, det_min,
@@ -416,6 +418,7 @@ def _integrate_path(
     n = geo.dim
     W = np.asarray(waypoints, dtype=complex)
     W = np.broadcast_to(W, (m, W.shape[-1]))
+    real_rows = (Z0.imag == 0.0).all(axis=1) & (W.imag == 0.0).all(axis=1)
     Y = _pack(Z0, n, tangent)
     active = np.ones(m, dtype=bool)
     reasons = np.array([""] * m, dtype=object)
@@ -434,7 +437,7 @@ def _integrate_path(
         active[mask] = False
         Y[mask] = benign
 
-    bad, why = _check_rows(geo, Y, opts, real_mode)
+    bad, why = _check_rows(geo, Y, real_rows)
     if bad.any():
         fail_rows(bad, why)
 
@@ -467,7 +470,7 @@ def _integrate_path(
             h = min(0.1, length)
             while s < length and active.any():
                 steps += 1
-                if steps > opts.max_steps:
+                if steps > MAX_STEPS:
                     fail_rows(active.copy(), REASON_TOL)
                     break
                 h = min(h, length - s)
@@ -479,13 +482,13 @@ def _integrate_path(
                     K[i] = _rhs(geo, Y + H * combine(_dop.A[i, :i], i))
                 y8, err5, err3 = combine(_WEIGHTS, _dop.N_STAGES)
                 y_new = Y + H * y8
-                err_row = _error_norms(Y, y_new, err5, err3, h, opts)
+                err_row = _error_norms(Y, y_new, err5, err3, h)
                 err_row[~active] = 0.0
                 err_norm = err_row.max()
                 if err_norm <= 1.0:
                     Y = y_new
                     s += h
-                    bad, why = _check_rows(geo, Y, opts, real_mode)
+                    bad, why = _check_rows(geo, Y, real_rows)
                     bad &= active
                     if bad.any():
                         fail_rows(bad, why)
@@ -496,7 +499,7 @@ def _integrate_path(
                         det_min[active] = np.minimum(det_min[active], d)
                     h = h * _step_factor(err_norm)
                 else:
-                    if h <= opts.min_step * max(1.0, length):
+                    if h <= MIN_STEP * max(1.0, length):
                         # cannot resolve: fail the offending rows, keep going
                         fail_rows(active & (err_row > 1.0), REASON_TOL)
                         k0_stale = True
@@ -517,7 +520,6 @@ def flow_real(
     geo: ChartedGeometry,
     z0: PhasePoint,
     sigma: float,
-    opts: Optional[FlowOpts] = None,
     *,
     tangent: bool = True,
 ) -> FlowState:
@@ -527,14 +529,13 @@ def flow_real(
     if not z0.is_real(1e-9):
         raise ValueError("flow_real requires a real initial point")
     Z0 = z0.as_vector()[None, :]
-    return flow_many(geo, Z0, float(sigma), opts, tangent=tangent).state(0)
+    return flow_many(geo, Z0, float(sigma), tangent=tangent).state(0)
 
 
 def flow_complex(
     geo: ChartedGeometry,
     z0: PhasePoint,
     t,
-    opts: Optional[FlowOpts] = None,
     *,
     tangent: bool = True,
 ) -> FlowState:
@@ -547,17 +548,13 @@ def flow_complex(
     if not z0.is_real(1e-9):
         raise ValueError("flow_complex requires a real initial point")
     Z0 = z0.as_vector()[None, :]
-    return flow_many(
-        geo, Z0, as_complex_time(t), opts, real_mode=False, tangent=tangent
-    ).state(0)
+    return flow_many(geo, Z0, as_complex_time(t), tangent=tangent).state(0)
 
 
 def flow_many(
     geo: ChartedGeometry,
     Z0: np.ndarray,
     t,
-    opts: Optional[FlowOpts] = None,
-    real_mode: Optional[bool] = None,
     *,
     tangent: bool = True,
 ) -> BatchFlowResult:
@@ -565,36 +562,29 @@ def flow_many(
 
     ``t`` is a common time (a number, or a ComplexTime with its path) or an
     (m,) array of per-row targets, each reached along the straight path from
-    0.  Rows that exit the chart / continuation region are reported through
-    ``ok`` and ``reasons`` instead of raising.  Real times carry no disk
-    constraint (the disk bounds the analytic continuation only).  With
+    0.  Rows that fail are reported through ``ok`` and ``reasons`` instead
+    of raising.  The region is decided per row: a real row on a real path
+    must stay inside the chart box (else ``CHART_EXIT``), every other row
+    inside the complex validity region (else ``BLOWUP``).  Real times carry
+    no disk constraint (the disk bounds the analytic continuation only).  With
     ``tangent=False`` only the phase point and the quadrature are
     integrated: ``jac`` is None and ``det_min`` NaN, and neither the field
     Jacobian nor the geometry's second derivatives are evaluated.
     """
-    opts = opts or FlowOpts()
     if np.ndim(t):
         target = np.asarray(t)
-        complex_rows = target.imag != 0.0
-        if (np.abs(target[complex_rows]) > DISK_RADIUS_DEFAULT + 1e-12).any():
-            raise ValueError(f"target outside the time disk of radius {DISK_RADIUS_DEFAULT}")
+        if (np.abs(target[target.imag != 0.0]) > DISK_RADIUS + 1e-12).any():
+            raise ValueError(f"target outside the time disk of radius {DISK_RADIUS}")
         waypoints = np.stack([np.zeros(len(target)), target], axis=1)
-        if real_mode is None:
-            real_mode = not complex_rows.any()
     elif not isinstance(t, ComplexTime) and complex(t).imag == 0.0:
         waypoints = (0.0, complex(t).real)
         target = complex(t).real
-        if real_mode is None:
-            real_mode = True
     else:
         tt = as_complex_time(t)
         waypoints = tt.waypoints
         target = tt.target
-        if real_mode is None:
-            real_mode = tt.target.imag == 0.0 and all(w.imag == 0.0 for w in tt.waypoints)
     Y, ok, reasons, det_min, steps = _integrate_path(
-        geo, np.asarray(Z0, dtype=complex), waypoints, opts, real_mode=real_mode,
-        tangent=tangent,
+        geo, np.asarray(Z0, dtype=complex), waypoints, tangent=tangent
     )
     n = geo.dim
     return BatchFlowResult(

@@ -14,11 +14,9 @@ depend on the gauge of A, so no other -beta chart could give other values.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .flow import FlowOpts, as_complex_time, flow_many
+from .flow import as_complex_time, flow_many
 from .geometry import ChartedGeometry
 from .structure import frames_at_many, subspace_distance
 
@@ -46,13 +44,12 @@ def check_flow_reversal(
     geo: ChartedGeometry,
     Z: np.ndarray,
     sigma: float,
-    opts: Optional[FlowOpts] = None,
 ) -> np.ndarray:
     """Max coordinate defect of nu o Phi^{-beta}_sigma o nu = Phi^{+beta}_{-sigma}
     at each row of Z."""
     nu = _nu_pushforward(geo.dim)
-    minus = flow_many(geo.with_negated_field(), Z @ nu, sigma, opts, tangent=False)
-    plus = flow_many(geo, Z, -sigma, opts, tangent=False)
+    minus = flow_many(geo.with_negated_field(), Z @ nu, sigma, tangent=False)
+    plus = flow_many(geo, Z, -sigma, tangent=False)
     lhs = np.concatenate([minus.x, minus.p], axis=1) @ nu
     defect = np.abs(lhs - np.concatenate([plus.x, plus.p], axis=1)).max(axis=1)
     defect[~(minus.ok & plus.ok)] = np.nan
@@ -63,13 +60,12 @@ def check_frame_intertwine(
     geo: ChartedGeometry,
     Z: np.ndarray,
     t=1j,
-    opts: Optional[FlowOpts] = None,
 ) -> np.ndarray:
     """Span distance between nu_*(+beta frame at z) and the conjugated -beta
     frame at nu(z) (sin of the largest principal angle), at each row z of Z."""
     nu = _nu_pushforward(geo.dim)
-    F_plus, ok_plus, _, _ = frames_at_many(geo, Z, t, opts)
-    F_minus, ok_minus, _, _ = frames_at_many(geo.with_negated_field(), Z @ nu, t, opts)
+    F_plus, ok_plus, _, _ = frames_at_many(geo, Z, t)
+    F_minus, ok_minus, _, _ = frames_at_many(geo.with_negated_field(), Z @ nu, t)
     return _span_defects(nu @ F_plus, F_minus.conj(), ok_plus & ok_minus)
 
 
@@ -77,7 +73,6 @@ def check_shifted_frame_intertwine(
     geo: ChartedGeometry,
     Z: np.ndarray,
     t,
-    opts: Optional[FlowOpts] = None,
 ) -> np.ndarray:
     """The general-time variant: Phi^{-beta}_{2 sigma} o nu antiholomorphically
     maps the +beta structure at sigma + i tau to the -beta one.
@@ -89,10 +84,10 @@ def check_shifted_frame_intertwine(
     t = as_complex_time(t)
     nu = _nu_pushforward(geo.dim)
     minus = geo.with_negated_field()
-    F_plus, ok_plus, _, _ = frames_at_many(geo, Z, t, opts)
-    shifted = flow_many(minus, Z @ nu, 2.0 * t.target.real, opts)
+    F_plus, ok_plus, _, _ = frames_at_many(geo, Z, t)
+    shifted = flow_many(minus, Z @ nu, 2.0 * t.target.real)
     W = np.concatenate([shifted.x, shifted.p], axis=1)
     W[~shifted.ok] = 0.0  # parked; masked out below
-    F_minus, ok_minus, _, _ = frames_at_many(minus, W, t, opts)
+    F_minus, ok_minus, _, _ = frames_at_many(minus, W, t)
     pushed = shifted.jac.real @ nu @ F_plus
     return _span_defects(pushed, F_minus.conj(), ok_plus & shifted.ok & ok_minus)

@@ -36,11 +36,11 @@ the same rule.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .flow import FlowOpts, as_complex_time, field_components, flow_many, _raise_for
+from .flow import as_complex_time, field_components, flow_many, _raise_for
 from .geometry import CONTOUR_NODES, CONTOUR_RADIUS, _RING, _WEIGHTS
 from .geometry import ChartedGeometry, PhasePoint, energy
 
@@ -95,7 +95,7 @@ def phase_gradient(batch_fun: Callable, Z: np.ndarray):
 # the generating scalar f_t
 # ---------------------------------------------------------------------------
 
-def potential_f(geo: ChartedGeometry, z: PhasePoint, t, opts: Optional[FlowOpts] = None) -> complex:
+def potential_f(geo: ChartedGeometry, z: PhasePoint, t) -> complex:
     """f_t(z) = t E(z) + int_{-t}^0 A(d(pi o Phi_s)(z)/ds) ds.
 
     The integral is the flow quadrature along the path from 0 to -t with the
@@ -104,19 +104,18 @@ def potential_f(geo: ChartedGeometry, z: PhasePoint, t, opts: Optional[FlowOpts]
     the flow to -t fails.
     """
     t = as_complex_time(t)
-    vals, ok, reasons = potential_f_many(geo, z.as_vector()[None, :], t, opts)
+    vals, ok, reasons = potential_f_many(geo, z.as_vector()[None, :], t)
     if not ok[0]:
         _raise_for(reasons[0], -t.target)
     return complex(vals[0])
 
 
-def potential_f_many(geo, Z: np.ndarray, t, opts: Optional[FlowOpts] = None):
+def potential_f_many(geo, Z: np.ndarray, t):
     """Batch f_t over rows of Z = [x, p]; returns (values, ok, reasons).
 
     ``t`` is a common time or an (m,) array of per-row times; either way
     every row flows to its own -t in one integration.  f_t needs the phase
     point and the quadrature only, so the flow carries no tangent map."""
-    opts = opts or FlowOpts()
     if np.ndim(t):
         target = np.asarray(t, dtype=complex)
         back = -target
@@ -124,7 +123,7 @@ def potential_f_many(geo, Z: np.ndarray, t, opts: Optional[FlowOpts] = None):
         t = as_complex_time(t)
         target, back = t.target, t.reversed()
     Z = np.asarray(Z, dtype=complex)
-    res = flow_many(geo, Z, back, opts, real_mode=False, tangent=False)
+    res = flow_many(geo, Z, back, tangent=False)
     n = geo.dim
     E = energy(geo, Z[:, :n], Z[:, n:])
     vals = target * E - res.quad
@@ -150,7 +149,6 @@ def kde_residual_many(
     geo: ChartedGeometry,
     Z: np.ndarray,
     sigma: float,
-    opts: Optional[FlowOpts] = None,
 ) -> np.ndarray:
     """Vectorized defect of df/dsigma + X_E(f) - (theta^A(X_E) - E).
 
@@ -159,11 +157,10 @@ def kde_residual_many(
     X_E(f) contracts; every contour row flows to its own -sigma in one
     batched flow.  A row whose contour left the tube gets a NaN defect.
     """
-    opts = opts or FlowOpts()
     Z = np.asarray(Z, dtype=float)
     n = geo.dim
     grad = phase_gradient(
-        lambda rows: potential_f_many(geo, rows[:, :-1], rows[:, -1], opts),
+        lambda rows: potential_f_many(geo, rows[:, :-1], rows[:, -1]),
         np.column_stack([Z, np.full(len(Z), sigma)]))[3]
     df_dsigma, grad = grad[:, -1], grad[:, :-1]
 
@@ -188,7 +185,6 @@ def kde_residual(
     geo: ChartedGeometry,
     z: PhasePoint,
     sigma: float,
-    opts: Optional[FlowOpts] = None,
 ) -> float:
     """Defect of df_sigma/dsigma + X_E(f_sigma) - (theta^A(X_E) - E) at (z, sigma).
 
@@ -196,14 +192,13 @@ def kde_residual(
     derivatives of the flow-quadrature f.  Raises RuntimeError if a contour
     node leaves the tube.
     """
-    return _one_residual(kde_residual_many(geo, z.as_vector().real[None, :], sigma, opts))
+    return _one_residual(kde_residual_many(geo, z.as_vector().real[None, :], sigma))
 
 
 def dbar_residual_many(
     geo: ChartedGeometry,
     Z: np.ndarray,
     frames_conj: np.ndarray,
-    opts: Optional[FlowOpts] = None,
 ) -> np.ndarray:
     """Vectorized defect of dbar f_{-i} = (theta^A)^(0,1).
 
@@ -214,11 +209,10 @@ def dbar_residual_many(
     reasons of the centre rows, as ``potential_f_many`` gives them, and the
     defects.
     """
-    opts = opts or FlowOpts()
     Z = np.asarray(Z, dtype=float)
     m, n = len(Z), geo.dim
     f, ok, reasons, grad = phase_gradient(
-        lambda rows: potential_f_many(geo, rows, -1j, opts), Z)
+        lambda rows: potential_f_many(geo, rows, -1j), Z)
 
     A = geo.potential(Z[:, :n])
     theta = np.concatenate([Z[:, n:] + A, np.zeros((m, n))], axis=1)
@@ -232,7 +226,6 @@ def dbar_residual(
     geo: ChartedGeometry,
     z: PhasePoint,
     frame_conj: np.ndarray,
-    opts: Optional[FlowOpts] = None,
 ) -> float:
     """Defect of dbar f_{-i} = (theta^A)^(0,1) at z.
 
@@ -242,7 +235,7 @@ def dbar_residual(
     Raises RuntimeError if a contour node leaves the tube.
     """
     return _one_residual(
-        dbar_residual_many(geo, z.as_vector().real[None, :], frame_conj[None], opts)[3])
+        dbar_residual_many(geo, z.as_vector().real[None, :], frame_conj[None])[3])
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +332,17 @@ def holomorphic_extension(
     f: Callable[[np.ndarray], complex],
     z: PhasePoint,
     t=1j,
-    opts: Optional[FlowOpts] = None,
 ) -> complex:
     """Value of the holomorphic extension f o pi o Phi_i at z.
 
     ``f`` must itself be evaluable at complex base points reached by the
     flow (any analytic closed form qualifies).  ``z`` may be complex.
     """
-    res = flow_many(geo, z.as_vector()[None, :], as_complex_time(t), opts,
-                    real_mode=False, tangent=False)
+    res = flow_many(geo, z.as_vector()[None, :], as_complex_time(t), tangent=False)
     return complex(f(res.state(0).x))
 
 
-def section_weight(geo: ChartedGeometry, z: PhasePoint, k: int, opts=None) -> complex:
+def section_weight(geo: ChartedGeometry, z: PhasePoint, k: int) -> complex:
     """Local holomorphic section weight exp(-i k f_{-i}(z)).
 
     |weight|^2 = exp(-k kappa2), the Gaussian-type density weighting the
@@ -359,4 +350,4 @@ def section_weight(geo: ChartedGeometry, z: PhasePoint, k: int, opts=None) -> co
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return complex(np.exp(-1j * k * potential_f(geo, z, -1j, opts)))
+    return complex(np.exp(-1j * k * potential_f(geo, z, -1j)))

@@ -18,8 +18,6 @@ and by the exact formula above it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm
 
@@ -33,17 +31,14 @@ __all__ = [
     "phi1_matrix",
     "sinc_sq",
     "versine_sq",
-    "one_minus_exp_over",
     "flat_flow_oracle",
     "flat_flow_jacobian",
     "flat_frame_columns",
     "flat_complex_coordinates",
     "flat_f_sigma",
-    "SphereState",
     "sphere_moment_map",
     "sphere_flow_oracle",
     "sphere_embedding_map",
-    "sphere_state_residuals",
     "sphere_chart_to_embedding",
     "sphere_embedding_to_chart",
     "zero_section_linearization",
@@ -87,18 +82,6 @@ def versine_sq(c):
     out[small] = 0.5 - cs / 24 + cs**2 / 720 - cs**3 / 40320 + cs**4 / 3628800
     cl = c[~small]
     out[~small] = (1 - np.cos(np.sqrt(cl))) / cl
-    return out if out.ndim else complex(out)
-
-
-def one_minus_exp_over(w):
-    """(1 - e^{-w})/w, entire, scalar or elementwise."""
-    w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < SERIES_SWITCH
-    out = np.empty_like(w)
-    ws = w[small]
-    out[small] = 1 - ws / 2 + ws**2 / 6 - ws**3 / 24 + ws**4 / 120
-    wl = w[~small]
-    out[~small] = (1 - np.exp(-wl)) / wl
     return out if out.ndim else complex(out)
 
 
@@ -209,26 +192,6 @@ def flat_f_sigma(B: float, mass_freq: float, z, sigma) -> complex:
 # invariant field on the sphere
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SphereState:
-    """Embedded state on the (complexified) sphere: x.x = r^2, x.p = 0."""
-
-    x: np.ndarray
-    p: np.ndarray
-    r: float
-    B: float
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=complex)
-        self.p = np.asarray(self.p, dtype=complex)
-
-    def constraint_residuals(self):
-        """(|x.x - r^2|, |x.p|) with complex-bilinear dot products."""
-        cx = abs(self.x @ self.x - self.r**2)
-        cp = abs(self.x @ self.p)
-        return cx, cp
-
-
 def _skew(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     out = np.zeros(v.shape[:-1] + (3, 3), dtype=v.dtype)
@@ -285,16 +248,6 @@ def sphere_flow_oracle(x, p, r: float, B: float, sigma) -> tuple:
     J = sphere_moment_map(x, p, r, B)
     R = _rotation_exp((complex(sigma) / r**2) * J)
     return (R @ x[..., None])[..., 0], (R @ p[..., None])[..., 0]
-
-
-def sphere_state_residuals(x, p, r: float):
-    """(|x.x - r^2|, |x.p|) max residuals, complex-bilinear."""
-    x = np.asarray(x, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    return (
-        float(np.abs(np.einsum("...j,...j->...", x, x) - r**2).max()),
-        float(np.abs(np.einsum("...j,...j->...", x, p)).max()),
-    )
 
 
 def sphere_embedding_map(x, p, r: float, B: float, check: bool = True) -> np.ndarray:

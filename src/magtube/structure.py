@@ -20,11 +20,10 @@ where the batch reports a failed row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .flow import FlowOpts, as_complex_time, flow_many, _raise_for
+from .flow import as_complex_time, flow_many, _raise_for
 from .geometry import ChartedGeometry, PhasePoint, twisted_symplectic_matrix
 from .kahler import _one_residual, phase_gradient
 
@@ -116,7 +115,6 @@ def frame_at(
     geo: ChartedGeometry,
     z: PhasePoint,
     t,
-    opts: Optional[FlowOpts] = None,
 ) -> LagrangianFrame:
     """Transported vertical frame at a real point for complex time t.
 
@@ -124,14 +122,14 @@ def frame_at(
     the transport fails.
     """
     t = as_complex_time(t)
-    F, ok, reasons, inv_res = frames_at_many(geo, z.as_vector()[None, :], t, opts)
+    F, ok, reasons, inv_res = frames_at_many(geo, z.as_vector()[None, :], t)
     if not ok[0]:
         _raise_for(reasons[0], t.target)
     return LagrangianFrame(base=z, time=t.target, F=F[0],
                            inverse_residual=float(inv_res[0]))
 
 
-def _transport(geo: ChartedGeometry, Z: np.ndarray, t, opts: Optional[FlowOpts]):
+def _transport(geo: ChartedGeometry, Z: np.ndarray, t):
     """Raw transported vertical columns at every row of Z.
 
     Flows each row z backwards along the reversed path to w = Phi_{-t}(z)
@@ -147,7 +145,7 @@ def _transport(geo: ChartedGeometry, Z: np.ndarray, t, opts: Optional[FlowOpts])
     """
     t = as_complex_time(t)
     Z = np.asarray(Z, dtype=complex)
-    back = flow_many(geo, Z, t.reversed(), opts, real_mode=False)
+    back = flow_many(geo, Z, t.reversed())
     n = geo.dim
     ok = back.ok
     M, W = back.jac, back.x
@@ -167,7 +165,6 @@ def frames_at_many(
     geo: ChartedGeometry,
     Z: np.ndarray,
     t,
-    opts: Optional[FlowOpts] = None,
 ):
     """Batch frame transport: the column-orthonormalized transported
     vertical columns of one backward flow with the tangent map, and its
@@ -176,7 +173,7 @@ def frames_at_many(
 
     Returns (F, ok, reasons, inverse_residuals) with F of shape (m, 2n, n).
     """
-    X, ok, reasons, inv_res = _transport(geo, Z, t, opts)
+    X, ok, reasons, inv_res = _transport(geo, Z, t)
     F = orthonormalize(X)
     F[~ok] = np.nan
     return F, ok, reasons, inv_res
@@ -236,9 +233,9 @@ def assemble_J(frame: LagrangianFrame, geo: ChartedGeometry) -> ACSPointData:
     )
 
 
-def acs_point(geo, z: PhasePoint, t, opts=None) -> ACSPointData:
+def acs_point(geo, z: PhasePoint, t) -> ACSPointData:
     """Convenience: transport the frame and assemble J in one call."""
-    return assemble_J(frame_at(geo, z, t, opts), geo)
+    return assemble_J(frame_at(geo, z, t), geo)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +246,6 @@ def integrability_residual_many(
     geo: ChartedGeometry,
     Z: np.ndarray,
     t,
-    opts: Optional[FlowOpts] = None,
 ):
     """Bracket-closure defects for all rows of Z.
 
@@ -267,7 +263,7 @@ def integrability_residual_many(
     ok flags and reasons of the centre rows, as ``frames_at_many`` gives
     them, and the defects.
     """
-    X, ok, reasons, dX = phase_gradient(lambda rows: _transport(geo, rows, t, opts)[:3], Z)
+    X, ok, reasons, dX = phase_gradient(lambda rows: _transport(geo, rows, t)[:3], Z)
     F = orthonormalize(X)
     F[~ok] = np.nan
     # D[k, a, :, b] = (X_a . grad) X_b; the bracket [X_a, X_b] is
@@ -284,7 +280,6 @@ def integrability_residual(
     geo: ChartedGeometry,
     z: PhasePoint,
     t,
-    opts: Optional[FlowOpts] = None,
 ) -> float:
     """Bracket-closure defect of the frame distribution at z.
 
@@ -293,7 +288,7 @@ def integrability_residual(
     coordinates, projected off the span at z and normalised by the column
     lengths.  Raises RuntimeError if a contour node leaves the tube.
     """
-    return _one_residual(integrability_residual_many(geo, z.as_vector().real[None, :], t, opts)[3])
+    return _one_residual(integrability_residual_many(geo, z.as_vector().real[None, :], t)[3])
 
 
 # ---------------------------------------------------------------------------

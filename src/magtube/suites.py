@@ -20,7 +20,6 @@ from .config import SUITE_NAMES
 from .flow import (
     ComplexTime,
     FlowError,
-    FlowOpts,
     field_components,
     flow_complex,
     flow_many,
@@ -135,18 +134,18 @@ def _rng(seed: int, channel: int):
     return np.random.default_rng([seed, channel])
 
 
-def _zero_section_flow(geo: ChartedGeometry, xs: np.ndarray, t, opts):
+def _zero_section_flow(geo: ChartedGeometry, xs: np.ndarray, t):
     """States of the zero-section points (x, 0) continued along ComplexTime(t),
     one batch; raises FlowError if a row fails."""
     Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
-    res = flow_many(geo, Z, ComplexTime(t), opts, real_mode=False)
+    res = flow_many(geo, Z, ComplexTime(t))
     return [res.state(i) for i in range(len(xs))]
 
 
-def _frames(geo: ChartedGeometry, Z: np.ndarray, t, opts) -> np.ndarray:
+def _frames(geo: ChartedGeometry, Z: np.ndarray, t) -> np.ndarray:
     """Transported frames at every row of Z, one batch; raises FlowError if
     a row fails."""
-    F, ok, reasons, _ = frames_at_many(geo, Z, t, opts)
+    F, ok, reasons, _ = frames_at_many(geo, Z, t)
     if not ok.all():
         raise FlowError(f"frame transport failed: {[r for r in reasons if r][0]}")
     return F
@@ -258,7 +257,6 @@ def _taylor_defect(geo: ChartedGeometry, rng, scale: float) -> float:
 
 def suite_flow(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 1)
-    opts = FlowOpts()
     checks = []
     cases = [("flat", _flat(1.0, 1.0)), ("sphere", _sphere())]
 
@@ -267,9 +265,9 @@ def suite_flow(seed: int) -> List[CheckResult]:
     for kind, geo in cases:
         s1, s2 = (0.4, 0.5) if kind == "flat" else (0.2, 0.3)
         Z = _geometry_samples(rng, kind, 20)
-        r1 = flow_many(geo, Z, s1, opts)
-        r2 = flow_many(geo, np.concatenate([r1.x.real, r1.p.real], axis=1), s2, opts)
-        r12 = flow_many(geo, Z, s1 + s2, opts)
+        r1 = flow_many(geo, Z, s1)
+        r2 = flow_many(geo, np.concatenate([r1.x.real, r1.p.real], axis=1), s2)
+        r12 = flow_many(geo, Z, s1 + s2)
         worst_group = max(worst_group, float(np.abs(
             np.concatenate([r2.x - r12.x, r2.p - r12.p], axis=1)).max()))
 
@@ -292,7 +290,7 @@ def suite_flow(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("hamiltonian_field_inversion", worst, 1e-10))
 
     # zero-section: field vanishes, points are fixed
-    zfix = flow_complex(_flat(1.0, 1.0), PhasePoint([0.3, -0.4], [0, 0]), 0.3 + 0.8j, opts,
+    zfix = flow_complex(_flat(1.0, 1.0), PhasePoint([0.3, -0.4], [0, 0]), 0.3 + 0.8j,
                         tangent=False)
     checks.append(CheckResult("zero_section_fixed",
                               float(np.abs(zfix.as_vector() - np.array([0.3, -0.4, 0, 0])).max()),
@@ -306,13 +304,13 @@ def suite_flow(seed: int) -> List[CheckResult]:
         Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
         g0, b0 = geo.inv_metric(xs), geo.beta(xs)
         for sig in (0.5, 1j, 0.3 + 0.8j):
-            for i, st in enumerate(_zero_section_flow(geo, xs, sig, opts)):
+            for i, st in enumerate(_zero_section_flow(geo, xs, sig)):
                 ref = orc.zero_section_linearization(b0[i], sig, g0[i])
                 worst_jac = max(worst_jac, float(np.abs(st.jac - ref).max()))
         for sig in (1j, 0.3 + 0.8j):
             ref = np.stack([orc.zero_section_frame(b0[i], sig, g0[i]) for i in range(len(xs))])
             worst_span = max(worst_span,
-                             float(subspace_distance(_frames(geo, Z, sig, opts), ref).max()))
+                             float(subspace_distance(_frames(geo, Z, sig), ref).max()))
     checks.append(CheckResult("zero_section_jacobian", worst_jac, 1e-9))
     checks.append(CheckResult("zero_section_frame_span", worst_span, 1e-9))
 
@@ -321,8 +319,8 @@ def suite_flow(seed: int) -> List[CheckResult]:
     for kind, geo in cases:
         Z = _geometry_samples(rng, kind, 20)
         mid = complex(rng.uniform(0.3, 0.8), rng.uniform(-0.2, 0.4))
-        rA = flow_many(geo, Z, ComplexTime(1j), opts, tangent=False)
-        rB = flow_many(geo, Z, ComplexTime(1j, (mid, 1j)), opts, tangent=False)
+        rA = flow_many(geo, Z, ComplexTime(1j), tangent=False)
+        rB = flow_many(geo, Z, ComplexTime(1j, (mid, 1j)), tangent=False)
         worst = max(worst, float(np.abs(
             np.concatenate([rA.x - rB.x, rA.p - rB.p], axis=1)).max()))
     checks.append(CheckResult("path_independence", worst, 1e-9))
@@ -333,10 +331,10 @@ def suite_flow(seed: int) -> List[CheckResult]:
     for kind, geo in cases:
         Z = _geometry_samples(rng, kind, 15)
         for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):
-            back = flow_many(geo, Z, t.reversed(), opts, real_mode=False, tangent=False)
+            back = flow_many(geo, Z, t.reversed(), tangent=False)
             W = np.concatenate([back.x, back.p], axis=1)
             W[~back.ok] = 0.0  # parked; masked out below
-            out = flow_many(geo, W, t, opts, real_mode=False, tangent=False)
+            out = flow_many(geo, W, t, tangent=False)
             ok = back.ok & out.ok
             trip = np.abs(np.concatenate([out.x, out.p], axis=1) - Z).max(axis=1)
             worst = max(worst, float(trip[ok].max()))
@@ -346,7 +344,7 @@ def suite_flow(seed: int) -> List[CheckResult]:
     # tangent-free flow, which never evaluates second derivatives
     Z = _sample_sphere(rng, 6, umax=0.12 * SPHERE_R, pmax=0.35)
     checks.append(CheckResult("tangent_map_contour",
-                              _tangent_map_contour_defect(_sphere(), Z, ComplexTime(1j), opts),
+                              _tangent_map_contour_defect(_sphere(), Z, ComplexTime(1j)),
                               1e-10))
 
     checks.append(CheckResult("radius_estimate_value",
@@ -355,7 +353,7 @@ def suite_flow(seed: int) -> List[CheckResult]:
     return checks
 
 
-def _tangent_map_contour_defect(geo: ChartedGeometry, Z: np.ndarray, t, opts) -> float:
+def _tangent_map_contour_defect(geo: ChartedGeometry, Z: np.ndarray, t) -> float:
     """max |jac - dPhi_t/dz| over the rows of Z.
 
     The flow is holomorphic in the start point, so dPhi_t/dz is
@@ -363,11 +361,11 @@ def _tangent_map_contour_defect(geo: ChartedGeometry, Z: np.ndarray, t, opts) ->
     second derivatives; a failed row reads NaN.
     """
     def phi(rows):
-        res = flow_many(geo, rows, t, opts, real_mode=False, tangent=False)
+        res = flow_many(geo, rows, t, tangent=False)
         return np.concatenate([res.x, res.p], axis=1), res.ok, res.reasons
 
     deriv = phase_gradient(phi, Z)[3].swapaxes(1, 2)  # (m, component, coordinate)
-    ref = flow_many(geo, Z, t, opts, real_mode=False)
+    ref = flow_many(geo, Z, t)
     deriv[~ref.ok] = np.nan
     return float(np.abs(deriv - ref.jac).max())
 
@@ -389,7 +387,6 @@ def _field_inversion_defect(geo: ChartedGeometry, Z: np.ndarray) -> float:
 
 def suite_frames(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 2)
-    opts = FlowOpts()
     checks = []
     cases = [("flat", _flat(1.0, 1.0)), ("sphere", _sphere())]
 
@@ -398,7 +395,7 @@ def suite_frames(seed: int) -> List[CheckResult]:
     min_metric_pos = np.inf
     for kind, geo in cases:
         Z = _geometry_samples(rng, kind, 100)
-        F, ok, reasons, _ = frames_at_many(geo, Z, 1j, opts)
+        F, ok, reasons, _ = frames_at_many(geo, Z, 1j)
         if not ok.all():
             checks.append(CheckResult(f"{kind}_frames_computed", float(ok.mean()), 1.0 - 1e-12,
                                       kind="min", note=str([r for r in reasons if r][0])))
@@ -411,7 +408,7 @@ def suite_frames(seed: int) -> List[CheckResult]:
         min_pos = min(min_pos, float(np.linalg.eigvalsh(M).min()))
 
         # conjugate frame spans the conjugate-time subspace
-        Fm = frames_at_many(geo, Z[:5], -1j, opts)[0]
+        Fm = frames_at_many(geo, Z[:5], -1j)[0]
         worst_conj_span = max(worst_conj_span, float(subspace_distance(F[:5].conj(), Fm).max()))
 
         # J at conjugate times are opposite; omega(X, JX) > 0; gauge
@@ -444,7 +441,7 @@ def suite_frames(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("frame_gauge_invariance", worst_gauge, 1e-9))
 
     # real time: the frame equals its conjugate, transversality degenerates
-    fr_real = frame_at(_flat(1.0, 1.0), PhasePoint([0.2, 0.1], [0.6, -0.3]), 0.5, opts)
+    fr_real = frame_at(_flat(1.0, 1.0), PhasePoint([0.2, 0.1], [0.6, -0.3]), 0.5)
     checks.append(CheckResult("real_time_degeneracy", transversality_check(fr_real), 1e-8,
                               expected_degenerate=True,
                               note="tau=0 frame equals its conjugate by construction"))
@@ -455,7 +452,7 @@ def suite_frames(seed: int) -> List[CheckResult]:
         xs = rng.uniform(-0.2, 0.2, (2, 2))
         changes = [normalized_zero_section_frame_change(geo, x0) for x0 in xs]
         for t in (1j, 0.3 + 0.8j):
-            for (T, btil), st in zip(changes, _zero_section_flow(geo, xs, t, opts)):
+            for (T, btil), st in zip(changes, _zero_section_flow(geo, xs, t)):
                 Fn = T @ st.jac[:, 2:] @ T[:2, :2].T
                 om_t = np.block([[-btil, np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
                 M = 1j * Fn.conj().T @ om_t @ Fn
@@ -469,8 +466,8 @@ def suite_frames(seed: int) -> List[CheckResult]:
     min_block, min_horiz = np.inf, np.inf
     for kind, geo in cases:
         xs = rng.uniform(-0.2, 0.2, (3, 2))
-        F = _frames(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), 1j, opts)
-        for i, st in enumerate(_zero_section_flow(geo, xs, 1j, opts)):
+        F = _frames(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), 1j)
+        for i, st in enumerate(_zero_section_flow(geo, xs, 1j)):
             T, btil = normalized_zero_section_frame_change(geo, xs[i])
             Fn = T @ st.jac[:, 2:]
             min_block = min(min_block, float(np.linalg.svd(Fn[2:], compute_uv=False)[-1]))
@@ -487,10 +484,10 @@ def suite_frames(seed: int) -> List[CheckResult]:
     for t in (1j, 0.3 + 0.8j):
         Zf = _sample_flat(rng, 20, xmax=0.6, pmax=1.0)
         worst_flat = max(worst_flat, float(integrability_residual_many(
-            _flat(1.0, 1.0), Zf, t, opts)[3].max()))
+            _flat(1.0, 1.0), Zf, t)[3].max()))
         Zs = _sample_sphere(rng, 20, umax=0.12, pmax=0.35)
         worst_sph = max(worst_sph, float(integrability_residual_many(
-            _sphere(), Zs, t, opts)[3].max()))
+            _sphere(), Zs, t)[3].max()))
     checks.append(CheckResult("integrability_flat", worst_flat, 1e-11))
     checks.append(CheckResult("integrability_sphere", worst_sph, 1e-10))
     return checks
@@ -502,7 +499,6 @@ def suite_frames(seed: int) -> List[CheckResult]:
 
 def suite_kahler(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 3)
-    opts = FlowOpts()
     checks = []
     flat = _flat(1.0, 1.0)
     sph = _sphere()
@@ -511,13 +507,13 @@ def suite_kahler(seed: int) -> List[CheckResult]:
     Zs = _sample_sphere(rng, 20, umax=0.12, pmax=0.35)
 
     checks.append(CheckResult("kde_flat",
-                              float(kde_residual_many(flat, Zf, 0.3, opts=opts).max()), 1e-9))
+                              float(kde_residual_many(flat, Zf, 0.3).max()), 1e-9))
     checks.append(CheckResult("kde_sphere",
-                              float(kde_residual_many(sph, Zs, 0.2, opts=opts).max()), 1e-12))
+                              float(kde_residual_many(sph, Zs, 0.2).max()), 1e-12))
 
     # f at +-i: conjugation symmetry, reality of kappa2, closed form on the plane
     fm, fp = np.split(potential_f_many(flat, np.concatenate([Zf, Zf]),
-                                       np.repeat([-1j, 1j], len(Zf)), opts)[0], 2)
+                                       np.repeat([-1j, 1j], len(Zf)))[0], 2)
     checks.append(CheckResult("f_conjugation", float(np.abs(np.conj(fm) - fp).max()), 1e-8))
     kappa2_num = 1j * (fm - fp)
     checks.append(CheckResult("kappa2_reality", float(np.abs(kappa2_num.imag).max()), 1e-10))
@@ -528,17 +524,17 @@ def suite_kahler(seed: int) -> List[CheckResult]:
                               float(np.abs((2j * fm).real - kappa2_cf).max()), 1e-7))
 
     # f_0 = 0 and the sigma = 0 slope identity
-    f0, _, _ = potential_f_many(flat, Zf[:10], 0.0, opts)
+    f0, _, _ = potential_f_many(flat, Zf[:10], 0.0)
     checks.append(CheckResult("f_zero_at_origin", float(np.abs(f0).max()), 1e-12))
 
     # dbar f_{-i} = (theta^A)^{0,1}
-    Ff, okf, _, _ = frames_at_many(flat, Zf, 1j, opts)
+    Ff, okf, _, _ = frames_at_many(flat, Zf, 1j)
     checks.append(CheckResult("dbar_flat",
-                              float(dbar_residual_many(flat, Zf, Ff.conj(), opts=opts)[3].max()),
+                              float(dbar_residual_many(flat, Zf, Ff.conj())[3].max()),
                               1e-10))
-    Fs, oks, _, _ = frames_at_many(sph, Zs, 1j, opts)
+    Fs, oks, _, _ = frames_at_many(sph, Zs, 1j)
     checks.append(CheckResult("dbar_sphere",
-                              float(dbar_residual_many(sph, Zs, Fs.conj(), opts=opts)[3].max()),
+                              float(dbar_residual_many(sph, Zs, Fs.conj())[3].max()),
                               1e-10))
 
     # kappa1: coefficient resolution by the adaptedness identity
@@ -554,28 +550,28 @@ def suite_kahler(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("i_ddbar_kappa2", _i_ddbar_defect(1.0, 1.0, rng), 1e-8))
 
     # holomorphic extensions: dbar-closure and ring property
-    worst_flat = _extension_dbar_defect(flat, Zf[:8], opts)
-    worst_sph = _extension_dbar_defect(sph, Zs[:8], opts)
+    worst_flat = _extension_dbar_defect(flat, Zf[:8])
+    worst_sph = _extension_dbar_defect(sph, Zs[:8])
     checks.append(CheckResult("extension_dbar_flat", worst_flat, 1e-10))
     checks.append(CheckResult("extension_dbar_sphere", worst_sph, 1e-10))
 
     z = PhasePoint(Zf[0, :2], Zf[0, 2:])
-    st = flow_complex(flat, z, 1j, opts, tangent=False)
+    st = flow_complex(flat, z, 1j, tangent=False)
     z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, z.as_vector())
     checks.append(CheckResult("extension_coordinates",
                               float(max(abs(st.x[0] - z1), abs(st.x[1] - z2))), 1e-8))
     checks.append(CheckResult("extension_ring_property",
                               float(abs(st.x[0] ** 2 - z1**2)), 1e-8,
                               note="extension of x1^2 equals the square of the extension"))
-    st0 = flow_complex(flat, PhasePoint([0.3, -0.2], [0, 0]), 1j, opts, tangent=False)
+    st0 = flow_complex(flat, PhasePoint([0.3, -0.2], [0, 0]), 1j, tangent=False)
     checks.append(CheckResult("extension_zero_section",
                               float(np.abs(st0.x - np.array([0.3, -0.2])).max()), 1e-12))
 
     # section weights
-    w0 = section_weight(flat, PhasePoint([0.4, -0.1], [0, 0]), 1, opts)
+    w0 = section_weight(flat, PhasePoint([0.4, -0.1], [0, 0]), 1)
     checks.append(CheckResult("weight_zero_section", abs(w0 - 1.0), 1e-12))
-    w1 = section_weight(flat, z, 1, opts)
-    w2 = section_weight(flat, z, 2, opts)
+    w1 = section_weight(flat, z, 1)
+    w2 = section_weight(flat, z, 2)
     checks.append(CheckResult("weight_power_law", abs(w2 - w1**2), 1e-10))
     kap2 = kappa2_flat(1.0, 1.0, z1, z2)
     checks.append(CheckResult("weight_gaussian_density", abs(abs(w1) ** 2 - np.exp(-kap2)),
@@ -620,16 +616,16 @@ def _i_ddbar_defect(B: float, mass_freq: float, rng) -> float:
     return float((np.abs(W.real - om_z).max(axis=(1, 2)) + np.abs(W.imag).max(axis=(1, 2))).max())
 
 
-def _extension_dbar_defect(geo: ChartedGeometry, Z: np.ndarray, opts) -> float:
+def _extension_dbar_defect(geo: ChartedGeometry, Z: np.ndarray) -> float:
     """Max dbar defect of f o pi o Phi_i for coordinate / quadratic f."""
 
     def monomials(rows):  # f = x1, x2, x1^2, x1 x2 at pi o Phi_i
-        res = flow_many(geo, rows, ComplexTime(1j), opts, tangent=False)
+        res = flow_many(geo, rows, ComplexTime(1j), tangent=False)
         x1, x2 = res.x[:, 0], res.x[:, 1]
         return np.stack([x1, x2, x1**2, x1 * x2], axis=1), res.ok, res.reasons
 
     grad = phase_gradient(monomials, Z)[3]  # (m, 2n, 4)
-    F = frames_at_many(geo, Z, 1j, opts)[0]
+    F = frames_at_many(geo, Z, 1j)[0]
     return float(np.abs(np.einsum("mdf,mdk->mfk", grad, F.conj())).max())
 
 
@@ -639,7 +635,6 @@ def _extension_dbar_defect(geo: ChartedGeometry, Z: np.ndarray, opts) -> float:
 
 def suite_intertwine(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 4)
-    opts = FlowOpts()
     checks = []
     flat0 = _flat(0.0, 1.0)
     flat = _flat(1.0, 1.0)
@@ -647,10 +642,10 @@ def suite_intertwine(seed: int) -> List[CheckResult]:
 
     z = np.array([[0.0, 0.0, 1.0, 0.0]])
     checks.append(CheckResult("flow_reversal_geodesic",
-                              float(check_flow_reversal(flat0, z, 0.7, opts).max()), 1e-10))
+                              float(check_flow_reversal(flat0, z, 0.7).max()), 1e-10))
     Z = _sample_flat(rng, 10, xmax=0.6, pmax=1.0)
     checks.append(CheckResult("flow_reversal_flat",
-                              float(check_flow_reversal(flat, Z, 0.7, opts).max()), 1e-9))
+                              float(check_flow_reversal(flat, Z, 0.7).max()), 1e-9))
 
     # the same identity evaluated on the closed-form flow alone
     Z = _sample_flat(rng, 10)
@@ -661,21 +656,21 @@ def suite_intertwine(seed: int) -> List[CheckResult]:
 
     Z = _sample_sphere(rng, 10)
     checks.append(CheckResult("flow_reversal_sphere",
-                              float(check_flow_reversal(sph, Z, 0.5, opts).max()), 1e-8))
+                              float(check_flow_reversal(sph, Z, 0.5).max()), 1e-8))
 
     zf = np.array([[0.2, 0.1, 0.6, -0.3]])
     zs = np.array([[0.1, -0.05, 0.3, 0.2]])
     for name, geo, z, tol in (("frame_intertwine_geodesic", flat0, zf, 1e-8),
                               ("frame_intertwine_flat", flat, zf, 1e-7),
                               ("frame_intertwine_sphere", sph, zs, 1e-6)):
-        checks.append(CheckResult(name, float(check_frame_intertwine(geo, z, 1j, opts).max()), tol))
+        checks.append(CheckResult(name, float(check_frame_intertwine(geo, z, 1j).max()), tol))
     for name, geo, z in (("frame_intertwine_shifted_flat", flat, zf),
                          ("frame_intertwine_shifted_sphere", sph, zs)):
         checks.append(CheckResult(
-            name, float(check_shifted_frame_intertwine(geo, z, 0.3 + 0.8j, opts).max()), 1e-6))
+            name, float(check_shifted_frame_intertwine(geo, z, 0.3 + 0.8j).max()), 1e-6))
 
     # nu is an involution: pushing a frame through twice recovers its span
-    F = _frames(flat, zf, 1j, opts)[0]
+    F = _frames(flat, zf, 1j)[0]
     checks.append(CheckResult("involution", subspace_distance(nu @ (nu @ F), F), 1e-10))
     return checks
 
@@ -686,7 +681,6 @@ def suite_intertwine(seed: int) -> List[CheckResult]:
 
 def suite_flat_oracle(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 5)
-    opts = FlowOpts()
     checks = []
 
     worst_flow, worst_z = 0.0, 0.0
@@ -694,11 +688,11 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
         geo = _flat(B, mass_freq)
         Z = _sample_flat(rng, 200)
         for sig in COMPLEX_TARGETS:
-            res = flow_many(geo, Z, ComplexTime(complex(sig)), opts, tangent=False)
+            res = flow_many(geo, Z, ComplexTime(complex(sig)), tangent=False)
             ref = orc.flat_flow_oracle(B, mass_freq, Z, sig)
             worst_flow = max(worst_flow, float(np.abs(
                 np.concatenate([res.x, res.p], axis=1) - ref).max()))
-        res_i = flow_many(geo, Z, ComplexTime(1j), opts, tangent=False)
+        res_i = flow_many(geo, Z, ComplexTime(1j), tangent=False)
         zc = orc.flat_complex_coordinates(B, mass_freq, Z)
         worst_z = max(worst_z, float(np.abs(res_i.x - zc).max()))
     checks.append(CheckResult("flow_oracle_equivalence", worst_flow, 1e-8,
@@ -710,7 +704,7 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
     for B, mass_freq in FLAT_CASES:
         geo = _flat(B, mass_freq)
         Fo = orc.flat_frame_columns(B, mass_freq, 1j)
-        worst = max(worst, float(subspace_distance(_frames(geo, _sample_flat(rng, 5), 1j, opts),
+        worst = max(worst, float(subspace_distance(_frames(geo, _sample_flat(rng, 5), 1j),
                                                    Fo).max()))
     checks.append(CheckResult("frame_closed_form", worst, 1e-9))
 
@@ -718,7 +712,7 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
     worst = 0.0
     for B, mass_freq in FLAT_CASES:
         geo = _flat(B, mass_freq)
-        st = flow_complex(geo, PhasePoint([0.0, 0.0], [0.0, 0.0]), 1j, opts)
+        st = flow_complex(geo, PhasePoint([0.0, 0.0], [0.0, 0.0]), 1j)
         Fraw = st.jac[:, 2:]
         det = np.linalg.det(np.concatenate([Fraw, Fraw.conj()], axis=1))
         Bt = B / mass_freq
@@ -729,12 +723,12 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
     # f_sigma closed form
     geo = _flat(1.0, 1.0)
     Z = _sample_flat(rng, 20)
-    vals = potential_f_many(geo, np.concatenate([Z, Z]), np.repeat([0.5, -0.8], len(Z)), opts)[0]
+    vals = potential_f_many(geo, np.concatenate([Z, Z]), np.repeat([0.5, -0.8], len(Z)))[0]
     ref = np.concatenate([orc.flat_f_sigma(1.0, 1.0, Z, sig) for sig in (0.5, -0.8)])
     checks.append(CheckResult("f_sigma_closed_form", float(np.abs(vals - ref).max()), 1e-9))
 
     # 2 i f_{-i} at the distinguished point equals sinh(Btilde)
-    fm = potential_f(geo, PhasePoint([0, 0], [1, 0]), -1j, opts)
+    fm = potential_f(geo, PhasePoint([0, 0], [1, 0]), -1j)
     checks.append(CheckResult("f_minus_i_distinguished_point",
                               abs(2j * fm - np.sinh(1.0)), 1e-9,
                               note="z=(0,0,1,0), B=Btilde=1: 2i f_{-i} = sinh 1"))
@@ -742,19 +736,19 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
     # geodesic limit and Larmor periodicity
     geo0 = _flat(0.0, 1.0)
     Z = _sample_flat(rng, 20)
-    res = flow_many(geo0, Z, 0.9, opts, tangent=False)
+    res = flow_many(geo0, Z, 0.9, tangent=False)
     straight = Z[:, :2] + 0.9 * Z[:, 2:]
     worst = float(np.abs(np.concatenate([res.x - straight, res.p - Z[:, 2:]], axis=1)).max())
     checks.append(CheckResult("geodesic_limit", worst, 1e-10))
 
     geo = _flat(1.0, 1.0)
     Z = _sample_flat(rng, 10, pmax=1.0)
-    res = flow_many(geo, Z, 2 * np.pi, opts, tangent=False)
+    res = flow_many(geo, Z, 2 * np.pi, tangent=False)
     worst = float(np.abs(np.concatenate([res.x, res.p], axis=1) - Z).max())
     checks.append(CheckResult("larmor_periodicity", worst, 1e-8))
 
     # kappa1 tanh-coefficient resolution note (recorded here as well)
-    acs = assemble_J(frame_at(geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 1j, opts), geo)
+    acs = assemble_J(frame_at(geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 1j), geo)
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, _sample_flat(rng, 6))
     checks.append(CheckResult("kappa1_coefficient_resolution", residuals[coeff], 1e-10,
                               note=f"adapted potential uses {coeff} * B tanh(Btilde/2); "
@@ -781,7 +775,6 @@ def _random_sphere_states(rng, m, r, pmax=2.0):
 
 def suite_sphere_oracle(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 6)
-    opts = FlowOpts()
     checks = []
 
     # a . a = r^2 on random states across radii and fields
@@ -836,9 +829,9 @@ def suite_sphere_oracle(seed: int) -> List[CheckResult]:
     worst = 0.0
     for sig in (0.7, -1.2, 1j, 0.3 + 0.8j):
         if complex(sig).imag == 0.0:
-            res = flow_many(sph, Z, float(np.real(sig)), opts)
+            res = flow_many(sph, Z, float(np.real(sig)))
         else:
-            res = flow_many(sph, Z, ComplexTime(complex(sig)), opts)
+            res = flow_many(sph, Z, ComplexTime(complex(sig)))
         if not res.ok.all():
             worst = np.inf
             break
@@ -849,12 +842,12 @@ def suite_sphere_oracle(seed: int) -> List[CheckResult]:
                               note="100 chart points, |p| up to 2, |sigma| <= 1.2"))
 
     a = orc.sphere_embedding_map(xe, pe, SPHERE_R, SPHERE_B)
-    res_i = flow_many(sph, Z, ComplexTime(1j), opts)
+    res_i = flow_many(sph, Z, ComplexTime(1j))
     xs, _ = orc.sphere_chart_to_embedding(res_i.x, res_i.p, SPHERE_R)
     checks.append(CheckResult("embedding_vs_engine_base", float(np.abs(xs - a).max()), 1e-8))
 
     # moment map conserved along engine real flows
-    res = flow_many(sph, Z, 0.6, opts)
+    res = flow_many(sph, Z, 0.6)
     x1, p1 = orc.sphere_chart_to_embedding(res.x.real, res.p.real, SPHERE_R)
     J0 = orc.sphere_moment_map(xe, pe, SPHERE_R, SPHERE_B)
     J1 = orc.sphere_moment_map(x1, p1, SPHERE_R, SPHERE_B)

@@ -15,7 +15,7 @@ import pytest
 
 from magtube import oracles as orc
 from magtube.cli import main
-from magtube.flow import ComplexTime, FlowOpts, flow_many
+from magtube.flow import ComplexTime, flow_many
 from magtube.geometry import make_flat_magnetic
 from magtube.suites import run_suite
 
@@ -54,7 +54,6 @@ def _gate(report, num, items, label):
 
 def test_criterion_01_flat_flow_oracle_equivalence():
     rng = np.random.default_rng(SEED)
-    opts = FlowOpts()
     t0 = time.perf_counter()
     worst = 0.0
     for B, mass_freq in ((0.5, 1.0), (1.0, 1.0), (1.0, 0.5)):  # Btilde 0.5, 1, 2
@@ -63,7 +62,7 @@ def test_criterion_01_flat_flow_oracle_equivalence():
             [rng.uniform(-1, 1, (200, 2)), rng.uniform(-2, 2, (200, 2))], axis=1
         )
         for sig in (0.7, -1.2, 1j, 0.3 + 0.8j, -0.5 + 0.6j, 1.2j):
-            res = flow_many(geo, Z, ComplexTime(complex(sig)), opts)
+            res = flow_many(geo, Z, ComplexTime(complex(sig)))
             ref = orc.flat_flow_oracle(B, mass_freq, Z, sig)
             assert res.ok.all()
             worst = max(worst, float(np.abs(

@@ -108,6 +108,21 @@ def test_jobs_below_one_is_config_error(tmp_path, monkeypatch, jobs):
     assert main(["potential", "--config", good]) == 2
 
 
+@pytest.mark.parametrize("command", ["flow", "frame", "potential", "acs", "extend", "sweep"])
+def test_grid_count_below_one_and_dim_zero_are_config_errors(tmp_path, capsys, command):
+    # an empty or negative axis is rejected before any array is built, as is
+    # a chart of dimension zero
+    for bad, msg in (("grid = x1:-0.3:0.3:2, p1:0.2:0.6:0\n", "count >= 1, got 0"),
+                     ("grid = x1:-0.3:0.3:-1, p1:0.2:0.6:2\n", "count >= 1, got -1"),
+                     ("dim = 0\ngrid = x1:-0.3:0.3:2\n", "dim must be at least 1")):
+        with pytest.raises(ConfigError, match=msg):
+            parse_config_text(bad)
+        cfg = _write(tmp_path, "c.cfg", "kind = flat\ntime = i\n" + bad)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert msg in capsys.readouterr().err and not out.exists()
+
+
 def test_build_geometry_kinds():
     flat = build_geometry(parse_config_text("kind = flat\nB = 0 1; -1 0\n"))
     assert flat.dim == 2
@@ -335,16 +350,15 @@ def test_cmd_sweep_flat_success_everywhere(tmp_path):
 def test_cmd_sweep_decays_for_tight_geometry(rng):
     # forced failure: a custom chart with a nearby complex singularity loses
     # continuation as |p| grows (exercised through the library API)
-    from magtube.flow import FlowOpts, flow_many
+    from magtube.flow import flow_many
 
     geo = tiny_validity_geometry()
-    opts = FlowOpts(max_steps=1500)
     fractions = []
     for rho in (0.1, 1.0, 3.0):
         dirs = rng.normal(size=(8, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         Z = np.concatenate([np.zeros((8, 2)), rho * dirs], axis=1)
-        res = flow_many(geo, Z, 1j, opts)
+        res = flow_many(geo, Z, 1j)
         fractions.append(float(res.ok.mean()))
     assert fractions[0] == 1.0
     assert fractions[-1] < 1.0
@@ -399,9 +413,9 @@ def test_cmd_sweep_bases_from_x_axes(tmp_path, monkeypatch):
     seen = []
     frames_at_many = cli.frames_at_many
 
-    def recording(geo, Z, t, opts=None):
+    def recording(geo, Z, t):
         seen.append(Z)
-        return frames_at_many(geo, Z, t, opts)
+        return frames_at_many(geo, Z, t)
 
     monkeypatch.setattr(cli, "frames_at_many", recording)
     cfg = _write(tmp_path, "c.cfg",

@@ -8,13 +8,12 @@ import pytest
 
 from conftest import sample_flat, sample_sphere, tiny_validity_geometry
 import magtube
-from magtube import dop853
+from magtube import dop853, flow
 from magtube import oracles as orc
 from magtube.flow import (
     BlowUpError,
     ChartExitError,
     ComplexTime,
-    FlowOpts,
     StepSizeError,
     flow_complex,
     flow_many,
@@ -145,7 +144,7 @@ def test_flow_complex_inverse_consistency(flat_geo):
     z0 = PhasePoint([0.3, -0.2], [0.8, 0.4])
     t = ComplexTime(0.3 + 0.8j)
     out = flow_complex(flat_geo, z0, t)
-    back = flow_many(flat_geo, out.as_vector()[None, :], t.reversed(), real_mode=False).state(0)
+    back = flow_many(flat_geo, out.as_vector()[None, :], t.reversed()).state(0)
     assert np.abs(back.as_vector() - z0.as_vector()).max() < 1e-8
 
 
@@ -172,16 +171,13 @@ def test_chart_exit_detected(flat_geo_free):
 def test_blow_up_detected():
     geo = tiny_validity_geometry()
     with pytest.raises(BlowUpError):
-        flow_complex(geo, PhasePoint([0.0, 0.0], [2.5, 0.0]), 1j,
-                     FlowOpts(max_steps=2000))
+        flow_complex(geo, PhasePoint([0.0, 0.0], [2.5, 0.0]), 1j)
 
 
-def test_step_budget_exhaustion(flat_geo):
+def test_step_budget_exhaustion(flat_geo, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
     with pytest.raises(StepSizeError):
-        flow_real(flat_geo, PhasePoint([0, 0], [1, 0]), 1.0, FlowOpts(max_steps=3))
-    # det_min is always sampled: there is no switch for it
-    with pytest.raises(TypeError):
-        FlowOpts(track_det=False)
+        flow_real(flat_geo, PhasePoint([0, 0], [1, 0]), 1.0)
 
 
 def test_flow_many_records_per_row_failures(flat_geo_free):
@@ -196,6 +192,19 @@ def test_flow_many_records_per_row_failures(flat_geo_free):
     assert np.abs(res.x[0] - np.array([0.5, 0.0])).max() < 1e-12
 
 
+def test_region_is_decided_per_row():
+    # a complex row on a real path must stay in the complex validity region
+    # (|x| < 0.7) even when its batch holds a real row, which is checked
+    # against the chart box (0.9)
+    geo = tiny_validity_geometry()
+    Z = np.array([[0.6 + 0.05j, 0.0, 0.5, 0.0], [0.1, 0.0, 0.3, 0.0]])
+    res = flow_many(geo, Z, 0.4)
+    assert list(res.ok) == [False, True] and res.reasons == ["BLOWUP", None]
+    assert abs(np.abs(res.x[0]).max() - geo.complex_radius) < 0.05
+    one = flow_many(geo, Z[1:], 0.4).state(0)
+    assert np.abs(res.state(1).x - one.x).max() < 1e-12
+
+
 def test_flow_many_matches_single(flat_geo, sphere_geo, rng):
     Z = sample_flat(rng, 6)
     res = flow_many(flat_geo, Z, ComplexTime(1j))
@@ -208,7 +217,7 @@ def test_flow_many_matches_single(flat_geo, sphere_geo, rng):
         for single, batch in (
             (flow_real(geo, z, 0.4), flow_many(geo, row, 0.4).state(0)),
             (flow_complex(geo, z, 0.3 + 0.8j),
-             flow_many(geo, row, ComplexTime(0.3 + 0.8j), real_mode=False).state(0)),
+             flow_many(geo, row, ComplexTime(0.3 + 0.8j)).state(0)),
         ):
             for name in ("x", "p", "jac"):
                 assert np.array_equal(getattr(single, name), getattr(batch, name))
@@ -224,12 +233,13 @@ def test_flow_many_per_row_targets_match_one_row_flows(flat_geo, flat_geo_free, 
         res = flow_many(geo, Z, t)
         assert res.ok.all() and np.array_equal(res.time, t)
         for i, ti in enumerate(t):
-            one = flow_many(geo, Z[i : i + 1], ComplexTime(ti), real_mode=False).state(0)
+            one = flow_many(geo, Z[i : i + 1], ComplexTime(ti)).state(0)
             st = res.state(i)
             assert st.time == ti
             for name in ("x", "p", "quad", "jac"):
                 assert np.abs(getattr(st, name) - getattr(one, name)).max() < 1e-12
-    # real per-row times keep real mode; a failed row keeps its reason and time
+    # real rows at real times are checked against the chart box; a failed row
+    # keeps its reason and time
     Z = np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 80.0, 0.0], [0.1, 0.1, -0.4, 0.2]])
     t = np.array([0.5, 1.0, -0.7])
     res = flow_many(flat_geo_free, Z, t)

@@ -1,0 +1,55 @@
+"""The benchmark harness traces magtube by name: keep those names alive.
+
+``magbench/spans.py`` rebinds the entry points it lists and raises when one
+is missing, so a renamed function or a changed signature would only show up
+in a traced benchmark run.  These tests load that file read-only and check
+its names against the package.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from magtube import flow, geometry, suites
+
+SPANS = Path(__file__).resolve().parents[1] / "magbench" / "spans.py"
+
+
+def _load_spans(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_magbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_entry_points_exist(monkeypatch):
+    spans = _load_spans(monkeypatch)
+    missing = [f"{layer}.{name}" for layer, names in spans.LAYER_ENTRY_POINTS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"magtube.{layer}"), name, None))]
+    missing += [name for name in spans.GEOMETRY_FACTORIES
+                if not callable(getattr(geometry, name, None))]
+    assert not missing
+    # the flow span reads the rows from Z0 (second positional argument) and
+    # the steps and ok flags from the returned (Y, ok, reasons, det_min, steps)
+    assert list(inspect.signature(flow._integrate_path).parameters)[:2] == ["geo", "Z0"]
+    assert tuple(suites.suite_functions()) == spans.SUITES
+
+
+def test_instrumented_flow_is_traced(monkeypatch):
+    spans = _load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        geo = geometry.make_sphere_magnetic(1.0, 1.0)
+        Z = np.array([[0.1, -0.05, 0.3, 0.2], [0.0, 0.1, -0.2, 0.1]])
+        res = flow.flow_many(geo, Z, 1j)
+    assert res.ok.all()
+    m = spans.layer_metrics(tracer)
+    assert m["flow.calls"] == 1 and m["flow.rows"] == 2
+    assert m["flow.steps"] == res.steps and m["flow.rows_failed"] == 0

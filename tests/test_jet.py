@@ -10,7 +10,7 @@ import pytest
 from conftest import sample_flat, sample_sphere
 from magtube import cli, suites
 from magtube.config import parse_config_text
-from magtube.flow import ComplexTime, FlowOpts, _pack, _rhs, field_components
+from magtube.flow import ComplexTime, _pack, _rhs, field_components
 from magtube.geometry import (
     ChartedGeometry,
     FusedJet,
@@ -190,7 +190,7 @@ def test_composed_sphere_meets_the_derivative_tolerances():
     Z = suites._sample_sphere(np.random.default_rng(5), 20, umax=0.12, pmax=0.35)
     for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):
         assert integrability_residual_many(geo, Z, t)[3].max() < 1e-10
-    assert suites._tangent_map_contour_defect(geo, Z, ComplexTime(1j), FlowOpts()) < 1e-10
+    assert suites._tangent_map_contour_defect(geo, Z, ComplexTime(1j)) < 1e-10
 
 
 # The variational term of the tangent RHS, formed by blocks, against DX @ J

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import sample_flat, sample_sphere, tiny_validity_geometry
+from magtube import flow
 from magtube import oracles as orc
-from magtube.flow import BlowUpError, FlowOpts
+from magtube.flow import BlowUpError
 from magtube.geometry import PhasePoint
 from magtube.kahler import (
     CONTOUR_NODES,
@@ -216,13 +217,13 @@ def test_phase_gradient_of_vector_cubic(rng):
     assert np.abs(vals - cubic(Z)[0]).max() < 1e-14
 
 
-def test_phase_gradient_nan_on_failed_row(flat_geo):
+def test_phase_gradient_nan_on_failed_row(flat_geo, monkeypatch):
     # the second point, near the momentum cap, blows up at -i; the first
     # row is still differentiated and nothing is raised
+    monkeypatch.setattr(flow, "P_CAP", 100.0)
     Z = np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 90.0, 0.0]])
-    opts = FlowOpts(p_cap=100.0)
     vals, ok, reasons, grad = phase_gradient(
-        lambda rows: potential_f_many(flat_geo, rows, -1j, opts), Z)
+        lambda rows: potential_f_many(flat_geo, rows, -1j), Z)
     assert list(ok) == [True, False] and reasons == [None, "BLOWUP"]
     assert np.isfinite(grad[0]).all() and np.isnan(grad[1]).all()
     assert np.isfinite(vals[0]) and np.isnan(vals[1])
@@ -306,14 +307,14 @@ def test_potential_f_is_one_row_of_potential_f_many(flat_geo, sphere_geo):
             vals, ok, _ = potential_f_many(geo, row, t)
             assert ok[0] and potential_f(geo, z, t) == vals[0]
     with pytest.raises(BlowUpError):
-        potential_f(tiny_validity_geometry(), PhasePoint([0.0, 0.0], [2.5, 0.0]), -1j,
-                    FlowOpts(max_steps=2000))
+        potential_f(tiny_validity_geometry(), PhasePoint([0.0, 0.0], [2.5, 0.0]), -1j)
 
 
-def test_potential_f_many_flags_failures(flat_geo):
+def test_potential_f_many_flags_failures(flat_geo, monkeypatch):
     # at imaginary time the momentum grows like cosh; a tight cap trips it
+    monkeypatch.setattr(flow, "P_CAP", 100.0)
     Z = np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 90.0, 0.0]])
-    vals, ok, reasons = potential_f_many(flat_geo, Z, -1j, FlowOpts(p_cap=100.0))
+    vals, ok, reasons = potential_f_many(flat_geo, Z, -1j)
     assert ok[0] and not ok[1]
     assert reasons[1] == "BLOWUP"
     assert np.isnan(vals[1].real)

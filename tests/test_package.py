@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -18,6 +20,24 @@ def test_module_all_resolves(name):
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing
     exec(f"from magtube.{name} import *", {})
+
+
+def test_no_integrator_options_in_the_api():
+    # the integrator's tolerances and the validity region are not options:
+    # no exported function takes ``opts`` or ``real_mode``, and the time disk
+    # has one radius
+    exported = {f"magtube.{attr}": getattr(magtube, attr)
+                for attr in dir(magtube) if not attr.startswith("_")}
+    for name in MODULES:
+        mod = importlib.import_module(f"magtube.{name}")
+        exported.update({f"magtube.{name}.{attr}": getattr(mod, attr)
+                         for attr in getattr(mod, "__all__", ())})
+    for label, fn in exported.items():
+        if inspect.isfunction(fn) or dataclasses.is_dataclass(fn):
+            params = inspect.signature(fn).parameters
+            assert not {"opts", "real_mode", "disk_radius"} & set(params), label
+    assert not hasattr(magtube, "FlowOpts")
+    assert list(inspect.signature(magtube.flow_many).parameters) == ["geo", "Z0", "t", "tangent"]
 
 
 BOUNDARY_PROBE = """

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import oracles as orc
-from magtube.flow import BlowUpError, ComplexTime, FlowOpts, flow_complex, flow_many
+from magtube.flow import BlowUpError, ComplexTime, flow_complex, flow_many
 from magtube.geometry import PhasePoint, twisted_symplectic_matrix
 from magtube import structure, suites
 from magtube.kahler import CONTOUR_NODES, CONTOUR_RADIUS, potential_f_many
@@ -64,8 +64,7 @@ def test_frames_at_many_agrees_with_single(flat_geo, sphere_geo, rng):
         assert ok[0] and np.array_equal(fr.F, F[0])
         assert fr.inverse_residual == inv[0]
     with pytest.raises(BlowUpError):
-        frame_at(tiny_validity_geometry(), PhasePoint([0.0, 0.0], [2.5, 0.0]), 1j,
-                 FlowOpts(max_steps=2000))
+        frame_at(tiny_validity_geometry(), PhasePoint([0.0, 0.0], [2.5, 0.0]), 1j)
 
 
 def test_failed_row_frame_is_nan():
@@ -73,10 +72,22 @@ def test_failed_row_frame_is_nan():
     # of the chart origin where the integrator parks it
     geo = tiny_validity_geometry()
     Z = np.array([[0.1, 0.0, 0.2, 0.0], [0.0, 0.0, 2.5, 0.0], [0.0, 0.1, 0.0, -0.2]])
-    F, ok, reasons, inv = frames_at_many(geo, Z, 1j, FlowOpts(max_steps=2000))
+    F, ok, reasons, inv = frames_at_many(geo, Z, 1j)
     assert list(ok) == [True, False, True] and reasons[1] == "BLOWUP"
     assert np.isnan(F[1]).all() and inv[1] == np.inf
     assert np.isfinite(F[[0, 2]]).all() and np.isfinite(inv[[0, 2]]).all()
+
+
+def test_real_time_frames_are_checked_against_the_chart_box(sphere_geo):
+    # a real row on a real path may leave the complex validity region
+    # (|x| < 0.6 on the unit sphere) while it stays in the chart box: the
+    # frame is computed wherever the real flow is
+    Z = np.array([[-0.5, 0.0, 0.8, 0.0], [-0.5, 0.0, 1.5, 0.0], [0.1, 0.0, 0.3, 0.2]])
+    back = flow_many(sphere_geo, Z, -0.8)
+    assert back.ok.all() and (np.abs(back.x[:2]) >= sphere_geo.complex_radius).any(axis=1).all()
+    F, ok, reasons, inv = frames_at_many(sphere_geo, Z, 0.8)
+    assert ok.all() and reasons == [None] * 3
+    assert np.isfinite(F).all() and inv.max() < 1e-10
 
 
 def test_tangent_free_paths_skip_second_derivatives(sphere_geo, rng):
@@ -98,7 +109,7 @@ def test_tangent_free_paths_skip_second_derivatives(sphere_geo, rng):
     assert calls == {"inv_metric_deriv2": 0, "beta_deriv": 0}
 
     # frames: the one backward flow carries the tangent map
-    flow_many(geo, Z, t.reversed(), real_mode=False)
+    flow_many(geo, Z, t.reversed())
     backward = dict(calls)
     assert backward["inv_metric_deriv2"] > 0 and backward["beta_deriv"] > 0
     calls.update(inv_metric_deriv2=0, beta_deriv=0)
@@ -123,8 +134,8 @@ def test_frames_at_many_makes_one_flow(sphere_geo, rng, monkeypatch):
 def _round_trip_frames(geo, Z, t):
     """Vertical frame at w = Phi_{-t}(z) pushed forward by DPhi_t(w)."""
     t = ComplexTime(t)
-    back = flow_many(geo, Z, t.reversed(), real_mode=False, tangent=False)
-    fwd = flow_many(geo, np.concatenate([back.x, back.p], axis=1), t, real_mode=False)
+    back = flow_many(geo, Z, t.reversed(), tangent=False)
+    fwd = flow_many(geo, np.concatenate([back.x, back.p], axis=1), t)
     assert back.ok.all() and fwd.ok.all()
     return orthonormalize(fwd.jac[:, :, geo.dim:])
 
@@ -289,16 +300,15 @@ def test_integrability_sphere_complex_time(sphere_geo):
 def test_integrability_failure_is_per_row():
     # the second row's stencil leaves the tube; the others are still computed
     geo = tiny_validity_geometry()
-    opts = FlowOpts(max_steps=2000)
     Z = np.array([[0.1, 0.0, 0.2, 0.0], [0.0, 0.0, 2.5, 0.0], [0.0, 0.1, 0.0, -0.2]])
-    F, ok, reasons, res = integrability_residual_many(geo, Z, 1j, opts=opts)
+    F, ok, reasons, res = integrability_residual_many(geo, Z, 1j)
     assert np.isnan(res[1])
     assert np.isfinite(res[[0, 2]]).all() and res[[0, 2]].max() < 1e-4
     # the centre row itself fails, and only that row
     assert list(ok) == [True, False, True] and reasons[1] == "BLOWUP"
     assert np.isnan(F[1]).all() and np.isfinite(F[[0, 2]]).all()
     with pytest.raises(RuntimeError, match="left the tube"):
-        integrability_residual(geo, PhasePoint(Z[1, :2], Z[1, 2:]), 1j, opts=opts)
+        integrability_residual(geo, PhasePoint(Z[1, :2], Z[1, 2:]), 1j)
 
 
 def test_integrability_centre_frames_are_the_frames(flat_geo, sphere_geo, rng):
@@ -343,7 +353,7 @@ def test_batched_bracket_matches_loop(sphere_geo, rng):
     rows, weights = _contour_rows(Z)
     for t in (1j, 0.3 + 0.8j):
         res = integrability_residual_many(sphere_geo, Z, t)[3]
-        X_all, ok, _, _ = structure._transport(sphere_geo, rows, t, FlowOpts())
+        X_all, ok, _, _ = structure._transport(sphere_geo, rows, t)
         assert ok.all()
         ref = _loop_bracket_defect(X_all, 4, weights)
         assert ref.max() > 1e-16 and np.abs(res - ref).max() < 1e-14
@@ -351,7 +361,7 @@ def test_batched_bracket_matches_loop(sphere_geo, rng):
 
 def _closed_form_transport(second_column):
     """A stand-in for the transport: X_1 = e_1, X_2 = e_2 + second_column(z)."""
-    def transport(geo, Z, t, opts):
+    def transport(geo, Z, t):
         X = np.zeros((len(Z), 4, 2), dtype=complex)
         X[:, 0, 0] = 1.0
         X[:, 1, 1] = 1.0
