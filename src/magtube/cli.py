@@ -14,6 +14,13 @@ extend     holomorphic extension of a monomial in the base coordinates
 verify     run a verification suite, emit a JSON report, exit 0 iff it passes
 sweep      per-|p|-shell continuation success fraction and structure margins
 
+The first five are the grid commands, rows of ``GRID_COMMANDS``: each names
+its row builder, its columns and its time rule, and ``cmd_grid`` runs them
+all one way (config, geometry, grid and time once, then rows, then CSV).
+``--jobs N`` splits a grid command's rows over N worker processes; verify and
+sweep run in one process.  flow and frame take any time; acs, extend and
+sweep need Im t != 0; potential computes at t = i only, with no path.
+
 Exit codes: 0 all good / checks pass, 1 check failure, 2 configuration error.
 Config keys can be overridden through MAGTUBE_* environment variables.
 """
@@ -22,7 +29,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,92 +108,49 @@ def _load(args) -> RunConfig:
     return check_run_keys(cfg)
 
 
-def _time_of(cfg: RunConfig):
-    if cfg.time.imag == 0.0 and not cfg.path:
-        return cfg.time.real
+def _chunks(m: int, jobs: int):
+    """Contiguous row slices [lo, hi), one per worker and none empty (the
+    grid has m >= 1 rows and jobs >= 1)."""
+    bounds = np.linspace(0, m, min(jobs, m) + 1).astype(int).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+# ---------------------------------------------------------------------------
+# time rules: (cfg, command) -> ComplexTime, checked on cfg.time and cfg.path
+# before any flow (``grid_points`` has already checked the path itself)
+# ---------------------------------------------------------------------------
+
+def _any_time(cfg: RunConfig, command: str) -> ComplexTime:
     return ComplexTime(cfg.time, cfg.path)
 
 
-def _complex_time_of(cfg: RunConfig, command: str) -> ComplexTime:
-    t = _time_of(cfg)
-    if isinstance(t, float):
-        raise ConfigError(f"{command} requires a complex time (Im t != 0)")
-    return t
+def _complex_time(cfg: RunConfig, command: str) -> ComplexTime:
+    if cfg.time.imag == 0.0:
+        raise ConfigError(f"{command} requires a complex time (Im t != 0), got {cfg.time}")
+    return ComplexTime(cfg.time, cfg.path)
 
 
-def _chunks(m: int, jobs: int):
-    jobs = max(1, min(jobs, m)) if m else 1
-    bounds = np.linspace(0, m, jobs + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _flow_chunk(raw_cfg: dict, lo: int, hi: int, task: str):
-    """Worker entry: rebuild the geometry from the raw config and process a
-    contiguous slice of the grid (deterministic for a fixed config)."""
-    from .config import _config_from_pairs
-
-    cfg = _config_from_pairs(dict(raw_cfg))
-    geo = build_geometry(cfg)
-    Z = grid_points(cfg, geo)[lo:hi]
-    t = _time_of(cfg)
-    if task == "flow":
-        return _rows_flow(geo, Z, t)
-    if task == "frame":
-        return _rows_frame(geo, Z, t)
-    if task == "potential":
-        return _rows_potential(geo, Z)
-    raise ValueError(task)
-
-
-def _map_rows(cfg: RunConfig, m: int, task: str):
-    spans = _chunks(m, cfg.jobs)
-    if cfg.jobs <= 1 or len(spans) <= 1:
-        out = []
-        for lo, hi in spans:
-            out.extend(_flow_chunk(cfg.raw, lo, hi, task))
-        return out
-    # imported here: the pool module pulls in multiprocessing, which serial
-    # runs never need
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        futs = [pool.submit(_flow_chunk, cfg.raw, lo, hi, task) for lo, hi in spans]
-        out = []
-        for f in futs:
-            out.extend(f.result())
-    return out
+def _time_i(cfg: RunConfig, command: str) -> ComplexTime:
+    if cfg.time != 1j or cfg.path:
+        raise ConfigError(f"{command} computes f_{{-i}} at t = i only: set time = i and no path")
+    return ComplexTime(1j)
 
 
 # ---------------------------------------------------------------------------
-# row builders
+# row builders: (geo, Z, t[, monomial]) -> CSV rows, and their columns
 # ---------------------------------------------------------------------------
 
-def _flow_header(n: int):
-    cols = []
-    for j in range(n):
-        cols += [f"x{j+1}_re", f"x{j+1}_im"]
-    for j in range(n):
-        cols += [f"p{j+1}_re", f"p{j+1}_im"]
-    cols += ["q_re", "q_im"]
-    for a in range(2 * n):
-        for b in range(2 * n):
-            cols += [f"jac{a}{b}_re", f"jac{a}{b}_im"]
-    cols += ["status", "reason"]
-    return cols
+def _base(n: int):
+    return [f"x{j+1}" for j in range(n)] + [f"p{j+1}" for j in range(n)]
+
+
+def _re_im(names):
+    return [f"{name}_{part}" for name in names for part in ("re", "im")]
 
 
 def _rows_flow(geo, Z, t):
     res = flow_many(geo, Z, t)
     return _csv_rows([res.x, res.p, res.quad, res.jac], res.ok, res.reasons)
-
-
-def _frame_header(n: int):
-    cols = [f"x{j+1}" for j in range(n)] + [f"p{j+1}" for j in range(n)]
-    for a in range(2 * n):
-        for b in range(n):
-            cols += [f"F{a}{b}_re", f"F{a}{b}_im"]
-    cols += ["transversality", "inverse_residual", "status", "reason"]
-    return cols
 
 
 def _rows_frame(geo, Z, t):
@@ -195,8 +161,20 @@ def _rows_frame(geo, Z, t):
     return _csv_rows([np.real(Z), F, smin, inv_res], ok, reasons)
 
 
-def _rows_potential(geo, Z):
-    F, okf, reasons_f, _ = frames_at_many(geo, Z, 1j)
+def _rows_acs(geo, Z, t):
+    n = geo.dim
+    F, ok, reasons, integ = integrability_residual_many(geo, Z, t)
+    vals = np.full((len(Z), 3 + 4 * n * n), np.nan)
+    for i in np.flatnonzero(ok):
+        z = PhasePoint(Z[i, :n].real, Z[i, n:].real)
+        acs = assemble_J(LagrangianFrame(base=z, time=t.target, F=F[i]), geo)
+        vals[i, :3] = acs.transversality, acs.positivity_spectrum.min(), integ[i]
+        vals[i, 3:] = acs.J.reshape(-1)
+    return _csv_rows([np.real(Z), vals], ok, reasons)
+
+
+def _rows_potential(geo, Z, t):
+    F, okf, reasons_f, _ = frames_at_many(geo, Z, t)
     fm, okm, reasons, dbar = dbar_residual_many(geo, Z, F.conj())
     ok = okm & okf
     kde = np.full(Z.shape[0], np.nan)
@@ -207,78 +185,29 @@ def _rows_potential(geo, Z):
                      [r or rf for r, rf in zip(reasons, reasons_f)])
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_flow(args) -> int:
-    cfg = _load(args)
-    geo = build_geometry(cfg)
-    Z = grid_points(cfg, geo)
-    rows = _map_rows(cfg, Z.shape[0], "flow")
-    _write_csv(cfg.out, _flow_header(geo.dim), rows)
-    return 0
+def _rows_extend(geo, Z, t, monomial):
+    res = flow_many(geo, Z, t, tangent=False)
+    ext = np.full((len(Z), 2), np.nan)
+    vals = monomial(res.x[res.ok])
+    ext[res.ok] = np.stack([vals.real, vals.imag], axis=1)
+    return _csv_rows([np.real(Z), ext], res.ok, res.reasons)
 
 
-def cmd_frame(args) -> int:
-    cfg = _load(args)
-    geo = build_geometry(cfg)
-    Z = grid_points(cfg, geo)
-    rows = _map_rows(cfg, Z.shape[0], "frame")
-    _write_csv(cfg.out, _frame_header(geo.dim), rows)
-    return 0
-
-
-def cmd_acs(args) -> int:
-    cfg = _load(args)
-    geo = build_geometry(cfg)
-    Z = grid_points(cfg, geo)
-    t = _complex_time_of(cfg, "acs")
-    n = geo.dim
-    F, ok, reasons, integ = integrability_residual_many(geo, Z, t)
-    header = [f"x{j+1}" for j in range(n)] + [f"p{j+1}" for j in range(n)]
-    header += ["transversality", "min_positivity_eig", "integrability_residual"]
-    header += [f"J{a}{b}" for a in range(2 * n) for b in range(2 * n)]
-    header += ["status", "reason"]
-    vals = np.full((Z.shape[0], 3 + 4 * n * n), np.nan)
-    for i in np.flatnonzero(ok):
-        z = PhasePoint(Z[i, :n].real, Z[i, n:].real)
-        acs = assemble_J(LagrangianFrame(base=z, time=complex(cfg.time), F=F[i]), geo)
-        vals[i, :3] = acs.transversality, acs.positivity_spectrum.min(), integ[i]
-        vals[i, 3:] = acs.J.reshape(-1)
-    _write_csv(cfg.out, header, _csv_rows([np.real(Z), vals], ok, reasons))
-    return 0
-
-
-def cmd_potential(args) -> int:
-    cfg = _load(args)
-    geo = build_geometry(cfg)
-    Z = grid_points(cfg, geo)
-    n = geo.dim
-    header = [f"x{j+1}" for j in range(n)] + [f"p{j+1}" for j in range(n)]
-    header += ["f_minus_i_re", "f_minus_i_im", "kappa2", "kde_residual",
-               "dbar_residual", "weight_modulus", "status", "reason"]
-    rows = _map_rows(cfg, Z.shape[0], "potential")
-    _write_csv(cfg.out, header, rows)
-    return 0
+_FACTOR = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
 
 def _parse_monomial(expr: str, n: int):
-    """Products of powers of base coordinates: 'x1', 'x1^2', 'x1*x2'."""
-    expr = expr.replace(" ", "")
+    """Products of powers of base coordinates, 'x1', 'x1^2', 'x1*x2': each
+    factor is x<k> or x<k>^<power> with 1 <= k <= n and an integer power of
+    at least 1."""
     factors = []
-    for part in expr.split("*"):
-        if "^" in part:
-            name, power = part.split("^", 1)
-            k = int(power)
-        else:
-            name, k = part, 1
-        if not name.startswith("x"):
-            raise ConfigError(f"extend only supports base-coordinate monomials, got {part!r}")
-        idx = int(name[1:]) - 1
-        if not 0 <= idx < n:
-            raise ConfigError(f"coordinate {name} out of range for dim {n}")
-        factors.append((idx, k))
+    for part in expr.replace(" ", "").split("*"):
+        match = _FACTOR.fullmatch(part)
+        k, power = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+        if not (1 <= k <= n and power >= 1):
+            raise ConfigError(f"--f factor {part!r} is not x<k> or x<k>^<power> "
+                              f"with 1 <= k <= {n} and power >= 1")
+        factors.append((k - 1, power))
 
     def f(xc):
         out = np.ones(xc.shape[:-1], dtype=complex)
@@ -289,19 +218,86 @@ def _parse_monomial(expr: str, n: int):
     return f
 
 
-def cmd_extend(args) -> int:
-    cfg = _load(args)
+class GridCommand(NamedTuple):
+    """A grid command: one CSV row per grid point, ``columns(n)`` then status
+    and reason."""
+
+    help: str
+    rows: Callable  # (geo, Z, t[, monomial]) -> CSV rows
+    columns: Callable  # n -> column names
+    time: Callable  # time rule
+    monomial: bool = False  # takes --f, parsed into the builder's last argument
+
+
+GRID_COMMANDS = {
+    "flow": GridCommand(
+        "flow the configured grid", _rows_flow,
+        lambda n: _re_im(_base(n) + ["q"] + [f"jac{a}{b}" for a in range(2 * n)
+                                              for b in range(2 * n)]),
+        _any_time),
+    "frame": GridCommand(
+        "transported frames on the grid", _rows_frame,
+        lambda n: _base(n) + _re_im(f"F{a}{b}" for a in range(2 * n) for b in range(n))
+        + ["transversality", "inverse_residual"],
+        _any_time),
+    "acs": GridCommand(
+        "almost complex structure data on the grid", _rows_acs,
+        lambda n: _base(n) + ["transversality", "min_positivity_eig", "integrability_residual"]
+        + [f"J{a}{b}" for a in range(2 * n) for b in range(2 * n)],
+        _complex_time),
+    "potential": GridCommand(
+        "Kaehler potential data on the grid", _rows_potential,
+        lambda n: _base(n) + ["f_minus_i_re", "f_minus_i_im", "kappa2", "kde_residual",
+                              "dbar_residual", "weight_modulus"],
+        _time_i),
+    "extend": GridCommand(
+        "holomorphic extension of a base monomial", _rows_extend,
+        lambda n: _base(n) + ["extension_re", "extension_im"],
+        _complex_time, monomial=True),
+}
+
+
+def _grid_inputs(cfg: RunConfig, command: str, function):
+    """The geometry, the grid rows and the builder's arguments after them:
+    the time its rule gives and, for a monomial command, the parsed --f."""
+    spec = GRID_COMMANDS[command]
     geo = build_geometry(cfg)
     Z = grid_points(cfg, geo)
-    f = _parse_monomial(args.function, geo.dim)
-    t = _complex_time_of(cfg, "extend")
-    res = flow_many(geo, Z, t, tangent=False)
-    vals = f(res.x)
-    n = geo.dim
-    header = [f"x{j+1}" for j in range(n)] + [f"p{j+1}" for j in range(n)]
-    header += ["extension_re", "extension_im", "status", "reason"]
-    ext = np.where(res.ok[:, None], np.stack([vals.real, vals.imag], axis=1), np.nan)
-    _write_csv(cfg.out, header, _csv_rows([np.real(Z), ext], res.ok, res.reasons))
+    extra = (spec.time(cfg, command),)
+    if spec.monomial:
+        extra += (_parse_monomial(function, geo.dim),)
+    return geo, Z, extra
+
+
+def _grid_chunk(raw_cfg: dict, command: str, lo: int, hi: int, function):
+    """Worker entry: rebuild the inputs from the raw config and build the
+    rows of the grid slice [lo, hi) (deterministic for a fixed config)."""
+    from .config import _config_from_pairs
+
+    geo, Z, extra = _grid_inputs(_config_from_pairs(dict(raw_cfg)), command, function)
+    return GRID_COMMANDS[command].rows(geo, Z[lo:hi], *extra)
+
+
+def cmd_grid(args) -> int:
+    """Run a grid command: one config, geometry, grid and time per run; with
+    more than one chunk each worker rebuilds them from the raw config."""
+    cfg = _load(args)
+    spec = GRID_COMMANDS[args.command]
+    function = getattr(args, "function", None)
+    geo, Z, extra = _grid_inputs(cfg, args.command, function)
+    spans = _chunks(len(Z), cfg.jobs)
+    if len(spans) == 1:
+        rows = spec.rows(geo, Z, *extra)
+    else:
+        # imported here: the pool module pulls in multiprocessing, which
+        # serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            futs = [pool.submit(_grid_chunk, cfg.raw, args.command, lo, hi, function)
+                    for lo, hi in spans]
+            rows = [row for fut in futs for row in fut.result()]
+    _write_csv(cfg.out, spec.columns(geo.dim) + ["status", "reason"], rows)
     return 0
 
 
@@ -333,7 +329,7 @@ def cmd_sweep(args) -> int:
     else:
         radii = np.linspace(0.1, 1.0, 8)
     bases = np.unique(grid_points(cfg, geo)[:, :n], axis=0)
-    t = _complex_time_of(cfg, "sweep")
+    t = _complex_time(cfg, "sweep")
     ndir = 16
     header = ["p_shell", "n_points", "success_fraction", "min_transversality",
               "min_positivity_eig"]
@@ -373,30 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=None, help="random seed override")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (at least 1); only flow, frame and "
-                            "potential use more than one")
+                       help="worker processes (at least 1); the grid commands split "
+                            "their rows over them, verify and sweep run in one process")
 
-    p = sub.add_parser("flow", help="flow the configured grid")
-    common(p)
-    p.set_defaults(func=cmd_flow)
-
-    p = sub.add_parser("frame", help="transported frames on the grid")
-    common(p)
-    p.set_defaults(func=cmd_frame)
-
-    p = sub.add_parser("acs", help="almost complex structure data on the grid")
-    common(p)
-    p.set_defaults(func=cmd_acs)
-
-    p = sub.add_parser("potential", help="Kaehler potential data on the grid")
-    common(p)
-    p.set_defaults(func=cmd_potential)
-
-    p = sub.add_parser("extend", help="holomorphic extension of a base monomial")
-    common(p)
-    p.add_argument("--f", dest="function", default="x1",
-                   help="monomial in base coordinates, e.g. x1, x1^2, x1*x2")
-    p.set_defaults(func=cmd_extend)
+    for name, spec in GRID_COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        common(p)
+        if spec.monomial:
+            p.add_argument("--f", dest="function", default="x1",
+                           help="monomial in base coordinates: factors x<k> or x<k>^<power> "
+                                "joined by *, e.g. x1, x1^2, x1*x2")
+        p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)

@@ -120,9 +120,10 @@ class ComplexTime:
     """A complex time target with a continuation path from 0.
 
     The path is a polyline given by its waypoints after the origin; the
-    default is the single straight segment 0 -> target.  Everything must stay
-    inside the disk of radius ``DISK_RADIUS`` (waypoints suffice: the disk is
-    convex).
+    default is the single straight segment 0 -> target.  A path with a
+    non-real waypoint must stay inside the disk of radius ``DISK_RADIUS``
+    (waypoints suffice: the disk is convex); a real path carries no disk
+    constraint, since the disk bounds the analytic continuation only.
     """
 
     target: complex
@@ -134,9 +135,10 @@ class ComplexTime:
         if abs(path[-1] - self.target) > 0:
             raise ValueError("path must end at the target")
         object.__setattr__(self, "path", path)
-        for w in path:
-            if abs(w) > DISK_RADIUS + 1e-12:
-                raise ValueError(f"waypoint {w} outside the time disk of radius {DISK_RADIUS}")
+        if any(w.imag != 0.0 for w in path):
+            for w in path:
+                if abs(w) > DISK_RADIUS + 1e-12:
+                    raise ValueError(f"waypoint {w} outside the time disk of radius {DISK_RADIUS}")
 
     @property
     def waypoints(self):
@@ -566,7 +568,7 @@ def flow_many(
     of raising.  The region is decided per row: a real row on a real path
     must stay inside the chart box (else ``CHART_EXIT``), every other row
     inside the complex validity region (else ``BLOWUP``).  Real times carry
-    no disk constraint (the disk bounds the analytic continuation only).  With
+    no disk constraint, as in ``ComplexTime``.  With
     ``tangent=False`` only the phase point and the quadrature are
     integrated: ``jac`` is None and ``det_min`` NaN, and neither the field
     Jacobian nor the geometry's second derivatives are evaluated.
@@ -576,9 +578,6 @@ def flow_many(
         if (np.abs(target[target.imag != 0.0]) > DISK_RADIUS + 1e-12).any():
             raise ValueError(f"target outside the time disk of radius {DISK_RADIUS}")
         waypoints = np.stack([np.zeros(len(target)), target], axis=1)
-    elif not isinstance(t, ComplexTime) and complex(t).imag == 0.0:
-        waypoints = (0.0, complex(t).real)
-        target = complex(t).real
     else:
         tt = as_complex_time(t)
         waypoints = tt.waypoints

@@ -233,17 +233,17 @@ def test_cmd_extend(tmp_path):
         "c.cfg",
         "kind = flat\nB = 0 1; -1 0\ngrid = x1:-0.2:0.2:2, p1:-0.4:0.4:2\ntime = i\n",
     )
-    out = str(tmp_path / "ext.csv")
-    assert main(["extend", "--config", cfg, "--f", "x1^2", "--out", out]) == 0
-    rows = [line.split(",") for line in open(out).read().strip().splitlines()]
-    header, data = rows[0], rows[1:]
-    ire, iim = header.index("extension_re"), header.index("extension_im")
     c = parse_config_text(open(cfg).read())
     Z = grid_points(c, build_geometry(c))
     zc = orc.flat_complex_coordinates(1.0, 1.0, Z)
-    for row, ref in zip(data, zc):
-        got = complex(float(row[ire]), float(row[iim]))
-        assert abs(got - ref[0] ** 2) < 1e-8
+    out = str(tmp_path / "ext.csv")
+    for function, want in (("x1^2", zc[:, 0] ** 2), ("x1 * x2^2", zc[:, 0] * zc[:, 1] ** 2)):
+        assert main(["extend", "--config", cfg, "--f", function, "--out", out]) == 0
+        rows = [line.split(",") for line in open(out).read().strip().splitlines()]
+        header, data = rows[0], rows[1:]
+        ire, iim = header.index("extension_re"), header.index("extension_im")
+        for row, ref in zip(data, want):
+            assert abs(complex(float(row[ire]), float(row[iim])) - ref) < 1e-8
 
 
 def test_cmd_potential_columns(tmp_path):
@@ -480,33 +480,6 @@ def test_cmd_flow_parallel_jobs(tmp_path):
     assert np.abs(r1 - r2).max() < 1e-9
 
 
-def test_cmd_frame_pool_rows_are_the_chunk_rows(tmp_path, monkeypatch):
-    # --jobs 2 starts a real pool, and its CSV holds, byte for byte, the rows
-    # of the two chunks computed in this process
-    import concurrent.futures
-
-    pools = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    cfg = _write(
-        tmp_path,
-        "c.cfg",
-        "kind = sphere\nradius = 1\nfield = 1\ngrid = x1:-0.2:0.2:3, p2:-0.5:0.5:3\n",
-    )
-    out = tmp_path / "j2.csv"
-    assert main(["frame", "--config", cfg, "--jobs", "2", "--out", str(out)]) == 0
-    assert pools == [2]
-    raw = load_config(cfg).raw
-    rows = cli._flow_chunk(raw, 0, 4, "frame") + cli._flow_chunk(raw, 4, 9, "frame")
-    header = cli._frame_header(2)
-    assert out.read_text() == "\n".join(",".join(r) for r in [header] + rows) + "\n"
-
-
 def test_csv_rows_match_per_value_formatting():
     # whole-array rows against per-value formatting of numpy scalars,
     # including -0.0, infinities, a subnormal and a failed row of NaNs
@@ -530,22 +503,147 @@ def test_csv_rows_match_per_value_formatting():
     assert got[0][:2] == ["-0", "4.9406564584124654e-324"] and got[1][-2:] == ["failed", "BLOWUP"]
 
 
+GRID_COMMANDS = ["flow", "frame", "acs", "potential", "extend"]
+
+
+def _record_pools(monkeypatch):
+    """Worker counts of the process pools the CLI starts (real pools)."""
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_cmd_flow_rows_are_the_chunk_rows(tmp_path, jobs):
-    # one row per grid point, failed rows included, byte for byte the rows of
-    # the chunks that --jobs splits the grid into
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_cmd_flow_rows_are_the_chunk_rows(tmp_path, monkeypatch, command, jobs):
+    # every grid command: one row per grid point, failed rows included, byte
+    # for byte the rows of the worker entry on the chunks that --jobs splits
+    # the grid into; --jobs 2 starts a 2-worker pool, --jobs 1 none
+    pools = _record_pools(monkeypatch)
     cfg = _write(
         tmp_path,
         "c.cfg",
         "kind = sphere\nradius = 1\nfield = 1\ngrid = x1:-0.2:0.7:3, p2:-0.5:0.5:3\ntime = i\n",
     )
-    out = tmp_path / "flow.csv"
-    assert main(["flow", "--config", cfg, "--jobs", str(jobs), "--out", str(out)]) == 0
+    function = "x1^2" if command == "extend" else None
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", cfg, "--jobs", str(jobs), "--out", str(out)]
+    assert main(argv + (["--f", function] if function else [])) == 0
+    assert pools == ([2] if jobs == 2 else [])
     raw = load_config(cfg).raw
-    rows = [row for lo, hi in cli._chunks(9, jobs) for row in cli._flow_chunk(raw, lo, hi, "flow")]
-    assert [r[-2] for r in rows].count("failed") == 3
-    header = cli._flow_header(2)
+    rows = [row for lo, hi in cli._chunks(9, jobs)
+            for row in cli._grid_chunk(raw, command, lo, hi, function)]
+    assert [r[-2:] for r in rows].count(["failed", "BLOWUP"]) == 3
+    header = cli.GRID_COMMANDS[command].columns(2) + ["status", "reason"]
     assert out.read_text() == "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_grid_command_builds_its_inputs_once(tmp_path, monkeypatch, command):
+    # at --jobs 1 the config is parsed, and the geometry and grid are built,
+    # once per run: the builder gets the runner's own inputs
+    counts = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(config, "_config_from_pairs")
+    for name in ("build_geometry", "grid_points"):
+        counting(cli, name)
+    cfg = _write(tmp_path, "c.cfg", CHART_CONFIGS["sphere"]
+                 + "grid = x1:-0.1:0.1:2, p1:0.2:0.3:2\ntime = i\n")
+    assert main([command, "--config", cfg, "--jobs", "1", "--out", str(tmp_path / "o.csv")]) == 0
+    assert counts == {"_config_from_pairs": 1, "build_geometry": 1, "grid_points": 1}
+
+
+@pytest.mark.parametrize("command", ["acs", "extend", "sweep"])
+def test_complex_time_commands_reject_a_real_time_on_a_complex_path(tmp_path, monkeypatch,
+                                                                    capsys, command):
+    # Im time != 0 whatever the path, checked on the configured time before
+    # any flow
+    flows = []
+    monkeypatch.setattr(flow, "_integrate_path", lambda *args, **kwargs: flows.append(args))
+    cfg = _write(tmp_path, "c.cfg", "kind = flat\nB = 0 1; -1 0\ngrid = p1:0.2:0.6:2\n"
+                 "time = 1.0\npath = 0.5+0.5i, 1.0\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "requires a complex time" in capsys.readouterr().err
+    assert not out.exists() and not flows
+
+
+@pytest.mark.parametrize("time, path", [("0.3+0.8i", None), ("0.5", None), ("-i", None),
+                                        ("i", "0.5+0.2i, i"), ("i", "i")])
+def test_potential_needs_time_i_and_no_path(tmp_path, capsys, time, path):
+    # potential computes f_{-i} at t = i only: another time, or any path, is
+    # a configuration error rather than ignored
+    text = f"kind = flat\nB = 0 1; -1 0\ngrid = p1:0.2:0.6:2\ntime = {time}\n"
+    cfg = _write(tmp_path, "c.cfg", text + (f"path = {path}\n" if path else ""))
+    out = tmp_path / "out.csv"
+    assert main(["potential", "--config", cfg, "--out", str(out)]) == 2
+    assert "t = i only" in capsys.readouterr().err and not out.exists()
+
+
+def test_real_time_outside_the_disk_is_a_grid_time(tmp_path):
+    # a real time carries no disk constraint on the command line either
+    text = "kind = flat\nB = 0 1; -1 0\ngrid = x1:-0.3:0.3:2, p1:-0.5:0.5:2\ntime = 2\n"
+    cfg = _write(tmp_path, "c.cfg", text)
+    out = tmp_path / "flow.csv"
+    assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    got = np.array([[float(v) for v in row[:8:2]] for row in rows])
+    c = parse_config_text(text)
+    Z = grid_points(c, build_geometry(c))
+    assert np.abs(got - orc.flat_flow_oracle(1.0, 1.0, Z, 2.0).real).max() < 1e-11
+    assert main(["frame", "--config", cfg, "--out", str(tmp_path / "frame.csv")]) == 0
+
+
+@pytest.mark.parametrize("function", ["xa", "x1^b", "x", "x1^-1", "y1", "x3", "x0", "x1^0", ""])
+def test_extend_rejects_a_malformed_monomial(tmp_path, monkeypatch, capsys, function):
+    # only x<k>[^<power>] factors joined by '*', 1 <= k <= dim, power >= 1;
+    # rejected before any worker starts
+    pools = _record_pools(monkeypatch)
+    cfg = _write(tmp_path, "c.cfg", "kind = flat\nB = 0 1; -1 0\ngrid = x1:-0.2:0.2:2, p1:0:0.4:2\n")
+    out = tmp_path / "ext.csv"
+    assert main(["extend", "--config", cfg, "--jobs", "2", "--f", function, "--out", str(out)]) == 2
+    assert "--f factor" in capsys.readouterr().err
+    assert not out.exists() and pools == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cmd_extend_on_the_sphere(tmp_path, jobs):
+    # the extension of x1 is the chart coordinate r a1 / (r - a3) of the
+    # explicit complex-sphere image a of each ok row; the p1 = 3 rows leave
+    # the tube
+    cfg = _write(tmp_path, "c.cfg", CHART_CONFIGS["sphere"] + "grid = x1:-0.1:0.1:2, "
+                 "x2:-0.05:0.05:2, p1:0.5:3:3, p2:-0.2:0.2:2\ntime = i\n")
+    out = tmp_path / "ext.csv"
+    assert main(["extend", "--config", cfg, "--jobs", str(jobs), "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "x1,x2,p1,p2,extension_re,extension_im,status,reason"
+    rows = [line.split(",") for line in lines[1:]]
+    Z = np.array([[float(v) for v in row[:4]] for row in rows])
+    ext = np.array([complex(float(row[4]), float(row[5])) for row in rows])
+    far = Z[:, 2] == 3.0
+    assert far.sum() == 8 and all(row[6:] == ["failed", "BLOWUP"] for row, f in zip(rows, far) if f)
+    assert np.isnan(ext[far].real).all() and np.isnan(ext[far].imag).all()
+    assert all(row[6:] == ["ok", ""] for row, f in zip(rows, far) if not f)
+    x, p3 = orc.sphere_chart_to_embedding(Z[~far, :2], Z[~far, 2:], 1.0)
+    a = orc.sphere_embedding_map(x, p3, 1.0, 1.0)
+    assert np.abs(ext[~far] - a[:, 0] / (1.0 - a[:, 2])).max() < 1e-10
 
 
 def test_debug_reraises_with_traceback(tmp_path, monkeypatch, capsys):

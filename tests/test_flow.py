@@ -22,7 +22,8 @@ from magtube.flow import (
     radius_estimate,
 )
 from magtube.geometry import FusedJet, PhasePoint, energy, twisted_symplectic_matrix
-from magtube.kahler import phase_gradient
+from magtube.kahler import phase_gradient, potential_f_many
+from magtube.structure import frames_at_many, subspace_distance
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +158,25 @@ def test_complex_time_validation():
         ComplexTime(1j, (0.5, 0.9j))  # path must end at the target
     t = ComplexTime(1j, (0.5 + 0.2j, 1j))
     assert t.reversed().waypoints == (0.0, -0.5 - 0.2j, -1j)
+
+
+def test_real_times_carry_no_disk_constraint(flat_geo, rng):
+    # one disk rule for the library: a path whose waypoints are all real is
+    # not held to the disk, every waypoint of any other path is
+    Z = sample_flat(rng, 6)
+    res = flow_many(flat_geo, Z, 2.0)
+    want = orc.flat_flow_oracle(1.0, 1.0, Z, 2.0)
+    assert res.ok.all() and np.abs(np.concatenate([res.x, res.p], axis=1) - want).max() < 1e-11
+    for t in (2.0, np.full(len(Z), 2.0)):
+        f, ok, _ = potential_f_many(flat_geo, Z, t)
+        assert ok.all() and np.abs(f - orc.flat_f_sigma(1.0, 1.0, Z, 2.0)).max() < 1e-10
+    F, ok, _, _ = frames_at_many(flat_geo, Z, 2.0)
+    assert ok.all()
+    assert subspace_distance(F, orc.flat_frame_columns(1.0, 1.0, 2.0)).max() < 1e-11
+    assert ComplexTime(-3.0, (1.5, -3.0)).waypoints == (0.0, 1.5, -3.0)
+    for bad in ((2j,), (1j, (2, 1j))):
+        with pytest.raises(ValueError, match="outside the time disk"):
+            ComplexTime(*bad)
 
 
 # ---------------------------------------------------------------------------
