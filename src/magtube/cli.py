@@ -45,13 +45,11 @@ from .config import (
     load_config,
 )
 from .flow import ComplexTime, flow_many
-from .geometry import PhasePoint
 from .kahler import (
     dbar_residual_many,
     kde_residual_many,
 )
 from .structure import (
-    LagrangianFrame,
     assemble_J,
     frames_at_many,
     integrability_residual_many,
@@ -165,11 +163,11 @@ def _rows_acs(geo, Z, t):
     n = geo.dim
     F, ok, reasons, integ = integrability_residual_many(geo, Z, t)
     vals = np.full((len(Z), 3 + 4 * n * n), np.nan)
-    for i in np.flatnonzero(ok):
-        z = PhasePoint(Z[i, :n].real, Z[i, n:].real)
-        acs = assemble_J(LagrangianFrame(base=z, time=t.target, F=F[i]), geo)
-        vals[i, :3] = acs.transversality, acs.positivity_spectrum.min(), integ[i]
-        vals[i, 3:] = acs.J.reshape(-1)
+    acs = assemble_J(geo, Z[ok, :n].real, F[ok])
+    vals[ok, 0] = acs.transversality
+    vals[ok, 1] = acs.positivity_spectrum.min(axis=-1)
+    vals[ok, 2] = integ[ok]
+    vals[ok, 3:] = acs.J.reshape(-1, 4 * n * n)
     return _csv_rows([np.real(Z), vals], ok, reasons)
 
 

@@ -18,12 +18,26 @@ targets); since the right-hand side is holomorphic the result is path independen
 wherever the continuation exists, which the verification suite checks rather
 than assumes.  The integrator is the DOP853 8(5,3) Runge-Kutta pair of
 Dormand and Prince (Hairer, Norsett and Wanner, Solving ODEs I, Sec. II.10)
-acting on the complexified state, shared-stepsize over an optional batch axis
-with per-row failure masking; a step's first stage is the field at its start
+acting on the complexified state, shared-stepsize over a batch of rows with
+per-row failure masking; a step's first stage is the field at its start
 point, evaluated once for every attempt from there and never at the end of
-the path.  Each right-hand-side call reads the geometry through one
-``geo.jet`` call: first order for the field and the quadrature, second order
-with the tangent map for the variational term.  That term is formed by the
+the path.
+
+The integrator runs the rows on the last axis: the packed state is (D, m),
+the stages (12, D, m), and the geometry jet and every intermediate of the
+right-hand side have the batch axis last.  A contraction over a chart index
+is a Python loop over that index (``_bmm``, ``_contract_mid``, ``_dot``)
+whose every term is one elementwise operation over a contiguous run of m
+rows; with the rows first, numpy runs m inner loops of length n or 2n, and
+at these sizes dispatch costs more than the arithmetic.  Elementwise terms
+also make a row's right-hand side independent of the rest of its batch (the
+shared step size still couples the rows).  The public functions
+(``flow_many``, ``field_components``, ``BatchFlowResult``) keep the rows
+first.
+
+Each right-hand-side call reads the geometry through one ``geo.jet`` call:
+first order for the field and the quadrature, second order with the tangent
+map for the variational term.  That term is formed by the
 blocks of DX (Hairer, Norsett and Wanner, Sec. I.14) without building DX,
 and the blocks and contractions whose factor the jet reports as identically
 zero (``None``; dg, d2g and dbeta on the flat chart) are skipped.
@@ -221,45 +235,61 @@ class BatchFlowResult:
 # ---------------------------------------------------------------------------
 
 def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks of small matrices, as a sum of outer products.
+    """a @ b over small matrices with the batch axes last: a (r, k, ...) and
+    b (k, c, ...) give (r, c, ...).
 
-    numpy's stacked matmul makes one BLAS call per matrix, which at 2x2 to
-    4x4 costs several times the arithmetic; a loop over the shared index
-    runs each term over the whole batch at once.
+    A Python loop over the shared index k; each term is one product over all
+    rows, whose inner loop runs over the contiguous batch axis.  numpy's
+    stacked matmul makes one BLAS call per matrix instead, which at 2x2 to
+    4x4 costs several times the arithmetic.
     """
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for k in range(1, a.shape[-1]):
-        out += a[..., :, k, None] * b[..., None, k, :]
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
+    return out
+
+
+def _dot(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_j v[j] a[j]: the first axis of a against v, batch axes last."""
+    out = v[0] * a[0]
+    for j in range(1, len(v)):
+        out += v[j] * a[j]
     return out
 
 
 def _contract_mid(d: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_j d[..., l, j, w] v[..., j] for a derivative array d.
+    """sum_j d[l, j, ...] v[j] for a matrix or derivative array d with the
+    batch axes last; a loop over j as in ``_bmm``.
 
-    With d = dg and v = p this is T[l, w], the x-derivative of dx/ds.  It
-    also gives the quadratic term of dp/ds, sum_jk dg^{jk}/dx^l p_j p_k =
-    sum_j p_j T[j, l], and (g being symmetric) that term's p-derivative,
-    -T transposed.
+    With d = g it is the matrix-vector product g p.  With d = dg and v = p it
+    is T[l, w], the x-derivative of dx/ds; the quadratic term of dp/ds,
+    sum_jk dg^{jk}/dx^l p_j p_k = sum_j p_j T[j, l], and (g being symmetric)
+    that term's p-derivative, -T transposed, come from T.
     """
-    return _bmm(v[..., None, None, :], d)[..., 0, :]
+    out = d[:, 0] * v[0]
+    for j in range(1, d.shape[1]):
+        out += d[:, j] * v[j]
+    return out
 
 
 def _field(g, dg, b, p):
     """(dx/ds, dp/ds, T) from the jet's g, dg and beta, with
-    T = _contract_mid(dg, p); T is None where dg is."""
-    gp = np.einsum("...jk,...k->...j", g, p)
-    pdot = np.einsum("...lj,...j->...l", b, gp)
+    T = _contract_mid(dg, p); T is None where dg is.  Batch axes last."""
+    gp = _contract_mid(g, p)
+    pdot = _contract_mid(b, gp)
     if dg is None:
         return gp, pdot, None
     T = _contract_mid(dg, p)
-    return gp, -0.5 * np.einsum("...j,...jl->...l", p, T) + pdot, T
+    return gp, -0.5 * _dot(p, T) + pdot, T
 
 
 def field_components(geo: ChartedGeometry, x: np.ndarray, p: np.ndarray):
-    """(dx/ds, dp/ds) of the twisted Hamiltonian field, batched."""
+    """(dx/ds, dp/ds) of the twisted Hamiltonian field at points x, p of
+    shape (..., n), batched over the leading axes."""
+    x, p = np.moveaxis(np.asarray(x), -1, 0), np.moveaxis(np.asarray(p), -1, 0)
     g, dg, b, _ = geo.jet(x, 1)
     xdot, pdot, _ = _field(g, dg, b, p)
-    return xdot, pdot
+    return np.moveaxis(xdot, 0, -1), np.moveaxis(pdot, 0, -1)
 
 
 def hamiltonian_field(geo: ChartedGeometry, z: PhasePoint) -> np.ndarray:
@@ -271,14 +301,16 @@ def hamiltonian_field(geo: ChartedGeometry, z: PhasePoint) -> np.ndarray:
 
 
 def _rhs(geo: ChartedGeometry, Y: np.ndarray) -> np.ndarray:
-    """Right-hand side for the packed state (see ``_pack``).
+    """Right-hand side for the packed state Y of shape (D, m), one column per
+    row (see ``_pack``).
 
-    The geometry is read once, by one ``geo.jet`` call.  A tangent-free
-    state [x, p, q] gets the field and the quadrature from the first-order
-    jet.  With [x, p, q, vec(jac)] the second-order jet also gives the
-    variational term DX @ jac, formed by blocks without building DX: with
-    jac = [Jx; Jp], T = _contract_mid(dg, p) and
-    Q = -(1/2) d2g(p, p) + dbeta . xdot,
+    The rows are the last axis, so each term of a contraction over the
+    small chart indices is one operation over all m rows.  The geometry is
+    read once, by one ``geo.jet`` call.  A tangent-free state [x, p, q]
+    gets the field and the quadrature from the first-order jet.  With
+    [x, p, q, vec(jac)] the second-order jet also gives the variational term
+    DX @ jac, formed by blocks without building DX: with jac = [Jx; Jp],
+    T = _contract_mid(dg, p) and Q = -(1/2) d2g(p, p) + dbeta . xdot,
 
         d(Jx) = T Jx + g Jp,    d(Jp) = Q Jx - T^T Jp + beta d(Jx).
 
@@ -286,43 +318,42 @@ def _rhs(geo: ChartedGeometry, Y: np.ndarray) -> np.ndarray:
     they would give are skipped (on the flat chart only g Jp and beta d(Jx)
     remain).
     """
-    m = Y.shape[0]
+    D, m = Y.shape
     n = geo.dim
     n2 = 2 * n
-    x = Y[:, :n]
-    p = Y[:, n:n2]
-    tangent = Y.shape[1] > n2 + 1
+    x = Y[:n]
+    p = Y[n:n2]
+    tangent = D > n2 + 1
     jet = geo.jet(x, 2 if tangent else 1)
     g, dg, b, A = jet[:4]
     xdot, pdot, T = _field(g, dg, b, p)
     out = np.empty_like(Y)
-    out[:, :n] = xdot
-    out[:, n:n2] = pdot
-    out[:, n2] = np.einsum("mj,mj->m", A, xdot)
+    out[:n] = xdot
+    out[n:n2] = pdot
+    out[n2] = _dot(A, xdot)
     if not tangent:
         return out
 
-    J = Y[:, n2 + 1 :].reshape(m, n2, n2)
-    Jx, Jp = J[:, :n], J[:, n:]
+    J = Y[n2 + 1 :].reshape(n2, n2, m)
+    Jx, Jp = J[:n], J[n:]
     d2g, db = jet[4:]
     dJx = _bmm(g, Jp)
     if T is not None:
         dJx += _bmm(T, Jx)
     dJp = _bmm(b, dJx)
     if T is not None:
-        dJp -= _bmm(T.transpose(0, 2, 1), Jp)
+        dJp -= _bmm(T.swapaxes(0, 1), Jp)
     Q = None
     if d2g is not None:
-        d2gp = np.einsum("mjklw,mj->mklw", d2g, p)
-        Q = -0.5 * np.einsum("mklw,mk->mlw", d2gp, p)
+        Q = -0.5 * _dot(p, _dot(p, d2g))
     if db is not None:
         dbx = _contract_mid(db, xdot)
         Q = dbx if Q is None else Q + dbx
     if Q is not None:
         dJp += _bmm(Q, Jx)
-    dJ = out[:, n2 + 1 :].reshape(m, n2, n2)
-    dJ[:, :n] = dJx
-    dJ[:, n:] = dJp
+    dJ = out[n2 + 1 :].reshape(n2, n2, m)
+    dJ[:n] = dJx
+    dJ[n:] = dJp
     return out
 
 
@@ -336,34 +367,35 @@ _WEIGHTS = np.stack([_dop.B, _dop.E5, _dop.E3])
 
 
 def _pack(Z0: np.ndarray, n: int, tangent: bool) -> np.ndarray:
-    """Start state [x, p, q = 0], followed by vec(jac) = vec(1) if the
+    """Start state of the rows Z0 (m, 2n), rows last: a (D, m) array whose
+    column r is [x, p, q = 0] of row r, followed by vec(jac) = vec(1) if the
     tangent map is carried."""
     m = Z0.shape[0]
     D = 2 * n + 1 + (4 * n * n if tangent else 0)
-    Y = np.zeros((m, D), dtype=complex)
-    Y[:, : 2 * n] = Z0
+    Y = np.zeros((D, m), dtype=complex)
+    Y[: 2 * n] = Z0.T
     if tangent:
-        Y[:, 2 * n + 1 :] = np.eye(2 * n, dtype=complex).reshape(-1)
+        Y[2 * n + 1 :] = np.eye(2 * n, dtype=complex).reshape(-1, 1)
     return Y
 
 
 def _check_rows(geo, Y, real_rows):
-    """Per-row validity; returns (bad mask, reason array).
+    """Per-row validity of the (D, m) state; returns (bad mask, reason array).
 
     A real row must stay inside the real chart box (CHART_EXIT), any other
     row inside the complex validity region (BLOWUP).
     """
     n = geo.dim
-    x = Y[:, :n]
-    p = Y[:, n : 2 * n]
-    finite = np.isfinite(Y).all(axis=1)
+    x = Y[:n]
+    p = Y[n : 2 * n]
+    finite = np.isfinite(Y).all(axis=0)
     chart_bad = np.where(
         real_rows,
-        (np.abs(x.real) >= geo.chart_box).any(axis=1),
-        (np.abs(x) >= geo.complex_radius).any(axis=1),
+        (np.abs(x.real) >= geo.chart_box).any(axis=0),
+        (np.abs(x) >= geo.complex_radius).any(axis=0),
     )
     reason_chart = np.where(real_rows, REASON_CHART_EXIT, REASON_BLOWUP)
-    p_bad = (np.abs(p) > P_CAP).any(axis=1) | ~finite
+    p_bad = (np.abs(p) > P_CAP).any(axis=0) | ~finite
     reasons = np.where(p_bad, REASON_BLOWUP, np.where(chart_bad, reason_chart, ""))
     return chart_bad | p_bad, reasons
 
@@ -376,7 +408,8 @@ def _step_factor(err_norm: float) -> float:
 
 
 def _error_norms(Y, y_new, err5, err3, h):
-    """Hairer's combined 5th/3rd-order error norm of each row.
+    """Hairer's combined 5th/3rd-order error norm of each row (column) of the
+    (D, m) state.
 
     err5 and err3 are the unscaled estimator sums (without the step h); a
     row's norm is h |e5|^2 / sqrt(D (|e5|^2 + 0.01 |e3|^2)) with both errors
@@ -385,12 +418,12 @@ def _error_norms(Y, y_new, err5, err3, h):
     """
     scale = ABS_TOL + REL_TOL * np.maximum(np.abs(Y), np.abs(y_new))
     with np.errstate(divide="ignore"):
-        e5 = np.square(np.abs(err5) / scale).sum(axis=1)
-        e3 = np.square(np.abs(err3) / scale).sum(axis=1)
+        e5 = np.square(np.abs(err5) / scale).sum(axis=0)
+        e3 = np.square(np.abs(err3) / scale).sum(axis=0)
         denom = e5 + 0.01 * e3
-        err_row = h * e5 / np.sqrt(denom * Y.shape[1])
+        err_row = h * e5 / np.sqrt(denom * Y.shape[0])
     err_row[denom == 0.0] = 0.0
-    err_row[~np.isfinite(err_row) | ~np.isfinite(y_new).all(axis=1)] = np.inf
+    err_row[~np.isfinite(err_row) | ~np.isfinite(y_new).all(axis=0)] = np.inf
     return err_row
 
 
@@ -410,10 +443,12 @@ def _integrate_path(
     the shared step parameter runs over the longest row segment L, and row r
     advances by h seg_r / L.  Step control (``_error_norms``) still sees h,
     which overstates the local error of a row whose segment is shorter: the
-    control is conservative for such rows.  Returns (Y, ok, reasons, det_min,
-    steps), where steps counts attempted (accepted and rejected) shared
-    steps.  The tangent map (and with it det_min, NaN otherwise) is carried
-    only if ``tangent``.
+    control is conservative for such rows.  The state is integrated rows
+    last, (D, m) (see ``_rhs``).  Returns (Y, ok, reasons, det_min, steps),
+    with Y the (m, D) packed end states, one row per row of Z0, and steps
+    the number of attempted (accepted and rejected) shared steps.  The
+    tangent map (and with it det_min, NaN otherwise) is carried only if
+    ``tangent``.
     """
     Z0 = np.asarray(Z0, dtype=complex)
     m = Z0.shape[0]
@@ -426,18 +461,18 @@ def _integrate_path(
     reasons = np.array([""] * m, dtype=object)
     det_min = np.full(m, np.inf if tangent else np.nan)
     Yfail = Y.copy()
-    benign = _pack(np.zeros((1, 2 * n)), n, tangent)[0]  # chart origin, jac = 1
+    benign = _pack(np.zeros((1, 2 * n)), n, tangent)  # chart origin, jac = 1
     steps = 0
 
     def fail_rows(mask, why):
         """Record failing rows and park them at a benign state."""
-        Yfail[mask] = Y[mask]
+        Yfail[:, mask] = Y[:, mask]
         if isinstance(why, str):
             reasons[mask] = why
         else:
             reasons[mask] = why[mask]
         active[mask] = False
-        Y[mask] = benign
+        Y[:, mask] = benign
 
     bad, why = _check_rows(geo, Y, real_rows)
     if bad.any():
@@ -476,7 +511,7 @@ def _integrate_path(
                     fail_rows(active.copy(), REASON_TOL)
                     break
                 h = min(h, length - s)
-                H = (h * direction)[:, None]
+                H = h * direction
                 if k0_stale:
                     K[0] = _rhs(geo, Y)
                     k0_stale = False
@@ -496,8 +531,8 @@ def _integrate_path(
                         fail_rows(bad, why)
                     k0_stale = True
                     if tangent and active.any():
-                        J = Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)
-                        d = np.abs(np.linalg.det(J[active]))
+                        J = Y[2 * n + 1 :].reshape(2 * n, 2 * n, m)
+                        d = np.abs(np.linalg.det(np.moveaxis(J[..., active], -1, 0)))
                         det_min[active] = np.minimum(det_min[active], d)
                     h = h * _step_factor(err_norm)
                 else:
@@ -509,9 +544,9 @@ def _integrate_path(
                     h = h * _step_factor(err_norm)
 
     failed = reasons != ""
-    Y[failed] = Yfail[failed]
+    Y[:, failed] = Yfail[:, failed]
     ok = ~failed
-    return Y, ok, [r if r else None for r in reasons], det_min, steps
+    return np.ascontiguousarray(Y.T), ok, [r if r else None for r in reasons], det_min, steps
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,29 @@ Use :func:`pointwise_geometry` to wrap per-point evaluators that do not
 broadcast.
 
 Jet convention: ``ChartedGeometry.jet(x, order)`` is the one read of the
-chart data per right-hand-side evaluation.  It returns (g, dg, beta, A), and
-at ``order=2`` also (d2g, dbeta), in the shapes above with d2g
-(..., n, n, n, n) and dbeta (..., n, n, n).  ``None`` in place of an array
-means that derivative vanishes identically.  By default the jet composes the
-evaluators, never ``None``; a chart without ``inv_metric_deriv2`` or
-``beta_deriv`` gets that derivative by the contour rule below.  A chart may
-carry a :class:`FusedJet`, closed forms that share work between the six
-arrays; it is valid only for the evaluators it was built from, so a geometry
-whose evaluators differ from the fused jet's (``dataclasses.replace`` of any
+chart data per right-hand-side evaluation.  It takes the points rows-last,
+x of shape (n, m), coordinate first, and returns rows-last arrays
+
+    g (n, n, m), dg (n, n, n, m), beta (n, n, m), A (n, m)
+
+and at ``order=2`` also d2g (n, n, n, n, m) and dbeta (n, n, n, m), indexed
+as the evaluators are ([j, k, l, ...] = d g^{jk} / dx^l).  The batch axis is
+last because the flow's contractions loop over the small chart indices in
+Python: each term is then one operation over a contiguous run of m rows,
+where a batch-first array gives m short inner loops of length n.  ``None``
+in place of an array means that derivative vanishes identically.  By
+default the jet composes the evaluators, never ``None``, moving their batch
+axis last; a chart without ``inv_metric_deriv2`` or ``beta_deriv`` gets that
+derivative by the contour rule below.  A chart may carry a
+:class:`FusedJet`, closed forms that share work between the six arrays; it
+is valid only for the evaluators it was built from, so a geometry whose
+evaluators differ from the fused jet's (``dataclasses.replace`` of any
 evaluator, ``with_negated_field``) drops it and composes.
 ``validate_geometry`` checks a fused jet against the composed one.  The
-built-in charts build their evaluators and their fused jet
-from the same formula kernels, so both paths give the same bits.
+built-in charts write their formula kernels coordinate first and build both
+their evaluators (which move the coordinate axis last) and their fused jet
+from them, using elementwise operations only, so both paths give the same
+bits and a row's values do not depend on the rest of its batch.
 
 Derivative rule: the evaluators are holomorphic, so a derivative along a real
 chart coordinate is the trapezoid rule on a circle of radius
@@ -156,17 +166,21 @@ class ChartedGeometry:
                 self.inv_metric_deriv2, self.beta_deriv)
 
     def jet(self, x: Array, order: int = 1) -> tuple:
-        """(g, dg, beta, A) at x, plus (d2g, dbeta) at ``order=2``; ``None``
+        """(g, dg, beta, A) at the rows-last points x (n, ...), plus (d2g,
+        dbeta) at ``order=2``, every array with the batch axes last; ``None``
         marks a derivative that vanishes identically (fused jets only), and a
         missing second-derivative evaluator is composed by contour."""
         if self.fused_jet is not None:
             return self.fused_jet.fn(x, order)
-        first = (self.inv_metric(x), self.inv_metric_deriv(x), self.beta(x), self.potential(x))
-        if order < 2:
-            return first
-        d2g, db = self.inv_metric_deriv2, self.beta_deriv
-        return first + (_contour_last_axis(self.inv_metric_deriv, x) if d2g is None else d2g(x),
-                        _contour_last_axis(self.beta, x) if db is None else db(x))
+        x = np.asarray(x)
+        batch = x.ndim - 1
+        x = _front_to_last(x, 1)
+        out = (self.inv_metric(x), self.inv_metric_deriv(x), self.beta(x), self.potential(x))
+        if order >= 2:
+            d2g, db = self.inv_metric_deriv2, self.beta_deriv
+            out += (_contour_last_axis(self.inv_metric_deriv, x) if d2g is None else d2g(x),
+                    _contour_last_axis(self.beta, x) if db is None else db(x))
+        return tuple(_front_to_last(a, batch) for a in out)
 
     def in_complex_region(self, x: Array) -> bool:
         return bool(np.all(np.abs(x) < self.complex_radius))
@@ -184,19 +198,47 @@ class ChartedGeometry:
         )
 
 
+def _front_to_last(a: Array, k: int) -> Array:
+    """The first k axes of a moved to the end, as a view: an evaluator's
+    (*batch, *coordinates) array as (*coordinates, *batch) for k batch axes
+    (``np.moveaxis`` costs several times more per call)."""
+    return a.transpose(tuple(range(k, a.ndim)) + tuple(range(k)))
+
+
+def _last_to_front(a: Array, k: int) -> Array:
+    """The last k axes of a moved to the front, as a view: a kernel's
+    (*coordinates, *batch) array as (*batch, *coordinates) for k batch axes."""
+    return a.transpose(tuple(range(a.ndim - k, a.ndim)) + tuple(range(a.ndim - k)))
+
+
+def _evaluator(kernel: Callable, shared: Callable) -> Callable[[Array], Array]:
+    """A broadcasting evaluator in the (..., n) convention from a built-in
+    kernel(x, shared(x)) that takes x coordinate first and returns its array
+    batch last; the fused jet calls the same kernels."""
+    def fn(x):
+        x = _last_to_front(np.asarray(x), 1)
+        return _last_to_front(kernel(x, shared(x)), x.ndim - 1)
+    return fn
+
+
 def _contour_last_axis(fn: Callable[[Array], Array], x: Array) -> Array:
     """Contour derivative of a holomorphic evaluator over each chart coordinate.
 
     Returns fn(x) with one extra trailing axis of length n holding d/dx^m,
     from one fn call on the n * CONTOUR_NODES ring points stacked on a new
-    leading axis.  At real x the result is real, as fn's derivative is there.
+    leading axis.  The weighted sum over the nodes is elementwise, so a
+    point's derivative does not depend on the rest of its batch.  At real x
+    the result is real, as fn's derivative is there.
     """
     x = np.asarray(x)
     n = x.shape[-1]
     shift = np.eye(n)[:, None, :] * _RING[None, :, None]  # (coordinate, node, column)
     vals = fn(x + shift.reshape(-1, *(1,) * (x.ndim - 1), n))
     vals = vals.reshape(n, len(_RING), *vals.shape[1:])
-    grad = np.moveaxis(np.tensordot(_WEIGHTS, vals, (0, 1)), 0, -1)
+    grad = _WEIGHTS[0] * vals[:, 0]
+    for k in range(1, len(_RING)):
+        grad += _WEIGHTS[k] * vals[:, k]
+    grad = _front_to_last(grad, 1)
     return grad if np.iscomplexobj(x) else grad.real
 
 
@@ -278,50 +320,50 @@ def make_flat_magnetic(dim: int, B_matrix, mass_freq: float) -> ChartedGeometry:
         raise GeometryError("mass_freq must be positive")
 
     ginv = np.eye(dim) / mass_freq
-    typed = {}  # dtype -> (g, beta, B/2), cast once
+    typed = {}  # (dtype, ndim) -> (g, beta, B/2), cast once, a unit axis per batch axis
 
-    # g, beta and A are shared by the evaluators and the fused jet, so both
-    # give the same bits; the jet reports the vanishing derivatives as None
+    # the kernels take the points coordinate first, x (n, ...), and the
+    # constants cast for x, and return their arrays batch last; g, beta and A
+    # are shared by the evaluators and the fused jet, so both give the same
+    # bits, and the jet reports the vanishing derivatives as None
     def _consts(x):
-        dt = np.result_type(x.dtype, float)
-        if dt not in typed:
-            typed[dt] = tuple(a.astype(dt) for a in (ginv, B, 0.5 * B))
-        return typed[dt]
+        key = (x.dtype, x.ndim)
+        if key not in typed:
+            dt, tail = np.result_type(x.dtype, float), (1,) * (x.ndim - 1)
+            typed[key] = tuple(a.astype(dt).reshape(a.shape + tail) for a in (ginv, B, 0.5 * B))
+        return typed[key]
 
     def _filled(c, x):
         # a filled copy: np.broadcast_to costs several times more per call
-        out = np.empty(x.shape[:-1] + c.shape, dtype=c.dtype)
+        out = np.empty((dim, dim) + x.shape[1:], dtype=c.dtype)
         out[...] = c
         return out
 
-    def inv_metric(x):
-        x = np.asarray(x)
-        return _filled(_consts(x)[0], x)
+    def _g(x, consts):
+        return _filled(consts[0], x)
 
-    def inv_metric_deriv(x):
-        x = np.asarray(x)
-        return np.zeros(x.shape[:-1] + (dim, dim, dim), dtype=x.dtype)
+    def _beta(x, consts):
+        return _filled(consts[1], x)
 
-    def inv_metric_deriv2(x):
-        x = np.asarray(x)
-        return np.zeros(x.shape[:-1] + (dim, dim, dim, dim), dtype=x.dtype)
+    def _potential(x, consts):
+        # A_j = (1/2) B_{kj} x^k, summed over k elementwise
+        half_b = consts[2]
+        out = half_b[0] * x[0]
+        for k in range(1, dim):
+            out += half_b[k] * x[k]
+        return out
 
-    def beta(x):
-        x = np.asarray(x)
-        return _filled(_consts(x)[1], x)
+    def _zeros(axes):
+        return lambda x, consts: np.zeros((dim,) * axes + x.shape[1:], dtype=x.dtype)
 
-    def beta_deriv(x):
-        x = np.asarray(x)
-        return np.zeros(x.shape[:-1] + (dim, dim, dim), dtype=x.dtype)
-
-    def potential(x):
-        x = np.asarray(x)
-        return x @ _consts(x)[2]  # A_j = (1/2) B_{kj} x^k
+    inv_metric, inv_metric_deriv, beta, potential, inv_metric_deriv2, beta_deriv = (
+        _evaluator(kernel, _consts)
+        for kernel in (_g, _zeros(3), _beta, _potential, _zeros(4), _zeros(3)))
 
     def jet(x, order=1):
         x = np.asarray(x)
-        g, b, half_b = _consts(x)
-        first = (_filled(g, x), None, _filled(b, x), x @ half_b)
+        consts = _consts(x)
+        first = (_g(x, consts), None, _beta(x, consts), _potential(x, consts))
         return first if order < 2 else first + (None, None)
 
     return ChartedGeometry(
@@ -391,52 +433,48 @@ def make_sphere_magnetic(r: float, B: float) -> ChartedGeometry:
     r4 = r**4
 
     # one kernel per array, shared by the evaluators and the fused jet, so
-    # both give the same bits; the jet computes q = r^2 + u.u once
+    # both give the same bits; a kernel takes u coordinate first, (2, ...),
+    # and returns its array batch last, and the jet computes q = r^2 + u.u
+    # once
     def _q(u):
-        return r**2 + np.einsum("...j,...j->...", u, u)
+        return r**2 + (u[0] * u[0] + u[1] * u[1])
 
     def _g(u, q):
-        out = np.zeros(u.shape[:-1] + (2, 2), dtype=q.dtype)
-        out[..., 0, 0] = out[..., 1, 1] = q**2 / (4.0 * r4)
+        out = np.zeros((2, 2) + q.shape, dtype=q.dtype)
+        out[0, 0] = out[1, 1] = q**2 / (4.0 * r4)
         return out
 
     def _dg(u, q):
-        out = np.zeros(u.shape[:-1] + (2, 2, 2), dtype=q.dtype)
-        out[..., 0, 0, :] = out[..., 1, 1, :] = q[..., None] * u / r4
+        out = np.zeros((2, 2, 2) + q.shape, dtype=q.dtype)
+        out[0, 0] = out[1, 1] = q * u / r4
         return out
 
     def _beta(u, q):
-        out = np.zeros(u.shape[:-1] + (2, 2), dtype=q.dtype)
-        out[..., 0, 1] = -4.0 * B * r4 / q**2
-        out[..., 1, 0] = -out[..., 0, 1]
+        out = np.zeros((2, 2) + q.shape, dtype=q.dtype)
+        out[0, 1] = -4.0 * B * r4 / q**2
+        out[1, 0] = -out[0, 1]
         return out
 
     def _potential(u, q):
         h = 2.0 * B * r**2 / q
-        return np.stack([h * u[..., 1], -h * u[..., 0]], axis=-1)
+        return np.stack([h * u[1], -h * u[0]])
 
     def _d2g(u, q):
-        val = 2.0 * u[..., :, None] * u[..., None, :]
-        val[..., 0, 0] += q
-        val[..., 1, 1] += q
-        out = np.zeros(u.shape[:-1] + (2, 2, 2, 2), dtype=q.dtype)
-        out[..., 0, 0, :, :] = out[..., 1, 1, :, :] = val / r4
+        val = 2.0 * u[:, None] * u[None, :]
+        val[0, 0] += q
+        val[1, 1] += q
+        out = np.zeros((2, 2, 2, 2) + q.shape, dtype=q.dtype)
+        out[0, 0] = out[1, 1] = val / r4
         return out
 
     def _beta_deriv(u, q):
-        out = np.zeros(u.shape[:-1] + (2, 2, 2), dtype=q.dtype)
-        out[..., 0, 1, :] = 16.0 * B * r4 * u / (q**3)[..., None]
-        out[..., 1, 0, :] = -out[..., 0, 1, :]
+        out = np.zeros((2, 2, 2) + q.shape, dtype=q.dtype)
+        out[0, 1] = 16.0 * B * r4 * u / q**3
+        out[1, 0] = -out[0, 1]
         return out
 
-    def evaluator(kernel):
-        def fn(u):
-            u = np.asarray(u)
-            return kernel(u, _q(u))
-        return fn
-
-    inv_metric, inv_metric_deriv, beta, potential, inv_metric_deriv2, beta_deriv = map(
-        evaluator, (_g, _dg, _beta, _potential, _d2g, _beta_deriv))
+    inv_metric, inv_metric_deriv, beta, potential, inv_metric_deriv2, beta_deriv = (
+        _evaluator(kernel, _q) for kernel in (_g, _dg, _beta, _potential, _d2g, _beta_deriv))
 
     def jet(u, order=1):
         u = np.asarray(u)
@@ -592,7 +630,7 @@ def validate_geometry(
     # must match an all-zero array
     if geo.fused_jet is not None:
         record("jet", np.maximum.reduce([
-            flat(ev if j is None else j - ev)
-            for j, ev in zip(geo.jet(pts, 2), (g, dg, b, A, d2g, db))]))
+            flat(ev if j is None else _last_to_front(j, 1) - ev)
+            for j, ev in zip(geo.jet(pts.T, 2), (g, dg, b, A, d2g, db))]))
 
     return report

@@ -98,13 +98,14 @@ class LagrangianFrame:
 
 @dataclass
 class ACSPointData:
-    """Almost complex structure data at one accepted point."""
+    """Almost complex structure data at accepted points, batched over the
+    leading axes of the frames: J (..., 2n, 2n), the positivity spectrum
+    (..., n), and one transversality and imaginary residual per point."""
 
-    base: PhasePoint
     J: np.ndarray
     positivity_spectrum: np.ndarray
-    transversality: float
-    imag_residual: float  # |Im| left over when realifying J
+    transversality: np.ndarray
+    imag_residual: np.ndarray  # |Im| left over when realifying J
 
 
 # ---------------------------------------------------------------------------
@@ -205,37 +206,39 @@ def positivity_matrix(geo: ChartedGeometry, x: np.ndarray, F: np.ndarray) -> np.
     return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
-def assemble_J(frame: LagrangianFrame, geo: ChartedGeometry) -> ACSPointData:
+def assemble_J(geo: ChartedGeometry, x: np.ndarray, F: np.ndarray) -> ACSPointData:
     """Unique linear complex structure with the frame span as +i eigenspace.
 
     J = Re(S diag(+i, -i) S^{-1}) with S = [F, conj F]; the discarded
     imaginary part is reported.  The positivity spectrum is computed on the
-    orthonormalized frame, which makes it frame-gauge invariant.
+    orthonormalized frame, which makes it frame-gauge invariant.  Batched
+    over base points x (..., n) and frames F (..., 2n, n), as
+    ``positivity_matrix`` is; raises LinAlgError if any frame is not
+    transversal to its conjugate.
     """
-    F = frame.F
-    n = F.shape[1]
+    F = np.asarray(F)
+    n = F.shape[-1]
     smin = transversality_check(F)
-    if smin < TRANSVERSALITY_THRESHOLD:
+    if np.any(smin < TRANSVERSALITY_THRESHOLD):
         raise np.linalg.LinAlgError(
-            f"frame not transversal to its conjugate (smin={smin:.3e}); "
+            f"frame not transversal to its conjugate (smin={np.min(smin):.3e}); "
             "no almost complex structure at this point/time"
         )
-    S = np.concatenate([F, F.conj()], axis=1)
+    S = np.concatenate([F, F.conj()], axis=-1)
     D = np.diag(np.concatenate([np.full(n, 1j), np.full(n, -1j)]))
     Jc = S @ D @ np.linalg.inv(S)
-    M = positivity_matrix(geo, frame.base.x, F)
     return ACSPointData(
-        base=frame.base,
         J=Jc.real.copy(),
-        positivity_spectrum=np.linalg.eigvalsh(M),
+        positivity_spectrum=np.linalg.eigvalsh(positivity_matrix(geo, x, F)),
         transversality=smin,
-        imag_residual=float(np.abs(Jc.imag).max()),
+        imag_residual=np.abs(Jc.imag).max(axis=(-2, -1)),
     )
 
 
 def acs_point(geo, z: PhasePoint, t) -> ACSPointData:
-    """Convenience: transport the frame and assemble J in one call."""
-    return assemble_J(frame_at(geo, z, t), geo)
+    """Transport the frame at one point and assemble J there: the one-point
+    case of ``assemble_J``."""
+    return assemble_J(geo, z.x, frame_at(geo, z, t).F)
 
 
 # ---------------------------------------------------------------------------

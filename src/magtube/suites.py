@@ -51,7 +51,7 @@ from .kahler import (
     section_weight,
 )
 from .structure import (
-    LagrangianFrame,
+    acs_point,
     assemble_J,
     frame_at,
     frames_at_many,
@@ -415,8 +415,8 @@ def suite_frames(seed: int) -> List[CheckResult]:
         # invariance under random right-multiplication
         for i in range(3):
             z = PhasePoint(Z[i, :2], Z[i, 2:])
-            acs_p = assemble_J(LagrangianFrame(z, 1j, F[i]), geo)
-            acs_m = assemble_J(LagrangianFrame(z, -1j, Fm[i]), geo)
+            acs_p = assemble_J(geo, z.x, F[i])
+            acs_m = assemble_J(geo, z.x, Fm[i])
             worst_conjJ = max(worst_conjJ, float(np.abs(acs_p.J + acs_m.J).max()))
             omz = twisted_symplectic_matrix(geo, z.x).real
             Sym = omz @ acs_p.J
@@ -424,7 +424,7 @@ def suite_frames(seed: int) -> List[CheckResult]:
             min_metric_pos = min(min_metric_pos, float(np.linalg.eigvalsh(Sym).min()))
 
             G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            acs_g = assemble_J(LagrangianFrame(z, 1j, orthonormalize(F[i] @ G)), geo)
+            acs_g = assemble_J(geo, z.x, orthonormalize(F[i] @ G))
             worst_gauge = max(
                 worst_gauge,
                 float(np.abs(acs_p.J - acs_g.J).max()),
@@ -472,7 +472,7 @@ def suite_frames(seed: int) -> List[CheckResult]:
             Fn = T @ st.jac[:, 2:]
             min_block = min(min_block, float(np.linalg.svd(Fn[2:], compute_uv=False)[-1]))
             min_block = min(min_block, float(np.linalg.svd(expm(1j * btil), compute_uv=False)[-1]))
-            acs = assemble_J(LagrangianFrame(PhasePoint(xs[i], [0, 0]), 1j, F[i]), geo)
+            acs = assemble_J(geo, xs[i], F[i])
             Eh = np.vstack([np.eye(2), np.zeros((2, 2))])
             min_horiz = min(min_horiz, float(
                 np.linalg.svd(np.hstack([Eh, acs.J @ Eh]), compute_uv=False)[-1]))
@@ -538,7 +538,7 @@ def suite_kahler(seed: int) -> List[CheckResult]:
                               1e-10))
 
     # kappa1: coefficient resolution by the adaptedness identity
-    acs = assemble_J(LagrangianFrame(PhasePoint(Zf[0, :2], Zf[0, 2:]), 1j, Ff[0]), flat)
+    acs = assemble_J(flat, Zf[0, :2], Ff[0])
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, Zf[:10])
     checks.append(CheckResult("kappa1_adapted", residuals[coeff], 1e-10,
                               note=f"tanh coefficient resolved to {coeff} * B "
@@ -748,7 +748,7 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("larmor_periodicity", worst, 1e-8))
 
     # kappa1 tanh-coefficient resolution note (recorded here as well)
-    acs = assemble_J(frame_at(geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 1j), geo)
+    acs = acs_point(geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 1j)
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, _sample_flat(rng, 6))
     checks.append(CheckResult("kappa1_coefficient_resolution", residuals[coeff], 1e-10,
                               note=f"adapted potential uses {coeff} * B tanh(Btilde/2); "

@@ -331,6 +331,20 @@ def test_cmd_acs_columns(tmp_path):
     assert all(f"J{a}{b}" in header for a in range(4) for b in range(4))
 
 
+@pytest.mark.parametrize("command", ["acs", "potential", "extend"])
+def test_grid_where_every_row_fails_writes_failed_rows(tmp_path, command):
+    # |p| = 3 on the unit sphere leaves the tube before t = i: the builders
+    # that compute their columns on the ok rows only get none
+    cfg = _write(tmp_path, "c.cfg", "kind = sphere\nradius = 1\nfield = 1\n"
+                 "grid = x1:0.05:0.05:1, p1:2.9:3.0:2\ntime = i\n")
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    assert main(argv + (["--f", "x1"] if command == "extend" else [])) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2 and all(row[-2:] == ["failed", "BLOWUP"] for row in rows)
+    assert all(v == "nan" for row in rows for v in row[4:-2])
+
+
 def test_cmd_sweep_flat_success_everywhere(tmp_path):
     cfg = _write(
         tmp_path,

@@ -1,6 +1,7 @@
 """The geometry jet: fused closed forms against the composed evaluators, the
-rule that replacing an evaluator drops a fused jet, and the gates that see a
-wrong fused or variational second derivative."""
+rule that replacing an evaluator drops a fused jet, the rows-last layout of
+the jet and the right-hand side, and the gates that see a wrong fused or
+variational second derivative."""
 
 import dataclasses
 
@@ -10,7 +11,7 @@ import pytest
 from conftest import sample_flat, sample_sphere
 from magtube import cli, suites
 from magtube.config import parse_config_text
-from magtube.flow import ComplexTime, _pack, _rhs, field_components
+from magtube.flow import ComplexTime, _pack, _rhs, field_components, flow_many
 from magtube.geometry import (
     ChartedGeometry,
     FusedJet,
@@ -41,6 +42,11 @@ def _complex_points(rng, m, n, scale):
     return scale * (rng.uniform(-1, 1, (m, n)) + 0.5j * rng.uniform(-1, 1, (m, n)))
 
 
+def _rows_last(a):
+    """An evaluator's (m, ...) array in the jet's layout, (..., m)."""
+    return np.moveaxis(a, 0, -1)
+
+
 # The built-in jets share their formulas with the evaluators, so the fused
 # and composed paths agree bit for bit: a run whose evaluators are wrapped
 # (and so composes) reproduces an unwrapped run exactly.
@@ -48,7 +54,7 @@ def _complex_points(rng, m, n, scale):
 @pytest.mark.parametrize("geo", _fused_geometries(), ids=lambda g: g.name)
 def test_fused_jet_matches_composed_jet(geo, rng):
     assert geo.fused_jet is not None
-    for x in (_complex_points(rng, 7, geo.dim, 0.3), _complex_points(rng, 1, geo.dim, 0.3)[0]):
+    for x in (_complex_points(rng, 7, geo.dim, 0.3).T, _complex_points(rng, 1, geo.dim, 0.3)[0]):
         for order, length in ((1, 4), (2, 6)):
             fused = geo.jet(x, order)
             composed = _composed(geo).jet(x, order)
@@ -63,9 +69,9 @@ def test_fused_jet_matches_composed_jet(geo, rng):
 
 def test_flat_jet_marks_the_vanishing_derivatives():
     geo = make_flat_magnetic(2, [[0.0, 1.0], [-1.0, 0.0]], 1.0)
-    g, dg, b, A, d2g, db = geo.jet(np.zeros((3, 2), dtype=complex), 2)
+    g, dg, b, A, d2g, db = geo.jet(np.zeros((2, 3), dtype=complex), 2)
     assert dg is None and d2g is None and db is None
-    assert g.shape == b.shape == (3, 2, 2) and A.shape == (3, 2)
+    assert g.shape == b.shape == (2, 2, 3) and A.shape == (2, 3)
     assert all(a is not None for a in make_sphere_magnetic(1.0, 1.0).jet(np.zeros(2), 2))
 
 
@@ -75,7 +81,7 @@ def test_rhs_fused_matches_composed(tangent, rng):
                    (_fused_geometries()[2], sample_sphere(rng, 6))):
         Y = _pack(Z + 0.1j * rng.uniform(-1, 1, Z.shape), geo.dim, tangent)
         if tangent:
-            Y[:, 2 * geo.dim + 1 :] += rng.normal(size=(6, 4 * geo.dim**2))
+            Y[2 * geo.dim + 1 :] += rng.normal(size=(4 * geo.dim**2, 6))
         assert np.array_equal(_rhs(geo, Y), _rhs(_composed(geo), Y))
 
 
@@ -113,7 +119,7 @@ def test_replacing_an_evaluator_drops_the_fused_jet(name, rng):
         assert replaced.fused_jet is None
         x = _complex_points(rng, 3, geo.dim, 0.2)
         index = EVALUATORS.index(name)
-        assert np.allclose(replaced.jet(x, 2)[index], 2.0 * fn(x))
+        assert np.allclose(replaced.jet(x.T, 2)[index], _rows_last(2.0 * fn(x)))
     sphere = _fused_geometries()[2]
     assert dataclasses.replace(sphere, name="same evaluators").fused_jet is sphere.fused_jet
     assert sphere.with_negated_field().fused_jet is None
@@ -177,11 +183,11 @@ def test_composed_second_derivatives_match_closed_forms(rng):
     sphere, geo = suites._sphere(), _sphere_without_second_derivatives()
     assert geo.fused_jet is None
     x = _complex_points(rng, 20, 2, 0.3)
-    for composed, exact in zip(geo.jet(x, 2)[4:], (sphere.inv_metric_deriv2(x),
-                                                   sphere.beta_deriv(x))):
+    for composed, exact in zip(geo.jet(x.T, 2)[4:], (sphere.inv_metric_deriv2(x),
+                                                     sphere.beta_deriv(x))):
         assert composed.dtype == complex
-        assert np.abs(composed - exact).max() < 1e-10
-    real = geo.jet(x.real, 2)
+        assert np.abs(composed - _rows_last(exact)).max() < 1e-10
+    real = geo.jet(x.real.T, 2)
     assert all(a.dtype == float for a in real)
 
 
@@ -200,27 +206,32 @@ def test_composed_sphere_meets_the_derivative_tolerances():
 
 def _generic_chart():
     """g^{-1} = (1 + eps s^2) I + eps x x^T with s = a.x, and the cubic
-    A = (x.v)^3 w + (1/2) x B; no second-derivative evaluators."""
+    A = (x.v)^3 w + (1/2) x B; no second-derivative evaluators.  The sums
+    over the chart index are written out elementwise, so a point's values do
+    not depend on the rest of its batch (a matmul's need not)."""
     eps, a = 0.4, np.array([0.3, -0.5, 0.7])
     v, w = np.array([0.6, 0.2, -0.4]), np.array([-0.3, 0.8, 0.5])
     B = np.array([[0.0, 1.0, -0.4], [-1.0, 0.0, 0.3], [0.4, -0.3, 0.0]])
     eye = np.eye(3)
 
+    def dot(x, c):  # sum_k x_k c[k] over the last axis of x
+        return x[..., 0, None] * c[0] + x[..., 1, None] * c[1] + x[..., 2, None] * c[2]
+
     def inv_metric(x):
-        s = x @ a
+        s = dot(x, a)[..., 0]
         return (1.0 + eps * s**2)[..., None, None] * eye + eps * x[..., :, None] * x[..., None, :]
 
     def inv_metric_deriv(x):
-        xe = np.einsum("...k,jl->...jkl", x, eye)  # delta_jl x_k
-        s = (x @ a)[..., None, None, None]
+        xe = x[..., None, :, None] * eye[:, None, :]  # delta_jl x_k
+        s = dot(x, a)[..., None, None]
         return 2.0 * eps * s * eye[:, :, None] * a + eps * (xe + np.swapaxes(xe, -2, -3))
 
     def beta(x):
-        c = 3.0 * (x @ v) ** 2
-        return c[..., None, None] * (np.outer(v, w) - np.outer(w, v)) + B
+        c = 3.0 * dot(x, v) ** 2
+        return c[..., None] * (np.outer(v, w) - np.outer(w, v)) + B
 
     def potential(x):
-        return (x @ v)[..., None] ** 3 * w + 0.5 * x @ B
+        return dot(x, v) ** 3 * w + 0.5 * dot(x, B)
 
     return ChartedGeometry(3, inv_metric, inv_metric_deriv, beta, potential,
                            chart_box=1.0, complex_radius=1.0, name="generic(dim=3)")
@@ -249,6 +260,47 @@ def test_variational_term_is_the_field_jacobian_times_the_tangent_map(geo, rng):
     Z = _complex_points(rng, 6, n2, 0.3)
     J = rng.normal(size=(6, n2, n2)) + 1j * rng.normal(size=(6, n2, n2))
     Y = _pack(Z, geo.dim, True)
-    Y[:, n2 + 1 :] = J.reshape(6, -1)
-    got = _rhs(geo, Y)[:, n2 + 1 :].reshape(6, n2, n2)
+    Y[n2 + 1 :] = _rows_last(J).reshape(-1, 6)
+    got = np.moveaxis(_rhs(geo, Y)[n2 + 1 :].reshape(n2, n2, 6), -1, 0)
     assert np.abs(got - _field_jacobian(geo, Z) @ J).max() < 1e-10
+
+
+# The flow core runs the rows on the last axis.  Every term of its
+# contractions is elementwise over the rows, so a row's right-hand side
+# depends only on that row; a reduction over the wrong axis mixes rows and
+# shows here.
+
+@pytest.mark.parametrize("tangent", [False, True])
+@pytest.mark.parametrize("geo", [_fused_geometries()[1], make_sphere_magnetic(1.3, 0.8),
+                                 _generic_chart()], ids=["flat", "sphere", "generic"])
+def test_rhs_of_a_batch_is_the_rhs_of_each_row(geo, tangent, rng):
+    n2 = 2 * geo.dim
+    Y = _pack(_complex_points(rng, 17, n2, 0.3), geo.dim, tangent)
+    if tangent:
+        Y[n2 + 1 :] += rng.normal(size=(n2 * n2, 17)) + 1j * rng.normal(size=(n2 * n2, 17))
+    batch = _rhs(geo, Y)
+    assert batch.shape == Y.shape
+    for r in range(17):
+        assert np.array_equal(batch[:, r : r + 1], _rhs(geo, Y[:, r : r + 1]))
+
+
+def _grid(x_half, p_half):
+    """A 400-row (x1, x2, p1, p2) grid of 4 x 4 x 5 x 5 points."""
+    axes = [np.linspace(-h, h, c) for h, c in ((x_half, 4), (x_half, 4), (p_half, 5), (p_half, 5))]
+    return np.stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+@pytest.mark.parametrize("geo, Z", [
+    (make_flat_magnetic(2, [[0.0, 1.0], [-1.0, 0.0]], 1.0), _grid(0.95, 1.9)),
+    (make_sphere_magnetic(1.0, 1.0), _grid(0.095, 1.3)),
+], ids=["flat", "sphere"])
+def test_wrapped_evaluators_flow_a_grid_as_the_fused_jet_does(geo, Z):
+    # every evaluator wrapped, as an instrumented run wraps them: the fused
+    # jet is dropped and the jet composes the evaluators
+    wrapped = dataclasses.replace(geo, **{name: (lambda x, _fn=getattr(geo, name): _fn(x))
+                                          for name in EVALUATORS})
+    assert wrapped.fused_jet is None and geo.fused_jet is not None
+    fused, composed = flow_many(geo, Z, 1j), flow_many(wrapped, Z, 1j)
+    assert fused.ok.all() and composed.steps == fused.steps
+    for name in ("x", "p", "quad", "jac", "det_min"):
+        assert np.array_equal(getattr(composed, name), getattr(fused, name))

@@ -23,7 +23,7 @@ from magtube.kahler import (
     section_weight,
     theta_A_covector,
 )
-from magtube.structure import assemble_J, frame_at
+from magtube.structure import acs_point, frame_at
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_kappa2_matches_engine(flat_geo, rng):
 
 def test_kappa1_coefficient_resolution(flat_geo, rng):
     z = PhasePoint([0.2, 0.1], [0.6, -0.3])
-    acs = assemble_J(frame_at(flat_geo, z, 1j), flat_geo)
+    acs = acs_point(flat_geo, z, 1j)
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, sample_flat(rng, 6))
     assert coeff == 0.5
     assert residuals[0.5] < 1e-8

@@ -212,7 +212,23 @@ def test_assemble_J_properties(flat_geo, sphere_geo, rng):
 def test_assemble_J_rejects_degenerate_frame(flat_geo):
     fr = frame_at(flat_geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 0.5)  # real time
     with pytest.raises(np.linalg.LinAlgError):
-        assemble_J(fr, flat_geo)
+        assemble_J(flat_geo, fr.base.x, fr.F)
+    # one degenerate frame in a batch fails the batch
+    good = frame_at(flat_geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 1j)
+    with pytest.raises(np.linalg.LinAlgError):
+        assemble_J(flat_geo, np.stack([good.base.x] * 2), np.stack([good.F, fr.F]))
+
+
+def test_assemble_J_of_a_batch_is_assemble_J_of_each_point(flat_geo, sphere_geo, rng):
+    for geo, Z in ((flat_geo, sample_flat(rng, 5)), (sphere_geo, sample_sphere(rng, 5))):
+        F = frames_at_many(geo, Z, 0.3 + 0.8j)[0]
+        batch = assemble_J(geo, Z[:, :2], F)
+        assert batch.J.shape == (5, 4, 4) and batch.positivity_spectrum.shape == (5, 2)
+        assert batch.transversality.shape == batch.imag_residual.shape == (5,)
+        for i in range(5):
+            one = assemble_J(geo, Z[i, :2], F[i])
+            for name in ("J", "positivity_spectrum", "transversality", "imag_residual"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(one, name))
 
 
 def test_conjugate_time_gives_opposite_J(sphere_geo):
@@ -258,7 +274,7 @@ def test_totally_real_zero_section(flat_geo, sphere_geo):
         x0 = np.array([0.1, -0.08])
         fr = frame_at(geo, PhasePoint(x0, [0, 0]), 1j)
         assert np.linalg.svd(fr.F[2:], compute_uv=False)[-1] > 1e-6
-        acs = assemble_J(fr, geo)
+        acs = assemble_J(geo, x0, fr.F)
         Eh = np.vstack([np.eye(2), np.zeros((2, 2))])
         assert np.linalg.svd(np.hstack([Eh, acs.J @ Eh]), compute_uv=False)[-1] > 1e-6
 
@@ -266,11 +282,10 @@ def test_totally_real_zero_section(flat_geo, sphere_geo):
 def test_gauge_invariance(sphere_geo, rng):
     z = PhasePoint([0.1, -0.05], [0.3, 0.2])
     fr = frame_at(sphere_geo, z, 1j)
-    acs = assemble_J(fr, sphere_geo)
+    acs = assemble_J(sphere_geo, z.x, fr.F)
     for _ in range(5):
         G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        fr2 = dataclasses.replace(fr, F=orthonormalize(fr.F @ G))
-        acs2 = assemble_J(fr2, sphere_geo)
+        acs2 = assemble_J(sphere_geo, z.x, orthonormalize(fr.F @ G))
         assert np.abs(acs2.J - acs.J).max() < 1e-9
         assert np.abs(acs2.positivity_spectrum - acs.positivity_spectrum).max() < 1e-9
         assert abs(acs2.transversality - acs.transversality) < 1e-9
