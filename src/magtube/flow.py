@@ -102,9 +102,13 @@ class FlowError(RuntimeError):
 
 
 class BlowUpError(FlowError):
-    """Trajectory left the geometry's complex validity region: the initial
-    point is outside the continuation tube (expected far from the
-    zero-section, not a bug)."""
+    """A row failed ``BLOWUP``: it left the chart's ``complex_radius``, its
+    |p| passed ``P_CAP``, or its state became non-finite.
+
+    This is where the chart's complex region ends, not where the paper's
+    tube ends: on the unit sphere, rows fail where the closed-form path
+    crosses |u| = 0.6 while r - a_3 stays at 1.99 or more.  Expected far
+    from the zero-section, not a bug."""
 
     reason = REASON_BLOWUP
 
@@ -126,7 +130,8 @@ def _raise_for(reason, time):
         raise ChartExitError("trajectory left the chart box", time)
     if reason == REASON_TOL:
         raise StepSizeError("step size underflow / accuracy unreachable", time)
-    raise BlowUpError("trajectory left the continuation tube", time)
+    raise BlowUpError("trajectory left the chart's complex region, passed the momentum cap "
+                      "or became non-finite", time)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,9 @@ def kde_residual_many(
     df/dsigma (the contour in complex sigma) and the phase gradient that
     X_E(f) contracts; every contour row flows to its own -sigma in one
     batched flow.  A row whose contour left the tube gets a NaN defect.
+
+    The identity holds for any 1-form A, whether or not dA = beta, so it
+    cannot see a wrong potential; ``dbar_residual_many`` does.
     """
     Z = np.asarray(Z, dtype=float)
     n = geo.dim

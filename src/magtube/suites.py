@@ -9,8 +9,9 @@ so reports are reproducible bit for bit (modulo the runtime field).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List
+from collections import namedtuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -100,34 +101,57 @@ class CheckResult:
 # shared fixtures
 # ---------------------------------------------------------------------------
 
-FLAT_CASES = [(0.5, 1.0), (1.0, 1.0), (1.0, 0.5)]  # (B, mass_freq): Btilde 0.5, 1, 2
 SPHERE_R, SPHERE_B = 1.0, 1.0
-
-COMPLEX_TARGETS = [0.7, -1.2, 1j, 0.3 + 0.8j, -0.5 + 0.6j, 1.2j]
 
 
 def _flat(B: float, mass_freq: float) -> ChartedGeometry:
     return make_flat_magnetic(2, [[0.0, B], [-B, 0.0]], mass_freq)
 
 
-def _sphere() -> ChartedGeometry:
-    return make_sphere_magnetic(SPHERE_R, SPHERE_B)
+# A chart of the chart-generic checks and the values they take on it.  A box
+# is (|x| max, |p| max) in chart coordinates: ``wide`` is the default sample
+# box, ``tube`` the smaller one of the contour checks.  ``point`` is the (1, 2n)
+# row of the frame intertwiners; ``tol`` holds each per-chart check's
+# tolerance, keyed by its name without the chart's.
+_Chart = namedtuple("_Chart", "build wide tube validation_box analyticity_scale group_times "
+                              "kahler_rows kde_sigma reversal_box reversal_time point tol")
 
 
-def _sample_flat(rng, m, xmax=1.0, pmax=2.0):
-    return np.concatenate(
-        [rng.uniform(-xmax, xmax, (m, 2)), rng.uniform(-pmax, pmax, (m, 2))], axis=1
-    )
+# The charts every chart-generic check runs on, in the order of the report.
+# The oracle suites build the same two charts here: their closed forms take
+# B = mass_freq = 1 and r = B = 1.
+_CHARTS: Dict[str, _Chart] = {
+    "flat": _Chart(
+        build=lambda: _flat(1.0, 1.0), wide=(1.0, 2.0), tube=(0.6, 1.0),
+        validation_box=1.0, analyticity_scale=0.5, group_times=(0.4, 0.5), kahler_rows=50,
+        kde_sigma=0.3, reversal_box=(0.6, 1.0), reversal_time=0.7,
+        point=np.array([[0.2, 0.1, 0.6, -0.3]]),
+        tol={"validation": 1e-11, "analyticity": 1e-10, "integrability": 1e-11,
+             "kde": 1e-9, "dbar": 1e-10, "extension_dbar": 1e-10, "flow_reversal": 1e-9,
+             "frame_intertwine": 1e-7, "frame_intertwine_shifted": 1e-6},
+    ),
+    "sphere": _Chart(
+        build=lambda: make_sphere_magnetic(SPHERE_R, SPHERE_B), wide=(0.15, 0.45),
+        tube=(0.12, 0.35), validation_box=0.45, analyticity_scale=0.1, group_times=(0.2, 0.3),
+        kahler_rows=20, kde_sigma=0.2, reversal_box=(0.15, 0.45), reversal_time=0.5,
+        point=np.array([[0.1, -0.05, 0.3, 0.2]]),
+        tol={"validation": 1e-8, "analyticity": 1e-8, "integrability": 1e-10,
+             "kde": 1e-12, "dbar": 1e-10, "extension_dbar": 1e-10, "flow_reversal": 1e-8,
+             "frame_intertwine": 1e-6, "frame_intertwine_shifted": 1e-6},
+    ),
+}
 
 
-def _sample_sphere(rng, m, umax=0.15, pmax=0.45):
-    return np.concatenate(
-        [rng.uniform(-umax, umax, (m, 2)), rng.uniform(-pmax, pmax, (m, 2))], axis=1
-    )
+def _cases() -> Dict[str, Tuple[_Chart, ChartedGeometry]]:
+    """Every table chart with its geometry, built now."""
+    return {name: (chart, chart.build()) for name, chart in _CHARTS.items()}
 
 
-def _geometry_samples(rng, geo_kind, m, **kw):
-    return _sample_flat(rng, m, **kw) if geo_kind == "flat" else _sample_sphere(rng, m, **kw)
+def _sample(rng, geo: ChartedGeometry, m: int, box) -> np.ndarray:
+    """m phase rows of geo, uniform in the box (|x| max, |p| max)."""
+    xmax, pmax = box
+    return np.concatenate([rng.uniform(-xmax, xmax, (m, geo.dim)),
+                           rng.uniform(-pmax, pmax, (m, geo.dim))], axis=1)
 
 
 def _rng(seed: int, channel: int):
@@ -165,24 +189,22 @@ def _max_residual(report) -> float:
 def suite_geometry(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 0)
     checks = []
+    cases = _cases()
 
-    flat = _flat(1.0, 1.0)
-    rep = validate_geometry(flat, rng.uniform(-1, 1, (100, 2)))
-    checks.append(CheckResult("flat_validation", _max_residual(rep), 1e-11))
-
-    sph = _sphere()
-    edge = rng.uniform(-0.45, 0.45, (100, 2)) * SPHERE_R
-    reps = validate_geometry(sph, edge)
-    checks.append(CheckResult("sphere_validation", _max_residual(reps), 1e-8))
+    samples, reports = {}, {}
+    for name, (c, geo) in cases.items():
+        samples[name] = rng.uniform(-c.validation_box, c.validation_box, (100, geo.dim))
+        reports[name] = validate_geometry(geo, samples[name])
+        checks.append(CheckResult(f"{name}_validation", _max_residual(reports[name]),
+                                  c.tol["validation"]))
     checks.append(CheckResult("metric_positive_definite",
-                              min(rep.residuals["metric_min_eigenvalue"],
-                                  reps.residuals["metric_min_eigenvalue"]), 0.0, kind="min"))
+                              min(r.residuals["metric_min_eigenvalue"] for r in reports.values()),
+                              0.0, kind="min"))
 
     # deliberate fault injection: scaling the potential must break dA = beta
-    import dataclasses
-
-    bad = dataclasses.replace(sph, potential=lambda u, _p=sph.potential: 1.01 * _p(u))
-    bad_rep = validate_geometry(bad, edge[:20])
+    sph = cases["sphere"][1]
+    bad = replace(sph, potential=lambda u, _p=sph.potential: 1.01 * _p(u))
+    bad_rep = validate_geometry(bad, samples["sphere"][:20])
     checks.append(CheckResult("fault_injection_detected",
                               bad_rep.residuals["exterior_derivative"], 1e-6, kind="min",
                               note="potential scaled by 1.01 must fail the dA=beta check"))
@@ -193,9 +215,8 @@ def suite_geometry(seed: int) -> List[CheckResult]:
 
     E3 = stereographic_frame(u, SPHERE_R)
     x3 = stereographic_point(u, SPHERE_R)
-    pulled = (SPHERE_B / SPHERE_R) * np.einsum(
-        "mi,mi->m", x3, np.cross(E3[:, :, 0], E3[:, :, 1])
-    )
+    pulled = (SPHERE_B / SPHERE_R) * np.einsum("mi,mi->m", x3,
+                                               np.cross(E3[:, :, 0], E3[:, :, 1]))
     checks.append(CheckResult("sphere_beta_pullback",
                               float(np.abs(sph.beta(u)[:, 0, 1] - pulled).max()), 1e-10))
 
@@ -217,11 +238,14 @@ def suite_geometry(seed: int) -> List[CheckResult]:
                               note="flux of the invariant 2-form is 4 pi r^2 B (here 8 pi)"))
 
     # complex-extension consistency: degree-4 Taylor from the real chart
-    checks.append(CheckResult("flat_analyticity", _taylor_defect(flat, rng, 0.5), 1e-10))
-    checks.append(CheckResult("sphere_analyticity", _taylor_defect(sph, rng, 0.1), 1e-8))
+    for name, (c, geo) in cases.items():
+        checks.append(CheckResult(f"{name}_analyticity",
+                                  _taylor_defect(geo, rng, c.analyticity_scale),
+                                  c.tol["analyticity"]))
 
     # constant-field chart: beta independent of x, metric derivatives zero
-    pts = rng.uniform(-1, 1, (20, 2))
+    flat = cases["flat"][1]
+    pts = rng.uniform(-1, 1, (20, flat.dim))
     bdev = np.abs(flat.beta(pts) - flat.beta(pts * 0)).max()
     gdev = np.abs(flat.inv_metric_deriv(pts)).max()
     checks.append(CheckResult("flat_constancy", float(max(bdev, gdev)), 1e-14))
@@ -231,15 +255,13 @@ def suite_geometry(seed: int) -> List[CheckResult]:
 def _taylor_defect(geo: ChartedGeometry, rng, scale: float) -> float:
     """Max defect of evaluators against their degree-4 real Taylor expansion
     continued to an imaginary offset (analyticity probe)."""
-    eta = 0.04 * scale
-    h = 0.04 * scale
+    h = eta = 0.04 * scale
     worst = 0.0
     for _ in range(5):
         x = rng.uniform(-0.2, 0.2, geo.dim) * scale
         for fn in (geo.inv_metric, geo.beta, geo.potential):
             for k in range(geo.dim):
-                e = np.zeros(geo.dim)
-                e[k] = 1.0
+                e = np.eye(geo.dim)[k]
                 fm2, fm1, f0, f1, f2 = (fn(x + j * h * e) for j in range(-2, 3))
                 d1 = (-f2 + 8 * f1 - 8 * fm1 + fm2) / (12 * h)
                 d2 = (-f2 + 16 * f1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h**2)
@@ -258,26 +280,27 @@ def _taylor_defect(geo: ChartedGeometry, rng, scale: float) -> float:
 def suite_flow(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 1)
     checks = []
-    cases = [("flat", _flat(1.0, 1.0)), ("sphere", _sphere())]
+    cases = _cases()
 
     # group law, symplectomorphy, energy conservation on real flows
     worst_group, worst_symp, worst_energy, min_det = 0.0, 0.0, 0.0, np.inf
-    for kind, geo in cases:
-        s1, s2 = (0.4, 0.5) if kind == "flat" else (0.2, 0.3)
-        Z = _geometry_samples(rng, kind, 20)
+    for c, geo in cases.values():
+        n = geo.dim
+        s1, s2 = c.group_times
+        Z = _sample(rng, geo, 20, c.wide)
         r1 = flow_many(geo, Z, s1)
         r2 = flow_many(geo, np.concatenate([r1.x.real, r1.p.real], axis=1), s2)
         r12 = flow_many(geo, Z, s1 + s2)
         worst_group = max(worst_group, float(np.abs(
             np.concatenate([r2.x - r12.x, r2.p - r12.p], axis=1)).max()))
 
-        om0 = twisted_symplectic_matrix(geo, Z[:, :2])
+        om0 = twisted_symplectic_matrix(geo, Z[:, :n])
         om1 = twisted_symplectic_matrix(geo, r12.x)
         pulled = np.einsum("mji,mjk,mkl->mil", r12.jac, om1, r12.jac)
         worst_symp = max(worst_symp, float(np.abs(pulled - om0).max()))
 
         worst_energy = max(worst_energy, float(np.abs(
-            energy(geo, r12.x, r12.p) - energy(geo, Z[:, :2], Z[:, 2:])).max()))
+            energy(geo, r12.x, r12.p) - energy(geo, Z[:, :n], Z[:, n:])).max()))
         min_det = min(min_det, float(r12.det_min.min()))
     checks.append(CheckResult("group_law", worst_group, 1e-9))
     checks.append(CheckResult("symplectomorphy", worst_symp, 1e-8))
@@ -285,12 +308,12 @@ def suite_flow(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("jacobian_nonsingular", min_det, 1e-6, kind="min"))
 
     # Hamiltonian field against the omega-inversion oracle
-    worst = max(_field_inversion_defect(geo, _geometry_samples(rng, kind, 10))
-                for kind, geo in cases)
+    worst = max(_field_inversion_defect(geo, _sample(rng, geo, 10, c.wide))
+                for c, geo in cases.values())
     checks.append(CheckResult("hamiltonian_field_inversion", worst, 1e-10))
 
     # zero-section: field vanishes, points are fixed
-    zfix = flow_complex(_flat(1.0, 1.0), PhasePoint([0.3, -0.4], [0, 0]), 0.3 + 0.8j,
+    zfix = flow_complex(cases["flat"][1], PhasePoint([0.3, -0.4], [0, 0]), 0.3 + 0.8j,
                         tangent=False)
     checks.append(CheckResult("zero_section_fixed",
                               float(np.abs(zfix.as_vector() - np.array([0.3, -0.4, 0, 0])).max()),
@@ -298,9 +321,8 @@ def suite_flow(seed: int) -> List[CheckResult]:
 
     # zero-section linearization against the block matrix exponential
     worst_jac, worst_span = 0.0, 0.0
-    zs_cases = [("flat", _flat(1.0, 1.0)), ("flat", _flat(1.0, 0.5)), ("sphere", _sphere())]
-    for kind, geo in zs_cases:
-        xs = rng.uniform(-0.3, 0.3, (2, 2)) * (1.0 if kind == "flat" else SPHERE_R)
+    for geo in (cases["flat"][1], _flat(1.0, 0.5), cases["sphere"][1]):
+        xs = rng.uniform(-0.3, 0.3, (2, geo.dim))
         Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
         g0, b0 = geo.inv_metric(xs), geo.beta(xs)
         for sig in (0.5, 1j, 0.3 + 0.8j):
@@ -316,8 +338,8 @@ def suite_flow(seed: int) -> List[CheckResult]:
 
     # path independence of the continuation
     worst = 0.0
-    for kind, geo in cases:
-        Z = _geometry_samples(rng, kind, 20)
+    for c, geo in cases.values():
+        Z = _sample(rng, geo, 20, c.wide)
         mid = complex(rng.uniform(0.3, 0.8), rng.uniform(-0.2, 0.4))
         rA = flow_many(geo, Z, ComplexTime(1j), tangent=False)
         rB = flow_many(geo, Z, ComplexTime(1j, (mid, 1j)), tangent=False)
@@ -328,8 +350,8 @@ def suite_flow(seed: int) -> List[CheckResult]:
     # inverse consistency: back along the reversed path and out again
     # recovers the start
     worst = 0.0
-    for kind, geo in cases:
-        Z = _geometry_samples(rng, kind, 15)
+    for c, geo in cases.values():
+        Z = _sample(rng, geo, 15, c.wide)
         for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):
             back = flow_many(geo, Z, t.reversed(), tangent=False)
             W = np.concatenate([back.x, back.p], axis=1)
@@ -342,9 +364,10 @@ def suite_flow(seed: int) -> List[CheckResult]:
 
     # the sphere's tangent map against a contour derivative of the
     # tangent-free flow, which never evaluates second derivatives
-    Z = _sample_sphere(rng, 6, umax=0.12 * SPHERE_R, pmax=0.35)
+    sph, geo = cases["sphere"]
     checks.append(CheckResult("tangent_map_contour",
-                              _tangent_map_contour_defect(_sphere(), Z, ComplexTime(1j)),
+                              _tangent_map_contour_defect(geo, _sample(rng, geo, 6, sph.tube),
+                                                          ComplexTime(1j)),
                               1e-10))
 
     checks.append(CheckResult("radius_estimate_value",
@@ -388,23 +411,23 @@ def _field_inversion_defect(geo: ChartedGeometry, Z: np.ndarray) -> float:
 def suite_frames(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 2)
     checks = []
-    cases = [("flat", _flat(1.0, 1.0)), ("sphere", _sphere())]
+    cases = _cases()
 
-    worst_lagr, min_trans, min_pos, worst_conj_span, worst_conjJ = 0.0, np.inf, np.inf, 0.0, 0.0
-    worst_gauge = 0.0
-    min_metric_pos = np.inf
-    for kind, geo in cases:
-        Z = _geometry_samples(rng, kind, 100)
+    worst_lagr, worst_conj_span, worst_conjJ, worst_gauge = 0.0, 0.0, 0.0, 0.0
+    min_trans, min_pos, min_metric_pos = np.inf, np.inf, np.inf
+    for name, (c, geo) in cases.items():
+        n = geo.dim
+        Z = _sample(rng, geo, 100, c.wide)
         F, ok, reasons, _ = frames_at_many(geo, Z, 1j)
         if not ok.all():
-            checks.append(CheckResult(f"{kind}_frames_computed", float(ok.mean()), 1.0 - 1e-12,
+            checks.append(CheckResult(f"{name}_frames_computed", float(ok.mean()), 1.0 - 1e-12,
                                       kind="min", note=str([r for r in reasons if r][0])))
             Z, F = Z[ok], F[ok]
-        om = twisted_symplectic_matrix(geo, Z[:, :2])
+        om = twisted_symplectic_matrix(geo, Z[:, :n])
         lagr = np.einsum("mji,mjk,mkl->mil", F, om, F)  # complex-bilinear F^T Om F
         worst_lagr = max(worst_lagr, float(np.abs(lagr).max()))
         min_trans = min(min_trans, float(transversality_check(F).min()))
-        M = positivity_matrix(geo, Z[:, :2], F)
+        M = positivity_matrix(geo, Z[:, :n], F)
         min_pos = min(min_pos, float(np.linalg.eigvalsh(M).min()))
 
         # conjugate frame spans the conjugate-time subspace
@@ -414,7 +437,7 @@ def suite_frames(seed: int) -> List[CheckResult]:
         # J at conjugate times are opposite; omega(X, JX) > 0; gauge
         # invariance under random right-multiplication
         for i in range(3):
-            z = PhasePoint(Z[i, :2], Z[i, 2:])
+            z = PhasePoint(Z[i, :n], Z[i, n:])
             acs_p = assemble_J(geo, z.x, F[i])
             acs_m = assemble_J(geo, z.x, Fm[i])
             worst_conjJ = max(worst_conjJ, float(np.abs(acs_p.J + acs_m.J).max()))
@@ -423,7 +446,7 @@ def suite_frames(seed: int) -> List[CheckResult]:
             Sym = 0.5 * (Sym + Sym.T)
             min_metric_pos = min(min_metric_pos, float(np.linalg.eigvalsh(Sym).min()))
 
-            G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             acs_g = assemble_J(geo, z.x, orthonormalize(F[i] @ G))
             worst_gauge = max(
                 worst_gauge,
@@ -441,20 +464,21 @@ def suite_frames(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("frame_gauge_invariance", worst_gauge, 1e-9))
 
     # real time: the frame equals its conjugate, transversality degenerates
-    fr_real = frame_at(_flat(1.0, 1.0), PhasePoint([0.2, 0.1], [0.6, -0.3]), 0.5)
+    fr_real = frame_at(cases["flat"][1], PhasePoint([0.2, 0.1], [0.6, -0.3]), 0.5)
     checks.append(CheckResult("real_time_degeneracy", transversality_check(fr_real), 1e-8,
                               expected_degenerate=True,
                               note="tau=0 frame equals its conjugate by construction"))
 
     # zero-section Hermitian form against the closed-form positivity matrix
     worst = 0.0
-    for geo in (_flat(1.0, 0.5), _sphere()):
-        xs = rng.uniform(-0.2, 0.2, (2, 2))
+    for geo in (_flat(1.0, 0.5), cases["sphere"][1]):
+        n = geo.dim
+        xs = rng.uniform(-0.2, 0.2, (2, n))
         changes = [normalized_zero_section_frame_change(geo, x0) for x0 in xs]
         for t in (1j, 0.3 + 0.8j):
             for (T, btil), st in zip(changes, _zero_section_flow(geo, xs, t)):
-                Fn = T @ st.jac[:, 2:] @ T[:2, :2].T
-                om_t = np.block([[-btil, np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+                Fn = T @ st.jac[:, n:] @ T[:n, :n].T
+                om_t = np.block([[-btil, np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
                 M = 1j * Fn.conj().T @ om_t @ Fn
                 worst = max(worst, float(np.abs(M - orc.zero_section_positivity_matrix(btil, t)).max()))
     checks.append(CheckResult("zero_section_positivity_form", worst, 1e-8,
@@ -464,32 +488,32 @@ def suite_frames(seed: int) -> List[CheckResult]:
 
     # totally real zero-section: vertical block of the frame is nonsingular
     min_block, min_horiz = np.inf, np.inf
-    for kind, geo in cases:
-        xs = rng.uniform(-0.2, 0.2, (3, 2))
+    for c, geo in cases.values():
+        n = geo.dim
+        xs = rng.uniform(-0.2, 0.2, (3, n))
         F = _frames(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), 1j)
+        Eh = np.vstack([np.eye(n), np.zeros((n, n))])
         for i, st in enumerate(_zero_section_flow(geo, xs, 1j)):
             T, btil = normalized_zero_section_frame_change(geo, xs[i])
-            Fn = T @ st.jac[:, 2:]
-            min_block = min(min_block, float(np.linalg.svd(Fn[2:], compute_uv=False)[-1]))
+            Fn = T @ st.jac[:, n:]
+            min_block = min(min_block, float(np.linalg.svd(Fn[n:], compute_uv=False)[-1]))
             min_block = min(min_block, float(np.linalg.svd(expm(1j * btil), compute_uv=False)[-1]))
             acs = assemble_J(geo, xs[i], F[i])
-            Eh = np.vstack([np.eye(2), np.zeros((2, 2))])
             min_horiz = min(min_horiz, float(
                 np.linalg.svd(np.hstack([Eh, acs.J @ Eh]), compute_uv=False)[-1]))
     checks.append(CheckResult("totally_real_vertical_block", min_block, 1e-6, kind="min"))
     checks.append(CheckResult("totally_real_horizontal", min_horiz, 1e-6, kind="min"))
 
-    # integrability via contour-derivative brackets
-    worst_flat, worst_sph = 0.0, 0.0
+    # integrability via contour-derivative brackets; the samples are drawn
+    # per time, chart after chart
+    worst = dict.fromkeys(cases, 0.0)
     for t in (1j, 0.3 + 0.8j):
-        Zf = _sample_flat(rng, 20, xmax=0.6, pmax=1.0)
-        worst_flat = max(worst_flat, float(integrability_residual_many(
-            _flat(1.0, 1.0), Zf, t)[3].max()))
-        Zs = _sample_sphere(rng, 20, umax=0.12, pmax=0.35)
-        worst_sph = max(worst_sph, float(integrability_residual_many(
-            _sphere(), Zs, t)[3].max()))
-    checks.append(CheckResult("integrability_flat", worst_flat, 1e-11))
-    checks.append(CheckResult("integrability_sphere", worst_sph, 1e-10))
+        for name, (c, geo) in cases.items():
+            Z = _sample(rng, geo, 20, c.tube)
+            worst[name] = max(worst[name],
+                              float(integrability_residual_many(geo, Z, t)[3].max()))
+    for name, (c, _) in cases.items():
+        checks.append(CheckResult(f"integrability_{name}", worst[name], c.tol["integrability"]))
     return checks
 
 
@@ -500,18 +524,16 @@ def suite_frames(seed: int) -> List[CheckResult]:
 def suite_kahler(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 3)
     checks = []
-    flat = _flat(1.0, 1.0)
-    sph = _sphere()
+    cases = _cases()
+    Z = {name: _sample(rng, geo, c.kahler_rows, c.tube) for name, (c, geo) in cases.items()}
 
-    Zf = _sample_flat(rng, 50, xmax=0.6, pmax=1.0)
-    Zs = _sample_sphere(rng, 20, umax=0.12, pmax=0.35)
-
-    checks.append(CheckResult("kde_flat",
-                              float(kde_residual_many(flat, Zf, 0.3).max()), 1e-9))
-    checks.append(CheckResult("kde_sphere",
-                              float(kde_residual_many(sph, Zs, 0.2).max()), 1e-12))
+    for name, (c, geo) in cases.items():
+        checks.append(CheckResult(f"kde_{name}",
+                                  float(kde_residual_many(geo, Z[name], c.kde_sigma).max()),
+                                  c.tol["kde"]))
 
     # f at +-i: conjugation symmetry, reality of kappa2, closed form on the plane
+    flat, Zf = cases["flat"][1], Z["flat"]
     fm, fp = np.split(potential_f_many(flat, np.concatenate([Zf, Zf]),
                                        np.repeat([-1j, 1j], len(Zf)))[0], 2)
     checks.append(CheckResult("f_conjugation", float(np.abs(np.conj(fm) - fp).max()), 1e-8))
@@ -528,17 +550,15 @@ def suite_kahler(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("f_zero_at_origin", float(np.abs(f0).max()), 1e-12))
 
     # dbar f_{-i} = (theta^A)^{0,1}
-    Ff, okf, _, _ = frames_at_many(flat, Zf, 1j)
-    checks.append(CheckResult("dbar_flat",
-                              float(dbar_residual_many(flat, Zf, Ff.conj())[3].max()),
-                              1e-10))
-    Fs, oks, _, _ = frames_at_many(sph, Zs, 1j)
-    checks.append(CheckResult("dbar_sphere",
-                              float(dbar_residual_many(sph, Zs, Fs.conj())[3].max()),
-                              1e-10))
+    F = {}
+    for name, (c, geo) in cases.items():
+        F[name] = frames_at_many(geo, Z[name], 1j)[0]
+        checks.append(CheckResult(f"dbar_{name}",
+                                  float(dbar_residual_many(geo, Z[name], F[name].conj())[3].max()),
+                                  c.tol["dbar"]))
 
     # kappa1: coefficient resolution by the adaptedness identity
-    acs = assemble_J(flat, Zf[0, :2], Ff[0])
+    acs = assemble_J(flat, Zf[0, :2], F["flat"][0])
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, Zf[:10])
     checks.append(CheckResult("kappa1_adapted", residuals[coeff], 1e-10,
                               note=f"tanh coefficient resolved to {coeff} * B "
@@ -550,10 +570,10 @@ def suite_kahler(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("i_ddbar_kappa2", _i_ddbar_defect(1.0, 1.0, rng), 1e-8))
 
     # holomorphic extensions: dbar-closure and ring property
-    worst_flat = _extension_dbar_defect(flat, Zf[:8])
-    worst_sph = _extension_dbar_defect(sph, Zs[:8])
-    checks.append(CheckResult("extension_dbar_flat", worst_flat, 1e-10))
-    checks.append(CheckResult("extension_dbar_sphere", worst_sph, 1e-10))
+    for name, (c, geo) in cases.items():
+        checks.append(CheckResult(f"extension_dbar_{name}",
+                                  _extension_dbar_defect(geo, Z[name][:8]),
+                                  c.tol["extension_dbar"]))
 
     z = PhasePoint(Zf[0, :2], Zf[0, 2:])
     st = flow_complex(flat, z, 1j, tangent=False)
@@ -586,14 +606,8 @@ def _i_ddbar_defect(B: float, mass_freq: float, rng) -> float:
     Bt = B / mass_freq
     sh, ch = np.sinh(Bt), np.cosh(Bt)
     # real coordinates (Re z1, Im z1, Re z2, Im z2) as a linear map of (x, p)
-    T = np.array(
-        [
-            [1, 0, 0, -(ch - 1) / B],
-            [0, 0, sh / B, 0],
-            [0, 1, (ch - 1) / B, 0],
-            [0, 0, 0, sh / B],
-        ]
-    )
+    T = np.array([[1, 0, 0, -(ch - 1) / B], [0, 0, sh / B, 0],
+                  [0, 1, (ch - 1) / B, 0], [0, 0, 0, sh / B]])
     om = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
     om[:2, :2] = [[0, -B], [B, 0]]
     Tinv = np.linalg.inv(T)
@@ -636,41 +650,42 @@ def _extension_dbar_defect(geo: ChartedGeometry, Z: np.ndarray) -> float:
 def suite_intertwine(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 4)
     checks = []
+    cases = _cases()
     flat0 = _flat(0.0, 1.0)
-    flat = _flat(1.0, 1.0)
-    sph = _sphere()
+    flat, flat_geo = cases["flat"]
 
     z = np.array([[0.0, 0.0, 1.0, 0.0]])
     checks.append(CheckResult("flow_reversal_geodesic",
                               float(check_flow_reversal(flat0, z, 0.7).max()), 1e-10))
-    Z = _sample_flat(rng, 10, xmax=0.6, pmax=1.0)
-    checks.append(CheckResult("flow_reversal_flat",
-                              float(check_flow_reversal(flat, Z, 0.7).max()), 1e-9))
 
-    # the same identity evaluated on the closed-form flow alone
-    Z = _sample_flat(rng, 10)
+    # the same identity on every chart, and on the closed-form flow alone;
+    # the closed-form sample is drawn, and its check reported, right after
+    # the flat chart's
+    Z = {"flat": _sample(rng, flat_geo, 10, flat.reversal_box)}
+    Zo = _sample(rng, flat_geo, 10, flat.wide)
+    Z.update((name, _sample(rng, geo, 10, c.reversal_box))
+             for name, (c, geo) in cases.items() if name not in Z)
+    reversal = {name: CheckResult(f"flow_reversal_{name}",
+                                  float(check_flow_reversal(geo, Z[name], c.reversal_time).max()),
+                                  c.tol["flow_reversal"])
+                for name, (c, geo) in cases.items()}
     nu = np.diag([1.0, 1.0, -1.0, -1.0])
-    lhs = orc.flat_flow_oracle(-1.0, 1.0, Z @ nu, 0.7) @ nu
-    rhs = orc.flat_flow_oracle(1.0, 1.0, Z, -0.7)
+    lhs = orc.flat_flow_oracle(-1.0, 1.0, Zo @ nu, 0.7) @ nu
+    rhs = orc.flat_flow_oracle(1.0, 1.0, Zo, -0.7)
+    checks.append(reversal.pop("flat"))
     checks.append(CheckResult("flow_reversal_flat_oracle", float(np.abs(lhs - rhs).max()), 1e-12))
+    checks.extend(reversal.values())
 
-    Z = _sample_sphere(rng, 10)
-    checks.append(CheckResult("flow_reversal_sphere",
-                              float(check_flow_reversal(sph, Z, 0.5).max()), 1e-8))
-
-    zf = np.array([[0.2, 0.1, 0.6, -0.3]])
-    zs = np.array([[0.1, -0.05, 0.3, 0.2]])
-    for name, geo, z, tol in (("frame_intertwine_geodesic", flat0, zf, 1e-8),
-                              ("frame_intertwine_flat", flat, zf, 1e-7),
-                              ("frame_intertwine_sphere", sph, zs, 1e-6)):
-        checks.append(CheckResult(name, float(check_frame_intertwine(geo, z, 1j).max()), tol))
-    for name, geo, z in (("frame_intertwine_shifted_flat", flat, zf),
-                         ("frame_intertwine_shifted_sphere", sph, zs)):
-        checks.append(CheckResult(
-            name, float(check_shifted_frame_intertwine(geo, z, 0.3 + 0.8j).max()), 1e-6))
+    checks.append(CheckResult("frame_intertwine_geodesic",
+                              float(check_frame_intertwine(flat0, flat.point, 1j).max()), 1e-8))
+    for key, check, t in (("frame_intertwine", check_frame_intertwine, 1j),
+                          ("frame_intertwine_shifted", check_shifted_frame_intertwine, 0.3 + 0.8j)):
+        for name, (c, geo) in cases.items():
+            checks.append(CheckResult(f"{key}_{name}", float(check(geo, c.point, t).max()),
+                                      c.tol[key]))
 
     # nu is an involution: pushing a frame through twice recovers its span
-    F = _frames(flat, zf, 1j)[0]
+    F = _frames(flat_geo, flat.point, 1j)[0]
     checks.append(CheckResult("involution", subspace_distance(nu @ (nu @ F), F), 1e-10))
     return checks
 
@@ -682,12 +697,14 @@ def suite_intertwine(seed: int) -> List[CheckResult]:
 def suite_flat_oracle(seed: int) -> List[CheckResult]:
     rng = _rng(seed, 5)
     checks = []
+    wide = _CHARTS["flat"].wide
+    # (B, mass_freq, chart) with Btilde 0.5, 1, 2
+    flats = [(B, mf, _flat(B, mf)) for B, mf in ((0.5, 1.0), (1.0, 1.0), (1.0, 0.5))]
 
     worst_flow, worst_z = 0.0, 0.0
-    for B, mass_freq in FLAT_CASES:
-        geo = _flat(B, mass_freq)
-        Z = _sample_flat(rng, 200)
-        for sig in COMPLEX_TARGETS:
+    for B, mass_freq, geo in flats:
+        Z = _sample(rng, geo, 200, wide)
+        for sig in (0.7, -1.2, 1j, 0.3 + 0.8j, -0.5 + 0.6j, 1.2j):
             res = flow_many(geo, Z, ComplexTime(complex(sig)), tangent=False)
             ref = orc.flat_flow_oracle(B, mass_freq, Z, sig)
             worst_flow = max(worst_flow, float(np.abs(
@@ -701,17 +718,15 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
 
     # transported frame against the closed-form pushforward columns
     worst = 0.0
-    for B, mass_freq in FLAT_CASES:
-        geo = _flat(B, mass_freq)
+    for B, mass_freq, geo in flats:
         Fo = orc.flat_frame_columns(B, mass_freq, 1j)
-        worst = max(worst, float(subspace_distance(_frames(geo, _sample_flat(rng, 5), 1j),
+        worst = max(worst, float(subspace_distance(_frames(geo, _sample(rng, geo, 5, wide), 1j),
                                                    Fo).max()))
     checks.append(CheckResult("frame_closed_form", worst, 1e-9))
 
     # determinant of [F, conj F] on the raw transported columns
     worst = 0.0
-    for B, mass_freq in FLAT_CASES:
-        geo = _flat(B, mass_freq)
+    for B, mass_freq, geo in flats:
         st = flow_complex(geo, PhasePoint([0.0, 0.0], [0.0, 0.0]), 1j)
         Fraw = st.jac[:, 2:]
         det = np.linalg.det(np.concatenate([Fraw, Fraw.conj()], axis=1))
@@ -721,8 +736,8 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
                               note="det[F, conj F] = -4 sinh^2(Btilde)/B^2"))
 
     # f_sigma closed form
-    geo = _flat(1.0, 1.0)
-    Z = _sample_flat(rng, 20)
+    geo = _CHARTS["flat"].build()
+    Z = _sample(rng, geo, 20, wide)
     vals = potential_f_many(geo, np.concatenate([Z, Z]), np.repeat([0.5, -0.8], len(Z)))[0]
     ref = np.concatenate([orc.flat_f_sigma(1.0, 1.0, Z, sig) for sig in (0.5, -0.8)])
     checks.append(CheckResult("f_sigma_closed_form", float(np.abs(vals - ref).max()), 1e-9))
@@ -735,21 +750,20 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
 
     # geodesic limit and Larmor periodicity
     geo0 = _flat(0.0, 1.0)
-    Z = _sample_flat(rng, 20)
+    Z = _sample(rng, geo0, 20, wide)
     res = flow_many(geo0, Z, 0.9, tangent=False)
     straight = Z[:, :2] + 0.9 * Z[:, 2:]
     worst = float(np.abs(np.concatenate([res.x - straight, res.p - Z[:, 2:]], axis=1)).max())
     checks.append(CheckResult("geodesic_limit", worst, 1e-10))
 
-    geo = _flat(1.0, 1.0)
-    Z = _sample_flat(rng, 10, pmax=1.0)
+    Z = _sample(rng, geo, 10, (wide[0], 1.0))
     res = flow_many(geo, Z, 2 * np.pi, tangent=False)
     worst = float(np.abs(np.concatenate([res.x, res.p], axis=1) - Z).max())
     checks.append(CheckResult("larmor_periodicity", worst, 1e-8))
 
     # kappa1 tanh-coefficient resolution note (recorded here as well)
     acs = acs_point(geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 1j)
-    coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, _sample_flat(rng, 6))
+    coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, _sample(rng, geo, 6, wide))
     checks.append(CheckResult("kappa1_coefficient_resolution", residuals[coeff], 1e-10,
                               note=f"adapted potential uses {coeff} * B tanh(Btilde/2); "
                                    f"rejected coefficient residual {residuals[1.0]:.3e}"))
@@ -818,20 +832,15 @@ def suite_sphere_oracle(seed: int) -> List[CheckResult]:
     # engine flow through the chart against the rotation exponential,
     # momenta up to |p| = 2 and times throughout |sigma| <= 1.2; these flows
     # keep the tangent map, whose error control `magtube flow` also uses
-    sph = _sphere()
+    sph = _CHARTS["sphere"].build()
     dirs = rng.normal(size=(100, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    Z = np.concatenate(
-        [rng.uniform(-0.1, 0.1, (100, 2)), rng.uniform(0.1, 2.0, (100, 1)) * dirs],
-        axis=1,
-    )
+    Z = np.concatenate([rng.uniform(-0.1, 0.1, (100, 2)), rng.uniform(0.1, 2.0, (100, 1)) * dirs],
+                       axis=1)
     xe, pe = orc.sphere_chart_to_embedding(Z[:, :2], Z[:, 2:], SPHERE_R)
     worst = 0.0
     for sig in (0.7, -1.2, 1j, 0.3 + 0.8j):
-        if complex(sig).imag == 0.0:
-            res = flow_many(sph, Z, float(np.real(sig)))
-        else:
-            res = flow_many(sph, Z, ComplexTime(complex(sig)))
+        res = flow_many(sph, Z, sig)
         if not res.ok.all():
             worst = np.inf
             break
@@ -926,18 +935,8 @@ def run_suite(name: str, seed: int = 1234) -> dict:
     for sname in selected:
         t1 = time.perf_counter()
         checks = funcs[sname](seed)
-        sub.append(
-            {
-                "suite": sname,
-                "checks": [c.as_dict() for c in checks],
-                "passed": all(c.passed for c in checks),
-                "runtime_sec": round(time.perf_counter() - t1, 3),
-            }
-        )
-    return {
-        "suite": name,
-        "seed": seed,
-        "suites": sub,
-        "passed": all(s["passed"] for s in sub),
-        "runtime_sec": round(time.perf_counter() - t0, 3),
-    }
+        sub.append({"suite": sname, "checks": [c.as_dict() for c in checks],
+                    "passed": all(c.passed for c in checks),
+                    "runtime_sec": round(time.perf_counter() - t1, 3)})
+    return {"suite": name, "seed": seed, "suites": sub, "passed": all(s["passed"] for s in sub),
+            "runtime_sec": round(time.perf_counter() - t0, 3)}

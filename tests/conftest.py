@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,12 @@ def tiny_validity_geometry():
         ),
         name="tight",
     )
+
+
+def patch_chart(monkeypatch, name, wrap):
+    """Replace the suites' table chart ``name`` by one whose geometry is
+    ``wrap`` of the one it builds, for the rest of the test."""
+    from magtube import suites
+
+    chart = suites._CHARTS[name]
+    monkeypatch.setitem(suites._CHARTS, name, chart._replace(build=lambda: wrap(chart.build())))

@@ -52,6 +52,109 @@ def _gate(report, num, items, label):
     _emit(num, ok, f"{label}: " + ", ".join(details))
 
 
+# Every check of the battery at the pinned seed, in report order:
+# (suite, name, kind, expected_degenerate, tolerance).
+MANIFEST = [
+    ("geometry", "flat_validation", "max", False, 1e-11),
+    ("geometry", "sphere_validation", "max", False, 1e-08),
+    ("geometry", "metric_positive_definite", "min", False, 0.0),
+    ("geometry", "fault_injection_detected", "min", False, 1e-06),
+    ("geometry", "sphere_beta_pullback", "max", False, 1e-10),
+    ("geometry", "sphere_flux_quadrature", "max", False, 1e-08),
+    ("geometry", "flat_analyticity", "max", False, 1e-10),
+    ("geometry", "sphere_analyticity", "max", False, 1e-08),
+    ("geometry", "flat_constancy", "max", False, 1e-14),
+    ("flow", "group_law", "max", False, 1e-09),
+    ("flow", "symplectomorphy", "max", False, 1e-08),
+    ("flow", "energy_conservation", "max", False, 1e-10),
+    ("flow", "jacobian_nonsingular", "min", False, 1e-06),
+    ("flow", "hamiltonian_field_inversion", "max", False, 1e-10),
+    ("flow", "zero_section_fixed", "max", False, 1e-12),
+    ("flow", "zero_section_jacobian", "max", False, 1e-09),
+    ("flow", "zero_section_frame_span", "max", False, 1e-09),
+    ("flow", "path_independence", "max", False, 1e-09),
+    ("flow", "inverse_consistency", "max", False, 1e-08),
+    ("flow", "tangent_map_contour", "max", False, 1e-10),
+    ("flow", "radius_estimate_value", "max", False, 1e-12),
+    ("frames", "lagrangian_residual", "max", False, 1e-08),
+    ("frames", "transversality_margin", "min", False, 1e-06),
+    ("frames", "positivity_min_eigenvalue", "min", False, 0.0),
+    ("frames", "conjugate_frame_span", "max", False, 1e-09),
+    ("frames", "conjugate_time_J", "max", False, 1e-08),
+    ("frames", "metric_positivity", "min", False, 0.0),
+    ("frames", "frame_gauge_invariance", "max", False, 1e-09),
+    ("frames", "real_time_degeneracy", "max", True, 1e-08),
+    ("frames", "zero_section_positivity_form", "max", False, 1e-08),
+    ("frames", "totally_real_vertical_block", "min", False, 1e-06),
+    ("frames", "totally_real_horizontal", "min", False, 1e-06),
+    ("frames", "integrability_flat", "max", False, 1e-11),
+    ("frames", "integrability_sphere", "max", False, 1e-10),
+    ("kahler", "kde_flat", "max", False, 1e-09),
+    ("kahler", "kde_sphere", "max", False, 1e-12),
+    ("kahler", "f_conjugation", "max", False, 1e-08),
+    ("kahler", "kappa2_reality", "max", False, 1e-10),
+    ("kahler", "kappa2_closed_form", "max", False, 1e-07),
+    ("kahler", "f_zero_at_origin", "max", False, 1e-12),
+    ("kahler", "dbar_flat", "max", False, 1e-10),
+    ("kahler", "dbar_sphere", "max", False, 1e-10),
+    ("kahler", "kappa1_adapted", "max", False, 1e-10),
+    ("kahler", "kappa1_coefficient_is_half", "max", False, 1e-12),
+    ("kahler", "i_ddbar_kappa2", "max", False, 1e-08),
+    ("kahler", "extension_dbar_flat", "max", False, 1e-10),
+    ("kahler", "extension_dbar_sphere", "max", False, 1e-10),
+    ("kahler", "extension_coordinates", "max", False, 1e-08),
+    ("kahler", "extension_ring_property", "max", False, 1e-08),
+    ("kahler", "extension_zero_section", "max", False, 1e-12),
+    ("kahler", "weight_zero_section", "max", False, 1e-12),
+    ("kahler", "weight_power_law", "max", False, 1e-10),
+    ("kahler", "weight_gaussian_density", "max", False, 1e-10),
+    ("intertwine", "flow_reversal_geodesic", "max", False, 1e-10),
+    ("intertwine", "flow_reversal_flat", "max", False, 1e-09),
+    ("intertwine", "flow_reversal_flat_oracle", "max", False, 1e-12),
+    ("intertwine", "flow_reversal_sphere", "max", False, 1e-08),
+    ("intertwine", "frame_intertwine_geodesic", "max", False, 1e-08),
+    ("intertwine", "frame_intertwine_flat", "max", False, 1e-07),
+    ("intertwine", "frame_intertwine_sphere", "max", False, 1e-06),
+    ("intertwine", "frame_intertwine_shifted_flat", "max", False, 1e-06),
+    ("intertwine", "frame_intertwine_shifted_sphere", "max", False, 1e-06),
+    ("intertwine", "involution", "max", False, 1e-10),
+    ("flat-oracle", "flow_oracle_equivalence", "max", False, 1e-08),
+    ("flat-oracle", "complex_coordinates", "max", False, 1e-08),
+    ("flat-oracle", "frame_closed_form", "max", False, 1e-09),
+    ("flat-oracle", "conjugate_pair_determinant", "max", False, 1e-08),
+    ("flat-oracle", "f_sigma_closed_form", "max", False, 1e-09),
+    ("flat-oracle", "f_minus_i_distinguished_point", "max", False, 1e-09),
+    ("flat-oracle", "geodesic_limit", "max", False, 1e-10),
+    ("flat-oracle", "larmor_periodicity", "max", False, 1e-08),
+    ("flat-oracle", "kappa1_coefficient_resolution", "max", False, 1e-10),
+    ("sphere-oracle", "embedding_quadric", "max", False, 1e-12),
+    ("sphere-oracle", "embedding_fixes_zero_section", "max", False, 1e-12),
+    ("sphere-oracle", "moment_map_identity", "max", False, 1e-12),
+    ("sphere-oracle", "oracle_conservation_real", "max", False, 1e-12),
+    ("sphere-oracle", "oracle_constraints_complex", "max", False, 1e-12),
+    ("sphere-oracle", "engine_oracle_equivalence", "max", False, 1e-08),
+    ("sphere-oracle", "embedding_vs_engine_base", "max", False, 1e-08),
+    ("sphere-oracle", "moment_map_conservation", "max", False, 1e-09),
+    ("sphere-oracle", "imag_norm_monotone", "min", False, 0.0),
+    ("sphere-oracle", "injectivity_margin", "min", False, 1e-06),
+    ("sphere-oracle", "chart_roundtrip", "max", False, 1e-12),
+    ("sphere-oracle", "zero_section_oracle_forms", "max", False, 1e-12),
+]
+
+
+def test_check_manifest(report):
+    # A check may not be renamed, dropped, moved or loosened without this
+    # list changing; a tighter tolerance (lower for 'max', higher for 'min')
+    # passes.
+    got = [(s["suite"], c["name"], c["kind"], c["expected_degenerate"], c["tolerance"])
+           for s in report["suites"] for c in s["checks"]]
+    assert [row[:4] for row in got] == [row[:4] for row in MANIFEST]
+    looser = [row for row, pinned in zip(got, MANIFEST)
+              if (row[4] > pinned[4] if row[2] == "max" else row[4] < pinned[4])]
+    assert not looser
+    assert len(MANIFEST) == 84
+
+
 def test_criterion_01_flat_flow_oracle_equivalence():
     rng = np.random.default_rng(SEED)
     t0 = time.perf_counter()

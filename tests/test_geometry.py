@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import patch_chart
 from magtube.geometry import (
     GeometryError,
     PhasePoint,
@@ -211,15 +212,12 @@ def test_geometry_suite_checks_second_derivatives(name, monkeypatch):
     # must see either scaled by 1 + 1e-6
     from magtube import suites
 
-    sphere = suites._sphere
-
-    def bad_sphere():
-        geo = sphere()
+    def bad_sphere(geo):
         fn = getattr(geo, name)
         return dataclasses.replace(geo, **{name: lambda x: (1 + 1e-6) * fn(x)})
 
     checks = {c.name: c for c in suites.suite_geometry(1234)}
     assert checks["sphere_validation"].passed and checks["flat_validation"].passed
-    monkeypatch.setattr(suites, "_sphere", bad_sphere)
+    patch_chart(monkeypatch, "sphere", bad_sphere)
     checks = {c.name: c for c in suites.suite_geometry(1234)}
     assert not checks["sphere_validation"].passed

@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import sample_flat, sample_sphere
+from conftest import patch_chart, sample_flat, sample_sphere
 from magtube import cli, suites
 from magtube.config import parse_config_text
 from magtube.flow import ComplexTime, _pack, _rhs, field_components, flow_many
@@ -131,7 +131,7 @@ def test_built_geometries_carry_the_fused_jet():
         cli.build_geometry(parse_config_text("kind = flat\ndim = 3\n")),
         cli.build_geometry(parse_config_text("kind = sphere\nradius = 2\nfield = 0.5\n")),
         suites._flat(1.0, 0.5),
-        suites._sphere(),
+        *(chart.build() for chart in suites._CHARTS.values()),
     ]
     assert all(geo.fused_jet is not None for geo in built)
 
@@ -152,23 +152,19 @@ def _check(suite, name):
 
 def test_wrong_fused_second_derivative_fails_both_gates(monkeypatch):
     assert _check(suites.suite_flow, "tangent_map_contour").passed
-    sphere = suites._sphere
-    monkeypatch.setattr(suites, "_sphere", lambda: _scaled_fused_d2g(sphere(), 1 + 1e-6))
-    assert suites._sphere().fused_jet is not None
+    patch_chart(monkeypatch, "sphere", lambda geo: _scaled_fused_d2g(geo, 1 + 1e-6))
+    assert suites._CHARTS["sphere"].build().fused_jet is not None
     assert not _check(suites.suite_geometry, "sphere_validation").passed
     assert not _check(suites.suite_flow, "tangent_map_contour").passed
 
 
 @pytest.mark.parametrize("name", ["inv_metric_deriv2", "beta_deriv"])
 def test_tangent_map_contour_sees_a_wrong_second_derivative(name, monkeypatch):
-    sphere = suites._sphere
-
-    def bad_sphere():
-        geo = sphere()
+    def bad_sphere(geo):
         fn = getattr(geo, name)
         return dataclasses.replace(geo, **{name: lambda x: (1 + 1e-6) * fn(x)})
 
-    monkeypatch.setattr(suites, "_sphere", bad_sphere)
+    patch_chart(monkeypatch, "sphere", bad_sphere)
     assert not _check(suites.suite_flow, "tangent_map_contour").passed
 
 
@@ -176,11 +172,12 @@ def test_tangent_map_contour_sees_a_wrong_second_derivative(name, monkeypatch):
 # accurate enough for the sphere's derivative tolerances (1e-10).
 
 def _sphere_without_second_derivatives():
-    return dataclasses.replace(suites._sphere(), inv_metric_deriv2=None, beta_deriv=None)
+    return dataclasses.replace(suites._CHARTS["sphere"].build(), inv_metric_deriv2=None,
+                               beta_deriv=None)
 
 
 def test_composed_second_derivatives_match_closed_forms(rng):
-    sphere, geo = suites._sphere(), _sphere_without_second_derivatives()
+    sphere, geo = suites._CHARTS["sphere"].build(), _sphere_without_second_derivatives()
     assert geo.fused_jet is None
     x = _complex_points(rng, 20, 2, 0.3)
     for composed, exact in zip(geo.jet(x.T, 2)[4:], (sphere.inv_metric_deriv2(x),
@@ -193,7 +190,7 @@ def test_composed_second_derivatives_match_closed_forms(rng):
 
 def test_composed_sphere_meets_the_derivative_tolerances():
     geo = _sphere_without_second_derivatives()
-    Z = suites._sample_sphere(np.random.default_rng(5), 20, umax=0.12, pmax=0.35)
+    Z = suites._sample(np.random.default_rng(5), geo, 20, suites._CHARTS["sphere"].tube)
     for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):
         assert integrability_residual_many(geo, Z, t)[3].max() < 1e-10
     assert suites._tangent_map_contour_defect(geo, Z, ComplexTime(1j)) < 1e-10

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import sample_flat, sample_sphere, tiny_validity_geometry
+from conftest import patch_chart, sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import oracles as orc
 from magtube.flow import BlowUpError, ComplexTime, flow_complex, flow_many
 from magtube.geometry import PhasePoint, twisted_symplectic_matrix
@@ -408,14 +408,12 @@ def test_integrability_sees_a_wrong_second_derivative(name, monkeypatch):
         return next(c for c in suites.suite_frames(1234) if c.name == "integrability_sphere")
 
     assert check().passed
-    sphere = suites._sphere
 
-    def bad_sphere():
-        geo = sphere()
+    def bad_sphere(geo):
         fn = getattr(geo, name)
         return dataclasses.replace(geo, **{name: lambda x: (1 + 1e-6) * fn(x)})
 
-    monkeypatch.setattr(suites, "_sphere", bad_sphere)
+    patch_chart(monkeypatch, "sphere", bad_sphere)
     assert not check().passed
 
 
