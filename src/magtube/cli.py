@@ -65,27 +65,26 @@ def _fmt(v: float) -> str:
 
 
 def _csv_rows(columns, ok, reasons):
-    """CSV rows from whole arrays.
+    """CSV lines from whole arrays.
 
     ``columns`` are arrays with the row axis first, written side by side
     in row-major order, a complex one as (Re, Im) pairs; every value is
-    formatted as ``_fmt`` does, and each row ends with its status and
-    reason (empty for an ok row).  The values are formatted from Python
-    floats, one ``tolist`` call per row, which is faster than formatting
-    numpy scalars and gives the same text.
+    formatted as ``_fmt`` does, and each line ends with its status and
+    reason (empty for an ok row).  A line is one ``%`` format of the row's
+    Python floats (one ``tolist`` call per row), which is faster than
+    formatting value by value and gives the same text.
     """
     m = len(ok)
     blocks = [np.asarray(c).reshape(m, -1) for c in columns]
     blocks = [np.ascontiguousarray(b).view(float) if np.iscomplexobj(b) else b for b in blocks]
     values = np.concatenate(blocks, axis=1).astype(float, copy=False)
-    return [[f"{v:.17g}" for v in row.tolist()] + (["ok", ""] if good else ["failed", why or ""])
+    fmt = ",".join(["%.17g"] * values.shape[1])
+    return [fmt % tuple(row.tolist()) + (",ok," if good else ",failed," + (why or ""))
             for row, good, why in zip(values, ok, reasons)]
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _write_csv(path, header, lines):
+    text = "\n".join([",".join(header)] + lines) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -135,7 +134,7 @@ def _time_i(cfg: RunConfig, command: str) -> ComplexTime:
 
 
 # ---------------------------------------------------------------------------
-# row builders: (geo, Z, t[, monomial]) -> CSV rows, and their columns
+# row builders: (geo, Z, t[, monomial]) -> CSV lines, and their columns
 # ---------------------------------------------------------------------------
 
 def _base(n: int):
@@ -221,7 +220,7 @@ class GridCommand(NamedTuple):
     and reason."""
 
     help: str
-    rows: Callable  # (geo, Z, t[, monomial]) -> CSV rows
+    rows: Callable  # (geo, Z, t[, monomial]) -> CSV lines
     columns: Callable  # n -> column names
     time: Callable  # time rule
     monomial: bool = False  # takes --f, parsed into the builder's last argument
@@ -331,21 +330,25 @@ def cmd_sweep(args) -> int:
     ndir = 16
     header = ["p_shell", "n_points", "success_fraction", "min_transversality",
               "min_positivity_eig"]
-    rows = []
+    shells = []
     for rho in radii:
         dirs = rng.normal(size=(ndir, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        Z = np.concatenate([np.repeat(bases, ndir, axis=0),
-                            np.tile(rho * dirs, (len(bases), 1))], axis=1)
-        F, ok, reasons, _ = frames_at_many(geo, Z, t)
-        frac = float(ok.mean())
-        min_trans = np.min(transversality_check(F[ok]), initial=np.inf)
-        M = positivity_matrix(geo, Z[ok, :n], F[ok])
-        min_pos = np.min(np.linalg.eigvalsh(M), initial=np.inf)
-        rows.append([_fmt(float(rho)), str(len(Z)), _fmt(frac),
-                     _fmt(min_trans if np.isfinite(min_trans) else float("nan")),
-                     _fmt(min_pos if np.isfinite(min_pos) else float("nan"))])
-    _write_csv(cfg.out, header, rows)
+        shells.append(np.concatenate([np.repeat(bases, ndir, axis=0),
+                                      np.tile(rho * dirs, (len(bases), 1))], axis=1))
+    # one frame flow over every shell; a failed row counts as +inf in the
+    # margins, and a shell with no ok row reports nan
+    Z = np.concatenate(shells)
+    F, ok, _, _ = frames_at_many(geo, Z, t)
+    trans, pos = np.full(len(Z), np.inf), np.full(len(Z), np.inf)
+    trans[ok] = transversality_check(F[ok])
+    pos[ok] = np.linalg.eigvalsh(positivity_matrix(geo, Z[ok, :n], F[ok])).min(axis=-1)
+    per_shell = (len(radii), len(bases) * ndir)
+    mins = [v.reshape(per_shell).min(axis=1) for v in (trans, pos)]
+    columns = [ok.reshape(per_shell).mean(axis=1)] + [np.where(np.isinf(v), np.nan, v) for v in mins]
+    lines = [",".join([_fmt(float(rho)), str(per_shell[1])] + [_fmt(v) for v in values])
+             for rho, *values in zip(radii, *columns)]
+    _write_csv(cfg.out, header, lines)
     return 0
 
 

@@ -438,8 +438,9 @@ def test_cmd_sweep_bases_from_x_axes(tmp_path, monkeypatch):
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     rows = [line.split(",") for line in open(out).read().strip().splitlines()]
     assert [row[rows[0].index("n_points")] for row in rows[1:]] == ["48", "48"]
-    for Z in seen:
-        assert len(Z) == 48
+    # one frame flow over both shells, 48 rows each
+    assert len(seen) == 1 and len(seen[0]) == 96
+    for Z in np.split(seen[0], 2):
         assert np.array_equal(np.unique(Z[:, 0]), [-0.3, 0.0, 0.3])
         assert not Z[:, 1].any()
 
@@ -495,7 +496,7 @@ def test_cmd_flow_parallel_jobs(tmp_path):
 
 
 def test_csv_rows_match_per_value_formatting():
-    # whole-array rows against per-value formatting of numpy scalars,
+    # whole-array lines against per-value formatting of numpy scalars,
     # including -0.0, infinities, a subnormal and a failed row of NaNs
     rng = np.random.default_rng(3)
     real = rng.normal(size=(4, 2)) * 10.0 ** rng.integers(-300, 300, (4, 2))
@@ -511,10 +512,11 @@ def test_csv_rows_match_per_value_formatting():
         for v in cplx[i].reshape(-1):
             vals += [f"{float(v.real):.17g}", f"{float(v.imag):.17g}"]
         vals.append(f"{float(last[i]):.17g}")
-        want.append(vals + (["ok", ""] if ok[i] else ["failed", reasons[i]]))
+        want.append(",".join(vals + (["ok", ""] if ok[i] else ["failed", reasons[i]])))
     got = cli._csv_rows([real, cplx, last], ok, reasons)
     assert got == want
-    assert got[0][:2] == ["-0", "4.9406564584124654e-324"] and got[1][-2:] == ["failed", "BLOWUP"]
+    assert got[0].split(",")[:2] == ["-0", "4.9406564584124654e-324"]
+    assert got[1].split(",")[-2:] == ["failed", "BLOWUP"]
 
 
 GRID_COMMANDS = ["flow", "frame", "acs", "potential", "extend"]
@@ -555,9 +557,9 @@ def test_cmd_flow_rows_are_the_chunk_rows(tmp_path, monkeypatch, command, jobs):
     raw = load_config(cfg).raw
     rows = [row for lo, hi in cli._chunks(9, jobs)
             for row in cli._grid_chunk(raw, command, lo, hi, function)]
-    assert [r[-2:] for r in rows].count(["failed", "BLOWUP"]) == 3
+    assert [r.split(",")[-2:] for r in rows].count(["failed", "BLOWUP"]) == 3
     header = cli.GRID_COMMANDS[command].columns(2) + ["status", "reason"]
-    assert out.read_text() == "\n".join(",".join(r) for r in [header] + rows) + "\n"
+    assert out.read_text() == "\n".join([",".join(header)] + rows) + "\n"
 
 
 @pytest.mark.parametrize("command", GRID_COMMANDS)

@@ -375,6 +375,58 @@ def test_flow_evaluates_the_field_twelve_times_per_step(flat_geo, sphere_geo, rn
                                           equal_nan=True)
 
 
+def test_stage_slots_read_only_formed_stages_and_skip_only_zero_weights():
+    # stage i lives in slot _SLOT[i]; a combination reads one run of slots,
+    # every slot of which holds an earlier stage of the same step, with the
+    # tableau's weights, and every weight it does not read is exactly zero
+    n = dop853.N_STAGES
+    slots = flow._SLOT
+    assert sorted(slots) == list(range(n)) and all(slots[slots[i]] == i for i in range(n))
+    assert [run[0] for run in flow._STAGE_RUNS] == [slots[i] for i in range(1, n)]
+    combos = [(i, dop853.A[i][None], run[1:]) for i, run in enumerate(flow._STAGE_RUNS, start=1)]
+    combos.append((n, np.stack([dop853.B, dop853.E5, dop853.E3]), flow._STEP_RUN))
+    reads = 0
+    for i, weights, (lo, hi, w) in combos:
+        stages = [slots[j] for j in range(lo, hi)]
+        assert all(k < i for k in stages)
+        assert np.array_equal(np.reshape(w, (len(weights), -1)), weights[:, stages])
+        assert not np.delete(weights, stages, axis=1).any()
+        reads += hi - lo
+    assert reads == 52 + 10
+
+
+def _nan_filled(make):
+    def filled(*args, **kwargs):
+        out = make(*args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        return out
+
+    return filled
+
+
+def test_flows_never_read_unset_work_arrays(flat_geo, sphere_geo, monkeypatch, rng):
+    # the integrator's work arrays come from np.empty; a flow must not read
+    # an entry before it writes it, not even with a zero weight: with every
+    # new array filled with NaN the flows are bit for bit the same
+    sphere_rows = np.concatenate([sample_sphere(rng, 4), [[0.05, 0.0, 3.0, 0.0]]])
+    cases = []
+    for geo, Z in ((flat_geo, sample_flat(rng, 5)), (sphere_geo, sphere_rows)):
+        for t in (1j, 1j * rng.uniform(0.3, 1.0, len(Z))):
+            cases += [(geo, Z, t, tangent) for tangent in (True, False)]
+    refs = [flow_many(*case[:3], tangent=case[3]) for case in cases]
+    monkeypatch.setattr(np, "empty", _nan_filled(np.empty))
+    monkeypatch.setattr(np, "empty_like", _nan_filled(np.empty_like))
+    assert np.isnan(np.empty(3)).all()
+    for (geo, Z, t, tangent), ref in zip(cases, refs):
+        res = flow_many(geo, Z, t, tangent=tangent)
+        assert res.steps == ref.steps and res.reasons == ref.reasons
+        for name in ("x", "p", "quad", "ok", "det_min") + (("jac",) if tangent else ()):
+            assert np.array_equal(getattr(res, name), getattr(ref, name), equal_nan=True)
+    assert [r.reasons[-1] for r in refs[4:]] == ["BLOWUP"] * 4
+    assert all(r.ok[:4].all() for r in refs[4:]) and all(r.ok.all() for r in refs[:4])
+
+
 def test_flow_to_i_step_count_and_accuracy(flat_geo, sphere_geo):
     # eighth-order steps: a handful per unit time at the default tolerances
     z = np.array([[0.3, -0.2, 0.9, 0.5]])

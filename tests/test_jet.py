@@ -82,7 +82,8 @@ def test_rhs_fused_matches_composed(tangent, rng):
         Y = _pack(Z + 0.1j * rng.uniform(-1, 1, Z.shape), geo.dim, tangent)
         if tangent:
             Y[2 * geo.dim + 1 :] += rng.normal(size=(4 * geo.dim**2, 6))
-        assert np.array_equal(_rhs(geo, Y), _rhs(_composed(geo), Y))
+        assert np.array_equal(_rhs(geo, Y, np.empty_like(Y)),
+                              _rhs(_composed(geo), Y, np.empty_like(Y)))
 
 
 @pytest.mark.parametrize("tangent", [False, True])
@@ -102,7 +103,8 @@ def test_rhs_reads_the_geometry_through_one_jet_call(tangent, rng):
                           inv_metric_deriv2=evals[4], beta_deriv=evals[5],
                           fused_jet=FusedJet(jet, evals))
     Z = sample_sphere(rng, 5)
-    _rhs(geo, _pack(Z, 2, tangent))
+    Y = _pack(Z, 2, tangent)
+    _rhs(geo, Y, np.empty_like(Y))
     assert calls == [2 if tangent else 1]
     calls.clear()
     xdot, pdot = field_components(geo, Z[:, :2], Z[:, 2:])
@@ -258,7 +260,7 @@ def test_variational_term_is_the_field_jacobian_times_the_tangent_map(geo, rng):
     J = rng.normal(size=(6, n2, n2)) + 1j * rng.normal(size=(6, n2, n2))
     Y = _pack(Z, geo.dim, True)
     Y[n2 + 1 :] = _rows_last(J).reshape(-1, 6)
-    got = np.moveaxis(_rhs(geo, Y)[n2 + 1 :].reshape(n2, n2, 6), -1, 0)
+    got = np.moveaxis(_rhs(geo, Y, np.empty_like(Y))[n2 + 1 :].reshape(n2, n2, 6), -1, 0)
     assert np.abs(got - _field_jacobian(geo, Z) @ J).max() < 1e-10
 
 
@@ -275,10 +277,11 @@ def test_rhs_of_a_batch_is_the_rhs_of_each_row(geo, tangent, rng):
     Y = _pack(_complex_points(rng, 17, n2, 0.3), geo.dim, tangent)
     if tangent:
         Y[n2 + 1 :] += rng.normal(size=(n2 * n2, 17)) + 1j * rng.normal(size=(n2 * n2, 17))
-    batch = _rhs(geo, Y)
+    batch = _rhs(geo, Y, np.empty_like(Y))
     assert batch.shape == Y.shape
     for r in range(17):
-        assert np.array_equal(batch[:, r : r + 1], _rhs(geo, Y[:, r : r + 1]))
+        row = Y[:, r : r + 1]
+        assert np.array_equal(batch[:, r : r + 1], _rhs(geo, row, np.empty_like(row)))
 
 
 def _grid(x_half, p_half):
