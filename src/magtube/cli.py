@@ -266,18 +266,16 @@ def _grid_inputs(cfg: RunConfig, command: str, function):
     return geo, Z, extra
 
 
-def _grid_chunk(raw_cfg: dict, command: str, lo: int, hi: int, function):
-    """Worker entry: rebuild the inputs from the raw config and build the
-    rows of the grid slice [lo, hi) (deterministic for a fixed config)."""
-    from .config import _config_from_pairs
-
-    geo, Z, extra = _grid_inputs(_config_from_pairs(dict(raw_cfg)), command, function)
+def _grid_chunk(cfg: RunConfig, command: str, lo: int, hi: int, function):
+    """Worker entry: build the inputs from the parsed config and the rows of
+    the grid slice [lo, hi) (deterministic for a fixed config)."""
+    geo, Z, extra = _grid_inputs(cfg, command, function)
     return GRID_COMMANDS[command].rows(geo, Z[lo:hi], *extra)
 
 
 def cmd_grid(args) -> int:
     """Run a grid command: one config, geometry, grid and time per run; with
-    more than one chunk each worker rebuilds them from the raw config."""
+    more than one chunk each worker builds them from the parsed config."""
     cfg = _load(args)
     spec = GRID_COMMANDS[args.command]
     function = getattr(args, "function", None)
@@ -291,7 +289,7 @@ def cmd_grid(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            futs = [pool.submit(_grid_chunk, cfg.raw, args.command, lo, hi, function)
+            futs = [pool.submit(_grid_chunk, cfg, args.command, lo, hi, function)
                     for lo, hi in spans]
             rows = [row for fut in futs for row in fut.result()]
     _write_csv(cfg.out, spec.columns(geo.dim) + ["status", "reason"], rows)

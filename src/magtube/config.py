@@ -96,8 +96,6 @@ class RunConfig:
     jobs: int = 1
     out: Optional[str] = None
 
-    raw: dict = dataclass_field(default_factory=dict)
-
 
 _KNOWN_KEYS = {
     "kind", "dim", "B", "mass_freq", "radius", "field",
@@ -130,7 +128,7 @@ def _apply_env_overrides(pairs: dict) -> dict:
 
 def _config_from_pairs(pairs: dict) -> RunConfig:
     pairs = _apply_env_overrides(dict(pairs))
-    cfg = RunConfig(raw=dict(pairs))
+    cfg = RunConfig()
     try:
         if "kind" in pairs:
             cfg.kind = pairs["kind"].lower()

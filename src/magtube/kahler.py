@@ -23,14 +23,14 @@ batched code path.
 Every phase-space derivative of a computed quantity goes through
 ``phase_gradient``, the one derivative rule.  The flow, the transported
 frame columns, f_t and the closed-form potentials are holomorphic in the
-start point, so a derivative along a real phase coordinate is the trapezoid
-rule on a circle of radius ``CONTOUR_RADIUS`` in the complexified coordinate
-with ``CONTOUR_NODES`` nodes, evaluated for every row of a batch with a
-single call of the batched function.  The sigma derivative of the defining
-differential equation uses the same nodes in complex sigma.  The ring and
-its weights live in ``geometry``, whose chart derivatives (composed jets,
-``pointwise_geometry``'s dg, the ``validate_geometry`` references) follow
-the same rule.
+start point, so a derivative along a direction v is the trapezoid rule on a
+circle of radius ``CONTOUR_RADIUS`` along v/|v| with ``CONTOUR_NODES``
+nodes, for every row of a batch in one call of the batched function.  An
+identity is differentiated only along the directions it contracts: kde
+along (X_E, 1) in (x, p, sigma), dbar along the columns of conj F.  The
+ring and its weights live in ``geometry``, whose chart derivatives
+(composed jets, ``pointwise_geometry``'s dg, the ``validate_geometry``
+references) follow the same rule.
 """
 
 from __future__ import annotations
@@ -64,31 +64,38 @@ __all__ = [
 # derivatives from holomorphy (Cauchy contours)
 # ---------------------------------------------------------------------------
 
-def phase_gradient(batch_fun: Callable, Z: np.ndarray):
-    """Contour gradient over the d columns of Z at every row.
+def phase_gradient(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
+    """Contour derivatives along the directions V at every row of Z.
 
-    The columns are the 2n phase coordinates (kde appends the time sigma).
-    ``batch_fun`` maps (M, d) complex rows to ``(vals, ok, reasons)`` with
-    ``vals`` of shape (M, ...) and must be holomorphic in each coordinate.  It
-    is called once, on the centre rows Z followed by the contour rows
-    z + RING_k e_d in (row, coordinate d, node k) order; a closed form may
-    return ``ok = True`` and ``reasons = None``.
+    The d columns of Z are the 2n phase coordinates (kde appends the time
+    sigma); V holds k directions, shared (k, d) or per row (m, k, d), real
+    or complex, and ``np.eye(d)`` gives the gradient.  ``batch_fun`` maps
+    (M, d) complex rows, holomorphic in each column, to ``(vals, ok,
+    reasons)`` with ``vals`` of shape (M, ...); a closed form may return
+    ``ok = True`` and ``reasons = None``.  It is called once, on the centre
+    rows Z and then the rows z + RING_j v/|v| in (row, direction, node j)
+    order, |v| the Hermitian length; the derivative is scaled back by |v|.
 
-    Returns ``(vals, ok, reasons, grad)``: the batch contract at the centre
-    rows plus the (m, d, ...) gradient.  A row whose centre or any contour
-    node failed gets a NaN gradient; nothing is raised.
+    Returns ``(vals, ok, reasons, deriv)``: the batch contract at the centre
+    rows plus the (m, k, ...) derivatives.  A row whose centre or any node
+    failed, and a NaN direction (a failed frame row, its ring parked on z),
+    get NaN derivatives; nothing is raised.
     """
     Z = np.asarray(Z)
     m, d = Z.shape
-    shift = _RING[None, :, None] * np.eye(d)[:, None, :]  # (coordinate, node, column)
-    rows = np.concatenate([Z, (Z[:, None, None, :] + shift).reshape(-1, d)])
+    V = np.broadcast_to(V, (m, *np.shape(V)[-2:]))
+    size = np.linalg.norm(V, axis=-1)  # (m, k)
+    unit = np.nan_to_num(V * (1 / size[..., None]))  # V / size warns on a NaN size
+    ring = unit[:, :, None, :] * _RING[:, None]  # (row, direction, node, column)
+    rows = np.concatenate([Z, (Z[:, None, None, :] + ring).reshape(-1, d)])
     vals, ok, reasons = batch_fun(rows)
     vals = np.asarray(vals)
     ok = np.broadcast_to(ok, len(rows))
-    grad = np.moveaxis(vals[m:].reshape(m, d, len(_RING), *vals.shape[1:]), 2, -1) @ _WEIGHTS
-    grad[~(ok[:m] & ok[m:].reshape(m, -1).all(axis=1))] = np.nan
+    deriv = np.moveaxis(vals[m:].reshape(*ring.shape[:3], *vals.shape[1:]), 2, -1) @ _WEIGHTS
+    deriv *= size.reshape(size.shape + (1,) * (deriv.ndim - 2))
+    deriv[~(ok[:m] & ok[m:].reshape(m, -1).all(axis=1))] = np.nan
     reasons = [None] * m if reasons is None else list(reasons[:m])
-    return vals[:m], ok[:m].copy(), reasons, grad
+    return vals[:m], ok[:m].copy(), reasons, deriv
 
 
 # ---------------------------------------------------------------------------
@@ -152,28 +159,24 @@ def kde_residual_many(
 ) -> np.ndarray:
     """Vectorized defect of df/dsigma + X_E(f) - (theta^A(X_E) - E).
 
-    One ``phase_gradient`` call over the columns (x, p, sigma) gives both
-    df/dsigma (the contour in complex sigma) and the phase gradient that
-    X_E(f) contracts; every contour row flows to its own -sigma in one
-    batched flow.  A row whose contour left the tube gets a NaN defect.
+    df/dsigma + X_E(f) is one derivative of f along (X_E, 1) in the columns
+    (x, p, sigma): one ``phase_gradient`` call whose contour rows each flow
+    to their own -sigma in one batched flow.  A row whose contour left the
+    tube gets a NaN defect.
 
     The identity holds for any 1-form A, whether or not dA = beta, so it
     cannot see a wrong potential; ``dbar_residual_many`` does.
     """
     Z = np.asarray(Z, dtype=float)
     n = geo.dim
-    grad = phase_gradient(
-        lambda rows: potential_f_many(geo, rows[:, :-1], rows[:, -1]),
-        np.column_stack([Z, np.full(len(Z), sigma)]))[3]
-    df_dsigma, grad = grad[:, -1], grad[:, :-1]
-
     x, p = Z[:, :n], Z[:, n:]
     xdot, pdot = field_components(geo, x, p)
-    XE = np.concatenate([xdot, pdot], axis=1)
-    E = energy(geo, x, p)
-    A = geo.potential(x)
-    rhs = E + np.einsum("mj,mj->m", A, xdot)
-    return np.abs(df_dsigma + np.einsum("md,md->m", grad, XE) - rhs)
+    along = np.concatenate([xdot, pdot, np.ones((len(Z), 1))], axis=1)
+    deriv = phase_gradient(
+        lambda rows: potential_f_many(geo, rows[:, :-1], rows[:, -1]),
+        np.column_stack([Z, np.full(len(Z), sigma)]), along[:, None, :])[3][:, 0]
+    rhs = energy(geo, x, p) + np.einsum("mj,mj->m", geo.potential(x), xdot)
+    return np.abs(deriv - rhs)
 
 
 def _one_residual(residuals: np.ndarray) -> float:
@@ -205,23 +208,20 @@ def dbar_residual_many(
 ) -> np.ndarray:
     """Vectorized defect of dbar f_{-i} = (theta^A)^(0,1).
 
-    ``frames_conj`` is (m, 2n, n): per-row (0,1) direction columns.  A row
-    whose contour left the tube gets a NaN defect.
+    ``frames_conj`` is (m, 2n, n): per-row (0,1) direction columns, along
+    which ``phase_gradient`` differentiates f_{-i}.  A row whose contour left
+    the tube, or whose columns are NaN, gets a NaN defect.
 
     Returns (f, ok, reasons, residuals): f_{-i} with the ok flags and
     reasons of the centre rows, as ``potential_f_many`` gives them, and the
     defects.
     """
     Z = np.asarray(Z, dtype=float)
-    m, n = len(Z), geo.dim
-    f, ok, reasons, grad = phase_gradient(
-        lambda rows: potential_f_many(geo, rows, -1j), Z)
-
-    A = geo.potential(Z[:, :n])
-    theta = np.concatenate([Z[:, n:] + A, np.zeros((m, n))], axis=1)
-    defect = np.einsum("md,mdk->mk", grad, frames_conj) - np.einsum(
-        "md,mdk->mk", theta.astype(complex), frames_conj
-    )
+    n = geo.dim
+    f, ok, reasons, deriv = phase_gradient(
+        lambda rows: potential_f_many(geo, rows, -1j), Z, frames_conj.swapaxes(1, 2))
+    theta = Z[:, n:] + geo.potential(Z[:, :n])  # theta^A = (p + A) dx has no dp part
+    defect = deriv - np.einsum("mj,mjk->mk", theta, frames_conj[:, :n])
     return f, ok, reasons, np.abs(defect).max(axis=1)
 
 
@@ -316,7 +316,7 @@ def resolve_kappa1_coefficient(
             re, im = (zc + zr) / 2, (zc - zr) / 2j
             return _kappa_xyuv(B, mass_freq, re[:, 0], im[:, 0], re[:, 1], im[:, 1], c), True, None
 
-        lhs = 0.5 * (phase_gradient(kappa1, Z)[3] @ J)
+        lhs = 0.5 * (phase_gradient(kappa1, Z, np.eye(4))[3] @ J)
         residuals[c] = float(np.abs(lhs - theta).max())
     chosen = 0.5 if residuals[0.5] <= residuals[1.0] else 1.0
     if residuals[chosen] > tol:

@@ -184,11 +184,10 @@ def frames_at_many(
 # pointwise structure checks
 # ---------------------------------------------------------------------------
 
-def transversality_check(frame):
+def transversality_check(F: np.ndarray):
     """Smallest singular value of [F, conj F]; > threshold certifies that the
     subspace meets its conjugate only at zero.  Batched over the leading axes
-    of F, one value per frame."""
-    F = frame.F if isinstance(frame, LagrangianFrame) else np.asarray(frame)
+    of the frames F (..., 2n, n), one value per frame."""
     S = np.concatenate([F, F.conj()], axis=-1)
     return np.linalg.svd(S, compute_uv=False).min(axis=-1)
 
@@ -254,7 +253,10 @@ def integrability_residual_many(
 
     The raw transported columns X_a are holomorphic in the base point, so
     their derivatives come from ``phase_gradient``: one transport over the
-    centre rows and their contour nodes.  The orthonormalized frame is not
+    centre rows and their contour nodes, over the 2n coordinates.  The n
+    directions X_a that the bracket contracts are known only after a
+    transport of the centre rows, a second flow that is slower at the few
+    rows of an ``acs`` grid.  The orthonormalized frame is not
     differentiated, since its phase convention is not holomorphic;
     involutivity does not depend on the choice of frame.  The bracket
     [X_a, X_b] is projected off the span at z and normalised by
@@ -266,7 +268,8 @@ def integrability_residual_many(
     ok flags and reasons of the centre rows, as ``frames_at_many`` gives
     them, and the defects.
     """
-    X, ok, reasons, dX = phase_gradient(lambda rows: _transport(geo, rows, t)[:3], Z)
+    X, ok, reasons, dX = phase_gradient(lambda rows: _transport(geo, rows, t)[:3], Z,
+                                        np.eye(2 * geo.dim))
     F = orthonormalize(X)
     F[~ok] = np.nan
     # D[k, a, :, b] = (X_a . grad) X_b; the bracket [X_a, X_b] is

@@ -387,7 +387,7 @@ def _tangent_map_contour_defect(geo: ChartedGeometry, Z: np.ndarray, t) -> float
         res = flow_many(geo, rows, t, tangent=False)
         return np.concatenate([res.x, res.p], axis=1), res.ok, res.reasons
 
-    deriv = phase_gradient(phi, Z)[3].swapaxes(1, 2)  # (m, component, coordinate)
+    deriv = phase_gradient(phi, Z, np.eye(2 * geo.dim))[3].swapaxes(1, 2)  # (m, component, coord)
     ref = flow_many(geo, Z, t)
     deriv[~ref.ok] = np.nan
     return float(np.abs(deriv - ref.jac).max())
@@ -396,7 +396,8 @@ def _tangent_map_contour_defect(geo: ChartedGeometry, Z: np.ndarray, t) -> float
 def _field_inversion_defect(geo: ChartedGeometry, Z: np.ndarray) -> float:
     """max |X_E - Omega^{-1} dE| over the rows of Z, dE by ``phase_gradient``."""
     n = geo.dim
-    dE = phase_gradient(lambda rows: (energy(geo, rows[:, :n], rows[:, n:]), True, None), Z)[3]
+    dE = phase_gradient(lambda rows: (energy(geo, rows[:, :n], rows[:, n:]), True, None), Z,
+                        np.eye(2 * n))[3]
     XE = np.concatenate(field_components(geo, Z[:, :n], Z[:, n:]), axis=1)
     om = twisted_symplectic_matrix(geo, Z[:, :n])
     # omega(X, .) = dE  =>  Omega^T X = dE
@@ -465,7 +466,7 @@ def suite_frames(seed: int) -> List[CheckResult]:
 
     # real time: the frame equals its conjugate, transversality degenerates
     fr_real = frame_at(cases["flat"][1], PhasePoint([0.2, 0.1], [0.6, -0.3]), 0.5)
-    checks.append(CheckResult("real_time_degeneracy", transversality_check(fr_real), 1e-8,
+    checks.append(CheckResult("real_time_degeneracy", transversality_check(fr_real.F), 1e-8,
                               expected_degenerate=True,
                               note="tau=0 frame equals its conjugate by construction"))
 
@@ -572,7 +573,7 @@ def suite_kahler(seed: int) -> List[CheckResult]:
     # holomorphic extensions: dbar-closure and ring property
     for name, (c, geo) in cases.items():
         checks.append(CheckResult(f"extension_dbar_{name}",
-                                  _extension_dbar_defect(geo, Z[name][:8]),
+                                  _extension_dbar_defect(geo, Z[name][:8], F[name][:8]),
                                   c.tol["extension_dbar"]))
 
     z = PhasePoint(Zf[0, :2], Zf[0, 2:])
@@ -617,9 +618,9 @@ def _i_ddbar_defect(B: float, mass_freq: float, rng) -> float:
         return _kappa_xyuv(B, mass_freq, *w.T, 0.0), True, None
 
     def grad(w):
-        return phase_gradient(kap, w)[3], True, None
+        return phase_gradient(kap, w, np.eye(4))[3], True, None
 
-    hess = phase_gradient(grad, rng.uniform(-0.5, 0.5, (5, 4)))[3]
+    hess = phase_gradient(grad, rng.uniform(-0.5, 0.5, (5, 4)), np.eye(4))[3]
     # H_{a b-bar} = p_a^T hess conj(p_b) with p = d/dz columns
     P = 0.5 * np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]])
     H = np.einsum("ia,kij,jb->kab", P, hess, P.conj())
@@ -630,17 +631,16 @@ def _i_ddbar_defect(B: float, mass_freq: float, rng) -> float:
     return float((np.abs(W.real - om_z).max(axis=(1, 2)) + np.abs(W.imag).max(axis=(1, 2))).max())
 
 
-def _extension_dbar_defect(geo: ChartedGeometry, Z: np.ndarray) -> float:
-    """Max dbar defect of f o pi o Phi_i for coordinate / quadratic f."""
+def _extension_dbar_defect(geo: ChartedGeometry, Z: np.ndarray, F: np.ndarray) -> float:
+    """Max dbar defect of f o pi o Phi_i for coordinate / quadratic f: their
+    derivatives along the (0,1) columns conj F of the frames F at Z."""
 
     def monomials(rows):  # f = x1, x2, x1^2, x1 x2 at pi o Phi_i
         res = flow_many(geo, rows, ComplexTime(1j), tangent=False)
         x1, x2 = res.x[:, 0], res.x[:, 1]
         return np.stack([x1, x2, x1**2, x1 * x2], axis=1), res.ok, res.reasons
 
-    grad = phase_gradient(monomials, Z)[3]  # (m, 2n, 4)
-    F = frames_at_many(geo, Z, 1j)[0]
-    return float(np.abs(np.einsum("mdf,mdk->mfk", grad, F.conj())).max())
+    return float(np.abs(phase_gradient(monomials, Z, F.conj().swapaxes(1, 2))[3]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def test_field_matches_symplectic_inversion(sphere_geo, rng):
     def E(rows):
         return energy(sphere_geo, rows[:, :2], rows[:, 2:]), True, None
 
-    dE = phase_gradient(E, Z)[3]
+    dE = phase_gradient(E, Z, np.eye(4))[3]
     om = twisted_symplectic_matrix(sphere_geo, Z[:, :2]).real
     X = np.stack([hamiltonian_field(sphere_geo, PhasePoint(row[:2], row[2:])) for row in Z])
     assert np.abs(np.linalg.solve(om.swapaxes(1, 2), dE.real[..., None])[..., 0] - X).max() < 1e-11

@@ -248,7 +248,7 @@ def _field_jacobian(geo, Z):
     def field(rows):
         return np.concatenate(field_components(geo, rows[:, :n], rows[:, n:]), axis=1), True, None
 
-    return np.swapaxes(phase_gradient(field, Z)[3], 1, 2)
+    return np.swapaxes(phase_gradient(field, Z, np.eye(2 * n))[3], 1, 2)
 
 
 @pytest.mark.parametrize("geo", [make_sphere_magnetic(1.3, 0.8),

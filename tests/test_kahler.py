@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import sample_flat, sample_sphere, tiny_validity_geometry
-from magtube import flow
+from magtube import flow, kahler
 from magtube import oracles as orc
 from magtube.flow import BlowUpError
 from magtube.geometry import PhasePoint
@@ -23,7 +25,7 @@ from magtube.kahler import (
     section_weight,
     theta_A_covector,
 )
-from magtube.structure import acs_point, frame_at
+from magtube.structure import acs_point, frame_at, frames_at_many
 
 
 # ---------------------------------------------------------------------------
@@ -182,29 +184,37 @@ def test_kappa1_coefficient_resolution(flat_geo, rng):
 # the shared phase-space stencil
 # ---------------------------------------------------------------------------
 
+def _cubic(rows):
+    z0, z1, z2, z3 = rows.T
+    s = rows.sum(axis=1)
+    return np.stack([z0**3 + z1 * z2 * z3, z2**2 * z0 - z3, s**3], axis=1), True, None
+
+
+def _cubic_gradient(Z):
+    """(m, 4, 3) gradient of ``_cubic`` over the four columns."""
+    z0, z1, z2, z3 = Z.T
+    s2 = 3 * Z.sum(axis=1) ** 2
+    zero = np.zeros_like(z0)
+    return np.stack([
+        np.stack([3 * z0**2, z2 * z3, z1 * z3, z1 * z2], axis=1),
+        np.stack([z2**2, zero, 2 * z2 * z0, zero - 1], axis=1),
+        np.stack([s2, s2, s2, s2], axis=1),
+    ], axis=2)
+
+
 def test_phase_gradient_of_vector_cubic(rng):
     Z = sample_flat(rng, 5)
     calls = []
 
     def cubic(rows):
         calls.append(rows)
-        z0, z1, z2, z3 = rows.T
-        s = rows.sum(axis=1)
-        return np.stack([z0**3 + z1 * z2 * z3, z2**2 * z0 - z3, s**3], axis=1), True, None
+        return _cubic(rows)
 
-    vals, ok, reasons, grad = phase_gradient(cubic, Z)
+    vals, ok, reasons, grad = phase_gradient(cubic, Z, np.eye(4))
     assert grad.shape == (5, 4, 3) and vals.shape == (5, 3)
     assert ok.all() and reasons == [None] * 5
-    z0, z1, z2, z3 = Z.T
-    s2 = 3 * Z.sum(axis=1) ** 2
-    zero = np.zeros_like(z0)
-    ref = np.stack([
-        np.stack([3 * z0**2, z2 * z3, z1 * z3, z1 * z2], axis=1),
-        np.stack([z2**2, zero, 2 * z2 * z0, zero - 1], axis=1),
-        np.stack([s2, s2, s2, s2], axis=1),
-    ], axis=2)
     # the four-node trapezoid rule is exact for a cubic, up to rounding
-    assert np.abs(grad - ref).max() < 1e-12
+    assert np.abs(grad - _cubic_gradient(Z)).max() < 1e-12
     # one batched call: the centre rows, then the contour rows in
     # (row, coordinate, node) order, node k at radius r and angle 2 pi k / N
     assert len(calls) == 1
@@ -214,7 +224,31 @@ def test_phase_gradient_of_vector_cubic(rng):
         want = Z[i].astype(complex)
         want[a] += CONTOUR_RADIUS * np.exp(2j * np.pi * k / CONTOUR_NODES)
         assert np.abs(rows[i, a, k] - want).max() < 1e-18
-    assert np.abs(vals - cubic(Z)[0]).max() < 1e-14
+    assert np.abs(vals - _cubic(Z)[0]).max() < 1e-14
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (5, 2, 4)])  # shared, or one set per row
+def test_phase_gradient_along_complex_directions(rng, shape):
+    Z = sample_flat(rng, 5)
+    V = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    Vm = np.broadcast_to(V, (5, *shape[-2:]))
+    size = np.linalg.norm(Vm, axis=-1)
+    calls = []
+
+    def cubic(rows):
+        calls.append(rows)
+        return _cubic(rows)
+
+    vals, ok, reasons, deriv = phase_gradient(cubic, Z, V)
+    assert deriv.shape == (5, shape[-2], 3) and ok.all()
+    # grad . v, up to the rule's rounding: eps / r relative to f, times |v|
+    ref = np.einsum("mdc,mkd->mkc", _cubic_gradient(Z), Vm)
+    assert (np.abs(deriv - ref) / size[..., None]).max() < 1e-12 * np.abs(vals).max()
+    # the rows of direction v: node j at z + r e^{2 pi i j / N} v / |v|
+    rows = calls[0][5:].reshape(5, shape[-2], CONTOUR_NODES, 4)
+    for i, a, j in np.ndindex(*rows.shape[:3]):
+        node = CONTOUR_RADIUS * np.exp(2j * np.pi * j / CONTOUR_NODES)
+        assert np.abs(rows[i, a, j] - (Z[i] + node * Vm[i, a] / size[i, a])).max() < 1e-15
 
 
 def test_phase_gradient_nan_on_failed_row(flat_geo, monkeypatch):
@@ -223,28 +257,74 @@ def test_phase_gradient_nan_on_failed_row(flat_geo, monkeypatch):
     monkeypatch.setattr(flow, "P_CAP", 100.0)
     Z = np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 90.0, 0.0]])
     vals, ok, reasons, grad = phase_gradient(
-        lambda rows: potential_f_many(flat_geo, rows, -1j), Z)
+        lambda rows: potential_f_many(flat_geo, rows, -1j), Z, np.eye(4))
     assert list(ok) == [True, False] and reasons == [None, "BLOWUP"]
     assert np.isfinite(grad[0]).all() and np.isnan(grad[1]).all()
     assert np.isfinite(vals[0]) and np.isnan(vals[1])
 
 
-def test_single_point_residuals_raise_where_the_contour_fails(sphere_geo):
-    # the -i flow of this row stays inside the tube (edge at p1 ~ 2.35597),
-    # but contour nodes at radius 1e-3 do not
+def test_phase_gradient_nan_direction(flat_geo):
+    # a failed frame row reaches the rule as a NaN direction: its derivative
+    # is NaN, the other rows are differentiated, and no warning is raised
+    Z = np.array([[0.1, 0.0, 0.5, 0.0], [0.0, 0.2, 0.3, -0.4]])
+    V = np.stack([np.eye(4)[:2], np.full((2, 4), np.nan)]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, ok, _, deriv = phase_gradient(
+            lambda rows: potential_f_many(flat_geo, rows, -1j), Z, V)
+    assert ok.all() and np.isfinite(vals).all()
+    assert np.isfinite(deriv[0]).all() and np.isnan(deriv[1]).all()
+
+
+def test_residual_contours_run_one_ring_per_contracted_direction(flat_geo, sphere_geo,
+                                                                  monkeypatch, rng):
+    # at n = 2, f's rows per point: the centre and 4 nodes along (X_E, 1)
+    # for kde, the centre and 4 nodes on each of the 2 columns of conj F for
+    # dbar
+    rows = []
+
+    def counting(geo, Z, t):
+        rows.append(len(Z))
+        return potential_f_many(geo, Z, t)
+
+    monkeypatch.setattr(kahler, "potential_f_many", counting)
+    for geo, Z in ((flat_geo, sample_flat(rng, 3)), (sphere_geo, sample_sphere(rng, 3))):
+        rows.clear()
+        kde_residual_many(geo, Z, 0.3)
+        frames_conj = frames_at_many(geo, Z, 1j)[0].conj()
+        dbar_residual_many(geo, Z, frames_conj)
+        assert rows == [3 * 5, 3 * 9]
+
+
+def test_residuals_at_the_tube_edge(sphere_geo):
+    # the -i flow of the last row stays inside the tube (edge at p1 ~
+    # 2.35597), and so do the rings of radius 1e-3 along its directions
     Z = np.array([[0.0, 0.0, 2.3, 0.0], [0.0, 0.0, 2.35595, 0.0]])
-    _, ok, _ = potential_f_many(sphere_geo, Z, -1j)
-    assert ok.all()
-    frames_conj = np.stack([frame_at(sphere_geo, PhasePoint(r[:2], r[2:]), 1j).F.conj()
-                            for r in Z])
+    frames_conj = frames_at_many(sphere_geo, Z, 1j)[0].conj()
     f, ok, _, res = dbar_residual_many(sphere_geo, Z, frames_conj)
     assert ok.all() and np.isfinite(f).all()
+    assert res.max() < 1e-10
+    assert kde_residual_many(sphere_geo, Z, -1j).max() < 1e-10
+
+
+def test_single_point_residuals_raise_where_the_contour_fails(flat_geo, sphere_geo,
+                                                             monkeypatch):
+    # dbar: under a momentum cap of 100, the flows of the second row's
+    # centre stay below it and nodes of its ring along conj F do not
+    monkeypatch.setattr(flow, "P_CAP", 100.0)
+    Z = np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 64.8053, 0.0]])
+    frames_conj = frames_at_many(flat_geo, Z, 1j)[0].conj()
+    f, ok, _, res = dbar_residual_many(flat_geo, Z, frames_conj)
+    assert ok.all() and np.isfinite(f).all()
     assert res[0] < 1e-10 and np.isnan(res[1])
-    z = PhasePoint(Z[1, :2], Z[1, 2:])
     with pytest.raises(RuntimeError, match="left the tube"):
-        dbar_residual(sphere_geo, z, frames_conj[1])
+        dbar_residual(flat_geo, PhasePoint(Z[1, :2], Z[1, 2:]), frames_conj[1])
+    # kde: a real row on a real path is held to the sphere's chart box, its
+    # complex ring rows to the complex radius 0.6, which this row lies past
+    z = PhasePoint([0.65, 0.0], [0.2, 0.1])
+    assert potential_f_many(sphere_geo, z.as_vector()[None, :], 0.3)[1].all()
     with pytest.raises(RuntimeError, match="left the tube"):
-        kde_residual(sphere_geo, z, -1j)
+        kde_residual(sphere_geo, z, 0.3)
 
 
 # ---------------------------------------------------------------------------

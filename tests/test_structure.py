@@ -172,13 +172,13 @@ def test_conjugate_frame_spans_conjugate_time(sphere_geo):
 
 def test_transversality_zero_at_real_time(flat_geo):
     fr = frame_at(flat_geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 0.5)
-    assert transversality_check(fr) < 1e-8
+    assert transversality_check(fr.F) < 1e-8
 
 
 def test_transversality_positive_in_tube(sphere_geo, rng):
     for row in sample_sphere(rng, 5):
         fr = frame_at(sphere_geo, PhasePoint(row[:2], row[2:]), 1j)
-        assert transversality_check(fr) > 1e-3
+        assert transversality_check(fr.F) > 1e-3
 
 
 def test_conjugate_pair_determinant(flat_geo_heavy):
