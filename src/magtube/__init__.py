@@ -20,36 +20,34 @@ from .geometry import (
     validate_geometry,
 )
 from .flow import (
+    BatchFlowResult,
     BlowUpError,
     ChartExitError,
     ComplexTime,
     FlowError,
-    FlowState,
     StepSizeError,
-    flow_complex,
+    field_components,
     flow_many,
-    flow_real,
-    hamiltonian_field,
     radius_estimate,
 )
 from .structure import (
     ACSPointData,
     LagrangianFrame,
-    acs_point,
     assemble_J,
     frame_at,
     frames_at_many,
-    integrability_residual,
+    integrability_residual_many,
     subspace_distance,
     transversality_check,
 )
 from .kahler import (
-    dbar_residual,
+    dbar_residual_many,
     holomorphic_extension,
     kappa1_flat,
     kappa2_flat,
-    kde_residual,
+    kde_residual_many,
     potential_f,
+    potential_f_many,
     section_weight,
 )
 from .intertwine import (

@@ -47,6 +47,7 @@ from .config import (
 from .flow import ComplexTime, flow_many
 from .kahler import (
     dbar_residual_many,
+    holomorphic_extension,
     kde_residual_many,
 )
 from .structure import (
@@ -171,23 +172,27 @@ def _rows_acs(geo, Z, t):
 
 
 def _rows_potential(geo, Z, t):
-    F, okf, reasons_f, _ = frames_at_many(geo, Z, t)
-    fm, okm, reasons, dbar = dbar_residual_many(geo, Z, F.conj())
-    ok = okm & okf
-    kde = np.full(Z.shape[0], np.nan)
+    # the dbar contour runs on the rows whose frames are ok; a frame-failed
+    # row keeps the frame's reason and nan columns
+    F, ok, reasons, _ = frames_at_many(geo, Z, t)
+    fm = np.full(len(Z), complex(np.nan, np.nan))
+    dbar, kde = np.full(len(Z), np.nan), np.full(len(Z), np.nan)
+    rows = np.flatnonzero(ok)
+    if rows.size:
+        fm[rows], okm, reasons_m, dbar[rows] = dbar_residual_many(geo, Z[rows], F[rows].conj())
+        ok[rows] = okm
+        for i, why in zip(rows, reasons_m):
+            reasons[i] = why
     if ok.any():
         kde[ok] = kde_residual_many(geo, Z[ok], 0.3)
     f_re, f_im, kappa2 = (np.where(ok, v, np.nan) for v in (fm.real, fm.imag, (2j * fm).real))
     return _csv_rows([np.real(Z), f_re, f_im, kappa2, kde, dbar, np.exp(-kappa2 / 2.0)], ok,
-                     [r or rf for r, rf in zip(reasons, reasons_f)])
+                     reasons)
 
 
 def _rows_extend(geo, Z, t, monomial):
-    res = flow_many(geo, Z, t, tangent=False)
-    ext = np.full((len(Z), 2), np.nan)
-    vals = monomial(res.x[res.ok])
-    ext[res.ok] = np.stack([vals.real, vals.imag], axis=1)
-    return _csv_rows([np.real(Z), ext], res.ok, res.reasons)
+    values, ok, reasons = holomorphic_extension(geo, monomial, Z, t)
+    return _csv_rows([np.real(Z), values], ok, reasons)
 
 
 _FACTOR = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from typing import Optional
 
 import numpy as np
@@ -97,10 +97,7 @@ class RunConfig:
     out: Optional[str] = None
 
 
-_KNOWN_KEYS = {
-    "kind", "dim", "B", "mass_freq", "radius", "field",
-    "grid", "time", "path", "suite", "seed", "jobs", "out",
-}
+_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -184,10 +181,13 @@ def _config_from_pairs(pairs: dict) -> RunConfig:
 
 
 def check_run_keys(cfg: RunConfig) -> RunConfig:
-    """Reject a suite no command runs and a worker count below one; the CLI
-    calls this again after its flags override the config."""
+    """Reject a suite no command runs, a negative seed and a worker count
+    below one; the CLI calls this again after its flags override the
+    config."""
     if cfg.suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITE_NAMES}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
     return cfg

@@ -70,20 +70,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dop853 as _dop
-from .geometry import ChartedGeometry, PhasePoint
+from .geometry import ChartedGeometry
 
 __all__ = [
     "ComplexTime",
-    "FlowState",
     "BatchFlowResult",
     "FlowError",
     "BlowUpError",
     "ChartExitError",
     "StepSizeError",
-    "hamiltonian_field",
     "field_components",
-    "flow_real",
-    "flow_complex",
     "flow_many",
     "radius_estimate",
 ]
@@ -185,33 +181,6 @@ def as_complex_time(t) -> ComplexTime:
 
 
 @dataclass
-class FlowState:
-    """Flowed phase point with quadrature and (if carried) tangent map."""
-
-    x: np.ndarray
-    p: np.ndarray
-    jac: Optional[np.ndarray]
-    quad: complex
-    time: complex
-    det_min: float = np.inf
-    steps: int = 0
-
-    @property
-    def phase_point(self) -> PhasePoint:
-        return PhasePoint(self.x, self.p)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.p])
-
-    def is_real(self, tol: float = 1e-9) -> bool:
-        return bool(
-            np.abs(self.x.imag).max() < tol
-            and np.abs(self.p.imag).max() < tol
-            and (self.jac is None or np.abs(self.jac.imag).max() < tol)
-        )
-
-
-@dataclass
 class BatchFlowResult:
     """Vectorized flow result; failed rows carry a reason code.  ``time`` is
     the common target, or the (m,) array of per-row targets.
@@ -231,18 +200,6 @@ class BatchFlowResult:
     det_min: np.ndarray
     steps: int
     time: complex | np.ndarray
-
-    def state(self, i: int) -> FlowState:
-        """Row i as a FlowState at its own time; raises the row's FlowError
-        if it failed."""
-        time = self.time[i] if np.ndim(self.time) else self.time
-        if not self.ok[i]:
-            _raise_for(self.reasons[i], time)
-        return FlowState(
-            self.x[i], self.p[i], None if self.jac is None else self.jac[i],
-            complex(self.quad[i]),
-            time, float(self.det_min[i]), self.steps,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +266,6 @@ def field_components(geo: ChartedGeometry, x: np.ndarray, p: np.ndarray):
     out = np.empty((2 * len(p),) + p.shape[1:], dtype=np.result_type(g, b, p))
     _field(g, dg, b, p, out)
     return np.moveaxis(out[: len(p)], 0, -1), np.moveaxis(out[len(p) :], 0, -1)
-
-
-def hamiltonian_field(geo: ChartedGeometry, z: PhasePoint) -> np.ndarray:
-    """The Hamiltonian vector field of E for the twisted form, at one point."""
-    if not geo.in_complex_region(z.x):
-        raise BlowUpError("point outside the geometry's complex validity region")
-    xdot, pdot = field_components(geo, z.x, z.p)
-    return np.concatenate([xdot, pdot])
 
 
 def _rhs(geo: ChartedGeometry, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -619,41 +568,6 @@ def _integrate_path(
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def flow_real(
-    geo: ChartedGeometry,
-    z0: PhasePoint,
-    sigma: float,
-    *,
-    tangent: bool = True,
-) -> FlowState:
-    """Flow a real phase point for a real time, with potential quadrature
-    and (if ``tangent``) tangent map.  Raises on chart exit or integration
-    failure."""
-    if not z0.is_real(1e-9):
-        raise ValueError("flow_real requires a real initial point")
-    Z0 = z0.as_vector()[None, :]
-    return flow_many(geo, Z0, float(sigma), tangent=tangent).state(0)
-
-
-def flow_complex(
-    geo: ChartedGeometry,
-    z0: PhasePoint,
-    t,
-    *,
-    tangent: bool = True,
-) -> FlowState:
-    """Analytic continuation of the flow along a complex-time path.
-
-    ``t`` is a ComplexTime (or a bare complex target, meaning the straight
-    path).  The start point must be real; holomorphy makes the result path
-    independent, which is a verified property rather than an assumption.
-    """
-    if not z0.is_real(1e-9):
-        raise ValueError("flow_complex requires a real initial point")
-    Z0 = z0.as_vector()[None, :]
-    return flow_many(geo, Z0, as_complex_time(t), tangent=tangent).state(0)
-
 
 def flow_many(
     geo: ChartedGeometry,

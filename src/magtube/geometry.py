@@ -182,9 +182,6 @@ class ChartedGeometry:
                     _contour_last_axis(self.beta, x) if db is None else db(x))
         return tuple(_front_to_last(a, batch) for a in out)
 
-    def in_complex_region(self, x: Array) -> bool:
-        return bool(np.all(np.abs(x) < self.complex_radius))
-
     def with_negated_field(self) -> "ChartedGeometry":
         """The same metric with beta and A both negated (the -beta system)."""
         beta_fn, pot_fn = self.beta, self.potential
@@ -267,10 +264,6 @@ class PhasePoint:
             np.max(np.abs(self.x.imag), initial=0.0) < tol
             and np.max(np.abs(self.p.imag), initial=0.0) < tol
         )
-
-    def in_tube(self, geo: ChartedGeometry, radius: float) -> bool:
-        """Membership test g(p, p) < radius^2 at a real point."""
-        return bool(np.real(energy(geo, self.x, self.p)) * 2.0 < radius**2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ the tanh term in kappa1 is pinned empirically by the adaptedness identity
 Im dbar kappa1 = theta^A, which holds for B/2 and fails for B; see
 ``resolve_kappa1_coefficient``.
 
-Single-point functions (``potential_f``, ``kde_residual``,
-``dbar_residual``, ``holomorphic_extension``) are one-row calls of the
-batched code path.
+f_t, the residuals and the holomorphic extension are batched over phase
+rows Z = [x, p] and report a failed row through their ``ok`` flags and
+reasons; ``potential_f`` and ``section_weight`` are the one-row case of
+``potential_f_many`` and raise the row's FlowError.
 
 Every phase-space derivative of a computed quantity goes through
 ``phase_gradient``, the one derivative rule.  The flow, the transported
@@ -47,10 +48,7 @@ from .geometry import ChartedGeometry, PhasePoint, energy
 __all__ = [
     "potential_f",
     "potential_f_many",
-    "theta_A_covector",
-    "kde_residual",
     "kde_residual_many",
-    "dbar_residual",
     "dbar_residual_many",
     "phase_gradient",
     "kappa1_flat",
@@ -139,16 +137,6 @@ def potential_f_many(geo, Z: np.ndarray, t):
 
 
 # ---------------------------------------------------------------------------
-# the symplectic potential theta^A
-# ---------------------------------------------------------------------------
-
-def theta_A_covector(geo: ChartedGeometry, z: PhasePoint) -> np.ndarray:
-    """Components of theta^A = (p_j + A_j(x)) dx^j at z, length 2n."""
-    A = geo.potential(z.x)
-    return np.concatenate([z.p + A, np.zeros(geo.dim, dtype=complex)])
-
-
-# ---------------------------------------------------------------------------
 # residual checks of the defining identities
 # ---------------------------------------------------------------------------
 
@@ -179,28 +167,6 @@ def kde_residual_many(
     return np.abs(deriv - rhs)
 
 
-def _one_residual(residuals: np.ndarray) -> float:
-    """The single row of a residual batch; raises where its contour failed."""
-    out = float(residuals[0])
-    if np.isnan(out):
-        raise RuntimeError("contour node left the tube")
-    return out
-
-
-def kde_residual(
-    geo: ChartedGeometry,
-    z: PhasePoint,
-    sigma: float,
-) -> float:
-    """Defect of df_sigma/dsigma + X_E(f_sigma) - (theta^A(X_E) - E) at (z, sigma).
-
-    theta^A(X_E) - E = E + A(g p); both derivative terms are contour
-    derivatives of the flow-quadrature f.  Raises RuntimeError if a contour
-    node leaves the tube.
-    """
-    return _one_residual(kde_residual_many(geo, z.as_vector().real[None, :], sigma))
-
-
 def dbar_residual_many(
     geo: ChartedGeometry,
     Z: np.ndarray,
@@ -223,22 +189,6 @@ def dbar_residual_many(
     theta = Z[:, n:] + geo.potential(Z[:, :n])  # theta^A = (p + A) dx has no dp part
     defect = deriv - np.einsum("mj,mjk->mk", theta, frames_conj[:, :n])
     return f, ok, reasons, np.abs(defect).max(axis=1)
-
-
-def dbar_residual(
-    geo: ChartedGeometry,
-    z: PhasePoint,
-    frame_conj: np.ndarray,
-) -> float:
-    """Defect of dbar f_{-i} = (theta^A)^(0,1) at z.
-
-    ``frame_conj`` holds (0,1) direction columns (the conjugate of the frame
-    spanning the +i transported subspace).  For each column Zbar the residual
-    is |Zbar(f_{-i}) - theta^A(Zbar)|; the max over columns is returned.
-    Raises RuntimeError if a contour node leaves the tube.
-    """
-    return _one_residual(
-        dbar_residual_many(geo, z.as_vector().real[None, :], frame_conj[None])[3])
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +282,25 @@ def resolve_kappa1_coefficient(
 
 def holomorphic_extension(
     geo: ChartedGeometry,
-    f: Callable[[np.ndarray], complex],
-    z: PhasePoint,
+    f: Callable[[np.ndarray], np.ndarray],
+    Z: np.ndarray,
     t=1j,
-) -> complex:
-    """Value of the holomorphic extension f o pi o Phi_i at z.
+):
+    """The holomorphic extension f o pi o Phi_t at every row of Z = [x, p].
 
-    ``f`` must itself be evaluable at complex base points reached by the
-    flow (any analytic closed form qualifies).  ``z`` may be complex.
+    One tangent-free flow to t (a ComplexTime, a common time or an (m,)
+    array of per-row times, as ``flow_many`` takes them); ``f`` maps the
+    (k, n) complex base points x of the ok rows to (k, ...) values, and
+    must be evaluable there (any analytic closed form qualifies).  A failed
+    row gets NaN in both the real and the imaginary part.
+
+    Returns (values, ok, reasons) with values of shape (m, ...).
     """
-    res = flow_many(geo, z.as_vector()[None, :], as_complex_time(t), tangent=False)
-    return complex(f(res.state(0).x))
+    res = flow_many(geo, Z, t, tangent=False)
+    vals = np.asarray(f(res.x[res.ok]))
+    values = np.full((len(res.ok),) + vals.shape[1:], complex(np.nan, np.nan))
+    values[res.ok] = vals
+    return values, res.ok, res.reasons
 
 
 def section_weight(geo: ChartedGeometry, z: PhasePoint, k: int) -> complex:

@@ -12,9 +12,10 @@ column-orthonormalized (with a deterministic phase convention) after
 transport; every reported quantity is invariant under right multiplication
 of the frame by an invertible matrix, so this is a pure conditioning device.
 
-Each operation has one batched implementation; the single-point functions
-(``frame_at``, ``integrability_residual``) are its one-row case and raise
-where the batch reports a failed row.
+Frame transport and integrability are batched over phase rows and report a
+failed row through their ``ok`` flags and reasons instead of raising;
+``frame_at`` is the one-row case of ``frames_at_many`` and raises the row's
+FlowError.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .flow import as_complex_time, flow_many, _raise_for
 from .geometry import ChartedGeometry, PhasePoint, twisted_symplectic_matrix
-from .kahler import _one_residual, phase_gradient
+from .kahler import phase_gradient
 
 __all__ = [
     "LagrangianFrame",
@@ -37,8 +38,6 @@ __all__ = [
     "transversality_check",
     "positivity_matrix",
     "assemble_J",
-    "acs_point",
-    "integrability_residual",
     "integrability_residual_many",
     "normalized_zero_section_frame_change",
     "TRANSVERSALITY_THRESHOLD",
@@ -234,12 +233,6 @@ def assemble_J(geo: ChartedGeometry, x: np.ndarray, F: np.ndarray) -> ACSPointDa
     )
 
 
-def acs_point(geo, z: PhasePoint, t) -> ACSPointData:
-    """Transport the frame at one point and assemble J there: the one-point
-    case of ``assemble_J``."""
-    return assemble_J(geo, z.x, frame_at(geo, z, t).F)
-
-
 # ---------------------------------------------------------------------------
 # integrability
 # ---------------------------------------------------------------------------
@@ -280,21 +273,6 @@ def integrability_residual_many(
     normal = np.linalg.norm(np.einsum("kij,kajb->kaib", proj_out, bracket), axis=2)
     size = np.linalg.norm(X, axis=1)
     return F, ok, reasons, (normal / (size[:, :, None] * size[:, None, :])).max(axis=(1, 2))
-
-
-def integrability_residual(
-    geo: ChartedGeometry,
-    z: PhasePoint,
-    t,
-) -> float:
-    """Bracket-closure defect of the frame distribution at z.
-
-    The one-row case of ``integrability_residual_many``: Lie brackets of the
-    transported columns, from contour derivatives in the 2n phase
-    coordinates, projected off the span at z and normalised by the column
-    lengths.  Raises RuntimeError if a contour node leaves the tube.
-    """
-    return _one_residual(integrability_residual_many(geo, z.as_vector().real[None, :], t)[3])
 
 
 # ---------------------------------------------------------------------------

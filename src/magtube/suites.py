@@ -22,7 +22,6 @@ from .flow import (
     ComplexTime,
     FlowError,
     field_components,
-    flow_complex,
     flow_many,
     radius_estimate,
 )
@@ -43,6 +42,7 @@ from .intertwine import (
 from .kahler import (
     _kappa_xyuv,
     dbar_residual_many,
+    holomorphic_extension,
     kappa2_flat,
     kde_residual_many,
     phase_gradient,
@@ -52,7 +52,6 @@ from .kahler import (
     section_weight,
 )
 from .structure import (
-    acs_point,
     assemble_J,
     frame_at,
     frames_at_many,
@@ -159,11 +158,13 @@ def _rng(seed: int, channel: int):
 
 
 def _zero_section_flow(geo: ChartedGeometry, xs: np.ndarray, t):
-    """States of the zero-section points (x, 0) continued along ComplexTime(t),
-    one batch; raises FlowError if a row fails."""
+    """The zero-section points (x, 0) continued along ComplexTime(t), one
+    batch with the tangent map; raises FlowError if a row fails."""
     Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
     res = flow_many(geo, Z, ComplexTime(t))
-    return [res.state(i) for i in range(len(xs))]
+    if not res.ok.all():
+        raise FlowError(f"zero-section flow failed: {[r for r in res.reasons if r][0]}")
+    return res
 
 
 def _frames(geo: ChartedGeometry, Z: np.ndarray, t) -> np.ndarray:
@@ -313,10 +314,11 @@ def suite_flow(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("hamiltonian_field_inversion", worst, 1e-10))
 
     # zero-section: field vanishes, points are fixed
-    zfix = flow_complex(cases["flat"][1], PhasePoint([0.3, -0.4], [0, 0]), 0.3 + 0.8j,
-                        tangent=False)
+    zfix = flow_many(cases["flat"][1], np.array([[0.3, -0.4, 0.0, 0.0]]), 0.3 + 0.8j,
+                     tangent=False)
     checks.append(CheckResult("zero_section_fixed",
-                              float(np.abs(zfix.as_vector() - np.array([0.3, -0.4, 0, 0])).max()),
+                              float(np.abs(np.concatenate([zfix.x[0], zfix.p[0]])
+                                           - np.array([0.3, -0.4, 0, 0])).max()),
                               1e-12))
 
     # zero-section linearization against the block matrix exponential
@@ -326,9 +328,9 @@ def suite_flow(seed: int) -> List[CheckResult]:
         Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
         g0, b0 = geo.inv_metric(xs), geo.beta(xs)
         for sig in (0.5, 1j, 0.3 + 0.8j):
-            for i, st in enumerate(_zero_section_flow(geo, xs, sig)):
+            for i, jac in enumerate(_zero_section_flow(geo, xs, sig).jac):
                 ref = orc.zero_section_linearization(b0[i], sig, g0[i])
-                worst_jac = max(worst_jac, float(np.abs(st.jac - ref).max()))
+                worst_jac = max(worst_jac, float(np.abs(jac - ref).max()))
         for sig in (1j, 0.3 + 0.8j):
             ref = np.stack([orc.zero_section_frame(b0[i], sig, g0[i]) for i in range(len(xs))])
             worst_span = max(worst_span,
@@ -362,13 +364,12 @@ def suite_flow(seed: int) -> List[CheckResult]:
             worst = max(worst, float(trip[ok].max()))
     checks.append(CheckResult("inverse_consistency", worst, 1e-8))
 
-    # the sphere's tangent map against a contour derivative of the
-    # tangent-free flow, which never evaluates second derivatives
-    sph, geo = cases["sphere"]
-    checks.append(CheckResult("tangent_map_contour",
-                              _tangent_map_contour_defect(geo, _sample(rng, geo, 6, sph.tube),
-                                                          ComplexTime(1j)),
-                              1e-10))
+    # each chart's tangent map against a contour derivative of the
+    # tangent-free flow, which never evaluates second derivatives; the
+    # samples are drawn chart after chart
+    worst = max(_tangent_map_contour_defect(geo, _sample(rng, geo, 6, c.tube), ComplexTime(1j))
+                for c, geo in cases.values())
+    checks.append(CheckResult("tangent_map_contour", worst, 1e-10))
 
     checks.append(CheckResult("radius_estimate_value",
                               abs(radius_estimate(1.0, 1.0, float(np.exp(-1.2))) - 1.2),
@@ -477,8 +478,8 @@ def suite_frames(seed: int) -> List[CheckResult]:
         xs = rng.uniform(-0.2, 0.2, (2, n))
         changes = [normalized_zero_section_frame_change(geo, x0) for x0 in xs]
         for t in (1j, 0.3 + 0.8j):
-            for (T, btil), st in zip(changes, _zero_section_flow(geo, xs, t)):
-                Fn = T @ st.jac[:, n:] @ T[:n, :n].T
+            for (T, btil), jac in zip(changes, _zero_section_flow(geo, xs, t).jac):
+                Fn = T @ jac[:, n:] @ T[:n, :n].T
                 om_t = np.block([[-btil, np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
                 M = 1j * Fn.conj().T @ om_t @ Fn
                 worst = max(worst, float(np.abs(M - orc.zero_section_positivity_matrix(btil, t)).max()))
@@ -494,9 +495,9 @@ def suite_frames(seed: int) -> List[CheckResult]:
         xs = rng.uniform(-0.2, 0.2, (3, n))
         F = _frames(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), 1j)
         Eh = np.vstack([np.eye(n), np.zeros((n, n))])
-        for i, st in enumerate(_zero_section_flow(geo, xs, 1j)):
+        for i, jac in enumerate(_zero_section_flow(geo, xs, 1j).jac):
             T, btil = normalized_zero_section_frame_change(geo, xs[i])
-            Fn = T @ st.jac[:, n:]
+            Fn = T @ jac[:, n:]
             min_block = min(min_block, float(np.linalg.svd(Fn[n:], compute_uv=False)[-1]))
             min_block = min(min_block, float(np.linalg.svd(expm(1j * btil), compute_uv=False)[-1]))
             acs = assemble_J(geo, xs[i], F[i])
@@ -577,16 +578,16 @@ def suite_kahler(seed: int) -> List[CheckResult]:
                                   c.tol["extension_dbar"]))
 
     z = PhasePoint(Zf[0, :2], Zf[0, 2:])
-    st = flow_complex(flat, z, 1j, tangent=False)
+    e1, e2 = holomorphic_extension(flat, lambda x: x, Zf[:1])[0][0]
     z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, z.as_vector())
     checks.append(CheckResult("extension_coordinates",
-                              float(max(abs(st.x[0] - z1), abs(st.x[1] - z2))), 1e-8))
+                              float(max(abs(e1 - z1), abs(e2 - z2))), 1e-8))
     checks.append(CheckResult("extension_ring_property",
-                              float(abs(st.x[0] ** 2 - z1**2)), 1e-8,
+                              float(abs(e1**2 - z1**2)), 1e-8,
                               note="extension of x1^2 equals the square of the extension"))
-    st0 = flow_complex(flat, PhasePoint([0.3, -0.2], [0, 0]), 1j, tangent=False)
+    e0 = holomorphic_extension(flat, lambda x: x, np.array([[0.3, -0.2, 0.0, 0.0]]))[0][0]
     checks.append(CheckResult("extension_zero_section",
-                              float(np.abs(st0.x - np.array([0.3, -0.2])).max()), 1e-12))
+                              float(np.abs(e0 - np.array([0.3, -0.2])).max()), 1e-12))
 
     # section weights
     w0 = section_weight(flat, PhasePoint([0.4, -0.1], [0, 0]), 1)
@@ -635,12 +636,12 @@ def _extension_dbar_defect(geo: ChartedGeometry, Z: np.ndarray, F: np.ndarray) -
     """Max dbar defect of f o pi o Phi_i for coordinate / quadratic f: their
     derivatives along the (0,1) columns conj F of the frames F at Z."""
 
-    def monomials(rows):  # f = x1, x2, x1^2, x1 x2 at pi o Phi_i
-        res = flow_many(geo, rows, ComplexTime(1j), tangent=False)
-        x1, x2 = res.x[:, 0], res.x[:, 1]
-        return np.stack([x1, x2, x1**2, x1 * x2], axis=1), res.ok, res.reasons
+    def monomials(x):  # f = x1, x2, x1^2, x1 x2
+        x1, x2 = x[:, 0], x[:, 1]
+        return np.stack([x1, x2, x1**2, x1 * x2], axis=1)
 
-    return float(np.abs(phase_gradient(monomials, Z, F.conj().swapaxes(1, 2))[3]).max())
+    return float(np.abs(phase_gradient(lambda rows: holomorphic_extension(geo, monomials, rows),
+                                       Z, F.conj().swapaxes(1, 2))[3]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +728,7 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
     # determinant of [F, conj F] on the raw transported columns
     worst = 0.0
     for B, mass_freq, geo in flats:
-        st = flow_complex(geo, PhasePoint([0.0, 0.0], [0.0, 0.0]), 1j)
-        Fraw = st.jac[:, 2:]
+        Fraw = flow_many(geo, np.zeros((1, 4)), 1j).jac[0][:, 2:]
         det = np.linalg.det(np.concatenate([Fraw, Fraw.conj()], axis=1))
         Bt = B / mass_freq
         worst = max(worst, float(abs(det - (-4 * np.sinh(Bt) ** 2 / B**2))))
@@ -762,7 +762,8 @@ def suite_flat_oracle(seed: int) -> List[CheckResult]:
     checks.append(CheckResult("larmor_periodicity", worst, 1e-8))
 
     # kappa1 tanh-coefficient resolution note (recorded here as well)
-    acs = acs_point(geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 1j)
+    row = np.array([[0.2, 0.1, 0.6, -0.3]])
+    acs = assemble_J(geo, row[0, :2], _frames(geo, row, 1j)[0])
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, _sample(rng, geo, 6, wide))
     checks.append(CheckResult("kappa1_coefficient_resolution", residuals[coeff], 1e-10,
                               note=f"adapted potential uses {coeff} * B tanh(Btilde/2); "

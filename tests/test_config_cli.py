@@ -95,16 +95,19 @@ def test_bad_suite_is_config_error_on_every_command(tmp_path, monkeypatch):
     assert main(["frame", "--config", _write(tmp_path, "d.cfg", FLAT_CFG)]) == 2
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_config_error(tmp_path, monkeypatch, jobs):
+@pytest.mark.parametrize("key, value", [pytest.param("jobs", "0", id="0"),
+                                        pytest.param("jobs", "-3", id="-3"),
+                                        pytest.param("seed", "-1", id="seed-1")])
+def test_jobs_below_one_is_config_error(tmp_path, monkeypatch, key, value):
+    # and a negative seed: from a file, MAGTUBE_* or a flag, on every command
     with pytest.raises(ConfigError):
-        parse_config_text(f"jobs = {jobs}\n")
-    bad = _write(tmp_path, "bad.cfg", FLAT_CFG + f"jobs = {jobs}\n")
+        parse_config_text(f"{key} = {value}\n")
+    bad = _write(tmp_path, "bad.cfg", FLAT_CFG + f"{key} = {value}\n")
     assert main(["flow", "--config", bad]) == 2
     good = _write(tmp_path, "good.cfg", FLAT_CFG)
-    for command in ("flow", "acs", "verify"):
-        assert main([command, "--config", good, "--jobs", jobs]) == 2
-    monkeypatch.setenv("MAGTUBE_JOBS", jobs)
+    for command in ("flow", "acs", "verify", "sweep"):
+        assert main([command, "--config", good, f"--{key}", value]) == 2
+    monkeypatch.setenv(f"MAGTUBE_{key.upper()}", value)
     assert main(["potential", "--config", good]) == 2
 
 
@@ -317,6 +320,28 @@ def test_grid_command_flow_budget(tmp_path, monkeypatch, chart, command, budget)
                  + "grid = x1:-0.1:0.1:2, p1:0.2:0.3:2\ntime = i\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
     assert len(calls) == budget, calls
+
+
+def test_potential_contours_skip_frame_failed_rows(tmp_path, monkeypatch):
+    # 3 of these 9 sphere rows fail their frame flow (BLOWUP): the dbar
+    # contour runs on the other 6 only, 9 rows per point at n = 2, and so
+    # does the kde contour, 5 rows per point
+    original = flow._integrate_path
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_integrate_path", counting)
+    cfg = _write(tmp_path, "c.cfg", CHART_CONFIGS["sphere"]
+                 + "grid = x1:-0.2:0.7:3, p2:-0.5:0.5:3\ntime = i\n")
+    out = tmp_path / "out.csv"
+    assert main(["potential", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == [9, 6 * 9, 6 * 5], calls
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[-2:] for row in rows] == [["ok", ""]] * 6 + [["failed", "BLOWUP"]] * 3
+    assert all(v == "nan" for row in rows[6:] for v in row[4:-2])
 
 
 def test_cmd_acs_columns(tmp_path):

@@ -11,17 +11,12 @@ import magtube
 from magtube import dop853, flow
 from magtube import oracles as orc
 from magtube.flow import (
-    BlowUpError,
-    ChartExitError,
     ComplexTime,
-    StepSizeError,
-    flow_complex,
+    field_components,
     flow_many,
-    flow_real,
-    hamiltonian_field,
     radius_estimate,
 )
-from magtube.geometry import FusedJet, PhasePoint, energy, twisted_symplectic_matrix
+from magtube.geometry import FusedJet, energy, twisted_symplectic_matrix
 from magtube.kahler import phase_gradient, potential_f_many
 from magtube.structure import frames_at_many, subspace_distance
 
@@ -31,13 +26,13 @@ from magtube.structure import frames_at_many, subspace_distance
 # ---------------------------------------------------------------------------
 
 def test_field_flat_unit(flat_geo):
-    X = hamiltonian_field(flat_geo, PhasePoint([0, 0], [1, 0]))
+    X = np.concatenate(field_components(flat_geo, np.array([0.0, 0.0]), np.array([1.0, 0.0])))
     assert np.allclose(X, [1.0, 0.0, 0.0, -1.0])
 
 
 def test_field_vanishes_on_zero_section(flat_geo, sphere_geo):
     for geo in (flat_geo, sphere_geo):
-        X = hamiltonian_field(geo, PhasePoint([0.2, -0.1], [0, 0]))
+        X = np.concatenate(field_components(geo, np.array([0.2, -0.1]), np.zeros(2)))
         assert np.abs(X).max() == 0.0
 
 
@@ -49,7 +44,7 @@ def test_field_matches_symplectic_inversion(sphere_geo, rng):
 
     dE = phase_gradient(E, Z, np.eye(4))[3]
     om = twisted_symplectic_matrix(sphere_geo, Z[:, :2]).real
-    X = np.stack([hamiltonian_field(sphere_geo, PhasePoint(row[:2], row[2:])) for row in Z])
+    X = np.concatenate(field_components(sphere_geo, Z[:, :2], Z[:, 2:]), axis=1)
     assert np.abs(np.linalg.solve(om.swapaxes(1, 2), dE.real[..., None])[..., 0] - X).max() < 1e-11
 
 
@@ -57,56 +52,57 @@ def test_field_matches_symplectic_inversion(sphere_geo, rng):
 # real-time flow
 # ---------------------------------------------------------------------------
 
+def _end(res):
+    """The phase rows [x, p] a flow ends at."""
+    return np.concatenate([res.x, res.p], axis=1)
+
+
 def test_flow_real_quarter_turn(flat_geo):
-    st = flow_real(flat_geo, PhasePoint([0, 0], [1, 0]), np.pi / 2)
-    assert np.abs(st.as_vector() - np.array([1.0, -1.0, 0.0, -1.0])).max() < 1e-10
+    res = flow_many(flat_geo, np.array([[0.0, 0.0, 1.0, 0.0]]), np.pi / 2)
+    assert np.abs(_end(res)[0] - np.array([1.0, -1.0, 0.0, -1.0])).max() < 1e-10
 
 
 def test_flow_zero_time_is_identity(flat_geo, sphere_geo):
     for geo in (flat_geo, sphere_geo):
-        z0 = PhasePoint([0.1, -0.05], [0.3, 0.2])
-        st = flow_real(geo, z0, 0.0)
-        assert np.abs(st.as_vector() - z0.as_vector()).max() == 0.0
-        assert np.allclose(st.jac, np.eye(4))
-        assert st.quad == 0.0
+        z0 = np.array([[0.1, -0.05, 0.3, 0.2]])
+        res = flow_many(geo, z0, 0.0)
+        assert res.ok[0] and np.abs(_end(res) - z0).max() == 0.0
+        assert np.allclose(res.jac[0], np.eye(4))
+        assert res.quad[0] == 0.0
 
 
 def test_flow_preserves_energy(sphere_geo, rng):
     for row in sample_sphere(rng, 5):
-        z0 = PhasePoint(row[:2], row[2:])
-        st = flow_real(sphere_geo, z0, 0.7)
-        e0 = energy(sphere_geo, z0.x, z0.p)
-        e1 = energy(sphere_geo, st.x, st.p)
-        assert abs(e1 - e0) < 1e-10
+        res = flow_many(sphere_geo, row[None, :], 0.7)
+        e0 = energy(sphere_geo, row[:2], row[2:])
+        e1 = energy(sphere_geo, res.x[0], res.p[0])
+        assert res.ok[0] and abs(e1 - e0) < 1e-10
 
 
 def test_flow_group_law(flat_geo, rng):
     for row in sample_flat(rng, 5):
         s1, s2 = rng.uniform(-0.8, 0.8, 2)
-        a = flow_real(flat_geo, PhasePoint(row[:2], row[2:]), s1)
-        b = flow_real(flat_geo, a.phase_point, s2)
-        c = flow_real(flat_geo, PhasePoint(row[:2], row[2:]), s1 + s2)
-        assert np.abs(b.as_vector() - c.as_vector()).max() < 1e-9
+        a = flow_many(flat_geo, row[None, :], s1)
+        b = flow_many(flat_geo, _end(a), s2)
+        c = flow_many(flat_geo, row[None, :], s1 + s2)
+        assert np.abs(_end(b) - _end(c)).max() < 1e-9
 
 
 def test_flow_is_symplectic(flat_geo, sphere_geo, rng):
     for geo, sampler in ((flat_geo, sample_flat), (sphere_geo, sample_sphere)):
         for row in sampler(rng, 4):
-            st = flow_real(geo, PhasePoint(row[:2], row[2:]), 0.45)
+            res = flow_many(geo, row[None, :], 0.45)
+            jac = res.jac[0]
             om0 = twisted_symplectic_matrix(geo, row[:2])
-            om1 = twisted_symplectic_matrix(geo, st.x)
-            assert np.abs(st.jac.T @ om1 @ st.jac - om0).max() < 1e-8
-            assert st.det_min > 1e-6
+            om1 = twisted_symplectic_matrix(geo, res.x[0])
+            assert np.abs(jac.T @ om1 @ jac - om0).max() < 1e-8
+            assert res.det_min[0] > 1e-6
 
 
 def test_flow_real_stays_real(sphere_geo):
-    st = flow_real(sphere_geo, PhasePoint([0.1, -0.05], [0.3, 0.2]), 0.6)
-    assert st.is_real(1e-12)
-
-
-def test_flow_real_requires_real_start(flat_geo):
-    with pytest.raises(ValueError):
-        flow_real(flat_geo, PhasePoint([0.1 + 0.2j, 0], [1, 0]), 0.5)
+    res = flow_many(sphere_geo, np.array([[0.1, -0.05, 0.3, 0.2]]), 0.6)
+    assert res.ok[0]
+    assert max(np.abs(a.imag).max() for a in (res.x, res.p, res.jac)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -114,39 +110,40 @@ def test_flow_real_requires_real_start(flat_geo):
 # ---------------------------------------------------------------------------
 
 def test_flow_complex_reaches_complex_coordinates(flat_geo):
-    st = flow_complex(flat_geo, PhasePoint([0, 0], [1, 0]), 1j)
-    assert abs(st.x[0] - 1j * np.sinh(1.0)) < 1e-10
-    assert abs(st.x[1] - (np.cosh(1.0) - 1.0)) < 1e-10
-    assert abs(st.p[0] - np.cosh(1.0)) < 1e-10
-    assert abs(st.p[1] + 1j * np.sinh(1.0)) < 1e-10
+    res = flow_many(flat_geo, np.array([[0.0, 0.0, 1.0, 0.0]]), 1j)
+    x, p = res.x[0], res.p[0]
+    assert abs(x[0] - 1j * np.sinh(1.0)) < 1e-10
+    assert abs(x[1] - (np.cosh(1.0) - 1.0)) < 1e-10
+    assert abs(p[0] - np.cosh(1.0)) < 1e-10
+    assert abs(p[1] + 1j * np.sinh(1.0)) < 1e-10
 
 
 def test_flow_complex_zero_section(flat_geo_heavy, sphere_geo):
     # zero-section points are fixed; the tangent map is the block exponential
     for geo in (flat_geo_heavy, sphere_geo):
         x0 = np.array([0.2, -0.1])
-        st = flow_complex(geo, PhasePoint(x0, [0, 0]), 0.3 + 0.8j)
-        assert np.abs(st.x - x0).max() < 1e-12
-        assert np.abs(st.p).max() < 1e-12
+        res = flow_many(geo, np.concatenate([x0, [0.0, 0.0]])[None, :], 0.3 + 0.8j)
+        assert np.abs(res.x[0] - x0).max() < 1e-12
+        assert np.abs(res.p[0]).max() < 1e-12
         ref = orc.zero_section_linearization(geo.beta(x0), 0.3 + 0.8j, geo.inv_metric(x0))
-        assert np.abs(st.jac - ref).max() < 1e-9
+        assert np.abs(res.jac[0] - ref).max() < 1e-9
 
 
 def test_flow_complex_path_independent(flat_geo, sphere_geo, rng):
     for geo, sampler in ((flat_geo, sample_flat), (sphere_geo, sample_sphere)):
-        row = sampler(rng, 1)[0]
-        z0 = PhasePoint(row[:2], row[2:])
-        a = flow_complex(geo, z0, ComplexTime(1j))
-        b = flow_complex(geo, z0, ComplexTime(1j, (0.8 + 0.1j, 1j)))
-        assert np.abs(a.as_vector() - b.as_vector()).max() < 1e-9
+        row = sampler(rng, 1)
+        a = flow_many(geo, row, ComplexTime(1j))
+        b = flow_many(geo, row, ComplexTime(1j, (0.8 + 0.1j, 1j)))
+        assert np.abs(_end(a) - _end(b)).max() < 1e-9
 
 
 def test_flow_complex_inverse_consistency(flat_geo):
-    z0 = PhasePoint([0.3, -0.2], [0.8, 0.4])
+    z0 = np.array([[0.3, -0.2, 0.8, 0.4]])
     t = ComplexTime(0.3 + 0.8j)
-    out = flow_complex(flat_geo, z0, t)
-    back = flow_many(flat_geo, out.as_vector()[None, :], t.reversed()).state(0)
-    assert np.abs(back.as_vector() - z0.as_vector()).max() < 1e-8
+    out = flow_many(flat_geo, z0, t)
+    back = flow_many(flat_geo, _end(out), t.reversed())
+    assert out.ok[0] and back.ok[0]
+    assert np.abs(_end(back) - z0).max() < 1e-8
 
 
 def test_complex_time_validation():
@@ -184,20 +181,20 @@ def test_real_times_carry_no_disk_constraint(flat_geo, rng):
 # ---------------------------------------------------------------------------
 
 def test_chart_exit_detected(flat_geo_free):
-    with pytest.raises(ChartExitError):
-        flow_real(flat_geo_free, PhasePoint([0, 0], [80.0, 0]), 1.0)
+    res = flow_many(flat_geo_free, np.array([[0.0, 0.0, 80.0, 0.0]]), 1.0)
+    assert not res.ok[0] and res.reasons == ["CHART_EXIT"]
 
 
 def test_blow_up_detected():
     geo = tiny_validity_geometry()
-    with pytest.raises(BlowUpError):
-        flow_complex(geo, PhasePoint([0.0, 0.0], [2.5, 0.0]), 1j)
+    res = flow_many(geo, np.array([[0.0, 0.0, 2.5, 0.0]]), 1j)
+    assert not res.ok[0] and res.reasons == ["BLOWUP"]
 
 
 def test_step_budget_exhaustion(flat_geo, monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
-    with pytest.raises(StepSizeError):
-        flow_real(flat_geo, PhasePoint([0, 0], [1, 0]), 1.0)
+    res = flow_many(flat_geo, np.array([[0.0, 0.0, 1.0, 0.0]]), 1.0)
+    assert not res.ok[0] and res.reasons == ["TOL"]
 
 
 def test_flow_many_records_per_row_failures(flat_geo_free):
@@ -221,28 +218,16 @@ def test_region_is_decided_per_row():
     res = flow_many(geo, Z, 0.4)
     assert list(res.ok) == [False, True] and res.reasons == ["BLOWUP", None]
     assert abs(np.abs(res.x[0]).max() - geo.complex_radius) < 0.05
-    one = flow_many(geo, Z[1:], 0.4).state(0)
-    assert np.abs(res.state(1).x - one.x).max() < 1e-12
+    one = flow_many(geo, Z[1:], 0.4)
+    assert one.ok[0] and np.abs(res.x[1] - one.x[0]).max() < 1e-12
 
 
-def test_flow_many_matches_single(flat_geo, sphere_geo, rng):
+def test_flow_many_matches_single(flat_geo, rng):
     Z = sample_flat(rng, 6)
     res = flow_many(flat_geo, Z, ComplexTime(1j))
-    st = flow_complex(flat_geo, PhasePoint(Z[0, :2], Z[0, 2:]), 1j)
-    assert np.abs(res.x[0] - st.x).max() < 1e-10
-    assert np.abs(res.jac[0] - st.jac).max() < 1e-9
-    # a single-point flow is the one-row batch, bit for bit
-    for geo, row in ((flat_geo, Z[:1]), (sphere_geo, sample_sphere(rng, 1))):
-        z = PhasePoint(row[0, :2], row[0, 2:])
-        for single, batch in (
-            (flow_real(geo, z, 0.4), flow_many(geo, row, 0.4).state(0)),
-            (flow_complex(geo, z, 0.3 + 0.8j),
-             flow_many(geo, row, ComplexTime(0.3 + 0.8j)).state(0)),
-        ):
-            for name in ("x", "p", "jac"):
-                assert np.array_equal(getattr(single, name), getattr(batch, name))
-            assert single.quad == batch.quad and single.time == batch.time
-            assert single.det_min == batch.det_min
+    one = flow_many(flat_geo, Z[:1], 1j)
+    assert np.abs(res.x[0] - one.x[0]).max() < 1e-10
+    assert np.abs(res.jac[0] - one.jac[0]).max() < 1e-9
 
 
 def test_flow_many_per_row_targets_match_one_row_flows(flat_geo, flat_geo_free, sphere_geo, rng):
@@ -253,23 +238,20 @@ def test_flow_many_per_row_targets_match_one_row_flows(flat_geo, flat_geo_free, 
         res = flow_many(geo, Z, t)
         assert res.ok.all() and np.array_equal(res.time, t)
         for i, ti in enumerate(t):
-            one = flow_many(geo, Z[i : i + 1], ComplexTime(ti)).state(0)
-            st = res.state(i)
-            assert st.time == ti
+            one = flow_many(geo, Z[i : i + 1], ComplexTime(ti))
+            assert one.ok[0] and one.time == ti
             for name in ("x", "p", "quad", "jac"):
-                assert np.abs(getattr(st, name) - getattr(one, name)).max() < 1e-12
+                assert np.abs(getattr(res, name)[i] - getattr(one, name)[0]).max() < 1e-12
     # real rows at real times are checked against the chart box; a failed row
     # keeps its reason and time
     Z = np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 80.0, 0.0], [0.1, 0.1, -0.4, 0.2]])
     t = np.array([0.5, 1.0, -0.7])
     res = flow_many(flat_geo_free, Z, t)
     assert list(res.ok) == [True, False, True] and res.reasons[1] == "CHART_EXIT"
-    with pytest.raises(ChartExitError) as err:
-        res.state(1)
-    assert err.value.time == 1.0
+    assert res.time[1] == 1.0
     for i in (0, 2):
-        one = flow_real(flat_geo_free, PhasePoint(Z[i, :2], Z[i, 2:]), t[i])
-        assert np.abs(res.state(i).x - one.x).max() < 1e-12
+        one = flow_many(flat_geo_free, Z[i : i + 1], t[i])
+        assert np.abs(res.x[i] - one.x[0]).max() < 1e-12
     with pytest.raises(ValueError, match="time disk"):
         flow_many(flat_geo, Z[:2], np.array([1j, 2j]))
 
@@ -298,31 +280,22 @@ def test_tangent_free_flow_matches_tangent_flow(flat_geo, sphere_geo, rng):
             for name in ("x", "p", "quad"):
                 assert np.abs(getattr(full, name) - getattr(bare, name)).max() < 1e-12
             assert bare.jac is None and np.isnan(bare.det_min).all()
-            st = bare.state(0)
-            assert st.jac is None and np.isnan(st.det_min)
-            assert np.array_equal(st.x, bare.x[0]) and st.quad == bare.quad[0]
-            assert not st.is_real()
+            assert np.abs(_end(bare)[0].imag).max() >= 1e-9  # a complex time leaves the reals
     # a real time keeps a tangent-free state real
-    z = PhasePoint([0.1, -0.2], [0.4, 0.3])
-    st = flow_real(sphere_geo, z, 0.4, tangent=False)
-    assert st.jac is None and st.is_real()
-    assert flow_complex(sphere_geo, z, 1j, tangent=False).jac is None
+    z = np.array([[0.1, -0.2, 0.4, 0.3]])
+    res = flow_many(sphere_geo, z, 0.4, tangent=False)
+    assert res.jac is None and not np.abs(_end(res).imag).any()
+    assert flow_many(sphere_geo, z, 1j, tangent=False).jac is None
 
 
 def test_default_flow_carries_the_tangent_map(flat_geo, sphere_geo, rng):
     # the default is the tangent flow, bit for bit
     for geo, row in ((flat_geo, sample_flat(rng, 1)), (sphere_geo, sample_sphere(rng, 1))):
-        z = PhasePoint(row[0, :2], row[0, 2:])
-        for default, explicit in (
-            (flow_real(geo, z, 0.4), flow_real(geo, z, 0.4, tangent=True)),
-            (flow_complex(geo, z, 0.3 + 0.8j), flow_complex(geo, z, 0.3 + 0.8j, tangent=True)),
-            (flow_many(geo, row, ComplexTime(1j)).state(0),
-             flow_many(geo, row, ComplexTime(1j), tangent=True).state(0)),
-        ):
-            assert default.jac.shape == (4, 4) and np.isfinite(default.det_min)
-            for name in ("x", "p", "jac"):
+        for t in (0.4, 0.3 + 0.8j, ComplexTime(1j)):
+            default, explicit = flow_many(geo, row, t), flow_many(geo, row, t, tangent=True)
+            assert default.jac.shape == (1, 4, 4) and np.isfinite(default.det_min).all()
+            for name in ("x", "p", "jac", "quad", "det_min"):
                 assert np.array_equal(getattr(default, name), getattr(explicit, name))
-            assert default.quad == explicit.quad and default.det_min == explicit.det_min
     with pytest.raises(TypeError):
         flow_many(flat_geo, sample_flat(rng, 1), 0.4, None, None, False)
 

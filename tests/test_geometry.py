@@ -152,11 +152,9 @@ def test_complex_extension_taylor(sphere_geo):
         assert abs(f(t) - taylor) < 1e-5
 
 
-def test_phase_point_reality_and_tube(flat_geo):
+def test_phase_point_reality():
     z = PhasePoint([0.1, 0.2], [1.0, 0.0])
     assert z.is_real()
-    assert z.in_tube(flat_geo, radius=1.5)  # g(p,p) = 1 < 2.25
-    assert not z.in_tube(flat_geo, radius=0.5)
     zc = PhasePoint([0.1 + 1e-3j, 0.2], [1.0, 0.0])
     assert not zc.is_real()
 

@@ -11,21 +11,18 @@ from magtube.geometry import PhasePoint
 from magtube.kahler import (
     CONTOUR_NODES,
     CONTOUR_RADIUS,
-    dbar_residual,
     dbar_residual_many,
     holomorphic_extension,
     kappa1_flat,
     kappa2_flat,
-    kde_residual,
     kde_residual_many,
     phase_gradient,
     potential_f,
     potential_f_many,
     resolve_kappa1_coefficient,
     section_weight,
-    theta_A_covector,
 )
-from magtube.structure import acs_point, frame_at, frames_at_many
+from magtube.structure import assemble_J, frame_at, frames_at_many
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +80,7 @@ def test_kde_residual_flat(flat_geo, rng):
 
 
 def test_kde_residual_sphere(sphere_geo):
-    z = PhasePoint([0.1, -0.05], [0.3, 0.2])
-    assert kde_residual(sphere_geo, z, 0.2) < 1e-5
+    assert kde_residual_many(sphere_geo, np.array([[0.1, -0.05, 0.3, 0.2]]), 0.2)[0] < 1e-5
 
 
 def test_kde_slope_at_zero(flat_geo):
@@ -106,25 +102,28 @@ def test_kde_slope_at_zero(flat_geo):
 # dbar identity
 # ---------------------------------------------------------------------------
 
+def _dbar_one_row(geo, row):
+    """The dbar residual at one phase row, along its own frame at i."""
+    frames_conj = frames_at_many(geo, row[None, :], 1j)[0].conj()
+    return dbar_residual_many(geo, row[None, :], frames_conj)[3][0]
+
+
 def test_dbar_residual_flat(flat_geo, rng):
     for row in sample_flat(rng, 3, xmax=0.5, pmax=0.8):
-        z = PhasePoint(row[:2], row[2:])
-        frame_conj = frame_at(flat_geo, z, 1j).F.conj()
-        assert dbar_residual(flat_geo, z, frame_conj) < 1e-6
+        assert _dbar_one_row(flat_geo, row) < 1e-6
 
 
 def test_dbar_residual_sphere(sphere_geo):
-    z = PhasePoint([0.1, -0.05], [0.3, 0.2])
-    frame_conj = frame_at(sphere_geo, z, 1j).F.conj()
-    assert dbar_residual(sphere_geo, z, frame_conj) < 1e-5
+    assert _dbar_one_row(sphere_geo, np.array([0.1, -0.05, 0.3, 0.2])) < 1e-5
 
 
 def test_theta_A_on_zero_section(sphere_geo):
-    # theta = p dx vanishes at p = 0, leaving only the pullback of A
-    z = PhasePoint([0.2, -0.1], [0.0, 0.0])
-    cov = theta_A_covector(sphere_geo, z)
-    assert np.allclose(cov[:2], sphere_geo.potential(z.x))
-    assert np.abs(cov[2:]).max() == 0.0
+    # theta^A = (p + A) dx is the pullback of A at p = 0, and it is not zero
+    # there: dbar f_{-i} along conj F still matches it
+    row = np.array([0.2, -0.1, 0.0, 0.0])
+    frames_conj = frames_at_many(sphere_geo, row[None, :], 1j)[0].conj()
+    assert np.abs(sphere_geo.potential(row[:2]) @ frames_conj[0, :2]).min() > 1e-2
+    assert _dbar_one_row(sphere_geo, row) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,7 @@ def test_kappa2_matches_engine(flat_geo, rng):
 
 def test_kappa1_coefficient_resolution(flat_geo, rng):
     z = PhasePoint([0.2, 0.1], [0.6, -0.3])
-    acs = acs_point(flat_geo, z, 1j)
+    acs = assemble_J(flat_geo, z.x, frame_at(flat_geo, z, 1j).F)
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, sample_flat(rng, 6))
     assert coeff == 0.5
     assert residuals[0.5] < 1e-8
@@ -307,8 +306,7 @@ def test_residuals_at_the_tube_edge(sphere_geo):
     assert kde_residual_many(sphere_geo, Z, -1j).max() < 1e-10
 
 
-def test_single_point_residuals_raise_where_the_contour_fails(flat_geo, sphere_geo,
-                                                             monkeypatch):
+def test_residuals_are_nan_where_the_contour_fails(flat_geo, sphere_geo, monkeypatch):
     # dbar: under a momentum cap of 100, the flows of the second row's
     # centre stay below it and nodes of its ring along conj F do not
     monkeypatch.setattr(flow, "P_CAP", 100.0)
@@ -317,14 +315,13 @@ def test_single_point_residuals_raise_where_the_contour_fails(flat_geo, sphere_g
     f, ok, _, res = dbar_residual_many(flat_geo, Z, frames_conj)
     assert ok.all() and np.isfinite(f).all()
     assert res[0] < 1e-10 and np.isnan(res[1])
-    with pytest.raises(RuntimeError, match="left the tube"):
-        dbar_residual(flat_geo, PhasePoint(Z[1, :2], Z[1, 2:]), frames_conj[1])
     # kde: a real row on a real path is held to the sphere's chart box, its
-    # complex ring rows to the complex radius 0.6, which this row lies past
-    z = PhasePoint([0.65, 0.0], [0.2, 0.1])
-    assert potential_f_many(sphere_geo, z.as_vector()[None, :], 0.3)[1].all()
-    with pytest.raises(RuntimeError, match="left the tube"):
-        kde_residual(sphere_geo, z, 0.3)
+    # complex ring rows to the complex radius 0.6, which the second row lies
+    # past; the first row is still computed
+    Z = np.array([[0.1, -0.05, 0.3, 0.2], [0.65, 0.0, 0.2, 0.1]])
+    assert potential_f_many(sphere_geo, Z, 0.3)[1].all()
+    res = kde_residual_many(sphere_geo, Z, 0.3)
+    assert res[0] < 1e-10 and np.isnan(res[1])
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +330,43 @@ def test_single_point_residuals_raise_where_the_contour_fails(flat_geo, sphere_g
 
 def test_extension_of_coordinates(flat_geo, rng):
     for row in sample_flat(rng, 4):
-        z = PhasePoint(row[:2], row[2:])
         z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, row)
-        assert abs(holomorphic_extension(flat_geo, lambda x: x[0], z) - z1) < 1e-9
-        assert abs(holomorphic_extension(flat_geo, lambda x: x[1], z) - z2) < 1e-9
+        assert abs(holomorphic_extension(flat_geo, lambda x: x[:, 0], row[None, :])[0][0]
+                   - z1) < 1e-9
+        assert abs(holomorphic_extension(flat_geo, lambda x: x[:, 1], row[None, :])[0][0]
+                   - z2) < 1e-9
 
 
 def test_extension_fixes_zero_section(sphere_geo):
-    z = PhasePoint([0.2, -0.1], [0.0, 0.0])
-    val = holomorphic_extension(sphere_geo, lambda x: x[0] + 2 * x[1], z)
+    Z = np.array([[0.2, -0.1, 0.0, 0.0]])
+    val = holomorphic_extension(sphere_geo, lambda x: x[:, 0] + 2 * x[:, 1], Z)[0][0]
     assert abs(val - (0.2 - 0.2)) < 1e-12
 
 
 def test_extension_is_ring_homomorphism(flat_geo):
-    z = PhasePoint([0.3, -0.1], [0.5, 0.2])
-    e1 = holomorphic_extension(flat_geo, lambda x: x[0], z)
-    e2 = holomorphic_extension(flat_geo, lambda x: x[0] ** 2, z)
+    Z = np.array([[0.3, -0.1, 0.5, 0.2]])
+    e1 = holomorphic_extension(flat_geo, lambda x: x[:, 0], Z)[0][0]
+    e2 = holomorphic_extension(flat_geo, lambda x: x[:, 0] ** 2, Z)[0][0]
     assert abs(e2 - e1**2) < 1e-9
+
+
+def test_extension_evaluates_f_on_the_ok_rows_only(flat_geo, monkeypatch):
+    # the second row passes a momentum cap of 100 before t = i: f never sees
+    # its base point, and both parts of its value are NaN
+    monkeypatch.setattr(flow, "P_CAP", 100.0)
+    Z = np.array([[0.3, -0.1, 0.5, 0.2], [0.0, 0.0, 90.0, 0.0], [0.0, 0.2, -0.4, 0.1]])
+    seen = []
+
+    def f(x):
+        seen.append(len(x))
+        return np.column_stack([x[:, 0], x[:, 0] * x[:, 1]])
+
+    values, ok, reasons = holomorphic_extension(flat_geo, f, Z)
+    assert seen == [2] and list(ok) == [True, False, True] and reasons[1] == "BLOWUP"
+    assert values.shape == (3, 2) and np.isfinite(values[[0, 2]]).all()
+    assert np.isnan(values[1].real).all() and np.isnan(values[1].imag).all()
+    zc = orc.flat_complex_coordinates(1.0, 1.0, Z[[0, 2]])
+    assert np.abs(values[[0, 2], 0] - zc[:, 0]).max() < 1e-9
 
 
 def test_section_weight_identities(flat_geo):

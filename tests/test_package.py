@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +74,14 @@ def test_engine_commands_leave_scipy_and_the_pool_unloaded(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["[]", "ok"]
+
+
+def test_readme_library_example_runs():
+    # the README's library-surface example is the one python block under its
+    # heading; it runs as written
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library surface", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["res"].ok.all() and namespace["ok"].all()

@@ -5,16 +5,14 @@ import pytest
 
 from conftest import patch_chart, sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import oracles as orc
-from magtube.flow import BlowUpError, ComplexTime, flow_complex, flow_many
+from magtube.flow import BlowUpError, ComplexTime, flow_many
 from magtube.geometry import PhasePoint, twisted_symplectic_matrix
 from magtube import structure, suites
 from magtube.kahler import CONTOUR_NODES, CONTOUR_RADIUS, potential_f_many
 from magtube.structure import (
-    acs_point,
     assemble_J,
     frame_at,
     frames_at_many,
-    integrability_residual,
     integrability_residual_many,
     normalized_zero_section_frame_change,
     orthonormalize,
@@ -183,8 +181,7 @@ def test_transversality_positive_in_tube(sphere_geo, rng):
 
 def test_conjugate_pair_determinant(flat_geo_heavy):
     # raw transported columns: det[F, conj F] = -4 sinh^2(Btilde)/B^2
-    st = flow_complex(flat_geo_heavy, PhasePoint([0.0, 0.0], [0.0, 0.0]), 1j)
-    Fraw = st.jac[:, 2:]
+    Fraw = flow_many(flat_geo_heavy, np.zeros((1, 4)), 1j).jac[0][:, 2:]
     det = np.linalg.det(np.concatenate([Fraw, Fraw.conj()], axis=1))
     assert abs(det - (-4 * np.sinh(2.0) ** 2)) < 1e-8
 
@@ -198,7 +195,7 @@ def test_assemble_J_properties(flat_geo, sphere_geo, rng):
     for geo, sampler in cases:
         for row in sampler(rng, 3):
             z = PhasePoint(row[:2], row[2:])
-            acs = acs_point(geo, z, 1j)
+            acs = assemble_J(geo, z.x, frame_at(geo, z, 1j).F)
             assert np.abs(acs.J @ acs.J + np.eye(4)).max() < 1e-7
             assert acs.imag_residual < 1e-7
             om = twisted_symplectic_matrix(geo, z.x).real
@@ -233,8 +230,8 @@ def test_assemble_J_of_a_batch_is_assemble_J_of_each_point(flat_geo, sphere_geo,
 
 def test_conjugate_time_gives_opposite_J(sphere_geo):
     z = PhasePoint([0.1, -0.05], [0.3, 0.2])
-    a = acs_point(sphere_geo, z, 0.3 + 0.8j)
-    b = acs_point(sphere_geo, z, 0.3 - 0.8j)
+    a, b = (assemble_J(sphere_geo, z.x, frame_at(sphere_geo, z, t).F)
+            for t in (0.3 + 0.8j, 0.3 - 0.8j))
     assert np.abs(a.J + b.J).max() < 1e-8
 
 
@@ -245,8 +242,7 @@ def test_positivity_zero_section_free_case():
 
     geo = make_flat_magnetic(2, np.zeros((2, 2)), 0.5)
     tau = 0.8
-    st = flow_complex(geo, PhasePoint([0.1, 0.2], [0, 0]), 1j * tau)
-    F = st.jac[:, 2:]
+    F = flow_many(geo, np.array([[0.1, 0.2, 0.0, 0.0]]), 1j * tau).jac[0][:, 2:]
     M = positivity_matrix(geo, np.array([0.1, 0.2]), F)
     assert np.abs(M - (2 * tau / 0.5) * np.eye(2)).max() < 1e-9
 
@@ -258,8 +254,8 @@ def test_positivity_zero_section_general_field(flat_geo_heavy, sphere_geo):
         T, btil = normalized_zero_section_frame_change(geo, x0)
         L = T[:2, :2]
         for t in (1j, 0.3 + 0.8j):
-            st = flow_complex(geo, PhasePoint(x0, [0, 0]), t)
-            Fn = T @ st.jac[:, 2:] @ L.T
+            jac = flow_many(geo, np.concatenate([x0, [0.0, 0.0]])[None, :], t).jac[0]
+            Fn = T @ jac[:, 2:] @ L.T
             om_t = np.block([[-btil, np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
             M = 1j * Fn.conj().T @ om_t @ Fn
             ref = orc.zero_section_positivity_matrix(btil, t)
@@ -296,20 +292,20 @@ def test_gauge_invariance(sphere_geo, rng):
 # ---------------------------------------------------------------------------
 
 def test_integrability_flat(flat_geo):
-    res = integrability_residual(flat_geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 1j)
-    assert res < 1e-6  # frames are constant in the chart for a constant field
+    res = integrability_residual_many(flat_geo, np.array([[0.2, 0.1, 0.6, -0.3]]), 1j)[3]
+    assert res[0] < 1e-6  # frames are constant in the chart for a constant field
 
 
 def test_integrability_real_time(sphere_geo):
     # pushforward of the vertical distribution by a real diffeomorphism
-    res = integrability_residual(sphere_geo, PhasePoint([0.1, -0.05], [0.25, 0.15]), 0.4)
-    assert res < 1e-6
+    res = integrability_residual_many(sphere_geo, np.array([[0.1, -0.05, 0.25, 0.15]]), 0.4)[3]
+    assert res[0] < 1e-6
 
 
 def test_integrability_sphere_complex_time(sphere_geo):
     for t in (1j, 0.3 + 0.8j):
-        res = integrability_residual(sphere_geo, PhasePoint([0.1, -0.05], [0.3, 0.2]), t)
-        assert res < 1e-4
+        res = integrability_residual_many(sphere_geo, np.array([[0.1, -0.05, 0.3, 0.2]]), t)[3]
+        assert res[0] < 1e-4
 
 
 def test_integrability_failure_is_per_row():
@@ -322,8 +318,6 @@ def test_integrability_failure_is_per_row():
     # the centre row itself fails, and only that row
     assert list(ok) == [True, False, True] and reasons[1] == "BLOWUP"
     assert np.isnan(F[1]).all() and np.isfinite(F[[0, 2]]).all()
-    with pytest.raises(RuntimeError, match="left the tube"):
-        integrability_residual(geo, PhasePoint(Z[1, :2], Z[1, 2:]), 1j)
 
 
 def test_integrability_centre_frames_are_the_frames(flat_geo, sphere_geo, rng):

@@ -19,8 +19,8 @@ def test_a_third_chart_is_one_table_entry(monkeypatch):
     # A 3-dim flat chart with a non-planar field, at the flat entry's boxes
     # and tolerances.  Not reached, because they are chart-specific: the
     # fixed 2-dim points of zero_section_fixed and real_time_degeneracy, the
-    # zero-section checks' own chart lists, the sphere's tangent_map_contour
-    # and fault injection, the flat chart's closed forms and the oracle suites.
+    # zero-section checks' own chart lists, the sphere's fault injection, the
+    # flat chart's closed forms and the oracle suites.
     B = [[0.0, 1.0, -0.5], [-1.0, 0.0, 0.7], [0.5, -0.7, 0.0]]
     monkeypatch.setitem(suites._CHARTS, "flat3", suites._CHARTS["flat"]._replace(
         build=lambda: make_flat_magnetic(3, B, 1.0),
