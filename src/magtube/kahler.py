@@ -221,30 +221,21 @@ def kappa2_flat(B: float, mass_freq: float, z1: complex, z2: complex) -> float:
     return _kappa_xyuv(B, mass_freq, z1.real, z1.imag, z2.real, z2.imag, 0.0)
 
 
-def kappa1_flat(
-    B: float,
-    mass_freq: float,
-    z1: complex,
-    z2: complex,
-    tanh_coefficient: float = 0.5,
-) -> float:
+def kappa1_flat(B: float, mass_freq: float, z1: complex, z2: complex) -> float:
     """Adapted Kaehler potential 2i f_{-i} + g on the plane.
 
-    kappa1 = kappa2 + c B tanh(B/(2 mass_freq)) (x^2 - y^2 + u^2 - v^2) with
-    c = ``tanh_coefficient``.  Both c = 1/2 and c = 1 are candidate values;
-    the identity Im dbar kappa1 = theta^A holds only for c = 1/2, which is
-    the default.  Pass c = 1 to evaluate the rejected variant.
+    kappa1 = kappa2 + (1/2) B tanh(B/(2 mass_freq)) (x^2 - y^2 + u^2 - v^2).
+    The coefficient 1/2 of the tanh term is the one for which the identity
+    Im dbar kappa1 = theta^A holds; the candidate 1 fails it (see
+    ``resolve_kappa1_coefficient``).
     """
-    return _kappa_xyuv(B, mass_freq, z1.real, z1.imag, z2.real, z2.imag, tanh_coefficient)
+    return _kappa_xyuv(B, mass_freq, z1.real, z1.imag, z2.real, z2.imag, 0.5)
 
 
-def resolve_kappa1_coefficient(
-    B: float,
-    mass_freq: float,
-    J: np.ndarray,
-    samples: np.ndarray,
-    tol: float = 1e-10,
-):
+KAPPA1_TOL = 1e-10  # the resolved coefficient's largest admitted dbar defect
+
+
+def resolve_kappa1_coefficient(B: float, mass_freq: float, J: np.ndarray, samples: np.ndarray):
     """Empirically select the tanh coefficient of kappa1 by the dbar test.
 
     For each candidate c in (1/2, 1) evaluates the worst defect of
@@ -269,7 +260,7 @@ def resolve_kappa1_coefficient(
         lhs = 0.5 * (phase_gradient(kappa1, Z, np.eye(4))[3] @ J)
         residuals[c] = float(np.abs(lhs - theta).max())
     chosen = 0.5 if residuals[0.5] <= residuals[1.0] else 1.0
-    if residuals[chosen] > tol:
+    if residuals[chosen] > KAPPA1_TOL:
         raise RuntimeError(
             f"neither tanh coefficient satisfies the dbar identity: {residuals}"
         )

@@ -204,17 +204,20 @@ def _skew(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_sphere_constraints(x, p, r, tol=1e-6):
+SPHERE_CONSTRAINT_TOL = 1e-6  # relative |x.x - r^2| / r^2 and |x.p| / r admitted
+
+
+def _check_sphere_constraints(x, p, r):
     cx = np.abs(np.einsum("...j,...j->...", x, x) - r**2).max()
     cp = np.abs(np.einsum("...j,...j->...", x, p)).max()
-    if cx > tol * r**2 or cp > tol * r:
+    if cx > SPHERE_CONSTRAINT_TOL * r**2 or cp > SPHERE_CONSTRAINT_TOL * r:
         raise ValueError(
             f"state violates the sphere constraints: |x.x - r^2| = {cx:.3e}, "
             f"|x.p| = {cp:.3e}"
         )
 
 
-def sphere_moment_map(x, p, r: float, B: float, check: bool = True) -> np.ndarray:
+def sphere_moment_map(x, p, r: float, B: float) -> np.ndarray:
     """Conserved rotation generator J(x, p) = x cross p - r B x.
 
     Satisfies J.J = r^2 p.p + r^4 B^2 on the constraint set (complex-bilinear
@@ -222,8 +225,7 @@ def sphere_moment_map(x, p, r: float, B: float, check: bool = True) -> np.ndarra
     """
     x = np.asarray(x, dtype=complex)
     p = np.asarray(p, dtype=complex)
-    if check:
-        _check_sphere_constraints(x, p, r)
+    _check_sphere_constraints(x, p, r)
     return np.cross(x, p) - r * B * x
 
 
@@ -250,7 +252,7 @@ def sphere_flow_oracle(x, p, r: float, B: float, sigma) -> tuple:
     return (R @ x[..., None])[..., 0], (R @ p[..., None])[..., 0]
 
 
-def sphere_embedding_map(x, p, r: float, B: float, check: bool = True) -> np.ndarray:
+def sphere_embedding_map(x, p, r: float, B: float) -> np.ndarray:
     """Explicit image of (x, p) in the complex sphere a.a = r^2.
 
     a = cosh(L) x + i (sinh L / L) p + ((cosh L - 1)/L^2) (B/r) J(x, p),
@@ -259,7 +261,7 @@ def sphere_embedding_map(x, p, r: float, B: float, check: bool = True) -> np.nda
     """
     x = np.asarray(x, dtype=complex)
     p = np.asarray(p, dtype=complex)
-    J = sphere_moment_map(x, p, r, B, check=check)
+    J = sphere_moment_map(x, p, r, B)
     Lsq = (np.einsum("...j,...j->...", p, p) + r**2 * B**2) / r**2
     c = np.asarray(-Lsq, dtype=complex)  # cosh L = cos(sqrt(-L^2))
     coshL = np.cos(np.sqrt(c))[..., None]

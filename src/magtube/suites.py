@@ -1,9 +1,24 @@
 """Verification suites: every analytic identity of the construction, run as a
 named battery of residual checks against the closed-form oracles.
 
-Each suite returns a list of CheckResult; ``run_suite`` wraps one (or all) of
-them into a JSON-serializable report.  All randomness is drawn from the seed,
-so reports are reproducible bit for bit (modulo the runtime field).
+The checks live in one registry.  Each block below declares with ``@_block``
+its suite and the checks it reports (name, tolerance, kind, note,
+``expected_degenerate``), and returns each check's raw values: numbers,
+arrays or lists of them.  A block runs on every ``_CHARTS`` entry in table
+order (then on its ``extras``), on the charts it names, or once without a
+chart.  Three rules turn the values into CheckResults, each in one function:
+
+* naming (``_rows``): a ``{chart}`` name is reported once per chart, with
+  that chart's ``tol``; any other name once, over every chart;
+* reduction (``_worst``): the worst entry over rows, times and charts, the
+  largest for kind 'max', the smallest for 'min', NaN if any entry is NaN;
+* failure (``_call``): a FlowError in a block makes its checks on that chart
+  NaN, with the error as the note; the report is still written.
+
+The report follows the blocks' order in this file.  A suite's blocks share
+one generator drawn from the seed, and each chart's namespace, on which a
+block may leave what a later block reads.  Reports are reproducible bit for
+bit (modulo the runtime field).
 """
 
 from __future__ import annotations
@@ -11,7 +26,9 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Tuple
+from functools import partial
+from types import SimpleNamespace
+from typing import Callable, Dict, List
 
 import numpy as np
 from scipy.linalg import expm
@@ -31,6 +48,8 @@ from .geometry import (
     energy,
     make_flat_magnetic,
     make_sphere_magnetic,
+    stereographic_frame,
+    stereographic_point,
     twisted_symplectic_matrix,
     validate_geometry,
 )
@@ -53,7 +72,6 @@ from .kahler import (
 )
 from .structure import (
     assemble_J,
-    frame_at,
     frames_at_many,
     integrability_residual_many,
     normalized_zero_section_frame_change,
@@ -97,7 +115,7 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# shared fixtures
+# charts and the check registry
 # ---------------------------------------------------------------------------
 
 SPHERE_R, SPHERE_B = 1.0, 1.0
@@ -110,8 +128,9 @@ def _flat(B: float, mass_freq: float) -> ChartedGeometry:
 # A chart of the chart-generic checks and the values they take on it.  A box
 # is (|x| max, |p| max) in chart coordinates: ``wide`` is the default sample
 # box, ``tube`` the smaller one of the contour checks.  ``point`` is the (1, 2n)
-# row of the frame intertwiners; ``tol`` holds each per-chart check's
-# tolerance, keyed by its name without the chart's.
+# row of the frame intertwiners, whose x is also the chart's zero-section
+# point; ``tol`` holds each per-chart check's tolerance, keyed by its name
+# without the ``{chart}``.
 _Chart = namedtuple("_Chart", "build wide tube validation_box analyticity_scale group_times "
                               "kahler_rows kde_sigma reversal_box reversal_time point tol")
 
@@ -140,10 +159,25 @@ _CHARTS: Dict[str, _Chart] = {
     ),
 }
 
+# A declared check; a ``{chart}`` name takes its tolerance from the chart.
+_Check = namedtuple("_Check", "name tol kind note expected_degenerate",
+                    defaults=(None, "max", "", False))
+# A block's value for a check together with the note it reports.
+_Noted = namedtuple("_Noted", "value note")
+_Block = namedtuple("_Block", "fn checks charts extras")
 
-def _cases() -> Dict[str, Tuple[_Chart, ChartedGeometry]]:
-    """Every table chart with its geometry, built now."""
-    return {name: (chart, chart.build()) for name, chart in _CHARTS.items()}
+_REGISTRY: Dict[str, List[_Block]] = {name: [] for name in SUITE_NAMES if name != "all"}
+
+
+def _block(suite: str, *checks: _Check, charts=None, extras=()):
+    """Register the decorated ``fn(case) -> {check name: values}`` in
+    ``suite``.  ``charts`` None runs it on every table chart, a tuple of
+    names on those charts, () once without a chart; each of ``extras``
+    builds one more geometry it runs on (for names without ``{chart}``)."""
+    def register(fn):
+        _REGISTRY[suite].append(_Block(fn, checks, charts, extras))
+        return fn
+    return register
 
 
 def _sample(rng, geo: ChartedGeometry, m: int, box) -> np.ndarray:
@@ -153,76 +187,65 @@ def _sample(rng, geo: ChartedGeometry, m: int, box) -> np.ndarray:
                            rng.uniform(-pmax, pmax, (m, geo.dim))], axis=1)
 
 
-def _rng(seed: int, channel: int):
-    return np.random.default_rng([seed, channel])
-
-
-def _zero_section_flow(geo: ChartedGeometry, xs: np.ndarray, t):
-    """The zero-section points (x, 0) continued along ComplexTime(t), one
-    batch with the tangent map; raises FlowError if a row fails."""
-    Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
-    res = flow_many(geo, Z, ComplexTime(t))
+def _flow(geo: ChartedGeometry, Z: np.ndarray, t, tangent: bool = True):
+    """flow_many of the rows of Z; raises FlowError if a row fails."""
+    res = flow_many(geo, Z, t, tangent=tangent)
     if not res.ok.all():
-        raise FlowError(f"zero-section flow failed: {[r for r in res.reasons if r][0]}")
+        raise FlowError(f"flow failed: {[r for r in res.reasons if r][0]}")
     return res
 
 
+def _zero_section_flow(geo: ChartedGeometry, xs: np.ndarray, t):
+    """_flow of the zero-section points (x, 0) along ComplexTime(t)."""
+    return _flow(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), ComplexTime(t))
+
+
 def _frames(geo: ChartedGeometry, Z: np.ndarray, t) -> np.ndarray:
-    """Transported frames at every row of Z, one batch; raises FlowError if
-    a row fails."""
+    """Frames at the rows of Z, one batch; raises FlowError if a row fails."""
     F, ok, reasons, _ = frames_at_many(geo, Z, t)
     if not ok.all():
         raise FlowError(f"frame transport failed: {[r for r in reasons if r][0]}")
     return F
 
 
+_FLAT_HEAVY = (partial(_flat, 1.0, 0.5),)  # Btilde = 2 separates B from Btilde
+
+
 # ---------------------------------------------------------------------------
 # geometry suite
 # ---------------------------------------------------------------------------
 
-def _max_residual(report) -> float:
-    """The largest invariant residual of a geometry report: every recorded
-    one (``jet`` and the second derivatives only where the chart has them)
-    except the metric eigenvalue."""
-    return max(v for k, v in report.residuals.items() if k != "metric_min_eigenvalue")
+@_block("geometry", _Check("{chart}_validation"), _Check("metric_positive_definite", 0.0, "min"),
+        _Check("fault_injection_detected", 1e-6, "min",
+               note="potential scaled by 1.01 must fail the dA=beta check"))
+def _validation(case):
+    box, geo = case.chart.validation_box, case.geo
+    samples = case.rng.uniform(-box, box, (100, geo.dim))
+    report = validate_geometry(geo, samples)
+    bad = replace(geo, potential=lambda u, _p=geo.potential: 1.01 * _p(u))  # a fault to detect
+    # every invariant residual (``jet`` and second derivatives where recorded)
+    return {"{chart}_validation": [v for k, v in report.residuals.items()
+                                   if k != "metric_min_eigenvalue"],
+            "metric_positive_definite": report.residuals["metric_min_eigenvalue"],
+            "fault_injection_detected":
+                validate_geometry(bad, samples[:20]).residuals["exterior_derivative"]}
 
 
-def suite_geometry(seed: int) -> List[CheckResult]:
-    rng = _rng(seed, 0)
-    checks = []
-    cases = _cases()
+@_block("geometry", _Check("sphere_beta_pullback", 1e-10), charts=("sphere",))
+def _sphere_beta_pullback(case):
+    """The chart field against the explicit pullback of the invariant 2-form."""
+    u = case.rng.uniform(-0.4, 0.4, (50, 2))
+    E3, x3 = stereographic_frame(u, SPHERE_R), stereographic_point(u, SPHERE_R)
+    pulled = (SPHERE_B / SPHERE_R) * np.einsum("mi,mi->m", x3, np.cross(E3[:, :, 0], E3[:, :, 1]))
+    return {"sphere_beta_pullback": np.abs(case.geo.beta(u)[:, 0, 1] - pulled)}
 
-    samples, reports = {}, {}
-    for name, (c, geo) in cases.items():
-        samples[name] = rng.uniform(-c.validation_box, c.validation_box, (100, geo.dim))
-        reports[name] = validate_geometry(geo, samples[name])
-        checks.append(CheckResult(f"{name}_validation", _max_residual(reports[name]),
-                                  c.tol["validation"]))
-    checks.append(CheckResult("metric_positive_definite",
-                              min(r.residuals["metric_min_eigenvalue"] for r in reports.values()),
-                              0.0, kind="min"))
 
-    # deliberate fault injection: scaling the potential must break dA = beta
-    sph = cases["sphere"][1]
-    bad = replace(sph, potential=lambda u, _p=sph.potential: 1.01 * _p(u))
-    bad_rep = validate_geometry(bad, samples["sphere"][:20])
-    checks.append(CheckResult("fault_injection_detected",
-                              bad_rep.residuals["exterior_derivative"], 1e-6, kind="min",
-                              note="potential scaled by 1.01 must fail the dA=beta check"))
-
-    # chart field against the explicit pullback of the invariant 2-form
-    u = rng.uniform(-0.4, 0.4, (50, 2))
-    from .geometry import stereographic_frame, stereographic_point
-
-    E3 = stereographic_frame(u, SPHERE_R)
-    x3 = stereographic_point(u, SPHERE_R)
-    pulled = (SPHERE_B / SPHERE_R) * np.einsum("mi,mi->m", x3,
-                                               np.cross(E3[:, :, 0], E3[:, :, 1]))
-    checks.append(CheckResult("sphere_beta_pullback",
-                              float(np.abs(sph.beta(u)[:, 0, 1] - pulled).max()), 1e-10))
-
-    # total flux of the invariant form over the sphere, by quadrature
-    # (Gauss-Legendre in the polar angle, uniform in the periodic azimuth)
+@_block("geometry", _Check("sphere_flux_quadrature", 1e-8,
+                           note="flux of the invariant 2-form is 4 pi r^2 B (here 8 pi)"),
+        charts=())
+def _sphere_flux_quadrature(case):
+    """Total flux of the invariant form over the sphere, by quadrature
+    (Gauss-Legendre in the polar angle, uniform in the periodic azimuth)."""
     r2, B2 = 2.0, 0.5
     nodes, weights = np.polynomial.legendre.leggauss(64)
     th = 0.5 * np.pi * (nodes + 1.0)
@@ -234,32 +257,17 @@ def suite_geometry(seed: int) -> List[CheckResult]:
     x_ph = r2 * np.stack([-np.sin(TH) * np.sin(PH), np.sin(TH) * np.cos(PH), 0 * TH], -1)
     integrand = (B2 / r2) * np.einsum("tpi,tpi->tp", xs, np.cross(x_th, x_ph))
     flux = float(np.einsum("t,tp->", wth, integrand) * (2 * np.pi / len(ph)))
-    checks.append(CheckResult("sphere_flux_quadrature",
-                              float(abs(flux - 4 * np.pi * r2**2 * B2)), 1e-8,
-                              note="flux of the invariant 2-form is 4 pi r^2 B (here 8 pi)"))
-
-    # complex-extension consistency: degree-4 Taylor from the real chart
-    for name, (c, geo) in cases.items():
-        checks.append(CheckResult(f"{name}_analyticity",
-                                  _taylor_defect(geo, rng, c.analyticity_scale),
-                                  c.tol["analyticity"]))
-
-    # constant-field chart: beta independent of x, metric derivatives zero
-    flat = cases["flat"][1]
-    pts = rng.uniform(-1, 1, (20, flat.dim))
-    bdev = np.abs(flat.beta(pts) - flat.beta(pts * 0)).max()
-    gdev = np.abs(flat.inv_metric_deriv(pts)).max()
-    checks.append(CheckResult("flat_constancy", float(max(bdev, gdev)), 1e-14))
-    return checks
+    return {"sphere_flux_quadrature": abs(flux - 4 * np.pi * r2**2 * B2)}
 
 
-def _taylor_defect(geo: ChartedGeometry, rng, scale: float) -> float:
-    """Max defect of evaluators against their degree-4 real Taylor expansion
-    continued to an imaginary offset (analyticity probe)."""
+@_block("geometry", _Check("{chart}_analyticity"))
+def _analyticity(case):
+    """Evaluators against their degree-4 Taylor expansion at an imaginary offset."""
+    geo, scale = case.geo, case.chart.analyticity_scale
     h = eta = 0.04 * scale
-    worst = 0.0
+    defects = []
     for _ in range(5):
-        x = rng.uniform(-0.2, 0.2, geo.dim) * scale
+        x = case.rng.uniform(-0.2, 0.2, geo.dim) * scale
         for fn in (geo.inv_metric, geo.beta, geo.potential):
             for k in range(geo.dim):
                 e = np.eye(geo.dim)[k]
@@ -270,120 +278,114 @@ def _taylor_defect(geo: ChartedGeometry, rng, scale: float) -> float:
                 d4 = (f2 - 4 * f1 + 6 * f0 - 4 * fm1 + fm2) / h**4
                 t = 1j * eta
                 taylor = f0 + d1 * t + d2 * t**2 / 2 + d3 * t**3 / 6 + d4 * t**4 / 24
-                worst = max(worst, float(np.abs(fn(x + t * e) - taylor).max()))
-    return worst
+                defects.append(np.abs(fn(x + t * e) - taylor))
+    return {"{chart}_analyticity": defects}
+
+
+@_block("geometry", _Check("flat_constancy", 1e-14), charts=("flat",))
+def _flat_constancy(case):
+    """Constant-field chart: beta independent of x, metric derivatives zero."""
+    geo = case.geo
+    pts = case.rng.uniform(-1, 1, (20, geo.dim))
+    return {"flat_constancy": [np.abs(geo.beta(pts) - geo.beta(pts * 0)),
+                               np.abs(geo.inv_metric_deriv(pts))]}
 
 
 # ---------------------------------------------------------------------------
 # flow suite
 # ---------------------------------------------------------------------------
 
-def suite_flow(seed: int) -> List[CheckResult]:
-    rng = _rng(seed, 1)
-    checks = []
-    cases = _cases()
-
-    # group law, symplectomorphy, energy conservation on real flows
-    worst_group, worst_symp, worst_energy, min_det = 0.0, 0.0, 0.0, np.inf
-    for c, geo in cases.values():
-        n = geo.dim
-        s1, s2 = c.group_times
-        Z = _sample(rng, geo, 20, c.wide)
-        r1 = flow_many(geo, Z, s1)
-        r2 = flow_many(geo, np.concatenate([r1.x.real, r1.p.real], axis=1), s2)
-        r12 = flow_many(geo, Z, s1 + s2)
-        worst_group = max(worst_group, float(np.abs(
-            np.concatenate([r2.x - r12.x, r2.p - r12.p], axis=1)).max()))
-
-        om0 = twisted_symplectic_matrix(geo, Z[:, :n])
-        om1 = twisted_symplectic_matrix(geo, r12.x)
-        pulled = np.einsum("mji,mjk,mkl->mil", r12.jac, om1, r12.jac)
-        worst_symp = max(worst_symp, float(np.abs(pulled - om0).max()))
-
-        worst_energy = max(worst_energy, float(np.abs(
-            energy(geo, r12.x, r12.p) - energy(geo, Z[:, :n], Z[:, n:])).max()))
-        min_det = min(min_det, float(r12.det_min.min()))
-    checks.append(CheckResult("group_law", worst_group, 1e-9))
-    checks.append(CheckResult("symplectomorphy", worst_symp, 1e-8))
-    checks.append(CheckResult("energy_conservation", worst_energy, 1e-10))
-    checks.append(CheckResult("jacobian_nonsingular", min_det, 1e-6, kind="min"))
-
-    # Hamiltonian field against the omega-inversion oracle
-    worst = max(_field_inversion_defect(geo, _sample(rng, geo, 10, c.wide))
-                for c, geo in cases.values())
-    checks.append(CheckResult("hamiltonian_field_inversion", worst, 1e-10))
-
-    # zero-section: field vanishes, points are fixed
-    zfix = flow_many(cases["flat"][1], np.array([[0.3, -0.4, 0.0, 0.0]]), 0.3 + 0.8j,
-                     tangent=False)
-    checks.append(CheckResult("zero_section_fixed",
-                              float(np.abs(np.concatenate([zfix.x[0], zfix.p[0]])
-                                           - np.array([0.3, -0.4, 0, 0])).max()),
-                              1e-12))
-
-    # zero-section linearization against the block matrix exponential
-    worst_jac, worst_span = 0.0, 0.0
-    for geo in (cases["flat"][1], _flat(1.0, 0.5), cases["sphere"][1]):
-        xs = rng.uniform(-0.3, 0.3, (2, geo.dim))
-        Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
-        g0, b0 = geo.inv_metric(xs), geo.beta(xs)
-        for sig in (0.5, 1j, 0.3 + 0.8j):
-            for i, jac in enumerate(_zero_section_flow(geo, xs, sig).jac):
-                ref = orc.zero_section_linearization(b0[i], sig, g0[i])
-                worst_jac = max(worst_jac, float(np.abs(jac - ref).max()))
-        for sig in (1j, 0.3 + 0.8j):
-            ref = np.stack([orc.zero_section_frame(b0[i], sig, g0[i]) for i in range(len(xs))])
-            worst_span = max(worst_span,
-                             float(subspace_distance(_frames(geo, Z, sig), ref).max()))
-    checks.append(CheckResult("zero_section_jacobian", worst_jac, 1e-9))
-    checks.append(CheckResult("zero_section_frame_span", worst_span, 1e-9))
-
-    # path independence of the continuation
-    worst = 0.0
-    for c, geo in cases.values():
-        Z = _sample(rng, geo, 20, c.wide)
-        mid = complex(rng.uniform(0.3, 0.8), rng.uniform(-0.2, 0.4))
-        rA = flow_many(geo, Z, ComplexTime(1j), tangent=False)
-        rB = flow_many(geo, Z, ComplexTime(1j, (mid, 1j)), tangent=False)
-        worst = max(worst, float(np.abs(
-            np.concatenate([rA.x - rB.x, rA.p - rB.p], axis=1)).max()))
-    checks.append(CheckResult("path_independence", worst, 1e-9))
-
-    # inverse consistency: back along the reversed path and out again
-    # recovers the start
-    worst = 0.0
-    for c, geo in cases.values():
-        Z = _sample(rng, geo, 15, c.wide)
-        for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):
-            back = flow_many(geo, Z, t.reversed(), tangent=False)
-            W = np.concatenate([back.x, back.p], axis=1)
-            W[~back.ok] = 0.0  # parked; masked out below
-            out = flow_many(geo, W, t, tangent=False)
-            ok = back.ok & out.ok
-            trip = np.abs(np.concatenate([out.x, out.p], axis=1) - Z).max(axis=1)
-            worst = max(worst, float(trip[ok].max()))
-    checks.append(CheckResult("inverse_consistency", worst, 1e-8))
-
-    # each chart's tangent map against a contour derivative of the
-    # tangent-free flow, which never evaluates second derivatives; the
-    # samples are drawn chart after chart
-    worst = max(_tangent_map_contour_defect(geo, _sample(rng, geo, 6, c.tube), ComplexTime(1j))
-                for c, geo in cases.values())
-    checks.append(CheckResult("tangent_map_contour", worst, 1e-10))
-
-    checks.append(CheckResult("radius_estimate_value",
-                              abs(radius_estimate(1.0, 1.0, float(np.exp(-1.2))) - 1.2),
-                              1e-12))
-    return checks
+@_block("flow", _Check("group_law", 1e-9), _Check("symplectomorphy", 1e-8),
+        _Check("energy_conservation", 1e-10), _Check("jacobian_nonsingular", 1e-6, "min"))
+def _real_flows(case):
+    """Group law, symplectomorphy and energy conservation on real flows."""
+    geo, n = case.geo, case.geo.dim
+    s1, s2 = case.chart.group_times
+    Z = _sample(case.rng, geo, 20, case.chart.wide)
+    r1 = _flow(geo, Z, s1)
+    r2 = _flow(geo, np.concatenate([r1.x.real, r1.p.real], axis=1), s2)
+    r12 = _flow(geo, Z, s1 + s2)
+    om0 = twisted_symplectic_matrix(geo, Z[:, :n])
+    pulled = np.einsum("mji,mjk,mkl->mil", r12.jac, twisted_symplectic_matrix(geo, r12.x), r12.jac)
+    return {"group_law": np.abs(np.concatenate([r2.x - r12.x, r2.p - r12.p], axis=1)),
+            "symplectomorphy": np.abs(pulled - om0),
+            "energy_conservation": np.abs(energy(geo, r12.x, r12.p)
+                                          - energy(geo, Z[:, :n], Z[:, n:])),
+            "jacobian_nonsingular": r12.det_min}
 
 
-def _tangent_map_contour_defect(geo: ChartedGeometry, Z: np.ndarray, t) -> float:
-    """max |jac - dPhi_t/dz| over the rows of Z.
+@_block("flow", _Check("hamiltonian_field_inversion", 1e-10))
+def _field_inversion(case):
+    """X_E against the omega-inversion oracle, dE by ``phase_gradient``."""
+    geo, n = case.geo, case.geo.dim
+    Z = _sample(case.rng, geo, 10, case.chart.wide)
+    dE = phase_gradient(lambda rows: (energy(geo, rows[:, :n], rows[:, n:]), True, None), Z,
+                        np.eye(2 * n))[3]
+    XE = np.concatenate(field_components(geo, Z[:, :n], Z[:, n:]), axis=1)
+    om = twisted_symplectic_matrix(geo, Z[:, :n])
+    # omega(X, .) = dE  =>  Omega^T X = dE
+    X = np.linalg.solve(om.swapaxes(1, 2), dE[..., None])[..., 0]
+    return {"hamiltonian_field_inversion": np.abs(X - XE)}
 
-    The flow is holomorphic in the start point, so dPhi_t/dz is
-    ``phase_gradient`` of the tangent-free flow, which never evaluates
-    second derivatives; a failed row reads NaN.
-    """
+
+@_block("flow", _Check("zero_section_fixed", 1e-12))
+def _zero_section_fixed(case):
+    """The field vanishes on the zero section: its points are fixed."""
+    n = case.geo.dim
+    Z = np.concatenate([case.chart.point[:, :n], np.zeros((1, n))], axis=1)
+    res = _flow(case.geo, Z, 0.3 + 0.8j, tangent=False)
+    return {"zero_section_fixed": np.abs(np.concatenate([res.x, res.p], axis=1) - Z)}
+
+
+@_block("flow", _Check("zero_section_jacobian", 1e-9), _Check("zero_section_frame_span", 1e-9),
+        extras=_FLAT_HEAVY)
+def _zero_section_linearization(case):
+    """The zero-section linearization against the block matrix exponential."""
+    geo = case.geo
+    xs = case.rng.uniform(-0.3, 0.3, (2, geo.dim))
+    Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
+    g0, b0 = geo.inv_metric(xs), geo.beta(xs)
+    jac = [np.abs(jac - orc.zero_section_linearization(b0[i], sig, g0[i]))
+           for sig in (0.5, 1j, 0.3 + 0.8j)
+           for i, jac in enumerate(_zero_section_flow(geo, xs, sig).jac)]
+    span = [subspace_distance(_frames(geo, Z, sig), np.stack(
+                [orc.zero_section_frame(b0[i], sig, g0[i]) for i in range(len(xs))]))
+            for sig in (1j, 0.3 + 0.8j)]
+    return {"zero_section_jacobian": jac, "zero_section_frame_span": span}
+
+
+@_block("flow", _Check("path_independence", 1e-9))
+def _path_independence(case):
+    """Path independence of the continuation."""
+    geo, rng = case.geo, case.rng
+    Z = _sample(rng, geo, 20, case.chart.wide)
+    mid = complex(rng.uniform(0.3, 0.8), rng.uniform(-0.2, 0.4))
+    rA = _flow(geo, Z, ComplexTime(1j), tangent=False)
+    rB = _flow(geo, Z, ComplexTime(1j, (mid, 1j)), tangent=False)
+    return {"path_independence": np.abs(np.concatenate([rA.x - rB.x, rA.p - rB.p], axis=1))}
+
+
+@_block("flow", _Check("inverse_consistency", 1e-8))
+def _inverse_consistency(case):
+    """Back along the reversed path and out again recovers the start."""
+    geo = case.geo
+    Z = _sample(case.rng, geo, 15, case.chart.wide)
+    trips = []
+    for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):
+        back = _flow(geo, Z, t.reversed(), tangent=False)
+        out = _flow(geo, np.concatenate([back.x, back.p], axis=1), t, tangent=False)
+        trips.append(np.abs(np.concatenate([out.x, out.p], axis=1) - Z))
+    return {"inverse_consistency": trips}
+
+
+@_block("flow", _Check("tangent_map_contour", 1e-10))
+def _tangent_map_contour(case):
+    """The tangent map against dPhi_t/dz by ``phase_gradient`` of the
+    tangent-free flow (holomorphic in the start point), which never
+    evaluates second derivatives; a failed row reads NaN."""
+    geo, t = case.geo, ComplexTime(1j)
+    Z = _sample(case.rng, geo, 6, case.chart.tube)
+
     def phi(rows):
         res = flow_many(geo, rows, t, tangent=False)
         return np.concatenate([res.x, res.p], axis=1), res.ok, res.reasons
@@ -391,220 +393,153 @@ def _tangent_map_contour_defect(geo: ChartedGeometry, Z: np.ndarray, t) -> float
     deriv = phase_gradient(phi, Z, np.eye(2 * geo.dim))[3].swapaxes(1, 2)  # (m, component, coord)
     ref = flow_many(geo, Z, t)
     deriv[~ref.ok] = np.nan
-    return float(np.abs(deriv - ref.jac).max())
+    return {"tangent_map_contour": np.abs(deriv - ref.jac)}
 
 
-def _field_inversion_defect(geo: ChartedGeometry, Z: np.ndarray) -> float:
-    """max |X_E - Omega^{-1} dE| over the rows of Z, dE by ``phase_gradient``."""
-    n = geo.dim
-    dE = phase_gradient(lambda rows: (energy(geo, rows[:, :n], rows[:, n:]), True, None), Z,
-                        np.eye(2 * n))[3]
-    XE = np.concatenate(field_components(geo, Z[:, :n], Z[:, n:]), axis=1)
-    om = twisted_symplectic_matrix(geo, Z[:, :n])
-    # omega(X, .) = dE  =>  Omega^T X = dE
-    X = np.linalg.solve(om.swapaxes(1, 2), dE[..., None])[..., 0]
-    return float(np.abs(X - XE).max())
+@_block("flow", _Check("radius_estimate_value", 1e-12), charts=())
+def _radius_estimate(case):
+    return {"radius_estimate_value": abs(radius_estimate(1.0, 1.0, float(np.exp(-1.2))) - 1.2)}
 
 
 # ---------------------------------------------------------------------------
 # frames suite
 # ---------------------------------------------------------------------------
 
-def suite_frames(seed: int) -> List[CheckResult]:
-    rng = _rng(seed, 2)
-    checks = []
-    cases = _cases()
+@_block("frames", _Check("lagrangian_residual", 1e-8), _Check("transversality_margin", 1e-6, "min"),
+        _Check("positivity_min_eigenvalue", 0.0, "min"), _Check("conjugate_frame_span", 1e-9),
+        _Check("conjugate_time_J", 1e-8), _Check("metric_positivity", 0.0, "min"),
+        _Check("frame_gauge_invariance", 1e-9),
+        _Check("real_time_degeneracy", 1e-8, expected_degenerate=True,
+               note="tau=0 frame equals its conjugate by construction"))
+def _frame_structure(case):
+    geo, n, rng = case.geo, case.geo.dim, case.rng
+    Z = _sample(rng, geo, 100, case.chart.wide)
+    F = _frames(geo, Z, 1j)
+    om = twisted_symplectic_matrix(geo, Z[:, :n])
+    Fm = frames_at_many(geo, Z[:5], -1j)[0]
+    out = {"lagrangian_residual": np.abs(np.einsum("mji,mjk,mkl->mil", F, om, F)),  # F^T Om F
+           "transversality_margin": transversality_check(F),
+           "positivity_min_eigenvalue": np.linalg.eigvalsh(positivity_matrix(geo, Z[:, :n], F)),
+           # the conjugate frame spans the conjugate-time subspace
+           "conjugate_frame_span": subspace_distance(F[:5].conj(), Fm),
+           "conjugate_time_J": [], "metric_positivity": [], "frame_gauge_invariance": []}
 
-    worst_lagr, worst_conj_span, worst_conjJ, worst_gauge = 0.0, 0.0, 0.0, 0.0
-    min_trans, min_pos, min_metric_pos = np.inf, np.inf, np.inf
-    for name, (c, geo) in cases.items():
-        n = geo.dim
-        Z = _sample(rng, geo, 100, c.wide)
-        F, ok, reasons, _ = frames_at_many(geo, Z, 1j)
-        if not ok.all():
-            checks.append(CheckResult(f"{name}_frames_computed", float(ok.mean()), 1.0 - 1e-12,
-                                      kind="min", note=str([r for r in reasons if r][0])))
-            Z, F = Z[ok], F[ok]
-        om = twisted_symplectic_matrix(geo, Z[:, :n])
-        lagr = np.einsum("mji,mjk,mkl->mil", F, om, F)  # complex-bilinear F^T Om F
-        worst_lagr = max(worst_lagr, float(np.abs(lagr).max()))
-        min_trans = min(min_trans, float(transversality_check(F).min()))
-        M = positivity_matrix(geo, Z[:, :n], F)
-        min_pos = min(min_pos, float(np.linalg.eigvalsh(M).min()))
+    # J at conjugate times are opposite; omega(X, JX) > 0; gauge invariance
+    # under random right-multiplication
+    for i in range(3):
+        z = PhasePoint(Z[i, :n], Z[i, n:])
+        acs_p = assemble_J(geo, z.x, F[i])
+        acs_m = assemble_J(geo, z.x, Fm[i])
+        out["conjugate_time_J"].append(np.abs(acs_p.J + acs_m.J))
+        Sym = twisted_symplectic_matrix(geo, z.x).real @ acs_p.J
+        out["metric_positivity"].append(np.linalg.eigvalsh(0.5 * (Sym + Sym.T)))
 
-        # conjugate frame spans the conjugate-time subspace
-        Fm = frames_at_many(geo, Z[:5], -1j)[0]
-        worst_conj_span = max(worst_conj_span, float(subspace_distance(F[:5].conj(), Fm).max()))
+        G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        acs_g = assemble_J(geo, z.x, orthonormalize(F[i] @ G))
+        out["frame_gauge_invariance"] += [
+            np.abs(acs_p.J - acs_g.J),
+            np.abs(acs_p.positivity_spectrum - acs_g.positivity_spectrum),
+            abs(acs_p.transversality - acs_g.transversality)]
+    # at real time the frame equals its conjugate: transversality degenerates
+    out["real_time_degeneracy"] = transversality_check(_frames(geo, case.chart.point, 0.5))
+    return out
 
-        # J at conjugate times are opposite; omega(X, JX) > 0; gauge
-        # invariance under random right-multiplication
-        for i in range(3):
-            z = PhasePoint(Z[i, :n], Z[i, n:])
-            acs_p = assemble_J(geo, z.x, F[i])
-            acs_m = assemble_J(geo, z.x, Fm[i])
-            worst_conjJ = max(worst_conjJ, float(np.abs(acs_p.J + acs_m.J).max()))
-            omz = twisted_symplectic_matrix(geo, z.x).real
-            Sym = omz @ acs_p.J
-            Sym = 0.5 * (Sym + Sym.T)
-            min_metric_pos = min(min_metric_pos, float(np.linalg.eigvalsh(Sym).min()))
 
-            G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            acs_g = assemble_J(geo, z.x, orthonormalize(F[i] @ G))
-            worst_gauge = max(
-                worst_gauge,
-                float(np.abs(acs_p.J - acs_g.J).max()),
-                float(np.abs(acs_p.positivity_spectrum - acs_g.positivity_spectrum).max()),
-                abs(acs_p.transversality - acs_g.transversality),
-            )
-
-    checks.append(CheckResult("lagrangian_residual", worst_lagr, 1e-8))
-    checks.append(CheckResult("transversality_margin", min_trans, 1e-6, kind="min"))
-    checks.append(CheckResult("positivity_min_eigenvalue", min_pos, 0.0, kind="min"))
-    checks.append(CheckResult("conjugate_frame_span", worst_conj_span, 1e-9))
-    checks.append(CheckResult("conjugate_time_J", worst_conjJ, 1e-8))
-    checks.append(CheckResult("metric_positivity", min_metric_pos, 0.0, kind="min"))
-    checks.append(CheckResult("frame_gauge_invariance", worst_gauge, 1e-9))
-
-    # real time: the frame equals its conjugate, transversality degenerates
-    fr_real = frame_at(cases["flat"][1], PhasePoint([0.2, 0.1], [0.6, -0.3]), 0.5)
-    checks.append(CheckResult("real_time_degeneracy", transversality_check(fr_real.F), 1e-8,
-                              expected_degenerate=True,
-                              note="tau=0 frame equals its conjugate by construction"))
-
-    # zero-section Hermitian form against the closed-form positivity matrix
-    worst = 0.0
-    for geo in (_flat(1.0, 0.5), cases["sphere"][1]):
-        n = geo.dim
-        xs = rng.uniform(-0.2, 0.2, (2, n))
-        changes = [normalized_zero_section_frame_change(geo, x0) for x0 in xs]
-        for t in (1j, 0.3 + 0.8j):
-            for (T, btil), jac in zip(changes, _zero_section_flow(geo, xs, t).jac):
-                Fn = T @ jac[:, n:] @ T[:n, :n].T
-                om_t = np.block([[-btil, np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-                M = 1j * Fn.conj().T @ om_t @ Fn
-                worst = max(worst, float(np.abs(M - orc.zero_section_positivity_matrix(btil, t)).max()))
-    checks.append(CheckResult("zero_section_positivity_form", worst, 1e-8,
-                              note="matches 2 tau (e^{2 i tau beta}-1)/(2 i tau beta); its "
-                                   "transpose is the same form written with the conjugation "
-                                   "on the other slot"))
-
-    # totally real zero-section: vertical block of the frame is nonsingular
-    min_block, min_horiz = np.inf, np.inf
-    for c, geo in cases.values():
-        n = geo.dim
-        xs = rng.uniform(-0.2, 0.2, (3, n))
-        F = _frames(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), 1j)
-        Eh = np.vstack([np.eye(n), np.zeros((n, n))])
-        for i, jac in enumerate(_zero_section_flow(geo, xs, 1j).jac):
-            T, btil = normalized_zero_section_frame_change(geo, xs[i])
-            Fn = T @ jac[:, n:]
-            min_block = min(min_block, float(np.linalg.svd(Fn[n:], compute_uv=False)[-1]))
-            min_block = min(min_block, float(np.linalg.svd(expm(1j * btil), compute_uv=False)[-1]))
-            acs = assemble_J(geo, xs[i], F[i])
-            min_horiz = min(min_horiz, float(
-                np.linalg.svd(np.hstack([Eh, acs.J @ Eh]), compute_uv=False)[-1]))
-    checks.append(CheckResult("totally_real_vertical_block", min_block, 1e-6, kind="min"))
-    checks.append(CheckResult("totally_real_horizontal", min_horiz, 1e-6, kind="min"))
-
-    # integrability via contour-derivative brackets; the samples are drawn
-    # per time, chart after chart
-    worst = dict.fromkeys(cases, 0.0)
+@_block("frames", _Check("zero_section_positivity_form", 1e-8,
+                         note="matches 2 tau (e^{2 i tau beta}-1)/(2 i tau beta); its transpose "
+                              "is the same form written with the conjugation on the other slot"),
+        extras=_FLAT_HEAVY)
+def _zero_section_positivity_form(case):
+    """The zero-section Hermitian form against the closed-form positivity matrix."""
+    geo, n = case.geo, case.geo.dim
+    xs = case.rng.uniform(-0.2, 0.2, (2, n))
+    changes = [normalized_zero_section_frame_change(geo, x0) for x0 in xs]
+    defects = []
     for t in (1j, 0.3 + 0.8j):
-        for name, (c, geo) in cases.items():
-            Z = _sample(rng, geo, 20, c.tube)
-            worst[name] = max(worst[name],
-                              float(integrability_residual_many(geo, Z, t)[3].max()))
-    for name, (c, _) in cases.items():
-        checks.append(CheckResult(f"integrability_{name}", worst[name], c.tol["integrability"]))
-    return checks
+        for (T, btil), jac in zip(changes, _zero_section_flow(geo, xs, t).jac):
+            Fn = T @ jac[:, n:] @ T[:n, :n].T
+            om_t = np.block([[-btil, np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+            M = 1j * Fn.conj().T @ om_t @ Fn
+            defects.append(np.abs(M - orc.zero_section_positivity_matrix(btil, t)))
+    return {"zero_section_positivity_form": defects}
+
+
+@_block("frames", _Check("totally_real_vertical_block", 1e-6, "min"),
+        _Check("totally_real_horizontal", 1e-6, "min"))
+def _totally_real(case):
+    """Totally real zero section: the vertical block of the frame is nonsingular."""
+    geo, n = case.geo, case.geo.dim
+    xs = case.rng.uniform(-0.2, 0.2, (3, n))
+    F = _frames(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), 1j)
+    Eh = np.vstack([np.eye(n), np.zeros((n, n))])
+    vertical, horizontal = [], []
+    for i, jac in enumerate(_zero_section_flow(geo, xs, 1j).jac):
+        T, btil = normalized_zero_section_frame_change(geo, xs[i])
+        vertical += [np.linalg.svd((T @ jac[:, n:])[n:], compute_uv=False)[-1],
+                     np.linalg.svd(expm(1j * btil), compute_uv=False)[-1]]
+        acs = assemble_J(geo, xs[i], F[i])
+        horizontal.append(np.linalg.svd(np.hstack([Eh, acs.J @ Eh]), compute_uv=False)[-1])
+    return {"totally_real_vertical_block": vertical, "totally_real_horizontal": horizontal}
+
+
+@_block("frames", _Check("integrability_{chart}"))
+def _integrability(case):
+    """Integrability via contour-derivative brackets, at two times."""
+    geo = case.geo
+    return {"integrability_{chart}": [
+        integrability_residual_many(geo, _sample(case.rng, geo, 20, case.chart.tube), t)[3]
+        for t in (1j, 0.3 + 0.8j)]}
 
 
 # ---------------------------------------------------------------------------
-# kahler suite
+# kahler suite: its blocks share each chart's rows case.Z and frames case.F
 # ---------------------------------------------------------------------------
 
-def suite_kahler(seed: int) -> List[CheckResult]:
-    rng = _rng(seed, 3)
-    checks = []
-    cases = _cases()
-    Z = {name: _sample(rng, geo, c.kahler_rows, c.tube) for name, (c, geo) in cases.items()}
+@_block("kahler", _Check("kde_{chart}"))
+def _kde(case):
+    c = case.chart
+    case.Z = _sample(case.rng, case.geo, c.kahler_rows, c.tube)
+    return {"kde_{chart}": kde_residual_many(case.geo, case.Z, c.kde_sigma)}
 
-    for name, (c, geo) in cases.items():
-        checks.append(CheckResult(f"kde_{name}",
-                                  float(kde_residual_many(geo, Z[name], c.kde_sigma).max()),
-                                  c.tol["kde"]))
 
-    # f at +-i: conjugation symmetry, reality of kappa2, closed form on the plane
-    flat, Zf = cases["flat"][1], Z["flat"]
+@_block("kahler", _Check("f_conjugation", 1e-8), _Check("kappa2_reality", 1e-10),
+        _Check("kappa2_closed_form", 1e-7), _Check("f_zero_at_origin", 1e-12), charts=("flat",))
+def _flat_potential(case):
+    """f at +-i: conjugation, reality of kappa2, its closed form; f_0 = 0."""
+    flat, Zf = case.geo, case.Z
     fm, fp = np.split(potential_f_many(flat, np.concatenate([Zf, Zf]),
                                        np.repeat([-1j, 1j], len(Zf)))[0], 2)
-    checks.append(CheckResult("f_conjugation", float(np.abs(np.conj(fm) - fp).max()), 1e-8))
-    kappa2_num = 1j * (fm - fp)
-    checks.append(CheckResult("kappa2_reality", float(np.abs(kappa2_num.imag).max()), 1e-10))
-
     zc = orc.flat_complex_coordinates(1.0, 1.0, Zf)
     kappa2_cf = np.array([kappa2_flat(1.0, 1.0, z1, z2) for z1, z2 in zc])
-    checks.append(CheckResult("kappa2_closed_form",
-                              float(np.abs((2j * fm).real - kappa2_cf).max()), 1e-7))
-
-    # f_0 = 0 and the sigma = 0 slope identity
-    f0, _, _ = potential_f_many(flat, Zf[:10], 0.0)
-    checks.append(CheckResult("f_zero_at_origin", float(np.abs(f0).max()), 1e-12))
-
-    # dbar f_{-i} = (theta^A)^{0,1}
-    F = {}
-    for name, (c, geo) in cases.items():
-        F[name] = frames_at_many(geo, Z[name], 1j)[0]
-        checks.append(CheckResult(f"dbar_{name}",
-                                  float(dbar_residual_many(geo, Z[name], F[name].conj())[3].max()),
-                                  c.tol["dbar"]))
-
-    # kappa1: coefficient resolution by the adaptedness identity
-    acs = assemble_J(flat, Zf[0, :2], F["flat"][0])
-    coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, Zf[:10])
-    checks.append(CheckResult("kappa1_adapted", residuals[coeff], 1e-10,
-                              note=f"tanh coefficient resolved to {coeff} * B "
-                                   f"(candidate residuals: 0.5B -> {residuals[0.5]:.3e}, "
-                                   f"1.0B -> {residuals[1.0]:.3e})"))
-    checks.append(CheckResult("kappa1_coefficient_is_half", abs(coeff - 0.5), 1e-12))
-
-    # i d dbar kappa2 reproduces the twisted form in complex coordinates
-    checks.append(CheckResult("i_ddbar_kappa2", _i_ddbar_defect(1.0, 1.0, rng), 1e-8))
-
-    # holomorphic extensions: dbar-closure and ring property
-    for name, (c, geo) in cases.items():
-        checks.append(CheckResult(f"extension_dbar_{name}",
-                                  _extension_dbar_defect(geo, Z[name][:8], F[name][:8]),
-                                  c.tol["extension_dbar"]))
-
-    z = PhasePoint(Zf[0, :2], Zf[0, 2:])
-    e1, e2 = holomorphic_extension(flat, lambda x: x, Zf[:1])[0][0]
-    z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, z.as_vector())
-    checks.append(CheckResult("extension_coordinates",
-                              float(max(abs(e1 - z1), abs(e2 - z2))), 1e-8))
-    checks.append(CheckResult("extension_ring_property",
-                              float(abs(e1**2 - z1**2)), 1e-8,
-                              note="extension of x1^2 equals the square of the extension"))
-    e0 = holomorphic_extension(flat, lambda x: x, np.array([[0.3, -0.2, 0.0, 0.0]]))[0][0]
-    checks.append(CheckResult("extension_zero_section",
-                              float(np.abs(e0 - np.array([0.3, -0.2])).max()), 1e-12))
-
-    # section weights
-    w0 = section_weight(flat, PhasePoint([0.4, -0.1], [0, 0]), 1)
-    checks.append(CheckResult("weight_zero_section", abs(w0 - 1.0), 1e-12))
-    w1 = section_weight(flat, z, 1)
-    w2 = section_weight(flat, z, 2)
-    checks.append(CheckResult("weight_power_law", abs(w2 - w1**2), 1e-10))
-    kap2 = kappa2_flat(1.0, 1.0, z1, z2)
-    checks.append(CheckResult("weight_gaussian_density", abs(abs(w1) ** 2 - np.exp(-kap2)),
-                              1e-10,
-                              note="|weight|^2 = e^{-kappa2}; with B = lambda and "
-                                   "mass_freq = 1/(2t) this is the heat-kernel space weight"))
-    return checks
+    return {"f_conjugation": np.abs(np.conj(fm) - fp),
+            "kappa2_reality": np.abs((1j * (fm - fp)).imag),
+            "kappa2_closed_form": np.abs((2j * fm).real - kappa2_cf),
+            "f_zero_at_origin": np.abs(potential_f_many(flat, Zf[:10], 0.0)[0])}
 
 
-def _i_ddbar_defect(B: float, mass_freq: float, rng) -> float:
-    """Defect of i d dbar kappa2 = omega (both pushed to complex coordinates)."""
+@_block("kahler", _Check("dbar_{chart}"))
+def _dbar(case):
+    """dbar f_{-i} = (theta^A)^{0,1}."""
+    case.F = frames_at_many(case.geo, case.Z, 1j)[0]
+    return {"dbar_{chart}": dbar_residual_many(case.geo, case.Z, case.F.conj())[3]}
+
+
+@_block("kahler", _Check("kappa1_adapted", 1e-10), _Check("kappa1_coefficient_is_half", 1e-12),
+        charts=("flat",))
+def _kappa1(case):
+    """kappa1: the tanh coefficient resolved by the adaptedness identity."""
+    acs = assemble_J(case.geo, case.Z[0, :2], case.F[0])
+    coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, case.Z[:10])
+    note = (f"tanh coefficient resolved to {coeff} * B (candidate residuals: "
+            f"0.5B -> {residuals[0.5]:.3e}, 1.0B -> {residuals[1.0]:.3e})")
+    return {"kappa1_adapted": _Noted(residuals[coeff], note),
+            "kappa1_coefficient_is_half": abs(coeff - 0.5)}
+
+
+@_block("kahler", _Check("i_ddbar_kappa2", 1e-8), charts=())
+def _i_ddbar_kappa2(case):
+    """i d dbar kappa2 = omega on the plane, both in complex coordinates."""
+    B, mass_freq = 1.0, 1.0
     Bt = B / mass_freq
     sh, ch = np.sinh(Bt), np.cosh(Bt)
     # real coordinates (Re z1, Im z1, Re z2, Im z2) as a linear map of (x, p)
@@ -621,7 +556,7 @@ def _i_ddbar_defect(B: float, mass_freq: float, rng) -> float:
     def grad(w):
         return phase_gradient(kap, w, np.eye(4))[3], True, None
 
-    hess = phase_gradient(grad, rng.uniform(-0.5, 0.5, (5, 4)), np.eye(4))[3]
+    hess = phase_gradient(grad, case.rng.uniform(-0.5, 0.5, (5, 4)), np.eye(4))[3]
     # H_{a b-bar} = p_a^T hess conj(p_b) with p = d/dz columns
     P = 0.5 * np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]])
     H = np.einsum("ia,kij,jb->kab", P, hess, P.conj())
@@ -629,146 +564,168 @@ def _i_ddbar_defect(B: float, mass_freq: float, rng) -> float:
     dz = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j]])  # dz_a on real basis vectors
     A = np.einsum("kab,am,bn->kmn", H, dz, dz.conj())
     W = 1j * (A - A.swapaxes(1, 2))
-    return float((np.abs(W.real - om_z).max(axis=(1, 2)) + np.abs(W.imag).max(axis=(1, 2))).max())
+    return {"i_ddbar_kappa2": np.abs(W.real - om_z).max(axis=(1, 2))
+                              + np.abs(W.imag).max(axis=(1, 2))}
 
 
-def _extension_dbar_defect(geo: ChartedGeometry, Z: np.ndarray, F: np.ndarray) -> float:
-    """Max dbar defect of f o pi o Phi_i for coordinate / quadratic f: their
-    derivatives along the (0,1) columns conj F of the frames F at Z."""
-
+@_block("kahler", _Check("extension_dbar_{chart}"))
+def _extension_dbar(case):
+    """f o pi o Phi_i is dbar-closed: its derivatives along conj F vanish."""
     def monomials(x):  # f = x1, x2, x1^2, x1 x2
         x1, x2 = x[:, 0], x[:, 1]
         return np.stack([x1, x2, x1**2, x1 * x2], axis=1)
 
-    return float(np.abs(phase_gradient(lambda rows: holomorphic_extension(geo, monomials, rows),
-                                       Z, F.conj().swapaxes(1, 2))[3]).max())
+    return {"extension_dbar_{chart}": np.abs(phase_gradient(
+        lambda rows: holomorphic_extension(case.geo, monomials, rows),
+        case.Z[:8], case.F[:8].conj().swapaxes(1, 2))[3])}
+
+
+@_block("kahler", _Check("extension_coordinates", 1e-8),
+        _Check("extension_ring_property", 1e-8,
+               note="extension of x1^2 equals the square of the extension"),
+        _Check("extension_zero_section", 1e-12), _Check("weight_zero_section", 1e-12),
+        _Check("weight_power_law", 1e-10),
+        _Check("weight_gaussian_density", 1e-10,
+               note="|weight|^2 = e^{-kappa2}; with B = lambda and mass_freq = 1/(2t) this is "
+                    "the heat-kernel space weight"), charts=("flat",))
+def _flat_extension_and_weights(case):
+    """Holomorphic extensions and section weights on the plane."""
+    flat, Zf = case.geo, case.Z
+    z = PhasePoint(Zf[0, :2], Zf[0, 2:])
+    e1, e2 = holomorphic_extension(flat, lambda x: x, Zf[:1])[0][0]
+    z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, z.as_vector())
+    e0 = holomorphic_extension(flat, lambda x: x, np.array([[0.3, -0.2, 0.0, 0.0]]))[0][0]
+    w0 = section_weight(flat, PhasePoint([0.4, -0.1], [0, 0]), 1)
+    w1, w2 = section_weight(flat, z, 1), section_weight(flat, z, 2)
+    return {"extension_coordinates": [abs(e1 - z1), abs(e2 - z2)],
+            "extension_ring_property": abs(e1**2 - z1**2),
+            "extension_zero_section": np.abs(e0 - np.array([0.3, -0.2])),
+            "weight_zero_section": abs(w0 - 1.0), "weight_power_law": abs(w2 - w1**2),
+            "weight_gaussian_density": abs(abs(w1) ** 2 - np.exp(-kappa2_flat(1.0, 1.0, z1, z2)))}
 
 
 # ---------------------------------------------------------------------------
 # intertwine suite
 # ---------------------------------------------------------------------------
 
-def suite_intertwine(seed: int) -> List[CheckResult]:
-    rng = _rng(seed, 4)
-    checks = []
-    cases = _cases()
-    flat0 = _flat(0.0, 1.0)
-    flat, flat_geo = cases["flat"]
+@_block("intertwine", _Check("flow_reversal_geodesic", 1e-10), charts=())
+def _flow_reversal_geodesic(case):
+    return {"flow_reversal_geodesic":
+            check_flow_reversal(_flat(0.0, 1.0), np.array([[0.0, 0.0, 1.0, 0.0]]), 0.7)}
 
-    z = np.array([[0.0, 0.0, 1.0, 0.0]])
-    checks.append(CheckResult("flow_reversal_geodesic",
-                              float(check_flow_reversal(flat0, z, 0.7).max()), 1e-10))
 
-    # the same identity on every chart, and on the closed-form flow alone;
-    # the closed-form sample is drawn, and its check reported, right after
-    # the flat chart's
-    Z = {"flat": _sample(rng, flat_geo, 10, flat.reversal_box)}
-    Zo = _sample(rng, flat_geo, 10, flat.wide)
-    Z.update((name, _sample(rng, geo, 10, c.reversal_box))
-             for name, (c, geo) in cases.items() if name not in Z)
-    reversal = {name: CheckResult(f"flow_reversal_{name}",
-                                  float(check_flow_reversal(geo, Z[name], c.reversal_time).max()),
-                                  c.tol["flow_reversal"])
-                for name, (c, geo) in cases.items()}
+@_block("intertwine", _Check("flow_reversal_{chart}"))
+def _flow_reversal(case):
+    c = case.chart
+    Z = _sample(case.rng, case.geo, 10, c.reversal_box)
+    return {"flow_reversal_{chart}": check_flow_reversal(case.geo, Z, c.reversal_time)}
+
+
+@_block("intertwine", _Check("flow_reversal_flat_oracle", 1e-12), charts=("flat",))
+def _flow_reversal_flat_oracle(case):
+    """The same identity on the closed-form flow alone."""
+    Zo = _sample(case.rng, case.geo, 10, case.chart.wide)
     nu = np.diag([1.0, 1.0, -1.0, -1.0])
     lhs = orc.flat_flow_oracle(-1.0, 1.0, Zo @ nu, 0.7) @ nu
-    rhs = orc.flat_flow_oracle(1.0, 1.0, Zo, -0.7)
-    checks.append(reversal.pop("flat"))
-    checks.append(CheckResult("flow_reversal_flat_oracle", float(np.abs(lhs - rhs).max()), 1e-12))
-    checks.extend(reversal.values())
+    return {"flow_reversal_flat_oracle": np.abs(lhs - orc.flat_flow_oracle(1.0, 1.0, Zo, -0.7))}
 
-    checks.append(CheckResult("frame_intertwine_geodesic",
-                              float(check_frame_intertwine(flat0, flat.point, 1j).max()), 1e-8))
-    for key, check, t in (("frame_intertwine", check_frame_intertwine, 1j),
-                          ("frame_intertwine_shifted", check_shifted_frame_intertwine, 0.3 + 0.8j)):
-        for name, (c, geo) in cases.items():
-            checks.append(CheckResult(f"{key}_{name}", float(check(geo, c.point, t).max()),
-                                      c.tol[key]))
 
-    # nu is an involution: pushing a frame through twice recovers its span
-    F = _frames(flat_geo, flat.point, 1j)[0]
-    checks.append(CheckResult("involution", subspace_distance(nu @ (nu @ F), F), 1e-10))
-    return checks
+@_block("intertwine", _Check("frame_intertwine_geodesic", 1e-8), charts=("flat",))
+def _frame_intertwine_geodesic(case):
+    return {"frame_intertwine_geodesic":
+            check_frame_intertwine(_flat(0.0, 1.0), case.chart.point, 1j)}
+
+
+@_block("intertwine", _Check("frame_intertwine_{chart}"),
+        _Check("frame_intertwine_shifted_{chart}"))
+def _frame_intertwine(case):
+    geo, point = case.geo, case.chart.point
+    return {"frame_intertwine_{chart}": check_frame_intertwine(geo, point, 1j),
+            "frame_intertwine_shifted_{chart}":
+                check_shifted_frame_intertwine(geo, point, 0.3 + 0.8j)}
+
+
+@_block("intertwine", _Check("involution", 1e-10), charts=("flat",))
+def _involution(case):
+    """nu is an involution: pushing a frame through twice recovers its span."""
+    nu = np.diag([1.0, 1.0, -1.0, -1.0])
+    F = _frames(case.geo, case.chart.point, 1j)[0]
+    return {"involution": subspace_distance(nu @ (nu @ F), F)}
 
 
 # ---------------------------------------------------------------------------
 # flat oracle suite
 # ---------------------------------------------------------------------------
 
-def suite_flat_oracle(seed: int) -> List[CheckResult]:
-    rng = _rng(seed, 5)
-    checks = []
-    wide = _CHARTS["flat"].wide
-    # (B, mass_freq, chart) with Btilde 0.5, 1, 2
+@_block("flat-oracle", _Check("flow_oracle_equivalence", 1e-8,
+                              note="200 points x Btilde in {0.5, 1, 2} x |sigma| <= 1.2"),
+        _Check("complex_coordinates", 1e-8), _Check("frame_closed_form", 1e-9),
+        _Check("conjugate_pair_determinant", 1e-8, note="det[F, conj F] = -4 sinh^2(Btilde)/B^2"),
+        charts=("flat",))
+def _flat_closed_forms(case):
+    """Three planes (Btilde 0.5, 1, 2) against the closed-form flow, complex
+    coordinates, frame columns and the determinant of [F, conj F]."""
+    rng, wide = case.rng, case.chart.wide
     flats = [(B, mf, _flat(B, mf)) for B, mf in ((0.5, 1.0), (1.0, 1.0), (1.0, 0.5))]
-
-    worst_flow, worst_z = 0.0, 0.0
+    flows, coords, spans, dets = [], [], [], []
     for B, mass_freq, geo in flats:
         Z = _sample(rng, geo, 200, wide)
         for sig in (0.7, -1.2, 1j, 0.3 + 0.8j, -0.5 + 0.6j, 1.2j):
             res = flow_many(geo, Z, ComplexTime(complex(sig)), tangent=False)
             ref = orc.flat_flow_oracle(B, mass_freq, Z, sig)
-            worst_flow = max(worst_flow, float(np.abs(
-                np.concatenate([res.x, res.p], axis=1) - ref).max()))
-        res_i = flow_many(geo, Z, ComplexTime(1j), tangent=False)
-        zc = orc.flat_complex_coordinates(B, mass_freq, Z)
-        worst_z = max(worst_z, float(np.abs(res_i.x - zc).max()))
-    checks.append(CheckResult("flow_oracle_equivalence", worst_flow, 1e-8,
-                              note="200 points x Btilde in {0.5, 1, 2} x |sigma| <= 1.2"))
-    checks.append(CheckResult("complex_coordinates", worst_z, 1e-8))
-
-    # transported frame against the closed-form pushforward columns
-    worst = 0.0
+            flows.append(np.abs(np.concatenate([res.x, res.p], axis=1) - ref))
+            if sig == 1j:
+                coords.append(np.abs(res.x - orc.flat_complex_coordinates(B, mass_freq, Z)))
     for B, mass_freq, geo in flats:
         Fo = orc.flat_frame_columns(B, mass_freq, 1j)
-        worst = max(worst, float(subspace_distance(_frames(geo, _sample(rng, geo, 5, wide), 1j),
-                                                   Fo).max()))
-    checks.append(CheckResult("frame_closed_form", worst, 1e-9))
-
-    # determinant of [F, conj F] on the raw transported columns
-    worst = 0.0
-    for B, mass_freq, geo in flats:
+        spans.append(subspace_distance(_frames(geo, _sample(rng, geo, 5, wide), 1j), Fo))
+    for B, mass_freq, geo in flats:  # on the raw transported columns
         Fraw = flow_many(geo, np.zeros((1, 4)), 1j).jac[0][:, 2:]
         det = np.linalg.det(np.concatenate([Fraw, Fraw.conj()], axis=1))
-        Bt = B / mass_freq
-        worst = max(worst, float(abs(det - (-4 * np.sinh(Bt) ** 2 / B**2))))
-    checks.append(CheckResult("conjugate_pair_determinant", worst, 1e-8,
-                              note="det[F, conj F] = -4 sinh^2(Btilde)/B^2"))
+        dets.append(abs(det - (-4 * np.sinh(B / mass_freq) ** 2 / B**2)))
+    return {"flow_oracle_equivalence": flows, "complex_coordinates": coords,
+            "frame_closed_form": spans, "conjugate_pair_determinant": dets}
 
-    # f_sigma closed form
-    geo = _CHARTS["flat"].build()
-    Z = _sample(rng, geo, 20, wide)
+
+@_block("flat-oracle", _Check("f_sigma_closed_form", 1e-9),
+        _Check("f_minus_i_distinguished_point", 1e-9,
+               note="z=(0,0,1,0), B=Btilde=1: 2i f_{-i} = sinh 1"), charts=("flat",))
+def _flat_potential_closed_forms(case):
+    """f_sigma in closed form; 2 i f_{-i} = sinh(Btilde) at (0, 0, 1, 0)."""
+    geo = case.geo
+    Z = _sample(case.rng, geo, 20, case.chart.wide)
     vals = potential_f_many(geo, np.concatenate([Z, Z]), np.repeat([0.5, -0.8], len(Z)))[0]
     ref = np.concatenate([orc.flat_f_sigma(1.0, 1.0, Z, sig) for sig in (0.5, -0.8)])
-    checks.append(CheckResult("f_sigma_closed_form", float(np.abs(vals - ref).max()), 1e-9))
-
-    # 2 i f_{-i} at the distinguished point equals sinh(Btilde)
     fm = potential_f(geo, PhasePoint([0, 0], [1, 0]), -1j)
-    checks.append(CheckResult("f_minus_i_distinguished_point",
-                              abs(2j * fm - np.sinh(1.0)), 1e-9,
-                              note="z=(0,0,1,0), B=Btilde=1: 2i f_{-i} = sinh 1"))
+    return {"f_sigma_closed_form": np.abs(vals - ref),
+            "f_minus_i_distinguished_point": abs(2j * fm - np.sinh(1.0))}
 
-    # geodesic limit and Larmor periodicity
+
+@_block("flat-oracle", _Check("geodesic_limit", 1e-10), _Check("larmor_periodicity", 1e-8),
+        charts=("flat",))
+def _geodesic_limit_and_larmor_period(case):
+    rng, wide = case.rng, case.chart.wide
     geo0 = _flat(0.0, 1.0)
     Z = _sample(rng, geo0, 20, wide)
     res = flow_many(geo0, Z, 0.9, tangent=False)
     straight = Z[:, :2] + 0.9 * Z[:, 2:]
-    worst = float(np.abs(np.concatenate([res.x - straight, res.p - Z[:, 2:]], axis=1)).max())
-    checks.append(CheckResult("geodesic_limit", worst, 1e-10))
+    geodesic = np.abs(np.concatenate([res.x - straight, res.p - Z[:, 2:]], axis=1))
+    Z = _sample(rng, case.geo, 10, (wide[0], 1.0))
+    res = flow_many(case.geo, Z, 2 * np.pi, tangent=False)
+    return {"geodesic_limit": geodesic,
+            "larmor_periodicity": np.abs(np.concatenate([res.x, res.p], axis=1) - Z)}
 
-    Z = _sample(rng, geo, 10, (wide[0], 1.0))
-    res = flow_many(geo, Z, 2 * np.pi, tangent=False)
-    worst = float(np.abs(np.concatenate([res.x, res.p], axis=1) - Z).max())
-    checks.append(CheckResult("larmor_periodicity", worst, 1e-8))
 
-    # kappa1 tanh-coefficient resolution note (recorded here as well)
-    row = np.array([[0.2, 0.1, 0.6, -0.3]])
+@_block("flat-oracle", _Check("kappa1_coefficient_resolution", 1e-10), charts=("flat",))
+def _kappa1_coefficient_resolution(case):
+    """The kappa1 tanh-coefficient resolution, recorded here as well."""
+    geo, row = case.geo, case.chart.point
     acs = assemble_J(geo, row[0, :2], _frames(geo, row, 1j)[0])
-    coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, _sample(rng, geo, 6, wide))
-    checks.append(CheckResult("kappa1_coefficient_resolution", residuals[coeff], 1e-10,
-                              note=f"adapted potential uses {coeff} * B tanh(Btilde/2); "
-                                   f"rejected coefficient residual {residuals[1.0]:.3e}"))
-    return checks
+    coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J,
+                                                  _sample(case.rng, geo, 6, case.chart.wide))
+    return {"kappa1_coefficient_resolution": _Noted(
+        residuals[coeff], f"adapted potential uses {coeff} * B tanh(Btilde/2); "
+                          f"rejected coefficient residual {residuals[1.0]:.3e}")}
 
 
 # ---------------------------------------------------------------------------
@@ -788,137 +745,173 @@ def _random_sphere_states(rng, m, r, pmax=2.0):
     return x, v
 
 
-def suite_sphere_oracle(seed: int) -> List[CheckResult]:
-    rng = _rng(seed, 6)
-    checks = []
-
-    # a . a = r^2 on random states across radii and fields
-    worst = 0.0
+@_block("sphere-oracle", _Check("embedding_quadric", 1e-12,
+                                note="504 random states, r in {1,2}, B in {0,0.5,1}"),
+        _Check("embedding_fixes_zero_section", 1e-12),
+        _Check("moment_map_identity", 1e-12, note="J.J = r^2 p.p + r^4 B^2"),
+        _Check("oracle_conservation_real", 1e-12), _Check("oracle_constraints_complex", 1e-12),
+        charts=())
+def _sphere_oracle_identities(case):
+    """The quadric a.a = r^2 and the rigid rotation's invariants."""
+    rng = case.rng
+    quadric = []
     for r in (1.0, 2.0):
         for B in (0.0, 0.5, 1.0):
             x, p = _random_sphere_states(rng, 84, r)
             a = orc.sphere_embedding_map(x, p, r, B)
-            worst = max(worst, float(np.abs(np.einsum("mi,mi->m", a, a) - r**2).max()))
-    checks.append(CheckResult("embedding_quadric", worst, 1e-12,
-                              note="504 random states, r in {1,2}, B in {0,0.5,1}"))
-
+            quadric.append(np.abs(np.einsum("mi,mi->m", a, a) - r**2))
     x, p = _random_sphere_states(rng, 20, 1.0)
     a0 = orc.sphere_embedding_map(x, np.zeros_like(p), 1.0, 1.0)
-    checks.append(CheckResult("embedding_fixes_zero_section",
-                              float(np.abs(a0 - x).max()), 1e-12))
-
     J = orc.sphere_moment_map(x, p, 1.0, 1.0)
-    jsq = np.einsum("mi,mi->m", J, J)
     psq = np.einsum("mi,mi->m", p, p)
-    checks.append(CheckResult("moment_map_identity",
-                              float(np.abs(jsq - (psq + 1.0)).max()), 1e-12,
-                              note="J.J = r^2 p.p + r^4 B^2"))
-
-    # rigid-rotation checks at real and complex times (oracle side)
-    worst_real, worst_cplx = 0.0, 0.0
+    real, cplx = [], []
     for sig in (0.8, 1j, 0.4 - 0.6j):
         xr, pr = orc.sphere_flow_oracle(x, p, 1.0, 1.0, sig)
-        cx = np.abs(np.einsum("mi,mi->m", xr, xr) - 1.0).max()
-        cp = np.abs(np.einsum("mi,mi->m", xr, pr)).max()
         Jr = orc.sphere_moment_map(xr, pr, 1.0, 1.0)
-        cj = np.abs(Jr - J).max()
-        if np.iscomplexobj(sig) and complex(sig).imag:
-            worst_cplx = max(worst_cplx, float(max(cx, cp, cj)))
+        defects = [np.abs(np.einsum("mi,mi->m", xr, xr) - 1.0),
+                   np.abs(np.einsum("mi,mi->m", xr, pr)), np.abs(Jr - J)]
+        if complex(sig).imag:
+            cplx += defects
         else:
-            er = 0.5 * np.abs(np.einsum("mi,mi->m", pr, pr) - psq).max()
-            worst_real = max(worst_real, float(max(cx, cp, cj, er)))
-    checks.append(CheckResult("oracle_conservation_real", worst_real, 1e-12))
-    checks.append(CheckResult("oracle_constraints_complex", worst_cplx, 1e-12))
+            real += defects + [0.5 * np.abs(np.einsum("mi,mi->m", pr, pr) - psq)]
+    return {"embedding_quadric": quadric, "embedding_fixes_zero_section": np.abs(a0 - x),
+            "moment_map_identity": np.abs(np.einsum("mi,mi->m", J, J) - (psq + 1.0)),
+            "oracle_conservation_real": real, "oracle_constraints_complex": cplx}
 
-    # engine flow through the chart against the rotation exponential,
-    # momenta up to |p| = 2 and times throughout |sigma| <= 1.2; these flows
-    # keep the tangent map, whose error control `magtube flow` also uses
-    sph = _CHARTS["sphere"].build()
+
+@_block("sphere-oracle", _Check("engine_oracle_equivalence", 1e-8,
+                                note="100 chart points, |p| up to 2, |sigma| <= 1.2"),
+        _Check("embedding_vs_engine_base", 1e-8), _Check("moment_map_conservation", 1e-9),
+        charts=("sphere",))
+def _sphere_engine(case):
+    """The engine's flow against the rotation exponential, |p| up to 2 and
+    |sigma| <= 1.2, with the tangent map whose error control `magtube flow`
+    uses; the rows and their embedding stay on ``case``."""
+    rng, sph = case.rng, case.geo
     dirs = rng.normal(size=(100, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    Z = np.concatenate([rng.uniform(-0.1, 0.1, (100, 2)), rng.uniform(0.1, 2.0, (100, 1)) * dirs],
-                       axis=1)
-    xe, pe = orc.sphere_chart_to_embedding(Z[:, :2], Z[:, 2:], SPHERE_R)
-    worst = 0.0
+    case.Z = Z = np.concatenate([rng.uniform(-0.1, 0.1, (100, 2)),
+                                 rng.uniform(0.1, 2.0, (100, 1)) * dirs], axis=1)
+    case.xe, case.pe = xe, pe = orc.sphere_chart_to_embedding(Z[:, :2], Z[:, 2:], SPHERE_R)
+    engine = []
     for sig in (0.7, -1.2, 1j, 0.3 + 0.8j):
-        res = flow_many(sph, Z, sig)
-        if not res.ok.all():
-            worst = np.inf
-            break
+        res = _flow(sph, Z, sig)
         xs, ps = orc.sphere_chart_to_embedding(res.x, res.p, SPHERE_R)
         xo, po = orc.sphere_flow_oracle(xe, pe, SPHERE_R, SPHERE_B, sig)
-        worst = max(worst, float(max(np.abs(xs - xo).max(), np.abs(ps - po).max())))
-    checks.append(CheckResult("engine_oracle_equivalence", worst, 1e-8,
-                              note="100 chart points, |p| up to 2, |sigma| <= 1.2"))
-
-    a = orc.sphere_embedding_map(xe, pe, SPHERE_R, SPHERE_B)
-    res_i = flow_many(sph, Z, ComplexTime(1j))
-    xs, _ = orc.sphere_chart_to_embedding(res_i.x, res_i.p, SPHERE_R)
-    checks.append(CheckResult("embedding_vs_engine_base", float(np.abs(xs - a).max()), 1e-8))
-
-    # moment map conserved along engine real flows
-    res = flow_many(sph, Z, 0.6)
+        engine += [np.abs(xs - xo), np.abs(ps - po)]
+        if sig == 1j:
+            base = np.abs(xs - orc.sphere_embedding_map(xe, pe, SPHERE_R, SPHERE_B))
+    # the moment map is conserved along engine real flows
+    res = _flow(sph, Z, 0.6)
     x1, p1 = orc.sphere_chart_to_embedding(res.x.real, res.p.real, SPHERE_R)
     J0 = orc.sphere_moment_map(xe, pe, SPHERE_R, SPHERE_B)
     J1 = orc.sphere_moment_map(x1, p1, SPHERE_R, SPHERE_B)
-    checks.append(CheckResult("moment_map_conservation", float(np.abs(J1 - J0).max()), 1e-9))
+    return {"engine_oracle_equivalence": engine, "embedding_vs_engine_base": base,
+            "moment_map_conservation": np.abs(J1 - J0)}
 
-    # |Im a| is strictly monotone along a momentum ray
-    xx = np.array([1.0, 0.0, 0.0])
-    direction = np.array([0.0, 1.0, 0.0])
-    ps = np.linspace(0.0, 3.0, 100)
-    ima = np.array([
-        np.linalg.norm(np.imag(orc.sphere_embedding_map(xx, s * direction, 1.0, 1.0)))
-        for s in ps
-    ])
-    checks.append(CheckResult("imag_norm_monotone", float(np.diff(ima).min()), 0.0, kind="min",
-                              note="|Im a| = (sinh L / L) |p| with L = sqrt(p^2 + r^2 B^2)/r; "
-                                   "the variant taking sinh of p^2 + r^2 B^2 itself fails "
-                                   "this identity and is rejected"))
 
-    # numerical injectivity margin
-    x1s, p1s = _random_sphere_states(rng, 200, 1.0)
-    x2s, p2s = _random_sphere_states(rng, 200, 1.0)
+@_block("sphere-oracle", _Check("imag_norm_monotone", 0.0, "min",
+                                note="|Im a| = (sinh L / L) |p| with L = sqrt(p^2 + r^2 B^2)/r; "
+                                     "the variant taking sinh of p^2 + r^2 B^2 itself fails "
+                                     "this identity and is rejected"),
+        _Check("injectivity_margin", 1e-6, "min"), charts=())
+def _sphere_embedding_shape(case):
+    """|Im a| grows along a momentum ray; the numerical injectivity margin."""
+    xx, direction = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    ima = np.array([np.linalg.norm(np.imag(orc.sphere_embedding_map(xx, s * direction, 1.0, 1.0)))
+                    for s in np.linspace(0.0, 3.0, 100)])
+    x1s, p1s = _random_sphere_states(case.rng, 200, 1.0)
+    x2s, p2s = _random_sphere_states(case.rng, 200, 1.0)
     a1 = orc.sphere_embedding_map(x1s, p1s, 1.0, 1.0)
     a2 = orc.sphere_embedding_map(x2s, p2s, 1.0, 1.0)
     sep_state = np.linalg.norm(np.concatenate([x1s - x2s, p1s - p2s], axis=1), axis=1)
     sep_a = np.linalg.norm(np.abs(a1 - a2), axis=1)
-    checks.append(CheckResult("injectivity_margin", float((sep_a / sep_state).min()), 1e-6,
-                              kind="min"))
+    return {"imag_norm_monotone": np.diff(ima), "injectivity_margin": sep_a / sep_state}
 
-    # chart conversions invert each other
-    u2, pc2 = orc.sphere_embedding_to_chart(xe, pe, SPHERE_R)
-    checks.append(CheckResult("chart_roundtrip",
-                              float(max(np.abs(u2 - Z[:, :2]).max(), np.abs(pc2 - Z[:, 2:]).max())),
-                              1e-12))
 
-    # zero-section linearization oracle: geodesic shear and 2x2 exponential
+@_block("sphere-oracle", _Check("chart_roundtrip", 1e-12),
+        _Check("zero_section_oracle_forms", 1e-12), charts=("sphere",))
+def _sphere_conversions(case):
+    """Chart conversions invert each other; zero-section oracle forms."""
+    u2, pc2 = orc.sphere_embedding_to_chart(case.xe, case.pe, SPHERE_R)
     shear = orc.zero_section_linearization(np.zeros((2, 2)), 0.7 + 0.2j)
     ref = np.eye(4, dtype=complex)
     ref[0, 2] = ref[1, 3] = 0.7 + 0.2j
-    worst = float(np.abs(shear - ref).max())
     rot = orc.zero_section_linearization(np.array([[0.0, 1.3], [-1.3, 0.0]]), 1j)
-    blk = rot[2:, 2:]
     ref_blk = np.cosh(1.3) * np.eye(2) + 1j * np.sinh(1.3) * np.array([[0, 1], [-1, 0]])
-    worst = max(worst, float(np.abs(blk - ref_blk).max()))
-    checks.append(CheckResult("zero_section_oracle_forms", worst, 1e-12))
-    return checks
+    return {"chart_roundtrip": [np.abs(u2 - case.Z[:, :2]), np.abs(pc2 - case.Z[:, 2:])],
+            "zero_section_oracle_forms": [np.abs(shear - ref), np.abs(rot[2:, 2:] - ref_blk)]}
 
 
 # ---------------------------------------------------------------------------
-# registry
+# runner
 # ---------------------------------------------------------------------------
+
+def _call(block: _Block, case, label) -> dict:
+    """Failure rule: a FlowError makes the block's checks NaN on that case."""
+    try:
+        return block.fn(case)
+    except FlowError as err:
+        note = f"{label}: {err}" if label else str(err)
+        return {check.name: _Noted(np.nan, note) for check in block.checks}
+
+
+def _rows(check: _Check, outs):
+    """Naming rule: (name, tolerance, values) of each row a declared check
+    reports, from the block's [(chart, output)] in run order."""
+    if "{chart}" not in check.name:
+        return [(check.name, check.tol, [out[check.name] for _, out in outs])]
+    key = check.name.replace("{chart}", "").strip("_")
+    return [(check.name.format(chart=chart), _CHARTS[chart].tol[key], [out[check.name]])
+            for chart, out in outs]
+
+
+def _worst(kind: str, values) -> float:
+    """Reduction rule: the worst entry over rows, times and charts, the
+    largest for kind 'max' and the smallest for 'min'; NaN if any entry is
+    NaN."""
+    flat = np.concatenate([np.ravel(v) for value in values
+                           for v in (value if isinstance(value, list) else [value])])
+    return float(np.max(flat) if kind == "max" else np.min(flat))
+
+
+def _run(suite: str, seed: int) -> List[CheckResult]:
+    rng = np.random.default_rng([seed, SUITE_NAMES.index(suite)])
+    cases = {name: SimpleNamespace(rng=rng, chart=c, geo=c.build()) for name, c in _CHARTS.items()}
+    results = []
+    for block in _REGISTRY[suite]:
+        if block.charts == ():
+            targets = [(None, SimpleNamespace(rng=rng))]
+        else:
+            targets = [(name, cases[name]) for name in block.charts or cases]
+            for build in block.extras:
+                geo = build()
+                targets.append((geo.name, SimpleNamespace(rng=rng, chart=None, geo=geo)))
+        outs = [(label, _call(block, case, label)) for label, case in targets]
+        for check in block.checks:
+            for name, tol, values in _rows(check, outs):
+                notes = [v.note for v in values if isinstance(v, _Noted)]
+                values = [v.value if isinstance(v, _Noted) else v for v in values]
+                results.append(CheckResult(name, _worst(check.kind, values), tol, check.kind,
+                                           notes[0] if notes else check.note,
+                                           check.expected_degenerate))
+    return results
+
+
+# the suites, each (seed) -> List[CheckResult], as module attributes that a
+# tracer may rebind
+suite_geometry = partial(_run, "geometry")
+suite_flow = partial(_run, "flow")
+suite_frames = partial(_run, "frames")
+suite_kahler = partial(_run, "kahler")
+suite_intertwine = partial(_run, "intertwine")
+suite_flat_oracle = partial(_run, "flat-oracle")
+suite_sphere_oracle = partial(_run, "sphere-oracle")
+
 
 def suite_functions() -> Dict[str, Callable[[int], List[CheckResult]]]:
-    return {
-        "geometry": suite_geometry,
-        "flow": suite_flow,
-        "frames": suite_frames,
-        "kahler": suite_kahler,
-        "intertwine": suite_intertwine,
-        "flat-oracle": suite_flat_oracle,
-        "sphere-oracle": suite_sphere_oracle,
-    }
+    """Each suite's callable, looked up by name when called."""
+    return {name: globals()["suite_" + name.replace("-", "_")] for name in _REGISTRY}
 
 
 def run_suite(name: str, seed: int = 1234) -> dict:

@@ -110,8 +110,8 @@ MANIFEST = [
     ("kahler", "weight_gaussian_density", "max", False, 1e-10),
     ("intertwine", "flow_reversal_geodesic", "max", False, 1e-10),
     ("intertwine", "flow_reversal_flat", "max", False, 1e-09),
-    ("intertwine", "flow_reversal_flat_oracle", "max", False, 1e-12),
     ("intertwine", "flow_reversal_sphere", "max", False, 1e-08),
+    ("intertwine", "flow_reversal_flat_oracle", "max", False, 1e-12),
     ("intertwine", "frame_intertwine_geodesic", "max", False, 1e-08),
     ("intertwine", "frame_intertwine_flat", "max", False, 1e-07),
     ("intertwine", "frame_intertwine_sphere", "max", False, 1e-06),

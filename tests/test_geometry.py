@@ -6,7 +6,6 @@ import pytest
 from conftest import patch_chart
 from magtube.geometry import (
     GeometryError,
-    PhasePoint,
     conformal_factor,
     energy,
     make_flat_magnetic,
@@ -150,13 +149,6 @@ def test_complex_extension_taylor(sphere_geo):
         t = 1j * eta
         taylor = f0 + d1 * t + d2 * t**2 / 2 + d3 * t**3 / 6 + d4 * t**4 / 24
         assert abs(f(t) - taylor) < 1e-5
-
-
-def test_phase_point_reality():
-    z = PhasePoint([0.1, 0.2], [1.0, 0.0])
-    assert z.is_real()
-    zc = PhasePoint([0.1 + 1e-3j, 0.2], [1.0, 0.0])
-    assert not zc.is_real()
 
 
 def test_twisted_symplectic_matrix(flat_geo):

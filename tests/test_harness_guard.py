@@ -40,6 +40,10 @@ def test_traced_entry_points_exist(monkeypatch):
     # the steps and ok flags from the returned (Y, ok, reasons, det_min, steps)
     assert list(inspect.signature(flow._integrate_path).parameters)[:2] == ["geo", "Z0"]
     assert tuple(suites.suite_functions()) == spans.SUITES
+    # spans rebinds each suite callable by identity among the module
+    # attributes, so one kept only in a registry dict could not be traced
+    bound = vars(suites).values()
+    assert all(any(fn is value for value in bound) for fn in suites.suite_functions().values())
 
 
 def test_instrumented_flow_is_traced(monkeypatch):
