@@ -11,7 +11,6 @@ import importlib
 from .geometry import (
     ChartedGeometry,
     GeometryError,
-    PhasePoint,
     energy,
     make_flat_magnetic,
     make_sphere_magnetic,
@@ -28,11 +27,9 @@ from .flow import (
     StepSizeError,
     field_components,
     flow_many,
-    radius_estimate,
 )
 from .structure import (
     ACSPointData,
-    LagrangianFrame,
     assemble_J,
     frame_at,
     frames_at_many,

@@ -63,7 +63,6 @@ complex validity region (``BLOWUP``), whatever else is in its batch.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -81,7 +80,6 @@ __all__ = [
     "StepSizeError",
     "field_components",
     "flow_many",
-    "radius_estimate",
 ]
 
 DISK_RADIUS = 1.25  # 1 + epsilon with epsilon = 0.25
@@ -101,10 +99,6 @@ REASON_TOL = "TOL"
 
 class FlowError(RuntimeError):
     reason = "FLOW"
-
-    def __init__(self, msg, time=None):
-        super().__init__(msg)
-        self.time = time
 
 
 class BlowUpError(FlowError):
@@ -131,13 +125,25 @@ class StepSizeError(FlowError):
     reason = REASON_TOL
 
 
-def _raise_for(reason, time):
+def _raise_for(reason):
     if reason == REASON_CHART_EXIT:
-        raise ChartExitError("trajectory left the chart box", time)
+        raise ChartExitError("trajectory left the chart box")
     if reason == REASON_TOL:
-        raise StepSizeError("step size underflow / accuracy unreachable", time)
+        raise StepSizeError("step size underflow / accuracy unreachable")
     raise BlowUpError("trajectory left the chart's complex region, passed the momentum cap "
-                      "or became non-finite", time)
+                      "or became non-finite")
+
+
+def _check_disk(waypoints) -> None:
+    """The one disk rule, for the polylines from 0 of shape (..., K): a path
+    with a non-real waypoint must keep every waypoint inside the disk of
+    radius ``DISK_RADIUS`` (waypoints suffice: the disk is convex); a real
+    path carries no disk constraint, since the disk bounds the analytic
+    continuation only."""
+    W = np.asarray(waypoints, dtype=complex)
+    complex_path = (W.imag != 0.0).any(axis=-1, keepdims=True)
+    if (complex_path & (np.abs(W) > DISK_RADIUS + 1e-12)).any():
+        raise ValueError(f"time path outside the time disk of radius {DISK_RADIUS}")
 
 
 @dataclass(frozen=True)
@@ -145,10 +151,9 @@ class ComplexTime:
     """A complex time target with a continuation path from 0.
 
     The path is a polyline given by its waypoints after the origin; the
-    default is the single straight segment 0 -> target.  A path with a
-    non-real waypoint must stay inside the disk of radius ``DISK_RADIUS``
-    (waypoints suffice: the disk is convex); a real path carries no disk
-    constraint, since the disk bounds the analytic continuation only.
+    default is the single straight segment 0 -> target.  The path obeys
+    ``_check_disk``.  ``-t`` is the time reversal: the mirror path from 0
+    to -target.
     """
 
     target: complex
@@ -160,30 +165,35 @@ class ComplexTime:
         if abs(path[-1] - self.target) > 0:
             raise ValueError("path must end at the target")
         object.__setattr__(self, "path", path)
-        if any(w.imag != 0.0 for w in path):
-            for w in path:
-                if abs(w) > DISK_RADIUS + 1e-12:
-                    raise ValueError(f"waypoint {w} outside the time disk of radius {DISK_RADIUS}")
+        _check_disk(path)
 
     @property
     def waypoints(self):
         return (0.0 + 0.0j,) + self.path
 
-    def reversed(self) -> "ComplexTime":
-        """Path from 0 to -target, mirror image of this path."""
+    def __neg__(self) -> "ComplexTime":
         return ComplexTime(-self.target, tuple(-w for w in self.path))
 
 
-def as_complex_time(t) -> ComplexTime:
-    if isinstance(t, ComplexTime):
-        return t
-    return ComplexTime(complex(t))
+def _time_path(t):
+    """(waypoints, target) of a time ``t``: a ComplexTime or a number gives
+    its (K,) polyline from 0 and its complex target, an (m,) array the
+    (m, 2) straight paths from 0 to its entries and the complex array of
+    them.  Raises ValueError where ``_check_disk`` fails."""
+    if np.ndim(t):
+        target = np.asarray(t, dtype=complex)
+        waypoints = np.stack([np.zeros_like(target), target], axis=1)
+        _check_disk(waypoints)
+        return waypoints, target
+    if not isinstance(t, ComplexTime):
+        t = ComplexTime(t)
+    return t.waypoints, t.target
 
 
 @dataclass
 class BatchFlowResult:
     """Vectorized flow result; failed rows carry a reason code.  ``time`` is
-    the common target, or the (m,) array of per-row targets.
+    the common complex target, or the (m,) complex array of per-row targets.
 
     With the tangent map its determinant is sampled at accepted steps only,
     so ``det_min`` is the minimum over those few points (a handful per unit
@@ -580,24 +590,17 @@ def flow_many(
 
     ``t`` is a common time (a number, or a ComplexTime with its path) or an
     (m,) array of per-row targets, each reached along the straight path from
-    0.  Rows that fail are reported through ``ok`` and ``reasons`` instead
-    of raising.  The region is decided per row: a real row on a real path
-    must stay inside the chart box (else ``CHART_EXIT``), every other row
-    inside the complex validity region (else ``BLOWUP``).  Real times carry
-    no disk constraint, as in ``ComplexTime``.  With
+    0; every library operation passes its time here unchanged, and reverses
+    it as ``-t``.  Every form obeys the one disk rule, ``_check_disk``.
+    Rows that fail are reported through ``ok`` and ``reasons`` instead of
+    raising.  The region is decided per row: a real row on a real path must
+    stay inside the chart box (else ``CHART_EXIT``), every other row inside
+    the complex validity region (else ``BLOWUP``).  With
     ``tangent=False`` only the phase point and the quadrature are
     integrated: ``jac`` is None and ``det_min`` NaN, and neither the field
     Jacobian nor the geometry's second derivatives are evaluated.
     """
-    if np.ndim(t):
-        target = np.asarray(t)
-        if (np.abs(target[target.imag != 0.0]) > DISK_RADIUS + 1e-12).any():
-            raise ValueError(f"target outside the time disk of radius {DISK_RADIUS}")
-        waypoints = np.stack([np.zeros(len(target)), target], axis=1)
-    else:
-        tt = as_complex_time(t)
-        waypoints = tt.waypoints
-        target = tt.target
+    waypoints, target = _time_path(t)
     Y, ok, reasons, det_min, steps = _integrate_path(
         geo, np.asarray(Z0, dtype=complex), waypoints, tangent=tangent
     )
@@ -614,20 +617,3 @@ def flow_many(
         time=target,
     )
 
-
-def radius_estimate(C: float, A: float, dist: float) -> float:
-    """Guaranteed complex-time radius (1/C) log(A / dist) near a fixed point.
-
-    C is a Lipschitz-type bound |F(z)| <= C |z - z0| on the ball of radius A,
-    dist = |w - z0| the distance of the start point from the fixed point.
-    The radius diverges as dist -> 0 and is zero (with a warning) once
-    dist >= A.
-    """
-    if not (C > 0):
-        raise ValueError("C must be positive")
-    if not (dist > 0):
-        raise ValueError("dist must be positive")
-    if dist >= A:
-        warnings.warn("start point outside the bound ball: zero guaranteed radius")
-        return 0.0
-    return float(np.log(A / dist) / C)

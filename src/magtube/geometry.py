@@ -64,7 +64,6 @@ __all__ = [
     "GeometryError",
     "ChartedGeometry",
     "FusedJet",
-    "PhasePoint",
     "make_flat_magnetic",
     "make_sphere_magnetic",
     "pointwise_geometry",
@@ -235,27 +234,6 @@ def _contour_last_axis(fn: Callable[[Array], Array], x: Array) -> Array:
         grad += _WEIGHTS[k] * vals[:, k]
     grad = _front_to_last(grad, 1)
     return grad if np.iscomplexobj(x) else grad.real
-
-
-@dataclass
-class PhasePoint:
-    """A point (x, p) of the (complexified) cotangent bundle in a chart."""
-
-    x: Array
-    p: Array
-
-    def __post_init__(self):
-        self.x = np.atleast_1d(np.asarray(self.x, dtype=complex))
-        self.p = np.atleast_1d(np.asarray(self.p, dtype=complex))
-        if self.x.shape != self.p.shape or self.x.ndim != 1:
-            raise GeometryError("x and p must be 1-d arrays of equal length")
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[0]
-
-    def as_vector(self) -> Array:
-        return np.concatenate([self.x, self.p])
 
 
 # ---------------------------------------------------------------------------

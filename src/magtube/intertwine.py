@@ -8,6 +8,7 @@ is antiholomorphic for the single structure.
 
 Each check takes real phase rows Z of shape (m, 2n) and returns one defect
 per row; a row whose flow or frame transport failed gets a NaN defect.  The
+frame checks take any time ``flow_many`` takes, per-row times included.  The
 -beta chart is ``geo.with_negated_field()``: the -beta flow and frames do not
 depend on the gauge of A, so no other -beta chart could give other values.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flow import as_complex_time, flow_many
+from .flow import _time_path, flow_many
 from .geometry import ChartedGeometry
 from .structure import frames_at_many, subspace_distance
 
@@ -81,11 +82,10 @@ def check_shifted_frame_intertwine(
     D(Phi^{-beta}_{2 sigma}) nu_* with the conjugate -beta frame at the
     mapped point.
     """
-    t = as_complex_time(t)
     nu = _nu_pushforward(geo.dim)
     minus = geo.with_negated_field()
     F_plus, ok_plus, _, _ = frames_at_many(geo, Z, t)
-    shifted = flow_many(minus, Z @ nu, 2.0 * t.target.real)
+    shifted = flow_many(minus, Z @ nu, 2.0 * _time_path(t)[1].real)
     W = np.concatenate([shifted.x, shifted.p], axis=1)
     W[~shifted.ok] = 0.0  # parked; masked out below
     F_minus, ok_minus, _, _ = frames_at_many(minus, W, t)

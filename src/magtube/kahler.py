@@ -41,9 +41,9 @@ from typing import Callable
 
 import numpy as np
 
-from .flow import as_complex_time, field_components, flow_many, _raise_for
+from .flow import field_components, flow_many, _raise_for
 from .geometry import CONTOUR_NODES, CONTOUR_RADIUS, _RING, _WEIGHTS
-from .geometry import ChartedGeometry, PhasePoint, energy
+from .geometry import ChartedGeometry, energy
 
 __all__ = [
     "potential_f",
@@ -100,38 +100,32 @@ def phase_gradient(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
 # the generating scalar f_t
 # ---------------------------------------------------------------------------
 
-def potential_f(geo: ChartedGeometry, z: PhasePoint, t) -> complex:
-    """f_t(z) = t E(z) + int_{-t}^0 A(d(pi o Phi_s)(z)/ds) ds.
+def potential_f(geo: ChartedGeometry, z: np.ndarray, t) -> complex:
+    """f_t(z) = t E(z) + int_{-t}^0 A(d(pi o Phi_s)(z)/ds) ds at the phase
+    row z (2n,).
 
     The integral is the flow quadrature along the path from 0 to -t with the
     orientation int_{-t}^0 = -int_0^{-t}; f_0 = 0 and conj(f_t) = f_conj(t).
     The one-row case of ``potential_f_many``; raises the row's FlowError if
     the flow to -t fails.
     """
-    t = as_complex_time(t)
-    vals, ok, reasons = potential_f_many(geo, z.as_vector()[None, :], t)
+    vals, ok, reasons = potential_f_many(geo, np.asarray(z)[None, :], t)
     if not ok[0]:
-        _raise_for(reasons[0], -t.target)
+        _raise_for(reasons[0])
     return complex(vals[0])
 
 
 def potential_f_many(geo, Z: np.ndarray, t):
     """Batch f_t over rows of Z = [x, p]; returns (values, ok, reasons).
 
-    ``t`` is a common time or an (m,) array of per-row times; either way
-    every row flows to its own -t in one integration.  f_t needs the phase
-    point and the quadrature only, so the flow carries no tangent map."""
-    if np.ndim(t):
-        target = np.asarray(t, dtype=complex)
-        back = -target
-    else:
-        t = as_complex_time(t)
-        target, back = t.target, t.reversed()
+    ``t`` is any time ``flow_many`` takes, per-row times included: one
+    tangent-free flow to -t, whose target -t gives f_t = t E - quad (f_t
+    needs the phase point and the quadrature only)."""
     Z = np.asarray(Z, dtype=complex)
-    res = flow_many(geo, Z, back, tangent=False)
+    res = flow_many(geo, Z, -t, tangent=False)
     n = geo.dim
     E = energy(geo, Z[:, :n], Z[:, n:])
-    vals = target * E - res.quad
+    vals = -res.time * E - res.quad
     vals[~res.ok] = np.nan
     return vals, res.ok, res.reasons
 
@@ -279,8 +273,7 @@ def holomorphic_extension(
 ):
     """The holomorphic extension f o pi o Phi_t at every row of Z = [x, p].
 
-    One tangent-free flow to t (a ComplexTime, a common time or an (m,)
-    array of per-row times, as ``flow_many`` takes them); ``f`` maps the
+    One tangent-free flow to t (any time ``flow_many`` takes); ``f`` maps the
     (k, n) complex base points x of the ok rows to (k, ...) values, and
     must be evaluable there (any analytic closed form qualifies).  A failed
     row gets NaN in both the real and the imaginary part.
@@ -294,8 +287,9 @@ def holomorphic_extension(
     return values, res.ok, res.reasons
 
 
-def section_weight(geo: ChartedGeometry, z: PhasePoint, k: int) -> complex:
-    """Local holomorphic section weight exp(-i k f_{-i}(z)).
+def section_weight(geo: ChartedGeometry, z: np.ndarray, k: int) -> complex:
+    """Local holomorphic section weight exp(-i k f_{-i}(z)) at the phase row
+    z (2n,).
 
     |weight|^2 = exp(-k kappa2), the Gaussian-type density weighting the
     inner product of holomorphic sections of the k-th tensor power.

@@ -15,7 +15,8 @@ of the frame by an invertible matrix, so this is a pure conditioning device.
 Frame transport and integrability are batched over phase rows and report a
 failed row through their ``ok`` flags and reasons instead of raising;
 ``frame_at`` is the one-row case of ``frames_at_many`` and raises the row's
-FlowError.
+FlowError.  Frame transport takes any time ``flow_many`` takes, per-row
+times included, and reverses it as ``-t``.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import as_complex_time, flow_many, _raise_for
-from .geometry import ChartedGeometry, PhasePoint, twisted_symplectic_matrix
+from .flow import flow_many, _raise_for
+from .geometry import ChartedGeometry, twisted_symplectic_matrix
 from .kahler import phase_gradient
 
 __all__ = [
-    "LagrangianFrame",
     "ACSPointData",
     "orthonormalize",
     "subspace_distance",
@@ -80,22 +80,6 @@ def subspace_distance(A: np.ndarray, B: np.ndarray):
 
 
 @dataclass
-class LagrangianFrame:
-    """Orthonormal frame spanning the transported vertical subspace."""
-
-    base: PhasePoint
-    time: complex
-    F: np.ndarray
-    # twisted-symplectic defect max|M^T Omega(w) M - Omega(z)| of the
-    # transport M = DPhi_{-t}(z), w = Phi_{-t}(z)
-    inverse_residual: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.F.shape[1]
-
-
-@dataclass
 class ACSPointData:
     """Almost complex structure data at accepted points, batched over the
     leading axes of the frames: J (..., 2n, 2n), the positivity spectrum
@@ -111,28 +95,22 @@ class ACSPointData:
 # frame transport
 # ---------------------------------------------------------------------------
 
-def frame_at(
-    geo: ChartedGeometry,
-    z: PhasePoint,
-    t,
-) -> LagrangianFrame:
-    """Transported vertical frame at a real point for complex time t.
+def frame_at(geo: ChartedGeometry, z: np.ndarray, t):
+    """(F, inverse_residual) at the phase row z (2n,) for the time t.
 
     The one-row case of ``frames_at_many``; raises the row's FlowError if
     the transport fails.
     """
-    t = as_complex_time(t)
-    F, ok, reasons, inv_res = frames_at_many(geo, z.as_vector()[None, :], t)
+    F, ok, reasons, inv_res = frames_at_many(geo, np.asarray(z)[None, :], t)
     if not ok[0]:
-        _raise_for(reasons[0], t.target)
-    return LagrangianFrame(base=z, time=t.target, F=F[0],
-                           inverse_residual=float(inv_res[0]))
+        _raise_for(reasons[0])
+    return F[0], float(inv_res[0])
 
 
 def _transport(geo: ChartedGeometry, Z: np.ndarray, t):
     """Raw transported vertical columns at every row of Z.
 
-    Flows each row z backwards along the reversed path to w = Phi_{-t}(z)
+    Flows each row z backwards along -t to w = Phi_{-t}(z)
     with the tangent map M = DPhi_{-t}(z); the transported vertical columns
     at z are X = M^{-1} [0; 1], holomorphic in z.  The inverse residual is
     the twisted-symplectic defect max|M^T Omega(w) M - Omega(z)|, the
@@ -143,9 +121,8 @@ def _transport(geo: ChartedGeometry, Z: np.ndarray, t):
 
     Returns (X, ok, reasons, inverse_residuals) with X of shape (m, 2n, n).
     """
-    t = as_complex_time(t)
     Z = np.asarray(Z, dtype=complex)
-    back = flow_many(geo, Z, t.reversed())
+    back = flow_many(geo, Z, -t)
     n = geo.dim
     ok = back.ok
     M, W = back.jac, back.x
@@ -256,6 +233,11 @@ def integrability_residual_many(
     |X_a||X_b|; the max over column pairs vanishes for an involutive
     (integrable) distribution.  A row whose centre or contour left the tube
     gets a NaN defect; the other rows are computed.
+
+    ``t`` is one time common to all rows (a number or a ComplexTime), not
+    an (m,) array: the contour transport flows the centre rows and their
+    2n x CONTOUR_NODES nodes in one batch, whose rows outnumber a per-row
+    t.
 
     Returns (F, ok, reasons, residuals): the orthonormalized centre columns,
     ok flags and reasons of the centre rows, as ``frames_at_many`` gives

@@ -40,11 +40,9 @@ from .flow import (
     FlowError,
     field_components,
     flow_many,
-    radius_estimate,
 )
 from .geometry import (
     ChartedGeometry,
-    PhasePoint,
     energy,
     make_flat_magnetic,
     make_sphere_magnetic,
@@ -196,8 +194,8 @@ def _flow(geo: ChartedGeometry, Z: np.ndarray, t, tangent: bool = True):
 
 
 def _zero_section_flow(geo: ChartedGeometry, xs: np.ndarray, t):
-    """_flow of the zero-section points (x, 0) along ComplexTime(t)."""
-    return _flow(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), ComplexTime(t))
+    """_flow of the zero-section points (x, 0) to the time t."""
+    return _flow(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), t)
 
 
 def _frames(geo: ChartedGeometry, Z: np.ndarray, t) -> np.ndarray:
@@ -360,7 +358,7 @@ def _path_independence(case):
     geo, rng = case.geo, case.rng
     Z = _sample(rng, geo, 20, case.chart.wide)
     mid = complex(rng.uniform(0.3, 0.8), rng.uniform(-0.2, 0.4))
-    rA = _flow(geo, Z, ComplexTime(1j), tangent=False)
+    rA = _flow(geo, Z, 1j, tangent=False)
     rB = _flow(geo, Z, ComplexTime(1j, (mid, 1j)), tangent=False)
     return {"path_independence": np.abs(np.concatenate([rA.x - rB.x, rA.p - rB.p], axis=1))}
 
@@ -371,8 +369,8 @@ def _inverse_consistency(case):
     geo = case.geo
     Z = _sample(case.rng, geo, 15, case.chart.wide)
     trips = []
-    for t in (ComplexTime(1j), ComplexTime(0.3 + 0.8j)):
-        back = _flow(geo, Z, t.reversed(), tangent=False)
+    for t in (1j, 0.3 + 0.8j):
+        back = _flow(geo, Z, -t, tangent=False)
         out = _flow(geo, np.concatenate([back.x, back.p], axis=1), t, tangent=False)
         trips.append(np.abs(np.concatenate([out.x, out.p], axis=1) - Z))
     return {"inverse_consistency": trips}
@@ -383,7 +381,7 @@ def _tangent_map_contour(case):
     """The tangent map against dPhi_t/dz by ``phase_gradient`` of the
     tangent-free flow (holomorphic in the start point), which never
     evaluates second derivatives; a failed row reads NaN."""
-    geo, t = case.geo, ComplexTime(1j)
+    geo, t = case.geo, 1j
     Z = _sample(case.rng, geo, 6, case.chart.tube)
 
     def phi(rows):
@@ -394,11 +392,6 @@ def _tangent_map_contour(case):
     ref = flow_many(geo, Z, t)
     deriv[~ref.ok] = np.nan
     return {"tangent_map_contour": np.abs(deriv - ref.jac)}
-
-
-@_block("flow", _Check("radius_estimate_value", 1e-12), charts=())
-def _radius_estimate(case):
-    return {"radius_estimate_value": abs(radius_estimate(1.0, 1.0, float(np.exp(-1.2))) - 1.2)}
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +420,15 @@ def _frame_structure(case):
     # J at conjugate times are opposite; omega(X, JX) > 0; gauge invariance
     # under random right-multiplication
     for i in range(3):
-        z = PhasePoint(Z[i, :n], Z[i, n:])
-        acs_p = assemble_J(geo, z.x, F[i])
-        acs_m = assemble_J(geo, z.x, Fm[i])
+        x = Z[i, :n]
+        acs_p = assemble_J(geo, x, F[i])
+        acs_m = assemble_J(geo, x, Fm[i])
         out["conjugate_time_J"].append(np.abs(acs_p.J + acs_m.J))
-        Sym = twisted_symplectic_matrix(geo, z.x).real @ acs_p.J
+        Sym = twisted_symplectic_matrix(geo, x).real @ acs_p.J
         out["metric_positivity"].append(np.linalg.eigvalsh(0.5 * (Sym + Sym.T)))
 
         G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        acs_g = assemble_J(geo, z.x, orthonormalize(F[i] @ G))
+        acs_g = assemble_J(geo, x, orthonormalize(F[i] @ G))
         out["frame_gauge_invariance"] += [
             np.abs(acs_p.J - acs_g.J),
             np.abs(acs_p.positivity_spectrum - acs_g.positivity_spectrum),
@@ -591,11 +584,11 @@ def _extension_dbar(case):
 def _flat_extension_and_weights(case):
     """Holomorphic extensions and section weights on the plane."""
     flat, Zf = case.geo, case.Z
-    z = PhasePoint(Zf[0, :2], Zf[0, 2:])
+    z = Zf[0]
     e1, e2 = holomorphic_extension(flat, lambda x: x, Zf[:1])[0][0]
-    z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, z.as_vector())
+    z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, z)
     e0 = holomorphic_extension(flat, lambda x: x, np.array([[0.3, -0.2, 0.0, 0.0]]))[0][0]
-    w0 = section_weight(flat, PhasePoint([0.4, -0.1], [0, 0]), 1)
+    w0 = section_weight(flat, np.array([0.4, -0.1, 0, 0]), 1)
     w1, w2 = section_weight(flat, z, 1), section_weight(flat, z, 2)
     return {"extension_coordinates": [abs(e1 - z1), abs(e2 - z2)],
             "extension_ring_property": abs(e1**2 - z1**2),
@@ -671,7 +664,7 @@ def _flat_closed_forms(case):
     for B, mass_freq, geo in flats:
         Z = _sample(rng, geo, 200, wide)
         for sig in (0.7, -1.2, 1j, 0.3 + 0.8j, -0.5 + 0.6j, 1.2j):
-            res = flow_many(geo, Z, ComplexTime(complex(sig)), tangent=False)
+            res = flow_many(geo, Z, sig, tangent=False)
             ref = orc.flat_flow_oracle(B, mass_freq, Z, sig)
             flows.append(np.abs(np.concatenate([res.x, res.p], axis=1) - ref))
             if sig == 1j:
@@ -696,7 +689,7 @@ def _flat_potential_closed_forms(case):
     Z = _sample(case.rng, geo, 20, case.chart.wide)
     vals = potential_f_many(geo, np.concatenate([Z, Z]), np.repeat([0.5, -0.8], len(Z)))[0]
     ref = np.concatenate([orc.flat_f_sigma(1.0, 1.0, Z, sig) for sig in (0.5, -0.8)])
-    fm = potential_f(geo, PhasePoint([0, 0], [1, 0]), -1j)
+    fm = potential_f(geo, np.array([0, 0, 1, 0]), -1j)
     return {"f_sigma_closed_form": np.abs(vals - ref),
             "f_minus_i_distinguished_point": abs(2j * fm - np.sinh(1.0))}
 

@@ -75,7 +75,6 @@ MANIFEST = [
     ("flow", "path_independence", "max", False, 1e-09),
     ("flow", "inverse_consistency", "max", False, 1e-08),
     ("flow", "tangent_map_contour", "max", False, 1e-10),
-    ("flow", "radius_estimate_value", "max", False, 1e-12),
     ("frames", "lagrangian_residual", "max", False, 1e-08),
     ("frames", "transversality_margin", "min", False, 1e-06),
     ("frames", "positivity_min_eigenvalue", "min", False, 0.0),
@@ -152,7 +151,7 @@ def test_check_manifest(report):
     looser = [row for row, pinned in zip(got, MANIFEST)
               if (row[4] > pinned[4] if row[2] == "max" else row[4] < pinned[4])]
     assert not looser
-    assert len(MANIFEST) == 84
+    assert len(MANIFEST) == 83
 
 
 def test_criterion_01_flat_flow_oracle_equivalence():

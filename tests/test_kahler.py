@@ -7,7 +7,6 @@ from conftest import sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import flow, kahler
 from magtube import oracles as orc
 from magtube.flow import BlowUpError
-from magtube.geometry import PhasePoint
 from magtube.kahler import (
     CONTOUR_NODES,
     CONTOUR_RADIUS,
@@ -30,14 +29,14 @@ from magtube.structure import assemble_J, frame_at, frames_at_many
 # ---------------------------------------------------------------------------
 
 def test_f_vanishes_at_time_zero(flat_geo):
-    z = PhasePoint([0.3, -0.1], [0.5, 0.2])
+    z = np.array([0.3, -0.1, 0.5, 0.2])
     assert abs(potential_f(flat_geo, z, 0.0)) < 1e-14
 
 
 def test_f_real_time_closed_form(flat_geo, rng):
     for row in sample_flat(rng, 6):
         for sigma in (0.7, -0.4):
-            got = potential_f(flat_geo, PhasePoint(row[:2], row[2:]), sigma)
+            got = potential_f(flat_geo, row, sigma)
             ref = orc.flat_f_sigma(1.0, 1.0, row, sigma)
             assert abs(got - ref) < 1e-11
             assert abs(got.imag) < 1e-11  # real for real times
@@ -45,9 +44,8 @@ def test_f_real_time_closed_form(flat_geo, rng):
 
 def test_f_conjugation_symmetry(sphere_geo, rng):
     for row in sample_sphere(rng, 4):
-        z = PhasePoint(row[:2], row[2:])
-        fm = potential_f(sphere_geo, z, -1j)
-        fp = potential_f(sphere_geo, z, 1j)
+        fm = potential_f(sphere_geo, row, -1j)
+        fp = potential_f(sphere_geo, row, 1j)
         assert abs(np.conj(fm) - fp) < 1e-8
 
 
@@ -61,12 +59,12 @@ def test_two_i_f_minus_i_closed_form(flat_geo, rng):
             + (v**2 + y**2) / np.tanh(1.0)
             - 1j * np.tanh(0.5) * (u * v + x * y)
         )
-        got = 2j * potential_f(flat_geo, PhasePoint(row[:2], row[2:]), -1j)
+        got = 2j * potential_f(flat_geo, row, -1j)
         assert abs(got - ref) < 1e-10
 
 
 def test_distinguished_point_value(flat_geo):
-    got = 2j * potential_f(flat_geo, PhasePoint([0, 0], [1, 0]), -1j)
+    got = 2j * potential_f(flat_geo, np.array([0, 0, 1, 0]), -1j)
     assert abs(got - np.sinh(1.0)) < 1e-11
 
 
@@ -85,7 +83,7 @@ def test_kde_residual_sphere(sphere_geo):
 
 def test_kde_slope_at_zero(flat_geo):
     # f_0 = 0 and X_E f_0 = 0, so df/dsigma|_0 = theta^A(X_E) - E = E + A(gp)
-    z = PhasePoint([0.4, -0.2], [0.7, 0.1])
+    z = np.array([0.4, -0.2, 0.7, 0.1])
     h = 1e-4
     slope = (
         potential_f(flat_geo, z, h) - potential_f(flat_geo, z, -h)
@@ -93,8 +91,9 @@ def test_kde_slope_at_zero(flat_geo):
     from magtube.flow import field_components
     from magtube.geometry import energy
 
-    xdot, _ = field_components(flat_geo, z.x, z.p)
-    rhs = np.real(energy(flat_geo, z.x, z.p) + flat_geo.potential(z.x) @ xdot)
+    x, p = z[:2], z[2:]
+    xdot, _ = field_components(flat_geo, x, p)
+    rhs = np.real(energy(flat_geo, x, p) + flat_geo.potential(x) @ xdot)
     assert abs(slope - rhs) < 1e-7
 
 
@@ -155,10 +154,9 @@ def test_kappa1_equals_2if_plus_g(flat_geo, rng):
     # kappa1 = 2i f_{-i} + g with g = (B/2) tanh(Bt/2)(z1^2 + z2^2): the sum
     # is real and matches the closed form with the resolved B/2 coefficient
     for row in sample_flat(rng, 5):
-        z = PhasePoint(row[:2], row[2:])
         z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, row)
         g = 0.5 * np.tanh(0.5) * (z1**2 + z2**2)
-        val = 2j * potential_f(flat_geo, z, -1j) + g
+        val = 2j * potential_f(flat_geo, row, -1j) + g
         assert abs(val.imag) < 1e-10
         assert abs(val.real - kappa1_flat(1.0, 1.0, z1, z2)) < 1e-9
 
@@ -166,13 +164,13 @@ def test_kappa1_equals_2if_plus_g(flat_geo, rng):
 def test_kappa2_matches_engine(flat_geo, rng):
     for row in sample_flat(rng, 5):
         z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, row)
-        num = (2j * potential_f(flat_geo, PhasePoint(row[:2], row[2:]), -1j)).real
+        num = (2j * potential_f(flat_geo, row, -1j)).real
         assert abs(num - kappa2_flat(1.0, 1.0, z1, z2)) < 1e-10
 
 
 def test_kappa1_coefficient_resolution(flat_geo, rng):
-    z = PhasePoint([0.2, 0.1], [0.6, -0.3])
-    acs = assemble_J(flat_geo, z.x, frame_at(flat_geo, z, 1j).F)
+    z = np.array([0.2, 0.1, 0.6, -0.3])
+    acs = assemble_J(flat_geo, z[:2], frame_at(flat_geo, z, 1j)[0])
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, sample_flat(rng, 6))
     assert coeff == 0.5
     assert residuals[0.5] < 1e-8
@@ -370,9 +368,9 @@ def test_extension_evaluates_f_on_the_ok_rows_only(flat_geo, monkeypatch):
 
 
 def test_section_weight_identities(flat_geo):
-    z0 = PhasePoint([0.4, -0.1], [0.0, 0.0])
+    z0 = np.array([0.4, -0.1, 0.0, 0.0])
     assert abs(section_weight(flat_geo, z0, 1) - 1.0) < 1e-12
-    z = PhasePoint([0.3, -0.1], [0.5, 0.2])
+    z = np.array([0.3, -0.1, 0.5, 0.2])
     w1 = section_weight(flat_geo, z, 1)
     w2 = section_weight(flat_geo, z, 2)
     assert abs(w2 - w1**2) < 1e-12
@@ -388,8 +386,7 @@ def test_weight_modulus_is_heat_kernel_density(rng):
     lam, tt = 0.7, 0.4
     geo = make_flat_magnetic(2, [[0.0, lam], [-lam, 0.0]], 1.0 / (2 * tt))
     for row in sample_flat(rng, 4, pmax=0.8):
-        z = PhasePoint(row[:2], row[2:])
-        w = section_weight(geo, z, 1)
+        w = section_weight(geo, row, 1)
         z1, z2 = orc.flat_complex_coordinates(lam, 1.0 / (2 * tt), row)
         x, y, u, v = z1.real, z1.imag, z2.real, z2.imag
         exponent = lam * (u * y - v * x) - lam / np.tanh(2 * lam * tt) * (v**2 + y**2)
@@ -398,13 +395,13 @@ def test_weight_modulus_is_heat_kernel_density(rng):
 
 def test_potential_f_is_one_row_of_potential_f_many(flat_geo, sphere_geo):
     row = np.array([[0.1, -0.05, 0.3, 0.2]])
-    z = PhasePoint(row[0, :2], row[0, 2:])
+    z = row[0]
     for geo in (flat_geo, sphere_geo):
         for t in (-1j, 0.5, 0.3 + 0.8j):
             vals, ok, _ = potential_f_many(geo, row, t)
             assert ok[0] and potential_f(geo, z, t) == vals[0]
     with pytest.raises(BlowUpError):
-        potential_f(tiny_validity_geometry(), PhasePoint([0.0, 0.0], [2.5, 0.0]), -1j)
+        potential_f(tiny_validity_geometry(), np.array([0.0, 0.0, 2.5, 0.0]), -1j)
 
 
 def test_potential_f_many_flags_failures(flat_geo, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from conftest import patch_chart, sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import oracles as orc
 from magtube.flow import BlowUpError, ComplexTime, flow_many
-from magtube.geometry import PhasePoint, twisted_symplectic_matrix
+from magtube.geometry import twisted_symplectic_matrix
 from magtube import structure, suites
 from magtube.kahler import CONTOUR_NODES, CONTOUR_RADIUS, potential_f_many
 from magtube.structure import (
@@ -27,42 +27,42 @@ from magtube.structure import (
 # ---------------------------------------------------------------------------
 
 def test_frame_at_time_zero_is_vertical(flat_geo):
-    fr = frame_at(flat_geo, PhasePoint([0.3, 0.1], [0.5, -0.2]), 0.0)
+    F, _ = frame_at(flat_geo, np.array([0.3, 0.1, 0.5, -0.2]), 0.0)
     vertical = np.vstack([np.zeros((2, 2)), np.eye(2)])
-    assert subspace_distance(fr.F, vertical) < 1e-12
+    assert subspace_distance(F, vertical) < 1e-12
 
 
 def test_frame_matches_flat_closed_form(flat_geo, rng):
     Fo = orc.flat_frame_columns(1.0, 1.0, 1j)
     for row in sample_flat(rng, 5):
-        fr = frame_at(flat_geo, PhasePoint(row[:2], row[2:]), 1j)
-        assert subspace_distance(fr.F, Fo) < 1e-9
-        assert fr.inverse_residual < 1e-8
+        F, inverse_residual = frame_at(flat_geo, row, 1j)
+        assert subspace_distance(F, Fo) < 1e-9
+        assert inverse_residual < 1e-8
 
 
 def test_frame_on_zero_section_matches_block_exponential(sphere_geo):
     x0 = np.array([0.15, -0.1])
     for t in (1j, 0.3 + 0.8j):
-        fr = frame_at(sphere_geo, PhasePoint(x0, [0, 0]), t)
+        F, _ = frame_at(sphere_geo, np.r_[x0, 0, 0], t)
         ref = orc.zero_section_frame(sphere_geo.beta(x0), t, sphere_geo.inv_metric(x0))
-        assert subspace_distance(fr.F, ref) < 1e-9
+        assert subspace_distance(F, ref) < 1e-9
 
 
 def test_frames_at_many_agrees_with_single(flat_geo, sphere_geo, rng):
     Z = sample_flat(rng, 4)
     F, ok, reasons, inv = frames_at_many(flat_geo, Z, 1j)
     assert ok.all()
-    fr0 = frame_at(flat_geo, PhasePoint(Z[0, :2], Z[0, 2:]), 1j)
-    assert subspace_distance(F[0], fr0.F) < 1e-9
+    F0, _ = frame_at(flat_geo, Z[0], 1j)
+    assert subspace_distance(F[0], F0) < 1e-9
     # a single-point frame is the one-row batch, bit for bit
     row = np.array([[0.1, -0.05, 0.3, 0.2]])
     for t in (1j, 0.3 + 0.8j):
-        fr = frame_at(sphere_geo, PhasePoint(row[0, :2], row[0, 2:]), t)
+        F0, inverse_residual = frame_at(sphere_geo, row[0], t)
         F, ok, _, inv = frames_at_many(sphere_geo, row, t)
-        assert ok[0] and np.array_equal(fr.F, F[0])
-        assert fr.inverse_residual == inv[0]
+        assert ok[0] and np.array_equal(F0, F[0])
+        assert inverse_residual == inv[0]
     with pytest.raises(BlowUpError):
-        frame_at(tiny_validity_geometry(), PhasePoint([0.0, 0.0], [2.5, 0.0]), 1j)
+        frame_at(tiny_validity_geometry(), np.array([0.0, 0.0, 2.5, 0.0]), 1j)
 
 
 def test_failed_row_frame_is_nan():
@@ -107,7 +107,7 @@ def test_tangent_free_paths_skip_second_derivatives(sphere_geo, rng):
     assert calls == {"inv_metric_deriv2": 0, "beta_deriv": 0}
 
     # frames: the one backward flow carries the tangent map
-    flow_many(geo, Z, t.reversed())
+    flow_many(geo, Z, -t)
     backward = dict(calls)
     assert backward["inv_metric_deriv2"] > 0 and backward["beta_deriv"] > 0
     calls.update(inv_metric_deriv2=0, beta_deriv=0)
@@ -131,8 +131,7 @@ def test_frames_at_many_makes_one_flow(sphere_geo, rng, monkeypatch):
 
 def _round_trip_frames(geo, Z, t):
     """Vertical frame at w = Phi_{-t}(z) pushed forward by DPhi_t(w)."""
-    t = ComplexTime(t)
-    back = flow_many(geo, Z, t.reversed(), tangent=False)
+    back = flow_many(geo, Z, -t, tangent=False)
     fwd = flow_many(geo, np.concatenate([back.x, back.p], axis=1), t)
     assert back.ok.all() and fwd.ok.all()
     return orthonormalize(fwd.jac[:, :, geo.dim:])
@@ -158,10 +157,10 @@ def test_inverse_residual_sees_a_wrong_second_derivative(sphere_geo, rng):
 
 
 def test_conjugate_frame_spans_conjugate_time(sphere_geo):
-    z = PhasePoint([0.1, -0.05], [0.3, 0.2])
-    fp = frame_at(sphere_geo, z, 0.2 + 0.9j)
-    fm = frame_at(sphere_geo, z, 0.2 - 0.9j)
-    assert subspace_distance(fp.F.conj(), fm.F) < 1e-9
+    z = np.array([0.1, -0.05, 0.3, 0.2])
+    Fp, _ = frame_at(sphere_geo, z, 0.2 + 0.9j)
+    Fm, _ = frame_at(sphere_geo, z, 0.2 - 0.9j)
+    assert subspace_distance(Fp.conj(), Fm) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +168,14 @@ def test_conjugate_frame_spans_conjugate_time(sphere_geo):
 # ---------------------------------------------------------------------------
 
 def test_transversality_zero_at_real_time(flat_geo):
-    fr = frame_at(flat_geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 0.5)
-    assert transversality_check(fr.F) < 1e-8
+    F, _ = frame_at(flat_geo, np.array([0.2, 0.1, 0.6, -0.3]), 0.5)
+    assert transversality_check(F) < 1e-8
 
 
 def test_transversality_positive_in_tube(sphere_geo, rng):
     for row in sample_sphere(rng, 5):
-        fr = frame_at(sphere_geo, PhasePoint(row[:2], row[2:]), 1j)
-        assert transversality_check(fr.F) > 1e-3
+        F, _ = frame_at(sphere_geo, row, 1j)
+        assert transversality_check(F) > 1e-3
 
 
 def test_conjugate_pair_determinant(flat_geo_heavy):
@@ -194,11 +193,11 @@ def test_assemble_J_properties(flat_geo, sphere_geo, rng):
     cases = [(flat_geo, sample_flat), (sphere_geo, sample_sphere)]
     for geo, sampler in cases:
         for row in sampler(rng, 3):
-            z = PhasePoint(row[:2], row[2:])
-            acs = assemble_J(geo, z.x, frame_at(geo, z, 1j).F)
+            x = row[:2]
+            acs = assemble_J(geo, x, frame_at(geo, row, 1j)[0])
             assert np.abs(acs.J @ acs.J + np.eye(4)).max() < 1e-7
             assert acs.imag_residual < 1e-7
-            om = twisted_symplectic_matrix(geo, z.x).real
+            om = twisted_symplectic_matrix(geo, x).real
             assert np.abs(acs.J.T @ om @ acs.J - om).max() < 1e-7
             assert acs.positivity_spectrum.min() > 0
             # compatibility metric omega(X, JX) is positive definite
@@ -207,13 +206,14 @@ def test_assemble_J_properties(flat_geo, sphere_geo, rng):
 
 
 def test_assemble_J_rejects_degenerate_frame(flat_geo):
-    fr = frame_at(flat_geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 0.5)  # real time
+    z = np.array([0.2, 0.1, 0.6, -0.3])
+    F, _ = frame_at(flat_geo, z, 0.5)  # real time
     with pytest.raises(np.linalg.LinAlgError):
-        assemble_J(flat_geo, fr.base.x, fr.F)
+        assemble_J(flat_geo, z[:2], F)
     # one degenerate frame in a batch fails the batch
-    good = frame_at(flat_geo, PhasePoint([0.2, 0.1], [0.6, -0.3]), 1j)
+    good, _ = frame_at(flat_geo, z, 1j)
     with pytest.raises(np.linalg.LinAlgError):
-        assemble_J(flat_geo, np.stack([good.base.x] * 2), np.stack([good.F, fr.F]))
+        assemble_J(flat_geo, np.stack([z[:2]] * 2), np.stack([good, F]))
 
 
 def test_assemble_J_of_a_batch_is_assemble_J_of_each_point(flat_geo, sphere_geo, rng):
@@ -229,8 +229,8 @@ def test_assemble_J_of_a_batch_is_assemble_J_of_each_point(flat_geo, sphere_geo,
 
 
 def test_conjugate_time_gives_opposite_J(sphere_geo):
-    z = PhasePoint([0.1, -0.05], [0.3, 0.2])
-    a, b = (assemble_J(sphere_geo, z.x, frame_at(sphere_geo, z, t).F)
+    z = np.array([0.1, -0.05, 0.3, 0.2])
+    a, b = (assemble_J(sphere_geo, z[:2], frame_at(sphere_geo, z, t)[0])
             for t in (0.3 + 0.8j, 0.3 - 0.8j))
     assert np.abs(a.J + b.J).max() < 1e-8
 
@@ -268,20 +268,20 @@ def test_totally_real_zero_section(flat_geo, sphere_geo):
     # the frame is uniformly nonsingular, and J kicks horizontal vectors out
     for geo in (flat_geo, sphere_geo):
         x0 = np.array([0.1, -0.08])
-        fr = frame_at(geo, PhasePoint(x0, [0, 0]), 1j)
-        assert np.linalg.svd(fr.F[2:], compute_uv=False)[-1] > 1e-6
-        acs = assemble_J(geo, x0, fr.F)
+        F, _ = frame_at(geo, np.r_[x0, 0, 0], 1j)
+        assert np.linalg.svd(F[2:], compute_uv=False)[-1] > 1e-6
+        acs = assemble_J(geo, x0, F)
         Eh = np.vstack([np.eye(2), np.zeros((2, 2))])
         assert np.linalg.svd(np.hstack([Eh, acs.J @ Eh]), compute_uv=False)[-1] > 1e-6
 
 
 def test_gauge_invariance(sphere_geo, rng):
-    z = PhasePoint([0.1, -0.05], [0.3, 0.2])
-    fr = frame_at(sphere_geo, z, 1j)
-    acs = assemble_J(sphere_geo, z.x, fr.F)
+    z = np.array([0.1, -0.05, 0.3, 0.2])
+    F, _ = frame_at(sphere_geo, z, 1j)
+    acs = assemble_J(sphere_geo, z[:2], F)
     for _ in range(5):
         G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        acs2 = assemble_J(sphere_geo, z.x, orthonormalize(fr.F @ G))
+        acs2 = assemble_J(sphere_geo, z[:2], orthonormalize(F @ G))
         assert np.abs(acs2.J - acs.J).max() < 1e-9
         assert np.abs(acs2.positivity_spectrum - acs.positivity_spectrum).max() < 1e-9
         assert abs(acs2.transversality - acs.transversality) < 1e-9
