@@ -28,6 +28,7 @@ Config keys can be overridden through MAGTUBE_* environment variables.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -397,8 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built by the first ``main`` call (not
+    at import, which would slow every start-up)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

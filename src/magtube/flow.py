@@ -50,7 +50,9 @@ first order for the field and the quadrature, second order with the tangent
 map for the variational term.  That term is formed by the
 blocks of DX (Hairer, Norsett and Wanner, Sec. I.14) without building DX,
 and the blocks and contractions whose factor the jet reports as identically
-zero (``None``; dg, d2g and dbeta on the flat chart) are skipped.
+zero (``None``; dg, d2g and dbeta on the flat chart) are skipped.  A flow
+passes the jet one work dict, so a fused jet allocates its arrays once per
+flow and writes into them at every call.
 
 The integrator has one configuration: its tolerances, step budget, smallest
 step and momentum cap are the module constants ``REL_TOL``, ``ABS_TOL``,
@@ -59,6 +61,10 @@ a flow is whether it carries the tangent map.  Where a row must stay is
 decided per row: a row whose start point and path are real must stay inside
 the real chart box (``CHART_EXIT``), every other row inside the chart's
 complex validity region (``BLOWUP``), whatever else is in its batch.
+
+The tangent map's |det| is taken once, from the end map.  By the chain rule
+the end map is DPhi_rest(z(s)) M(s) at every point s of the path, so a
+nonzero determinant at the end implies a nonzero one along the whole path.
 """
 
 from __future__ import annotations
@@ -195,10 +201,9 @@ class BatchFlowResult:
     """Vectorized flow result; failed rows carry a reason code.  ``time`` is
     the common complex target, or the (m,) complex array of per-row targets.
 
-    With the tangent map its determinant is sampled at accepted steps only,
-    so ``det_min`` is the minimum over those few points (a handful per unit
-    time with the eighth-order pair), not over the path.  ``jac`` is None
-    and ``det_min`` NaN for a tangent-free flow.
+    ``det`` is |det| of each row's end tangent map ``jac`` (nonzero there
+    implies nonzero along the path, see the module docstring); ``jac`` is
+    None and ``det`` NaN for a tangent-free flow.
     """
 
     x: np.ndarray
@@ -207,7 +212,7 @@ class BatchFlowResult:
     quad: np.ndarray
     ok: np.ndarray
     reasons: list
-    det_min: np.ndarray
+    det: np.ndarray
     steps: int
     time: complex | np.ndarray
 
@@ -278,14 +283,16 @@ def field_components(geo: ChartedGeometry, x: np.ndarray, p: np.ndarray):
     return np.moveaxis(out[: len(p)], 0, -1), np.moveaxis(out[len(p) :], 0, -1)
 
 
-def _rhs(geo: ChartedGeometry, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _rhs(geo: ChartedGeometry, Y: np.ndarray, out: np.ndarray,
+         work: Optional[dict] = None) -> np.ndarray:
     """Right-hand side for the packed state Y of shape (D, m), one column per
     row (see ``_pack``), written into the C-contiguous (D, m) array ``out``
     (a stage slot of the integrator), which it returns.
 
     The rows are the last axis, so each term of a contraction over the
     small chart indices is one operation over all m rows.  The geometry is
-    read once, by one ``geo.jet`` call.  A tangent-free state [x, p, q]
+    read once, by one ``geo.jet`` call, with the flow's ``work`` dict; its
+    arrays are used within this call only.  A tangent-free state [x, p, q]
     gets the field and the quadrature from the first-order jet.  With
     [x, p, q, vec(jac)] the second-order jet also gives the variational term
     DX @ jac, formed by blocks without building DX: with jac = [Jx; Jp],
@@ -304,7 +311,7 @@ def _rhs(geo: ChartedGeometry, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
     x = Y[:n]
     p = Y[n:n2]
     tangent = D > n2 + 1
-    jet = geo.jet(x, 2 if tangent else 1)
+    jet = geo.jet(x, 2 if tangent else 1, work)
     g, dg, b, A = jet[:4]
     T = _field(g, dg, b, p, out[:n2])
     xdot = out[:n]
@@ -454,15 +461,15 @@ def _integrate_path(
     advances by h seg_r / L.  Step control (``_error_norms``) still sees h,
     which overstates the local error of a row whose segment is shorter: the
     control is conservative for such rows.  The state is integrated rows
-    last, (D, m) (see ``_rhs``).  Returns (Y, ok, reasons, det_min, steps),
-    with Y the (m, D) packed end states, one row per row of Z0, and steps
-    the number of attempted (accepted and rejected) shared steps.  The
-    tangent map (and with it det_min, NaN otherwise) is carried only if
-    ``tangent``.
+    last, (D, m) (see ``_rhs``).  Returns (Y, ok, reasons, det, steps),
+    with Y the (m, D) packed end states, one row per row of Z0, det the
+    |det| of each row's end tangent map, and steps the number of attempted
+    (accepted and rejected) shared steps.  The tangent map (and with it det,
+    NaN otherwise) is carried only if ``tangent``.
 
-    The work arrays are allocated once per call and every step is formed in
-    them (see the module docstring and ``_SLOT``); |Y| is carried over from
-    the accepted |y_new|.
+    The work arrays, the jet's included, are allocated once per call and
+    every step is formed in them (see the module docstring and ``_SLOT``);
+    |Y| is carried over from the accepted |y_new|.
     """
     Z0 = np.asarray(Z0, dtype=complex)
     m = Z0.shape[0]
@@ -473,7 +480,6 @@ def _integrate_path(
     Y = _pack(Z0, n, tangent)
     active = np.ones(m, dtype=bool)
     reasons = np.array([""] * m, dtype=object)
-    det_min = np.full(m, np.inf if tangent else np.nan)
     Yfail = Y.copy()
     benign = _pack(np.zeros((1, 2 * n)), n, tangent)  # chart origin, jac = 1
     steps = 0
@@ -497,6 +503,7 @@ def _integrate_path(
     # step needs it, so the field at the end point of the path is never
     # formed.  S is the stage input, E the solution and error sums, Y_new
     # the next state; the combinations run on real views of K, S and E.
+    # jet_work holds the geometry jet's arrays.
     D = Y.shape[0]
     K = np.empty((_dop.N_STAGES, D, m), dtype=complex)
     S = np.empty((D, m), dtype=complex)
@@ -507,6 +514,7 @@ def _integrate_path(
     Er = E.reshape(3, -1).view(np.float64)
     abs_y = np.abs(Y)
     abs_new, scale, work = (np.empty((D, m)) for _ in range(3))
+    jet_work = {}
     k0_stale = True
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -532,13 +540,13 @@ def _integrate_path(
                 h = min(h, length - s)
                 H = h * direction
                 if k0_stale:
-                    _rhs(geo, Y, K[_SLOT[0]])
+                    _rhs(geo, Y, K[_SLOT[0]], jet_work)
                     k0_stale = False
                 for slot, lo, hi, w in _STAGE_RUNS:
                     np.matmul(w, Kr[lo:hi], out=Sr)
                     np.multiply(H, S, out=S)
                     np.add(Y, S, out=S)
-                    _rhs(geo, S, K[slot])
+                    _rhs(geo, S, K[slot], jet_work)
                 lo, hi, w = _STEP_RUN
                 np.matmul(w, Kr[lo:hi], out=Er)
                 np.multiply(H, E[0], out=Y_new)
@@ -556,10 +564,6 @@ def _integrate_path(
                     if bad.any():
                         fail_rows(bad, why)
                     k0_stale = True
-                    if tangent and active.any():
-                        J = Y[2 * n + 1 :].reshape(2 * n, 2 * n, m)
-                        d = np.abs(np.linalg.det(np.moveaxis(J, -1, 0)))
-                        np.minimum(det_min, d, out=det_min, where=active)
                     h = h * _step_factor(err_norm)
                 else:
                     if h <= MIN_STEP * max(1.0, length):
@@ -572,7 +576,13 @@ def _integrate_path(
     failed = reasons != ""
     Y[:, failed] = Yfail[:, failed]
     ok = ~failed
-    return np.ascontiguousarray(Y.T), ok, [r if r else None for r in reasons], det_min, steps
+    Y = np.ascontiguousarray(Y.T)
+    if tangent:
+        with np.errstate(invalid="ignore"):  # a failed row's map may be non-finite
+            det = np.abs(np.linalg.det(Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)))
+    else:
+        det = np.full(m, np.nan)
+    return Y, ok, [r if r else None for r in reasons], det, steps
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +607,11 @@ def flow_many(
     stay inside the chart box (else ``CHART_EXIT``), every other row inside
     the complex validity region (else ``BLOWUP``).  With
     ``tangent=False`` only the phase point and the quadrature are
-    integrated: ``jac`` is None and ``det_min`` NaN, and neither the field
+    integrated: ``jac`` is None and ``det`` NaN, and neither the field
     Jacobian nor the geometry's second derivatives are evaluated.
     """
     waypoints, target = _time_path(t)
-    Y, ok, reasons, det_min, steps = _integrate_path(
+    Y, ok, reasons, det, steps = _integrate_path(
         geo, np.asarray(Z0, dtype=complex), waypoints, tangent=tangent
     )
     n = geo.dim
@@ -612,7 +622,7 @@ def flow_many(
         quad=Y[:, 2 * n],
         ok=ok,
         reasons=reasons,
-        det_min=det_min,
+        det=det,
         steps=steps,
         time=target,
     )

@@ -18,8 +18,8 @@ maps an (..., n) array of chart points to
 Use :func:`pointwise_geometry` to wrap per-point evaluators that do not
 broadcast.
 
-Jet convention: ``ChartedGeometry.jet(x, order)`` is the one read of the
-chart data per right-hand-side evaluation.  It takes the points rows-last,
+Jet convention: ``ChartedGeometry.jet(x, order, work)`` is the one read of
+the chart data per right-hand-side evaluation.  It takes the points rows-last,
 x of shape (n, m), coordinate first, and returns rows-last arrays
 
     g (n, n, m), dg (n, n, n, m), beta (n, n, m), A (n, m)
@@ -42,6 +42,17 @@ built-in charts write their formula kernels coordinate first and build both
 their evaluators (which move the coordinate axis last) and their fused jet
 from them, using elementwise operations only, so both paths give the same
 bits and a row's values do not depend on the rest of its batch.
+
+``work`` is a dict in which a fused jet keeps its arrays: a flow passes one
+per integration, so the jet allocates its arrays, zeroed, on the flow's
+first call and writes into them after, starting over when the points change
+shape or dtype; a work dict serves one geometry.  Without ``work`` every
+call gets fresh arrays, and a composed jet ignores it.  A built-in kernel
+writes only the entries its formula fills, into a zeroed array from
+``work`` (the evaluators pass a fresh dict), so the entries that vanish
+identically stay zero and both paths run the same kernel, with the same
+bits.  The jet's arrays are read-only for the caller and valid until the
+next call with the same ``work``.
 
 Derivative rule: the evaluators are holomorphic, so a derivative along a real
 chart coordinate is the trapezoid rule on a circle of radius
@@ -96,10 +107,10 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class FusedJet:
-    """A closed-form jet ``fn(x, order)`` and the evaluators it reproduces,
-    in the order of ``ChartedGeometry.evaluators``."""
+    """A closed-form jet ``fn(x, order, work)`` and the evaluators it
+    reproduces, in the order of ``ChartedGeometry.evaluators``."""
 
-    fn: Callable[[Array, int], tuple]
+    fn: Callable[[Array, int, Optional[dict]], tuple]
     evaluators: tuple
 
 
@@ -162,13 +173,17 @@ class ChartedGeometry:
         return (self.inv_metric, self.inv_metric_deriv, self.beta, self.potential,
                 self.inv_metric_deriv2, self.beta_deriv)
 
-    def jet(self, x: Array, order: int = 1) -> tuple:
+    def jet(self, x: Array, order: int = 1, work: Optional[dict] = None) -> tuple:
         """(g, dg, beta, A) at the rows-last points x (n, ...), plus (d2g,
         dbeta) at ``order=2``, every array with the batch axes last; ``None``
         marks a derivative that vanishes identically (fused jets only), and a
-        missing second-derivative evaluator is composed by contour."""
+        missing second-derivative evaluator is composed by contour.
+
+        A fused jet writes into the arrays it keeps in ``work`` (fresh ones
+        without it); the caller must not write to them, and they hold until
+        the next call with the same ``work``.  A composed jet ignores it."""
         if self.fused_jet is not None:
-            return self.fused_jet.fn(x, order)
+            return self.fused_jet.fn(x, order, work)
         x = np.asarray(x)
         batch = x.ndim - 1
         x = _front_to_last(x, 1)
@@ -205,13 +220,37 @@ def _last_to_front(a: Array, k: int) -> Array:
     return a.transpose(tuple(range(a.ndim - k, a.ndim)) + tuple(range(a.ndim - k)))
 
 
+def _jet_work(work: Optional[dict], x: Array) -> dict:
+    """The dict a fused jet keeps its arrays in for the points x: a fresh
+    one without ``work``, else ``work``, emptied when x has another shape or
+    dtype than at its last call."""
+    if work is None:
+        return {}
+    layout = (x.shape, x.dtype)
+    if work.get("layout") != layout:
+        work.clear()
+        work["layout"] = layout
+    return work
+
+
+def _work_array(work: dict, key: str, shape: tuple, dtype, fill=0) -> Array:
+    """``work[key]``, allocated with this shape and dtype and set to
+    ``fill`` (zero by default) when it is missing."""
+    a = work.get(key)
+    if a is None:
+        a = work[key] = np.empty(shape, dtype)
+        a[...] = fill
+    return a
+
+
 def _evaluator(kernel: Callable, shared: Callable) -> Callable[[Array], Array]:
     """A broadcasting evaluator in the (..., n) convention from a built-in
-    kernel(x, shared(x)) that takes x coordinate first and returns its array
-    batch last; the fused jet calls the same kernels."""
+    kernel(x, shared(x), work) that takes x coordinate first and returns its
+    array batch last, with a fresh ``work``; the fused jet calls the same
+    kernels."""
     def fn(x):
         x = _last_to_front(np.asarray(x), 1)
-        return _last_to_front(kernel(x, shared(x)), x.ndim - 1)
+        return _last_to_front(kernel(x, shared(x), {}), x.ndim - 1)
     return fn
 
 
@@ -285,10 +324,11 @@ def make_flat_magnetic(dim: int, B_matrix, mass_freq: float) -> ChartedGeometry:
     ginv = np.eye(dim) / mass_freq
     typed = {}  # (dtype, ndim) -> (g, beta, B/2), cast once, a unit axis per batch axis
 
-    # the kernels take the points coordinate first, x (n, ...), and the
-    # constants cast for x, and return their arrays batch last; g, beta and A
-    # are shared by the evaluators and the fused jet, so both give the same
-    # bits, and the jet reports the vanishing derivatives as None
+    # the kernels take the points coordinate first, x (n, ...), the
+    # constants cast for x and the work dict, and return their arrays batch
+    # last; g, beta and A are shared by the evaluators and the fused jet, so
+    # both give the same bits, and the jet reports the vanishing derivatives
+    # as None
     def _consts(x):
         key = (x.dtype, x.ndim)
         if key not in typed:
@@ -296,37 +336,38 @@ def make_flat_magnetic(dim: int, B_matrix, mass_freq: float) -> ChartedGeometry:
             typed[key] = tuple(a.astype(dt).reshape(a.shape + tail) for a in (ginv, B, 0.5 * B))
         return typed[key]
 
-    def _filled(c, x):
-        # a filled copy: np.broadcast_to costs several times more per call
-        out = np.empty((dim, dim) + x.shape[1:], dtype=c.dtype)
-        out[...] = c
-        return out
+    def _filled(key, c, x, work):
+        # a filled copy, filled when its work array is allocated: once per
+        # flow (np.broadcast_to costs several times more per call)
+        return _work_array(work, key, (dim, dim) + x.shape[1:], c.dtype, fill=c)
 
-    def _g(x, consts):
-        return _filled(consts[0], x)
+    def _g(x, consts, work):
+        return _filled("g", consts[0], x, work)
 
-    def _beta(x, consts):
-        return _filled(consts[1], x)
+    def _beta(x, consts, work):
+        return _filled("beta", consts[1], x, work)
 
-    def _potential(x, consts):
+    def _potential(x, consts, work):
         # A_j = (1/2) B_{kj} x^k, summed over k elementwise
         half_b = consts[2]
-        out = half_b[0] * x[0]
+        out = _work_array(work, "A", (dim,) + x.shape[1:], half_b.dtype)
+        np.multiply(half_b[0], x[0], out=out)
         for k in range(1, dim):
             out += half_b[k] * x[k]
         return out
 
     def _zeros(axes):
-        return lambda x, consts: np.zeros((dim,) * axes + x.shape[1:], dtype=x.dtype)
+        return lambda x, consts, work: np.zeros((dim,) * axes + x.shape[1:], dtype=x.dtype)
 
     inv_metric, inv_metric_deriv, beta, potential, inv_metric_deriv2, beta_deriv = (
         _evaluator(kernel, _consts)
         for kernel in (_g, _zeros(3), _beta, _potential, _zeros(4), _zeros(3)))
 
-    def jet(x, order=1):
+    def jet(x, order=1, work=None):
         x = np.asarray(x)
+        work = _jet_work(work, x)
         consts = _consts(x)
-        first = (_g(x, consts), None, _beta(x, consts), _potential(x, consts))
+        first = (_g(x, consts, work), None, _beta(x, consts, work), _potential(x, consts, work))
         return first if order < 2 else first + (None, None)
 
     return ChartedGeometry(
@@ -395,55 +436,86 @@ def make_sphere_magnetic(r: float, B: float) -> ChartedGeometry:
     B = float(B)
     r4 = r**4
 
+    # the kernels' constants as 0-d arrays per dtype: a Python float operand
+    # costs more per call than the operation it enters at these sizes
+    typed = {}
+
+    def _constants(dtype):
+        if dtype not in typed:
+            typed[dtype] = {name: np.array(value, dtype=dtype) for name, value in (
+                ("r2", r**2), ("4r4", 4.0 * r4), ("r4", r4), ("beta", -4.0 * B * r4),
+                ("h", 2.0 * B * r**2), ("2", 2.0), ("dbeta", 16.0 * B * r4))}
+        return typed[dtype]
+
     # one kernel per array, shared by the evaluators and the fused jet, so
     # both give the same bits; a kernel takes u coordinate first, (2, ...),
-    # and returns its array batch last, and the jet computes q = r^2 + u.u
-    # once
-    def _q(u):
-        return r**2 + (u[0] * u[0] + u[1] * u[1])
+    # the shared (q, q^2, constants), q = r^2 + u.u, and the work dict, and
+    # writes the entries its formula fills into its zeroed work array, batch
+    # last; the jet computes q and q^2 once.  At a point without a batch
+    # axis q is a numpy scalar, and the products of scalars keep their
+    # operator form: numpy's scalar complex product can differ in the last
+    # bit from the ufunc loop that an ``out=`` runs
+    def _shared(u):
+        c = _constants(np.result_type(u.dtype, 1.0))
+        q = c["r2"] + (u[0] * u[0] + u[1] * u[1])
+        return q, q**2, c
 
-    def _g(u, q):
-        out = np.zeros((2, 2) + q.shape, dtype=q.dtype)
-        out[0, 0] = out[1, 1] = q**2 / (4.0 * r4)
+    def _g(u, s, work):
+        q, q2, c = s
+        out = _work_array(work, "g", (2, 2) + q.shape, q.dtype)
+        g = np.divide(q2, c["4r4"], out=out[0, 0, ...])
+        out[1, 1] = g
         return out
 
-    def _dg(u, q):
-        out = np.zeros((2, 2, 2) + q.shape, dtype=q.dtype)
-        out[0, 0] = out[1, 1] = q * u / r4
+    def _dg(u, s, work):
+        q, _, c = s
+        out = _work_array(work, "dg", (2, 2, 2) + q.shape, q.dtype)
+        d = np.divide(np.multiply(q, u, out=out[0, 0]), c["r4"], out=out[0, 0])
+        out[1, 1] = d
         return out
 
-    def _beta(u, q):
-        out = np.zeros((2, 2) + q.shape, dtype=q.dtype)
-        out[0, 1] = -4.0 * B * r4 / q**2
-        out[1, 0] = -out[0, 1]
+    def _beta(u, s, work):
+        q, q2, c = s
+        out = _work_array(work, "beta", (2, 2) + q.shape, q.dtype)
+        np.negative(np.divide(c["beta"], q2, out=out[0, 1, ...]), out=out[1, 0, ...])
         return out
 
-    def _potential(u, q):
-        h = 2.0 * B * r**2 / q
-        return np.stack([h * u[1], -h * u[0]])
-
-    def _d2g(u, q):
-        val = 2.0 * u[:, None] * u[None, :]
-        val[0, 0] += q
-        val[1, 1] += q
-        out = np.zeros((2, 2, 2, 2) + q.shape, dtype=q.dtype)
-        out[0, 0] = out[1, 1] = val / r4
+    def _potential(u, s, work):
+        q, _, c = s
+        out = _work_array(work, "A", (2,) + q.shape, q.dtype)
+        h = c["h"] / q
+        out[0] = h * u[1]
+        out[1] = -h * u[0]
         return out
 
-    def _beta_deriv(u, q):
-        out = np.zeros((2, 2, 2) + q.shape, dtype=q.dtype)
-        out[0, 1] = 16.0 * B * r4 * u / q**3
-        out[1, 0] = -out[0, 1]
+    def _d2g(u, s, work):
+        # val[l, m] = 2 u_l u_m + q delta_lm, divided by r^4, in both blocks
+        q, _, c = s
+        out = _work_array(work, "d2g", (2, 2, 2, 2) + q.shape, q.dtype)
+        val = np.multiply(np.multiply(c["2"], u)[:, None], u[None, :], out=out[0, 0])
+        for k in range(2):
+            np.add(val[k, k, ...], q, out=val[k, k, ...])
+        np.divide(val, c["r4"], out=val)
+        out[1, 1] = val
+        return out
+
+    def _beta_deriv(u, s, work):
+        q, _, c = s
+        out = _work_array(work, "dbeta", (2, 2, 2) + q.shape, q.dtype)
+        d = np.divide(np.multiply(c["dbeta"], u, out=out[0, 1]), q**3, out=out[0, 1])
+        np.negative(d, out=out[1, 0])
         return out
 
     inv_metric, inv_metric_deriv, beta, potential, inv_metric_deriv2, beta_deriv = (
-        _evaluator(kernel, _q) for kernel in (_g, _dg, _beta, _potential, _d2g, _beta_deriv))
+        _evaluator(kernel, _shared)
+        for kernel in (_g, _dg, _beta, _potential, _d2g, _beta_deriv))
 
-    def jet(u, order=1):
+    def jet(u, order=1, work=None):
         u = np.asarray(u)
-        q = _q(u)
-        first = (_g(u, q), _dg(u, q), _beta(u, q), _potential(u, q))
-        return first if order < 2 else first + (_d2g(u, q), _beta_deriv(u, q))
+        work = _jet_work(work, u)
+        s = _shared(u)
+        first = (_g(u, s, work), _dg(u, s, work), _beta(u, s, work), _potential(u, s, work))
+        return first if order < 2 else first + (_d2g(u, s, work), _beta_deriv(u, s, work))
 
     return ChartedGeometry(
         dim=2,

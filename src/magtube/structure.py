@@ -241,8 +241,12 @@ def integrability_residual_many(
 
     Returns (F, ok, reasons, residuals): the orthonormalized centre columns,
     ok flags and reasons of the centre rows, as ``frames_at_many`` gives
-    them, and the defects.
+    them, and the defects.  An (m,) array ``t`` raises ValueError before
+    any flow.
     """
+    if np.ndim(t):
+        raise ValueError("integrability_residual_many needs one time common to all rows "
+                         "(a number or a ComplexTime), not an array of per-row times")
     X, ok, reasons, dX = phase_gradient(lambda rows: _transport(geo, rows, t)[:3], Z,
                                         np.eye(2 * geo.dim))
     F = orthonormalize(X)

@@ -309,7 +309,7 @@ def _real_flows(case):
             "symplectomorphy": np.abs(pulled - om0),
             "energy_conservation": np.abs(energy(geo, r12.x, r12.p)
                                           - energy(geo, Z[:, :n], Z[:, n:])),
-            "jacobian_nonsingular": r12.det_min}
+            "jacobian_nonsingular": r12.det}
 
 
 @_block("flow", _Check("hamiltonian_field_inversion", 1e-10))

@@ -480,6 +480,34 @@ def test_cmd_sweep_bases_from_x_axes(tmp_path, monkeypatch):
         assert not Z[:, 1].any()
 
 
+def test_main_builds_one_parser_and_leaks_no_state(tmp_path, monkeypatch):
+    # main parses with one parser built on its first call; a flag given to
+    # one call must not reach the next
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    sweep_cfg = _write(tmp_path, "sweep.cfg",
+                       "kind = flat\nB = 0 1; -1 0\ngrid = p1:0.2:1.5:2\ntime = i\nseed = 11\n")
+    grid_cfg = _write(tmp_path, "grid.cfg",
+                      "kind = flat\nB = 0 1; -1 0\ngrid = x1:-0.2:0.2:2, p1:-0.4:0.4:2\ntime = i\n")
+
+    def run(*argv):
+        out = str(tmp_path / "out.csv")
+        assert main(list(argv) + ["--out", out]) == 0
+        return open(out).read()
+
+    lone_sweep = run("sweep", "--config", sweep_cfg)
+    lone_extend = run("extend", "--config", grid_cfg)
+    assert lone_extend == run("extend", "--config", grid_cfg, "--f", "x1")
+    assert run("sweep", "--config", sweep_cfg, "--seed", "7") != lone_sweep
+    assert run("sweep", "--config", sweep_cfg) == lone_sweep
+    assert run("extend", "--config", grid_cfg, "--f", "x1^2") != lone_extend
+    assert run("extend", "--config", grid_cfg) == lone_extend
+    assert built == [1]
+    cli._parser.cache_clear()
+
+
 def test_cmd_sweep_shell_with_no_success(tmp_path):
     # far outside the sphere's tube every row fails: the margins are nan
     cfg = _write(tmp_path, "c.cfg",

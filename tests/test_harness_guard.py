@@ -37,7 +37,7 @@ def test_traced_entry_points_exist(monkeypatch):
                 if not callable(getattr(geometry, name, None))]
     assert not missing
     # the flow span reads the rows from Z0 (second positional argument) and
-    # the steps and ok flags from the returned (Y, ok, reasons, det_min, steps)
+    # the steps and ok flags from the returned (Y, ok, reasons, det, steps)
     assert list(inspect.signature(flow._integrate_path).parameters)[:2] == ["geo", "Z0"]
     assert tuple(suites.suite_functions()) == spans.SUITES
     # spans rebinds each suite callable by identity among the module
@@ -57,3 +57,18 @@ def test_instrumented_flow_is_traced(monkeypatch):
     m = spans.layer_metrics(tracer)
     assert m["flow.calls"] == 1 and m["flow.rows"] == 2
     assert m["flow.steps"] == res.steps and m["flow.rows_failed"] == 0
+
+
+def test_integrate_path_returns_what_the_flow_span_reads():
+    # (Y, ok, reasons, det, steps): steps at index 4 as flow_many reports it,
+    # |det| of the end tangent map at index 3, NaN without the tangent map
+    geo = geometry.make_sphere_magnetic(1.0, 1.0)
+    Z = np.array([[0.1, -0.05, 0.3, 0.2], [0.0, 0.1, -0.2, 0.1]], dtype=complex)
+    for tangent in (True, False):
+        out = flow._integrate_path(geo, Z, (0.0, 1j), tangent=tangent)
+        res = flow.flow_many(geo, Z, 1j, tangent=tangent)
+        assert len(out) == 5 and out[4] == res.steps and list(out[1]) == list(res.ok)
+        if tangent:
+            assert np.array_equal(out[3], np.abs(np.linalg.det(res.jac)))
+        else:
+            assert np.isnan(out[3]).all()

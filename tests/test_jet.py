@@ -68,6 +68,52 @@ def test_fused_jet_matches_composed_jet(geo, rng):
                     assert np.array_equal(f, c)
 
 
+# A flow passes the jet one work dict: a fused jet writes into the arrays it
+# keeps there, allocated zeroed on the first call.  Each call gives the bits
+# of fresh arrays, and the entries a kernel never writes stay zero.
+
+def _jet_layouts(rng, n):
+    """Pairs of rows-last points of one layout each: 7 rows, 1 row, and an
+    (n,) point without a batch axis."""
+    def points(m):
+        return _complex_points(rng, m, n, 0.3).T
+
+    return [(points(7), points(7)), (points(1), points(1)), (points(1)[:, 0], points(1)[:, 0])]
+
+
+@pytest.mark.parametrize("geo", _fused_geometries(), ids=lambda g: g.name)
+def test_jet_work_arrays_give_the_bits_of_fresh_ones(geo, rng):
+    for order in (1, 2):
+        work = {}
+        for pair in _jet_layouts(rng, geo.dim):
+            kept = None
+            for x in pair:
+                got = geo.jet(x, order, work)
+                fresh = geo.jet(x, order)
+                assert len(got) == len(fresh) == 2 + 2 * order
+                for a, b in zip(got, fresh):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert a.shape == b.shape and a.dtype == b.dtype
+                        assert np.array_equal(a, b) and not a[b == 0].any()
+                if kept is not None:  # the second call writes into the first call's arrays
+                    assert all(a is b for a, b in zip(got, kept) if a is not None)
+                kept = got
+
+
+@pytest.mark.parametrize("tangent", [False, True])
+@pytest.mark.parametrize("geo", _fused_geometries(), ids=lambda g: g.name)
+def test_rhs_with_work_arrays_matches_rhs_without(geo, tangent, rng):
+    n2 = 2 * geo.dim
+    work = {}
+    for _ in range(2):
+        Y = _pack(_complex_points(rng, 6, n2, 0.3), geo.dim, tangent)
+        if tangent:
+            Y[n2 + 1 :] += rng.normal(size=(n2 * n2, 6))
+        assert np.array_equal(_rhs(geo, Y, np.empty_like(Y), work),
+                              _rhs(geo, Y, np.empty_like(Y)))
+
+
 def test_flat_jet_marks_the_vanishing_derivatives():
     geo = make_flat_magnetic(2, [[0.0, 1.0], [-1.0, 0.0]], 1.0)
     g, dg, b, A, d2g, db = geo.jet(np.zeros((2, 3), dtype=complex), 2)
@@ -95,9 +141,9 @@ def test_rhs_reads_the_geometry_through_one_jet_call(tangent, rng):
     def forbidden(x):
         raise AssertionError("evaluator called outside the jet")
 
-    def jet(x, order):
+    def jet(x, order, work):
         calls.append(order)
-        return sphere.jet(x, order)
+        return sphere.jet(x, order, work)
 
     evals = tuple(forbidden for _ in EVALUATORS)
     geo = ChartedGeometry(2, *evals[:4], chart_box=3.0, complex_radius=0.6,
@@ -143,8 +189,8 @@ def _scaled_fused_d2g(geo, factor):
     """geo with correct evaluators but a fused jet whose d2g is scaled."""
     fused = geo.fused_jet
 
-    def jet(x, order, _fn=fused.fn):
-        out = _fn(x, order)
+    def jet(x, order, work, _fn=fused.fn):
+        out = _fn(x, order, work)
         return out if order < 2 else out[:4] + (factor * out[4], out[5])
     return dataclasses.replace(geo, fused_jet=FusedJet(jet, fused.evaluators))
 
@@ -306,5 +352,5 @@ def test_wrapped_evaluators_flow_a_grid_as_the_fused_jet_does(geo, Z):
     assert wrapped.fused_jet is None and geo.fused_jet is not None
     fused, composed = flow_many(geo, Z, 1j), flow_many(wrapped, Z, 1j)
     assert fused.ok.all() and composed.steps == fused.steps
-    for name in ("x", "p", "quad", "jac", "det_min"):
+    for name in ("x", "p", "quad", "jac", "det"):
         assert np.array_equal(getattr(composed, name), getattr(fused, name))

@@ -320,6 +320,16 @@ def test_integrability_failure_is_per_row():
     assert np.isnan(F[1]).all() and np.isfinite(F[[0, 2]]).all()
 
 
+def test_integrability_rejects_per_row_times_before_any_flow(sphere_geo, rng, monkeypatch):
+    # the contour batch has more rows than a per-row t; the time must be common
+    def no_flow(*args, **kwargs):
+        raise AssertionError("flowed before the time was checked")
+
+    monkeypatch.setattr(structure, "flow_many", no_flow)
+    with pytest.raises(ValueError, match="one time common to all rows"):
+        integrability_residual_many(sphere_geo, sample_sphere(rng, 2), np.array([1j, 0.5j]))
+
+
 def test_integrability_centre_frames_are_the_frames(flat_geo, sphere_geo, rng):
     for geo, Z in ((flat_geo, sample_flat(rng, 3)), (sphere_geo, sample_sphere(rng, 3))):
         for t in (1j, 0.3 + 0.8j):
