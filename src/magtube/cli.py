@@ -52,6 +52,7 @@ from .kahler import (
     kde_residual_many,
 )
 from .structure import (
+    TRANSVERSALITY_THRESHOLD,
     assemble_J,
     frames_at_many,
     integrability_residual_many,
@@ -161,11 +162,15 @@ def _rows_frame(geo, Z, t):
 
 
 def _rows_acs(geo, Z, t):
+    # a row whose frame is not transversal to its conjugate has no J: it
+    # fails with its transversality, and J is assembled on the other rows
     n = geo.dim
     F, ok, reasons, integ = integrability_residual_many(geo, Z, t)
     vals = np.full((len(Z), 3 + 4 * n * n), np.nan)
+    vals[ok, 0] = transversality_check(F[ok])
+    for i in np.flatnonzero(vals[:, 0] < TRANSVERSALITY_THRESHOLD):
+        ok[i], reasons[i] = False, f"frame not transversal to its conjugate (smin={vals[i, 0]:.3e})"
     acs = assemble_J(geo, Z[ok, :n].real, F[ok])
-    vals[ok, 0] = acs.transversality
     vals[ok, 1] = acs.positivity_spectrum.min(axis=-1)
     vals[ok, 2] = integ[ok]
     vals[ok, 3:] = acs.J.reshape(-1, 4 * n * n)

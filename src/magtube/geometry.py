@@ -15,8 +15,9 @@ maps an (..., n) array of chart points to
     beta             -> (..., n, n)
     potential        -> (..., n)
 
-Use :func:`pointwise_geometry` to wrap per-point evaluators that do not
-broadcast.
+A built-in chart evaluates an (n,) point as the one-row batch, so a point
+gets the bits of its row in any batch.  Use :func:`pointwise_geometry` to
+wrap per-point evaluators that do not broadcast.
 
 Jet convention: ``ChartedGeometry.jet(x, order, work)`` is the one read of
 the chart data per right-hand-side evaluation.  It takes the points rows-last,
@@ -181,10 +182,14 @@ class ChartedGeometry:
 
         A fused jet writes into the arrays it keeps in ``work`` (fresh ones
         without it); the caller must not write to them, and they hold until
-        the next call with the same ``work``.  A composed jet ignores it."""
+        the next call with the same ``work``.  A composed jet ignores it.  A
+        point x (n,) is the one-row batch, bit for bit."""
+        x = np.asarray(x)
+        if x.ndim == 1:
+            return tuple(None if a is None else a[..., 0]
+                         for a in self.jet(x[:, None], order, work))
         if self.fused_jet is not None:
             return self.fused_jet.fn(x, order, work)
-        x = np.asarray(x)
         batch = x.ndim - 1
         x = _front_to_last(x, 1)
         out = (self.inv_metric(x), self.inv_metric_deriv(x), self.beta(x), self.potential(x))
@@ -249,7 +254,10 @@ def _evaluator(kernel: Callable, shared: Callable) -> Callable[[Array], Array]:
     array batch last, with a fresh ``work``; the fused jet calls the same
     kernels."""
     def fn(x):
-        x = _last_to_front(np.asarray(x), 1)
+        x = np.asarray(x)
+        if x.ndim == 1:  # a point is the one-row batch, bit for bit
+            return fn(x[None])[0]
+        x = _last_to_front(x, 1)
         return _last_to_front(kernel(x, shared(x), {}), x.ndim - 1)
     return fn
 
@@ -451,10 +459,7 @@ def make_sphere_magnetic(r: float, B: float) -> ChartedGeometry:
     # both give the same bits; a kernel takes u coordinate first, (2, ...),
     # the shared (q, q^2, constants), q = r^2 + u.u, and the work dict, and
     # writes the entries its formula fills into its zeroed work array, batch
-    # last; the jet computes q and q^2 once.  At a point without a batch
-    # axis q is a numpy scalar, and the products of scalars keep their
-    # operator form: numpy's scalar complex product can differ in the last
-    # bit from the ufunc loop that an ``out=`` runs
+    # last; the jet computes q and q^2 once
     def _shared(u):
         c = _constants(np.result_type(u.dtype, 1.0))
         q = c["r2"] + (u[0] * u[0] + u[1] * u[1])

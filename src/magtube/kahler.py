@@ -226,16 +226,14 @@ def kappa1_flat(B: float, mass_freq: float, z1: complex, z2: complex) -> float:
     return _kappa_xyuv(B, mass_freq, z1.real, z1.imag, z2.real, z2.imag, 0.5)
 
 
-KAPPA1_TOL = 1e-10  # the resolved coefficient's largest admitted dbar defect
-
-
 def resolve_kappa1_coefficient(B: float, mass_freq: float, J: np.ndarray, samples: np.ndarray):
     """Empirically select the tanh coefficient of kappa1 by the dbar test.
 
     For each candidate c in (1/2, 1) evaluates the worst defect of
     (1/2) d kappa1 (J X) = theta^A(X) over the sample points (J is the flat
     complex structure matrix, constant on the plane).  Returns
-    (coefficient, residuals dict).
+    (coefficient, residuals dict): the candidate with the smaller defect,
+    whether or not that defect is small; the caller bounds it.
     """
     from .oracles import flat_complex_coordinates
 
@@ -253,12 +251,7 @@ def resolve_kappa1_coefficient(B: float, mass_freq: float, J: np.ndarray, sample
 
         lhs = 0.5 * (phase_gradient(kappa1, Z, np.eye(4))[3] @ J)
         residuals[c] = float(np.abs(lhs - theta).max())
-    chosen = 0.5 if residuals[0.5] <= residuals[1.0] else 1.0
-    if residuals[chosen] > KAPPA1_TOL:
-        raise RuntimeError(
-            f"neither tanh coefficient satisfies the dbar identity: {residuals}"
-        )
-    return chosen, residuals
+    return (0.5 if residuals[0.5] <= residuals[1.0] else 1.0), residuals
 
 
 # ---------------------------------------------------------------------------

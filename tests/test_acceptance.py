@@ -58,7 +58,6 @@ MANIFEST = [
     ("geometry", "flat_validation", "max", False, 1e-11),
     ("geometry", "sphere_validation", "max", False, 1e-08),
     ("geometry", "metric_positive_definite", "min", False, 0.0),
-    ("geometry", "fault_injection_detected", "min", False, 1e-06),
     ("geometry", "sphere_beta_pullback", "max", False, 1e-10),
     ("geometry", "sphere_flux_quadrature", "max", False, 1e-08),
     ("geometry", "flat_analyticity", "max", False, 1e-10),
@@ -93,7 +92,6 @@ MANIFEST = [
     ("kahler", "f_conjugation", "max", False, 1e-08),
     ("kahler", "kappa2_reality", "max", False, 1e-10),
     ("kahler", "kappa2_closed_form", "max", False, 1e-07),
-    ("kahler", "f_zero_at_origin", "max", False, 1e-12),
     ("kahler", "dbar_flat", "max", False, 1e-10),
     ("kahler", "dbar_sphere", "max", False, 1e-10),
     ("kahler", "kappa1_adapted", "max", False, 1e-10),
@@ -102,21 +100,14 @@ MANIFEST = [
     ("kahler", "extension_dbar_flat", "max", False, 1e-10),
     ("kahler", "extension_dbar_sphere", "max", False, 1e-10),
     ("kahler", "extension_coordinates", "max", False, 1e-08),
-    ("kahler", "extension_ring_property", "max", False, 1e-08),
     ("kahler", "extension_zero_section", "max", False, 1e-12),
     ("kahler", "weight_zero_section", "max", False, 1e-12),
     ("kahler", "weight_power_law", "max", False, 1e-10),
     ("kahler", "weight_gaussian_density", "max", False, 1e-10),
-    ("intertwine", "flow_reversal_geodesic", "max", False, 1e-10),
-    ("intertwine", "flow_reversal_flat", "max", False, 1e-09),
-    ("intertwine", "flow_reversal_sphere", "max", False, 1e-08),
-    ("intertwine", "flow_reversal_flat_oracle", "max", False, 1e-12),
-    ("intertwine", "frame_intertwine_geodesic", "max", False, 1e-08),
     ("intertwine", "frame_intertwine_flat", "max", False, 1e-07),
     ("intertwine", "frame_intertwine_sphere", "max", False, 1e-06),
     ("intertwine", "frame_intertwine_shifted_flat", "max", False, 1e-06),
     ("intertwine", "frame_intertwine_shifted_sphere", "max", False, 1e-06),
-    ("intertwine", "involution", "max", False, 1e-10),
     ("flat-oracle", "flow_oracle_equivalence", "max", False, 1e-08),
     ("flat-oracle", "complex_coordinates", "max", False, 1e-08),
     ("flat-oracle", "frame_closed_form", "max", False, 1e-09),
@@ -125,7 +116,6 @@ MANIFEST = [
     ("flat-oracle", "f_minus_i_distinguished_point", "max", False, 1e-09),
     ("flat-oracle", "geodesic_limit", "max", False, 1e-10),
     ("flat-oracle", "larmor_periodicity", "max", False, 1e-08),
-    ("flat-oracle", "kappa1_coefficient_resolution", "max", False, 1e-10),
     ("sphere-oracle", "embedding_quadric", "max", False, 1e-12),
     ("sphere-oracle", "embedding_fixes_zero_section", "max", False, 1e-12),
     ("sphere-oracle", "moment_map_identity", "max", False, 1e-12),
@@ -151,7 +141,7 @@ def test_check_manifest(report):
     looser = [row for row, pinned in zip(got, MANIFEST)
               if (row[4] > pinned[4] if row[2] == "max" else row[4] < pinned[4])]
     assert not looser
-    assert len(MANIFEST) == 83
+    assert len(MANIFEST) == 73
 
 
 def test_criterion_01_flat_flow_oracle_equivalence():
@@ -233,9 +223,7 @@ def test_criterion_08_holomorphy_of_extensions(report):
 
 def test_criterion_09_intertwiner(report):
     _gate(report, 9,
-          [("intertwine", "flow_reversal_flat", 1e-9, "max"),
-           ("intertwine", "flow_reversal_sphere", 1e-8, "max"),
-           ("intertwine", "frame_intertwine_flat", 1e-7, "max"),
+          [("intertwine", "frame_intertwine_flat", 1e-7, "max"),
            ("intertwine", "frame_intertwine_sphere", 1e-6, "max"),
            ("intertwine", "frame_intertwine_shifted_flat", 1e-6, "max"),
            ("intertwine", "frame_intertwine_shifted_sphere", 1e-6, "max")],

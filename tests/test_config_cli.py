@@ -15,6 +15,8 @@ from magtube.config import (
     parse_complex,
     parse_config_text,
 )
+from magtube.geometry import make_sphere_magnetic
+from magtube.structure import assemble_J, frames_at_many
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +366,26 @@ def test_cmd_acs_columns(tmp_path):
         assert float(row[ii]) < 1e-4
     # J is row-major 4x4: 16 columns present
     assert all(f"J{a}{b}" in header for a in range(4) for b in range(4))
+
+
+def test_cmd_acs_fails_the_rows_without_a_complex_structure(tmp_path):
+    # at t = 2e-6 i the sphere frame at u = 0 is transversal to its
+    # conjugate only to 7.1e-7, below the threshold, and at u = 0.5 to 1.1e-6:
+    # the first row fails with its transversality, the second gets its J
+    cfg = _write(tmp_path, "c.cfg", "kind = sphere\nradius = 1\nfield = 1\n"
+                 "grid = x1:0:0.5:2, p1:0.3:0.3:1\ntime = 0.000002i\n")
+    out = tmp_path / "acs.csv"
+    assert main(["acs", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    it, iJ = header.index("transversality"), header.index("J00")
+    assert rows[0][-2] == "failed" and rows[0][-1].startswith("frame not transversal")
+    assert 0 < float(rows[0][it]) < 1e-6
+    assert all(v == "nan" for v in rows[0][it + 1:-2])
+    assert rows[1][-2:] == ["ok", ""] and float(rows[1][it]) > 1e-6
+    geo = make_sphere_magnetic(1.0, 1.0)
+    Z = np.array([[0.5, 0.0, 0.3, 0.0]])
+    acs = assemble_J(geo, Z[:, :2], frames_at_many(geo, Z, 2e-6j)[0])
+    assert [float(v) for v in rows[1][iJ:-2]] == acs.J.ravel().tolist()
 
 
 @pytest.mark.parametrize("command", ["acs", "potential", "extend"])

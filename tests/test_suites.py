@@ -53,8 +53,8 @@ def test_a_third_chart_is_one_table_entry(monkeypatch):
         assert 6 in widths[suite], suite
     # the chart-generic checks without a {chart} name
     assert {"zero_section_jacobian", "zero_section_frame_span", "zero_section_positivity_form",
-            "zero_section_fixed", "real_time_degeneracy", "fault_injection_detected",
-            "tangent_map_contour", "totally_real_vertical_block"} <= ran["flat3"]
+            "zero_section_fixed", "real_time_degeneracy", "tangent_map_contour",
+            "totally_real_vertical_block"} <= ran["flat3"]
 
 
 def test_a_nan_entry_fails_its_check(monkeypatch):
