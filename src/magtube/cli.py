@@ -17,9 +17,10 @@ sweep      per-|p|-shell continuation success fraction and structure margins
 The first five are the grid commands, rows of ``GRID_COMMANDS``: each names
 its row builder, its columns and its time rule, and ``cmd_grid`` runs them
 all one way (config, geometry, grid and time once, then rows, then CSV).
-``--jobs N`` splits a grid command's rows over N worker processes; verify and
-sweep run in one process.  flow and frame take any time; acs, extend and
-sweep need Im t != 0; potential computes at t = i only, with no path.
+``--jobs N`` splits a grid command's rows into min(N, rows) chunks, run by a
+pool of at most one worker per CPU; verify and sweep run in one process.
+flow and frame take any time; acs, extend and sweep need Im t != 0;
+potential computes at t = i only, with no path.
 
 Exit codes: 0 all good / checks pass, 1 check failure, 2 configuration error.
 Config keys can be overridden through MAGTUBE_* environment variables.
@@ -30,8 +31,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -96,23 +99,24 @@ def _write_csv(path, header, lines):
 
 
 def _load(args) -> RunConfig:
+    """The config with the flags that are given (an empty one is not)."""
     cfg = load_config(args.config)
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if getattr(args, "suite", None):
-        cfg.suite = args.suite
+    for key in ("out", "seed", "jobs", "suite"):
+        if getattr(args, key, None) not in (None, ""):
+            setattr(cfg, key, getattr(args, key))
     return check_run_keys(cfg)
 
 
 def _chunks(m: int, jobs: int):
-    """Contiguous row slices [lo, hi), one per worker and none empty (the
-    grid has m >= 1 rows and jobs >= 1)."""
+    """Contiguous row slices [lo, hi), min(jobs, m) of them and none empty
+    (the grid has m >= 1 rows and jobs >= 1)."""
     bounds = np.linspace(0, m, min(jobs, m) + 1).astype(int).tolist()
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, else the machine's count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +303,9 @@ def cmd_grid(args) -> int:
         # serial runs never need
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        # the chunks, and so the CSV, follow --jobs; the workers are capped
+        # at the CPUs, as a pool may start all of them at its first submit
+        with ProcessPoolExecutor(max_workers=min(len(spans), _cpus())) as pool:
             futs = [pool.submit(_grid_chunk, cfg, args.command, lo, hi, function)
                     for lo, hi in spans]
             rows = [row for fut in futs for row in fut.result()]
@@ -331,7 +337,8 @@ def cmd_sweep(args) -> int:
     n = geo.dim
     p_axes = [ax for ax in cfg.grid if ax.name.startswith("p")]
     if p_axes:
-        radii = np.linspace(max(1e-3, p_axes[0].lo), p_axes[0].hi, p_axes[0].count)
+        # the first p axis's grid values, from a low end of at least 1e-3
+        radii = replace(p_axes[0], lo=max(1e-3, p_axes[0].lo)).values()
     else:
         radii = np.linspace(0.1, 1.0, 8)
     bases = np.unique(grid_points(cfg, geo)[:, :n], axis=0)
@@ -379,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=None, help="random seed override")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (at least 1); the grid commands split "
-                            "their rows over them, verify and sweep run in one process")
+                       help="row chunks (at least 1); the grid commands split their rows "
+                            "into this many, run by at most one worker per CPU; verify "
+                            "and sweep run in one process")
 
     for name, spec in GRID_COMMANDS.items():
         p = sub.add_parser(name, help=spec.help)

@@ -7,13 +7,17 @@ path (comma list of complex literals), suite, seed, jobs, out.
 
 Complex literals use 'i' or 'j': "0.3+0.8i", "-i", "1.2", "2i".  Environment
 variables with the MAGTUBE_ prefix override file keys (e.g. MAGTUBE_SEED=7).
+
+Each key is one entry of ``_PARSERS``, keyed by its ``RunConfig`` field;
+every range rule is in ``check_run_keys``; each kind is one row of
+``_KINDS``.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
@@ -97,7 +101,42 @@ class RunConfig:
     out: Optional[str] = None
 
 
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+def _matrix(text: str) -> np.ndarray:
+    """A row-major matrix, rows separated by ';'."""
+    return np.array([[float(v) for v in row.split()] for row in text.split(";") if row.strip()],
+                    dtype=float)
+
+
+def _grid(text: str) -> list:
+    """Grid axes from a comma list of name:min:max:count specs."""
+    axes = []
+    for spec in text.split(","):
+        spec = spec.strip()
+        if not spec:
+            continue
+        parts = spec.split(":")
+        if len(parts) != 4:
+            raise ConfigError(f"grid axis {spec!r} is not name:min:max:count")
+        axes.append(GridAxis(parts[0], float(parts[1]), float(parts[2]), int(parts[3])))
+    return axes
+
+
+# one parser per RunConfig field: its keys are the known keys
+_PARSERS = {
+    "kind": str.lower,
+    "dim": int,
+    "B": _matrix,
+    "mass_freq": float,
+    "radius": float,
+    "field": float,
+    "grid": _grid,
+    "time": parse_complex,
+    "path": lambda text: tuple(parse_complex(w) for w in text.split(",") if w.strip()),
+    "suite": str.strip,
+    "seed": int,
+    "jobs": int,
+    "out": str,
+}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -109,81 +148,38 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         pairs[key] = value
     return _config_from_pairs(pairs)
 
 
-def _apply_env_overrides(pairs: dict) -> dict:
-    for key in _KNOWN_KEYS:
+def _config_from_pairs(pairs: dict) -> RunConfig:
+    """The config of the key = value pairs, MAGTUBE_* variables overriding
+    them, each value parsed by its key's parser and the result checked."""
+    pairs = dict(pairs)
+    for key in _PARSERS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             pairs[key] = env
-    return pairs
-
-
-def _config_from_pairs(pairs: dict) -> RunConfig:
-    pairs = _apply_env_overrides(dict(pairs))
-    cfg = RunConfig()
     try:
-        if "kind" in pairs:
-            cfg.kind = pairs["kind"].lower()
-        if "dim" in pairs:
-            cfg.dim = int(pairs["dim"])
-            if cfg.dim < 1:
-                raise ConfigError(f"dim must be at least 1, got {cfg.dim}")
-        if "B" in pairs:
-            rows = [
-                [float(v) for v in row.split()]
-                for row in pairs["B"].split(";")
-                if row.strip()
-            ]
-            cfg.B = np.array(rows, dtype=float)
-        if "mass_freq" in pairs:
-            cfg.mass_freq = float(pairs["mass_freq"])
-        if "radius" in pairs:
-            cfg.radius = float(pairs["radius"])
-        if "field" in pairs:
-            cfg.field = float(pairs["field"])
-        if "grid" in pairs:
-            cfg.grid = []
-            for spec in pairs["grid"].split(","):
-                spec = spec.strip()
-                if not spec:
-                    continue
-                parts = spec.split(":")
-                if len(parts) != 4:
-                    raise ConfigError(f"grid axis {spec!r} is not name:min:max:count")
-                axis = GridAxis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
-                if axis.count < 1:
-                    raise ConfigError(f"grid axis {axis.name} needs count >= 1, got {axis.count}")
-                cfg.grid.append(axis)
-        if "time" in pairs:
-            cfg.time = parse_complex(pairs["time"])
-        if "path" in pairs:
-            cfg.path = tuple(
-                parse_complex(w) for w in pairs["path"].split(",") if w.strip()
-            )
-        if "suite" in pairs:
-            cfg.suite = pairs["suite"].strip()
-        if "seed" in pairs:
-            cfg.seed = int(pairs["seed"])
-        if "jobs" in pairs:
-            cfg.jobs = int(pairs["jobs"])
-        if "out" in pairs:
-            cfg.out = pairs["out"]
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
+        cfg = RunConfig(**{key: parse(pairs[key]) for key, parse in _PARSERS.items()
+                           if key in pairs})
+    except (ValueError, TypeError) as exc:  # a ConfigError is a ValueError
         raise ConfigError(str(exc)) from exc
     return check_run_keys(cfg)
 
 
 def check_run_keys(cfg: RunConfig) -> RunConfig:
-    """Reject a suite no command runs, a negative seed and a worker count
-    below one; the CLI calls this again after its flags override the
-    config."""
+    """Every range rule of the config: a dimension and a grid axis count
+    below one, a suite no command runs, a negative seed and a worker count
+    below one are rejected; the CLI calls this again after its flags
+    override the config."""
+    if cfg.dim < 1:
+        raise ConfigError(f"dim must be at least 1, got {cfg.dim}")
+    for axis in cfg.grid:
+        if axis.count < 1:
+            raise ConfigError(f"grid axis {axis.name} needs count >= 1, got {axis.count}")
     if cfg.suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITE_NAMES}")
     if cfg.seed < 0:
@@ -203,21 +199,22 @@ def load_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+# the chart each config kind builds; a custom chart is built in Python
+_KINDS = {
+    "flat": lambda cfg: make_flat_magnetic(
+        cfg.dim, np.zeros((cfg.dim, cfg.dim)) if cfg.B is None else cfg.B, cfg.mass_freq),
+    "sphere": lambda cfg: make_sphere_magnetic(cfg.radius, cfg.field),
+}
+
+
 def build_geometry(cfg: RunConfig) -> ChartedGeometry:
-    if cfg.kind == "flat":
-        B = cfg.B if cfg.B is not None else np.zeros((cfg.dim, cfg.dim))
-        try:
-            return make_flat_magnetic(cfg.dim, B, cfg.mass_freq)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if cfg.kind == "sphere":
-        try:
-            return make_sphere_magnetic(cfg.radius, cfg.field)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if cfg.kind == "custom":
-        raise ConfigError("custom geometries are registered programmatically, not via config")
-    raise ConfigError(f"unknown geometry kind {cfg.kind!r}")
+    try:
+        if cfg.kind not in _KINDS:
+            raise ValueError(f"unknown geometry kind {cfg.kind!r}; choose from {list(_KINDS)} "
+                             "(custom geometries are built in Python, not via config)")
+        return _KINDS[cfg.kind](cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def grid_points(cfg: RunConfig, geo: ChartedGeometry) -> np.ndarray:

@@ -38,11 +38,13 @@ derivative by the contour rule below.  A chart may carry a
 is valid only for the evaluators it was built from, so a geometry whose
 evaluators differ from the fused jet's (``dataclasses.replace`` of any
 evaluator, ``with_negated_field``) drops it and composes.
-``validate_geometry`` checks a fused jet against the composed one.  The
-built-in charts write their formula kernels coordinate first and build both
-their evaluators (which move the coordinate axis last) and their fused jet
-from them, using elementwise operations only, so both paths give the same
-bits and a row's values do not depend on the rest of its batch.
+``validate_geometry`` checks a fused jet against the composed one.
+
+A built-in chart is declared by its formula kernels alone, through
+``_kernel_chart``, which builds both its evaluators (moving the coordinate
+axis last) and its fused jet from the same kernels.  The kernels take x
+coordinate first and use elementwise operations only, so both paths give the
+same bits and a row's values do not depend on the rest of its batch.
 
 ``work`` is a dict in which a fused jet keeps its arrays: a flow passes one
 per integration, so the jet allocates its arrays, zeroed, on the flow's
@@ -262,6 +264,41 @@ def _evaluator(kernel: Callable, shared: Callable) -> Callable[[Array], Array]:
     return fn
 
 
+_RANKS = (2, 3, 2, 1, 4, 3)  # coordinate axes of g, dg, beta, A, d2g, dbeta
+
+
+def _kernel_chart(dim: int, shared: Callable, kernels: tuple, *, chart_box: float,
+                  complex_radius: float, name: str) -> ChartedGeometry:
+    """A built-in chart from ``shared(x)``, the data every kernel reads (the
+    constants cast for x, common subexpressions), and six kernels
+    kernel(x, shared(x), work) in the order of ``ChartedGeometry.evaluators``;
+    each writes the entries its formula fills into its zeroed work array,
+    batch last.  ``None`` in place of dg, d2g or dbeta marks a derivative
+    that vanishes identically: its evaluator returns zeros and its jet entry
+    is ``None``.  The fused jet makes one ``shared`` call per call."""
+    def zeros(rank):
+        return lambda x, s, work: np.zeros((dim,) * rank + x.shape[1:], dtype=x.dtype)
+
+    evaluators = tuple(_evaluator(zeros(rank) if kernel is None else kernel, shared)
+                       for kernel, rank in zip(kernels, _RANKS, strict=True))
+    g, dg, beta, potential, d2g, dbeta = kernels
+
+    # written out, not looped: the jet runs once per right-hand side
+    def jet(x, order=1, work=None):
+        x = np.asarray(x)
+        work = _jet_work(work, x)
+        s = shared(x)
+        first = (g(x, s, work), None if dg is None else dg(x, s, work), beta(x, s, work),
+                 potential(x, s, work))
+        if order < 2:
+            return first
+        return first + (None if d2g is None else d2g(x, s, work),
+                        None if dbeta is None else dbeta(x, s, work))
+
+    return ChartedGeometry(dim, *evaluators[:4], chart_box, complex_radius, name,
+                           *evaluators[4:], FusedJet(jet, evaluators))
+
+
 def _contour_last_axis(fn: Callable[[Array], Array], x: Array) -> Array:
     """Contour derivative of a holomorphic evaluator over each chart coordinate.
 
@@ -332,11 +369,7 @@ def make_flat_magnetic(dim: int, B_matrix, mass_freq: float) -> ChartedGeometry:
     ginv = np.eye(dim) / mass_freq
     typed = {}  # (dtype, ndim) -> (g, beta, B/2), cast once, a unit axis per batch axis
 
-    # the kernels take the points coordinate first, x (n, ...), the
-    # constants cast for x and the work dict, and return their arrays batch
-    # last; g, beta and A are shared by the evaluators and the fused jet, so
-    # both give the same bits, and the jet reports the vanishing derivatives
-    # as None
+    # the shared data: the constants cast for x
     def _consts(x):
         key = (x.dtype, x.ndim)
         if key not in typed:
@@ -364,34 +397,9 @@ def make_flat_magnetic(dim: int, B_matrix, mass_freq: float) -> ChartedGeometry:
             out += half_b[k] * x[k]
         return out
 
-    def _zeros(axes):
-        return lambda x, consts, work: np.zeros((dim,) * axes + x.shape[1:], dtype=x.dtype)
-
-    inv_metric, inv_metric_deriv, beta, potential, inv_metric_deriv2, beta_deriv = (
-        _evaluator(kernel, _consts)
-        for kernel in (_g, _zeros(3), _beta, _potential, _zeros(4), _zeros(3)))
-
-    def jet(x, order=1, work=None):
-        x = np.asarray(x)
-        work = _jet_work(work, x)
-        consts = _consts(x)
-        first = (_g(x, consts, work), None, _beta(x, consts, work), _potential(x, consts, work))
-        return first if order < 2 else first + (None, None)
-
-    return ChartedGeometry(
-        dim=dim,
-        inv_metric=inv_metric,
-        inv_metric_deriv=inv_metric_deriv,
-        beta=beta,
-        potential=potential,
-        chart_box=50.0,
-        complex_radius=math.inf,
-        name=f"flat(dim={dim}, mass_freq={mass_freq})",
-        inv_metric_deriv2=inv_metric_deriv2,
-        beta_deriv=beta_deriv,
-        fused_jet=FusedJet(jet, (inv_metric, inv_metric_deriv, beta, potential,
-                                 inv_metric_deriv2, beta_deriv)),
-    )
+    return _kernel_chart(dim, _consts, (_g, None, _beta, _potential, None, None),
+                         chart_box=50.0, complex_radius=math.inf,
+                         name=f"flat(dim={dim}, mass_freq={mass_freq})")
 
 
 # -- stereographic chart of the round 2-sphere ------------------------------
@@ -455,11 +463,7 @@ def make_sphere_magnetic(r: float, B: float) -> ChartedGeometry:
                 ("h", 2.0 * B * r**2), ("2", 2.0), ("dbeta", 16.0 * B * r4))}
         return typed[dtype]
 
-    # one kernel per array, shared by the evaluators and the fused jet, so
-    # both give the same bits; a kernel takes u coordinate first, (2, ...),
-    # the shared (q, q^2, constants), q = r^2 + u.u, and the work dict, and
-    # writes the entries its formula fills into its zeroed work array, batch
-    # last; the jet computes q and q^2 once
+    # the shared data: (q, q^2, constants), q = r^2 + u.u
     def _shared(u):
         c = _constants(np.result_type(u.dtype, 1.0))
         q = c["r2"] + (u[0] * u[0] + u[1] * u[1])
@@ -511,34 +515,11 @@ def make_sphere_magnetic(r: float, B: float) -> ChartedGeometry:
         np.negative(d, out=out[1, 0])
         return out
 
-    inv_metric, inv_metric_deriv, beta, potential, inv_metric_deriv2, beta_deriv = (
-        _evaluator(kernel, _shared)
-        for kernel in (_g, _dg, _beta, _potential, _d2g, _beta_deriv))
-
-    def jet(u, order=1, work=None):
-        u = np.asarray(u)
-        work = _jet_work(work, u)
-        s = _shared(u)
-        first = (_g(u, s, work), _dg(u, s, work), _beta(u, s, work), _potential(u, s, work))
-        return first if order < 2 else first + (_d2g(u, s, work), _beta_deriv(u, s, work))
-
-    return ChartedGeometry(
-        dim=2,
-        inv_metric=inv_metric,
-        inv_metric_deriv=inv_metric_deriv,
-        beta=beta,
-        potential=potential,
-        # the real chart covers the sphere minus the projection pole; the
-        # box guards against pole passages (|u| -> infinity).  The complex
-        # validity radius keeps q = r^2 + u.u away from its complex zeros.
-        chart_box=3.0 * r,
-        complex_radius=0.6 * r,
-        name=f"sphere(r={r}, B={B})",
-        inv_metric_deriv2=inv_metric_deriv2,
-        beta_deriv=beta_deriv,
-        fused_jet=FusedJet(jet, (inv_metric, inv_metric_deriv, beta, potential,
-                                 inv_metric_deriv2, beta_deriv)),
-    )
+    # the real chart covers the sphere minus the projection pole; the box
+    # guards against pole passages (|u| -> infinity).  The complex validity
+    # radius keeps q = r^2 + u.u away from its complex zeros.
+    return _kernel_chart(2, _shared, (_g, _dg, _beta, _potential, _d2g, _beta_deriv),
+                         chart_box=3.0 * r, complex_radius=0.6 * r, name=f"sphere(r={r}, B={B})")
 
 
 def pointwise_geometry(

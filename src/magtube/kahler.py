@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .flow import field_components, flow_many, _raise_for
-from .geometry import CONTOUR_NODES, CONTOUR_RADIUS, _RING, _WEIGHTS
+from .geometry import _RING, _WEIGHTS
 from .geometry import ChartedGeometry, energy
 
 __all__ = [

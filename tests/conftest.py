@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -128,15 +129,24 @@ def test_grid_count_below_one_and_dim_zero_are_config_errors(tmp_path, capsys, c
         assert msg in capsys.readouterr().err and not out.exists()
 
 
-def test_build_geometry_kinds():
+def test_parser_table_declares_every_config_field():
+    # one parser per RunConfig field, in field order: the known keys
+    assert list(config._PARSERS) == [f.name for f in dataclasses.fields(config.RunConfig)]
+
+
+def test_build_geometry_kinds(tmp_path):
     flat = build_geometry(parse_config_text("kind = flat\nB = 0 1; -1 0\n"))
     assert flat.dim == 2
     sph = build_geometry(parse_config_text("kind = sphere\nradius = 2\nfield = 0.5\n"))
     assert sph.chart_box == 6.0
-    with pytest.raises(ConfigError):
-        build_geometry(parse_config_text("kind = custom\n"))
-    with pytest.raises(ConfigError):
-        build_geometry(parse_config_text("kind = nope\n"))
+    for kind in ("custom", "nope"):
+        with pytest.raises(ConfigError, match="unknown geometry kind"):
+            build_geometry(parse_config_text(f"kind = {kind}\n"))
+        cfg = _write(tmp_path, "c.cfg", f"kind = {kind}\ngrid = p1:0.2:0.6:2\n")
+        assert main(["flow", "--config", cfg]) == 2
+    # a bad chart parameter is a configuration error too
+    bad_radius = _write(tmp_path, "r.cfg", "kind = sphere\nradius = -1\n")
+    assert main(["flow", "--config", bad_radius]) == 2
 
 
 def test_grid_points_order_and_validation():
@@ -563,6 +573,23 @@ def test_cmd_sweep_deterministic(tmp_path):
     assert open(out1).read() == open(out2).read()
 
 
+def _sweep_shells(tmp_path, grid):
+    cfg = _write(tmp_path, "c.cfg", f"kind = flat\nB = 0 1; -1 0\ngrid = {grid}\ntime = i\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    return [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+
+
+def test_sweep_shells_are_the_grid_values(tmp_path):
+    # a one-point p axis is its midpoint in sweep as in the grid flow uses;
+    # an axis of two or more points is linspace from max(1e-3, lo) to hi
+    cfg = parse_config_text("kind = flat\ngrid = p1:0.5:1.5:1\n")
+    flow_p1 = grid_points(cfg, build_geometry(cfg))[:, 2].tolist()
+    assert _sweep_shells(tmp_path, "p1:0.5:1.5:1") == [1.0] == flow_p1
+    assert _sweep_shells(tmp_path, "p1:0.2:1.5:4") == np.linspace(0.2, 1.5, 4).tolist()
+    assert _sweep_shells(tmp_path, "p1:0:1.5:3") == np.linspace(1e-3, 1.5, 3).tolist()
+
+
 def test_cmd_flow_parallel_jobs(tmp_path):
     cfg = _write(
         tmp_path,
@@ -622,13 +649,63 @@ def _record_pools(monkeypatch):
     return pools
 
 
+def _inline_pools(monkeypatch):
+    """Worker counts of the pools the CLI asks for, and the chunks submitted;
+    each chunk runs in this process, so no process starts."""
+    import concurrent.futures
+
+    pools, submitted = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args[2:4])
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return pools, submitted
+
+
+def test_pool_is_capped_at_the_cpus_and_the_chunks_follow_jobs(tmp_path, monkeypatch):
+    # --jobs sets the chunks, and so the CSV; the pool gets at most one
+    # worker per CPU the process may use, the machine's count where the
+    # platform has no affinity
+    cfg = _write(tmp_path, "c.cfg",
+                 "kind = flat\nB = 0 1; -1 0\ngrid = x1:-0.3:0.3:2, p1:0.2:0.6:4\ntime = i\n")
+    chunk_rows = [row for lo, hi in cli._chunks(8, 8)
+                  for row in cli._grid_chunk(load_config(cfg), "flow", lo, hi, None)]
+    pools, submitted = _inline_pools(monkeypatch)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    out = tmp_path / "out.csv"
+    assert main(["flow", "--config", cfg, "--jobs", "4000", "--out", str(out)]) == 0
+    assert pools == [3] and submitted == cli._chunks(8, 8) and len(submitted) == 8
+    header = cli.GRID_COMMANDS["flow"].columns(2) + ["status", "reason"]
+    assert out.read_text() == "\n".join([",".join(header)] + chunk_rows) + "\n"
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+    assert main(["flow", "--config", cfg, "--jobs", "4000", "--out", str(out)]) == 0
+    assert pools == [3, 5] and out.read_text() == "\n".join([",".join(header)] + chunk_rows) + "\n"
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("command", GRID_COMMANDS)
 def test_cmd_flow_rows_are_the_chunk_rows(tmp_path, monkeypatch, command, jobs):
     # every grid command: one row per grid point, failed rows included, byte
     # for byte the rows of the worker entry on the chunks that --jobs splits
-    # the grid into; --jobs 2 starts a 2-worker pool, --jobs 1 none
+    # the grid into; --jobs 2 starts a 2-worker pool on a machine of any
+    # CPU count, --jobs 1 none
     pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(cli, "_cpus", lambda: 4)
     cfg = _write(
         tmp_path,
         "c.cfg",

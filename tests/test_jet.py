@@ -16,6 +16,8 @@ from magtube.flow import ComplexTime, _pack, _rhs, field_components, flow_many
 from magtube.geometry import (
     ChartedGeometry,
     FusedJet,
+    _kernel_chart,
+    _work_array,
     make_flat_magnetic,
     make_sphere_magnetic,
     validate_geometry,
@@ -27,11 +29,47 @@ EVALUATORS = ("inv_metric", "inv_metric_deriv", "beta", "potential",
               "inv_metric_deriv2", "beta_deriv")
 
 
+def _linear_metric_chart():
+    """A chart declared by its kernels: g^{jk} = (1 + a.x) delta^{jk} and the
+    constant field b, so dg = delta a is constant and d2g and dbeta vanish
+    identically (``None``)."""
+    a, b = (0.3, -0.2), 0.7
+
+    def shared(x):
+        return 1.0 + (a[0] * x[0] + a[1] * x[1])
+
+    def g(x, s, work):
+        out = _work_array(work, "g", (2, 2) + s.shape, s.dtype)
+        out[0, 0] = out[1, 1] = s
+        return out
+
+    def dg(x, s, work):
+        out = _work_array(work, "dg", (2, 2, 2) + s.shape, s.dtype)
+        for j in range(2):
+            out[j, j, 0], out[j, j, 1] = a
+        return out
+
+    def beta(x, s, work):
+        out = _work_array(work, "beta", (2, 2) + s.shape, s.dtype)
+        out[0, 1], out[1, 0] = b, -b
+        return out
+
+    def potential(x, s, work):
+        out = _work_array(work, "A", (2,) + s.shape, s.dtype)
+        np.multiply(-0.5 * b, x[1], out=out[0])
+        np.multiply(0.5 * b, x[0], out=out[1])
+        return out
+
+    return _kernel_chart(2, shared, (g, dg, beta, potential, None, None), chart_box=1.0,
+                         complex_radius=1.0, name="linear metric")
+
+
 def _fused_geometries():
     return [
         make_flat_magnetic(2, [[0.0, 1.0], [-1.0, 0.0]], 0.7),
         make_flat_magnetic(3, [[0.0, 1.0, -0.4], [-1.0, 0.0, 0.3], [0.4, -0.3, 0.0]], 1.3),
         make_sphere_magnetic(1.3, 0.8),
+        _linear_metric_chart(),
     ]
 
 
@@ -127,6 +165,22 @@ def test_rhs_with_work_arrays_matches_rhs_without(geo, tangent, rng):
             Y[n2 + 1 :] += rng.normal(size=(n2 * n2, 6))
         assert np.array_equal(_rhs(geo, Y, np.empty_like(Y), work),
                               _rhs(geo, Y, np.empty_like(Y)))
+
+
+def test_a_kernel_chart_declares_its_vanishing_derivatives(rng):
+    # None kernels are zero evaluators and None jet entries; the chart
+    # validates, its fused jet included, and flows
+    geo = _linear_metric_chart()
+    X = rng.uniform(-0.5, 0.5, (12, 2))
+    report = validate_geometry(geo, X)
+    assert report.passed and "jet" in report.residuals
+    assert geo.jet(X.T, 2)[4:] == (None, None) and geo.jet(X[0], 2)[4:] == (None, None)
+    for evaluator, shape in ((geo.inv_metric_deriv2, (12, 2, 2, 2, 2)),
+                             (geo.beta_deriv, (12, 2, 2, 2))):
+        assert evaluator(X).shape == shape and not evaluator(X).any()
+        assert evaluator(X[0]).shape == shape[1:] and not evaluator(X[0]).any()
+    Z = np.concatenate([X[:4], rng.uniform(-0.3, 0.3, (4, 2))], axis=1)
+    assert np.array_equal(flow_many(geo, Z, 1j).jac, flow_many(_composed(geo), Z, 1j).jac)
 
 
 def test_flat_jet_marks_the_vanishing_derivatives():

@@ -7,9 +7,8 @@ from conftest import sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import flow, kahler
 from magtube import oracles as orc
 from magtube.flow import BlowUpError
+from magtube.geometry import CONTOUR_NODES, CONTOUR_RADIUS
 from magtube.kahler import (
-    CONTOUR_NODES,
-    CONTOUR_RADIUS,
     dbar_residual_many,
     holomorphic_extension,
     kappa1_flat,

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -85,3 +86,33 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["res"].ok.all() and namespace["ok"].all()
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports and never uses.  A use is a name read anywhere
+    in the module, an ``__all__`` entry, or, in an ``__init__``, the import
+    itself (a re-export); ``from __future__`` imports are directives."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    if path.name == "__init__.py":
+        return []
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "magtube").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    assert [bad for path in paths for bad in _unused_imports(path)] == []

@@ -6,9 +6,9 @@ import pytest
 from conftest import patch_chart, sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import oracles as orc
 from magtube.flow import BlowUpError, ComplexTime, flow_many
-from magtube.geometry import twisted_symplectic_matrix
+from magtube.geometry import CONTOUR_NODES, CONTOUR_RADIUS, twisted_symplectic_matrix
 from magtube import structure, suites
-from magtube.kahler import CONTOUR_NODES, CONTOUR_RADIUS, potential_f_many
+from magtube.kahler import potential_f_many
 from magtube.structure import (
     assemble_J,
     frame_at,
