@@ -20,11 +20,8 @@ from .geometry import (
 )
 from .flow import (
     BatchFlowResult,
-    BlowUpError,
-    ChartExitError,
     ComplexTime,
     FlowError,
-    StepSizeError,
     field_components,
     flow_many,
 )

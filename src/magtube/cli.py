@@ -55,7 +55,6 @@ from .kahler import (
     kde_residual_many,
 )
 from .structure import (
-    TRANSVERSALITY_THRESHOLD,
     assemble_J,
     frames_at_many,
     integrability_residual_many,
@@ -165,36 +164,41 @@ def _rows_frame(geo, Z, t):
     return _csv_rows([np.real(Z), F, smin, inv_res], ok, reasons)
 
 
+def _merge(ok, reasons, rows, stage_ok, stage_reasons):
+    """Fail the rows (indices into ``ok``) that failed a later stage, with its reason."""
+    for i, good, why in zip(rows, stage_ok, stage_reasons):
+        if not good:
+            ok[i], reasons[i] = False, why
+
+
 def _rows_acs(geo, Z, t):
-    # a row whose frame is not transversal to its conjugate has no J: it
-    # fails with its transversality, and J is assembled on the other rows
+    # J is assembled on the integrability-ok rows; a row whose frame is not
+    # transversal to its conjugate fails and keeps its transversality
     n = geo.dim
     F, ok, reasons, integ = integrability_residual_many(geo, Z, t)
+    rows = np.flatnonzero(ok)
+    acs = assemble_J(geo, Z[rows, :n].real, F[rows])
+    _merge(ok, reasons, rows, acs.ok, acs.reasons)
     vals = np.full((len(Z), 3 + 4 * n * n), np.nan)
-    vals[ok, 0] = transversality_check(F[ok])
-    for i in np.flatnonzero(vals[:, 0] < TRANSVERSALITY_THRESHOLD):
-        ok[i], reasons[i] = False, f"frame not transversal to its conjugate (smin={vals[i, 0]:.3e})"
-    acs = assemble_J(geo, Z[ok, :n].real, F[ok])
-    vals[ok, 1] = acs.positivity_spectrum.min(axis=-1)
+    vals[rows, 0] = acs.transversality
+    vals[rows, 1] = acs.positivity_spectrum.min(axis=-1)
     vals[ok, 2] = integ[ok]
-    vals[ok, 3:] = acs.J.reshape(-1, 4 * n * n)
+    vals[rows, 3:] = acs.J.reshape(-1, 4 * n * n)
     return _csv_rows([np.real(Z), vals], ok, reasons)
 
 
 def _rows_potential(geo, Z, t):
-    # the dbar contour runs on the rows whose frames are ok; a frame-failed
-    # row keeps the frame's reason and nan columns
+    # dbar runs on the frame-ok rows, kde on the dbar-ok rows; a row keeps the
+    # reason of the first stage it fails and nan columns
     F, ok, reasons, _ = frames_at_many(geo, Z, t)
     fm = np.full(len(Z), complex(np.nan, np.nan))
     dbar, kde = np.full(len(Z), np.nan), np.full(len(Z), np.nan)
     rows = np.flatnonzero(ok)
-    if rows.size:
-        fm[rows], okm, reasons_m, dbar[rows] = dbar_residual_many(geo, Z[rows], F[rows].conj())
-        ok[rows] = okm
-        for i, why in zip(rows, reasons_m):
-            reasons[i] = why
-    if ok.any():
-        kde[ok] = kde_residual_many(geo, Z[ok], 0.3)
+    fm[rows], okm, why, dbar[rows] = dbar_residual_many(geo, Z[rows], F[rows].conj())
+    _merge(ok, reasons, rows, okm, why)
+    rows = np.flatnonzero(ok)
+    _, okm, why, kde[rows] = kde_residual_many(geo, Z[rows], 0.3)
+    _merge(ok, reasons, rows, okm, why)
     f_re, f_im, kappa2 = (np.where(ok, v, np.nan) for v in (fm.real, fm.imag, (2j * fm).real))
     return _csv_rows([np.real(Z), f_re, f_im, kappa2, kde, dbar, np.exp(-kappa2 / 2.0)], ok,
                      reasons)

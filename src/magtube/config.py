@@ -10,7 +10,8 @@ variables with the MAGTUBE_ prefix override file keys (e.g. MAGTUBE_SEED=7).
 
 Each key is one entry of ``_PARSERS``, keyed by its ``RunConfig`` field;
 every range rule is in ``check_run_keys``; each kind is one row of
-``_KINDS``.
+``_KINDS``, with the geometry keys it reads: a geometry key that the kind
+does not read is rejected.
 """
 
 from __future__ import annotations
@@ -161,25 +162,36 @@ def _config_from_pairs(pairs: dict) -> RunConfig:
     for key in _PARSERS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            pairs[key] = env
+            pairs[key] = env.strip()
     try:
         cfg = RunConfig(**{key: parse(pairs[key]) for key, parse in _PARSERS.items()
                            if key in pairs})
     except (ValueError, TypeError) as exc:  # a ConfigError is a ValueError
         raise ConfigError(str(exc)) from exc
-    return check_run_keys(cfg)
+    check_run_keys(cfg)
+    unread = [key for key in pairs if key in _GEOMETRY_KEYS and key not in _KINDS[cfg.kind][0]]
+    if unread:
+        raise ConfigError(f"kind {cfg.kind} does not read {unread}")
+    return cfg
 
 
 def check_run_keys(cfg: RunConfig) -> RunConfig:
-    """Every range rule of the config: a dimension and a grid axis count
-    below one, a suite no command runs, a negative seed and a worker count
-    below one are rejected; the CLI calls this again after its flags
-    override the config."""
+    """Every range rule of the config: an unknown kind, a dimension below
+    one, a grid axis named twice or with a count below one, a suite no
+    command runs, a negative seed and a worker count below one are
+    rejected; the CLI calls this again after its flags override the
+    config."""
+    if cfg.kind not in _KINDS:
+        raise ConfigError(f"unknown geometry kind {cfg.kind!r}; choose from {list(_KINDS)} "
+                          "(custom geometries are built in Python, not via config)")
     if cfg.dim < 1:
         raise ConfigError(f"dim must be at least 1, got {cfg.dim}")
+    names = [axis.name for axis in cfg.grid]
     for axis in cfg.grid:
         if axis.count < 1:
             raise ConfigError(f"grid axis {axis.name} needs count >= 1, got {axis.count}")
+        if names.count(axis.name) > 1:
+            raise ConfigError(f"grid names axis {axis.name} more than once")
     if cfg.suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITE_NAMES}")
     if cfg.seed < 0:
@@ -199,22 +211,25 @@ def load_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-# the chart each config kind builds; a custom chart is built in Python
+# each config kind: the geometry keys it reads and the chart it builds; a
+# custom chart is built in Python
 _KINDS = {
-    "flat": lambda cfg: make_flat_magnetic(
-        cfg.dim, np.zeros((cfg.dim, cfg.dim)) if cfg.B is None else cfg.B, cfg.mass_freq),
-    "sphere": lambda cfg: make_sphere_magnetic(cfg.radius, cfg.field),
+    "flat": (("dim", "B", "mass_freq"), lambda cfg: make_flat_magnetic(
+        cfg.dim, np.zeros((cfg.dim, cfg.dim)) if cfg.B is None else cfg.B, cfg.mass_freq)),
+    "sphere": (("dim", "radius", "field"),
+               lambda cfg: make_sphere_magnetic(cfg.radius, cfg.field)),
 }
+_GEOMETRY_KEYS = {key for keys, _ in _KINDS.values() for key in keys}
 
 
 def build_geometry(cfg: RunConfig) -> ChartedGeometry:
     try:
-        if cfg.kind not in _KINDS:
-            raise ValueError(f"unknown geometry kind {cfg.kind!r}; choose from {list(_KINDS)} "
-                             "(custom geometries are built in Python, not via config)")
-        return _KINDS[cfg.kind](cfg)
+        geo = _KINDS[cfg.kind][1](cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if geo.dim != cfg.dim:
+        raise ConfigError(f"kind {cfg.kind} is {geo.dim}-dimensional, got dim = {cfg.dim}")
+    return geo
 
 
 def grid_points(cfg: RunConfig, geo: ChartedGeometry) -> np.ndarray:

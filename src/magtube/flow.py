@@ -81,9 +81,7 @@ __all__ = [
     "ComplexTime",
     "BatchFlowResult",
     "FlowError",
-    "BlowUpError",
-    "ChartExitError",
-    "StepSizeError",
+    "raise_first_failure",
     "field_components",
     "flow_many",
 ]
@@ -98,46 +96,30 @@ MAX_STEPS = 100_000  # attempted steps per flow; past it every active row fails 
 MIN_STEP = 1e-14  # times max(1, segment length): below it rejected rows fail TOL
 P_CAP = 1e8  # a row with |p| above it fails BLOWUP
 
+# A row that left the chart's ``complex_radius`` (a row with a complex start
+# or path), passed ``P_CAP`` or became non-finite.  This is where the chart's
+# complex region ends, not where the paper's tube ends: on the unit sphere,
+# rows fail where the closed-form path crosses |u| = 0.6 while r - a_3 stays
+# at 1.99 or more.  Expected far from the zero-section, not a bug.
 REASON_BLOWUP = "BLOWUP"
-REASON_CHART_EXIT = "CHART_EXIT"
-REASON_TOL = "TOL"
+REASON_CHART_EXIT = "CHART_EXIT"  # a row with a real start and path left the chart box
+REASON_TOL = "TOL"  # step size underflow, or the step budget is spent
 
 
 class FlowError(RuntimeError):
-    reason = "FLOW"
+    """A failed row of a batched operation; ``reason`` is its reason code."""
+
+    @property
+    def reason(self) -> str:
+        return self.args[0]
 
 
-class BlowUpError(FlowError):
-    """A row failed ``BLOWUP``: it left the chart's ``complex_radius``, its
-    |p| passed ``P_CAP``, or its state became non-finite.
-
-    This is where the chart's complex region ends, not where the paper's
-    tube ends: on the unit sphere, rows fail where the closed-form path
-    crosses |u| = 0.6 while r - a_3 stays at 1.99 or more.  Expected far
-    from the zero-section, not a bug."""
-
-    reason = REASON_BLOWUP
-
-
-class ChartExitError(FlowError):
-    """Real trajectory left the real chart box."""
-
-    reason = REASON_CHART_EXIT
-
-
-class StepSizeError(FlowError):
-    """Requested accuracy unreachable / step size underflow."""
-
-    reason = REASON_TOL
-
-
-def _raise_for(reason):
-    if reason == REASON_CHART_EXIT:
-        raise ChartExitError("trajectory left the chart box")
-    if reason == REASON_TOL:
-        raise StepSizeError("step size underflow / accuracy unreachable")
-    raise BlowUpError("trajectory left the chart's complex region, passed the momentum cap "
-                      "or became non-finite")
+def raise_first_failure(ok, reasons) -> None:
+    """Raise FlowError with the reason of the first failed row of a batch's
+    ``ok`` flags and ``reasons``, if a row failed."""
+    failed = np.flatnonzero(~np.asarray(ok).ravel())
+    if failed.size:
+        raise FlowError(np.asarray(reasons, dtype=object).ravel()[failed[0]])
 
 
 def _check_disk(waypoints) -> None:
@@ -388,12 +370,8 @@ def _pack(Z0: np.ndarray, n: int, tangent: bool) -> np.ndarray:
 
 
 def _check_rows(geo, Y, real_rows):
-    """Per-row validity of the (D, m) state; returns (bad mask, reason array),
-    the reasons None when no row is bad.
-
-    A real row must stay inside the real chart box (CHART_EXIT), any other
-    row inside the complex validity region (BLOWUP).
-    """
+    """Per-row validity of the (D, m) state against the ``REASON_*`` rules;
+    returns (bad mask, reason array), the reasons None when no row is bad."""
     n = geo.dim
     x = Y[:n]
     p = Y[n : 2 * n]
@@ -487,10 +465,7 @@ def _integrate_path(
     def fail_rows(mask, why):
         """Record failing rows and park them at a benign state."""
         Yfail[:, mask] = Y[:, mask]
-        if isinstance(why, str):
-            reasons[mask] = why
-        else:
-            reasons[mask] = why[mask]
+        reasons[mask] = np.broadcast_to(why, mask.shape)[mask]
         active[mask] = False
         Y[:, mask] = benign
 

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow import field_components, flow_many, _raise_for
+from .flow import field_components, flow_many, raise_first_failure
 from .geometry import _RING, _WEIGHTS
 from .geometry import ChartedGeometry, energy
 
@@ -75,9 +75,11 @@ def phase_gradient(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
     order, |v| the Hermitian length; the derivative is scaled back by |v|.
 
     Returns ``(vals, ok, reasons, deriv)``: the batch contract at the centre
-    rows plus the (m, k, ...) derivatives.  A row whose centre or any node
-    failed, and a NaN direction (a failed frame row, its ring parked on z),
-    get NaN derivatives; nothing is raised.
+    rows plus the (m, k, ...) derivatives.  A row fails when its centre or
+    any node of its ring fails, with the reason of its first failed node
+    (the centre first), and gets NaN values and derivatives; nothing is
+    raised.  A NaN direction (a failed frame row, its ring parked on z) gets
+    NaN derivatives and leaves the row's flags to its nodes.
     """
     Z = np.asarray(Z)
     m, d = Z.shape
@@ -88,12 +90,19 @@ def phase_gradient(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
     rows = np.concatenate([Z, (Z[:, None, None, :] + ring).reshape(-1, d)])
     vals, ok, reasons = batch_fun(rows)
     vals = np.asarray(vals)
+    # row i's nodes, centre first, are rows nodes[i] of the batch; first[i] is
+    # its first failed node, else its centre, so row i is ok iff ok[first[i]]
     ok = np.broadcast_to(ok, len(rows))
+    nodes = np.column_stack([np.arange(m),
+                             np.arange(m, len(rows)).reshape(m, V.shape[1] * len(_RING))])
+    first = nodes[np.arange(m), np.argmin(ok[nodes], axis=1)]
+    row_ok = ok[first]
     deriv = np.moveaxis(vals[m:].reshape(*ring.shape[:3], *vals.shape[1:]), 2, -1) @ _WEIGHTS
     deriv *= size.reshape(size.shape + (1,) * (deriv.ndim - 2))
-    deriv[~(ok[:m] & ok[m:].reshape(m, -1).all(axis=1))] = np.nan
-    reasons = [None] * m if reasons is None else list(reasons[:m])
-    return vals[:m], ok[:m].copy(), reasons, deriv
+    deriv[~row_ok] = np.nan
+    vals = np.where(row_ok.reshape((m,) + (1,) * (vals.ndim - 1)), vals[:m], np.nan)
+    reasons = [None if good else reasons[j] for good, j in zip(row_ok, first)]
+    return vals, row_ok, reasons, deriv
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +119,7 @@ def potential_f(geo: ChartedGeometry, z: np.ndarray, t) -> complex:
     the flow to -t fails.
     """
     vals, ok, reasons = potential_f_many(geo, np.asarray(z)[None, :], t)
-    if not ok[0]:
-        _raise_for(reasons[0])
+    raise_first_failure(ok, reasons)
     return complex(vals[0])
 
 
@@ -138,13 +146,14 @@ def kde_residual_many(
     geo: ChartedGeometry,
     Z: np.ndarray,
     sigma: float,
-) -> np.ndarray:
+):
     """Vectorized defect of df/dsigma + X_E(f) - (theta^A(X_E) - E).
 
     df/dsigma + X_E(f) is one derivative of f along (X_E, 1) in the columns
     (x, p, sigma): one ``phase_gradient`` call whose contour rows each flow
-    to their own -sigma in one batched flow.  A row whose contour left the
-    tube gets a NaN defect.
+    to their own -sigma in one batched flow.  Returns (f, ok, reasons,
+    residuals): f_sigma and the flags of ``phase_gradient`` (a row whose
+    contour left the tube fails, with NaN f and defect), and the defects.
 
     The identity holds for any 1-form A, whether or not dA = beta, so it
     cannot see a wrong potential; ``dbar_residual_many`` does.
@@ -154,11 +163,11 @@ def kde_residual_many(
     x, p = Z[:, :n], Z[:, n:]
     xdot, pdot = field_components(geo, x, p)
     along = np.concatenate([xdot, pdot, np.ones((len(Z), 1))], axis=1)
-    deriv = phase_gradient(
+    f, ok, reasons, deriv = phase_gradient(
         lambda rows: potential_f_many(geo, rows[:, :-1], rows[:, -1]),
-        np.column_stack([Z, np.full(len(Z), sigma)]), along[:, None, :])[3][:, 0]
+        np.column_stack([Z, np.full(len(Z), sigma)]), along[:, None, :])
     rhs = energy(geo, x, p) + np.einsum("mj,mj->m", geo.potential(x), xdot)
-    return np.abs(deriv - rhs)
+    return f, ok, reasons, np.abs(deriv[:, 0] - rhs)
 
 
 def dbar_residual_many(
@@ -169,12 +178,12 @@ def dbar_residual_many(
     """Vectorized defect of dbar f_{-i} = (theta^A)^(0,1).
 
     ``frames_conj`` is (m, 2n, n): per-row (0,1) direction columns, along
-    which ``phase_gradient`` differentiates f_{-i}.  A row whose contour left
-    the tube, or whose columns are NaN, gets a NaN defect.
+    which ``phase_gradient`` differentiates f_{-i}.  A row whose columns are
+    NaN gets a NaN defect.
 
-    Returns (f, ok, reasons, residuals): f_{-i} with the ok flags and
-    reasons of the centre rows, as ``potential_f_many`` gives them, and the
-    defects.
+    Returns (f, ok, reasons, residuals): f_{-i} and the flags of
+    ``phase_gradient`` (a row whose contour left the tube fails, with NaN f
+    and defect), and the defects.
     """
     Z = np.asarray(Z, dtype=float)
     n = geo.dim

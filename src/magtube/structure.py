@@ -12,8 +12,8 @@ column-orthonormalized (with a deterministic phase convention) after
 transport; every reported quantity is invariant under right multiplication
 of the frame by an invertible matrix, so this is a pure conditioning device.
 
-Frame transport and integrability are batched over phase rows and report a
-failed row through their ``ok`` flags and reasons instead of raising;
+Frame transport, J and integrability are batched over phase rows and report
+a failed row through their ``ok`` flags and reasons instead of raising;
 ``frame_at`` is the one-row case of ``frames_at_many`` and raises the row's
 FlowError.  Frame transport takes any time ``flow_many`` takes, per-row
 times included, and reverses it as ``-t``.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import flow_many, _raise_for
+from .flow import flow_many, raise_first_failure
 from .geometry import ChartedGeometry, twisted_symplectic_matrix
 from .kahler import phase_gradient
 
@@ -81,14 +81,17 @@ def subspace_distance(A: np.ndarray, B: np.ndarray):
 
 @dataclass
 class ACSPointData:
-    """Almost complex structure data at accepted points, batched over the
-    leading axes of the frames: J (..., 2n, 2n), the positivity spectrum
-    (..., n), and one transversality and imaginary residual per point."""
+    """Almost complex structure data, batched over the leading axes of the
+    frames: J (..., 2n, 2n), the positivity spectrum (..., n), and one
+    transversality, imaginary residual, ok flag and reason (None where ok)
+    per point; a failed point has NaN J, spectrum and imaginary residual."""
 
     J: np.ndarray
     positivity_spectrum: np.ndarray
     transversality: np.ndarray
     imag_residual: np.ndarray  # |Im| left over when realifying J
+    ok: np.ndarray
+    reasons: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +105,7 @@ def frame_at(geo: ChartedGeometry, z: np.ndarray, t):
     the transport fails.
     """
     F, ok, reasons, inv_res = frames_at_many(geo, np.asarray(z)[None, :], t)
-    if not ok[0]:
-        _raise_for(reasons[0])
+    raise_first_failure(ok, reasons)
     return F[0], float(inv_res[0])
 
 
@@ -188,25 +190,29 @@ def assemble_J(geo: ChartedGeometry, x: np.ndarray, F: np.ndarray) -> ACSPointDa
     imaginary part is reported.  The positivity spectrum is computed on the
     orthonormalized frame, which makes it frame-gauge invariant.  Batched
     over base points x (..., n) and frames F (..., 2n, n), as
-    ``positivity_matrix`` is; raises LinAlgError if any frame is not
-    transversal to its conjugate.
+    ``positivity_matrix`` is.  A frame whose transversality is below
+    ``TRANSVERSALITY_THRESHOLD`` fails; S is inverted at the other points
+    only, each as it would be alone.
     """
     F = np.asarray(F)
     n = F.shape[-1]
     smin = transversality_check(F)
-    if np.any(smin < TRANSVERSALITY_THRESHOLD):
-        raise np.linalg.LinAlgError(
-            f"frame not transversal to its conjugate (smin={np.min(smin):.3e}); "
-            "no almost complex structure at this point/time"
-        )
+    ok = smin >= TRANSVERSALITY_THRESHOLD
     S = np.concatenate([F, F.conj()], axis=-1)
     D = np.diag(np.concatenate([np.full(n, 1j), np.full(n, -1j)]))
-    Jc = S @ D @ np.linalg.inv(S)
+    Jc = np.full(S.shape, complex(np.nan, np.nan))
+    Jc[ok] = S[ok] @ D @ np.linalg.inv(S[ok])
+    spectrum = np.linalg.eigvalsh(positivity_matrix(geo, x, F))
+    spectrum[~ok] = np.nan
+    reasons = [None if good else f"frame not transversal to its conjugate (smin={s:.3e})"
+               for good, s in zip(ok.ravel(), smin.ravel())]
     return ACSPointData(
         J=Jc.real.copy(),
-        positivity_spectrum=np.linalg.eigvalsh(positivity_matrix(geo, x, F)),
+        positivity_spectrum=spectrum,
         transversality=smin,
         imag_residual=np.abs(Jc.imag).max(axis=(-2, -1)),
+        ok=ok,
+        reasons=np.array(reasons, dtype=object).reshape(ok.shape),
     )
 
 
@@ -232,7 +238,7 @@ def integrability_residual_many(
     [X_a, X_b] is projected off the span at z and normalised by
     |X_a||X_b|; the max over column pairs vanishes for an involutive
     (integrable) distribution.  A row whose centre or contour left the tube
-    gets a NaN defect; the other rows are computed.
+    fails, with a NaN frame and defect; the other rows are computed.
 
     ``t`` is one time common to all rows (a number or a ComplexTime), not
     an (m,) array: the contour transport flows the centre rows and their
@@ -240,17 +246,16 @@ def integrability_residual_many(
     t.
 
     Returns (F, ok, reasons, residuals): the orthonormalized centre columns,
-    ok flags and reasons of the centre rows, as ``frames_at_many`` gives
-    them, and the defects.  An (m,) array ``t`` raises ValueError before
-    any flow.
+    the ok flags and reasons of ``phase_gradient``, and the defects.  An
+    (m,) array ``t`` raises ValueError before any flow.
     """
     if np.ndim(t):
         raise ValueError("integrability_residual_many needs one time common to all rows "
                          "(a number or a ComplexTime), not an array of per-row times")
     X, ok, reasons, dX = phase_gradient(lambda rows: _transport(geo, rows, t)[:3], Z,
                                         np.eye(2 * geo.dim))
-    F = orthonormalize(X)
-    F[~ok] = np.nan
+    F = np.full_like(X, np.nan)
+    F[ok] = orthonormalize(X[ok])
     # D[k, a, :, b] = (X_a . grad) X_b; the bracket [X_a, X_b] is
     # D[:, a, :, b] - D[:, b, :, a], projected off the frame span
     D = np.einsum("kja,kjib->kaib", X, dX)

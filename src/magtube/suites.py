@@ -12,8 +12,9 @@ chart.  Three rules turn the values into CheckResults, each in one function:
   that chart's ``tol``; any other name once, over every chart;
 * reduction (``_worst``): the worst entry over rows, times and charts, the
   largest for kind 'max', the smallest for 'min', NaN if any entry is NaN;
-* failure (``_call``): a FlowError in a block makes its checks on that chart
-  NaN, with the error as the note; the report is still written.
+* failure (``_call``): a FlowError in a block (``_ok`` raises one for the
+  first failed row of a flow, frame or J) makes its checks on that chart
+  NaN, with the row's reason as the note; the report is still written.
 
 The report follows the blocks' order in this file.  A suite's blocks share
 one generator drawn from the seed, and each chart's namespace, on which a
@@ -40,6 +41,7 @@ from .flow import (
     FlowError,
     field_components,
     flow_many,
+    raise_first_failure,
 )
 from .geometry import (
     ChartedGeometry,
@@ -179,25 +181,19 @@ def _sample(rng, geo: ChartedGeometry, m: int, box) -> np.ndarray:
                            rng.uniform(-pmax, pmax, (m, geo.dim))], axis=1)
 
 
-def _flow(geo: ChartedGeometry, Z: np.ndarray, t, tangent: bool = True):
-    """flow_many of the rows of Z; raises FlowError if a row fails."""
-    res = flow_many(geo, Z, t, tangent=tangent)
-    if not res.ok.all():
-        raise FlowError(f"flow failed: {[r for r in res.reasons if r][0]}")
-    return res
+def _ok(result):
+    """The batch result (of a ``frames_at_many`` tuple, the frames) if every
+    row is ok; else the first failed row's FlowError, which ``_call`` reports."""
+    if isinstance(result, tuple):
+        raise_first_failure(*result[1:3])
+        return result[0]
+    raise_first_failure(result.ok, result.reasons)
+    return result
 
 
 def _zero_section_flow(geo: ChartedGeometry, xs: np.ndarray, t):
-    """_flow of the zero-section points (x, 0) to the time t."""
-    return _flow(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), t)
-
-
-def _frames(geo: ChartedGeometry, Z: np.ndarray, t) -> np.ndarray:
-    """Frames at the rows of Z, one batch; raises FlowError if a row fails."""
-    F, ok, reasons, _ = frames_at_many(geo, Z, t)
-    if not ok.all():
-        raise FlowError(f"frame transport failed: {[r for r in reasons if r][0]}")
-    return F
+    """The flow of the zero-section points (x, 0) to the time t, all ok."""
+    return _ok(flow_many(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), t))
 
 
 _FLAT_HEAVY = (partial(_flat, 1.0, 0.5),)  # Btilde = 2 separates B from Btilde
@@ -288,9 +284,9 @@ def _real_flows(case):
     geo, n = case.geo, case.geo.dim
     s1, s2 = case.chart.group_times
     Z = _sample(case.rng, geo, 20, case.chart.wide)
-    r1 = _flow(geo, Z, s1)
-    r2 = _flow(geo, np.concatenate([r1.x.real, r1.p.real], axis=1), s2)
-    r12 = _flow(geo, Z, s1 + s2)
+    r1 = _ok(flow_many(geo, Z, s1))
+    r2 = _ok(flow_many(geo, np.concatenate([r1.x.real, r1.p.real], axis=1), s2))
+    r12 = _ok(flow_many(geo, Z, s1 + s2))
     om0 = twisted_symplectic_matrix(geo, Z[:, :n])
     pulled = np.einsum("mji,mjk,mkl->mil", r12.jac, twisted_symplectic_matrix(geo, r12.x), r12.jac)
     return {"group_law": np.abs(np.concatenate([r2.x - r12.x, r2.p - r12.p], axis=1)),
@@ -319,7 +315,7 @@ def _zero_section_fixed(case):
     """The field vanishes on the zero section: its points are fixed."""
     n = case.geo.dim
     Z = np.concatenate([case.chart.point[:, :n], np.zeros((1, n))], axis=1)
-    res = _flow(case.geo, Z, 0.3 + 0.8j, tangent=False)
+    res = _ok(flow_many(case.geo, Z, 0.3 + 0.8j, tangent=False))
     return {"zero_section_fixed": np.abs(np.concatenate([res.x, res.p], axis=1) - Z)}
 
 
@@ -334,7 +330,7 @@ def _zero_section_linearization(case):
     jac = [np.abs(jac - orc.zero_section_linearization(b0[i], sig, g0[i]))
            for sig in (0.5, 1j, 0.3 + 0.8j)
            for i, jac in enumerate(_zero_section_flow(geo, xs, sig).jac)]
-    span = [subspace_distance(_frames(geo, Z, sig), np.stack(
+    span = [subspace_distance(_ok(frames_at_many(geo, Z, sig)), np.stack(
                 [orc.zero_section_frame(b0[i], sig, g0[i]) for i in range(len(xs))]))
             for sig in (1j, 0.3 + 0.8j)]
     return {"zero_section_jacobian": jac, "zero_section_frame_span": span}
@@ -346,8 +342,8 @@ def _path_independence(case):
     geo, rng = case.geo, case.rng
     Z = _sample(rng, geo, 20, case.chart.wide)
     mid = complex(rng.uniform(0.3, 0.8), rng.uniform(-0.2, 0.4))
-    rA = _flow(geo, Z, 1j, tangent=False)
-    rB = _flow(geo, Z, ComplexTime(1j, (mid, 1j)), tangent=False)
+    rA = _ok(flow_many(geo, Z, 1j, tangent=False))
+    rB = _ok(flow_many(geo, Z, ComplexTime(1j, (mid, 1j)), tangent=False))
     return {"path_independence": np.abs(np.concatenate([rA.x - rB.x, rA.p - rB.p], axis=1))}
 
 
@@ -358,8 +354,8 @@ def _inverse_consistency(case):
     Z = _sample(case.rng, geo, 15, case.chart.wide)
     trips = []
     for t in (1j, 0.3 + 0.8j):
-        back = _flow(geo, Z, -t, tangent=False)
-        out = _flow(geo, np.concatenate([back.x, back.p], axis=1), t, tangent=False)
+        back = _ok(flow_many(geo, Z, -t, tangent=False))
+        out = _ok(flow_many(geo, np.concatenate([back.x, back.p], axis=1), t, tangent=False))
         trips.append(np.abs(np.concatenate([out.x, out.p], axis=1) - Z))
     return {"inverse_consistency": trips}
 
@@ -395,34 +391,30 @@ def _tangent_map_contour(case):
 def _frame_structure(case):
     geo, n, rng = case.geo, case.geo.dim, case.rng
     Z = _sample(rng, geo, 100, case.chart.wide)
-    F = _frames(geo, Z, 1j)
+    F = _ok(frames_at_many(geo, Z, 1j))
     om = twisted_symplectic_matrix(geo, Z[:, :n])
-    Fm = frames_at_many(geo, Z[:5], -1j)[0]
+    Fm = _ok(frames_at_many(geo, Z[:5], -1j))
     out = {"lagrangian_residual": np.abs(np.einsum("mji,mjk,mkl->mil", F, om, F)),  # F^T Om F
            "transversality_margin": transversality_check(F),
            "positivity_min_eigenvalue": np.linalg.eigvalsh(positivity_matrix(geo, Z[:, :n], F)),
            # the conjugate frame spans the conjugate-time subspace
-           "conjugate_frame_span": subspace_distance(F[:5].conj(), Fm),
-           "conjugate_time_J": [], "metric_positivity": [], "frame_gauge_invariance": []}
+           "conjugate_frame_span": subspace_distance(F[:5].conj(), Fm)}
 
-    # J at conjugate times are opposite; omega(X, JX) > 0; gauge invariance
-    # under random right-multiplication
-    for i in range(3):
-        x = Z[i, :n]
-        acs_p = assemble_J(geo, x, F[i])
-        acs_m = assemble_J(geo, x, Fm[i])
-        out["conjugate_time_J"].append(np.abs(acs_p.J + acs_m.J))
-        Sym = twisted_symplectic_matrix(geo, x).real @ acs_p.J
-        out["metric_positivity"].append(np.linalg.eigvalsh(0.5 * (Sym + Sym.T)))
-
-        G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        acs_g = assemble_J(geo, x, orthonormalize(F[i] @ G))
-        out["frame_gauge_invariance"] += [
-            np.abs(acs_p.J - acs_g.J),
-            np.abs(acs_p.positivity_spectrum - acs_g.positivity_spectrum),
-            abs(acs_p.transversality - acs_g.transversality)]
+    # at 3 points: J at conjugate times are opposite; omega(X, JX) > 0; gauge
+    # invariance under random right-multiplication
+    x = Z[:3, :n]
+    G = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(3)])
+    acs_p, acs_m, acs_g = (_ok(assemble_J(geo, x, frames))
+                           for frames in (F[:3], Fm[:3], orthonormalize(F[:3] @ G)))
+    Sym = twisted_symplectic_matrix(geo, x).real @ acs_p.J
+    out["conjugate_time_J"] = np.abs(acs_p.J + acs_m.J)
+    out["metric_positivity"] = np.linalg.eigvalsh(0.5 * (Sym + Sym.swapaxes(1, 2)))
+    out["frame_gauge_invariance"] = [
+        np.abs(acs_p.J - acs_g.J), np.abs(acs_p.positivity_spectrum - acs_g.positivity_spectrum),
+        np.abs(acs_p.transversality - acs_g.transversality)]
     # at real time the frame equals its conjugate: transversality degenerates
-    out["real_time_degeneracy"] = transversality_check(_frames(geo, case.chart.point, 0.5))
+    F0 = _ok(frames_at_many(geo, case.chart.point, 0.5))
+    out["real_time_degeneracy"] = transversality_check(F0)
     return out
 
 
@@ -451,14 +443,14 @@ def _totally_real(case):
     """Totally real zero section: the vertical block of the frame is nonsingular."""
     geo, n = case.geo, case.geo.dim
     xs = case.rng.uniform(-0.2, 0.2, (3, n))
-    F = _frames(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), 1j)
+    F = _ok(frames_at_many(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), 1j))
     Eh = np.vstack([np.eye(n), np.zeros((n, n))])
     vertical, horizontal = [], []
     for i, jac in enumerate(_zero_section_flow(geo, xs, 1j).jac):
         T, btil = normalized_zero_section_frame_change(geo, xs[i])
         vertical += [np.linalg.svd((T @ jac[:, n:])[n:], compute_uv=False)[-1],
                      np.linalg.svd(expm(1j * btil), compute_uv=False)[-1]]
-        acs = assemble_J(geo, xs[i], F[i])
+        acs = _ok(assemble_J(geo, xs[i], F[i]))
         horizontal.append(np.linalg.svd(np.hstack([Eh, acs.J @ Eh]), compute_uv=False)[-1])
     return {"totally_real_vertical_block": vertical, "totally_real_horizontal": horizontal}
 
@@ -480,7 +472,7 @@ def _integrability(case):
 def _kde(case):
     c = case.chart
     case.Z = _sample(case.rng, case.geo, c.kahler_rows, c.tube)
-    return {"kde_{chart}": kde_residual_many(case.geo, case.Z, c.kde_sigma)}
+    return {"kde_{chart}": kde_residual_many(case.geo, case.Z, c.kde_sigma)[3]}
 
 
 @_block("kahler", _Check("f_conjugation", 1e-8), _Check("kappa2_reality", 1e-10),
@@ -508,7 +500,7 @@ def _dbar(case):
         charts=("flat",))
 def _kappa1(case):
     """kappa1: the tanh coefficient resolved by the adaptedness identity."""
-    acs = assemble_J(case.geo, case.Z[0, :2], case.F[0])
+    acs = _ok(assemble_J(case.geo, case.Z[0, :2], case.F[0]))
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, case.Z[:10])
     note = (f"tanh coefficient resolved to {coeff} * B (candidate residuals: "
             f"0.5B -> {residuals[0.5]:.3e}, 1.0B -> {residuals[1.0]:.3e})")
@@ -618,7 +610,8 @@ def _flat_closed_forms(case):
                 coords.append(np.abs(res.x - orc.flat_complex_coordinates(B, mass_freq, Z)))
     for B, mass_freq, geo in flats:
         Fo = orc.flat_frame_columns(B, mass_freq, 1j)
-        spans.append(subspace_distance(_frames(geo, _sample(rng, geo, 5, wide), 1j), Fo))
+        F = _ok(frames_at_many(geo, _sample(rng, geo, 5, wide), 1j))
+        spans.append(subspace_distance(F, Fo))
     for B, mass_freq, geo in flats:  # on the raw transported columns
         Fraw = flow_many(geo, np.zeros((1, 4)), 1j).jac[0][:, 2:]
         det = np.linalg.det(np.concatenate([Fraw, Fraw.conj()], axis=1))
@@ -723,14 +716,14 @@ def _sphere_engine(case):
     case.xe, case.pe = xe, pe = orc.sphere_chart_to_embedding(Z[:, :2], Z[:, 2:], SPHERE_R)
     engine = []
     for sig in (0.7, -1.2, 1j, 0.3 + 0.8j):
-        res = _flow(sph, Z, sig)
+        res = _ok(flow_many(sph, Z, sig))
         xs, ps = orc.sphere_chart_to_embedding(res.x, res.p, SPHERE_R)
         xo, po = orc.sphere_flow_oracle(xe, pe, SPHERE_R, SPHERE_B, sig)
         engine += [np.abs(xs - xo), np.abs(ps - po)]
         if sig == 1j:
             base = np.abs(xs - orc.sphere_embedding_map(xe, pe, SPHERE_R, SPHERE_B))
     # the moment map is conserved along engine real flows
-    res = _flow(sph, Z, 0.6)
+    res = _ok(flow_many(sph, Z, 0.6))
     x1, p1 = orc.sphere_chart_to_embedding(res.x.real, res.p.real, SPHERE_R)
     J0 = orc.sphere_moment_map(xe, pe, SPHERE_R, SPHERE_B)
     J1 = orc.sphere_moment_map(x1, p1, SPHERE_R, SPHERE_B)

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +152,49 @@ def test_build_geometry_kinds(tmp_path):
     assert main(["flow", "--config", bad_radius]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("kind = sphere\nmass_freq = 7\n", id="sphere-mass_freq"),
+    pytest.param("kind = sphere\nB = 0 1; -1 0\n", id="sphere-B"),
+    pytest.param("kind = sphere\ndim = 3\n", id="sphere-dim-3"),
+    pytest.param("kind = flat\nradius = 2\n", id="flat-radius"),
+    pytest.param("field = 1\n", id="default-flat-field")])
+def test_a_key_the_kind_does_not_read_is_a_config_error(tmp_path, capsys, text):
+    cfg = _write(tmp_path, "c.cfg", text + "grid = p1:0.2:0.6:2\ntime = i\n")
+    assert main(["flow", "--config", cfg]) == 2
+    assert "configuration error: kind" in capsys.readouterr().err
+
+
+def test_a_config_written_like_the_benchmarks_runs(tmp_path, monkeypatch):
+    # its geometry keys: dim on both kinds, B and mass_freq on the plane,
+    # radius and field on the sphere
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "magbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_magbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for task in workloads.grid_tasks("grid-tube", 3)[:2]:
+        cfg = _write(tmp_path, f"{task.chart}.cfg", task.config_text(3))
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+
+
+def test_a_grid_axis_named_twice_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.cfg", "kind = flat\ngrid = p1:0.2:0.6:2, p1:1:2:2\ntime = i\n")
+    for command in ("flow", "frame", "acs", "potential", "extend", "sweep", "verify"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "grid names axis p1 more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_environment_values_are_stripped(tmp_path, monkeypatch):
+    # as file values are: a padded MAGTUBE_KIND names the kind
+    monkeypatch.setenv("MAGTUBE_KIND", " sphere ")
+    monkeypatch.setenv("MAGTUBE_TIME", " i\n")
+    assert parse_config_text("radius = 2\n").kind == "sphere"
+    cfg = _write(tmp_path, "c.cfg", "grid = p1:0.2:0.6:2\n")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+
+
 def test_grid_points_order_and_validation():
     cfg = parse_config_text("kind = flat\ngrid = x1:-1:1:2, p2:0:1:3\n")
     geo = build_geometry(cfg)
@@ -294,8 +340,8 @@ def test_cmd_potential_row_at_the_tube_edge(tmp_path, monkeypatch):
     for column in ("kde_residual", "dbar_residual"):
         assert all(float(r[header.index(column)]) < 1e-10 for r in data)  # nan fails
     # under a momentum cap of 100 the last flat row's flows stay below it,
-    # but nodes of its dbar ring do not: that row's dbar_residual is nan,
-    # the command still succeeds
+    # but nodes of its dbar ring do not: that row fails BLOWUP with nan
+    # columns, the command still succeeds
     monkeypatch.setattr(flow, "P_CAP", 100.0)
     cfg = _write(tmp_path, "f.cfg",
                  "kind = flat\nB = 0 1; -1 0\ngrid = p1:0.5:64.8053:2\ntime = i\n")
@@ -303,9 +349,9 @@ def test_cmd_potential_row_at_the_tube_edge(tmp_path, monkeypatch):
     data = [line.split(",") for line in open(out).read().strip().splitlines()[1:]]
     kde = [float(r[header.index("kde_residual")]) for r in data]
     dbar = [float(r[header.index("dbar_residual")]) for r in data]
-    assert [r[header.index("status")] for r in data] == ["ok"] * 2
-    assert all(v < 1e-6 for v in kde) and dbar[0] < 1e-10
-    assert np.isnan(dbar[1])
+    assert [r[-2:] for r in data] == [["ok", ""], ["failed", "BLOWUP"]]
+    assert kde[0] < 1e-6 and dbar[0] < 1e-10
+    assert all(v == "nan" for v in data[1][header.index("f_minus_i_re"):-2])
 
 
 CHART_CONFIGS = {
@@ -410,6 +456,45 @@ def test_grid_where_every_row_fails_writes_failed_rows(tmp_path, command):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 2 and all(row[-2:] == ["failed", "BLOWUP"] for row in rows)
     assert all(v == "nan" for row in rows for v in row[4:-2])
+
+
+# grids with one failing row: (config, momentum cap, that row, {command: its reason})
+FAILING_GRIDS = {
+    # |p| = 3 on the unit sphere leaves the complex region before t = +-i
+    "blowup": ("kind = sphere\nradius = 1\nfield = 1\ngrid = x1:0.05:0.05:1, p1:0.3:3.0:2\n"
+               "time = i\n", None, 1, {"frame": "BLOWUP", "acs": "BLOWUP", "potential": "BLOWUP"}),
+    # under a momentum cap of 100 the row flows to +-i, but nodes of the
+    # contour rings around it do not
+    "ring-node": ("kind = flat\nB = 0 1; -1 0\ngrid = p1:0.5:64.8053:2\ntime = i\n", 100.0, 1,
+                  {"flow": "", "frame": "", "acs": "BLOWUP", "potential": "BLOWUP"}),
+    # at t = 2e-6 i the sphere frame at u = 0 is not transversal to its
+    # conjugate (potential runs at t = i only)
+    "not-transversal": ("kind = sphere\nradius = 1\nfield = 1\n"
+                        "grid = x1:0:0.5:2, p1:0.3:0.3:1\ntime = 0.000002i\n", None, 0,
+                        {"frame": "", "acs": "frame not transversal to its conjugate"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_GRIDS))
+def test_an_ok_row_has_finite_columns_and_a_failed_row_a_reason(tmp_path, monkeypatch, case):
+    text, cap, row, expected = FAILING_GRIDS[case]
+    if cap is not None:
+        monkeypatch.setattr(flow, "P_CAP", cap)
+    cfg = _write(tmp_path, "c.cfg", text)
+    for command in ("flow", "frame", "acs", "potential", "extend"):
+        if command == "potential" and "time = i\n" not in text:
+            continue
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        for *values, status, reason in rows:
+            if status == "ok":
+                assert reason == "" and np.isfinite([float(v) for v in values]).all(), command
+            else:
+                assert status == "failed" and reason, command
+        if command in expected:
+            assert rows[row][-1].startswith(expected[command]), command
+            assert (rows[row][-2] == "ok") == (expected[command] == ""), command
 
 
 def test_cmd_sweep_flat_success_everywhere(tmp_path):

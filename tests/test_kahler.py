@@ -6,7 +6,7 @@ import pytest
 from conftest import sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import flow, kahler
 from magtube import oracles as orc
-from magtube.flow import BlowUpError
+from magtube.flow import FlowError
 from magtube.geometry import CONTOUR_NODES, CONTOUR_RADIUS
 from magtube.kahler import (
     dbar_residual_many,
@@ -73,11 +73,11 @@ def test_distinguished_point_value(flat_geo):
 
 def test_kde_residual_flat(flat_geo, rng):
     Z = sample_flat(rng, 5, xmax=0.5, pmax=0.8)
-    assert kde_residual_many(flat_geo, Z, 0.3).max() < 1e-6
+    assert kde_residual_many(flat_geo, Z, 0.3)[3].max() < 1e-6
 
 
 def test_kde_residual_sphere(sphere_geo):
-    assert kde_residual_many(sphere_geo, np.array([[0.1, -0.05, 0.3, 0.2]]), 0.2)[0] < 1e-5
+    assert kde_residual_many(sphere_geo, np.array([[0.1, -0.05, 0.3, 0.2]]), 0.2)[3][0] < 1e-5
 
 
 def test_kde_slope_at_zero(flat_geo):
@@ -300,24 +300,29 @@ def test_residuals_at_the_tube_edge(sphere_geo):
     f, ok, _, res = dbar_residual_many(sphere_geo, Z, frames_conj)
     assert ok.all() and np.isfinite(f).all()
     assert res.max() < 1e-10
-    assert kde_residual_many(sphere_geo, Z, -1j).max() < 1e-10
+    assert kde_residual_many(sphere_geo, Z, -1j)[3].max() < 1e-10
 
 
 def test_residuals_are_nan_where_the_contour_fails(flat_geo, sphere_geo, monkeypatch):
     # dbar: under a momentum cap of 100, the flows of the second row's
-    # centre stay below it and nodes of its ring along conj F do not
+    # centre stay below it and nodes of its ring along conj F do not: the
+    # row fails BLOWUP with NaN f and defect
     monkeypatch.setattr(flow, "P_CAP", 100.0)
     Z = np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 64.8053, 0.0]])
+    assert potential_f_many(flat_geo, Z, -1j)[1].all()
     frames_conj = frames_at_many(flat_geo, Z, 1j)[0].conj()
-    f, ok, _, res = dbar_residual_many(flat_geo, Z, frames_conj)
-    assert ok.all() and np.isfinite(f).all()
+    f, ok, reasons, res = dbar_residual_many(flat_geo, Z, frames_conj)
+    assert list(ok) == [True, False] and reasons == [None, "BLOWUP"]
+    assert np.isfinite(f[0]) and np.isnan(f[1])
     assert res[0] < 1e-10 and np.isnan(res[1])
     # kde: a real row on a real path is held to the sphere's chart box, its
     # complex ring rows to the complex radius 0.6, which the second row lies
     # past; the first row is still computed
     Z = np.array([[0.1, -0.05, 0.3, 0.2], [0.65, 0.0, 0.2, 0.1]])
     assert potential_f_many(sphere_geo, Z, 0.3)[1].all()
-    res = kde_residual_many(sphere_geo, Z, 0.3)
+    f, ok, reasons, res = kde_residual_many(sphere_geo, Z, 0.3)
+    assert list(ok) == [True, False] and reasons == [None, "BLOWUP"]
+    assert np.isfinite(f[0]) and np.isnan(f[1])
     assert res[0] < 1e-10 and np.isnan(res[1])
 
 
@@ -399,8 +404,9 @@ def test_potential_f_is_one_row_of_potential_f_many(flat_geo, sphere_geo):
         for t in (-1j, 0.5, 0.3 + 0.8j):
             vals, ok, _ = potential_f_many(geo, row, t)
             assert ok[0] and potential_f(geo, z, t) == vals[0]
-    with pytest.raises(BlowUpError):
+    with pytest.raises(FlowError) as err:
         potential_f(tiny_validity_geometry(), np.array([0.0, 0.0, 2.5, 0.0]), -1j)
+    assert err.value.reason == "BLOWUP"
 
 
 def test_potential_f_many_flags_failures(flat_geo, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import patch_chart, sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import oracles as orc
-from magtube.flow import BlowUpError, ComplexTime, flow_many
+from magtube.flow import ComplexTime, FlowError, flow_many
 from magtube.geometry import CONTOUR_NODES, CONTOUR_RADIUS, twisted_symplectic_matrix
 from magtube import structure, suites
 from magtube.kahler import potential_f_many
@@ -61,8 +61,9 @@ def test_frames_at_many_agrees_with_single(flat_geo, sphere_geo, rng):
         F, ok, _, inv = frames_at_many(sphere_geo, row, t)
         assert ok[0] and np.array_equal(F0, F[0])
         assert inverse_residual == inv[0]
-    with pytest.raises(BlowUpError):
+    with pytest.raises(FlowError) as err:
         frame_at(tiny_validity_geometry(), np.array([0.0, 0.0, 2.5, 0.0]), 1j)
+    assert err.value.reason == "BLOWUP"
 
 
 def test_failed_row_frame_is_nan():
@@ -205,15 +206,28 @@ def test_assemble_J_properties(flat_geo, sphere_geo, rng):
             assert np.linalg.eigvalsh(0.5 * (sym + sym.T)).min() > 0
 
 
-def test_assemble_J_rejects_degenerate_frame(flat_geo):
+def test_assemble_J_rejects_degenerate_frame(flat_geo, sphere_geo, rng):
     z = np.array([0.2, 0.1, 0.6, -0.3])
     F, _ = frame_at(flat_geo, z, 0.5)  # real time
-    with pytest.raises(np.linalg.LinAlgError):
-        assemble_J(flat_geo, z[:2], F)
-    # one degenerate frame in a batch fails the batch
-    good, _ = frame_at(flat_geo, z, 1j)
-    with pytest.raises(np.linalg.LinAlgError):
-        assemble_J(flat_geo, np.stack([z[:2]] * 2), np.stack([good, F]))
+    acs = assemble_J(flat_geo, z[:2], F)
+    assert not acs.ok and acs.reasons.shape == ()
+    assert str(acs.reasons).startswith("frame not transversal to its conjugate (smin=")
+    assert np.isnan(acs.J).all() and np.isnan(acs.positivity_spectrum).all()
+    assert np.isnan(acs.imag_residual) and acs.transversality < 1e-6
+    # one degenerate frame in a batch fails its row only; the other rows get
+    # the bits of a batch without it
+    for geo, Z in ((flat_geo, sample_flat(rng, 4)), (sphere_geo, sample_sphere(rng, 4))):
+        good = frames_at_many(geo, Z, 0.3 + 0.8j)[0]
+        bad = frames_at_many(geo, Z[1:2], 0.5)[0]
+        both = assemble_J(geo, np.concatenate([Z[:2, :2], Z[1:, :2]]),
+                          np.concatenate([good[:2], bad, good[2:]]))
+        alone = assemble_J(geo, Z[:, :2], good)
+        assert list(both.ok) == [True, True, False, True, True] and alone.ok.all()
+        assert list(both.reasons[[0, 1, 3, 4]]) == [None] * 4 and both.reasons[2]
+        for name in ("J", "positivity_spectrum", "transversality", "imag_residual"):
+            assert np.array_equal(np.delete(getattr(both, name), 2, axis=0),
+                                  getattr(alone, name))
+        assert np.isnan(both.J[2]).all() and np.isnan(both.positivity_spectrum[2]).all()
 
 
 def test_assemble_J_of_a_batch_is_assemble_J_of_each_point(flat_geo, sphere_geo, rng):

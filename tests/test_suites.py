@@ -1,14 +1,14 @@
 """The suites' chart table and check registry: a new chart is one table
 entry that every chart-generic check picks up, a defect in a table chart
 reaches the checks that must see it, a NaN entry fails its check and a
-failed flow fails its checks without stopping the report."""
+failed flow or J fails its checks without stopping the report."""
 
 import dataclasses
 
 import numpy as np
 
 from conftest import patch_chart
-from magtube import flow, suites
+from magtube import flow, structure, suites
 from magtube.geometry import make_flat_magnetic
 
 # the suites whose aggregated checks (group_law, symplectomorphy, lagrangian
@@ -110,3 +110,18 @@ def test_a_wrong_potential_fails_dbar_not_kde(monkeypatch):
     assert not geometry["sphere_validation"].passed
     assert kahler["kde_sphere"].passed
     assert kahler["dbar_flat"].passed and kahler["kde_flat"].passed
+
+
+def test_frames_without_a_complex_structure_fail_their_J_checks(monkeypatch):
+    # with a threshold that no frame meets, assemble_J fails every point: the
+    # checks that read J are NaN with the reason as their note, and the
+    # report is still written
+    monkeypatch.setattr(structure, "TRANSVERSALITY_THRESHOLD", 10.0)
+    report = suites.run_suite("frames", 1234)
+    assert not report["passed"]
+    checks = {c["name"]: c for c in report["suites"][0]["checks"]}
+    for name in ("conjugate_time_J", "metric_positivity", "frame_gauge_invariance",
+                 "totally_real_horizontal"):
+        assert np.isnan(checks[name]["value"]) and not checks[name]["passed"], name
+        assert "frame not transversal to its conjugate" in checks[name]["note"], name
+    assert checks["zero_section_positivity_form"]["passed"]
