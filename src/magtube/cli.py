@@ -58,7 +58,6 @@ from .structure import (
     assemble_J,
     frames_at_many,
     integrability_residual_many,
-    positivity_matrix,
     transversality_check,
 )
 
@@ -158,33 +157,25 @@ def _rows_flow(geo, Z, t):
 
 def _rows_frame(geo, Z, t):
     F, ok, reasons, inv_res = frames_at_many(geo, Z, t)
-    smin = np.full(len(Z), np.nan)
-    smin[ok] = transversality_check(F[ok])
-    inv_res[~ok] = np.nan
-    return _csv_rows([np.real(Z), F, smin, inv_res], ok, reasons)
+    return _csv_rows([np.real(Z), F, transversality_check(F), inv_res], ok, reasons)
 
 
 def _merge(ok, reasons, rows, stage_ok, stage_reasons):
-    """Fail the rows (indices into ``ok``) that failed a later stage, with its reason."""
+    """Fail the rows (indices into ``ok``) that a later stage fails first, with its reason."""
     for i, good, why in zip(rows, stage_ok, stage_reasons):
-        if not good:
+        if ok[i] and not good:
             ok[i], reasons[i] = False, why
 
 
 def _rows_acs(geo, Z, t):
-    # J is assembled on the integrability-ok rows; a row whose frame is not
-    # transversal to its conjugate fails and keeps its transversality
+    # a frame-failed row has a NaN frame, which assemble_J fails; a row whose
+    # frame is not transversal to its conjugate fails and keeps its transversality
     n = geo.dim
     F, ok, reasons, integ = integrability_residual_many(geo, Z, t)
-    rows = np.flatnonzero(ok)
-    acs = assemble_J(geo, Z[rows, :n].real, F[rows])
-    _merge(ok, reasons, rows, acs.ok, acs.reasons)
-    vals = np.full((len(Z), 3 + 4 * n * n), np.nan)
-    vals[rows, 0] = acs.transversality
-    vals[rows, 1] = acs.positivity_spectrum.min(axis=-1)
-    vals[ok, 2] = integ[ok]
-    vals[rows, 3:] = acs.J.reshape(-1, 4 * n * n)
-    return _csv_rows([np.real(Z), vals], ok, reasons)
+    acs = assemble_J(geo, Z[:, :n].real, F)
+    _merge(ok, reasons, range(len(Z)), acs.ok, acs.reasons)
+    return _csv_rows([np.real(Z), acs.transversality, acs.positivity_spectrum.min(axis=-1),
+                      np.where(ok, integ, np.nan), acs.J], ok, reasons)
 
 
 def _rows_potential(geo, Z, t):
@@ -356,16 +347,15 @@ def cmd_sweep(args) -> int:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         shells.append(np.concatenate([np.repeat(bases, ndir, axis=0),
                                       np.tile(rho * dirs, (len(bases), 1))], axis=1))
-    # one frame flow over every shell; a failed row counts as +inf in the
-    # margins, and a shell with no ok row reports nan
+    # one frame flow over every shell; the margins are those of assemble_J,
+    # minimised over the rows that have them: a shell with none reports nan
     Z = np.concatenate(shells)
     F, ok, _, _ = frames_at_many(geo, Z, t)
-    trans, pos = np.full(len(Z), np.inf), np.full(len(Z), np.inf)
-    trans[ok] = transversality_check(F[ok])
-    pos[ok] = np.linalg.eigvalsh(positivity_matrix(geo, Z[ok, :n], F[ok])).min(axis=-1)
+    acs = assemble_J(geo, Z[:, :n], F)
     per_shell = (len(radii), len(bases) * ndir)
-    mins = [v.reshape(per_shell).min(axis=1) for v in (trans, pos)]
-    columns = [ok.reshape(per_shell).mean(axis=1)] + [np.where(np.isinf(v), np.nan, v) for v in mins]
+    columns = [ok.reshape(per_shell).mean(axis=1)] + [
+        np.fmin.reduce(v.reshape(per_shell), axis=1)
+        for v in (acs.transversality, acs.positivity_spectrum.min(axis=-1))]
     lines = [",".join([_fmt(float(rho)), str(per_shell[1])] + [_fmt(v) for v in values])
              for rho, *values in zip(radii, *columns)]
     _write_csv(cfg.out, header, lines)

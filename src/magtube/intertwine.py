@@ -34,13 +34,6 @@ def _nu_pushforward(n: int) -> np.ndarray:
     return D
 
 
-def _span_defects(A: np.ndarray, B: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """subspace_distance of the rows where ok holds; NaN elsewhere."""
-    out = np.full(len(ok), np.nan)
-    out[ok] = subspace_distance(A[ok], B[ok])
-    return out
-
-
 def check_flow_reversal(
     geo: ChartedGeometry,
     Z: np.ndarray,
@@ -65,9 +58,9 @@ def check_frame_intertwine(
     """Span distance between nu_*(+beta frame at z) and the conjugated -beta
     frame at nu(z) (sin of the largest principal angle), at each row z of Z."""
     nu = _nu_pushforward(geo.dim)
-    F_plus, ok_plus, _, _ = frames_at_many(geo, Z, t)
-    F_minus, ok_minus, _, _ = frames_at_many(geo.with_negated_field(), Z @ nu, t)
-    return _span_defects(nu @ F_plus, F_minus.conj(), ok_plus & ok_minus)
+    F_plus = frames_at_many(geo, Z, t)[0]
+    F_minus = frames_at_many(geo.with_negated_field(), Z @ nu, t)[0]
+    return subspace_distance(nu @ F_plus, F_minus.conj())
 
 
 def check_shifted_frame_intertwine(
@@ -84,10 +77,9 @@ def check_shifted_frame_intertwine(
     """
     nu = _nu_pushforward(geo.dim)
     minus = geo.with_negated_field()
-    F_plus, ok_plus, _, _ = frames_at_many(geo, Z, t)
+    F_plus = frames_at_many(geo, Z, t)[0]
     shifted = flow_many(minus, Z @ nu, 2.0 * _time_path(t)[1].real)
     W = np.concatenate([shifted.x, shifted.p], axis=1)
-    W[~shifted.ok] = 0.0  # parked; masked out below
-    F_minus, ok_minus, _, _ = frames_at_many(minus, W, t)
-    pushed = shifted.jac.real @ nu @ F_plus
-    return _span_defects(pushed, F_minus.conj(), ok_plus & shifted.ok & ok_minus)
+    W[~shifted.ok] = np.nan  # no frame at a failed row's end point
+    F_minus = frames_at_many(minus, W, t)[0]
+    return subspace_distance(shifted.jac.real @ nu @ F_plus, F_minus.conj())

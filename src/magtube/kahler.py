@@ -174,7 +174,7 @@ def dbar_residual_many(
     geo: ChartedGeometry,
     Z: np.ndarray,
     frames_conj: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
     """Vectorized defect of dbar f_{-i} = (theta^A)^(0,1).
 
     ``frames_conj`` is (m, 2n, n): per-row (0,1) direction columns, along
@@ -296,6 +296,6 @@ def section_weight(geo: ChartedGeometry, z: np.ndarray, k: int) -> complex:
     |weight|^2 = exp(-k kappa2), the Gaussian-type density weighting the
     inner product of holomorphic sections of the k-th tensor power.
     """
-    if k < 1:
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError("k must be a positive integer")
     return complex(np.exp(-1j * k * potential_f(geo, z, -1j)))

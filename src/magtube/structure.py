@@ -49,6 +49,25 @@ TRANSVERSALITY_THRESHOLD = 1e-6
 # ---------------------------------------------------------------------------
 # frame linear algebra
 # ---------------------------------------------------------------------------
+#
+# A failed frame is NaN in its real and imaginary parts.  Every function here
+# takes batches that hold failed frames: each finite frame is computed as it
+# would be alone, and every other frame gives NaN, with no exception and no
+# warning.
+
+def _finite(fn, A: np.ndarray):
+    """``fn`` over the finite matrices (last two axes) of A, NaN at the others.
+
+    The LAPACK calls that raise for the whole batch on one NaN matrix (the
+    SVD, ``eigvalsh``, the 2-norm) go through here; ``fn`` maps a (k, r, c)
+    stack to (k, ...) real values."""
+    A = np.asarray(A)
+    good = np.isfinite(A).all(axis=(-2, -1))
+    vals = fn(A[good])
+    out = np.full(good.shape + vals.shape[1:], np.nan)
+    out[good] = vals
+    return out[()]
+
 
 def orthonormalize(F: np.ndarray) -> np.ndarray:
     """QR-orthonormalize columns with positive-real diagonal of R.
@@ -56,11 +75,12 @@ def orthonormalize(F: np.ndarray) -> np.ndarray:
     The phase convention makes the result a deterministic function of the
     input columns; it uses complex conjugates, so the result is not
     holomorphic in the base point and is never differentiated (brackets
-    use the raw transported columns).  Batched over leading axes.
+    use the raw transported columns).  Batched over leading axes; QR gives
+    a NaN frame NaN columns, and its diagonal takes no phase.
     """
     Q, R = np.linalg.qr(np.asarray(F))
-    d = np.diagonal(R, axis1=-2, axis2=-1).copy()
-    d = np.where(np.abs(d) == 0, 1.0, d)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    d = np.where(np.abs(d) > 0, d, 1.0)
     phase = d / np.abs(d)
     return Q * phase.conj()[..., None, :]
 
@@ -76,7 +96,7 @@ def subspace_distance(A: np.ndarray, B: np.ndarray):
     Qb = orthonormalize(B)
     Pa = Qa @ Qa.conj().swapaxes(-1, -2)
     Pb = Qb @ Qb.conj().swapaxes(-1, -2)
-    return np.linalg.norm(Pa - Pb, ord=2, axis=(-2, -1))
+    return _finite(lambda P: np.linalg.norm(P, ord=2, axis=(-2, -1)), Pa - Pb)
 
 
 @dataclass
@@ -117,9 +137,8 @@ def _transport(geo: ChartedGeometry, Z: np.ndarray, t):
     at z are X = M^{-1} [0; 1], holomorphic in z.  The inverse residual is
     the twisted-symplectic defect max|M^T Omega(w) M - Omega(z)|, the
     residual of the symplectic inverse identity
-    M^{-1} = Omega(z)^{-1} M^T Omega(w).  A failed row is parked at M = I,
-    so its columns are finite but meaningless, and gets an infinite
-    residual.
+    M^{-1} = Omega(z)^{-1} M^T Omega(w).  A failed row's M and w are NaN,
+    so its columns and residual are NaN.
 
     Returns (X, ok, reasons, inverse_residuals) with X of shape (m, 2n, n).
     """
@@ -128,16 +147,15 @@ def _transport(geo: ChartedGeometry, Z: np.ndarray, t):
     n = geo.dim
     ok = back.ok
     M, W = back.jac, back.x
-    M[~ok] = np.eye(2 * n)  # parked; masked out below
-    W[~ok] = 0.0
+    M[~ok] = np.nan
+    W[~ok] = np.nan
     vertical = np.zeros((2 * n, n))
     vertical[n:] = np.eye(n)
     X = np.linalg.solve(M, np.broadcast_to(vertical, (len(Z), 2 * n, n)))
-    defect = (M.swapaxes(1, 2) @ twisted_symplectic_matrix(geo, W) @ M
-              - twisted_symplectic_matrix(geo, Z[:, :n]))
-    inv_res = np.abs(defect).max(axis=(1, 2))
-    inv_res[~ok] = np.inf
-    return X, ok, back.reasons, inv_res
+    with np.errstate(invalid="ignore"):  # a chart's field may warn at a NaN point
+        defect = (M.swapaxes(1, 2) @ twisted_symplectic_matrix(geo, W) @ M
+                  - twisted_symplectic_matrix(geo, Z[:, :n]))
+    return X, ok, back.reasons, np.abs(defect).max(axis=(1, 2))
 
 
 def frames_at_many(
@@ -147,15 +165,13 @@ def frames_at_many(
 ):
     """Batch frame transport: the column-orthonormalized transported
     vertical columns of one backward flow with the tangent map, and its
-    twisted-symplectic defect as the inverse residual.  A failed row gets an
-    all-NaN frame and an infinite residual.
+    twisted-symplectic defect as the inverse residual.  A failed row gets a
+    NaN frame and residual.
 
     Returns (F, ok, reasons, inverse_residuals) with F of shape (m, 2n, n).
     """
     X, ok, reasons, inv_res = _transport(geo, Z, t)
-    F = orthonormalize(X)
-    F[~ok] = np.nan
-    return F, ok, reasons, inv_res
+    return orthonormalize(X), ok, reasons, inv_res
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +183,7 @@ def transversality_check(F: np.ndarray):
     subspace meets its conjugate only at zero.  Batched over the leading axes
     of the frames F (..., 2n, n), one value per frame."""
     S = np.concatenate([F, F.conj()], axis=-1)
-    return np.linalg.svd(S, compute_uv=False).min(axis=-1)
+    return _finite(lambda S: np.linalg.svd(S, compute_uv=False).min(axis=-1), S)
 
 
 def positivity_matrix(geo: ChartedGeometry, x: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -191,8 +207,8 @@ def assemble_J(geo: ChartedGeometry, x: np.ndarray, F: np.ndarray) -> ACSPointDa
     orthonormalized frame, which makes it frame-gauge invariant.  Batched
     over base points x (..., n) and frames F (..., 2n, n), as
     ``positivity_matrix`` is.  A frame whose transversality is below
-    ``TRANSVERSALITY_THRESHOLD`` fails; S is inverted at the other points
-    only, each as it would be alone.
+    ``TRANSVERSALITY_THRESHOLD``, or NaN, fails; S is inverted at the other
+    points only, each as it would be alone.
     """
     F = np.asarray(F)
     n = F.shape[-1]
@@ -202,7 +218,7 @@ def assemble_J(geo: ChartedGeometry, x: np.ndarray, F: np.ndarray) -> ACSPointDa
     D = np.diag(np.concatenate([np.full(n, 1j), np.full(n, -1j)]))
     Jc = np.full(S.shape, complex(np.nan, np.nan))
     Jc[ok] = S[ok] @ D @ np.linalg.inv(S[ok])
-    spectrum = np.linalg.eigvalsh(positivity_matrix(geo, x, F))
+    spectrum = _finite(np.linalg.eigvalsh, positivity_matrix(geo, x, F))
     spectrum[~ok] = np.nan
     reasons = [None if good else f"frame not transversal to its conjugate (smin={s:.3e})"
                for good, s in zip(ok.ravel(), smin.ravel())]
@@ -254,8 +270,7 @@ def integrability_residual_many(
                          "(a number or a ComplexTime), not an array of per-row times")
     X, ok, reasons, dX = phase_gradient(lambda rows: _transport(geo, rows, t)[:3], Z,
                                         np.eye(2 * geo.dim))
-    F = np.full_like(X, np.nan)
-    F[ok] = orthonormalize(X[ok])
+    F = orthonormalize(X)
     # D[k, a, :, b] = (X_a . grad) X_b; the bracket [X_a, X_b] is
     # D[:, a, :, b] - D[:, b, :, a], projected off the frame span
     D = np.einsum("kja,kjib->kaib", X, dX)

@@ -492,7 +492,7 @@ def _flat_potential(case):
 @_block("kahler", _Check("dbar_{chart}"))
 def _dbar(case):
     """dbar f_{-i} = (theta^A)^{0,1}."""
-    case.F = frames_at_many(case.geo, case.Z, 1j)[0]
+    case.F, case.frames_ok, case.frame_reasons, _ = frames_at_many(case.geo, case.Z, 1j)
     return {"dbar_{chart}": dbar_residual_many(case.geo, case.Z, case.F.conj())[3]}
 
 
@@ -500,6 +500,7 @@ def _dbar(case):
         charts=("flat",))
 def _kappa1(case):
     """kappa1: the tanh coefficient resolved by the adaptedness identity."""
+    raise_first_failure(case.frames_ok[:1], case.frame_reasons[:1])  # J needs the first frame
     acs = _ok(assemble_J(case.geo, case.Z[0, :2], case.F[0]))
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, case.Z[:10])
     note = (f"tanh coefficient resolved to {coeff} * B (candidate residuals: "

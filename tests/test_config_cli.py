@@ -444,10 +444,10 @@ def test_cmd_acs_fails_the_rows_without_a_complex_structure(tmp_path):
     assert [float(v) for v in rows[1][iJ:-2]] == acs.J.ravel().tolist()
 
 
-@pytest.mark.parametrize("command", ["acs", "potential", "extend"])
+@pytest.mark.parametrize("command", ["frame", "acs", "potential", "extend"])
 def test_grid_where_every_row_fails_writes_failed_rows(tmp_path, command):
-    # |p| = 3 on the unit sphere leaves the tube before t = i: the builders
-    # that compute their columns on the ok rows only get none
+    # |p| = 3 on the unit sphere leaves the tube before t = i: every
+    # computed column of every row reads nan, a frame's in both its parts
     cfg = _write(tmp_path, "c.cfg", "kind = sphere\nradius = 1\nfield = 1\n"
                  "grid = x1:0.05:0.05:1, p1:2.9:3.0:2\ntime = i\n")
     out = tmp_path / "out.csv"

@@ -378,8 +378,10 @@ def test_section_weight_identities(flat_geo):
     w1 = section_weight(flat_geo, z, 1)
     w2 = section_weight(flat_geo, z, 2)
     assert abs(w2 - w1**2) < 1e-12
-    with pytest.raises(ValueError):
-        section_weight(flat_geo, z, 0)
+    assert section_weight(flat_geo, z, np.int64(2)) == w2
+    for k in (0, 1.5, 2.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            section_weight(flat_geo, z, k)
 
 
 def test_weight_modulus_is_heat_kernel_density(rng):

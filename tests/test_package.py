@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import magtube
@@ -79,13 +80,19 @@ def test_engine_commands_leave_scipy_and_the_pool_unloaded(tmp_path):
 
 def test_readme_library_example_runs():
     # the README's library-surface example is the one python block under its
-    # heading; it runs as written
+    # heading; it runs as written, and its last row fails in every batch
+    # without a raise or a warning
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("## Library surface", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
-    assert namespace["res"].ok.all() and namespace["ok"].all()
+    acs = namespace["acs"]
+    for ok in (namespace["res"].ok, namespace["ok"], acs.ok):
+        assert list(ok) == [True, True, False]
+    assert np.isnan(acs.J[2]).all() and np.isfinite(acs.J[:2]).all()
+    for name in ("inv_res", "integ", "kde", "dbar"):
+        assert np.isnan(namespace[name][2]) and np.isfinite(namespace[name][:2]).all(), name
 
 
 def _unused_imports(path: Path) -> list:

@@ -9,6 +9,7 @@ from magtube.flow import ComplexTime, FlowError, flow_many
 from magtube.geometry import CONTOUR_NODES, CONTOUR_RADIUS, twisted_symplectic_matrix
 from magtube import structure, suites
 from magtube.kahler import potential_f_many
+from magtube.intertwine import check_frame_intertwine, check_shifted_frame_intertwine
 from magtube.structure import (
     assemble_J,
     frame_at,
@@ -68,13 +69,37 @@ def test_frames_at_many_agrees_with_single(flat_geo, sphere_geo, rng):
 
 def test_failed_row_frame_is_nan():
     # the middle row blows up on the way back; it must not report the frame
-    # of the chart origin where the integrator parks it
+    # of the point where the integrator stopped it
     geo = tiny_validity_geometry()
     Z = np.array([[0.1, 0.0, 0.2, 0.0], [0.0, 0.0, 2.5, 0.0], [0.0, 0.1, 0.0, -0.2]])
     F, ok, reasons, inv = frames_at_many(geo, Z, 1j)
     assert list(ok) == [True, False, True] and reasons[1] == "BLOWUP"
-    assert np.isnan(F[1]).all() and inv[1] == np.inf
+    assert np.isnan(F[1].real).all() and np.isnan(F[1].imag).all() and np.isnan(inv[1])
     assert np.isfinite(F[[0, 2]]).all() and np.isfinite(inv[[0, 2]]).all()
+
+
+def test_frame_checks_and_J_take_a_failed_frame(sphere_geo):
+    # the last row leaves the sphere's complex region before t = i: every
+    # frame check gives it NaN with no raise and no warning, and gives the
+    # ok rows, bit for bit, what they give alone
+    Z = np.array([[0.1, -0.05, 0.3, 0.2], [0.0, 0.1, -0.2, 0.1], [0.7, 0.0, 0.0, 0.0]])
+    F, ok, _, _ = frames_at_many(sphere_geo, Z, 1j)
+    assert list(ok) == [True, True, False]
+    X = structure._transport(sphere_geo, Z, 1j)[0]
+    for fn, args in ((orthonormalize, (X,)), (transversality_check, (F,)),
+                     (subspace_distance, (F, F[[1, 0, 2]]))):
+        whole, alone = fn(*args), fn(*(a[:2] for a in args))
+        assert np.isnan(whole[2]).all(), fn.__name__
+        assert np.isrealobj(whole) or np.isnan(whole[2].imag).all(), fn.__name__
+        assert whole[:2].tobytes() == alone.tobytes(), fn.__name__
+    acs, alone = assemble_J(sphere_geo, Z[:, :2], F), assemble_J(sphere_geo, Z[:2, :2], F[:2])
+    assert list(acs.ok) == [True, True, False] and acs.reasons[2].startswith("frame not")
+    for name in ("J", "positivity_spectrum", "transversality", "imag_residual"):
+        whole = getattr(acs, name)
+        assert np.isnan(whole[2]).all() and whole[:2].tobytes() == getattr(alone, name).tobytes()
+    for defects in (check_frame_intertwine(sphere_geo, Z, 1j),
+                    check_shifted_frame_intertwine(sphere_geo, Z, 0.3 + 0.8j)):
+        assert np.isnan(defects[2]) and (defects[:2] < 1e-6).all()
 
 
 def test_real_time_frames_are_checked_against_the_chart_box(sphere_geo):

@@ -97,6 +97,18 @@ def test_a_failed_flow_fails_its_checks_and_the_report_is_written(monkeypatch):
     assert checks["kde_flat"]["passed"] and checks["integrability_flat"]["passed"]
 
 
+def test_a_failed_kahler_frame_fails_kappa1_with_the_flow_reason(monkeypatch):
+    # a complex region of radius 0.3 fails the flat chart's first kahler
+    # frame: J is not assembled on it, and the kappa1 checks carry the
+    # frame flow's reason; the report is still written
+    patch_chart(monkeypatch, "flat", lambda geo: dataclasses.replace(geo, complex_radius=0.3))
+    report = suites.run_suite("kahler", 1234)
+    checks = {c["name"]: c for s in report["suites"] for c in s["checks"]}
+    for name in ("kappa1_adapted", "kappa1_coefficient_is_half"):
+        assert np.isnan(checks[name]["value"]) and checks[name]["note"] == "flat: BLOWUP", name
+    assert np.isnan(checks["dbar_flat"]["value"]) and checks["dbar_sphere"]["passed"]
+
+
 def test_a_wrong_potential_fails_dbar_not_kde(monkeypatch):
     # dbar f_{-i} = (theta^A)^{0,1} needs dA = beta; the kde identity holds
     # for any 1-form A, so a scaled A leaves it at roundoff
