@@ -14,7 +14,6 @@ from .geometry import (
     energy,
     make_flat_magnetic,
     make_sphere_magnetic,
-    pointwise_geometry,
     twisted_symplectic_matrix,
     validate_geometry,
 )

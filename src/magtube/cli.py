@@ -23,7 +23,8 @@ flow and frame take any time; acs, extend and sweep need Im t != 0;
 potential computes at t = i only, with no path.
 
 Exit codes: 0 all good / checks pass, 1 check failure, 2 configuration error.
-Config keys can be overridden through MAGTUBE_* environment variables.
+Config keys can be overridden through MAGTUBE_* environment variables; verify
+rejects the geometry, grid and time keys, which it does not read.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ def _write_csv(path, header, lines):
 
 
 def _load(args) -> RunConfig:
-    """The config with the flags that are given (an empty one is not)."""
-    cfg = load_config(args.config)
+    """The command's config with the flags that are given (an empty one is
+    not)."""
+    cfg = load_config(args.config, args.command)
     for key in ("out", "seed", "jobs", "suite"):
         if getattr(args, key, None) not in (None, ""):
             setattr(cfg, key, getattr(args, key))

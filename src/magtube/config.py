@@ -11,7 +11,9 @@ variables with the MAGTUBE_ prefix override file keys (e.g. MAGTUBE_SEED=7).
 Each key is one entry of ``_PARSERS``, keyed by its ``RunConfig`` field;
 every range rule is in ``check_run_keys``; each kind is one row of
 ``_KINDS``, with the geometry keys it reads: a geometry key that the kind
-does not read is rejected.
+does not read is rejected.  A command that does not read some keys names
+them in ``_UNREAD``, and a file or MAGTUBE_* variable that sets one of them
+is rejected for that command.
 """
 
 from __future__ import annotations
@@ -140,7 +142,8 @@ _PARSERS = {
 }
 
 
-def parse_config_text(text: str) -> RunConfig:
+def parse_config_text(text: str, command: Optional[str] = None) -> RunConfig:
+    """The config of a file's text for ``command`` (see ``_config_from_pairs``)."""
     pairs = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -152,12 +155,20 @@ def parse_config_text(text: str) -> RunConfig:
         if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         pairs[key] = value
-    return _config_from_pairs(pairs)
+    return _config_from_pairs(pairs, command)
 
 
-def _config_from_pairs(pairs: dict) -> RunConfig:
+# the keys a command does not read: verify runs its own charts, samples and
+# times, so a geometry, grid or time key given to it would have no effect
+_UNREAD = {
+    "verify": ("kind", "dim", "B", "mass_freq", "radius", "field", "grid", "time", "path"),
+}
+
+
+def _config_from_pairs(pairs: dict, command: Optional[str] = None) -> RunConfig:
     """The config of the key = value pairs, MAGTUBE_* variables overriding
-    them, each value parsed by its key's parser and the result checked."""
+    them, each value parsed by its key's parser and the result checked; a
+    key that ``command`` does not read (``_UNREAD``) is rejected."""
     pairs = dict(pairs)
     for key in _PARSERS:
         env = os.environ.get(ENV_PREFIX + key.upper())
@@ -169,6 +180,10 @@ def _config_from_pairs(pairs: dict) -> RunConfig:
     except (ValueError, TypeError) as exc:  # a ConfigError is a ValueError
         raise ConfigError(str(exc)) from exc
     check_run_keys(cfg)
+    unread = [key for key in _UNREAD.get(command, ()) if key in pairs]
+    if unread:
+        raise ConfigError(f"{command} does not read {unread}: it runs its own charts, "
+                          "samples and times")
     unread = [key for key in pairs if key in _GEOMETRY_KEYS and key not in _KINDS[cfg.kind][0]]
     if unread:
         raise ConfigError(f"kind {cfg.kind} does not read {unread}")
@@ -201,12 +216,14 @@ def check_run_keys(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def load_config(path: Optional[str]) -> RunConfig:
+def load_config(path: Optional[str], command: Optional[str] = None) -> RunConfig:
+    """The config of the file at ``path`` (none: the defaults) and the
+    MAGTUBE_* variables, for ``command`` (see ``_config_from_pairs``)."""
     if path is None:
-        return _config_from_pairs({})
+        return _config_from_pairs({}, command)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read())
+            return parse_config_text(fh.read(), command)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 

@@ -185,7 +185,9 @@ class BatchFlowResult:
 
     ``det`` is |det| of each row's end tangent map ``jac`` (nonzero there
     implies nonzero along the path, see the module docstring); ``jac`` is
-    None and ``det`` NaN for a tangent-free flow.
+    None and ``det`` NaN for a tangent-free flow.  An ok row's values are
+    finite; a failed row's x, p, quad and jac are NaN in both parts, and its
+    det is NaN.
     """
 
     x: np.ndarray
@@ -445,6 +447,12 @@ def _integrate_path(
     (accepted and rejected) shared steps.  The tangent map (and with it det,
     NaN otherwise) is carried only if ``tangent``.
 
+    A row that fails is parked at complex NaN (NaN in both parts) at once
+    and never restored, so its end state, and with it its x, p, quad, jac
+    and det, is NaN: the flow gives a failed row no value.  It is still
+    carried through the later steps of its batch, where its stages are NaN
+    and its error norm is not read.
+
     The work arrays, the jet's included, are allocated once per call and
     every step is formed in them (see the module docstring and ``_SLOT``);
     |Y| is carried over from the accepted |y_new|.
@@ -458,16 +466,13 @@ def _integrate_path(
     Y = _pack(Z0, n, tangent)
     active = np.ones(m, dtype=bool)
     reasons = np.array([""] * m, dtype=object)
-    Yfail = Y.copy()
-    benign = _pack(np.zeros((1, 2 * n)), n, tangent)  # chart origin, jac = 1
     steps = 0
 
     def fail_rows(mask, why):
-        """Record failing rows and park them at a benign state."""
-        Yfail[:, mask] = Y[:, mask]
+        """Record failing rows and park them at complex NaN, their result."""
         reasons[mask] = np.broadcast_to(why, mask.shape)[mask]
         active[mask] = False
-        Y[:, mask] = benign
+        Y[:, mask] = complex(np.nan, np.nan)
 
     bad, why = _check_rows(geo, Y, real_rows)
     if bad.any():
@@ -548,12 +553,10 @@ def _integrate_path(
                         continue
                     h = h * _step_factor(err_norm)
 
-    failed = reasons != ""
-    Y[:, failed] = Yfail[:, failed]
-    ok = ~failed
+    ok = reasons == ""
     Y = np.ascontiguousarray(Y.T)
     if tangent:
-        with np.errstate(invalid="ignore"):  # a failed row's map may be non-finite
+        with np.errstate(invalid="ignore"):  # a failed row's map is NaN
             det = np.abs(np.linalg.det(Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)))
     else:
         det = np.full(m, np.nan)
@@ -578,12 +581,12 @@ def flow_many(
     0; every library operation passes its time here unchanged, and reverses
     it as ``-t``.  Every form obeys the one disk rule, ``_check_disk``.
     Rows that fail are reported through ``ok`` and ``reasons`` instead of
-    raising.  The region is decided per row: a real row on a real path must
-    stay inside the chart box (else ``CHART_EXIT``), every other row inside
-    the complex validity region (else ``BLOWUP``).  With
-    ``tangent=False`` only the phase point and the quadrature are
-    integrated: ``jac`` is None and ``det`` NaN, and neither the field
-    Jacobian nor the geometry's second derivatives are evaluated.
+    raising, and their values are NaN in both parts.  The region is decided
+    per row: a real row on a real path must stay inside the chart box (else
+    ``CHART_EXIT``), every other row inside the complex validity region
+    (else ``BLOWUP``).  With ``tangent=False`` only the phase point and the
+    quadrature are integrated: ``jac`` is None and ``det`` NaN, and neither
+    the field Jacobian nor the geometry's second derivatives are evaluated.
     """
     waypoints, target = _time_path(t)
     Y, ok, reasons, det, steps = _integrate_path(

@@ -16,8 +16,7 @@ maps an (..., n) array of chart points to
     potential        -> (..., n)
 
 A built-in chart evaluates an (n,) point as the one-row batch, so a point
-gets the bits of its row in any batch.  Use :func:`pointwise_geometry` to
-wrap per-point evaluators that do not broadcast.
+gets the bits of its row in any batch.
 
 Jet convention: ``ChartedGeometry.jet(x, order, work)`` is the one read of
 the chart data per right-hand-side evaluation.  It takes the points rows-last,
@@ -61,9 +60,9 @@ Derivative rule: the evaluators are holomorphic, so a derivative along a real
 chart coordinate is the trapezoid rule on a circle of radius
 ``CONTOUR_RADIUS`` with ``CONTOUR_NODES`` nodes in the complexified
 coordinate (Lyness and Moler 1967).  It composes the jet's missing
-derivatives, the default dg of :func:`pointwise_geometry` and the references
-of :func:`validate_geometry`; ``kahler.phase_gradient`` uses the same ring
-for phase-space derivatives of computed quantities.
+derivatives and the references of :func:`validate_geometry`;
+``kahler.phase_gradient`` uses the same ring for phase-space derivatives of
+computed quantities.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ __all__ = [
     "FusedJet",
     "make_flat_magnetic",
     "make_sphere_magnetic",
-    "pointwise_geometry",
     "validate_geometry",
     "GeometryReport",
     "energy",
@@ -334,10 +332,12 @@ def twisted_symplectic_matrix(geo: ChartedGeometry, x: Array) -> Array:
     """Matrix of the twisted form against tangent vectors (dx, dp).
 
     omega(X, Y) = X . Omega . Y with Omega = [[-beta(x), 1], [-1, 0]].
+    A NaN point (a failed row) gives NaN beta, with no warning.
     """
     x = np.asarray(x)
     n = geo.dim
-    b = geo.beta(x)
+    with np.errstate(invalid="ignore"):  # a complex division warns at a NaN point
+        b = geo.beta(x)
     eye = np.eye(n)
     shape = b.shape[:-2] + (2 * n, 2 * n)
     om = np.zeros(shape, dtype=b.dtype)
@@ -520,50 +520,6 @@ def make_sphere_magnetic(r: float, B: float) -> ChartedGeometry:
     # radius keeps q = r^2 + u.u away from its complex zeros.
     return _kernel_chart(2, _shared, (_g, _dg, _beta, _potential, _d2g, _beta_deriv),
                          chart_box=3.0 * r, complex_radius=0.6 * r, name=f"sphere(r={r}, B={B})")
-
-
-def pointwise_geometry(
-    dim: int,
-    inv_metric,
-    beta,
-    potential,
-    chart_box: float,
-    complex_radius: float,
-    inv_metric_deriv=None,
-    name: str = "custom",
-) -> ChartedGeometry:
-    """Build a ChartedGeometry from per-point (non-broadcasting) evaluators.
-
-    ``inv_metric_deriv`` defaults to contour derivatives of ``inv_metric``,
-    and the jet composes the second derivatives the same way.
-    """
-
-    def vectorize(fn):
-        def wrapped(x):
-            x = np.asarray(x)
-            if x.ndim == 1:
-                return np.asarray(fn(x))
-            flat = x.reshape(-1, x.shape[-1])
-            vals = np.stack([np.asarray(fn(row)) for row in flat])
-            return vals.reshape(x.shape[:-1] + vals.shape[1:])
-
-        return wrapped
-
-    gv = vectorize(inv_metric)
-    if inv_metric_deriv is None:
-        gd = lambda x: _contour_last_axis(gv, x)
-    else:
-        gd = vectorize(inv_metric_deriv)
-    return ChartedGeometry(
-        dim=dim,
-        inv_metric=gv,
-        inv_metric_deriv=gd,
-        beta=vectorize(beta),
-        potential=vectorize(potential),
-        chart_box=chart_box,
-        complex_radius=complex_radius,
-        name=name,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,7 @@ def check_flow_reversal(
     minus = flow_many(geo.with_negated_field(), Z @ nu, sigma, tangent=False)
     plus = flow_many(geo, Z, -sigma, tangent=False)
     lhs = np.concatenate([minus.x, minus.p], axis=1) @ nu
-    defect = np.abs(lhs - np.concatenate([plus.x, plus.p], axis=1)).max(axis=1)
-    defect[~(minus.ok & plus.ok)] = np.nan
-    return defect
+    return np.abs(lhs - np.concatenate([plus.x, plus.p], axis=1)).max(axis=1)
 
 
 def check_frame_intertwine(
@@ -79,7 +77,5 @@ def check_shifted_frame_intertwine(
     minus = geo.with_negated_field()
     F_plus = frames_at_many(geo, Z, t)[0]
     shifted = flow_many(minus, Z @ nu, 2.0 * _time_path(t)[1].real)
-    W = np.concatenate([shifted.x, shifted.p], axis=1)
-    W[~shifted.ok] = np.nan  # no frame at a failed row's end point
-    F_minus = frames_at_many(minus, W, t)[0]
+    F_minus = frames_at_many(minus, np.concatenate([shifted.x, shifted.p], axis=1), t)[0]
     return subspace_distance(shifted.jac.real @ nu @ F_plus, F_minus.conj())

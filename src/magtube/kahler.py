@@ -30,8 +30,7 @@ nodes, for every row of a batch in one call of the batched function.  An
 identity is differentiated only along the directions it contracts: kde
 along (X_E, 1) in (x, p, sigma), dbar along the columns of conj F.  The
 ring and its weights live in ``geometry``, whose chart derivatives
-(composed jets, ``pointwise_geometry``'s dg, the ``validate_geometry``
-references) follow the same rule.
+(composed jets, the ``validate_geometry`` references) follow the same rule.
 """
 
 from __future__ import annotations
@@ -62,6 +61,9 @@ __all__ = [
 # derivatives from holomorphy (Cauchy contours)
 # ---------------------------------------------------------------------------
 
+REASON_DIRECTION = "direction not finite"  # a failed frame row as a contour direction
+
+
 def phase_gradient(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
     """Contour derivatives along the directions V at every row of Z.
 
@@ -75,33 +77,37 @@ def phase_gradient(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
     order, |v| the Hermitian length; the derivative is scaled back by |v|.
 
     Returns ``(vals, ok, reasons, deriv)``: the batch contract at the centre
-    rows plus the (m, k, ...) derivatives.  A row fails when its centre or
-    any node of its ring fails, with the reason of its first failed node
-    (the centre first), and gets NaN values and derivatives; nothing is
-    raised.  A NaN direction (a failed frame row, its ring parked on z) gets
-    NaN derivatives and leaves the row's flags to its nodes.
+    rows plus the (m, k, ...) derivatives.  A row fails when its centre, its
+    directions or any node of its ring fails, and gets NaN values and
+    derivatives (NaN in both parts where they are complex); nothing is
+    raised.  Its reason is the centre's, else ``REASON_DIRECTION`` for a
+    direction that is not finite (a failed frame row), else that of its
+    first failed node.
     """
     Z = np.asarray(Z)
     m, d = Z.shape
     V = np.broadcast_to(V, (m, *np.shape(V)[-2:]))
     size = np.linalg.norm(V, axis=-1)  # (m, k)
-    unit = np.nan_to_num(V * (1 / size[..., None]))  # V / size warns on a NaN size
-    ring = unit[:, :, None, :] * _RING[:, None]  # (row, direction, node, column)
+    # (row, direction, node, column); a NaN direction gives NaN nodes
+    ring = (V * (1 / size[..., None]))[:, :, None, :] * _RING[:, None]
     rows = np.concatenate([Z, (Z[:, None, None, :] + ring).reshape(-1, d)])
     vals, ok, reasons = batch_fun(rows)
     vals = np.asarray(vals)
     # row i's nodes, centre first, are rows nodes[i] of the batch; first[i] is
-    # its first failed node, else its centre, so row i is ok iff ok[first[i]]
+    # its first failed node, else its centre
     ok = np.broadcast_to(ok, len(rows))
     nodes = np.column_stack([np.arange(m),
                              np.arange(m, len(rows)).reshape(m, V.shape[1] * len(_RING))])
     first = nodes[np.arange(m), np.argmin(ok[nodes], axis=1)]
-    row_ok = ok[first]
+    finite_dir = np.isfinite(size).all(axis=1)
+    row_ok = ok[first] & finite_dir
     deriv = np.moveaxis(vals[m:].reshape(*ring.shape[:3], *vals.shape[1:]), 2, -1) @ _WEIGHTS
     deriv *= size.reshape(size.shape + (1,) * (deriv.ndim - 2))
-    deriv[~row_ok] = np.nan
-    vals = np.where(row_ok.reshape((m,) + (1,) * (vals.ndim - 1)), vals[:m], np.nan)
-    reasons = [None if good else reasons[j] for good, j in zip(row_ok, first)]
+    deriv[~row_ok] = complex(np.nan, np.nan)
+    nan = complex(np.nan, np.nan) if np.iscomplexobj(vals) else np.nan
+    vals = np.where(row_ok.reshape((m,) + (1,) * (vals.ndim - 1)), vals[:m], nan)
+    reasons = [None if good else REASON_DIRECTION if ok[i] and not finite_dir[i] else reasons[j]
+               for i, (good, j) in enumerate(zip(row_ok, first))]
     return vals, row_ok, reasons, deriv
 
 
@@ -133,9 +139,7 @@ def potential_f_many(geo, Z: np.ndarray, t):
     res = flow_many(geo, Z, -t, tangent=False)
     n = geo.dim
     E = energy(geo, Z[:, :n], Z[:, n:])
-    vals = -res.time * E - res.quad
-    vals[~res.ok] = np.nan
-    return vals, res.ok, res.reasons
+    return -res.time * E - res.quad, res.ok, res.reasons
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +183,8 @@ def dbar_residual_many(
 
     ``frames_conj`` is (m, 2n, n): per-row (0,1) direction columns, along
     which ``phase_gradient`` differentiates f_{-i}.  A row whose columns are
-    NaN gets a NaN defect.
+    not finite (a failed frame) fails with ``REASON_DIRECTION``, NaN f and
+    a NaN defect.
 
     Returns (f, ok, reasons, residuals): f_{-i} and the flags of
     ``phase_gradient`` (a row whose contour left the tube fails, with NaN f

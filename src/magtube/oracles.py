@@ -12,8 +12,9 @@ Three families live here:
   matrix-exponential valid for any chart.
 
 Matrix/scalar functions with removable singularities ((e^X-1)/X, sin w / w,
-(1-cos w)/w^2, ...) are evaluated by truncated series below a switch radius
-and by the exact formula above it.
+(1-cos w)/w^2) are evaluated by exact identities that hold through the
+singularity: ``np.sinc`` for the scalars and an augmented matrix
+exponential for (e^X-1)/X.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ __all__ = [
     "zero_section_positivity_matrix",
 ]
 
-SERIES_SWITCH = 1e-3
-
-
 # ---------------------------------------------------------------------------
 # entire scalar/matrix functions with removable singularities
 # ---------------------------------------------------------------------------
@@ -56,50 +54,29 @@ SERIES_SWITCH = 1e-3
 def sinc_sq(c):
     """sin(sqrt(c))/sqrt(c) as an entire function of c (complex ok).
 
-    With c = -L^2 this evaluates sinh(L)/L.
+    With c = -L^2 this evaluates sinh(L)/L.  ``np.sinc`` takes the limit 1
+    at c = 0 and keeps full relative accuracy near it.
     """
-    c = np.asarray(c, dtype=complex)
-    small = np.abs(c) < SERIES_SWITCH
-    out = np.empty_like(c)
-    cs = c[small]
-    # sum_k (-c)^k / (2k+1)!
-    out[small] = 1 - cs / 6 + cs**2 / 120 - cs**3 / 5040 + cs**4 / 362880
-    cl = c[~small]
-    w = np.sqrt(cl)
-    out[~small] = np.sin(w) / w
+    out = np.sinc(np.sqrt(np.asarray(c, dtype=complex)) / np.pi)
     return out if out.ndim else complex(out)
 
 
 def versine_sq(c):
     """(1 - cos(sqrt(c)))/c as an entire function of c.
 
-    With c = -L^2 this evaluates (cosh(L) - 1)/L^2.
+    With c = -L^2 this evaluates (cosh(L) - 1)/L^2.  It is the exact
+    identity (1 - cos w)/w^2 = (1/2) (sin(w/2)/(w/2))^2, which does not
+    cancel at small w as 1 - cos w does.
     """
-    c = np.asarray(c, dtype=complex)
-    small = np.abs(c) < SERIES_SWITCH
-    out = np.empty_like(c)
-    cs = c[small]
-    out[small] = 0.5 - cs / 24 + cs**2 / 720 - cs**3 / 40320 + cs**4 / 3628800
-    cl = c[~small]
-    out[~small] = (1 - np.cos(np.sqrt(cl))) / cl
+    out = 0.5 * np.sinc(np.sqrt(np.asarray(c, dtype=complex)) / (2 * np.pi)) ** 2
     return out if out.ndim else complex(out)
 
 
 def phi1_matrix(M: np.ndarray) -> np.ndarray:
-    """(e^M - 1)/M := sum_k M^k/(k+1)!, well defined for singular M.
-
-    Series below the switch radius in norm; above it, read off the top-right
-    block of exp([[M, I], [0, 0]]).
-    """
+    """(e^M - 1)/M := sum_k M^k/(k+1)!, well defined for singular M: the
+    top-right block of exp([[M, I], [0, 0]])."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
-    if np.linalg.norm(M, ord=np.inf) < SERIES_SWITCH:
-        out = np.eye(n, dtype=complex)
-        term = np.eye(n, dtype=complex)
-        for k in range(2, 8):
-            term = term @ M / k
-            out = out + term
-        return out
     aug = np.zeros((2 * n, 2 * n), dtype=complex)
     aug[:n, :n] = M
     aug[:n, n:] = np.eye(n)

@@ -137,25 +137,21 @@ def _transport(geo: ChartedGeometry, Z: np.ndarray, t):
     at z are X = M^{-1} [0; 1], holomorphic in z.  The inverse residual is
     the twisted-symplectic defect max|M^T Omega(w) M - Omega(z)|, the
     residual of the symplectic inverse identity
-    M^{-1} = Omega(z)^{-1} M^T Omega(w).  A failed row's M and w are NaN,
-    so its columns and residual are NaN.
+    M^{-1} = Omega(z)^{-1} M^T Omega(w).  The flow gives a failed row NaN
+    M and w, so its columns and residual are NaN.
 
     Returns (X, ok, reasons, inverse_residuals) with X of shape (m, 2n, n).
     """
     Z = np.asarray(Z, dtype=complex)
     back = flow_many(geo, Z, -t)
     n = geo.dim
-    ok = back.ok
-    M, W = back.jac, back.x
-    M[~ok] = np.nan
-    W[~ok] = np.nan
+    M = back.jac
     vertical = np.zeros((2 * n, n))
     vertical[n:] = np.eye(n)
     X = np.linalg.solve(M, np.broadcast_to(vertical, (len(Z), 2 * n, n)))
-    with np.errstate(invalid="ignore"):  # a chart's field may warn at a NaN point
-        defect = (M.swapaxes(1, 2) @ twisted_symplectic_matrix(geo, W) @ M
-                  - twisted_symplectic_matrix(geo, Z[:, :n]))
-    return X, ok, back.reasons, np.abs(defect).max(axis=(1, 2))
+    defect = (M.swapaxes(1, 2) @ twisted_symplectic_matrix(geo, back.x) @ M
+              - twisted_symplectic_matrix(geo, Z[:, :n]))
+    return X, back.ok, back.reasons, np.abs(defect).max(axis=(1, 2))
 
 
 def frames_at_many(

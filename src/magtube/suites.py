@@ -373,9 +373,7 @@ def _tangent_map_contour(case):
         return np.concatenate([res.x, res.p], axis=1), res.ok, res.reasons
 
     deriv = phase_gradient(phi, Z, np.eye(2 * geo.dim))[3].swapaxes(1, 2)  # (m, component, coord)
-    ref = flow_many(geo, Z, t)
-    deriv[~ref.ok] = np.nan
-    return {"tangent_map_contour": np.abs(deriv - ref.jac)}
+    return {"tangent_map_contour": np.abs(deriv - flow_many(geo, Z, t).jac)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magtube.geometry import make_flat_magnetic, make_sphere_magnetic, pointwise_geometry
+from magtube.geometry import ChartedGeometry, make_flat_magnetic, make_sphere_magnetic
 
 SEED = 20240811
 
@@ -48,17 +48,23 @@ def sample_sphere(rng, m, umax=0.14, pmax=0.4):
 
 def tiny_validity_geometry():
     """Analytic data with a complex singularity close to the real chart:
-    continuation fails once |p| is large."""
-    return pointwise_geometry(
+    continuation fails once |p| is large.  Broadcasting evaluators; the jet
+    composes the second derivatives by contour."""
+    def inv_metric(x):
+        return np.eye(2) / (1.0 - (x[..., 0] ** 2 + x[..., 1] ** 2))[..., None, None]
+
+    def inv_metric_deriv(x):  # [..., j, k, l] = delta_jk 2 x_l / (1 - |x|^2)^2
+        s = 2.0 / (1.0 - (x[..., 0] ** 2 + x[..., 1] ** 2)) ** 2
+        return np.eye(2)[:, :, None] * (s[..., None] * x)[..., None, None, :]
+
+    return ChartedGeometry(
         dim=2,
-        inv_metric=lambda x: np.eye(2) / (1.0 - (x[0] ** 2 + x[1] ** 2)),
-        beta=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        potential=lambda x: 0.5 * np.array([-x[1], x[0]]),
+        inv_metric=inv_metric,
+        inv_metric_deriv=inv_metric_deriv,
+        beta=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]) * np.ones(np.shape(x)[:-1] + (1, 1)),
+        potential=lambda x: 0.5 * np.stack([-x[..., 1], x[..., 0]], axis=-1),
         chart_box=0.9,
         complex_radius=0.7,
-        inv_metric_deriv=lambda x: np.einsum(
-            "jk,l->jkl", np.eye(2), 2.0 * x / (1.0 - (x[0] ** 2 + x[1] ** 2)) ** 2
-        ),
         name="tight",
     )
 

@@ -444,10 +444,11 @@ def test_cmd_acs_fails_the_rows_without_a_complex_structure(tmp_path):
     assert [float(v) for v in rows[1][iJ:-2]] == acs.J.ravel().tolist()
 
 
-@pytest.mark.parametrize("command", ["frame", "acs", "potential", "extend"])
+@pytest.mark.parametrize("command", ["flow", "frame", "acs", "potential", "extend"])
 def test_grid_where_every_row_fails_writes_failed_rows(tmp_path, command):
     # |p| = 3 on the unit sphere leaves the tube before t = i: every
     # computed column of every row reads nan, a frame's in both its parts
+    # (flow writes no input columns: its x, p, q and tangent map all read nan)
     cfg = _write(tmp_path, "c.cfg", "kind = sphere\nradius = 1\nfield = 1\n"
                  "grid = x1:0.05:0.05:1, p1:2.9:3.0:2\ntime = i\n")
     out = tmp_path / "out.csv"
@@ -455,7 +456,8 @@ def test_grid_where_every_row_fails_writes_failed_rows(tmp_path, command):
     assert main(argv + (["--f", "x1"] if command == "extend" else [])) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 2 and all(row[-2:] == ["failed", "BLOWUP"] for row in rows)
-    assert all(v == "nan" for row in rows for v in row[4:-2])
+    start = 0 if command == "flow" else 4
+    assert all(v == "nan" for row in rows for v in row[start:-2])
 
 
 # grids with one failing row: (config, momentum cap, that row, {command: its reason})
@@ -553,6 +555,23 @@ def test_cmd_verify_suite_from_config(tmp_path):
     rep = json.load(open(out))
     assert rep["suite"] == "sphere-oracle"
     assert rep["seed"] == 3
+
+
+def test_verify_rejects_the_keys_it_does_not_read(tmp_path, monkeypatch, capsys):
+    # verify runs its own charts, samples and times: a geometry, grid or time
+    # key from the file or a MAGTUBE_* variable exits 2 and is named, while
+    # suite, seed and out run
+    out = tmp_path / "rep.json"
+    good = _write(tmp_path, "good.cfg", f"suite = geometry\nseed = 5\nout = {out}\n")
+    bad = _write(tmp_path, "bad.cfg", "suite = geometry\nkind = sphere\nradius = 2\n")
+    assert main(["verify", "--config", bad]) == 2
+    assert "verify does not read ['kind', 'radius']" in capsys.readouterr().err
+    monkeypatch.setenv("MAGTUBE_TIME", "2i")
+    assert main(["verify", "--config", good]) == 2
+    assert "verify does not read ['time']" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.delenv("MAGTUBE_TIME")
+    assert main(["verify", "--config", good]) == 0 and json.loads(out.read_text())["passed"]
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -207,16 +207,20 @@ def test_flow_many_records_per_row_failures(flat_geo_free):
 
 
 def test_region_is_decided_per_row():
-    # a complex row on a real path must stay in the complex validity region
-    # (|x| < 0.7) even when its batch holds a real row, which is checked
-    # against the chart box (0.9)
+    # from the same start, a complex row on a real path must stay in the
+    # complex validity region (|x| < 0.7) and a real row only in the chart
+    # box (0.9), in one batch: the real row ends ok at |x1| = 0.88, the
+    # complex row fails BLOWUP, and a faster real row fails CHART_EXIT
     geo = tiny_validity_geometry()
-    Z = np.array([[0.6 + 0.05j, 0.0, 0.5, 0.0], [0.1, 0.0, 0.3, 0.0]])
+    Z = np.array([[0.6 + 0.05j, 0.0, 0.5, 0.0], [0.6, 0.0, 0.5, 0.0], [0.6, 0.0, 0.8, 0.0]])
     res = flow_many(geo, Z, 0.4)
-    assert list(res.ok) == [False, True] and res.reasons == ["BLOWUP", None]
-    assert abs(np.abs(res.x[0]).max() - geo.complex_radius) < 0.05
-    one = flow_many(geo, Z[1:], 0.4)
-    assert one.ok[0] and np.abs(res.x[1] - one.x[0]).max() < 1e-12
+    assert list(res.ok) == [False, True, False]
+    assert res.reasons == ["BLOWUP", None, "CHART_EXIT"]
+    assert geo.complex_radius < abs(res.x[1, 0]) < geo.chart_box
+    for i in range(3):
+        one = flow_many(geo, Z[i : i + 1], 0.4)
+        assert one.reasons[0] == res.reasons[i]
+        assert np.allclose(one.x[0], res.x[i], rtol=0, atol=1e-12, equal_nan=True)
 
 
 def test_flow_many_matches_single(flat_geo, rng):

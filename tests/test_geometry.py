@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from magtube.geometry import (
     energy,
     make_flat_magnetic,
     make_sphere_magnetic,
-    pointwise_geometry,
     stereographic_frame,
     stereographic_point,
     twisted_symplectic_matrix,
@@ -160,22 +160,13 @@ def test_twisted_symplectic_matrix(flat_geo):
     assert np.allclose(om, -om.T)
 
 
-def test_pointwise_geometry_wrapper(rng):
-    # per-point evaluators with contour metric derivatives
-    geo = pointwise_geometry(
-        dim=2,
-        inv_metric=lambda x: np.eye(2) * (1.0 + 0.1 * (x[0] ** 2 + x[1] ** 2)),
-        beta=lambda x: np.array([[0.0, 0.2], [-0.2, 0.0]]),
-        potential=lambda x: 0.1 * np.array([-x[1], x[0]]),
-        chart_box=2.0,
-        complex_radius=1.0,
-    )
-    report = validate_geometry(geo, rng.uniform(-0.5, 0.5, (20, 2)))
-    assert report.passed
-    # real derivatives at real points, as the evaluators give them
-    assert geo.inv_metric_deriv(np.array([0.1, 0.2])).dtype == float
-    # broadcasting over a batch axis
-    assert geo.inv_metric(rng.uniform(-0.5, 0.5, (7, 2))).shape == (7, 2, 2)
+def test_twisted_symplectic_matrix_at_a_nan_point(sphere_geo):
+    # a failed row's point: the sphere's complex division gives NaN beta
+    # without a warning, and the constant blocks stay
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        om = twisted_symplectic_matrix(sphere_geo, np.full((1, 2), complex(np.nan, 0)))
+    assert np.isnan(om[0, [0, 1], [1, 0]]).all() and (om[0, :2, 2:] == np.eye(2)).all()
 
 
 def test_validate_records_the_jet_only_for_a_fused_jet(sphere_geo, rng):

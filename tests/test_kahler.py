@@ -260,16 +260,19 @@ def test_phase_gradient_nan_on_failed_row(flat_geo, monkeypatch):
 
 
 def test_phase_gradient_nan_direction(flat_geo):
-    # a failed frame row reaches the rule as a NaN direction: its derivative
-    # is NaN, the other rows are differentiated, and no warning is raised
+    # a failed frame row reaches the rule as a NaN direction: the row fails
+    # with its own reason and NaN values and derivatives, the other rows are
+    # differentiated, and no warning is raised
     Z = np.array([[0.1, 0.0, 0.5, 0.0], [0.0, 0.2, 0.3, -0.4]])
     V = np.stack([np.eye(4)[:2], np.full((2, 4), np.nan)]).astype(complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, ok, _, deriv = phase_gradient(
+        vals, ok, reasons, deriv = phase_gradient(
             lambda rows: potential_f_many(flat_geo, rows, -1j), Z, V)
-    assert ok.all() and np.isfinite(vals).all()
-    assert np.isfinite(deriv[0]).all() and np.isnan(deriv[1]).all()
+    assert list(ok) == [True, False] and reasons == [None, kahler.REASON_DIRECTION]
+    assert np.isfinite(vals[0]) and np.isfinite(deriv[0]).all()
+    for part in (vals[1].real, vals[1].imag, deriv[1].real, deriv[1].imag):
+        assert np.isnan(part).all()
 
 
 def test_residual_contours_run_one_ring_per_contracted_direction(flat_geo, sphere_geo,

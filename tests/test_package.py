@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,21 +79,77 @@ def test_engine_commands_leave_scipy_and_the_pool_unloaded(tmp_path):
     assert out.stdout.split() == ["[]", "ok"]
 
 
-def test_readme_library_example_runs():
-    # the README's library-surface example is the one python block under its
-    # heading; it runs as written, and its last row fails in every batch
-    # without a raise or a warning
+def _readme_example() -> dict:
+    """The namespace of the README's library-surface example, the one python
+    block under its heading, run as written."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("## Library surface", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
+    return namespace
+
+
+def test_readme_library_example_runs():
+    # the example runs, and its last row fails in every batch without a
+    # raise or a warning
+    namespace = _readme_example()
     acs = namespace["acs"]
     for ok in (namespace["res"].ok, namespace["ok"], acs.ok):
         assert list(ok) == [True, True, False]
     assert np.isnan(acs.J[2]).all() and np.isfinite(acs.J[:2]).all()
     for name in ("inv_res", "integ", "kde", "dbar"):
         assert np.isnan(namespace[name][2]) and np.isfinite(namespace[name][:2]).all(), name
+
+
+def _assert_failed_rows_nan(values, ok, label):
+    """An ok row's values are finite; a failed row's are NaN, in both parts
+    where they are complex."""
+    v = np.asarray(values).reshape(len(ok), -1)
+    ok = np.asarray(ok)
+    assert np.isfinite(v[ok]).all(), label
+    for part in (v.real, v.imag) if np.iscomplexobj(v) else (v,):
+        assert np.isnan(part[~ok]).all(), label
+
+
+def test_readme_rows_keep_the_failed_row_rule():
+    # every batched operation gives the README rows' failed row (the last,
+    # which leaves the sphere's complex region at t = i) NaN in both parts of
+    # every value and its ok rows finite values, with no warning; the flow
+    # reversal runs at a real time, where a fast real row that leaves the
+    # chart box fails instead
+    namespace = _readme_example()
+    geo, Z = namespace["geo"], namespace["Z"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tangent in (True, False):
+            res = magtube.flow_many(geo, Z, 1j, tangent=tangent)
+            assert list(res.ok) == [True, True, False] and res.reasons[2] == "BLOWUP"
+            for name in ("x", "p", "quad") + (("jac", "det") if tangent else ()):
+                _assert_failed_rows_nan(getattr(res, name), res.ok, (name, tangent))
+        f, ok, _ = magtube.potential_f_many(geo, Z, -1j)
+        _assert_failed_rows_nan(f, ok, "potential_f_many")
+        F, ok, _, inv_res = magtube.frames_at_many(geo, Z, 1j)
+        for label, values in (("frame", F), ("inverse_residual", inv_res)):
+            _assert_failed_rows_nan(values, ok, label)
+        ext, ok, _ = magtube.holomorphic_extension(geo, lambda x: x[:, 0] ** 2, Z)
+        _assert_failed_rows_nan(ext, ok, "holomorphic_extension")
+        for label, (vals, ok, _, residual) in (
+                ("kde", magtube.kde_residual_many(geo, Z, 0.2)),
+                ("dbar", magtube.dbar_residual_many(geo, Z, F.conj())),
+                ("integrability", magtube.integrability_residual_many(geo, Z, 1j))):
+            assert not ok[2], label
+            _assert_failed_rows_nan(vals, ok, label)
+            _assert_failed_rows_nan(residual, ok, label)
+        for t, check in ((1j, magtube.check_frame_intertwine),
+                         (0.3 + 0.8j, magtube.check_shifted_frame_intertwine)):
+            ok = magtube.frames_at_many(geo, Z, t)[1]
+            assert not ok[2]
+            _assert_failed_rows_nan(check(geo, Z, t), ok, check.__name__)
+        Zr = np.concatenate([Z, [[0.0, 0.0, 40.0, 0.0]]])
+        ok = magtube.flow_many(geo, Zr, -0.3, tangent=False).ok
+        assert list(ok) == [True, True, True, False]
+        _assert_failed_rows_nan(magtube.check_flow_reversal(geo, Zr, 0.3), ok, "reversal")
 
 
 def _unused_imports(path: Path) -> list:
