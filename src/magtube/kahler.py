@@ -75,6 +75,7 @@ def phase_gradient(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
     ``ok = True`` and ``reasons = None``.  It is called once, on the centre
     rows Z and then the rows z + RING_j v/|v| in (row, direction, node j)
     order, |v| the Hermitian length; the derivative is scaled back by |v|.
+    A row whose directions are not finite gets no ring rows.
 
     Returns ``(vals, ok, reasons, deriv)``: the batch contract at the centre
     rows plus the (m, k, ...) derivatives.  A row fails when its centre, its
@@ -88,20 +89,26 @@ def phase_gradient(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
     m, d = Z.shape
     V = np.broadcast_to(V, (m, *np.shape(V)[-2:]))
     size = np.linalg.norm(V, axis=-1)  # (m, k)
-    # (row, direction, node, column); a NaN direction gives NaN nodes
-    ring = (V * (1 / size[..., None]))[:, :, None, :] * _RING[:, None]
-    rows = np.concatenate([Z, (Z[:, None, None, :] + ring).reshape(-1, d)])
+    # a row whose direction is not finite has failed: only its centre is
+    # evaluated, for its reason
+    finite_dir = np.isfinite(size).all(axis=1)
+    live = np.flatnonzero(finite_dir)
+    # (live row, direction, node, column)
+    ring = (V[live] * (1 / size[live, :, None]))[:, :, None, :] * _RING[:, None]
+    rows = np.concatenate([Z, (Z[live, None, None, :] + ring).reshape(-1, d)])
     vals, ok, reasons = batch_fun(rows)
     vals = np.asarray(vals)
-    # row i's nodes, centre first, are rows nodes[i] of the batch; first[i] is
-    # its first failed node, else its centre
+    # live row i = live[k] has its nodes, centre first, at rows nodes[k] of
+    # the batch; first[i] is row i's first failed node, else its centre (a
+    # row that is not live has only its centre)
     ok = np.broadcast_to(ok, len(rows))
-    nodes = np.column_stack([np.arange(m),
-                             np.arange(m, len(rows)).reshape(m, V.shape[1] * len(_RING))])
-    first = nodes[np.arange(m), np.argmin(ok[nodes], axis=1)]
-    finite_dir = np.isfinite(size).all(axis=1)
+    nodes = np.column_stack([live, np.arange(m, len(rows)).reshape(
+        len(live), V.shape[1] * len(_RING))])
+    first = np.arange(m)
+    first[live] = nodes[np.arange(len(live)), np.argmin(ok[nodes], axis=1)]
     row_ok = ok[first] & finite_dir
-    deriv = np.moveaxis(vals[m:].reshape(*ring.shape[:3], *vals.shape[1:]), 2, -1) @ _WEIGHTS
+    deriv = np.full((m, V.shape[1]) + vals.shape[1:], complex(np.nan, np.nan))
+    deriv[live] = np.moveaxis(vals[m:].reshape(*ring.shape[:3], *vals.shape[1:]), 2, -1) @ _WEIGHTS
     deriv *= size.reshape(size.shape + (1,) * (deriv.ndim - 2))
     deriv[~row_ok] = complex(np.nan, np.nan)
     nan = complex(np.nan, np.nan) if np.iscomplexobj(vals) else np.nan

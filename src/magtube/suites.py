@@ -16,17 +16,22 @@ chart.  Three rules turn the values into CheckResults, each in one function:
   first failed row of a flow, frame or J) makes its checks on that chart
   NaN, with the row's reason as the note; the report is still written.
 
+A block flows the rows of one geometry with one tangent flag at all its
+times in one call with per-row targets (``_at_times``), except rows that a
+check compares with each other at conjugate times, where one shared step
+would make the comparison hold by construction.
+
 The report follows the blocks' order in this file.  A suite's blocks share
 one generator drawn from the seed, and each chart's namespace, on which a
 block may leave what a later block reads.  Reports are reproducible bit for
-bit (modulo the runtime field).
+bit (modulo the runtime fields, which time each suite and each block).
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Dict, List
@@ -191,9 +196,28 @@ def _ok(result):
     return result
 
 
-def _zero_section_flow(geo: ChartedGeometry, xs: np.ndarray, t):
-    """The flow of the zero-section points (x, 0) to the time t, all ok."""
-    return _ok(flow_many(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), t))
+def _at_times(fn, geo: ChartedGeometry, Z, times, **kwargs):
+    """``fn`` (``flow_many`` or ``frames_at_many``) of the rows Z at each of
+    ``times`` in one call with per-row targets, all ok: Z (or the i-th array
+    of a list Z) is stacked once per time, with its time repeated per row.
+    Returns one result per time, in order: the frames, or the flow result
+    cut to that time's rows."""
+    parts = Z if isinstance(Z, list) else [Z] * len(times)
+    res = _ok(fn(geo, np.concatenate(parts), np.concatenate(
+        [np.full(len(rows), t, dtype=complex) for rows, t in zip(parts, times)]), **kwargs))
+    cuts = np.cumsum([len(rows) for rows in parts])[:-1]
+    if isinstance(res, np.ndarray):
+        return np.split(res, cuts)
+    cut = {name: np.split(np.asarray(value), cuts) for name, value in vars(res).items()
+           if name != "steps" and value is not None}
+    return [replace(res, **{name: pieces[i] for name, pieces in cut.items()})
+            for i in range(len(parts))]
+
+
+def _zero_section_flows(geo: ChartedGeometry, xs: np.ndarray, times):
+    """The flows of the zero-section points (x, 0) to each of ``times``, in
+    one batch, all ok."""
+    return _at_times(flow_many, geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), times)
 
 
 _FLAT_HEAVY = (partial(_flat, 1.0, 0.5),)  # Btilde = 2 separates B from Btilde
@@ -284,9 +308,8 @@ def _real_flows(case):
     geo, n = case.geo, case.geo.dim
     s1, s2 = case.chart.group_times
     Z = _sample(case.rng, geo, 20, case.chart.wide)
-    r1 = _ok(flow_many(geo, Z, s1))
+    r1, r12 = _at_times(flow_many, geo, Z, (s1, s1 + s2))
     r2 = _ok(flow_many(geo, np.concatenate([r1.x.real, r1.p.real], axis=1), s2))
-    r12 = _ok(flow_many(geo, Z, s1 + s2))
     om0 = twisted_symplectic_matrix(geo, Z[:, :n])
     pulled = np.einsum("mji,mjk,mkl->mil", r12.jac, twisted_symplectic_matrix(geo, r12.x), r12.jac)
     return {"group_law": np.abs(np.concatenate([r2.x - r12.x, r2.p - r12.p], axis=1)),
@@ -327,12 +350,13 @@ def _zero_section_linearization(case):
     xs = case.rng.uniform(-0.3, 0.3, (2, geo.dim))
     Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
     g0, b0 = geo.inv_metric(xs), geo.beta(xs)
+    sigmas = (0.5, 1j, 0.3 + 0.8j)
     jac = [np.abs(jac - orc.zero_section_linearization(b0[i], sig, g0[i]))
-           for sig in (0.5, 1j, 0.3 + 0.8j)
-           for i, jac in enumerate(_zero_section_flow(geo, xs, sig).jac)]
-    span = [subspace_distance(_ok(frames_at_many(geo, Z, sig)), np.stack(
+           for sig, res in zip(sigmas, _zero_section_flows(geo, xs, sigmas))
+           for i, jac in enumerate(res.jac)]
+    span = [subspace_distance(F, np.stack(
                 [orc.zero_section_frame(b0[i], sig, g0[i]) for i in range(len(xs))]))
-            for sig in (1j, 0.3 + 0.8j)]
+            for sig, F in zip(sigmas[1:], _at_times(frames_at_many, geo, Z, sigmas[1:]))]
     return {"zero_section_jacobian": jac, "zero_section_frame_span": span}
 
 
@@ -352,12 +376,12 @@ def _inverse_consistency(case):
     """Back along the reversed path and out again recovers the start."""
     geo = case.geo
     Z = _sample(case.rng, geo, 15, case.chart.wide)
-    trips = []
-    for t in (1j, 0.3 + 0.8j):
-        back = _ok(flow_many(geo, Z, -t, tangent=False))
-        out = _ok(flow_many(geo, np.concatenate([back.x, back.p], axis=1), t, tangent=False))
-        trips.append(np.abs(np.concatenate([out.x, out.p], axis=1) - Z))
-    return {"inverse_consistency": trips}
+    times = (1j, 0.3 + 0.8j)
+    backs = _at_times(flow_many, geo, Z, [-t for t in times], tangent=False)
+    outs = _at_times(flow_many, geo, [np.concatenate([back.x, back.p], axis=1) for back in backs],
+                     times, tangent=False)
+    return {"inverse_consistency": [np.abs(np.concatenate([out.x, out.p], axis=1) - Z)
+                                    for out in outs]}
 
 
 @_block("flow", _Check("tangent_map_contour", 1e-10))
@@ -389,7 +413,10 @@ def _tangent_map_contour(case):
 def _frame_structure(case):
     geo, n, rng = case.geo, case.geo.dim, case.rng
     Z = _sample(rng, geo, 100, case.chart.wide)
-    F = _ok(frames_at_many(geo, Z, 1j))
+    # F0 at the real time 0.5 rides in F's batch; Fm at the conjugate time
+    # gets its own flow, since conjugate_frame_span and conjugate_time_J
+    # compare it with F and would read 0 in one batch by construction
+    F, F0 = _at_times(frames_at_many, geo, [Z, case.chart.point], (1j, 0.5))
     om = twisted_symplectic_matrix(geo, Z[:, :n])
     Fm = _ok(frames_at_many(geo, Z[:5], -1j))
     out = {"lagrangian_residual": np.abs(np.einsum("mji,mjk,mkl->mil", F, om, F)),  # F^T Om F
@@ -411,7 +438,6 @@ def _frame_structure(case):
         np.abs(acs_p.J - acs_g.J), np.abs(acs_p.positivity_spectrum - acs_g.positivity_spectrum),
         np.abs(acs_p.transversality - acs_g.transversality)]
     # at real time the frame equals its conjugate: transversality degenerates
-    F0 = _ok(frames_at_many(geo, case.chart.point, 0.5))
     out["real_time_degeneracy"] = transversality_check(F0)
     return out
 
@@ -426,8 +452,9 @@ def _zero_section_positivity_form(case):
     xs = case.rng.uniform(-0.2, 0.2, (2, n))
     changes = [normalized_zero_section_frame_change(geo, x0) for x0 in xs]
     defects = []
-    for t in (1j, 0.3 + 0.8j):
-        for (T, btil), jac in zip(changes, _zero_section_flow(geo, xs, t).jac):
+    times = (1j, 0.3 + 0.8j)
+    for t, res in zip(times, _zero_section_flows(geo, xs, times)):
+        for (T, btil), jac in zip(changes, res.jac):
             Fn = T @ jac[:, n:] @ T[:n, :n].T
             om_t = np.block([[-btil, np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
             M = 1j * Fn.conj().T @ om_t @ Fn
@@ -444,7 +471,7 @@ def _totally_real(case):
     F = _ok(frames_at_many(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), 1j))
     Eh = np.vstack([np.eye(n), np.zeros((n, n))])
     vertical, horizontal = [], []
-    for i, jac in enumerate(_zero_section_flow(geo, xs, 1j).jac):
+    for i, jac in enumerate(_zero_section_flows(geo, xs, (1j,))[0].jac):
         T, btil = normalized_zero_section_frame_change(geo, xs[i])
         vertical += [np.linalg.svd((T @ jac[:, n:])[n:], compute_uv=False)[-1],
                      np.linalg.svd(expm(1j * btil), compute_uv=False)[-1]]
@@ -560,9 +587,8 @@ def _flat_extension_and_weights(case):
     """Holomorphic extensions and section weights on the plane."""
     flat, Zf = case.geo, case.Z
     z = Zf[0]
-    e1, e2 = holomorphic_extension(flat, lambda x: x, Zf[:1])[0][0]
+    (e1, e2), e0 = holomorphic_extension(flat, lambda x: x, np.array([z, [0.3, -0.2, 0.0, 0.0]]))[0]
     z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, z)
-    e0 = holomorphic_extension(flat, lambda x: x, np.array([[0.3, -0.2, 0.0, 0.0]]))[0][0]
     w0 = section_weight(flat, np.array([0.4, -0.1, 0, 0]), 1)
     w1, w2 = section_weight(flat, z, 1), section_weight(flat, z, 2)
     return {"extension_coordinates": [abs(e1 - z1), abs(e2 - z2)],
@@ -599,10 +625,10 @@ def _flat_closed_forms(case):
     rng, wide = case.rng, case.chart.wide
     flats = [(B, mf, _flat(B, mf)) for B, mf in ((0.5, 1.0), (1.0, 1.0), (1.0, 0.5))]
     flows, coords, spans, dets = [], [], [], []
+    sigmas = (0.7, -1.2, 1j, 0.3 + 0.8j, -0.5 + 0.6j, 1.2j)
     for B, mass_freq, geo in flats:
         Z = _sample(rng, geo, 200, wide)
-        for sig in (0.7, -1.2, 1j, 0.3 + 0.8j, -0.5 + 0.6j, 1.2j):
-            res = flow_many(geo, Z, sig, tangent=False)
+        for sig, res in zip(sigmas, _at_times(flow_many, geo, Z, sigmas, tangent=False)):
             ref = orc.flat_flow_oracle(B, mass_freq, Z, sig)
             flows.append(np.abs(np.concatenate([res.x, res.p], axis=1) - ref))
             if sig == 1j:
@@ -714,16 +740,16 @@ def _sphere_engine(case):
                                  rng.uniform(0.1, 2.0, (100, 1)) * dirs], axis=1)
     case.xe, case.pe = xe, pe = orc.sphere_chart_to_embedding(Z[:, :2], Z[:, 2:], SPHERE_R)
     engine = []
-    for sig in (0.7, -1.2, 1j, 0.3 + 0.8j):
-        res = _ok(flow_many(sph, Z, sig))
+    sigmas = (0.7, -1.2, 1j, 0.3 + 0.8j)
+    *flows, real = _at_times(flow_many, sph, Z, sigmas + (0.6,))
+    for sig, res in zip(sigmas, flows):
         xs, ps = orc.sphere_chart_to_embedding(res.x, res.p, SPHERE_R)
         xo, po = orc.sphere_flow_oracle(xe, pe, SPHERE_R, SPHERE_B, sig)
         engine += [np.abs(xs - xo), np.abs(ps - po)]
         if sig == 1j:
             base = np.abs(xs - orc.sphere_embedding_map(xe, pe, SPHERE_R, SPHERE_B))
-    # the moment map is conserved along engine real flows
-    res = _ok(flow_many(sph, Z, 0.6))
-    x1, p1 = orc.sphere_chart_to_embedding(res.x.real, res.p.real, SPHERE_R)
+    # the moment map is conserved along engine real flows (here to 0.6)
+    x1, p1 = orc.sphere_chart_to_embedding(real.x.real, real.p.real, SPHERE_R)
     J0 = orc.sphere_moment_map(xe, pe, SPHERE_R, SPHERE_B)
     J1 = orc.sphere_moment_map(x1, p1, SPHERE_R, SPHERE_B)
     return {"engine_oracle_equivalence": engine, "embedding_vs_engine_base": base,
@@ -738,8 +764,9 @@ def _sphere_engine(case):
 def _sphere_embedding_shape(case):
     """|Im a| grows along a momentum ray; the numerical injectivity margin."""
     xx, direction = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    ima = np.array([np.linalg.norm(np.imag(orc.sphere_embedding_map(xx, s * direction, 1.0, 1.0)))
-                    for s in np.linspace(0.0, 3.0, 100)])
+    ray = np.linspace(0.0, 3.0, 100)[:, None] * direction
+    ima = np.linalg.norm(np.imag(orc.sphere_embedding_map(
+        np.broadcast_to(xx, ray.shape), ray, 1.0, 1.0)), axis=1)
     x1s, p1s = _random_sphere_states(case.rng, 200, 1.0)
     x2s, p2s = _random_sphere_states(case.rng, 200, 1.0)
     a1 = orc.sphere_embedding_map(x1s, p1s, 1.0, 1.0)
@@ -795,10 +822,19 @@ def _worst(kind: str, values) -> float:
     return float(np.max(flat) if kind == "max" else np.min(flat))
 
 
-def _run(suite: str, seed: int) -> List[CheckResult]:
+class SuiteChecks(list):
+    """A suite's CheckResults, in report order, and ``block_runtimes``: the
+    seconds each block took on each chart, as ``{"block", "chart",
+    "runtime_sec"}`` dicts in run order (chart None for a block run once
+    without a chart)."""
+
+    block_runtimes: List[dict]
+
+
+def _run(suite: str, seed: int) -> SuiteChecks:
     rng = np.random.default_rng([seed, SUITE_NAMES.index(suite)])
     cases = {name: SimpleNamespace(rng=rng, chart=c, geo=c.build()) for name, c in _CHARTS.items()}
-    results = []
+    results, runtimes = SuiteChecks(), []
     for block in _REGISTRY[suite]:
         if block.charts == ():
             targets = [(None, SimpleNamespace(rng=rng))]
@@ -807,7 +843,12 @@ def _run(suite: str, seed: int) -> List[CheckResult]:
             for build in block.extras:
                 geo = build()
                 targets.append((geo.name, SimpleNamespace(rng=rng, chart=None, geo=geo)))
-        outs = [(label, _call(block, case, label)) for label, case in targets]
+        outs = []
+        for label, case in targets:
+            t0 = time.perf_counter()
+            outs.append((label, _call(block, case, label)))
+            runtimes.append({"block": block.fn.__name__.lstrip("_"), "chart": label,
+                             "runtime_sec": round(time.perf_counter() - t0, 4)})
         for check in block.checks:
             for name, tol, values in _rows(check, outs):
                 notes = [v.note for v in values if isinstance(v, _Noted)]
@@ -815,11 +856,12 @@ def _run(suite: str, seed: int) -> List[CheckResult]:
                 results.append(CheckResult(name, _worst(check.kind, values), tol, check.kind,
                                            notes[0] if notes else check.note,
                                            check.expected_degenerate))
+    results.block_runtimes = runtimes
     return results
 
 
-# the suites, each (seed) -> List[CheckResult], as module attributes that a
-# tracer may rebind
+# the suites, each (seed) -> SuiteChecks, as module attributes that a tracer
+# may rebind
 suite_geometry = partial(_run, "geometry")
 suite_flow = partial(_run, "flow")
 suite_frames = partial(_run, "frames")
@@ -829,7 +871,7 @@ suite_flat_oracle = partial(_run, "flat-oracle")
 suite_sphere_oracle = partial(_run, "sphere-oracle")
 
 
-def suite_functions() -> Dict[str, Callable[[int], List[CheckResult]]]:
+def suite_functions() -> Dict[str, Callable[[int], SuiteChecks]]:
     """Each suite's callable, looked up by name when called."""
     return {name: globals()["suite_" + name.replace("-", "_")] for name in _REGISTRY}
 
@@ -838,7 +880,9 @@ def run_suite(name: str, seed: int = 1234) -> dict:
     """Run a named suite (or 'all') and return a JSON-serializable report.
 
     The report is deterministic for a fixed seed except for the runtime
-    fields.
+    fields: ``runtime_sec`` of the report and of each suite, and each
+    suite's ``block_runtime_sec``, the seconds of each block on each chart
+    (``SuiteChecks.block_runtimes``), kept outside the check dicts.
     """
     funcs = suite_functions()
     if name != "all" and name not in funcs:
@@ -851,6 +895,7 @@ def run_suite(name: str, seed: int = 1234) -> dict:
         checks = funcs[sname](seed)
         sub.append({"suite": sname, "checks": [c.as_dict() for c in checks],
                     "passed": all(c.passed for c in checks),
-                    "runtime_sec": round(time.perf_counter() - t1, 3)})
+                    "runtime_sec": round(time.perf_counter() - t1, 3),
+                    "block_runtime_sec": checks.block_runtimes})
     return {"suite": name, "seed": seed, "suites": sub, "passed": all(s["passed"] for s in sub),
             "runtime_sec": round(time.perf_counter() - t0, 3)}

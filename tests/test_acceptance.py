@@ -245,6 +245,7 @@ def _strip_runtime(rep):
     rep.pop("runtime_sec", None)
     for s in rep.get("suites", []):
         s.pop("runtime_sec", None)
+        s.pop("block_runtime_sec", None)
     return rep
 
 

@@ -275,6 +275,28 @@ def test_phase_gradient_nan_direction(flat_geo):
         assert np.isnan(part).all()
 
 
+def test_phase_gradient_sends_no_ring_of_a_nan_direction(rng):
+    # the ring of a row whose direction is not finite is not evaluated:
+    # batch_fun sees no NaN row, the other rows get the bits they get
+    # without that row, and the row fails with REASON_DIRECTION
+    Z = sample_flat(rng, 3)
+    V = np.stack([np.eye(4)[:2]] * 3).astype(complex)
+    V[1, 0, 2] = np.nan
+    calls = []
+
+    def cubic(rows):
+        calls.append(rows)
+        return _cubic(rows)
+
+    vals, ok, reasons, deriv = phase_gradient(cubic, Z, V)
+    assert len(calls) == 1 and len(calls[0]) == 3 + 2 * 2 * CONTOUR_NODES
+    assert np.isfinite(calls[0]).all()
+    alone = phase_gradient(_cubic, Z[[0, 2]], V[[0, 2]])
+    assert np.array_equal(vals[[0, 2]], alone[0]) and np.array_equal(deriv[[0, 2]], alone[3])
+    assert list(ok) == [True, False, True] and reasons == [None, kahler.REASON_DIRECTION, None]
+    assert np.isnan(vals[1]).all() and np.isnan(deriv[1]).all()
+
+
 def test_residual_contours_run_one_ring_per_contracted_direction(flat_geo, sphere_geo,
                                                                   monkeypatch, rng):
     # at n = 2, f's rows per point: the centre and 4 nodes along (X_E, 1)

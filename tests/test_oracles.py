@@ -234,6 +234,11 @@ def test_embedding_imaginary_part_monotone():
         L = np.sqrt(s**2 + 1.0)
         assert abs(vals[-1] - np.sinh(L) / L * s) < 1e-12
     assert np.diff(vals).min() > 0.0
+    # the ray as one batch, as the sphere-oracle suite evaluates it, gives
+    # the loop's bits
+    ray = np.linspace(0.0, 3.0, 100)[:, None] * d
+    batch = orc.sphere_embedding_map(np.broadcast_to(x, ray.shape), ray, 1.0, 1.0)
+    assert np.array_equal(np.linalg.norm(batch.imag, axis=1), vals)
 
 
 def test_embedding_injectivity_margin(rng):

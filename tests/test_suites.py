@@ -1,7 +1,8 @@
 """The suites' chart table and check registry: a new chart is one table
 entry that every chart-generic check picks up, a defect in a table chart
-reaches the checks that must see it, a NaN entry fails its check and a
-failed flow or J fails its checks without stopping the report."""
+reaches the checks that must see it, a NaN entry fails its check, a
+failed flow or J fails its checks without stopping the report, each suite
+keeps its flow budget and each block reports its runtime."""
 
 import dataclasses
 
@@ -58,17 +59,19 @@ def test_a_third_chart_is_one_table_entry(monkeypatch):
 
 
 def test_a_nan_entry_fails_its_check(monkeypatch):
-    # one NaN sphere row at t = i; a fold by Python's max drops a NaN that
-    # comes after a number (the flat chart's, or the same chart's at the
-    # second time) and would pass both checks
+    # one NaN sphere row at t = i, the first row whose own target is i (a
+    # block's call may hold several times); a fold by Python's max drops a
+    # NaN that comes after a number (the flat chart's, or the same chart's
+    # at the second time) and would pass both checks
     def nan_sphere_row(fn, index):
         def wrapped(geo, Z, t, *args, **kwargs):
             out = fn(geo, Z, t, *args, **kwargs)
             target = t.target if isinstance(t, flow.ComplexTime) else t
-            if geo.name.startswith("sphere") and target == 1j:
+            rows = np.flatnonzero(np.broadcast_to(target, len(Z)) == 1j)
+            if geo.name.startswith("sphere") and rows.size:
                 part = out[index] if index is not None else out.jac
                 if part is not None:
-                    part[0] = np.nan
+                    part[rows[0]] = np.nan
             return out
         return wrapped
 
@@ -81,6 +84,45 @@ def test_a_nan_entry_fails_its_check(monkeypatch):
     assert not frames["integrability_sphere"].passed and frames["integrability_flat"].passed
     assert np.isnan(flows["tangent_map_contour"].value)
     assert not flows["tangent_map_contour"].passed
+
+
+def test_suite_flow_budget(monkeypatch):
+    # flows per suite at seed 1234: a block flows the rows of one geometry
+    # and tangent flag at all its times in one call with per-row targets
+    original = flow._integrate_path
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_integrate_path", counting)
+    budget = {}
+    for suite in suites.suite_functions():
+        calls.clear()
+        assert suites.run_suite(suite, 1234)["passed"], suite
+        budget[suite] = len(calls)
+    assert budget == {"geometry": 0, "flow": 24, "frames": 15, "kahler": 13, "intertwine": 10,
+                      "flat-oracle": 13, "sphere-oracle": 1}
+
+
+def test_each_block_reports_its_runtime_outside_the_checks():
+    # every block on every chart it runs on has a runtime, in run order, in
+    # the suite's block_runtime_sec; the check dicts carry no time, so two
+    # reports at one seed have equal checks
+    first, again = (suites.run_suite("all", 1234) for _ in range(2))
+    assert [s["checks"] for s in first["suites"]] == [s["checks"] for s in again["suites"]]
+    for report in (first, again):
+        for sub in report["suites"]:
+            want = []
+            for block in suites._REGISTRY[sub["suite"]]:
+                charts = ([None] if block.charts == () else list(block.charts or suites._CHARTS)
+                          + [build().name for build in block.extras])
+                want += [(block.fn.__name__.lstrip("_"), chart) for chart in charts]
+            times = sub["block_runtime_sec"]
+            assert [(t["block"], t["chart"]) for t in times] == want
+            assert all(t["runtime_sec"] >= 0.0 for t in times)
+            assert not [key for check in sub["checks"] for key in check if "runtime" in key]
 
 
 def test_a_failed_flow_fails_its_checks_and_the_report_is_written(monkeypatch):
