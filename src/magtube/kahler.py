@@ -211,11 +211,12 @@ def dbar_residual_many(
 # ---------------------------------------------------------------------------
 
 def _coth_times(B: float, mass_freq: float) -> float:
-    """B coth(B/mass_freq), continued through B = 0 (limit mass_freq)."""
+    """B coth(B/mass_freq) = mass_freq cosh(Bt) / (sinh(Bt)/Bt), Bt =
+    B/mass_freq, exact through B = 0 (limit mass_freq): ``np.sinc`` at the
+    imaginary argument i Bt/pi is sinh(Bt)/Bt, 1 at Bt = 0.  cosh overflows
+    for |Bt| beyond about 710, where coth is 1 to double precision."""
     Bt = B / mass_freq
-    if abs(Bt) < 1e-3:
-        return mass_freq * (1 + Bt**2 / 3 - Bt**4 / 45)
-    return B / math.tanh(Bt)
+    return mass_freq * math.cosh(Bt) / np.sinc(1j * Bt / np.pi).real
 
 
 def _kappa_xyuv(B: float, mass_freq: float, x, y, u, v, tanh_coefficient: float):

@@ -252,20 +252,21 @@ def integrability_residual_many(
     (integrable) distribution.  A row whose centre or contour left the tube
     fails, with a NaN frame and defect; the other rows are computed.
 
-    ``t`` is one time common to all rows (a number or a ComplexTime), not
-    an (m,) array: the contour transport flows the centre rows and their
-    2n x CONTOUR_NODES nodes in one batch, whose rows outnumber a per-row
-    t.
+    ``t`` is any time ``flow_many`` takes.  An (m,) array of per-row times
+    rides as one more column with a zero direction component, as kde
+    carries sigma, so each contour row flows to its own row's time; a
+    number or a ComplexTime stays one flow argument.
 
     Returns (F, ok, reasons, residuals): the orthonormalized centre columns,
-    the ok flags and reasons of ``phase_gradient``, and the defects.  An
-    (m,) array ``t`` raises ValueError before any flow.
+    the ok flags and reasons of ``phase_gradient``, and the defects.
     """
+    V = np.eye(2 * geo.dim)
     if np.ndim(t):
-        raise ValueError("integrability_residual_many needs one time common to all rows "
-                         "(a number or a ComplexTime), not an array of per-row times")
-    X, ok, reasons, dX = phase_gradient(lambda rows: _transport(geo, rows, t)[:3], Z,
-                                        np.eye(2 * geo.dim))
+        X, ok, reasons, dX = phase_gradient(
+            lambda rows: _transport(geo, rows[:, :-1], rows[:, -1])[:3],
+            np.column_stack([Z, t]), np.pad(V, ((0, 0), (0, 1))))
+    else:
+        X, ok, reasons, dX = phase_gradient(lambda rows: _transport(geo, rows, t)[:3], Z, V)
     F = orthonormalize(X)
     # D[k, a, :, b] = (X_a . grad) X_b; the bracket [X_a, X_b] is
     # D[:, a, :, b] - D[:, b, :, a], projected off the frame span

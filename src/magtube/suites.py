@@ -1,12 +1,14 @@
-"""Verification suites: every analytic identity of the construction, run as a
-named battery of residual checks against the closed-form oracles.
+"""Verification suites: the analytic identities of the construction, run as
+a named battery of residual checks of the engine against the closed-form
+oracles.  Every check reads a value the engine computed; an identity
+between closed forms alone is a unit test of the oracles instead.
 
 The checks live in one registry.  Each block below declares with ``@_block``
 its suite and the checks it reports (name, tolerance, kind, note,
 ``expected_degenerate``), and returns each check's raw values: numbers,
 arrays or lists of them.  A block runs on every ``_CHARTS`` entry in table
-order (then on its ``extras``), on the charts it names, or once without a
-chart.  Three rules turn the values into CheckResults, each in one function:
+order (then on its ``extras``), or on the charts it names.  Three rules turn
+the values into CheckResults, each in one function:
 
 * naming (``_rows``): a ``{chart}`` name is reported once per chart, with
   that chart's ``tol``; any other name once, over every chart;
@@ -60,7 +62,6 @@ from .geometry import (
 )
 from .intertwine import check_frame_intertwine, check_shifted_frame_intertwine
 from .kahler import (
-    _kappa_xyuv,
     dbar_residual_many,
     holomorphic_extension,
     kappa2_flat,
@@ -171,8 +172,8 @@ _REGISTRY: Dict[str, List[_Block]] = {name: [] for name in SUITE_NAMES if name !
 def _block(suite: str, *checks: _Check, charts=None, extras=()):
     """Register the decorated ``fn(case) -> {check name: values}`` in
     ``suite``.  ``charts`` None runs it on every table chart, a tuple of
-    names on those charts, () once without a chart; each of ``extras``
-    builds one more geometry it runs on (for names without ``{chart}``)."""
+    names on those charts; each of ``extras`` builds one more geometry it
+    runs on (for names without ``{chart}``)."""
     def register(fn):
         _REGISTRY[suite].append(_Block(fn, checks, charts, extras))
         return fn
@@ -244,26 +245,6 @@ def _sphere_beta_pullback(case):
     E3, x3 = stereographic_frame(u, SPHERE_R), stereographic_point(u, SPHERE_R)
     pulled = (SPHERE_B / SPHERE_R) * np.einsum("mi,mi->m", x3, np.cross(E3[:, :, 0], E3[:, :, 1]))
     return {"sphere_beta_pullback": np.abs(case.geo.beta(u)[:, 0, 1] - pulled)}
-
-
-@_block("geometry", _Check("sphere_flux_quadrature", 1e-8,
-                           note="flux of the invariant 2-form is 4 pi r^2 B (here 8 pi)"),
-        charts=())
-def _sphere_flux_quadrature(case):
-    """Total flux of the invariant form over the sphere, by quadrature
-    (Gauss-Legendre in the polar angle, uniform in the periodic azimuth)."""
-    r2, B2 = 2.0, 0.5
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    th = 0.5 * np.pi * (nodes + 1.0)
-    wth = 0.5 * np.pi * weights
-    ph = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-    TH, PH = np.meshgrid(th, ph, indexing="ij")
-    xs = r2 * np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], -1)
-    x_th = r2 * np.stack([np.cos(TH) * np.cos(PH), np.cos(TH) * np.sin(PH), -np.sin(TH)], -1)
-    x_ph = r2 * np.stack([-np.sin(TH) * np.sin(PH), np.sin(TH) * np.cos(PH), 0 * TH], -1)
-    integrand = (B2 / r2) * np.einsum("tpi,tpi->tp", xs, np.cross(x_th, x_ph))
-    flux = float(np.einsum("t,tp->", wth, integrand) * (2 * np.pi / len(ph)))
-    return {"sphere_flux_quadrature": abs(flux - 4 * np.pi * r2**2 * B2)}
 
 
 @_block("geometry", _Check("{chart}_analyticity"))
@@ -465,28 +446,31 @@ def _zero_section_positivity_form(case):
 @_block("frames", _Check("totally_real_vertical_block", 1e-6, "min"),
         _Check("totally_real_horizontal", 1e-6, "min"))
 def _totally_real(case):
-    """Totally real zero section: the vertical block of the frame is nonsingular."""
+    """Totally real zero section: the vertical block of the frame is
+    nonsingular.  The flow fixes (x, 0), where DPhi_{-i} = DPhi_i^{-1}, so
+    the frame at i spans the vertical columns of DPhi_i."""
     geo, n = case.geo, case.geo.dim
     xs = case.rng.uniform(-0.2, 0.2, (3, n))
-    F = _ok(frames_at_many(geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), 1j))
+    jacs = _zero_section_flows(geo, xs, (1j,))[0].jac
+    acs = _ok(assemble_J(geo, xs, orthonormalize(jacs[:, :, n:])))
     Eh = np.vstack([np.eye(n), np.zeros((n, n))])
     vertical, horizontal = [], []
-    for i, jac in enumerate(_zero_section_flows(geo, xs, (1j,))[0].jac):
-        T, btil = normalized_zero_section_frame_change(geo, xs[i])
+    for x0, jac, J in zip(xs, jacs, acs.J):
+        T, btil = normalized_zero_section_frame_change(geo, x0)
         vertical += [np.linalg.svd((T @ jac[:, n:])[n:], compute_uv=False)[-1],
                      np.linalg.svd(expm(1j * btil), compute_uv=False)[-1]]
-        acs = _ok(assemble_J(geo, xs[i], F[i]))
-        horizontal.append(np.linalg.svd(np.hstack([Eh, acs.J @ Eh]), compute_uv=False)[-1])
+        horizontal.append(np.linalg.svd(np.hstack([Eh, J @ Eh]), compute_uv=False)[-1])
     return {"totally_real_vertical_block": vertical, "totally_real_horizontal": horizontal}
 
 
 @_block("frames", _Check("integrability_{chart}"))
 def _integrability(case):
-    """Integrability via contour-derivative brackets, at two times."""
+    """Integrability via contour-derivative brackets, at two times in one
+    contour flow with per-row times."""
     geo = case.geo
-    return {"integrability_{chart}": [
-        integrability_residual_many(geo, _sample(case.rng, geo, 20, case.chart.tube), t)[3]
-        for t in (1j, 0.3 + 0.8j)]}
+    Z = [_sample(case.rng, geo, 20, case.chart.tube) for _ in range(2)]
+    return {"integrability_{chart}": integrability_residual_many(
+        geo, np.concatenate(Z), np.repeat([1j, 0.3 + 0.8j], 20))[3]}
 
 
 # ---------------------------------------------------------------------------
@@ -532,38 +516,6 @@ def _kappa1(case):
             f"0.5B -> {residuals[0.5]:.3e}, 1.0B -> {residuals[1.0]:.3e})")
     return {"kappa1_adapted": _Noted(residuals[coeff], note),
             "kappa1_coefficient_is_half": abs(coeff - 0.5)}
-
-
-@_block("kahler", _Check("i_ddbar_kappa2", 1e-8), charts=())
-def _i_ddbar_kappa2(case):
-    """i d dbar kappa2 = omega on the plane, both in complex coordinates."""
-    B, mass_freq = 1.0, 1.0
-    Bt = B / mass_freq
-    sh, ch = np.sinh(Bt), np.cosh(Bt)
-    # real coordinates (Re z1, Im z1, Re z2, Im z2) as a linear map of (x, p)
-    T = np.array([[1, 0, 0, -(ch - 1) / B], [0, 0, sh / B, 0],
-                  [0, 1, (ch - 1) / B, 0], [0, 0, 0, sh / B]])
-    om = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
-    om[:2, :2] = [[0, -B], [B, 0]]
-    Tinv = np.linalg.inv(T)
-    om_z = Tinv.T @ om @ Tinv  # the twisted form in the real z-coordinates
-
-    def kap(w):  # w = (x, y, u, v), continued holomorphically
-        return _kappa_xyuv(B, mass_freq, *w.T, 0.0), True, None
-
-    def grad(w):
-        return phase_gradient(kap, w, np.eye(4))[3], True, None
-
-    hess = phase_gradient(grad, case.rng.uniform(-0.5, 0.5, (5, 4)), np.eye(4))[3]
-    # H_{a b-bar} = p_a^T hess conj(p_b) with p = d/dz columns
-    P = 0.5 * np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]])
-    H = np.einsum("ia,kij,jb->kab", P, hess, P.conj())
-    # i H_{ab} dz_a ^ dzbar_b as a real 2-form matrix
-    dz = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j]])  # dz_a on real basis vectors
-    A = np.einsum("kab,am,bn->kmn", H, dz, dz.conj())
-    W = 1j * (A - A.swapaxes(1, 2))
-    return {"i_ddbar_kappa2": np.abs(W.real - om_z).max(axis=(1, 2))
-                              + np.abs(W.imag).max(axis=(1, 2))}
 
 
 @_block("kahler", _Check("extension_dbar_{chart}"))
@@ -678,53 +630,6 @@ def _geodesic_limit_and_larmor_period(case):
 # sphere oracle suite
 # ---------------------------------------------------------------------------
 
-def _random_sphere_states(rng, m, r, pmax=2.0):
-    x = rng.normal(size=(m, 3))
-    x *= r / np.linalg.norm(x, axis=1, keepdims=True)
-    v = rng.normal(size=(m, 3))
-    # project twice: one pass leaves x.v at ~1e-12 when v is nearly radial,
-    # and the embedding quadric a.a = r^2 holds only for tangent v
-    for _ in range(2):
-        v -= (np.einsum("mi,mi->m", v, x) / r**2)[:, None] * x
-    norm = np.linalg.norm(v, axis=1, keepdims=True)
-    v *= rng.uniform(0.05, pmax, (m, 1)) / norm
-    return x, v
-
-
-@_block("sphere-oracle", _Check("embedding_quadric", 1e-12,
-                                note="504 random states, r in {1,2}, B in {0,0.5,1}"),
-        _Check("embedding_fixes_zero_section", 1e-12),
-        _Check("moment_map_identity", 1e-12, note="J.J = r^2 p.p + r^4 B^2"),
-        _Check("oracle_conservation_real", 1e-12), _Check("oracle_constraints_complex", 1e-12),
-        charts=())
-def _sphere_oracle_identities(case):
-    """The quadric a.a = r^2 and the rigid rotation's invariants."""
-    rng = case.rng
-    quadric = []
-    for r in (1.0, 2.0):
-        for B in (0.0, 0.5, 1.0):
-            x, p = _random_sphere_states(rng, 84, r)
-            a = orc.sphere_embedding_map(x, p, r, B)
-            quadric.append(np.abs(np.einsum("mi,mi->m", a, a) - r**2))
-    x, p = _random_sphere_states(rng, 20, 1.0)
-    a0 = orc.sphere_embedding_map(x, np.zeros_like(p), 1.0, 1.0)
-    J = orc.sphere_moment_map(x, p, 1.0, 1.0)
-    psq = np.einsum("mi,mi->m", p, p)
-    real, cplx = [], []
-    for sig in (0.8, 1j, 0.4 - 0.6j):
-        xr, pr = orc.sphere_flow_oracle(x, p, 1.0, 1.0, sig)
-        Jr = orc.sphere_moment_map(xr, pr, 1.0, 1.0)
-        defects = [np.abs(np.einsum("mi,mi->m", xr, xr) - 1.0),
-                   np.abs(np.einsum("mi,mi->m", xr, pr)), np.abs(Jr - J)]
-        if complex(sig).imag:
-            cplx += defects
-        else:
-            real += defects + [0.5 * np.abs(np.einsum("mi,mi->m", pr, pr) - psq)]
-    return {"embedding_quadric": quadric, "embedding_fixes_zero_section": np.abs(a0 - x),
-            "moment_map_identity": np.abs(np.einsum("mi,mi->m", J, J) - (psq + 1.0)),
-            "oracle_conservation_real": real, "oracle_constraints_complex": cplx}
-
-
 @_block("sphere-oracle", _Check("engine_oracle_equivalence", 1e-8,
                                 note="100 chart points, |p| up to 2, |sigma| <= 1.2"),
         _Check("embedding_vs_engine_base", 1e-8), _Check("moment_map_conservation", 1e-9),
@@ -732,13 +637,13 @@ def _sphere_oracle_identities(case):
 def _sphere_engine(case):
     """The engine's flow against the rotation exponential, |p| up to 2 and
     |sigma| <= 1.2, with the tangent map whose error control `magtube flow`
-    uses; the rows and their embedding stay on ``case``."""
+    uses."""
     rng, sph = case.rng, case.geo
     dirs = rng.normal(size=(100, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    case.Z = Z = np.concatenate([rng.uniform(-0.1, 0.1, (100, 2)),
-                                 rng.uniform(0.1, 2.0, (100, 1)) * dirs], axis=1)
-    case.xe, case.pe = xe, pe = orc.sphere_chart_to_embedding(Z[:, :2], Z[:, 2:], SPHERE_R)
+    Z = np.concatenate([rng.uniform(-0.1, 0.1, (100, 2)),
+                        rng.uniform(0.1, 2.0, (100, 1)) * dirs], axis=1)
+    xe, pe = orc.sphere_chart_to_embedding(Z[:, :2], Z[:, 2:], SPHERE_R)
     engine = []
     sigmas = (0.7, -1.2, 1j, 0.3 + 0.8j)
     *flows, real = _at_times(flow_many, sph, Z, sigmas + (0.6,))
@@ -756,40 +661,6 @@ def _sphere_engine(case):
             "moment_map_conservation": np.abs(J1 - J0)}
 
 
-@_block("sphere-oracle", _Check("imag_norm_monotone", 0.0, "min",
-                                note="|Im a| = (sinh L / L) |p| with L = sqrt(p^2 + r^2 B^2)/r; "
-                                     "the variant taking sinh of p^2 + r^2 B^2 itself fails "
-                                     "this identity and is rejected"),
-        _Check("injectivity_margin", 1e-6, "min"), charts=())
-def _sphere_embedding_shape(case):
-    """|Im a| grows along a momentum ray; the numerical injectivity margin."""
-    xx, direction = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    ray = np.linspace(0.0, 3.0, 100)[:, None] * direction
-    ima = np.linalg.norm(np.imag(orc.sphere_embedding_map(
-        np.broadcast_to(xx, ray.shape), ray, 1.0, 1.0)), axis=1)
-    x1s, p1s = _random_sphere_states(case.rng, 200, 1.0)
-    x2s, p2s = _random_sphere_states(case.rng, 200, 1.0)
-    a1 = orc.sphere_embedding_map(x1s, p1s, 1.0, 1.0)
-    a2 = orc.sphere_embedding_map(x2s, p2s, 1.0, 1.0)
-    sep_state = np.linalg.norm(np.concatenate([x1s - x2s, p1s - p2s], axis=1), axis=1)
-    sep_a = np.linalg.norm(np.abs(a1 - a2), axis=1)
-    return {"imag_norm_monotone": np.diff(ima), "injectivity_margin": sep_a / sep_state}
-
-
-@_block("sphere-oracle", _Check("chart_roundtrip", 1e-12),
-        _Check("zero_section_oracle_forms", 1e-12), charts=("sphere",))
-def _sphere_conversions(case):
-    """Chart conversions invert each other; zero-section oracle forms."""
-    u2, pc2 = orc.sphere_embedding_to_chart(case.xe, case.pe, SPHERE_R)
-    shear = orc.zero_section_linearization(np.zeros((2, 2)), 0.7 + 0.2j)
-    ref = np.eye(4, dtype=complex)
-    ref[0, 2] = ref[1, 3] = 0.7 + 0.2j
-    rot = orc.zero_section_linearization(np.array([[0.0, 1.3], [-1.3, 0.0]]), 1j)
-    ref_blk = np.cosh(1.3) * np.eye(2) + 1j * np.sinh(1.3) * np.array([[0, 1], [-1, 0]])
-    return {"chart_roundtrip": [np.abs(u2 - case.Z[:, :2]), np.abs(pc2 - case.Z[:, 2:])],
-            "zero_section_oracle_forms": [np.abs(shear - ref), np.abs(rot[2:, 2:] - ref_blk)]}
-
-
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
@@ -799,8 +670,7 @@ def _call(block: _Block, case, label) -> dict:
     try:
         return block.fn(case)
     except FlowError as err:
-        note = f"{label}: {err}" if label else str(err)
-        return {check.name: _Noted(np.nan, note) for check in block.checks}
+        return {check.name: _Noted(np.nan, f"{label}: {err}") for check in block.checks}
 
 
 def _rows(check: _Check, outs):
@@ -825,8 +695,7 @@ def _worst(kind: str, values) -> float:
 class SuiteChecks(list):
     """A suite's CheckResults, in report order, and ``block_runtimes``: the
     seconds each block took on each chart, as ``{"block", "chart",
-    "runtime_sec"}`` dicts in run order (chart None for a block run once
-    without a chart)."""
+    "runtime_sec"}`` dicts in run order."""
 
     block_runtimes: List[dict]
 
@@ -836,13 +705,10 @@ def _run(suite: str, seed: int) -> SuiteChecks:
     cases = {name: SimpleNamespace(rng=rng, chart=c, geo=c.build()) for name, c in _CHARTS.items()}
     results, runtimes = SuiteChecks(), []
     for block in _REGISTRY[suite]:
-        if block.charts == ():
-            targets = [(None, SimpleNamespace(rng=rng))]
-        else:
-            targets = [(name, cases[name]) for name in block.charts or cases]
-            for build in block.extras:
-                geo = build()
-                targets.append((geo.name, SimpleNamespace(rng=rng, chart=None, geo=geo)))
+        targets = [(name, cases[name]) for name in block.charts or cases]
+        for build in block.extras:
+            geo = build()
+            targets.append((geo.name, SimpleNamespace(rng=rng, chart=None, geo=geo)))
         outs = []
         for label, case in targets:
             t0 = time.perf_counter()

@@ -176,6 +176,32 @@ def test_kappa1_coefficient_resolution(flat_geo, rng):
     assert residuals[1.0] > 1e-2  # the alternative candidate coefficient fails
 
 
+def test_i_ddbar_kappa2_is_the_twisted_form(rng):
+    # i d dbar kappa2 = omega on the plane, both as real 2-forms in the real
+    # coordinates w = (Re z1, Im z1, Re z2, Im z2) of the complex coordinates,
+    # which are linear in (x, p): w = T (x, p)
+    P = 0.5 * np.array([[1, 0], [-1j, 0], [0, 1], [0, -1j]])  # d/dz_a on real coordinates
+    dz = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j]])  # dz_a on real basis vectors
+    for B, mass_freq in ((0.5, 1.0), (1.0, 1.0), (1.0, 0.5)):  # Btilde 0.5, 1, 2
+        z = orc.flat_complex_coordinates(B, mass_freq, np.eye(4))
+        T = np.stack([z[:, 0].real, z[:, 0].imag, z[:, 1].real, z[:, 1].imag])
+        om = np.array([[0, -B, 1, 0], [B, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
+        Tinv = np.linalg.inv(T)
+        om_w = Tinv.T @ om @ Tinv
+
+        def kappa2(w):  # continued holomorphically in w
+            return kahler._kappa_xyuv(B, mass_freq, *w.T, 0.0), True, None
+
+        def grad(w):
+            return phase_gradient(kappa2, w, np.eye(4))[3], True, None
+
+        hess = phase_gradient(grad, rng.uniform(-0.5, 0.5, (5, 4)), np.eye(4))[3]
+        H = np.einsum("ia,kij,jb->kab", P, hess, P.conj())  # d^2 kappa2 / dz_a dzbar_b
+        A = np.einsum("kab,am,bn->kmn", H, dz, dz.conj())
+        W = 1j * (A - A.swapaxes(1, 2))  # i H_ab dz_a ^ dzbar_b
+        assert np.abs(W.real - om_w).max() + np.abs(W.imag).max() < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # the shared phase-space stencil
 # ---------------------------------------------------------------------------

@@ -117,7 +117,10 @@ def _states(rng, m, r=1.0, pmax=2.0):
     x = rng.normal(size=(m, 3))
     x *= r / np.linalg.norm(x, axis=1, keepdims=True)
     v = rng.normal(size=(m, 3))
-    v -= (np.einsum("mi,mi->m", v, x) / r**2)[:, None] * x
+    # project twice: one pass leaves x.v at ~1e-12 when v is nearly radial,
+    # and the embedding quadric a.a = r^2 holds only for tangent v
+    for _ in range(2):
+        v -= (np.einsum("mi,mi->m", v, x) / r**2)[:, None] * x
     v *= rng.uniform(0.05, pmax, (m, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
     return x, v
 
@@ -152,15 +155,15 @@ def test_sphere_state_constraints_survive_complex_time(rng):
 
 
 def test_sphere_suite_states_are_tangent():
-    # nearly radial draws (seed 110) once left x.p at ~1e-12 after projection
-    from magtube.suites import _random_sphere_states, run_suite
-
-    assert run_suite("sphere-oracle", 110)["passed"]
+    # the states of these tests: nearly radial draws (seed 110) once left x.p
+    # at ~1e-12 after one projection and failed the embedding quadric
     rng = np.random.default_rng(110)
     for r in (1.0, 2.0):
-        x, p = _random_sphere_states(rng, 20000, r)
+        x, p = _states(rng, 20000, r)
         xp = np.abs(np.einsum("mi,mi->m", x, p))
         assert (xp <= 1e-14 * r * np.linalg.norm(p, axis=1)).all()
+        a = orc.sphere_embedding_map(x, p, r, 1.0)
+        assert np.abs(np.einsum("mi,mi->m", a, a) - r**2).max() < 1e-12
 
 
 def test_moment_map_norm_identity(rng):
@@ -175,6 +178,7 @@ def test_sphere_flow_is_rigid_rotation(rng):
     x, p = _states(rng, 20)
     x1, p1 = orc.sphere_flow_oracle(x, p, 1.0, 1.0, 0.9)
     assert np.abs(np.einsum("mi,mi->m", x1, x1) - 1.0).max() < 1e-12
+    assert np.abs(np.einsum("mi,mi->m", x1, p1)).max() < 1e-12
     assert np.abs(np.einsum("mi,mi->m", p1, p1)
                   - np.einsum("mi,mi->m", p, p)).max() < 1e-12
     J0 = orc.sphere_moment_map(x, p, 1.0, 1.0)
@@ -183,10 +187,14 @@ def test_sphere_flow_is_rigid_rotation(rng):
 
 
 def test_sphere_flow_complex_time_constraints(rng):
+    # the constraints and the moment map survive complex times
     x, p = _states(rng, 20)
-    x1, p1 = orc.sphere_flow_oracle(x, p, 1.0, 1.0, 0.4 + 0.9j)
-    assert np.abs(np.einsum("mi,mi->m", x1, x1) - 1.0).max() < 1e-12
-    assert np.abs(np.einsum("mi,mi->m", x1, p1)).max() < 1e-12
+    J0 = orc.sphere_moment_map(x, p, 1.0, 1.0)
+    for sigma in (1j, 0.4 - 0.6j, 0.4 + 0.9j):
+        x1, p1 = orc.sphere_flow_oracle(x, p, 1.0, 1.0, sigma)
+        assert np.abs(np.einsum("mi,mi->m", x1, x1) - 1.0).max() < 1e-12
+        assert np.abs(np.einsum("mi,mi->m", x1, p1)).max() < 1e-12
+        assert np.abs(orc.sphere_moment_map(x1, p1, 1.0, 1.0) - J0).max() < 1e-12
 
 
 def test_sphere_flow_against_generic_matrix_exponential(rng):
@@ -203,14 +211,16 @@ def test_sphere_flow_against_generic_matrix_exponential(rng):
 
 
 def test_embedding_map_basics(rng):
-    x, p = _states(rng, 100)
-    a = orc.sphere_embedding_map(x, p, 1.0, 1.0)
-    assert np.abs(np.einsum("mi,mi->m", a, a) - 1.0).max() < 1e-12
-    a0 = orc.sphere_embedding_map(x, 0 * p, 1.0, 1.0)
-    assert np.abs(a0 - x).max() < 1e-12
-    # a equals the base point of the flow at imaginary time
-    x1, _ = orc.sphere_flow_oracle(x, p, 1.0, 1.0, 1j)
-    assert np.abs(a - x1).max() < 1e-11
+    for r in (1.0, 2.0):
+        for B in (0.0, 0.5, 1.0):
+            x, p = _states(rng, 100, r)
+            a = orc.sphere_embedding_map(x, p, r, B)
+            assert np.abs(np.einsum("mi,mi->m", a, a) - r**2).max() < 1e-12
+            a0 = orc.sphere_embedding_map(x, 0 * p, r, B)
+            assert np.abs(a0 - x).max() < 1e-12
+            # a equals the base point of the flow at imaginary time
+            x1, _ = orc.sphere_flow_oracle(x, p, r, B, 1j)
+            assert np.abs(a - x1).max() < 1e-11
 
 
 def test_embedding_free_case_specialization():
@@ -234,8 +244,7 @@ def test_embedding_imaginary_part_monotone():
         L = np.sqrt(s**2 + 1.0)
         assert abs(vals[-1] - np.sinh(L) / L * s) < 1e-12
     assert np.diff(vals).min() > 0.0
-    # the ray as one batch, as the sphere-oracle suite evaluates it, gives
-    # the loop's bits
+    # the ray as one batch gives the loop's bits
     ray = np.linspace(0.0, 3.0, 100)[:, None] * d
     batch = orc.sphere_embedding_map(np.broadcast_to(x, ray.shape), ray, 1.0, 1.0)
     assert np.array_equal(np.linalg.norm(batch.imag, axis=1), vals)
@@ -252,8 +261,8 @@ def test_embedding_injectivity_margin(rng):
 
 
 def test_chart_embedding_roundtrip(rng):
-    u = rng.uniform(-0.4, 0.4, (20, 2))
-    pc = rng.uniform(-1.0, 1.0, (20, 2))
+    u = rng.uniform(-0.4, 0.4, (100, 2))
+    pc = rng.uniform(-2.0, 2.0, (100, 2))
     x, p3 = orc.sphere_chart_to_embedding(u, pc, 1.0)
     assert np.abs(np.einsum("mi,mi->m", x, x) - 1.0).max() < 1e-12
     assert np.abs(np.einsum("mi,mi->m", x, p3)).max() < 1e-12

@@ -359,14 +359,17 @@ def test_integrability_failure_is_per_row():
     assert np.isnan(F[1]).all() and np.isfinite(F[[0, 2]]).all()
 
 
-def test_integrability_rejects_per_row_times_before_any_flow(sphere_geo, rng, monkeypatch):
-    # the contour batch has more rows than a per-row t; the time must be common
-    def no_flow(*args, **kwargs):
-        raise AssertionError("flowed before the time was checked")
-
-    monkeypatch.setattr(structure, "flow_many", no_flow)
-    with pytest.raises(ValueError, match="one time common to all rows"):
-        integrability_residual_many(sphere_geo, sample_sphere(rng, 2), np.array([1j, 0.5j]))
+def test_integrability_per_row_times_match_one_time_calls(flat_geo, sphere_geo, rng):
+    # each row's time rides to its contour rows: one per-row call over two
+    # times gives each time's own call, frames and defects
+    times = (1j, 0.3 + 0.8j)
+    for geo, Z in ((flat_geo, sample_flat(rng, 6)), (sphere_geo, sample_sphere(rng, 6))):
+        F, ok, reasons, res = integrability_residual_many(geo, Z, np.repeat(times, 3))
+        assert ok.all() and reasons == [None] * 6
+        for rows, t in zip((slice(0, 3), slice(3, 6)), times):
+            Ft, okt, _, rest = integrability_residual_many(geo, Z[rows], t)
+            assert okt.all()
+            assert np.abs(F[rows] - Ft).max() < 1e-12 and np.abs(res[rows] - rest).max() < 1e-12
 
 
 def test_integrability_centre_frames_are_the_frames(flat_geo, sphere_geo, rng):

@@ -20,8 +20,8 @@ FLOWING_SUITES = ("flow", "frames", "kahler", "intertwine")
 def test_a_third_chart_is_one_table_entry(monkeypatch):
     # A 3-dim flat chart with a non-planar field, at the flat entry's boxes
     # and tolerances.  Not reached, because they are chart-specific: the
-    # closed-form checks of the sphere (beta pullback, flux) and of the flat
-    # chart, and the oracle suites.
+    # closed-form checks of the sphere (beta pullback) and of the flat chart,
+    # and the oracle suites.
     B = [[0.0, 1.0, -0.5], [-1.0, 0.0, 0.7], [0.5, -0.7, 0.0]]
     monkeypatch.setitem(suites._CHARTS, "flat3", suites._CHARTS["flat"]._replace(
         build=lambda: make_flat_magnetic(3, B, 1.0),
@@ -102,7 +102,7 @@ def test_suite_flow_budget(monkeypatch):
         calls.clear()
         assert suites.run_suite(suite, 1234)["passed"], suite
         budget[suite] = len(calls)
-    assert budget == {"geometry": 0, "flow": 24, "frames": 15, "kahler": 13, "intertwine": 10,
+    assert budget == {"geometry": 0, "flow": 24, "frames": 11, "kahler": 13, "intertwine": 10,
                       "flat-oracle": 13, "sphere-oracle": 1}
 
 
@@ -116,7 +116,7 @@ def test_each_block_reports_its_runtime_outside_the_checks():
         for sub in report["suites"]:
             want = []
             for block in suites._REGISTRY[sub["suite"]]:
-                charts = ([None] if block.charts == () else list(block.charts or suites._CHARTS)
+                charts = (list(block.charts or suites._CHARTS)
                           + [build().name for build in block.extras])
                 want += [(block.fn.__name__.lstrip("_"), chart) for chart in charts]
             times = sub["block_runtime_sec"]
