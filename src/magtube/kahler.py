@@ -211,12 +211,10 @@ def dbar_residual_many(
 # ---------------------------------------------------------------------------
 
 def _coth_times(B: float, mass_freq: float) -> float:
-    """B coth(B/mass_freq) = mass_freq cosh(Bt) / (sinh(Bt)/Bt), Bt =
-    B/mass_freq, exact through B = 0 (limit mass_freq): ``np.sinc`` at the
-    imaginary argument i Bt/pi is sinh(Bt)/Bt, 1 at Bt = 0.  cosh overflows
-    for |Bt| beyond about 710, where coth is 1 to double precision."""
-    Bt = B / mass_freq
-    return mass_freq * math.cosh(Bt) / np.sinc(1j * Bt / np.pi).real
+    """B coth(B/mass_freq), and its limit mass_freq at B = 0.  tanh is
+    exact for tiny arguments (tanh(x) = x) and saturates at 1 for large ones,
+    so the quotient needs no series branch and never overflows."""
+    return B / math.tanh(B / mass_freq) if B else mass_freq
 
 
 def _kappa_xyuv(B: float, mass_freq: float, x, y, u, v, tanh_coefficient: float):

@@ -4,11 +4,11 @@ oracles.  Every check reads a value the engine computed; an identity
 between closed forms alone is a unit test of the oracles instead.
 
 The checks live in one registry.  Each block below declares with ``@_block``
-its suite and the checks it reports (name, tolerance, kind, note,
-``expected_degenerate``), and returns each check's raw values: numbers,
-arrays or lists of them.  A block runs on every ``_CHARTS`` entry in table
-order (then on its ``extras``), or on the charts it names.  Three rules turn
-the values into CheckResults, each in one function:
+its suite and the checks it reports (name, tolerance, kind, note), and
+returns each check's raw values: numbers, arrays or lists of them.  A block
+runs on every ``_CHARTS`` entry in table order (then on its ``extras``), or
+on the charts it names.  Three rules turn the values into CheckResults, each
+in one function:
 
 * naming (``_rows``): a ``{chart}`` name is reported once per chart, with
   that chart's ``tol``; any other name once, over every chart;
@@ -19,9 +19,14 @@ the values into CheckResults, each in one function:
   NaN, with the row's reason as the note; the report is still written.
 
 A block flows the rows of one geometry with one tangent flag at all its
-times in one call with per-row targets (``_at_times``), except rows that a
-check compares with each other at conjugate times, where one shared step
-would make the comparison hold by construction.
+times in one call with per-row targets (``_at_times``).
+
+Each check reads a value that some engine defect can move; an identity that
+holds by construction is no check.  The engine is conjugation-equivariant
+bit for bit (f and the frames at conj t are the conjugates of those at t,
+and J is negated), which the unit tests keep as exact equalities; the flow
+fixes the zero section bit for bit (every term of the field has a factor
+p), which ``zero_section_fixed`` alone reads.
 
 The report follows the blocks' order in this file.  A suite's blocks share
 one generator drawn from the seed, and each chart's namespace, on which a
@@ -96,7 +101,6 @@ class CheckResult:
     tolerance: float
     kind: str = "max"
     note: str = ""
-    expected_degenerate: bool = False
 
     @property
     def passed(self) -> bool:
@@ -112,7 +116,6 @@ class CheckResult:
             "kind": self.kind,
             "passed": bool(self.passed),
             "note": self.note,
-            "expected_degenerate": self.expected_degenerate,
         }
 
 
@@ -160,8 +163,7 @@ _CHARTS: Dict[str, _Chart] = {
 }
 
 # A declared check; a ``{chart}`` name takes its tolerance from the chart.
-_Check = namedtuple("_Check", "name tol kind note expected_degenerate",
-                    defaults=(None, "max", "", False))
+_Check = namedtuple("_Check", "name tol kind note", defaults=(None, "max", ""))
 # A block's value for a check together with the note it reports.
 _Noted = namedtuple("_Noted", "value note")
 _Block = namedtuple("_Block", "fn checks charts extras")
@@ -283,7 +285,7 @@ def _flat_constancy(case):
 # ---------------------------------------------------------------------------
 
 @_block("flow", _Check("group_law", 1e-9), _Check("symplectomorphy", 1e-8),
-        _Check("energy_conservation", 1e-10), _Check("jacobian_nonsingular", 1e-6, "min"))
+        _Check("energy_conservation", 1e-10))
 def _real_flows(case):
     """Group law, symplectomorphy and energy conservation on real flows."""
     geo, n = case.geo, case.geo.dim
@@ -296,8 +298,7 @@ def _real_flows(case):
     return {"group_law": np.abs(np.concatenate([r2.x - r12.x, r2.p - r12.p], axis=1)),
             "symplectomorphy": np.abs(pulled - om0),
             "energy_conservation": np.abs(energy(geo, r12.x, r12.p)
-                                          - energy(geo, Z[:, :n], Z[:, n:])),
-            "jacobian_nonsingular": r12.det}
+                                          - energy(geo, Z[:, :n], Z[:, n:]))}
 
 
 @_block("flow", _Check("hamiltonian_field_inversion", 1e-10))
@@ -386,41 +387,27 @@ def _tangent_map_contour(case):
 # ---------------------------------------------------------------------------
 
 @_block("frames", _Check("lagrangian_residual", 1e-8), _Check("transversality_margin", 1e-6, "min"),
-        _Check("positivity_min_eigenvalue", 0.0, "min"), _Check("conjugate_frame_span", 1e-9),
-        _Check("conjugate_time_J", 1e-8), _Check("metric_positivity", 0.0, "min"),
-        _Check("frame_gauge_invariance", 1e-9),
-        _Check("real_time_degeneracy", 1e-8, expected_degenerate=True,
-               note="tau=0 frame equals its conjugate by construction"))
+        _Check("positivity_min_eigenvalue", 0.0, "min"), _Check("metric_positivity", 0.0, "min"),
+        _Check("frame_gauge_invariance", 1e-9))
 def _frame_structure(case):
     geo, n, rng = case.geo, case.geo.dim, case.rng
     Z = _sample(rng, geo, 100, case.chart.wide)
-    # F0 at the real time 0.5 rides in F's batch; Fm at the conjugate time
-    # gets its own flow, since conjugate_frame_span and conjugate_time_J
-    # compare it with F and would read 0 in one batch by construction
-    F, F0 = _at_times(frames_at_many, geo, [Z, case.chart.point], (1j, 0.5))
+    F = _ok(frames_at_many(geo, Z, 1j))
     om = twisted_symplectic_matrix(geo, Z[:, :n])
-    Fm = _ok(frames_at_many(geo, Z[:5], -1j))
-    out = {"lagrangian_residual": np.abs(np.einsum("mji,mjk,mkl->mil", F, om, F)),  # F^T Om F
-           "transversality_margin": transversality_check(F),
-           "positivity_min_eigenvalue": np.linalg.eigvalsh(positivity_matrix(geo, Z[:, :n], F)),
-           # the conjugate frame spans the conjugate-time subspace
-           "conjugate_frame_span": subspace_distance(F[:5].conj(), Fm)}
-
-    # at 3 points: J at conjugate times are opposite; omega(X, JX) > 0; gauge
-    # invariance under random right-multiplication
+    # at 3 points: omega(X, JX) > 0; gauge invariance under random
+    # right-multiplication
     x = Z[:3, :n]
     G = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(3)])
-    acs_p, acs_m, acs_g = (_ok(assemble_J(geo, x, frames))
-                           for frames in (F[:3], Fm[:3], orthonormalize(F[:3] @ G)))
-    Sym = twisted_symplectic_matrix(geo, x).real @ acs_p.J
-    out["conjugate_time_J"] = np.abs(acs_p.J + acs_m.J)
-    out["metric_positivity"] = np.linalg.eigvalsh(0.5 * (Sym + Sym.swapaxes(1, 2)))
-    out["frame_gauge_invariance"] = [
-        np.abs(acs_p.J - acs_g.J), np.abs(acs_p.positivity_spectrum - acs_g.positivity_spectrum),
-        np.abs(acs_p.transversality - acs_g.transversality)]
-    # at real time the frame equals its conjugate: transversality degenerates
-    out["real_time_degeneracy"] = transversality_check(F0)
-    return out
+    acs, acs_g = (_ok(assemble_J(geo, x, frames)) for frames in (F[:3], orthonormalize(F[:3] @ G)))
+    Sym = twisted_symplectic_matrix(geo, x).real @ acs.J
+    return {"lagrangian_residual": np.abs(np.einsum("mji,mjk,mkl->mil", F, om, F)),  # F^T Om F
+            "transversality_margin": transversality_check(F),
+            "positivity_min_eigenvalue": np.linalg.eigvalsh(positivity_matrix(geo, Z[:, :n], F)),
+            "metric_positivity": np.linalg.eigvalsh(0.5 * (Sym + Sym.swapaxes(1, 2))),
+            "frame_gauge_invariance": [
+                np.abs(acs.J - acs_g.J),
+                np.abs(acs.positivity_spectrum - acs_g.positivity_spectrum),
+                np.abs(acs.transversality - acs_g.transversality)]}
 
 
 @_block("frames", _Check("zero_section_positivity_form", 1e-8,
@@ -484,18 +471,12 @@ def _kde(case):
     return {"kde_{chart}": kde_residual_many(case.geo, case.Z, c.kde_sigma)[3]}
 
 
-@_block("kahler", _Check("f_conjugation", 1e-8), _Check("kappa2_reality", 1e-10),
-        _Check("kappa2_closed_form", 1e-7), charts=("flat",))
+@_block("kahler", _Check("kappa2_closed_form", 1e-7), charts=("flat",))
 def _flat_potential(case):
-    """f at +-i: conjugation, reality of kappa2, its closed form."""
-    flat, Zf = case.geo, case.Z
-    fm, fp = np.split(potential_f_many(flat, np.concatenate([Zf, Zf]),
-                                       np.repeat([-1j, 1j], len(Zf)))[0], 2)
-    zc = orc.flat_complex_coordinates(1.0, 1.0, Zf)
-    kappa2_cf = np.array([kappa2_flat(1.0, 1.0, z1, z2) for z1, z2 in zc])
-    return {"f_conjugation": np.abs(np.conj(fm) - fp),
-            "kappa2_reality": np.abs((1j * (fm - fp)).imag),
-            "kappa2_closed_form": np.abs((2j * fm).real - kappa2_cf)}
+    """kappa2 = Re(2i f_{-i}) against its closed form."""
+    fm = potential_f_many(case.geo, case.Z, -1j)[0]
+    z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, case.Z).T
+    return {"kappa2_closed_form": np.abs((2j * fm).real - kappa2_flat(1.0, 1.0, z1, z2))}
 
 
 @_block("kahler", _Check("dbar_{chart}"))
@@ -530,22 +511,17 @@ def _extension_dbar(case):
         case.Z[:8], case.F[:8].conj().swapaxes(1, 2))[3])}
 
 
-@_block("kahler", _Check("extension_coordinates", 1e-8), _Check("extension_zero_section", 1e-12),
-        _Check("weight_zero_section", 1e-12), _Check("weight_power_law", 1e-10),
+@_block("kahler", _Check("extension_coordinates", 1e-8),
         _Check("weight_gaussian_density", 1e-10,
                note="|weight|^2 = e^{-kappa2}; with B = lambda and mass_freq = 1/(2t) this is "
                     "the heat-kernel space weight"), charts=("flat",))
 def _flat_extension_and_weights(case):
     """Holomorphic extensions and section weights on the plane."""
-    flat, Zf = case.geo, case.Z
-    z = Zf[0]
-    (e1, e2), e0 = holomorphic_extension(flat, lambda x: x, np.array([z, [0.3, -0.2, 0.0, 0.0]]))[0]
+    flat, z = case.geo, case.Z[0]
+    e1, e2 = holomorphic_extension(flat, lambda x: x, z[None])[0][0]
     z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, z)
-    w0 = section_weight(flat, np.array([0.4, -0.1, 0, 0]), 1)
-    w1, w2 = section_weight(flat, z, 1), section_weight(flat, z, 2)
+    w1 = section_weight(flat, z, 1)
     return {"extension_coordinates": [abs(e1 - z1), abs(e2 - z2)],
-            "extension_zero_section": np.abs(e0 - np.array([0.3, -0.2])),
-            "weight_zero_section": abs(w0 - 1.0), "weight_power_law": abs(w2 - w1**2),
             "weight_gaussian_density": abs(abs(w1) ** 2 - np.exp(-kappa2_flat(1.0, 1.0, z1, z2)))}
 
 
@@ -720,8 +696,7 @@ def _run(suite: str, seed: int) -> SuiteChecks:
                 notes = [v.note for v in values if isinstance(v, _Noted)]
                 values = [v.value if isinstance(v, _Noted) else v for v in values]
                 results.append(CheckResult(name, _worst(check.kind, values), tol, check.kind,
-                                           notes[0] if notes else check.note,
-                                           check.expected_degenerate))
+                                           notes[0] if notes else check.note))
     results.block_runtimes = runtimes
     return results
 

@@ -41,11 +41,13 @@ def test_f_real_time_closed_form(flat_geo, rng):
             assert abs(got.imag) < 1e-11  # real for real times
 
 
-def test_f_conjugation_symmetry(sphere_geo, rng):
-    for row in sample_sphere(rng, 4):
-        fm = potential_f(sphere_geo, row, -1j)
-        fp = potential_f(sphere_geo, row, 1j)
-        assert abs(np.conj(fm) - fp) < 1e-8
+def test_f_conjugation_symmetry(flat_geo, sphere_geo, rng):
+    # conj f_t = f_{conj t} bit for bit: every operation of the flow is
+    # conjugation-equivariant and its step control reads only moduli
+    for geo, rows in ((flat_geo, sample_flat(rng, 4)), (sphere_geo, sample_sphere(rng, 4))):
+        for row in rows:
+            for t in (1j, 0.3 + 0.8j):
+                assert np.conj(potential_f(geo, row, np.conj(t))) == potential_f(geo, row, t)
 
 
 def test_two_i_f_minus_i_closed_form(flat_geo, rng):
@@ -147,6 +149,15 @@ def test_kappa_small_field_series():
         assert kappa1_flat(B, mf, z1, z2) == pytest.approx(expected, abs=5 * B**4)
     # continuous through B = 0: the geodesic-case potential |Im z|^2 (mf = 1)
     assert kappa1_flat(0.0, mf, z1, z2) == pytest.approx(v**2 + y**2)
+
+
+def test_coth_times_at_strong_and_zero_field():
+    # B coth(B/mf) saturates at |B| without overflow and is mf at B = 0
+    assert kahler._coth_times(800.0, 1.0) == 800.0
+    assert kahler._coth_times(-800.0, 1.0) == 800.0
+    assert kahler._coth_times(0.0, 0.7) == 0.7
+    assert kahler._coth_times(1e-300, 1.0) == 1.0
+    assert kappa2_flat(800.0, 1.0, 1j, 0j) == 800.0
 
 
 def test_kappa1_equals_2if_plus_g(flat_geo, rng):

@@ -3,7 +3,7 @@ verify checks (DeMillo, Lipton and Sayward, IEEE Computer 1978).
 
 A defect is a small wrong change to one piece of the engine: a chart
 evaluator, the field, the quadrature, the variational term, the integrator's
-tableau or the -beta chart.  The battery runs only the suites that hold the
+tableau, the time of the frame transport or the -beta chart.  The battery runs only the suites that hold the
 checks named for it; the kill matrix over every check comes from running
 this file as a script:
 
@@ -17,10 +17,11 @@ defect that it alone catches, or it carries no evidence.
 import dataclasses
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import patch_chart
-from magtube import flow, suites
+from magtube import flow, structure, suites
 from magtube.geometry import ChartedGeometry
 
 SEED = 1234
@@ -94,6 +95,15 @@ def quadrature_row(mp):
     _after_rhs(mp, change)
 
 
+def p_free_force(mp):
+    """dp/ds + 1e-6 in every component: a force that does not vanish on the
+    zero section."""
+    def change(n, Y, out):
+        out[n:2 * n] += EPS
+
+    _after_rhs(mp, change)
+
+
 def variational_dJx(mp):
     """The tangent map's x block d(Jx) times 1 + 1e-6."""
     def change(n, Y, out):
@@ -110,6 +120,13 @@ def solution_weight(mp):
     w = w.copy()
     w[0, flow._SLOT[0] - lo] += 1e-7
     mp.setattr(flow, "_STEP_RUN", (lo, hi, w))
+
+
+def transport_conj(mp):
+    """The frame transport flows to -conj(t) in place of -t: the frames of
+    conj t, the conjugate subspace."""
+    transport = structure._transport
+    mp.setattr(structure, "_transport", lambda geo, Z, t: transport(geo, Z, np.conj(t)))
 
 
 def negation_keeps_beta(mp):
@@ -145,6 +162,9 @@ BATTERY = {
     solution_weight: {"flat-oracle": {"flow_oracle_equivalence"},
                       "sphere-oracle": {"engine_oracle_equivalence"}},
     variational_dJx: {"flow": {"tangent_map_contour"}},
+    p_free_force: {"flow": {"zero_section_fixed", "energy_conservation"}},
+    transport_conj: {"frames": {"positivity_min_eigenvalue", "metric_positivity"},
+                     "kahler": {"kappa1_coefficient_is_half"}},
     negation_keeps_beta: {"intertwine": {
         "frame_intertwine_flat", "frame_intertwine_sphere",
         "frame_intertwine_shifted_flat", "frame_intertwine_shifted_sphere"}},

@@ -54,7 +54,7 @@ def test_a_third_chart_is_one_table_entry(monkeypatch):
         assert 6 in widths[suite], suite
     # the chart-generic checks without a {chart} name
     assert {"zero_section_jacobian", "zero_section_frame_span", "zero_section_positivity_form",
-            "zero_section_fixed", "real_time_degeneracy", "tangent_map_contour",
+            "zero_section_fixed", "tangent_map_contour",
             "totally_real_vertical_block"} <= ran["flat3"]
 
 
@@ -102,7 +102,7 @@ def test_suite_flow_budget(monkeypatch):
         calls.clear()
         assert suites.run_suite(suite, 1234)["passed"], suite
         budget[suite] = len(calls)
-    assert budget == {"geometry": 0, "flow": 24, "frames": 11, "kahler": 13, "intertwine": 10,
+    assert budget == {"geometry": 0, "flow": 24, "frames": 9, "kahler": 11, "intertwine": 10,
                       "flat-oracle": 13, "sphere-oracle": 1}
 
 
@@ -174,8 +174,7 @@ def test_frames_without_a_complex_structure_fail_their_J_checks(monkeypatch):
     report = suites.run_suite("frames", 1234)
     assert not report["passed"]
     checks = {c["name"]: c for c in report["suites"][0]["checks"]}
-    for name in ("conjugate_time_J", "metric_positivity", "frame_gauge_invariance",
-                 "totally_real_horizontal"):
+    for name in ("metric_positivity", "frame_gauge_invariance", "totally_real_horizontal"):
         assert np.isnan(checks[name]["value"]) and not checks[name]["passed"], name
         assert "frame not transversal to its conjugate" in checks[name]["note"], name
     assert checks["zero_section_positivity_form"]["passed"]
