@@ -3,9 +3,9 @@ verify checks (DeMillo, Lipton and Sayward, IEEE Computer 1978).
 
 A defect is a small wrong change to one piece of the engine: a chart
 evaluator, the field, the quadrature, the variational term, the integrator's
-tableau, the time of the frame transport or the -beta chart.  The battery runs only the suites that hold the
-checks named for it; the kill matrix over every check comes from running
-this file as a script:
+tableau, the time of the frame transport or the -beta chart.  The battery
+runs only the suites that hold the checks named for it; the kill matrix over
+every check comes from running this file as a script:
 
     PYTHONPATH=src python tests/test_mutations.py [seed]
 
