@@ -312,7 +312,7 @@ def cmd_grid(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    # the suites and their scipy oracles load only for this command
+    # the suites and their oracles load only for this command
     from .suites import run_suite
 
     report = run_suite(cfg.suite, cfg.seed)

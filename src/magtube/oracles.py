@@ -14,13 +14,14 @@ Three families live here:
 Matrix/scalar functions with removable singularities ((e^X-1)/X, sin w / w,
 (1-cos w)/w^2) are evaluated by exact identities that hold through the
 singularity: ``np.sinc`` for the scalars and an augmented matrix
-exponential for (e^X-1)/X.
+exponential for (e^X-1)/X.  The matrix exponential is this module's own
+scaling and squaring with Pade approximants (Higham 2005), so the oracles
+need numpy alone and share no code with the engine's DOP853 flow.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .geometry import (
     conformal_factor,
@@ -72,15 +73,79 @@ def versine_sq(c):
     return out if out.ndim else complex(out)
 
 
+# Pade coefficients b_0..b_m of degree m, and the largest 1-norm theta_m at
+# which r_m(A) = exp(A) to double precision (N. J. Higham, SIAM J. Matrix
+# Anal. Appl. 26 (2005) 1179-1193, Table 2.3 and Algorithm 2.3).
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                               1512.0, 56.0, 1.0)),
+    9: (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    13: (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                               7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                               10559470521600.0, 670442572800.0, 33522128640.0,
+                               1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+}
+
+
+def _pade(A: np.ndarray, m: int) -> np.ndarray:
+    """The degree-m Pade approximant of exp over a stack A (k, n, n):
+    r_m = (V - U)^{-1} (V + U) with U the odd and V the even part."""
+    b = _PADE[m][1]
+    eye = np.eye(A.shape[-1], dtype=complex)
+    A2 = A @ A
+    if m < 13:
+        powers = [eye, A2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ A2)
+        U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
+        V = sum(b[2 * k] * P for k, P in enumerate(powers))
+    else:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    return np.linalg.solve(V - U, V + U)
+
+
+def _expm(A) -> np.ndarray:
+    """exp(A) over the leading axes of A (..., n, n), by scaling and squaring
+    with Pade approximants (Higham 2005, Algorithm 2.3).
+
+    Each matrix picks its degree and number of squarings from its own 1-norm,
+    and the matrices that share both run as one stack, so a matrix's result
+    does not depend on the stack it comes in.
+    """
+    A = np.asarray(A, dtype=complex)
+    flat = A.reshape((-1,) + A.shape[-2:])
+    norms = np.abs(flat).sum(axis=-2).max(axis=-1)
+    degrees = np.array([next((m for m in (3, 5, 7, 9) if nrm <= _PADE[m][0]), 13)
+                        for nrm in norms])
+    theta13 = _PADE[13][0]
+    squarings = np.ceil(np.log2(np.maximum(norms, theta13) / theta13)).astype(int)
+    out = np.empty_like(flat)
+    for m, s in set(zip(degrees.tolist(), squarings.tolist())):
+        rows = (degrees == m) & (squarings == s)
+        X = _pade(flat[rows] / 2.0**s, m)
+        for _ in range(s):
+            X = X @ X
+        out[rows] = X
+    return out.reshape(A.shape)
+
+
 def phi1_matrix(M: np.ndarray) -> np.ndarray:
     """(e^M - 1)/M := sum_k M^k/(k+1)!, well defined for singular M: the
-    top-right block of exp([[M, I], [0, 0]])."""
+    top-right block of exp([[M, I], [0, 0]]).  M may be a stack (..., n, n)."""
     M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    aug = np.zeros((2 * n, 2 * n), dtype=complex)
-    aug[:n, :n] = M
-    aug[:n, n:] = np.eye(n)
-    return expm(aug)[:n, n:]
+    n = M.shape[-1]
+    aug = np.zeros(M.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    aug[..., :n, :n] = M
+    aug[..., :n, n:] = np.eye(n)
+    return _expm(aug)[..., :n, n:]
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +352,27 @@ def zero_section_linearization(beta_matrix, sigma, inv_metric=None) -> np.ndarra
 
         [[ 1, sigma g phi1(sigma beta g) ], [ 0, exp(sigma beta g) ]],
 
-    with phi1(X) = (e^X - 1)/X interpreted by its power series.
+    with phi1(X) = (e^X - 1)/X interpreted by its power series.  beta and g
+    may be stacks (..., n, n) and sigma an array; their leading axes
+    broadcast.
     """
     beta = np.asarray(beta_matrix, dtype=complex)
-    n = beta.shape[0]
+    n = beta.shape[-1]
     g = np.eye(n, dtype=complex) if inv_metric is None else np.asarray(inv_metric, dtype=complex)
-    Q = beta @ g
-    top = sigma * g @ phi1_matrix(sigma * Q)
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = np.eye(n)
-    out[:n, n:] = top
-    out[n:, n:] = expm(sigma * Q)
+    sigma = np.asarray(sigma, dtype=complex)[..., None, None]
+    sQ = sigma * (beta @ g)
+    top = sigma * g @ phi1_matrix(sQ)
+    out = np.zeros(top.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n] = np.eye(n)
+    out[..., :n, n:] = top
+    out[..., n:, n:] = _expm(sQ)
     return out
 
 
 def zero_section_frame(beta_matrix, sigma, inv_metric=None) -> np.ndarray:
     """Columns spanning the transported vertical subspace at the zero-section."""
-    return zero_section_linearization(beta_matrix, sigma, inv_metric)[:, len(beta_matrix):]
+    return zero_section_linearization(beta_matrix, sigma, inv_metric)[
+        ..., np.shape(beta_matrix)[-1]:]
 
 
 def zero_section_positivity_matrix(beta_matrix, t) -> np.ndarray:
@@ -314,8 +383,9 @@ def zero_section_positivity_matrix(beta_matrix, t) -> np.ndarray:
 
         M = 2 tau (exp(2 i tau beta) - 1)/(2 i tau beta),   tau = Im t,
 
-    positive definite for tau > 0 and independent of Re t.
+    positive definite for tau > 0 and independent of Re t.  beta may be a
+    stack (..., n, n) and t an array; their leading axes broadcast.
     """
     beta = np.asarray(beta_matrix, dtype=complex)
-    tau = float(np.imag(t))
+    tau = np.imag(np.asarray(t, dtype=complex))[..., None, None]
     return 2.0 * tau * phi1_matrix(2j * tau * beta)

@@ -44,7 +44,6 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import oracles as orc
 from .config import SUITE_NAMES
@@ -223,6 +222,13 @@ def _zero_section_flows(geo: ChartedGeometry, xs: np.ndarray, times):
     return _at_times(flow_many, geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), times)
 
 
+def _normalized_changes(geo: ChartedGeometry, xs: np.ndarray):
+    """``normalized_zero_section_frame_change`` at each of the points xs,
+    stacked: T (m, 2n, 2n) and beta_tilde (m, n, n)."""
+    T, btil = zip(*(normalized_zero_section_frame_change(geo, x0) for x0 in xs))
+    return np.stack(T), np.stack(btil)
+
+
 _FLAT_HEAVY = (partial(_flat, 1.0, 0.5),)  # Btilde = 2 separates B from Btilde
 
 
@@ -332,13 +338,13 @@ def _zero_section_linearization(case):
     xs = case.rng.uniform(-0.3, 0.3, (2, geo.dim))
     Z = np.concatenate([xs, np.zeros_like(xs)], axis=1)
     g0, b0 = geo.inv_metric(xs), geo.beta(xs)
-    sigmas = (0.5, 1j, 0.3 + 0.8j)
-    jac = [np.abs(jac - orc.zero_section_linearization(b0[i], sig, g0[i]))
-           for sig, res in zip(sigmas, _zero_section_flows(geo, xs, sigmas))
-           for i, jac in enumerate(res.jac)]
-    span = [subspace_distance(F, np.stack(
-                [orc.zero_section_frame(b0[i], sig, g0[i]) for i in range(len(xs))]))
-            for sig, F in zip(sigmas[1:], _at_times(frames_at_many, geo, Z, sigmas[1:]))]
+    sigmas = np.array([0.5, 1j, 0.3 + 0.8j])
+    # the oracles over (time, point)
+    lin = orc.zero_section_linearization(b0, sigmas[:, None], g0)
+    frames = orc.zero_section_frame(b0, sigmas[1:, None], g0)
+    jac = [np.abs(res.jac - ref) for res, ref in zip(_zero_section_flows(geo, xs, sigmas), lin)]
+    span = [subspace_distance(F, ref)
+            for F, ref in zip(_at_times(frames_at_many, geo, Z, sigmas[1:]), frames)]
     return {"zero_section_jacobian": jac, "zero_section_frame_span": span}
 
 
@@ -418,15 +424,15 @@ def _zero_section_positivity_form(case):
     """The zero-section Hermitian form against the closed-form positivity matrix."""
     geo, n = case.geo, case.geo.dim
     xs = case.rng.uniform(-0.2, 0.2, (2, n))
-    changes = [normalized_zero_section_frame_change(geo, x0) for x0 in xs]
+    T, btil = _normalized_changes(geo, xs)
+    om_t = np.stack([np.block([[-b, np.eye(n)], [-np.eye(n), np.zeros((n, n))]]) for b in btil])
+    times = np.array([1j, 0.3 + 0.8j])
+    ref = orc.zero_section_positivity_matrix(btil, times[:, None])  # (time, point, n, n)
     defects = []
-    times = (1j, 0.3 + 0.8j)
-    for t, res in zip(times, _zero_section_flows(geo, xs, times)):
-        for (T, btil), jac in zip(changes, res.jac):
-            Fn = T @ jac[:, n:] @ T[:n, :n].T
-            om_t = np.block([[-btil, np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-            M = 1j * Fn.conj().T @ om_t @ Fn
-            defects.append(np.abs(M - orc.zero_section_positivity_matrix(btil, t)))
+    for res, M_ref in zip(_zero_section_flows(geo, xs, times), ref):
+        Fn = T @ res.jac[:, :, n:] @ T[:, :n, :n].swapaxes(1, 2)
+        M = 1j * Fn.conj().swapaxes(1, 2) @ om_t @ Fn
+        defects.append(np.abs(M - M_ref))
     return {"zero_section_positivity_form": defects}
 
 
@@ -440,14 +446,15 @@ def _totally_real(case):
     xs = case.rng.uniform(-0.2, 0.2, (3, n))
     jacs = _zero_section_flows(geo, xs, (1j,))[0].jac
     acs = _ok(assemble_J(geo, xs, orthonormalize(jacs[:, :, n:])))
+    T, btil = _normalized_changes(geo, xs)
     Eh = np.vstack([np.eye(n), np.zeros((n, n))])
-    vertical, horizontal = [], []
-    for x0, jac, J in zip(xs, jacs, acs.J):
-        T, btil = normalized_zero_section_frame_change(geo, x0)
-        vertical += [np.linalg.svd((T @ jac[:, n:])[n:], compute_uv=False)[-1],
-                     np.linalg.svd(expm(1j * btil), compute_uv=False)[-1]]
-        horizontal.append(np.linalg.svd(np.hstack([Eh, J @ Eh]), compute_uv=False)[-1])
-    return {"totally_real_vertical_block": vertical, "totally_real_horizontal": horizontal}
+    # the vertical blocks of the engine's frame and of the closed-form one,
+    # e^{i btil}
+    vertical = [(T @ jacs[:, :, n:])[:, n:], orc.zero_section_frame(btil, 1j)[:, n:]]
+    horizontal = [np.hstack([Eh, J @ Eh]) for J in acs.J]
+    return {"totally_real_vertical_block": [np.linalg.svd(V, compute_uv=False)[:, -1]
+                                            for V in vertical],
+            "totally_real_horizontal": np.linalg.svd(horizontal, compute_uv=False)[:, -1]}
 
 
 @_block("frames", _Check("integrability_{chart}"))

@@ -45,6 +45,76 @@ def test_phi1_matrix_against_series(rng):
 def test_phi1_handles_singular_matrix():
     M = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent
     assert np.allclose(orc.phi1_matrix(M), [[1.0, 0.5], [0.0, 1.0]])
+    # M = 2P with P the projector onto (1, 1)/sqrt(2): phi1(M) = 1 - P + (e^2 - 1)/2 P
+    M = np.ones((2, 2))
+    P = M / 2
+    assert np.abs(orc.phi1_matrix(M) - (np.eye(2) - P + (np.exp(2.0) - 1) / 2 * P)).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the oracles' Pade matrix exponential
+# ---------------------------------------------------------------------------
+
+def _norm1(A):
+    return np.abs(A).sum(axis=-2).max(axis=-1)
+
+
+def _random_matrices(rng, n, norms):
+    """Complex n x n matrices scaled to the given 1-norms, stacked."""
+    A = rng.normal(size=(len(norms), n, n)) + 1j * rng.normal(size=(len(norms), n, n))
+    return A * (np.asarray(norms) / _norm1(A))[:, None, None]
+
+
+def test_expm_against_scipy(rng):
+    # 1-norms from 1e-8 to 50 fall under every degree's threshold and up to
+    # four squarings above the largest
+    norms = np.geomspace(1e-8, 50.0, 40)
+    thetas = [orc._PADE[m][0] for m in (3, 5, 7, 9, 13)]
+    assert all(((norms > lo) & (norms <= hi)).any() for lo, hi in zip([0] + thetas, thetas))
+    assert norms.max() > 8 * thetas[-1]
+    for n in range(1, 7):
+        for A in _random_matrices(rng, n, norms):
+            ref = expm(A)
+            assert np.linalg.norm(orc._expm(A) - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+
+
+def test_expm_of_nilpotent_and_defective_matrices():
+    # a nilpotent matrix: the series stops at N^3
+    N = np.triu(np.arange(1.0, 17.0).reshape(4, 4), 1) * (0.5 + 0.25j)
+    ref = np.eye(4) + N + N @ N / 2 + N @ N @ N / 6
+    assert np.abs(orc._expm(N) - ref).max() <= 1e-14 * np.abs(ref).max()
+    # phi1's augmented matrix [[M, I], [0, 0]] at the singular M = ones is
+    # defective: its eigenvalue 0, of multiplicity 3, has two eigenvectors
+    aug = np.block([[np.ones((2, 2)), np.eye(2)], [np.zeros((2, 2)), np.zeros((2, 2))]])
+    ref = expm(aug)
+    assert np.linalg.norm(orc._expm(aug) - ref, 1) <= 1e-14 * np.linalg.norm(ref, 1)
+
+
+def test_stacked_oracles_equal_their_one_matrix_calls(rng):
+    # each matrix picks its own degree and squarings, so a stack's result is
+    # its one-matrix calls bit for bit
+    for n in (2, 4):
+        A = _random_matrices(rng, n, np.geomspace(1e-8, 50.0, 24)).reshape(2, 12, n, n)
+        out = orc._expm(A)
+        assert all(np.array_equal(out[i, j], orc._expm(A[i, j]))
+                   for i in range(2) for j in range(12))
+        out = orc.phi1_matrix(A)
+        assert all(np.array_equal(out[i, j], orc.phi1_matrix(A[i, j]))
+                   for i in range(2) for j in range(12))
+    beta = rng.normal(size=(3, 2, 2))
+    beta -= beta.swapaxes(1, 2)
+    g = np.eye(2) + 0.1 * rng.normal(size=(3, 2, 2))
+    g = g @ g.swapaxes(1, 2)
+    times = np.array([0.5, 1j, 0.3 + 0.8j])
+    lin = orc.zero_section_linearization(beta, times[:, None], g)
+    frames = orc.zero_section_frame(beta, times[:, None], g)
+    pos = orc.zero_section_positivity_matrix(beta, times[:, None])
+    assert lin.shape == (3, 3, 4, 4) and frames.shape == (3, 3, 4, 2) and pos.shape == (3, 3, 2, 2)
+    for i, t in enumerate(times):
+        for j in range(3):
+            assert np.array_equal(lin[i, j], orc.zero_section_linearization(beta[j], t, g[j]))
+            assert np.array_equal(frames[i, j], orc.zero_section_frame(beta[j], t, g[j]))
+            assert np.array_equal(pos[i, j], orc.zero_section_positivity_matrix(beta[j], t))
 
 
 # ---------------------------------------------------------------------------

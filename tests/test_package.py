@@ -4,6 +4,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -68,15 +69,58 @@ except AttributeError:
 """
 
 
-def test_engine_commands_leave_scipy_and_the_pool_unloaded(tmp_path):
-    # a serial grid command imports neither the oracles' scipy nor the process
-    # pool; verify and the lazy package attributes still load them on demand
+def _run_probe(code, *args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(magtube.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", BOUNDARY_PROBE, str(tmp_path)], env=env,
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["[]", "ok"]
+    return out.stdout.split()
+
+
+def test_engine_commands_leave_scipy_and_the_pool_unloaded(tmp_path):
+    # a serial grid command imports neither scipy nor the process pool;
+    # verify and the lazy package attributes still load the suites on demand
+    assert _run_probe(BOUNDARY_PROBE, tmp_path) == ["[]", "ok"]
+
+
+VERIFY_PROBE = """
+import sys
+import magtube.cli as cli
+
+assert cli.main(["verify", "--suite", "all", "--seed", "1234", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_verify_runs_without_scipy(tmp_path):
+    # the oracles' matrix exponential is their own, so every suite runs and
+    # passes with numpy alone
+    assert _run_probe(VERIFY_PROBE, tmp_path / "v.json") == ["[]"]
+
+
+def _third_party_imports(root: Path) -> set:
+    """The top-level packages that the modules under ``root`` import by
+    absolute imports, less the standard library."""
+    names = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_runtime_dependencies_are_the_imported_packages():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in deps}
+    imported = _third_party_imports(root / "src" / "magtube")
+    assert "numpy" in imported and declared == imported
 
 
 def _readme_example() -> dict:
