@@ -18,13 +18,16 @@ targets); since the right-hand side is holomorphic the result is path independen
 wherever the continuation exists, which the verification suite checks rather
 than assumes.  The integrator is the DOP853 8(5,3) Runge-Kutta pair of
 Dormand and Prince (Hairer, Norsett and Wanner, Solving ODEs I, Sec. II.10)
-acting on the complexified state, shared-stepsize over a batch of rows with
-per-row failure masking; a step's first stage is the field at its start
-point, evaluated once for every attempt from there and never at the end of
-the path.
+acting on the complexified state, with step control per row (Sec. II.4): each
+row of a batch has its own step size and place on its path, is accepted or
+rejected by its own error norm, fails on its own, and leaves the batch when
+it arrives.  A step's first stage is the field at its start point,
+evaluated once for every attempt from there and never at the end of the
+path.
 
-A flow allocates the integrator's arrays once, not per step: the stages, one
-stage input, the solution and its two error estimates, a second state that
+A flow allocates the integrator's arrays once, not per step, and again only
+when it gathers them down to the rows still moving: the stages, one stage
+input, the solution and its two error estimates, a second state that
 changes places with the state when a step is accepted, and the error norm's
 temporaries.  The stages are stored in the order 2, 1, 0, 3, ..., 11, so
 that the nonzero weights of every combination of stages lie in one
@@ -40,8 +43,10 @@ is a Python loop over that index (``_bmm``, ``_contract_mid``, ``_dot``)
 whose every term is one elementwise operation over a contiguous run of m
 rows; with the rows first, numpy runs m inner loops of length n or 2n, and
 at these sizes dispatch costs more than the arithmetic.  Elementwise terms
-also make a row's right-hand side independent of the rest of its batch (the
-shared step size still couples the rows).  The public functions
+also make a row's right-hand side independent of the rest of its batch; with
+per-row steps, only the last-bit rounding of the stage combinations, which
+``np.matmul`` may round differently by column position, ties a row to its
+batch.  The public functions
 (``flow_many``, ``field_components``, ``BatchFlowResult``) keep the rows
 first.
 
@@ -187,7 +192,8 @@ class BatchFlowResult:
     implies nonzero along the path, see the module docstring); ``jac`` is
     None and ``det`` NaN for a tangent-free flow.  An ok row's values are
     finite; a failed row's x, p, quad and jac are NaN in both parts, and its
-    det is NaN.
+    det is NaN.  ``steps`` counts the flow's iterations over the batch,
+    ``row_steps`` the steps (accepted and rejected) that each row attempted.
     """
 
     x: np.ndarray
@@ -198,6 +204,7 @@ class BatchFlowResult:
     reasons: list
     det: np.ndarray
     steps: int
+    row_steps: np.ndarray
     time: complex | np.ndarray
 
 
@@ -391,11 +398,11 @@ def _check_rows(geo, Y, real_rows):
     return bad, np.where(p_bad, REASON_BLOWUP, np.where(chart_bad, reason_chart, ""))
 
 
-def _step_factor(err_norm: float) -> float:
-    """Next step over this one: 0.9 err^(-1/8), clamped to [0.2, 10]."""
-    if err_norm == 0.0:
-        return 10.0
-    return min(10.0, max(0.2, 0.9 * err_norm ** (-1.0 / 8.0)))
+def _step_factors(err: np.ndarray) -> np.ndarray:
+    """Each row's next step over this one: 0.9 err^(-1/8), clamped to
+    [0.2, 10] (10 at a zero error)."""
+    with np.errstate(divide="ignore"):
+        return np.minimum(10.0, np.maximum(0.2, 0.9 * err ** (-1.0 / 8.0)))
 
 
 def _error_norms(abs_y, abs_new, y_new, err5, err3, h, scale, work):
@@ -403,11 +410,11 @@ def _error_norms(abs_y, abs_new, y_new, err5, err3, h, scale, work):
     (D, m) state.
 
     abs_y and abs_new are |Y| and |y_new|; err5 and err3 are the unscaled
-    estimator sums (without the step h); a row's norm is
-    h |e5|^2 / sqrt(D (|e5|^2 + 0.01 |e3|^2)) with both errors divided
-    componentwise by ABS_TOL + REL_TOL max(|Y|, |y_new|).  Non-finite rows
-    get an infinite norm.  ``scale`` and ``work`` are (D, m) float arrays
-    that it overwrites.
+    estimator sums (without the step) and h holds each row's step; a row's
+    norm is h |e5|^2 / sqrt(D (|e5|^2 + 0.01 |e3|^2)) with both errors
+    divided componentwise by ABS_TOL + REL_TOL max(|Y|, |y_new|).
+    Non-finite rows get an infinite norm.  ``scale`` and ``work`` are (D, m)
+    float arrays that it overwrites.
     """
     np.maximum(abs_y, abs_new, out=scale)
     np.multiply(REL_TOL, scale, out=scale)
@@ -424,6 +431,53 @@ def _error_norms(abs_y, abs_new, y_new, err5, err3, h, scale, work):
     return err_row
 
 
+def _segments(W: np.ndarray):
+    """The segments of the (m, K) polylines W: their lengths and unit
+    directions, (m, K - 1) each, and ``entry`` (m, K), where entry[r, j] is
+    the first segment j' >= j of row r with a nonzero length (K - 1 when
+    none is left).  |seg| and seg / |seg| are formed as Python's complex abs
+    and complex / float form them (hypot; Smith's rule with a zero imaginary
+    divisor), to the last bit and the sign of zero."""
+    seg = W[:, 1:] - W[:, :-1]
+    length = np.hypot(seg.real, seg.imag)
+    direction = np.zeros_like(seg)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a zero segment is never entered
+        direction.real = (seg.real + seg.imag * 0.0) / length
+        direction.imag = (seg.imag - seg.real * 0.0) / length
+    n_seg = seg.shape[1]
+    entry = np.full((len(W), n_seg + 1), n_seg)
+    for j in range(n_seg - 1, -1, -1):
+        entry[:, j] = np.where(length[:, j] > 0, j, entry[:, j + 1])
+    return length, direction, entry
+
+
+def _work_arrays(D: int, m: int) -> tuple:
+    """The integrator's arrays for m working rows of a D-component state: the
+    stages K (12, D, m), the stage input S (D, m), the solution and its two
+    error sums E (3, D, m), the next state (D, m), and three (D, m) float
+    arrays for |next state| and the error norm's temporaries."""
+    return (np.empty((_dop.N_STAGES, D, m), dtype=complex), np.empty((D, m), dtype=complex),
+            np.empty((3, D, m), dtype=complex), np.empty((D, m), dtype=complex),
+            *(np.empty((D, m)) for _ in range(3)))
+
+
+class _StepCount(int):
+    """The number of batch iterations of a flow, an int, with ``rows``: the
+    (m,) number of steps each row attempted."""
+
+    def __new__(cls, steps: int, rows: np.ndarray):
+        self = super().__new__(cls, steps)
+        self.rows = rows
+        return self
+
+
+# A gather of the working rows copies the state and reallocates every work
+# array, the jet's included.  In batches of 8 to 32 rows of which 3/4 stop
+# early, a gather of fewer stopped rows than this saved about as much stage
+# work as it cost, and cost up to 2 % without the tangent map.
+_GATHER_MIN_STOPPED = 24
+
+
 def _integrate_path(
     geo: ChartedGeometry,
     Z0: np.ndarray,
@@ -436,131 +490,195 @@ def _integrate_path(
     Z0: (m, 2n) complex start states.  ``waypoints`` (K,) is one polyline
     for every row; (m, K) gives each row its own.  A row whose start state
     and path are real is checked against the real chart box, any other row
-    against the complex validity region (``_check_rows``).  On each segment
-    the shared step parameter runs over the longest row segment L, and row r
-    advances by h seg_r / L.  Step control (``_error_norms``) still sees h,
-    which overstates the local error of a row whose segment is shorter: the
-    control is conservative for such rows.  The state is integrated rows
-    last, (D, m) (see ``_rhs``).  Returns (Y, ok, reasons, det, steps),
-    with Y the (m, D) packed end states, one row per row of Z0, det the
-    |det| of each row's end tangent map, and steps the number of attempted
-    (accepted and rejected) shared steps.  The tangent map (and with it det,
-    NaN otherwise) is carried only if ``tangent``.
+    against the complex validity region (``_check_rows``).  The state is
+    integrated rows last, (D, m) (see ``_rhs``).  Returns (Y, ok, reasons,
+    det, steps), with Y the (m, D) packed end states, one row per row of Z0,
+    det the |det| of each row's end tangent map, and steps the number of
+    batch iterations (an int whose ``rows`` holds each row's attempted
+    steps, ``_StepCount``).  The tangent map (and with it det, NaN
+    otherwise) is carried only if ``tangent``.
+
+    Step control is per row (Hairer, Norsett and Wanner, Sec. II.4): each
+    row has its own step size, position on its path and path segment, and
+    is accepted or rejected by its own error norm (``_error_norms``).  A
+    row starts each segment of nonzero length with the step min(0.1,
+    length) and fails ``TOL`` when a step at or below MIN_STEP max(1,
+    length) of its own segment is rejected.  A row that reaches the end of
+    its path stops, with H = 0, and takes no further part in the control.
+    Once at most half of the working rows still move, and at least
+    ``_GATHER_MIN_STOPPED`` have stopped, the working arrays are gathered
+    down to the moving rows, each with its stage 0.  Each row is then
+    computed as it would be alone, but for the last-bit rounding of the
+    stage combinations, which ``np.matmul`` may round differently by column
+    position.
 
     A row that fails is parked at complex NaN (NaN in both parts) at once
     and never restored, so its end state, and with it its x, p, quad, jac
-    and det, is NaN: the flow gives a failed row no value.  It is still
-    carried through the later steps of its batch, where its stages are NaN
-    and its error norm is not read.
+    and det, is NaN: the flow gives a failed row no value.  Until the next
+    gather it is still carried, with H = 0 and NaN stages.
 
-    The work arrays, the jet's included, are allocated once per call and
-    every step is formed in them (see the module docstring and ``_SLOT``);
-    |Y| is carried over from the accepted |y_new|.
+    The work arrays, the jet's included, are allocated once per call and at
+    each gather, and every step is formed in them (see the module docstring
+    and ``_SLOT``); |Y| is carried over from the accepted |y_new|.
     """
     Z0 = np.asarray(Z0, dtype=complex)
     m = Z0.shape[0]
     n = geo.dim
     W = np.asarray(waypoints, dtype=complex)
     W = np.broadcast_to(W, (m, W.shape[-1]))
-    real_rows = (Z0.imag == 0.0).all(axis=1) & (W.imag == 0.0).all(axis=1)
+    seg_length, seg_direction, entry = _segments(W)
+    n_seg = seg_length.shape[1]
     Y = _pack(Z0, n, tangent)
-    active = np.ones(m, dtype=bool)
+    D = Y.shape[0]
+    Y_end = np.empty((m, D), dtype=complex)
     reasons = np.array([""] * m, dtype=object)
+    row_steps = np.zeros(m, dtype=int)
     steps = 0
 
-    def fail_rows(mask, why):
-        """Record failing rows and park them at complex NaN, their result."""
-        reasons[mask] = np.broadcast_to(why, mask.shape)[mask]
-        active[mask] = False
-        Y[:, mask] = complex(np.nan, np.nan)
+    # The working rows: column i of the work arrays is row idx[i] of the
+    # batch, on segment seg[i] at arc position s[i] of its length, with step
+    # h[i] along direction[i].  A stopped row has direction, h, s and length
+    # 0, so its H is 0.
+    idx = np.arange(m)
+    real_rows = (Z0.imag == 0.0).all(axis=1) & (W.imag == 0.0).all(axis=1)
+    moving = np.ones(m, dtype=bool)
+    n_moving = m
+    seg = np.full(m, -1)
+    s, length, h = (np.zeros(m) for _ in range(3))
+    direction = np.zeros(m, dtype=complex)
+
+    def stop(mask, why=None):
+        """Take the rows of ``mask`` out of the control: a row that arrived
+        keeps its state; a failed row, ``why`` its code (or an array of codes
+        by column), is parked at complex NaN."""
+        nonlocal n_moving
+        rows = idx[mask]
+        row_steps[rows] = steps
+        if why is None:
+            Y_end[rows] = Y[:, mask].T
+        else:
+            reasons[rows] = np.broadcast_to(why, mask.shape)[mask]
+            Y[:, mask] = Y_end[rows] = complex(np.nan, np.nan)
+        moving[mask] = False
+        direction[mask] = h[mask] = s[mask] = length[mask] = 0.0
+        n_moving -= len(rows)
+
+    def advance(mask):
+        """Move the rows of ``mask`` to their next segment of nonzero length,
+        or stop the rows that have none left."""
+        seg[mask] = entry[idx[mask], seg[mask] + 1]
+        done = mask & (seg == n_seg)
+        if done.any():
+            stop(done)
+            mask = mask & ~done
+            if not mask.any():
+                return
+        rows, j = idx[mask], seg[mask]
+        s[mask] = 0.0
+        length[mask] = seg_length[rows, j]
+        direction[mask] = seg_direction[rows, j]
+        h[mask] = np.minimum(0.1, length[mask])
 
     bad, why = _check_rows(geo, Y, real_rows)
     if bad.any():
-        fail_rows(bad, why)
+        stop(bad, why)
+    advance(moving.copy())
 
     # K[_SLOT[i]] holds the field at stage i; stage 0, the field at Y, is
     # reused by every step attempted from the same Y.  It is evaluated when a
-    # step needs it, so the field at the end point of the path is never
+    # step needs it, so the field at the end point of a path is never
     # formed.  S is the stage input, E the solution and error sums, Y_new
     # the next state; the combinations run on real views of K, S and E.
-    # jet_work holds the geometry jet's arrays.
-    D = Y.shape[0]
-    K = np.empty((_dop.N_STAGES, D, m), dtype=complex)
-    S = np.empty((D, m), dtype=complex)
-    E = np.empty((3, D, m), dtype=complex)
-    Y_new = np.empty((D, m), dtype=complex)
-    Kr = K.reshape(_dop.N_STAGES, -1).view(np.float64)
-    Sr = S.reshape(-1).view(np.float64)
-    Er = E.reshape(3, -1).view(np.float64)
-    abs_y = np.abs(Y)
-    abs_new, scale, work = (np.empty((D, m)) for _ in range(3))
+    # jet_work holds the geometry jet's arrays.  The arrays are allocated at
+    # the first iteration and at each gather, for the moving rows only.
+    K = None
     jet_work = {}
     k0_stale = True
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg in np.diff(W, axis=1).T:
-            if not active.any():
+        while n_moving:
+            if K is None or (2 * n_moving <= len(idx)
+                               and len(idx) - n_moving >= _GATHER_MIN_STOPPED):
+                k0 = None
+                if n_moving < len(idx):
+                    # gather the moving rows, with their stage 0; the old
+                    # work arrays are released first
+                    keep = np.flatnonzero(moving)
+                    if not k0_stale:
+                        k0 = K[_SLOT[0]].take(keep, axis=1)
+                    K = S = E = Y_new = abs_y = abs_new = scale = work = None
+                    jet_work.clear()
+                    idx, real_rows, seg, s, length, h, direction = (
+                        a[keep] for a in (idx, real_rows, seg, s, length, h, direction))
+                    Y = Y.take(keep, axis=1)
+                    moving = np.ones(n_moving, dtype=bool)
+                abs_y = np.abs(Y)
+                K, S, E, Y_new, abs_new, scale, work = _work_arrays(D, n_moving)
+                Kr = K.reshape(_dop.N_STAGES, -1).view(np.float64)
+                Sr = S.reshape(-1).view(np.float64)
+                Er = E.reshape(3, -1).view(np.float64)
+                if k0 is not None:
+                    K[_SLOT[0]] = k0
+            if steps == MAX_STEPS:
+                stop(moving.copy(), REASON_TOL)
                 break
-            # |seg| and seg / length as Python's complex abs and complex /
-            # float form them (hypot; Smith's rule with a zero imaginary
-            # divisor), to the last bit and the sign of zero
-            length = float(np.hypot(seg.real, seg.imag).max())
-            if length == 0:
-                continue
-            direction = np.empty_like(seg)
-            direction.real = (seg.real + seg.imag * 0.0) / length
-            direction.imag = (seg.imag - seg.real * 0.0) / length
-            s = 0.0
-            h = min(0.1, length)
-            while s < length and active.any():
-                steps += 1
-                if steps > MAX_STEPS:
-                    fail_rows(active.copy(), REASON_TOL)
-                    break
-                h = min(h, length - s)
-                H = h * direction
-                if k0_stale:
-                    _rhs(geo, Y, K[_SLOT[0]], jet_work)
-                    k0_stale = False
-                for slot, lo, hi, w in _STAGE_RUNS:
-                    np.matmul(w, Kr[lo:hi], out=Sr)
-                    np.multiply(H, S, out=S)
-                    np.add(Y, S, out=S)
-                    _rhs(geo, S, K[slot], jet_work)
-                lo, hi, w = _STEP_RUN
-                np.matmul(w, Kr[lo:hi], out=Er)
-                np.multiply(H, E[0], out=Y_new)
-                np.add(Y, Y_new, out=Y_new)
-                np.abs(Y_new, out=abs_new)
-                err_row = _error_norms(abs_y, abs_new, Y_new, E[1], E[2], h, scale, work)
-                err_row[~active] = 0.0
-                err_norm = err_row.max()
-                if err_norm <= 1.0:
-                    Y, Y_new = Y_new, Y
-                    abs_y, abs_new = abs_new, abs_y
+            steps += 1
+            np.minimum(h, length - s, out=h)
+            H = h * direction
+            if k0_stale:
+                _rhs(geo, Y, K[_SLOT[0]], jet_work)
+            for slot, lo, hi, w in _STAGE_RUNS:
+                np.matmul(w, Kr[lo:hi], out=Sr)
+                np.multiply(H, S, out=S)
+                np.add(Y, S, out=S)
+                _rhs(geo, S, K[slot], jet_work)
+            lo, hi, w = _STEP_RUN
+            np.matmul(w, Kr[lo:hi], out=Er)
+            np.multiply(H, E[0], out=Y_new)
+            np.add(Y, Y_new, out=Y_new)
+            np.abs(Y_new, out=abs_new)
+            err = _error_norms(abs_y, abs_new, Y_new, E[1], E[2], h, scale, work)
+            accept = err <= 1.0
+            if n_moving < len(idx):
+                accept &= moving
+            n_accept = np.count_nonzero(accept)
+            reject = None
+            if n_accept < n_moving:
+                # a rejected row keeps its state; one that cannot be resolved
+                # above its smallest step fails
+                reject = moving & ~accept
+                Y_new[:, reject] = Y[:, reject]
+                abs_new[:, reject] = abs_y[:, reject]
+                reject &= h <= MIN_STEP * np.maximum(1.0, length)
+            k0_stale = n_accept > 0  # an accepted row has moved
+            if n_accept:
+                if n_accept == len(idx):
                     s += h
-                    bad, why = _check_rows(geo, Y, real_rows)
-                    bad &= active
-                    if bad.any():
-                        fail_rows(bad, why)
-                    k0_stale = True
-                    h = h * _step_factor(err_norm)
                 else:
-                    if h <= MIN_STEP * max(1.0, length):
-                        # cannot resolve: fail the offending rows, keep going
-                        fail_rows(active & (err_row > 1.0), REASON_TOL)
-                        k0_stale = True
-                        continue
-                    h = h * _step_factor(err_norm)
+                    np.add(s, h, out=s, where=accept)
+                Y, Y_new = Y_new, Y
+                abs_y, abs_new = abs_new, abs_y
+            h *= _step_factors(err)
+            if n_accept:
+                bad, why = _check_rows(geo, Y, real_rows)
+                bad &= accept
+                if bad.any():
+                    stop(bad, why)
+                ended = s >= length
+                if n_moving < len(idx):
+                    ended &= moving
+                if ended.any():
+                    advance(ended)
+            if reject is not None and reject.any():
+                stop(reject, REASON_TOL)
 
     ok = reasons == ""
-    Y = np.ascontiguousarray(Y.T)
     if tangent:
         with np.errstate(invalid="ignore"):  # a failed row's map is NaN
-            det = np.abs(np.linalg.det(Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)))
+            det = np.abs(np.linalg.det(Y_end[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)))
     else:
         det = np.full(m, np.nan)
-    return Y, ok, [r if r else None for r in reasons], det, steps
+    return Y_end, ok, [r if r else None for r in reasons], det, _StepCount(steps, row_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +719,8 @@ def flow_many(
         ok=ok,
         reasons=reasons,
         det=det,
-        steps=steps,
+        steps=int(steps),
+        row_steps=steps.rows,
         time=target,
     )
 

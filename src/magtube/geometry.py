@@ -36,7 +36,9 @@ derivative by the contour rule below.  A chart may carry a
 :class:`FusedJet`, closed forms that share work between the six arrays; it
 is valid only for the evaluators it was built from, so a geometry whose
 evaluators differ from the fused jet's (``dataclasses.replace`` of any
-evaluator, ``with_negated_field``) drops it and composes.
+evaluator) drops it and composes.  ``with_negated_field`` keeps it, wrapped
+to negate beta, A and dbeta with the evaluators (``_negated_field_jet``), so
+the -beta flows read the chart as the +beta flows do.
 ``validate_geometry`` checks a fused jet against the composed one.
 
 A built-in chart is declared by its formula kernels alone, through
@@ -200,16 +202,22 @@ class ChartedGeometry:
         return tuple(_front_to_last(a, batch) for a in out)
 
     def with_negated_field(self) -> "ChartedGeometry":
-        """The same metric with beta and A both negated (the -beta system)."""
+        """The same metric with beta and A both negated (the -beta system).
+        A fused jet is kept: it is wrapped to negate its beta, A and dbeta
+        (``_negated_field_jet``), with the negated evaluators."""
         beta_fn, pot_fn = self.beta, self.potential
         bder = self.beta_deriv
-        return replace(
+        minus = replace(
             self,
             beta=lambda x: -beta_fn(x),
             potential=lambda x: -pot_fn(x),
             beta_deriv=(None if bder is None else (lambda x: -bder(x))),
             name=self.name + "(-beta)",
         )
+        if self.fused_jet is None:
+            return minus
+        return replace(minus, fused_jet=FusedJet(_negated_field_jet(self.fused_jet.fn),
+                                                 minus.evaluators))
 
 
 def _front_to_last(a: Array, k: int) -> Array:
@@ -246,6 +254,25 @@ def _work_array(work: dict, key: str, shape: tuple, dtype, fill=0) -> Array:
         a = work[key] = np.empty(shape, dtype)
         a[...] = fill
     return a
+
+
+_FIELD_ARRAYS = (2, 3, 5)  # beta, A and dbeta in the jet's order
+
+
+def _negated_field_jet(fn: Callable) -> Callable:
+    """The fused jet ``fn`` with beta, A and dbeta negated.  The negated
+    arrays are written into arrays of their own in ``work``, since ``fn``
+    may return the same array unchanged at every call (the flat chart's
+    constant beta)."""
+    def jet(x, order=1, work=None):
+        out = list(fn(x, order, work))
+        for i in _FIELD_ARRAYS[: 2 + (order >= 2)]:
+            a = out[i]
+            if a is not None:
+                out[i] = np.negative(a, out=None if work is None else _work_array(
+                    work, f"-{i}", a.shape, a.dtype))
+        return tuple(out)
+    return jet
 
 
 def _evaluator(kernel: Callable, shared: Callable) -> Callable[[Array], Array]:

@@ -257,6 +257,73 @@ def test_flow_many_per_row_targets_match_one_row_flows(flat_geo, flat_geo_free, 
         flow_many(flat_geo, Z[:2], np.array([1j, 2j]))
 
 
+def _disk_times(rng, m):
+    """m complex times in the upper half of the time disk, |t| in [0.2, 1.2]."""
+    return rng.uniform(0.2, 1.2, m) * np.exp(1j * rng.uniform(0.05, np.pi - 0.05, m))
+
+
+@pytest.mark.parametrize("tangent", [True, False])
+def test_a_row_alone_equals_the_row_in_a_batch_of_1000(flat_geo, sphere_geo, rng, tangent):
+    # each row takes its own steps by its own error norm, so the rest of
+    # the batch does not move it.  Not bit for bit: np.matmul rounds a stage
+    # combination differently by the row's column position in the batch, in
+    # the last bit.
+    for geo, Z in ((flat_geo, sample_flat(rng, 1000)), (sphere_geo, sample_sphere(rng, 1000))):
+        for t in (1j, _disk_times(rng, 1000)):
+            res = flow_many(geo, Z, t, tangent=tangent)
+            assert res.ok.all()
+            hard, easy = int(np.argmax(res.row_steps)), int(np.argmin(res.row_steps))
+            for i in (0, 1, 500, 999, hard, easy):
+                one = flow_many(geo, Z[i : i + 1], t if np.ndim(t) == 0 else t[i],
+                                tangent=tangent)
+                assert one.row_steps[0] == one.steps == res.row_steps[i]
+                for name in ("x", "p", "quad") + (("jac",) if tangent else ()):
+                    assert np.abs(getattr(res, name)[i] - getattr(one, name)[0]).max() < 1e-13
+
+
+def test_each_row_counts_its_own_steps(flat_geo, sphere_geo, rng):
+    # targets 0.3, i and 1.2i in one batch: each row takes the steps it
+    # takes alone, and the batch iterates as long as its slowest row
+    t = np.array([0.3, 1j, 1.2j] * 3)
+    for geo, Z in ((flat_geo, sample_flat(rng, 9)), (sphere_geo, sample_sphere(rng, 9))):
+        for tangent in (True, False):
+            res = flow_many(geo, Z, t, tangent=tangent)
+            assert res.row_steps.shape == (9,) and res.row_steps.dtype.kind == "i"
+            alone = [flow_many(geo, Z[i : i + 1], t[i], tangent=tangent).row_steps[0]
+                     for i in range(9)]
+            assert list(res.row_steps) == alone and res.steps == max(alone)
+            assert (res.row_steps[0::3] < res.row_steps[2::3]).all()
+    # a failed row counts the steps it attempted; a row at time 0 takes none
+    Z = np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 80.0, 0.0], [0.1, 0.1, -0.4, 0.2]])
+    res = flow_many(flat_geo, Z, np.array([1.0, 1.0, 0.0]))
+    assert res.reasons[1] == "CHART_EXIT" and 0 < res.row_steps[1] < res.row_steps[0]
+    assert res.row_steps[2] == 0 and np.array_equal(res.x[2], Z[2, :2])
+
+
+def test_stopped_rows_leave_the_batch(flat_geo, sphere_geo, rng):
+    # 150 rows to 0.2i and 50 to 1.2i: once the short rows have arrived the
+    # stages are formed for the 50 moving rows only (and fewer once most of
+    # those have arrived), still 12 field evaluations per batch iteration,
+    # and every row is the row alone
+    t = np.array([0.2j] * 150 + [1.2j] * 50)
+    for geo, Z in ((flat_geo, sample_flat(rng, 200)), (sphere_geo, sample_sphere(rng, 200))):
+        widths = []
+
+        def jet(x, order, work, _jet=geo.jet):
+            widths.append(x.shape[1])
+            return _jet(x, order, work)
+
+        counted = dataclasses.replace(geo, fused_jet=FusedJet(jet, geo.evaluators))
+        res = flow_many(counted, Z, t)
+        assert res.ok.all() and len(widths) == 12 * res.steps
+        assert widths[0] == 200 and 50 in widths and widths == sorted(widths, reverse=True)
+        for i in (0, 149, 150, 199):
+            one = flow_many(geo, Z[i : i + 1], t[i])
+            assert one.row_steps[0] == res.row_steps[i]
+            for name in ("x", "p", "quad", "jac"):
+                assert np.abs(getattr(res, name)[i] - getattr(one, name)[0]).max() < 1e-13
+
+
 def test_scalar_time_is_a_full_array_of_it(flat_geo, sphere_geo, rng):
     # a common time runs the per-row code with equal rows, bit for bit
     for geo, Z in ((flat_geo, sample_flat(rng, 4)), (sphere_geo, sample_sphere(rng, 4))):

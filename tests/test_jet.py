@@ -1,7 +1,7 @@
 """The geometry jet: fused closed forms against the composed evaluators, the
-rule that replacing an evaluator drops a fused jet, the rows-last layout of
-the jet and the right-hand side, and the gates that see a wrong fused or
-variational second derivative."""
+rule that replacing an evaluator drops a fused jet (the -beta chart keeps a
+wrapped one), the rows-last layout of the jet and the right-hand side, and
+the gates that see a wrong fused or variational second derivative."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -90,7 +90,14 @@ def _rows_last(a):
 # and composed paths agree bit for bit: a run whose evaluators are wrapped
 # (and so composes) reproduces an unwrapped run exactly.
 
-@pytest.mark.parametrize("geo", _fused_geometries(), ids=lambda g: g.name)
+def _negated_geometries():
+    """The -beta charts of ``_fused_geometries``, whose fused jets are the
+    +beta ones wrapped to negate beta, A and dbeta."""
+    return [geo.with_negated_field() for geo in _fused_geometries()]
+
+
+@pytest.mark.parametrize("geo", _fused_geometries() + _negated_geometries(),
+                         ids=lambda g: g.name)
 def test_fused_jet_matches_composed_jet(geo, rng):
     assert geo.fused_jet is not None
     for x in (_complex_points(rng, 7, geo.dim, 0.3).T, _complex_points(rng, 1, geo.dim, 0.3)[0]):
@@ -119,7 +126,8 @@ def _jet_layouts(rng, n):
     return [(points(7), points(7)), (points(1), points(1)), (points(1)[:, 0], points(1)[:, 0])]
 
 
-@pytest.mark.parametrize("geo", _fused_geometries(), ids=lambda g: g.name)
+@pytest.mark.parametrize("geo", _fused_geometries() + _negated_geometries(),
+                         ids=lambda g: g.name)
 def test_jet_work_arrays_give_the_bits_of_fresh_ones(geo, rng):
     for order in (1, 2):
         work = {}
@@ -240,7 +248,7 @@ def test_replacing_an_evaluator_drops_the_fused_jet(name, rng):
         assert np.allclose(replaced.jet(x.T, 2)[index], _rows_last(2.0 * fn(x)))
     sphere = _fused_geometries()[2]
     assert dataclasses.replace(sphere, name="same evaluators").fused_jet is sphere.fused_jet
-    assert sphere.with_negated_field().fused_jet is None
+    assert sphere.with_negated_field().fused_jet is not None  # wrapped, see below
 
 
 def test_built_geometries_carry_the_fused_jet():
@@ -252,6 +260,22 @@ def test_built_geometries_carry_the_fused_jet():
         *(chart.build() for chart in suites._CHARTS.values()),
     ]
     assert all(geo.fused_jet is not None for geo in built)
+
+
+def test_negated_field_keeps_the_fused_jet(rng):
+    # the -beta chart of each built-in chart keeps a fused jet, built for its
+    # negated evaluators, so validate_geometry compares it with them: exactly
+    # equal.  A -beta flow reads the composed jet's bits.
+    samples = np.array([[0.1, -0.2], [0.3, 0.05], [-0.25, 0.15]])
+    for chart in suites._CHARTS.values():
+        minus = chart.build().with_negated_field()
+        assert minus.fused_jet is not None
+        assert minus.fused_jet.evaluators == minus.evaluators
+        assert validate_geometry(minus, samples).residuals["jet"] == 0.0
+        Z = np.concatenate([samples, rng.uniform(-0.3, 0.3, (3, 2))], axis=1)
+        fused, composed = flow_many(minus, Z, 1j), flow_many(_composed(minus), Z, 1j)
+        for name in ("x", "p", "quad", "jac"):
+            assert np.array_equal(getattr(fused, name), getattr(composed, name))
 
 
 def _scaled_fused_d2g(geo, factor):

@@ -395,11 +395,16 @@ def _contour_rows(Z):
 
 def _loop_bracket_defect(X_all, m, weights):
     """Per-row loop over column pairs: the reference for the batched bracket.
-    X_all holds the raw transported columns of the contour layout of m rows."""
+    X_all holds the raw transported columns of the contour layout of m rows.
+
+    The node sum is ``phase_gradient``'s, a product with the weights: the
+    defect is of the size of the derivative's rounding (the nodes' values,
+    about 1/CONTOUR_RADIUS times the derivative, cancel), so a sum over the
+    nodes in another order moves it by about 1e-14."""
     X_ring = X_all[m:].reshape(m, -1, CONTOUR_NODES, *X_all.shape[1:])
     out = []
     for X, ring in zip(X_all[:m], X_ring):
-        dX = sum(w * ring[:, k] for k, w in enumerate(weights))  # d/dz^j X
+        dX = np.moveaxis(ring, 1, -1) @ weights  # d/dz^j X
         F = orthonormalize(X)
         proj_out = np.eye(X.shape[0]) - F @ F.conj().T
         worst = 0.0

@@ -10,6 +10,7 @@ import numpy as np
 
 from conftest import patch_chart
 from magtube import flow, structure, suites
+from magtube.flow import flow_many
 from magtube.geometry import make_flat_magnetic
 
 # the suites whose aggregated checks (group_law, symplectomorphy, lagrangian
@@ -104,6 +105,24 @@ def test_suite_flow_budget(monkeypatch):
         budget[suite] = len(calls)
     assert budget == {"geometry": 0, "flow": 24, "frames": 9, "kahler": 11, "intertwine": 10,
                       "flat-oracle": 13, "sphere-oracle": 1}
+
+
+def test_sphere_engine_rows_take_their_own_steps(monkeypatch):
+    # the sphere-oracle block flows 100 points at five times as one batch of
+    # 500 rows with the tangent map; each row stops when it arrives, so the
+    # batch makes far fewer row-steps than 500 per iteration (3140 against
+    # 8000 at seed 1234)
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(flow_many(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(suites, "flow_many", recording)
+    assert suites.run_suite("sphere-oracle", 1234)["passed"]
+    (res,) = results
+    assert res.x.shape[0] == 500 and res.jac is not None
+    assert res.row_steps.max() == res.steps and res.row_steps.sum() < 0.5 * 500 * res.steps
 
 
 def test_each_block_reports_its_runtime_outside_the_checks():
