@@ -18,17 +18,17 @@ targets); since the right-hand side is holomorphic the result is path independen
 wherever the continuation exists, which the verification suite checks rather
 than assumes.  The integrator is the DOP853 8(5,3) Runge-Kutta pair of
 Dormand and Prince (Hairer, Norsett and Wanner, Solving ODEs I, Sec. II.10)
-acting on the complexified state, with step control per row (Sec. II.4): each
-row of a batch has its own step size and place on its path, is accepted or
-rejected by its own error norm, fails on its own, and leaves the batch when
-it arrives.  A step's first stage is the field at its start point,
-evaluated once for every attempt from there and never at the end of the
-path.
+acting on the complexified state, one path segment at a time, with step
+control per row (Sec. II.4): each row of a batch has its own step size and
+place on its segment, is accepted or rejected by its own error norm, fails
+on its own, and leaves the batch at the iteration it arrives or fails.  A
+step's first stage is the field at its start point, formed at every
+iteration and never at the end of the path.
 
-A flow allocates the integrator's arrays once, not per step, and again only
-when it gathers them down to the rows still moving: the stages, one stage
-input, the solution and its two error estimates, a second state that
-changes places with the state when a step is accepted, and the error norm's
+A flow allocates the integrator's arrays once, for all its rows, and the
+rows still moving use their first entries: the stages, one stage input, the
+solution and its two error estimates, the state and a second state that
+changes places with it when a step is accepted, and the error norm's
 temporaries.  The stages are stored in the order 2, 1, 0, 3, ..., 11, so
 that the nonzero weights of every combination of stages lie in one
 contiguous run of slots; a combination is one matrix product over its run,
@@ -74,6 +74,7 @@ nonzero determinant at the end implies a nonzero one along the whole path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -97,7 +98,8 @@ DISK_RADIUS = 1.25  # 1 + epsilon with epsilon = 0.25
 # verification suites.
 REL_TOL = 1e-11
 ABS_TOL = 1e-13
-MAX_STEPS = 100_000  # attempted steps per flow; past it every active row fails TOL
+MAX_STEPS = 100_000  # batch iterations per flow, summed over its path's segments;
+                     # past it every row still moving fails TOL
 MIN_STEP = 1e-14  # times max(1, segment length): below it rejected rows fail TOL
 P_CAP = 1e8  # a row with |p| above it fails BLOWUP
 
@@ -193,7 +195,8 @@ class BatchFlowResult:
     None and ``det`` NaN for a tangent-free flow.  An ok row's values are
     finite; a failed row's x, p, quad and jac are NaN in both parts, and its
     det is NaN.  ``steps`` counts the flow's iterations over the batch,
-    ``row_steps`` the steps (accepted and rejected) that each row attempted.
+    summed over the path's segments, ``row_steps`` the steps (accepted and
+    rejected) that each row attempted.
     """
 
     x: np.ndarray
@@ -332,7 +335,7 @@ def _rhs(geo: ChartedGeometry, Y: np.ndarray, out: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# DOP853 8(5,3), complex state, batched with per-row masking
+# DOP853 8(5,3), complex state, batched over the rows still moving
 # ---------------------------------------------------------------------------
 
 # Stage i of a step is stored in slot _SLOT[i] of the stage array.  With the
@@ -433,32 +436,35 @@ def _error_norms(abs_y, abs_new, y_new, err5, err3, h, scale, work):
 
 def _segments(W: np.ndarray):
     """The segments of the (m, K) polylines W: their lengths and unit
-    directions, (m, K - 1) each, and ``entry`` (m, K), where entry[r, j] is
-    the first segment j' >= j of row r with a nonzero length (K - 1 when
-    none is left).  |seg| and seg / |seg| are formed as Python's complex abs
-    and complex / float form them (hypot; Smith's rule with a zero imaginary
-    divisor), to the last bit and the sign of zero."""
+    directions, (m, K - 1) each.  |seg| and seg / |seg| are formed as
+    Python's complex abs and complex / float form them (hypot; Smith's rule
+    with a zero imaginary divisor), to the last bit and the sign of zero."""
     seg = W[:, 1:] - W[:, :-1]
     length = np.hypot(seg.real, seg.imag)
     direction = np.zeros_like(seg)
     with np.errstate(invalid="ignore", divide="ignore"):  # a zero segment is never entered
         direction.real = (seg.real + seg.imag * 0.0) / length
         direction.imag = (seg.imag - seg.real * 0.0) / length
-    n_seg = seg.shape[1]
-    entry = np.full((len(W), n_seg + 1), n_seg)
-    for j in range(n_seg - 1, -1, -1):
-        entry[:, j] = np.where(length[:, j] > 0, j, entry[:, j + 1])
-    return length, direction, entry
+    return length, direction
 
 
 def _work_arrays(D: int, m: int) -> tuple:
     """The integrator's arrays for m working rows of a D-component state: the
     stages K (12, D, m), the stage input S (D, m), the solution and its two
-    error sums E (3, D, m), the next state (D, m), and three (D, m) float
-    arrays for |next state| and the error norm's temporaries."""
-    return (np.empty((_dop.N_STAGES, D, m), dtype=complex), np.empty((D, m), dtype=complex),
-            np.empty((3, D, m), dtype=complex), np.empty((D, m), dtype=complex),
-            *(np.empty((D, m)) for _ in range(3)))
+    error sums E (3, D, m), the state and the next state (D, m), and four
+    (D, m) float arrays for |state|, |next state| and the error norm's
+    temporaries."""
+    return (np.empty((_dop.N_STAGES, D, m), dtype=complex),
+            np.empty((D, m), dtype=complex), np.empty((3, D, m), dtype=complex),
+            *(np.empty((D, m), dtype=complex) for _ in range(2)),
+            *(np.empty((D, m)) for _ in range(4)))
+
+
+def _narrow(a: np.ndarray, k: int) -> np.ndarray:
+    """The work array a, C-contiguous, for its first k rows: the first
+    entries of its memory as a C-contiguous (..., k) array."""
+    lead = a.shape[:-1]
+    return a.reshape(-1)[: math.prod(lead) * k].reshape(lead + (k,))
 
 
 class _StepCount(int):
@@ -469,13 +475,6 @@ class _StepCount(int):
         self = super().__new__(cls, steps)
         self.rows = rows
         return self
-
-
-# A gather of the working rows copies the state and reallocates every work
-# array, the jet's included.  In batches of 8 to 32 rows of which 3/4 stop
-# early, a gather of fewer stopped rows than this saved about as much stage
-# work as it cost, and cost up to 2 % without the tangent map.
-_GATHER_MIN_STOPPED = 24
 
 
 def _integrate_path(
@@ -494,191 +493,145 @@ def _integrate_path(
     integrated rows last, (D, m) (see ``_rhs``).  Returns (Y, ok, reasons,
     det, steps), with Y the (m, D) packed end states, one row per row of Z0,
     det the |det| of each row's end tangent map, and steps the number of
-    batch iterations (an int whose ``rows`` holds each row's attempted
-    steps, ``_StepCount``).  The tangent map (and with it det, NaN
-    otherwise) is carried only if ``tangent``.
+    batch iterations, summed over the segments (an int whose ``rows`` holds
+    each row's attempted steps, ``_StepCount``).  The tangent map (and with
+    it det, NaN otherwise) is carried only if ``tangent``.
 
-    Step control is per row (Hairer, Norsett and Wanner, Sec. II.4): each
-    row has its own step size, position on its path and path segment, and
-    is accepted or rejected by its own error norm (``_error_norms``).  A
-    row starts each segment of nonzero length with the step min(0.1,
-    length) and fails ``TOL`` when a step at or below MIN_STEP max(1,
-    length) of its own segment is rejected.  A row that reaches the end of
-    its path stops, with H = 0, and takes no further part in the control.
-    Once at most half of the working rows still move, and at least
-    ``_GATHER_MIN_STOPPED`` have stopped, the working arrays are gathered
-    down to the moving rows, each with its stage 0.  Each row is then
-    computed as it would be alone, but for the last-bit rounding of the
-    stage combinations, which ``np.matmul`` may round differently by column
-    position.
+    The polylines are integrated one segment at a time, each on the rows
+    that are still ok and have a nonzero length on it.  Step control is per
+    row (Hairer, Norsett and Wanner, Sec. II.4): each row has its own step
+    size and position on the segment, and is accepted or rejected by its
+    own error norm (``_error_norms``).  A row starts a segment with the step
+    min(0.1, length) and fails ``TOL`` when a step at or below MIN_STEP
+    max(1, length) is rejected.  A row that reaches the end of the segment
+    or fails leaves the working rows at once: its column is written back
+    into the packed start state, which becomes the end state, and the rows
+    still moving are gathered into the first columns of the work arrays.
+    Each row is thus computed as it would be alone, but for the last-bit
+    rounding of the stage combinations, which ``np.matmul`` may round
+    differently by column position.  A failed row is complex NaN (NaN in
+    both parts), so its x, p, quad, jac and det are NaN: the flow gives a
+    failed row no value.
 
-    A row that fails is parked at complex NaN (NaN in both parts) at once
-    and never restored, so its end state, and with it its x, p, quad, jac
-    and det, is NaN: the flow gives a failed row no value.  Until the next
-    gather it is still carried, with H = 0 and NaN stages.
-
-    The work arrays, the jet's included, are allocated once per call and at
-    each gather, and every step is formed in them (see the module docstring
-    and ``_SLOT``); |Y| is carried over from the accepted |y_new|.
+    The work arrays are allocated once per call, for all m rows, and the
+    working rows use their first entries (``_narrow``); every step is formed
+    in them (see the module docstring and ``_SLOT``), and |Y| is carried
+    over from the accepted |y_new|.
     """
     Z0 = np.asarray(Z0, dtype=complex)
     m = Z0.shape[0]
     n = geo.dim
     W = np.asarray(waypoints, dtype=complex)
     W = np.broadcast_to(W, (m, W.shape[-1]))
-    seg_length, seg_direction, entry = _segments(W)
-    n_seg = seg_length.shape[1]
+    seg_length, seg_direction = _segments(W)
+    real_rows = (Z0.imag == 0.0).all(axis=1) & (W.imag == 0.0).all(axis=1)
     Y = _pack(Z0, n, tangent)
     D = Y.shape[0]
-    Y_end = np.empty((m, D), dtype=complex)
     reasons = np.array([""] * m, dtype=object)
     row_steps = np.zeros(m, dtype=int)
     steps = 0
-
-    # The working rows: column i of the work arrays is row idx[i] of the
-    # batch, on segment seg[i] at arc position s[i] of its length, with step
-    # h[i] along direction[i].  A stopped row has direction, h, s and length
-    # 0, so its H is 0.
-    idx = np.arange(m)
-    real_rows = (Z0.imag == 0.0).all(axis=1) & (W.imag == 0.0).all(axis=1)
-    moving = np.ones(m, dtype=bool)
-    n_moving = m
-    seg = np.full(m, -1)
-    s, length, h = (np.zeros(m) for _ in range(3))
-    direction = np.zeros(m, dtype=complex)
-
-    def stop(mask, why=None):
-        """Take the rows of ``mask`` out of the control: a row that arrived
-        keeps its state; a failed row, ``why`` its code (or an array of codes
-        by column), is parked at complex NaN."""
-        nonlocal n_moving
-        rows = idx[mask]
-        row_steps[rows] = steps
-        if why is None:
-            Y_end[rows] = Y[:, mask].T
-        else:
-            reasons[rows] = np.broadcast_to(why, mask.shape)[mask]
-            Y[:, mask] = Y_end[rows] = complex(np.nan, np.nan)
-        moving[mask] = False
-        direction[mask] = h[mask] = s[mask] = length[mask] = 0.0
-        n_moving -= len(rows)
-
-    def advance(mask):
-        """Move the rows of ``mask`` to their next segment of nonzero length,
-        or stop the rows that have none left."""
-        seg[mask] = entry[idx[mask], seg[mask] + 1]
-        done = mask & (seg == n_seg)
-        if done.any():
-            stop(done)
-            mask = mask & ~done
-            if not mask.any():
-                return
-        rows, j = idx[mask], seg[mask]
-        s[mask] = 0.0
-        length[mask] = seg_length[rows, j]
-        direction[mask] = seg_direction[rows, j]
-        h[mask] = np.minimum(0.1, length[mask])
-
     bad, why = _check_rows(geo, Y, real_rows)
     if bad.any():
-        stop(bad, why)
-    advance(moving.copy())
+        reasons[bad] = why[bad]
+        Y[:, bad] = complex(np.nan, np.nan)
 
-    # K[_SLOT[i]] holds the field at stage i; stage 0, the field at Y, is
-    # reused by every step attempted from the same Y.  It is evaluated when a
-    # step needs it, so the field at the end point of a path is never
-    # formed.  S is the stage input, E the solution and error sums, Y_new
-    # the next state; the combinations run on real views of K, S and E.
-    # jet_work holds the geometry jet's arrays.  The arrays are allocated at
-    # the first iteration and at each gather, for the moving rows only.
-    K = None
+    # K[_SLOT[i]] holds the field at stage i; stage 0 is the field at Yw, the
+    # working rows' state.  S is the stage input, E the solution and error
+    # sums, Y_new the next state; the combinations run on real views of K, S
+    # and E.  jet_work holds the geometry jet's arrays.
+    arrays = _work_arrays(D, m)
     jet_work = {}
-    k0_stale = True
 
     with np.errstate(over="ignore", invalid="ignore"):
-        while n_moving:
-            if K is None or (2 * n_moving <= len(idx)
-                               and len(idx) - n_moving >= _GATHER_MIN_STOPPED):
-                k0 = None
-                if n_moving < len(idx):
-                    # gather the moving rows, with their stage 0; the old
-                    # work arrays are released first
-                    keep = np.flatnonzero(moving)
-                    if not k0_stale:
-                        k0 = K[_SLOT[0]].take(keep, axis=1)
-                    K = S = E = Y_new = abs_y = abs_new = scale = work = None
-                    jet_work.clear()
-                    idx, real_rows, seg, s, length, h, direction = (
-                        a[keep] for a in (idx, real_rows, seg, s, length, h, direction))
-                    Y = Y.take(keep, axis=1)
-                    moving = np.ones(n_moving, dtype=bool)
-                abs_y = np.abs(Y)
-                K, S, E, Y_new, abs_new, scale, work = _work_arrays(D, n_moving)
-                Kr = K.reshape(_dop.N_STAGES, -1).view(np.float64)
-                Sr = S.reshape(-1).view(np.float64)
-                Er = E.reshape(3, -1).view(np.float64)
-                if k0 is not None:
-                    K[_SLOT[0]] = k0
-            if steps == MAX_STEPS:
-                stop(moving.copy(), REASON_TOL)
-                break
-            steps += 1
-            np.minimum(h, length - s, out=h)
-            H = h * direction
-            if k0_stale:
-                _rhs(geo, Y, K[_SLOT[0]], jet_work)
-            for slot, lo, hi, w in _STAGE_RUNS:
-                np.matmul(w, Kr[lo:hi], out=Sr)
-                np.multiply(H, S, out=S)
-                np.add(Y, S, out=S)
-                _rhs(geo, S, K[slot], jet_work)
-            lo, hi, w = _STEP_RUN
-            np.matmul(w, Kr[lo:hi], out=Er)
-            np.multiply(H, E[0], out=Y_new)
-            np.add(Y, Y_new, out=Y_new)
-            np.abs(Y_new, out=abs_new)
-            err = _error_norms(abs_y, abs_new, Y_new, E[1], E[2], h, scale, work)
-            accept = err <= 1.0
-            if n_moving < len(idx):
-                accept &= moving
-            n_accept = np.count_nonzero(accept)
-            reject = None
-            if n_accept < n_moving:
-                # a rejected row keeps its state; one that cannot be resolved
-                # above its smallest step fails
-                reject = moving & ~accept
-                Y_new[:, reject] = Y[:, reject]
-                abs_new[:, reject] = abs_y[:, reject]
-                reject &= h <= MIN_STEP * np.maximum(1.0, length)
-            k0_stale = n_accept > 0  # an accepted row has moved
-            if n_accept:
-                if n_accept == len(idx):
-                    s += h
+        for j in range(seg_length.shape[1]):
+            # the working rows: column i is row rows[i], at arc position s[i]
+            # of its segment's length[i], with step h[i] along direction[i]
+            rows = np.flatnonzero((reasons == "") & (seg_length[:, j] > 0))
+            if not rows.size:
+                continue
+            K, S, E, Yw, Y_new, abs_y, abs_new, scale, work = (
+                _narrow(a, rows.size) for a in arrays)
+            Y.take(rows, axis=1, out=Yw)
+            np.abs(Yw, out=abs_y)
+            real, length, direction = real_rows[rows], seg_length[rows, j], seg_direction[rows, j]
+            s = np.zeros(rows.size)
+            h = np.minimum(0.1, length)
+            start = steps
+            while True:
+                if steps == MAX_STEPS:
+                    arrived = np.zeros(rows.size, dtype=bool)
+                    failed, why = ~arrived, REASON_TOL
                 else:
-                    np.add(s, h, out=s, where=accept)
-                Y, Y_new = Y_new, Y
-                abs_y, abs_new = abs_new, abs_y
-            h *= _step_factors(err)
-            if n_accept:
-                bad, why = _check_rows(geo, Y, real_rows)
-                bad &= accept
-                if bad.any():
-                    stop(bad, why)
-                ended = s >= length
-                if n_moving < len(idx):
-                    ended &= moving
-                if ended.any():
-                    advance(ended)
-            if reject is not None and reject.any():
-                stop(reject, REASON_TOL)
+                    steps += 1
+                    np.minimum(h, length - s, out=h)
+                    H = h * direction
+                    Kr = K.reshape(_dop.N_STAGES, -1).view(np.float64)
+                    Sr = S.reshape(-1).view(np.float64)
+                    Er = E.reshape(3, -1).view(np.float64)
+                    _rhs(geo, Yw, K[_SLOT[0]], jet_work)
+                    for slot, lo, hi, w in _STAGE_RUNS:
+                        np.matmul(w, Kr[lo:hi], out=Sr)
+                        np.multiply(H, S, out=S)
+                        np.add(Yw, S, out=S)
+                        _rhs(geo, S, K[slot], jet_work)
+                    lo, hi, w = _STEP_RUN
+                    np.matmul(w, Kr[lo:hi], out=Er)
+                    np.multiply(H, E[0], out=Y_new)
+                    np.add(Yw, Y_new, out=Y_new)
+                    np.abs(Y_new, out=abs_new)
+                    err = _error_norms(abs_y, abs_new, Y_new, E[1], E[2], h, scale, work)
+                    accept = err <= 1.0
+                    n_accept = np.count_nonzero(accept)
+                    failed, why = np.zeros(rows.size, dtype=bool), REASON_TOL
+                    if n_accept < rows.size:
+                        # a rejected row keeps its state; one that cannot be
+                        # resolved above its smallest step fails
+                        reject = ~accept
+                        failed = reject & (h <= MIN_STEP * np.maximum(1.0, length))
+                        if n_accept:
+                            Y_new[:, reject] = Yw[:, reject]
+                            abs_new[:, reject] = abs_y[:, reject]
+                    if n_accept:
+                        np.add(s, h, out=s, where=accept)
+                        Yw, Y_new = Y_new, Yw
+                        abs_y, abs_new = abs_new, abs_y
+                        bad, bad_why = _check_rows(geo, Yw, real)
+                        bad &= accept
+                        if bad.any():
+                            why = np.where(bad, bad_why, REASON_TOL)
+                            failed |= bad
+                            accept &= ~bad
+                    h *= _step_factors(err)
+                    arrived = accept & (s >= length)
+                leave = arrived | failed
+                if not leave.any():
+                    continue
+                row_steps[rows[leave]] += steps - start
+                Y[:, rows[arrived]] = Yw[:, arrived]
+                if failed.any():
+                    reasons[rows[failed]] = np.broadcast_to(why, failed.shape)[failed]
+                    Y[:, rows[failed]] = complex(np.nan, np.nan)
+                keep = np.flatnonzero(~leave)
+                if not keep.size:
+                    break
+                # gather the rows still moving into the first entries of the
+                # work arrays, the state and |state| into the next state's
+                k = keep.size
+                rows, real, length, direction, s, h = (
+                    a[keep] for a in (rows, real, length, direction, s, h))
+                Yw, Y_new = Yw.take(keep, axis=1, out=_narrow(Y_new, k)), _narrow(Yw, k)
+                abs_y, abs_new = (abs_y.take(keep, axis=1, out=_narrow(abs_new, k)),
+                                  _narrow(abs_y, k))
+                K, S, E, scale, work = (_narrow(a, k) for a in (K, S, E, scale, work))
 
     ok = reasons == ""
+    Y = Y.T
     if tangent:
         with np.errstate(invalid="ignore"):  # a failed row's map is NaN
-            det = np.abs(np.linalg.det(Y_end[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)))
+            det = np.abs(np.linalg.det(Y[:, 2 * n + 1 :].reshape(m, 2 * n, 2 * n)))
     else:
         det = np.full(m, np.nan)
-    return Y_end, ok, [r if r else None for r in reasons], det, _StepCount(steps, row_steps)
+    return Y, ok, [r if r else None for r in reasons], det, _StepCount(steps, row_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -301,11 +301,11 @@ def test_each_row_counts_its_own_steps(flat_geo, sphere_geo, rng):
 
 
 def test_stopped_rows_leave_the_batch(flat_geo, sphere_geo, rng):
-    # 150 rows to 0.2i and 50 to 1.2i: once the short rows have arrived the
-    # stages are formed for the 50 moving rows only (and fewer once most of
-    # those have arrived), still 12 field evaluations per batch iteration,
-    # and every row is the row alone
-    t = np.array([0.2j] * 150 + [1.2j] * 50)
+    # 150 rows to 0.2i, 10 to 0.7i and 40 to 1.2i: a row leaves the batch at
+    # the iteration it arrives, however few arrive with it, so batch
+    # iteration k forms its 12 stages for the rows that attempt more than k
+    # steps, and every row is the row alone
+    t = np.array([0.2j] * 150 + [0.7j] * 10 + [1.2j] * 40)
     for geo, Z in ((flat_geo, sample_flat(rng, 200)), (sphere_geo, sample_sphere(rng, 200))):
         widths = []
 
@@ -316,12 +316,66 @@ def test_stopped_rows_leave_the_batch(flat_geo, sphere_geo, rng):
         counted = dataclasses.replace(geo, fused_jet=FusedJet(jet, geo.evaluators))
         res = flow_many(counted, Z, t)
         assert res.ok.all() and len(widths) == 12 * res.steps
-        assert widths[0] == 200 and 50 in widths and widths == sorted(widths, reverse=True)
+        assert widths[0] == 200 and 50 in widths
+        moving = [int(np.count_nonzero(res.row_steps > k)) for k in range(res.steps)]
+        assert widths == list(np.repeat(moving, 12))
         for i in (0, 149, 150, 199):
             one = flow_many(geo, Z[i : i + 1], t[i])
             assert one.row_steps[0] == res.row_steps[i]
             for name in ("x", "p", "quad", "jac"):
                 assert np.abs(getattr(res, name)[i] - getattr(one, name)[0]).max() < 1e-13
+
+
+def test_a_repeated_waypoint_changes_nothing(flat_geo, sphere_geo, rng):
+    # a segment of length zero has no rows: the path through 0.5i twice is
+    # the path through it once, bit for bit
+    twice, once = ComplexTime(1j, (0.5j, 0.5j, 1j)), ComplexTime(1j, (0.5j, 1j))
+    for geo, Z in ((flat_geo, sample_flat(rng, 3)), (sphere_geo, sample_sphere(rng, 3))):
+        for tangent in (True, False):
+            a = flow_many(geo, Z, twice, tangent=tangent)
+            b = flow_many(geo, Z, once, tangent=tangent)
+            assert a.ok.all() and a.steps == b.steps
+            assert np.array_equal(a.row_steps, b.row_steps)
+            for name in ("x", "p", "quad", "det") + (("jac",) if tangent else ()):
+                assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+
+
+def test_a_spent_budget_fails_only_the_rows_still_moving(flat_geo, sphere_geo, rng, monkeypatch):
+    # with a budget of 2 batch iterations the row to 0.05i arrives in one
+    # step and keeps its value; the row to i fails TOL with no value
+    t = np.array([0.05j, 1j])
+    cases = [(geo, Z, flow_many(geo, Z[:1], t[0]))
+             for geo, Z in ((flat_geo, sample_flat(rng, 2)), (sphere_geo, sample_sphere(rng, 2)))]
+    monkeypatch.setattr(flow, "MAX_STEPS", 2)
+    for geo, Z, alone in cases:
+        res = flow_many(geo, Z, t)
+        assert list(res.ok) == [True, False] and res.reasons == [None, "TOL"]
+        assert res.steps == 2 and list(res.row_steps) == [1, 2]
+        for name in ("x", "p", "quad", "jac"):
+            assert np.abs(getattr(res, name)[0] - getattr(alone, name)[0]).max() < 1e-14
+            assert np.isnan(getattr(res, name)[1]).all()
+        assert np.isnan(res.det[1])
+
+
+def test_rhs_gets_c_contiguous_arrays(flat_geo, sphere_geo, rng, monkeypatch):
+    # the rows still moving are gathered into the first entries of the work
+    # arrays, so every state and stage the right-hand side reads or writes
+    # is C-contiguous, at every width of the batch
+    seen = []
+    rhs = flow._rhs
+
+    def checked(geo, Y, out, work=None):
+        seen.append((Y.shape[1], Y.flags.c_contiguous, out.flags.c_contiguous))
+        return rhs(geo, Y, out, work)
+
+    monkeypatch.setattr(flow, "_rhs", checked)
+    t = np.array([0.2j] * 26 + [1.2j] * 4)
+    for geo, Z in ((flat_geo, sample_flat(rng, 30)), (sphere_geo, sample_sphere(rng, 30))):
+        for tangent in (True, False):
+            seen.clear()
+            assert flow_many(geo, Z, t, tangent=tangent).ok.all()
+            assert len({width for width, _, _ in seen}) > 1  # the batch was gathered
+            assert all(y and out for _, y, out in seen)
 
 
 def test_scalar_time_is_a_full_array_of_it(flat_geo, sphere_geo, rng):
@@ -395,10 +449,14 @@ def test_import_does_not_load_scipy_integrate():
 
 def test_flow_evaluates_the_field_twelve_times_per_step(flat_geo, sphere_geo, rng):
     # one field evaluation per DOP853 stage; the first stage of a step is the
-    # field at its start, and the field at the end of the path is never formed;
-    # every call of a flow gets the flow's one work dict
+    # field at its start, formed at every iteration, also after one that
+    # rejected every row (the sphere row to t = 1 does so at one of its 11),
+    # and the field at the end of the path is never formed; every call of a
+    # flow gets the flow's one work dict
     times = (ComplexTime(1j), ComplexTime(0.3 + 0.8j, (0.3, 0.3 + 0.8j)), 0.7)
-    for geo, Z in ((flat_geo, sample_flat(rng, 5)), (sphere_geo, sample_sphere(rng, 5))):
+    for geo, Z, times in ((flat_geo, sample_flat(rng, 5), times),
+                          (sphere_geo, sample_sphere(rng, 5), times),
+                          (sphere_geo, np.array([[0.05, 0.0, 2.0, 0.0]]), (1.0,))):
         calls, works = [], []
 
         def jet(x, order, work, _jet=geo.jet):
@@ -413,6 +471,8 @@ def test_flow_evaluates_the_field_twelve_times_per_step(flat_geo, sphere_geo, rn
                 works.clear()
                 res = flow_many(counted, Z, t, tangent=tangent)
                 assert res.ok.all() and len(calls) == 12 * res.steps
+                if t == 1.0 and tangent:
+                    assert res.steps == 11 and len(calls) == 132
                 assert isinstance(works[0], dict) and all(w is works[0] for w in works)
                 ref = flow_many(geo, Z, t, tangent=tangent)
                 for name in ("x", "p", "quad", "det") + (("jac",) if tangent else ()):
