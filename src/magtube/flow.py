@@ -70,13 +70,30 @@ complex validity region (``BLOWUP``), whatever else is in its batch.
 The tangent map's |det| is taken once, from the end map.  By the chain rule
 the end map is DPhi_rest(z(s)) M(s) at every point s of the path, so a
 nonzero determinant at the end implies a nonzero one along the whole path.
+
+Flow generators.  Each batched operation of the library that flows is
+written once, as a generator: at each of its flows it yields a request,
+a list of ``FlowRequest`` (geometry, rows, time, tangent flag), and is
+sent the list of their ``BatchFlowResult``, and it returns the
+operation's value.  ``flow_many_gen`` is the one flow; the other
+generators reach their flows through it with ``yield from``.  ``run(gen)``
+answers each request at once and is the public function of every
+operation.  ``run_merged(gens)`` drives many generators in lockstep and
+answers all the pending requests of a round with one ``_integrate_path``
+call per geometry object and tangent flag, and ``gather(gens)`` is the same
+lockstep inside a generator.  Since each row takes its own steps, a row
+merged with others gets the values of its own flow, but for the last-bit
+rounding of the stage combinations by column position and, at an iteration
+where one row moves alone, the order of its error norm's sum (numpy sums a
+single column pairwise).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from time import perf_counter
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -90,6 +107,11 @@ __all__ = [
     "raise_first_failure",
     "field_components",
     "flow_many",
+    "FlowRequest",
+    "flow_many_gen",
+    "gather",
+    "run",
+    "run_merged",
 ]
 
 DISK_RADIUS = 1.25  # 1 + epsilon with epsilon = 0.25
@@ -635,6 +657,173 @@ def _integrate_path(
 
 
 # ---------------------------------------------------------------------------
+# flow generators and the plan that answers them
+# ---------------------------------------------------------------------------
+
+class FlowRequest(NamedTuple):
+    """One flow that a flow generator asks for: the rows Z0 (m, 2n) of
+    ``geo`` along ``waypoints``, one (K,) polyline from 0 for every row or
+    (m, K) per row, to ``target`` (reported as the result's ``time``), with
+    the tangent map if ``tangent``."""
+
+    geo: ChartedGeometry
+    Z0: np.ndarray
+    waypoints: np.ndarray
+    target: complex | np.ndarray
+    tangent: bool
+
+
+def flow_many_gen(geo: ChartedGeometry, Z0: np.ndarray, t, *, tangent: bool = True):
+    """``flow_many`` as a flow generator: it asks for its one flow and
+    returns the BatchFlowResult it is sent (see ``run``)."""
+    waypoints, target = _time_path(t)
+    (res,) = yield [FlowRequest(geo, np.asarray(Z0, dtype=complex),
+                                np.asarray(waypoints, dtype=complex), target, tangent)]
+    return res
+
+
+def _result(req: FlowRequest, Y, ok, reasons, det, steps, row_steps) -> BatchFlowResult:
+    """The BatchFlowResult of ``req`` from its rows of an integration's
+    (m, D) end states and flags, and the integration's ``steps``."""
+    n = req.geo.dim
+    return BatchFlowResult(
+        x=Y[:, :n],
+        p=Y[:, n : 2 * n],
+        jac=Y[:, 2 * n + 1 :].reshape(-1, 2 * n, 2 * n) if req.tangent else None,
+        quad=Y[:, 2 * n],
+        ok=ok,
+        reasons=reasons,
+        det=det,
+        steps=int(steps),
+        row_steps=row_steps,
+        time=req.target,
+    )
+
+
+def _stacked(reqs: list):
+    """The start rows and polylines of one integration for requests on one
+    geometry and tangent flag: a single request's own, else the rows
+    stacked in order and each row's polyline padded to the longest by
+    repeating its last waypoint (a zero-length segment is never
+    entered)."""
+    if len(reqs) == 1:
+        return reqs[0].Z0, reqs[0].waypoints
+    K = max(req.waypoints.shape[-1] for req in reqs)
+    paths = [np.broadcast_to(req.waypoints, (len(req.Z0), req.waypoints.shape[-1]))
+             for req in reqs]
+    paths = [W if W.shape[1] == K else
+             np.concatenate([W, np.repeat(W[:, -1:], K - W.shape[1], axis=1)], axis=1)
+             for W in paths]
+    return np.concatenate([req.Z0 for req in reqs]), np.concatenate(paths)
+
+
+def _answer(requests: list):
+    """The BatchFlowResult of each of ``requests`` and the seconds spent on
+    it, from one ``_integrate_path`` call per geometry object and tangent
+    flag (``_stacked``): each request gets its rows of the end states, the
+    call's ``steps``, and the call's seconds in the share of its rows'
+    steps."""
+    results, seconds = [None] * len(requests), [0.0] * len(requests)
+    groups = {}
+    for i, req in enumerate(requests):
+        groups.setdefault((id(req.geo), req.tangent), []).append(i)
+    for members in groups.values():
+        reqs = [requests[i] for i in members]
+        t0 = perf_counter()
+        # through the module global, which a tracer may rebind
+        Y, ok, reasons, det, steps = _integrate_path(reqs[0].geo, *_stacked(reqs),
+                                                     tangent=reqs[0].tangent)
+        spent = perf_counter() - t0
+        total, lo = steps.rows.sum(), 0
+        for i, req in zip(members, reqs):
+            hi = lo + len(req.Z0)
+            results[i] = _result(req, Y[lo:hi], ok[lo:hi], reasons[lo:hi], det[lo:hi], steps,
+                                 steps.rows[lo:hi])
+            seconds[i] = spent * (steps.rows[lo:hi].sum() / total if total
+                                  else (hi - lo) / max(len(ok), 1))
+            lo = hi
+    return results, seconds
+
+
+class _Lockstep:
+    """Flow generators advanced together.  Each is run to its first request
+    in turn when the lockstep starts, and to its next one when its answer is
+    sent; ``values`` holds what each returned, ``seconds`` the time spent
+    inside each and its share of the flows that answered it, and
+    ``pending`` each unfinished generator's request, in generator order."""
+
+    def __init__(self, gens):
+        self.gens = list(gens)
+        self.values = [None] * len(self.gens)
+        self.seconds = [0.0] * len(self.gens)
+        self.pending = {}
+        for i in range(len(self.gens)):
+            self._advance(i, None)
+
+    def _advance(self, i: int, answer) -> None:
+        t0 = perf_counter()
+        try:
+            self.pending[i] = self.gens[i].send(answer)
+        except StopIteration as stop:
+            self.values[i] = stop.value
+            self.pending.pop(i, None)
+        finally:
+            self.seconds[i] += perf_counter() - t0
+
+    def requests(self) -> list:
+        """Every pending FlowRequest, in generator order."""
+        return [req for request in self.pending.values() for req in request]
+
+    def reply(self, results: list, seconds=None) -> None:
+        """Send each pending generator its results (in the order of
+        ``requests``), with their seconds if given."""
+        k = 0
+        for i, request in list(self.pending.items()):
+            n = len(request)
+            if seconds is not None:
+                self.seconds[i] += sum(seconds[k : k + n])
+            self._advance(i, results[k : k + n])
+            k += n
+
+
+def gather(gens):
+    """A flow generator that runs the flow generators ``gens`` in lockstep:
+    each round asks for the pending flows of all of them in one request.
+    Returns their values, in order."""
+    lock = _Lockstep(gens)
+    while lock.pending:
+        lock.reply((yield lock.requests()))
+    return lock.values
+
+
+def run_merged(gens):
+    """Run the flow generators ``gens`` in lockstep to their ends.
+
+    Each is run to its first request before the next one starts (a
+    generator that asks for no flow runs to its end when it starts).  Each
+    round then answers the pending requests of all of them with one
+    ``_integrate_path`` call per geometry object and tangent flag
+    (``_answer``), and sends each generator its results.  A row gets the
+    values of its own flow, but for the last-bit rounding of the stage
+    combinations by column position (see ``_integrate_path``).  An exception
+    raised in a generator propagates.
+
+    Returns (values, seconds): what each generator returned, and the seconds
+    spent inside it plus its rows' share of each flow that answered it.
+    """
+    lock = _Lockstep(gens)
+    while lock.pending:
+        lock.reply(*_answer(lock.requests()))
+    return lock.values, lock.seconds
+
+
+def run(gen):
+    """Run the flow generator ``gen`` to its end, answering each request at
+    once, and return its value."""
+    return run_merged([gen])[0][0]
+
+
+# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
@@ -659,21 +848,4 @@ def flow_many(
     quadrature are integrated: ``jac`` is None and ``det`` NaN, and neither
     the field Jacobian nor the geometry's second derivatives are evaluated.
     """
-    waypoints, target = _time_path(t)
-    Y, ok, reasons, det, steps = _integrate_path(
-        geo, np.asarray(Z0, dtype=complex), waypoints, tangent=tangent
-    )
-    n = geo.dim
-    return BatchFlowResult(
-        x=Y[:, :n],
-        p=Y[:, n : 2 * n],
-        jac=Y[:, 2 * n + 1 :].reshape(-1, 2 * n, 2 * n) if tangent else None,
-        quad=Y[:, 2 * n],
-        ok=ok,
-        reasons=reasons,
-        det=det,
-        steps=int(steps),
-        row_steps=steps.rows,
-        time=target,
-    )
-
+    return run(flow_many_gen(geo, Z0, t, tangent=tangent))

@@ -279,13 +279,22 @@ def _evaluator(kernel: Callable, shared: Callable) -> Callable[[Array], Array]:
     """A broadcasting evaluator in the (..., n) convention from a built-in
     kernel(x, shared(x), work) that takes x coordinate first and returns its
     array batch last, with a fresh ``work``; the fused jet calls the same
-    kernels."""
+    kernels.  A point that is not finite (a failed row) gets NaN in every
+    entry, in both parts if complex, with no warning.  The guard is here and
+    not in the kernels, which the fused jet shares: the integrator that
+    calls the jet sets its own floating-point error state."""
     def fn(x):
         x = np.asarray(x)
         if x.ndim == 1:  # a point is the one-row batch, bit for bit
             return fn(x[None])[0]
         x = _last_to_front(x, 1)
-        return _last_to_front(kernel(x, shared(x), {}), x.ndim - 1)
+        if np.isfinite(x).all():
+            return _last_to_front(kernel(x, shared(x), {}), x.ndim - 1)
+        with np.errstate(invalid="ignore"):  # a complex division warns at a NaN point
+            out = kernel(x, shared(x), {})
+        nan = complex(np.nan, np.nan) if np.iscomplexobj(out) else np.nan
+        # NaN in a constant entry too
+        return _last_to_front(np.where(np.isfinite(x).all(axis=0), out, nan), x.ndim - 1)
     return fn
 
 

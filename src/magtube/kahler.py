@@ -19,7 +19,9 @@ Im dbar kappa1 = theta^A, which holds for B/2 and fails for B; see
 f_t, the residuals and the holomorphic extension are batched over phase
 rows Z = [x, p] and report a failed row through their ``ok`` flags and
 reasons; ``potential_f`` and ``section_weight`` are the one-row case of
-``potential_f_many`` and raise the row's FlowError.
+``potential_f_many`` and raise the row's FlowError.  Each operation that
+flows has one body, a flow generator named for it with ``_gen`` (see
+``flow.run``), and its public function is ``flow.run`` of it.
 
 Every phase-space derivative of a computed quantity goes through
 ``phase_gradient``, the one derivative rule.  The flow, the transported
@@ -36,24 +38,30 @@ ring and its weights live in ``geometry``, whose chart derivatives
 from __future__ import annotations
 
 import math
+from inspect import isgenerator
 from typing import Callable
 
 import numpy as np
 
-from .flow import field_components, flow_many, raise_first_failure
+from .flow import field_components, flow_many_gen, raise_first_failure, run
 from .geometry import _RING, _WEIGHTS
 from .geometry import ChartedGeometry, energy
 
 __all__ = [
     "potential_f",
     "potential_f_many",
+    "potential_f_many_gen",
     "kde_residual_many",
+    "kde_residual_many_gen",
     "dbar_residual_many",
+    "dbar_residual_many_gen",
     "phase_gradient",
+    "phase_gradient_gen",
     "kappa1_flat",
     "kappa2_flat",
     "resolve_kappa1_coefficient",
     "holomorphic_extension",
+    "holomorphic_extension_gen",
     "section_weight",
 ]
 
@@ -71,10 +79,11 @@ def phase_gradient(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
     sigma); V holds k directions, shared (k, d) or per row (m, k, d), real
     or complex, and ``np.eye(d)`` gives the gradient.  ``batch_fun`` maps
     (M, d) complex rows, holomorphic in each column, to ``(vals, ok,
-    reasons)`` with ``vals`` of shape (M, ...); a closed form may return
-    ``ok = True`` and ``reasons = None``.  It is called once, on the centre
-    rows Z and then the rows z + RING_j v/|v| in (row, direction, node j)
-    order, |v| the Hermitian length; the derivative is scaled back by |v|.
+    reasons)`` with ``vals`` of shape (M, ...), or to a flow generator that
+    returns them; a closed form may return ``ok = True`` and ``reasons =
+    None``.  It is called once, on the centre rows Z and then the rows
+    z + RING_j v/|v| in (row, direction, node j) order, |v| the Hermitian
+    length; the derivative is scaled back by |v|.
     A row whose directions are not finite gets no ring rows.
 
     Returns ``(vals, ok, reasons, deriv)``: the batch contract at the centre
@@ -85,6 +94,11 @@ def phase_gradient(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
     direction that is not finite (a failed frame row), else that of its
     first failed node.
     """
+    return run(phase_gradient_gen(batch_fun, Z, V))
+
+
+def phase_gradient_gen(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
+    """``phase_gradient`` as a flow generator."""
     Z = np.asarray(Z)
     m, d = Z.shape
     V = np.broadcast_to(V, (m, *np.shape(V)[-2:]))
@@ -96,7 +110,8 @@ def phase_gradient(batch_fun: Callable, Z: np.ndarray, V: np.ndarray):
     # (live row, direction, node, column)
     ring = (V[live] * (1 / size[live, :, None]))[:, :, None, :] * _RING[:, None]
     rows = np.concatenate([Z, (Z[live, None, None, :] + ring).reshape(-1, d)])
-    vals, ok, reasons = batch_fun(rows)
+    out = batch_fun(rows)
+    vals, ok, reasons = (yield from out) if isgenerator(out) else out
     vals = np.asarray(vals)
     # live row i = live[k] has its nodes, centre first, at rows nodes[k] of
     # the batch; first[i] is row i's first failed node, else its centre (a
@@ -142,8 +157,13 @@ def potential_f_many(geo, Z: np.ndarray, t):
     ``t`` is any time ``flow_many`` takes, per-row times included: one
     tangent-free flow to -t, whose target -t gives f_t = t E - quad (f_t
     needs the phase point and the quadrature only)."""
+    return run(potential_f_many_gen(geo, Z, t))
+
+
+def potential_f_many_gen(geo, Z: np.ndarray, t):
+    """``potential_f_many`` as a flow generator."""
     Z = np.asarray(Z, dtype=complex)
-    res = flow_many(geo, Z, -t, tangent=False)
+    res = yield from flow_many_gen(geo, Z, -t, tangent=False)
     n = geo.dim
     E = energy(geo, Z[:, :n], Z[:, n:])
     return -res.time * E - res.quad, res.ok, res.reasons
@@ -169,13 +189,18 @@ def kde_residual_many(
     The identity holds for any 1-form A, whether or not dA = beta, so it
     cannot see a wrong potential; ``dbar_residual_many`` does.
     """
+    return run(kde_residual_many_gen(geo, Z, sigma))
+
+
+def kde_residual_many_gen(geo: ChartedGeometry, Z: np.ndarray, sigma: float):
+    """``kde_residual_many`` as a flow generator."""
     Z = np.asarray(Z, dtype=float)
     n = geo.dim
     x, p = Z[:, :n], Z[:, n:]
     xdot, pdot = field_components(geo, x, p)
     along = np.concatenate([xdot, pdot, np.ones((len(Z), 1))], axis=1)
-    f, ok, reasons, deriv = phase_gradient(
-        lambda rows: potential_f_many(geo, rows[:, :-1], rows[:, -1]),
+    f, ok, reasons, deriv = yield from phase_gradient_gen(
+        lambda rows: potential_f_many_gen(geo, rows[:, :-1], rows[:, -1]),
         np.column_stack([Z, np.full(len(Z), sigma)]), along[:, None, :])
     rhs = energy(geo, x, p) + np.einsum("mj,mj->m", geo.potential(x), xdot)
     return f, ok, reasons, np.abs(deriv[:, 0] - rhs)
@@ -197,10 +222,15 @@ def dbar_residual_many(
     ``phase_gradient`` (a row whose contour left the tube fails, with NaN f
     and defect), and the defects.
     """
+    return run(dbar_residual_many_gen(geo, Z, frames_conj))
+
+
+def dbar_residual_many_gen(geo: ChartedGeometry, Z: np.ndarray, frames_conj: np.ndarray):
+    """``dbar_residual_many`` as a flow generator."""
     Z = np.asarray(Z, dtype=float)
     n = geo.dim
-    f, ok, reasons, deriv = phase_gradient(
-        lambda rows: potential_f_many(geo, rows, -1j), Z, frames_conj.swapaxes(1, 2))
+    f, ok, reasons, deriv = yield from phase_gradient_gen(
+        lambda rows: potential_f_many_gen(geo, rows, -1j), Z, frames_conj.swapaxes(1, 2))
     theta = Z[:, n:] + geo.potential(Z[:, :n])  # theta^A = (p + A) dx has no dp part
     defect = deriv - np.einsum("mj,mjk->mk", theta, frames_conj[:, :n])
     return f, ok, reasons, np.abs(defect).max(axis=1)
@@ -293,7 +323,12 @@ def holomorphic_extension(
 
     Returns (values, ok, reasons) with values of shape (m, ...).
     """
-    res = flow_many(geo, Z, t, tangent=False)
+    return run(holomorphic_extension_gen(geo, f, Z, t))
+
+
+def holomorphic_extension_gen(geo: ChartedGeometry, f: Callable, Z: np.ndarray, t=1j):
+    """``holomorphic_extension`` as a flow generator."""
+    res = yield from flow_many_gen(geo, Z, t, tangent=False)
     vals = np.asarray(f(res.x[res.ok]))
     values = np.full((len(res.ok),) + vals.shape[1:], complex(np.nan, np.nan))
     values[res.ok] = vals

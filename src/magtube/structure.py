@@ -16,7 +16,10 @@ Frame transport, J and integrability are batched over phase rows and report
 a failed row through their ``ok`` flags and reasons instead of raising;
 ``frame_at`` is the one-row case of ``frames_at_many`` and raises the row's
 FlowError.  Frame transport takes any time ``flow_many`` takes, per-row
-times included, and reverses it as ``-t``.
+times included, and reverses it as ``-t``.  Each operation that flows has
+one body, a flow generator (``frames_at_many_gen``,
+``integrability_residual_many_gen``; see ``flow.run``), and its public
+function is ``flow.run`` of it.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import flow_many, raise_first_failure
+from .flow import flow_many_gen, raise_first_failure, run
 from .geometry import ChartedGeometry, twisted_symplectic_matrix
-from .kahler import phase_gradient
+from .kahler import phase_gradient_gen
 
 __all__ = [
     "ACSPointData",
@@ -35,10 +38,12 @@ __all__ = [
     "subspace_distance",
     "frame_at",
     "frames_at_many",
+    "frames_at_many_gen",
     "transversality_check",
     "positivity_matrix",
     "assemble_J",
     "integrability_residual_many",
+    "integrability_residual_many_gen",
     "normalized_zero_section_frame_change",
     "TRANSVERSALITY_THRESHOLD",
 ]
@@ -141,9 +146,10 @@ def _transport(geo: ChartedGeometry, Z: np.ndarray, t):
     M and w, so its columns and residual are NaN.
 
     Returns (X, ok, reasons, inverse_residuals) with X of shape (m, 2n, n).
+    A flow generator (see ``flow.run``).
     """
     Z = np.asarray(Z, dtype=complex)
-    back = flow_many(geo, Z, -t)
+    back = yield from flow_many_gen(geo, Z, -t)
     n = geo.dim
     M = back.jac
     vertical = np.zeros((2 * n, n))
@@ -166,7 +172,12 @@ def frames_at_many(
 
     Returns (F, ok, reasons, inverse_residuals) with F of shape (m, 2n, n).
     """
-    X, ok, reasons, inv_res = _transport(geo, Z, t)
+    return run(frames_at_many_gen(geo, Z, t))
+
+
+def frames_at_many_gen(geo: ChartedGeometry, Z: np.ndarray, t):
+    """``frames_at_many`` as a flow generator."""
+    X, ok, reasons, inv_res = yield from _transport(geo, Z, t)
     return orthonormalize(X), ok, reasons, inv_res
 
 
@@ -260,13 +271,22 @@ def integrability_residual_many(
     Returns (F, ok, reasons, residuals): the orthonormalized centre columns,
     the ok flags and reasons of ``phase_gradient``, and the defects.
     """
+    return run(integrability_residual_many_gen(geo, Z, t))
+
+
+def integrability_residual_many_gen(geo: ChartedGeometry, Z: np.ndarray, t):
+    """``integrability_residual_many`` as a flow generator."""
+    def transported(rows, t):
+        X, ok, reasons, _ = yield from _transport(geo, rows, t)
+        return X, ok, reasons
+
     V = np.eye(2 * geo.dim)
     if np.ndim(t):
-        X, ok, reasons, dX = phase_gradient(
-            lambda rows: _transport(geo, rows[:, :-1], rows[:, -1])[:3],
+        X, ok, reasons, dX = yield from phase_gradient_gen(
+            lambda rows: transported(rows[:, :-1], rows[:, -1]),
             np.column_stack([Z, t]), np.pad(V, ((0, 0), (0, 1))))
     else:
-        X, ok, reasons, dX = phase_gradient(lambda rows: _transport(geo, rows, t)[:3], Z, V)
+        X, ok, reasons, dX = yield from phase_gradient_gen(lambda rows: transported(rows, t), Z, V)
     F = orthonormalize(X)
     # D[k, a, :, b] = (X_a . grad) X_b; the bracket [X_a, X_b] is
     # D[:, a, :, b] - D[:, b, :, a], projected off the frame span

@@ -18,8 +18,28 @@ in one function:
   first failed row of a flow, frame or J) makes its checks on that chart
   NaN, with the row's reason as the note; the report is still written.
 
-A block flows the rows of one geometry with one tangent flag at all its
-times in one call with per-row targets (``_at_times``).
+The blocks ask for their flows; they do not make them.  A block that
+flows is a flow generator (see ``flow.run``): it yields its flow requests
+through the generators of the batched operations (``flow_many_gen``,
+``frames_at_many_gen``, ...), and ``gather`` asks for several in one
+request.  ``_run`` makes each (block, chart) call a generator and drives
+all of a suite's calls through one flow plan, ``flow.run_merged``: each
+round answers the pending requests of every call with one integration per
+geometry object and tangent flag.  Since each row takes its own steps, a
+row gets the values of its own flow in a merged one, but for the last-bit
+rounding of the stage combinations by column position.  Two rules keep a
+suite's report what it was when each call ran alone to its end:
+
+* draw order: ``_run`` starts the calls in registry order and runs each to
+  its first request before it starts the next (a block that never flows
+  runs to its end when it starts), so a block draws every sample from the
+  suite's generator before its first flow;
+* ``case``: a block leaves on its chart's namespace only what it sets before
+  its first flow (``_kde``'s ``case.Z``); a block that needs a flow's result
+  of another asks for that flow itself, and the plan merges the rows.
+
+A (block, chart) call's runtime is the time spent inside it plus its
+rows' share of the steps of each merged flow that answered it.
 
 Each check reads a value that some engine defect can move; an identity that
 holds by construction is no check.  The engine is conjugation-equivariant
@@ -30,16 +50,18 @@ p), which ``zero_section_fixed`` alone reads.
 
 The report follows the blocks' order in this file.  A suite's blocks share
 one generator drawn from the seed, and each chart's namespace, on which a
-block may leave what a later block reads.  Reports are reproducible bit for
-bit (modulo the runtime fields, which time each suite and each block).
+block may leave what a later block reads (see the ``case`` rule above).
+Reports are reproducible bit for bit (modulo the runtime fields, which time
+each suite and each block).
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
+from inspect import isgenerator
 from types import SimpleNamespace
 from typing import Callable, Dict, List
 
@@ -51,8 +73,10 @@ from .flow import (
     ComplexTime,
     FlowError,
     field_components,
-    flow_many,
+    flow_many_gen,
+    gather,
     raise_first_failure,
+    run_merged,
 )
 from .geometry import (
     ChartedGeometry,
@@ -66,20 +90,19 @@ from .geometry import (
 )
 from .intertwine import check_frame_intertwine, check_shifted_frame_intertwine
 from .kahler import (
-    dbar_residual_many,
-    holomorphic_extension,
+    dbar_residual_many_gen,
+    holomorphic_extension_gen,
     kappa2_flat,
-    kde_residual_many,
+    kde_residual_many_gen,
     phase_gradient,
-    potential_f,
-    potential_f_many,
+    phase_gradient_gen,
+    potential_f_many_gen,
     resolve_kappa1_coefficient,
-    section_weight,
 )
 from .structure import (
     assemble_J,
-    frames_at_many,
-    integrability_residual_many,
+    frames_at_many_gen,
+    integrability_residual_many_gen,
     normalized_zero_section_frame_change,
     orthonormalize,
     positivity_matrix,
@@ -189,8 +212,9 @@ def _sample(rng, geo: ChartedGeometry, m: int, box) -> np.ndarray:
 
 
 def _ok(result):
-    """The batch result (of a ``frames_at_many`` tuple, the frames) if every
-    row is ok; else the first failed row's FlowError, which ``_call`` reports."""
+    """The batch result (of a tuple such as ``frames_at_many``'s, its first
+    entry) if every row is ok; else the first failed row's FlowError, which
+    ``_call`` reports."""
     if isinstance(result, tuple):
         raise_first_failure(*result[1:3])
         return result[0]
@@ -198,28 +222,20 @@ def _ok(result):
     return result
 
 
-def _at_times(fn, geo: ChartedGeometry, Z, times, **kwargs):
-    """``fn`` (``flow_many`` or ``frames_at_many``) of the rows Z at each of
-    ``times`` in one call with per-row targets, all ok: Z (or the i-th array
-    of a list Z) is stacked once per time, with its time repeated per row.
-    Returns one result per time, in order: the frames, or the flow result
-    cut to that time's rows."""
+def _at_times(gen, geo: ChartedGeometry, Z, times, **kwargs):
+    """``gen`` (``flow_many_gen`` or ``frames_at_many_gen``) of the rows Z
+    (or of the i-th array of a list Z) at each of ``times``, in one request,
+    all ok: the flow results or the frames, one per time, in order."""
     parts = Z if isinstance(Z, list) else [Z] * len(times)
-    res = _ok(fn(geo, np.concatenate(parts), np.concatenate(
-        [np.full(len(rows), t, dtype=complex) for rows, t in zip(parts, times)]), **kwargs))
-    cuts = np.cumsum([len(rows) for rows in parts])[:-1]
-    if isinstance(res, np.ndarray):
-        return np.split(res, cuts)
-    cut = {name: np.split(np.asarray(value), cuts) for name, value in vars(res).items()
-           if name != "steps" and value is not None}
-    return [replace(res, **{name: pieces[i] for name, pieces in cut.items()})
-            for i in range(len(parts))]
+    results = yield from gather([gen(geo, rows, t, **kwargs) for rows, t in zip(parts, times)])
+    return [_ok(res) for res in results]
 
 
 def _zero_section_flows(geo: ChartedGeometry, xs: np.ndarray, times):
     """The flows of the zero-section points (x, 0) to each of ``times``, in
-    one batch, all ok."""
-    return _at_times(flow_many, geo, np.concatenate([xs, np.zeros_like(xs)], axis=1), times)
+    one request, all ok."""
+    return (yield from _at_times(flow_many_gen, geo,
+                                 np.concatenate([xs, np.zeros_like(xs)], axis=1), times))
 
 
 def _normalized_changes(geo: ChartedGeometry, xs: np.ndarray):
@@ -297,8 +313,8 @@ def _real_flows(case):
     geo, n = case.geo, case.geo.dim
     s1, s2 = case.chart.group_times
     Z = _sample(case.rng, geo, 20, case.chart.wide)
-    r1, r12 = _at_times(flow_many, geo, Z, (s1, s1 + s2))
-    r2 = _ok(flow_many(geo, np.concatenate([r1.x.real, r1.p.real], axis=1), s2))
+    r1, r12 = yield from _at_times(flow_many_gen, geo, Z, (s1, s1 + s2))
+    r2 = _ok((yield from flow_many_gen(geo, np.concatenate([r1.x.real, r1.p.real], axis=1), s2)))
     om0 = twisted_symplectic_matrix(geo, Z[:, :n])
     pulled = np.einsum("mji,mjk,mkl->mil", r12.jac, twisted_symplectic_matrix(geo, r12.x), r12.jac)
     return {"group_law": np.abs(np.concatenate([r2.x - r12.x, r2.p - r12.p], axis=1)),
@@ -326,7 +342,7 @@ def _zero_section_fixed(case):
     """The field vanishes on the zero section: its points are fixed."""
     n = case.geo.dim
     Z = np.concatenate([case.chart.point[:, :n], np.zeros((1, n))], axis=1)
-    res = _ok(flow_many(case.geo, Z, 0.3 + 0.8j, tangent=False))
+    res = _ok((yield from flow_many_gen(case.geo, Z, 0.3 + 0.8j, tangent=False)))
     return {"zero_section_fixed": np.abs(np.concatenate([res.x, res.p], axis=1) - Z)}
 
 
@@ -342,9 +358,10 @@ def _zero_section_linearization(case):
     # the oracles over (time, point)
     lin = orc.zero_section_linearization(b0, sigmas[:, None], g0)
     frames = orc.zero_section_frame(b0, sigmas[1:, None], g0)
-    jac = [np.abs(res.jac - ref) for res, ref in zip(_zero_section_flows(geo, xs, sigmas), lin)]
-    span = [subspace_distance(F, ref)
-            for F, ref in zip(_at_times(frames_at_many, geo, Z, sigmas[1:]), frames)]
+    flows, spans = yield from gather([_zero_section_flows(geo, xs, sigmas),
+                                      _at_times(frames_at_many_gen, geo, Z, sigmas[1:])])
+    jac = [np.abs(res.jac - ref) for res, ref in zip(flows, lin)]
+    span = [subspace_distance(F, ref) for F, ref in zip(spans, frames)]
     return {"zero_section_jacobian": jac, "zero_section_frame_span": span}
 
 
@@ -354,8 +371,8 @@ def _path_independence(case):
     geo, rng = case.geo, case.rng
     Z = _sample(rng, geo, 20, case.chart.wide)
     mid = complex(rng.uniform(0.3, 0.8), rng.uniform(-0.2, 0.4))
-    rA = _ok(flow_many(geo, Z, 1j, tangent=False))
-    rB = _ok(flow_many(geo, Z, ComplexTime(1j, (mid, 1j)), tangent=False))
+    rA, rB = yield from _at_times(flow_many_gen, geo, Z, (1j, ComplexTime(1j, (mid, 1j))),
+                                  tangent=False)
     return {"path_independence": np.abs(np.concatenate([rA.x - rB.x, rA.p - rB.p], axis=1))}
 
 
@@ -365,9 +382,10 @@ def _inverse_consistency(case):
     geo = case.geo
     Z = _sample(case.rng, geo, 15, case.chart.wide)
     times = (1j, 0.3 + 0.8j)
-    backs = _at_times(flow_many, geo, Z, [-t for t in times], tangent=False)
-    outs = _at_times(flow_many, geo, [np.concatenate([back.x, back.p], axis=1) for back in backs],
-                     times, tangent=False)
+    backs = yield from _at_times(flow_many_gen, geo, Z, [-t for t in times], tangent=False)
+    outs = yield from _at_times(flow_many_gen, geo,
+                                [np.concatenate([back.x, back.p], axis=1) for back in backs],
+                                times, tangent=False)
     return {"inverse_consistency": [np.abs(np.concatenate([out.x, out.p], axis=1) - Z)
                                     for out in outs]}
 
@@ -381,11 +399,13 @@ def _tangent_map_contour(case):
     Z = _sample(case.rng, geo, 6, case.chart.tube)
 
     def phi(rows):
-        res = flow_many(geo, rows, t, tangent=False)
+        res = yield from flow_many_gen(geo, rows, t, tangent=False)
         return np.concatenate([res.x, res.p], axis=1), res.ok, res.reasons
 
-    deriv = phase_gradient(phi, Z, np.eye(2 * geo.dim))[3].swapaxes(1, 2)  # (m, component, coord)
-    return {"tangent_map_contour": np.abs(deriv - flow_many(geo, Z, t).jac)}
+    (*_, deriv), res = yield from gather([phase_gradient_gen(phi, Z, np.eye(2 * geo.dim)),
+                                          flow_many_gen(geo, Z, t)])
+    # deriv (m, coord, component) against jac (m, component, coord)
+    return {"tangent_map_contour": np.abs(deriv.swapaxes(1, 2) - res.jac)}
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +418,12 @@ def _tangent_map_contour(case):
 def _frame_structure(case):
     geo, n, rng = case.geo, case.geo.dim, case.rng
     Z = _sample(rng, geo, 100, case.chart.wide)
-    F = _ok(frames_at_many(geo, Z, 1j))
-    om = twisted_symplectic_matrix(geo, Z[:, :n])
     # at 3 points: omega(X, JX) > 0; gauge invariance under random
     # right-multiplication
-    x = Z[:3, :n]
     G = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(3)])
+    F = _ok((yield from frames_at_many_gen(geo, Z, 1j)))
+    om = twisted_symplectic_matrix(geo, Z[:, :n])
+    x = Z[:3, :n]
     acs, acs_g = (_ok(assemble_J(geo, x, frames)) for frames in (F[:3], orthonormalize(F[:3] @ G)))
     Sym = twisted_symplectic_matrix(geo, x).real @ acs.J
     return {"lagrangian_residual": np.abs(np.einsum("mji,mjk,mkl->mil", F, om, F)),  # F^T Om F
@@ -429,7 +449,7 @@ def _zero_section_positivity_form(case):
     times = np.array([1j, 0.3 + 0.8j])
     ref = orc.zero_section_positivity_matrix(btil, times[:, None])  # (time, point, n, n)
     defects = []
-    for res, M_ref in zip(_zero_section_flows(geo, xs, times), ref):
+    for res, M_ref in zip((yield from _zero_section_flows(geo, xs, times)), ref):
         Fn = T @ res.jac[:, :, n:] @ T[:, :n, :n].swapaxes(1, 2)
         M = 1j * Fn.conj().swapaxes(1, 2) @ om_t @ Fn
         defects.append(np.abs(M - M_ref))
@@ -444,7 +464,7 @@ def _totally_real(case):
     the frame at i spans the vertical columns of DPhi_i."""
     geo, n = case.geo, case.geo.dim
     xs = case.rng.uniform(-0.2, 0.2, (3, n))
-    jacs = _zero_section_flows(geo, xs, (1j,))[0].jac
+    jacs = (yield from _zero_section_flows(geo, xs, (1j,)))[0].jac
     acs = _ok(assemble_J(geo, xs, orthonormalize(jacs[:, :, n:])))
     T, btil = _normalized_changes(geo, xs)
     Eh = np.vstack([np.eye(n), np.zeros((n, n))])
@@ -463,25 +483,27 @@ def _integrability(case):
     contour flow with per-row times."""
     geo = case.geo
     Z = [_sample(case.rng, geo, 20, case.chart.tube) for _ in range(2)]
-    return {"integrability_{chart}": integrability_residual_many(
-        geo, np.concatenate(Z), np.repeat([1j, 0.3 + 0.8j], 20))[3]}
+    return {"integrability_{chart}": (yield from integrability_residual_many_gen(
+        geo, np.concatenate(Z), np.repeat([1j, 0.3 + 0.8j], 20)))[3]}
 
 
 # ---------------------------------------------------------------------------
-# kahler suite: its blocks share each chart's rows case.Z and frames case.F
+# kahler suite: its blocks share each chart's rows case.Z, which ``_kde``
+# sets before its first flow; each block asks for the frames it reads, and
+# the plan merges those rows into one frame flow per chart
 # ---------------------------------------------------------------------------
 
 @_block("kahler", _Check("kde_{chart}"))
 def _kde(case):
     c = case.chart
     case.Z = _sample(case.rng, case.geo, c.kahler_rows, c.tube)
-    return {"kde_{chart}": kde_residual_many(case.geo, case.Z, c.kde_sigma)[3]}
+    return {"kde_{chart}": (yield from kde_residual_many_gen(case.geo, case.Z, c.kde_sigma))[3]}
 
 
 @_block("kahler", _Check("kappa2_closed_form", 1e-7), charts=("flat",))
 def _flat_potential(case):
     """kappa2 = Re(2i f_{-i}) against its closed form."""
-    fm = potential_f_many(case.geo, case.Z, -1j)[0]
+    fm = (yield from potential_f_many_gen(case.geo, case.Z, -1j))[0]
     z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, case.Z).T
     return {"kappa2_closed_form": np.abs((2j * fm).real - kappa2_flat(1.0, 1.0, z1, z2))}
 
@@ -489,16 +511,16 @@ def _flat_potential(case):
 @_block("kahler", _Check("dbar_{chart}"))
 def _dbar(case):
     """dbar f_{-i} = (theta^A)^{0,1}."""
-    case.F, case.frames_ok, case.frame_reasons, _ = frames_at_many(case.geo, case.Z, 1j)
-    return {"dbar_{chart}": dbar_residual_many(case.geo, case.Z, case.F.conj())[3]}
+    F = (yield from frames_at_many_gen(case.geo, case.Z, 1j))[0]
+    return {"dbar_{chart}": (yield from dbar_residual_many_gen(case.geo, case.Z, F.conj()))[3]}
 
 
 @_block("kahler", _Check("kappa1_adapted", 1e-10), _Check("kappa1_coefficient_is_half", 1e-12),
         charts=("flat",))
 def _kappa1(case):
     """kappa1: the tanh coefficient resolved by the adaptedness identity."""
-    raise_first_failure(case.frames_ok[:1], case.frame_reasons[:1])  # J needs the first frame
-    acs = _ok(assemble_J(case.geo, case.Z[0, :2], case.F[0]))
+    F = _ok((yield from frames_at_many_gen(case.geo, case.Z[:1], 1j)))  # J needs the first frame
+    acs = _ok(assemble_J(case.geo, case.Z[0, :2], F[0]))
     coeff, residuals = resolve_kappa1_coefficient(1.0, 1.0, acs.J, case.Z[:10])
     note = (f"tanh coefficient resolved to {coeff} * B (candidate residuals: "
             f"0.5B -> {residuals[0.5]:.3e}, 1.0B -> {residuals[1.0]:.3e})")
@@ -513,9 +535,10 @@ def _extension_dbar(case):
         x1, x2 = x[:, 0], x[:, 1]
         return np.stack([x1, x2, x1**2, x1 * x2], axis=1)
 
-    return {"extension_dbar_{chart}": np.abs(phase_gradient(
-        lambda rows: holomorphic_extension(case.geo, monomials, rows),
-        case.Z[:8], case.F[:8].conj().swapaxes(1, 2))[3])}
+    F = (yield from frames_at_many_gen(case.geo, case.Z[:8], 1j))[0]
+    return {"extension_dbar_{chart}": np.abs((yield from phase_gradient_gen(
+        lambda rows: holomorphic_extension_gen(case.geo, monomials, rows),
+        case.Z[:8], F.conj().swapaxes(1, 2)))[3])}
 
 
 @_block("kahler", _Check("extension_coordinates", 1e-8),
@@ -525,9 +548,11 @@ def _extension_dbar(case):
 def _flat_extension_and_weights(case):
     """Holomorphic extensions and section weights on the plane."""
     flat, z = case.geo, case.Z[0]
-    e1, e2 = holomorphic_extension(flat, lambda x: x, z[None])[0][0]
+    (ext, _, _), f = yield from gather([holomorphic_extension_gen(flat, lambda x: x, z[None]),
+                                        potential_f_many_gen(flat, z[None], -1j)])
+    e1, e2 = ext[0]
     z1, z2 = orc.flat_complex_coordinates(1.0, 1.0, z)
-    w1 = section_weight(flat, z, 1)
+    w1 = np.exp(-1j * complex(_ok(f)[0]))  # the section weight of k = 1
     return {"extension_coordinates": [abs(e1 - z1), abs(e2 - z2)],
             "weight_gaussian_density": abs(abs(w1) ** 2 - np.exp(-kappa2_flat(1.0, 1.0, z1, z2)))}
 
@@ -561,19 +586,24 @@ def _flat_closed_forms(case):
     flats = [(B, mf, _flat(B, mf)) for B, mf in ((0.5, 1.0), (1.0, 1.0), (1.0, 0.5))]
     flows, coords, spans, dets = [], [], [], []
     sigmas = (0.7, -1.2, 1j, 0.3 + 0.8j, -0.5 + 0.6j, 1.2j)
-    for B, mass_freq, geo in flats:
-        Z = _sample(rng, geo, 200, wide)
-        for sig, res in zip(sigmas, _at_times(flow_many, geo, Z, sigmas, tangent=False)):
+    Zs = [_sample(rng, geo, 200, wide) for *_, geo in flats]
+    Zf = [_sample(rng, geo, 5, wide) for *_, geo in flats]
+    # per plane: the flows at sigmas, the frames at i and the raw columns
+    # at the origin, all in one request
+    results = yield from gather(
+        [_at_times(flow_many_gen, geo, Z, sigmas, tangent=False) for (*_, geo), Z in zip(flats, Zs)]
+        + [frames_at_many_gen(geo, Z, 1j) for (*_, geo), Z in zip(flats, Zf)]
+        + [flow_many_gen(geo, np.zeros((1, 4)), 1j) for *_, geo in flats])
+    for (B, mass_freq, _), Z, plane in zip(flats, Zs, results):
+        for sig, res in zip(sigmas, plane):
             ref = orc.flat_flow_oracle(B, mass_freq, Z, sig)
             flows.append(np.abs(np.concatenate([res.x, res.p], axis=1) - ref))
             if sig == 1j:
                 coords.append(np.abs(res.x - orc.flat_complex_coordinates(B, mass_freq, Z)))
-    for B, mass_freq, geo in flats:
-        Fo = orc.flat_frame_columns(B, mass_freq, 1j)
-        F = _ok(frames_at_many(geo, _sample(rng, geo, 5, wide), 1j))
-        spans.append(subspace_distance(F, Fo))
-    for B, mass_freq, geo in flats:  # on the raw transported columns
-        Fraw = flow_many(geo, np.zeros((1, 4)), 1j).jac[0][:, 2:]
+    for (B, mass_freq, _), frames in zip(flats, results[3:6]):
+        spans.append(subspace_distance(_ok(frames), orc.flat_frame_columns(B, mass_freq, 1j)))
+    for (B, mass_freq, _), raw in zip(flats, results[6:]):  # on the raw transported columns
+        Fraw = raw.jac[0][:, 2:]
         det = np.linalg.det(np.concatenate([Fraw, Fraw.conj()], axis=1))
         dets.append(abs(det - (-4 * np.sinh(B / mass_freq) ** 2 / B**2)))
     return {"flow_oracle_equivalence": flows, "complex_coordinates": coords,
@@ -587,9 +617,11 @@ def _flat_potential_closed_forms(case):
     """f_sigma in closed form; 2 i f_{-i} = sinh(Btilde) at (0, 0, 1, 0)."""
     geo = case.geo
     Z = _sample(case.rng, geo, 20, case.chart.wide)
-    vals = potential_f_many(geo, np.concatenate([Z, Z]), np.repeat([0.5, -0.8], len(Z)))[0]
+    (vals, _, _), f = yield from gather([
+        potential_f_many_gen(geo, np.concatenate([Z, Z]), np.repeat([0.5, -0.8], len(Z))),
+        potential_f_many_gen(geo, np.array([[0, 0, 1, 0]]), -1j)])
     ref = np.concatenate([orc.flat_f_sigma(1.0, 1.0, Z, sig) for sig in (0.5, -0.8)])
-    fm = potential_f(geo, np.array([0, 0, 1, 0]), -1j)
+    fm = complex(_ok(f)[0])
     return {"f_sigma_closed_form": np.abs(vals - ref),
             "f_minus_i_distinguished_point": abs(2j * fm - np.sinh(1.0))}
 
@@ -600,13 +632,13 @@ def _geodesic_limit_and_larmor_period(case):
     rng, wide = case.rng, case.chart.wide
     geo0 = _flat(0.0, 1.0)
     Z = _sample(rng, geo0, 20, wide)
-    res = flow_many(geo0, Z, 0.9, tangent=False)
+    Zl = _sample(rng, case.geo, 10, (wide[0], 1.0))
+    res, larmor = yield from gather([flow_many_gen(geo0, Z, 0.9, tangent=False),
+                                     flow_many_gen(case.geo, Zl, 2 * np.pi, tangent=False)])
     straight = Z[:, :2] + 0.9 * Z[:, 2:]
     geodesic = np.abs(np.concatenate([res.x - straight, res.p - Z[:, 2:]], axis=1))
-    Z = _sample(rng, case.geo, 10, (wide[0], 1.0))
-    res = flow_many(case.geo, Z, 2 * np.pi, tangent=False)
     return {"geodesic_limit": geodesic,
-            "larmor_periodicity": np.abs(np.concatenate([res.x, res.p], axis=1) - Z)}
+            "larmor_periodicity": np.abs(np.concatenate([larmor.x, larmor.p], axis=1) - Zl)}
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +661,7 @@ def _sphere_engine(case):
     xe, pe = orc.sphere_chart_to_embedding(Z[:, :2], Z[:, 2:], SPHERE_R)
     engine = []
     sigmas = (0.7, -1.2, 1j, 0.3 + 0.8j)
-    *flows, real = _at_times(flow_many, sph, Z, sigmas + (0.6,))
+    *flows, real = yield from _at_times(flow_many_gen, sph, Z, sigmas + (0.6,))
     for sig, res in zip(sigmas, flows):
         xs, ps = orc.sphere_chart_to_embedding(res.x, res.p, SPHERE_R)
         xo, po = orc.sphere_flow_oracle(xe, pe, SPHERE_R, SPHERE_B, sig)
@@ -648,10 +680,13 @@ def _sphere_engine(case):
 # runner
 # ---------------------------------------------------------------------------
 
-def _call(block: _Block, case, label) -> dict:
-    """Failure rule: a FlowError makes the block's checks NaN on that case."""
+def _call(block: _Block, case, label):
+    """The block on one case as a flow generator (a block that asks for no
+    flow returns its values at once).  Failure rule: a FlowError makes the
+    block's checks NaN on that case."""
     try:
-        return block.fn(case)
+        out = block.fn(case)
+        return (yield from out) if isgenerator(out) else out
     except FlowError as err:
         return {check.name: _Noted(np.nan, f"{label}: {err}") for check in block.checks}
 
@@ -677,8 +712,9 @@ def _worst(kind: str, values) -> float:
 
 class SuiteChecks(list):
     """A suite's CheckResults, in report order, and ``block_runtimes``: the
-    seconds each block took on each chart, as ``{"block", "chart",
-    "runtime_sec"}`` dicts in run order."""
+    seconds each block took on each chart (the time spent inside it plus its
+    rows' share of each merged flow that answered it), as ``{"block",
+    "chart", "runtime_sec"}`` dicts in run order."""
 
     block_runtimes: List[dict]
 
@@ -686,25 +722,25 @@ class SuiteChecks(list):
 def _run(suite: str, seed: int) -> SuiteChecks:
     rng = np.random.default_rng([seed, SUITE_NAMES.index(suite)])
     cases = {name: SimpleNamespace(rng=rng, chart=c, geo=c.build()) for name, c in _CHARTS.items()}
-    results, runtimes = SuiteChecks(), []
+    calls = []  # (block, label, case) in run order
     for block in _REGISTRY[suite]:
-        targets = [(name, cases[name]) for name in block.charts or cases]
+        calls += [(block, name, cases[name]) for name in block.charts or cases]
         for build in block.extras:
             geo = build()
-            targets.append((geo.name, SimpleNamespace(rng=rng, chart=None, geo=geo)))
-        outs = []
-        for label, case in targets:
-            t0 = time.perf_counter()
-            outs.append((label, _call(block, case, label)))
-            runtimes.append({"block": block.fn.__name__.lstrip("_"), "chart": label,
-                             "runtime_sec": round(time.perf_counter() - t0, 4)})
+            calls.append((block, geo.name, SimpleNamespace(rng=rng, chart=None, geo=geo)))
+    outputs, seconds = run_merged([_call(block, case, label) for block, label, case in calls])
+    results = SuiteChecks()
+    results.block_runtimes = [{"block": block.fn.__name__.lstrip("_"), "chart": label,
+                               "runtime_sec": round(sec, 4)}
+                              for (block, label, _), sec in zip(calls, seconds)]
+    for block in _REGISTRY[suite]:
+        outs = [(label, out) for (b, label, _), out in zip(calls, outputs) if b is block]
         for check in block.checks:
             for name, tol, values in _rows(check, outs):
                 notes = [v.note for v in values if isinstance(v, _Noted)]
                 values = [v.value if isinstance(v, _Noted) else v for v in values]
                 results.append(CheckResult(name, _worst(check.kind, values), tol, check.kind,
                                            notes[0] if notes else check.note))
-    results.block_runtimes = runtimes
     return results
 
 

@@ -14,6 +14,9 @@ from magtube.flow import (
     ComplexTime,
     field_components,
     flow_many,
+    flow_many_gen,
+    gather,
+    run_merged,
 )
 from magtube.geometry import FusedJet, energy, twisted_symplectic_matrix
 from magtube.kahler import phase_gradient, potential_f_many
@@ -548,3 +551,89 @@ def test_flow_to_i_step_count_and_accuracy(flat_geo, sphere_geo):
     xo, po = orc.sphere_flow_oracle(x0, p0, 1.0, 1.0, 1j)
     xs, ps = orc.sphere_chart_to_embedding(res.x, res.p, 1.0)
     assert max(np.abs(xs - xo).max(), np.abs(ps - po).max()) < 1e-10
+
+
+def _merged_cases(flat_geo, sphere_geo, rng):
+    """(geo, Z, t, tangent) of requests on both charts: a straight and a
+    bent polyline, per-row times, with and without the tangent map."""
+    cases = []
+    for geo, Z in ((flat_geo, sample_flat(rng, 5)), (sphere_geo, sample_sphere(rng, 5))):
+        for tangent in (True, False):
+            cases += [(geo, Z[:2], 1j, tangent),
+                      (geo, Z[2:4], ComplexTime(1j, (0.6 + 0.2j, 0.4 + 0.7j, 1j)), tangent),
+                      (geo, Z, np.array([0.4, -0.5j, 0.3 + 0.8j, 1j, 0.0]), tangent)]
+    return cases
+
+
+def test_merged_requests_get_their_own_flows(flat_geo, sphere_geo, rng, monkeypatch):
+    # twelve requests in one round: one integration per chart and tangent
+    # flag, the polylines padded to one length; each request gets the values,
+    # row_steps and time of its own flow_many call
+    cases = _merged_cases(flat_geo, sphere_geo, rng)
+    alone = [flow_many(geo, Z, t, tangent=tangent) for geo, Z, t, tangent in cases]
+    calls, integrate = [], flow._integrate_path
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[2]))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_integrate_path", counting)
+    merged, seconds = run_merged(flow_many_gen(geo, Z, t, tangent=tangent)
+                                 for geo, Z, t, tangent in cases)
+    assert calls == [(9, 4)] * 4 and all(sec >= 0.0 for sec in seconds)
+    for res, ref in zip(merged, alone):
+        assert res.ok.all() and np.array_equal(res.row_steps, ref.row_steps)
+        assert np.array_equal(res.time, ref.time) and (res.jac is None) == (ref.jac is None)
+        for name in ("x", "p", "quad") + (("jac", "det") if ref.jac is not None else ()):
+            a, b = getattr(res, name), getattr(ref, name)
+            assert np.abs(a - b).max() <= 3e-15 * max(1.0, np.abs(b).max()), name
+
+
+def test_a_gathered_request_is_one_round(flat_geo, rng):
+    # gather asks for the flows of its generators in one request, and a
+    # generator may go on to a second round
+    Z = sample_flat(rng, 3)
+
+    def two_rounds():
+        out = yield from flow_many_gen(flat_geo, Z, 0.5j)
+        return (yield from flow_many_gen(flat_geo, np.concatenate([out.x, out.p], axis=1), 0.5j))
+
+    gen = gather([two_rounds(), flow_many_gen(flat_geo, Z, 1j)])
+    first = next(gen)
+    assert [len(req.Z0) for req in first] == [3, 3]
+    ((twice, once),), _ = run_merged([gather([two_rounds(), flow_many_gen(flat_geo, Z, 1j)])])
+    assert np.abs(twice.x - once.x).max() < 1e-12 and np.abs(twice.p - once.p).max() < 1e-12
+
+
+def test_a_failed_row_leaves_the_other_requests_ok(sphere_geo):
+    # the row at |u| = 0.7 fails BLOWUP on its way to t = i, in the
+    # integration it shares with the other requests' rows
+    good = np.array([[0.1, -0.05, 0.3, 0.2], [0.0, 0.1, -0.2, 0.1]])
+    bad = np.array([[0.7, 0.0, 0.0, 0.0]])
+    (a, b, c), _ = run_merged([flow_many_gen(sphere_geo, good, 1j),
+                               flow_many_gen(sphere_geo, bad, 1j),
+                               flow_many_gen(sphere_geo, good[::-1], 0.3 + 0.8j)])
+    assert a.ok.all() and c.ok.all() and a.reasons == [None, None]
+    assert not b.ok[0] and b.reasons == ["BLOWUP"] and np.isnan(b.x).all()
+
+
+def test_requests_of_no_rows(flat_geo, sphere_geo, rng):
+    # a request may hold no rows (a contour over rows that all failed): it
+    # gets an empty result, alone or beside another request
+    empty = np.zeros((0, 4))
+    alone = flow_many(flat_geo, empty, 1j)
+    (none, some), _ = run_merged([flow_many_gen(sphere_geo, empty, np.zeros(0)),
+                                  flow_many_gen(sphere_geo, sample_sphere(rng, 2), 1j)])
+    assert alone.x.shape == none.x.shape == (0, 2) and alone.steps == 0
+    assert some.ok.all()
+
+
+def test_an_exception_in_a_generator_propagates(flat_geo, rng):
+    Z = sample_flat(rng, 2)
+
+    def broken():
+        yield from flow_many_gen(flat_geo, Z, 1j)
+        raise ValueError("not a flow failure")
+
+    with pytest.raises(ValueError, match="not a flow failure"):
+        run_merged([flow_many_gen(flat_geo, Z, 1j), broken(), flow_many_gen(flat_geo, Z, 0.5)])

@@ -18,6 +18,21 @@ from magtube.geometry import (
 )
 
 
+@pytest.mark.parametrize("chart", ["flat", "sphere"])
+def test_builtin_evaluators_give_a_nan_point_nan(chart, flat_geo, sphere_geo):
+    # a failed row is complex NaN: every evaluator gives it NaN in every
+    # entry, in both parts, with no warning (RuntimeWarning is an error),
+    # and gives the finite row beside it what it gives alone
+    geo = flat_geo if chart == "flat" else sphere_geo
+    x = np.array([[0.1, -0.2], [complex(np.nan, np.nan)] * 2])
+    for fn in geo.evaluators:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            both = fn(x)
+            assert np.isnan(both[1].real).all() and np.isnan(both[1].imag).all()
+            assert both[0].tobytes() == fn(x[0]).tobytes()
+
+
 def test_flat_energy_definition(flat_geo):
     # E(0,0,1,0) = |p|^2 / (2 mass_freq) = 0.5
     assert energy(flat_geo, np.zeros(2), np.array([1.0, 0.0])) == pytest.approx(0.5)

@@ -72,3 +72,18 @@ def test_integrate_path_returns_what_the_flow_span_reads():
             assert np.array_equal(out[3], np.abs(np.linalg.det(res.jac)))
         else:
             assert np.isnan(out[3]).all()
+
+
+def test_a_traced_suite_sees_every_planned_flow(monkeypatch):
+    # the flow plan calls _integrate_path through the module global, so the
+    # tracer's rebinding sees each merged flow of a suite as one flow span
+    calls, integrate = [], flow._integrate_path
+    with monkeypatch.context() as mp:
+        mp.setattr(flow, "_integrate_path", lambda *a, **k: calls.append(1) or integrate(*a, **k))
+        suites.run_suite("flow", 1234)
+    spans = _load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        report = suites.run_suite("flow", 1234)
+    assert report["passed"] and calls
+    assert spans.layer_metrics(tracer)["flow.calls"] == len(calls)

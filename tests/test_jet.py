@@ -12,7 +12,7 @@ import pytest
 from conftest import patch_chart, sample_flat, sample_sphere
 from magtube import cli, suites
 from magtube.config import parse_config_text
-from magtube.flow import ComplexTime, _pack, _rhs, field_components, flow_many
+from magtube.flow import ComplexTime, _pack, _rhs, field_components, flow_many, run
 from magtube.geometry import (
     ChartedGeometry,
     FusedJet,
@@ -338,7 +338,7 @@ def test_composed_sphere_meets_the_derivative_tolerances():
         assert integrability_residual_many(geo, Z, t)[3].max() < 1e-10
     # the flow suite's block on this chart: six rows of its own
     case = SimpleNamespace(rng=rng, chart=chart, geo=geo)
-    assert suites._tangent_map_contour(case)["tangent_map_contour"].max() < 1e-10
+    assert run(suites._tangent_map_contour(case))["tangent_map_contour"].max() < 1e-10
 
 
 # The variational term of the tangent RHS, formed by blocks, against DX @ J

@@ -340,12 +340,13 @@ def test_residual_contours_run_one_ring_per_contracted_direction(flat_geo, spher
     # for kde, the centre and 4 nodes on each of the 2 columns of conj F for
     # dbar
     rows = []
+    potential_f_many_gen = kahler.potential_f_many_gen
 
     def counting(geo, Z, t):
         rows.append(len(Z))
-        return potential_f_many(geo, Z, t)
+        return potential_f_many_gen(geo, Z, t)
 
-    monkeypatch.setattr(kahler, "potential_f_many", counting)
+    monkeypatch.setattr(kahler, "potential_f_many_gen", counting)
     for geo, Z in ((flat_geo, sample_flat(rng, 3)), (sphere_geo, sample_sphere(rng, 3))):
         rows.clear()
         kde_residual_many(geo, Z, 0.3)

@@ -124,7 +124,8 @@ def solution_weight(mp):
 
 def transport_conj(mp):
     """The frame transport flows to -conj(t) in place of -t: the frames of
-    conj t, the conjugate subspace."""
+    conj t, the conjugate subspace.  ``structure._transport`` is the flow
+    generator that ``frames_at_many`` and the suites' frame requests share."""
     transport = structure._transport
     mp.setattr(structure, "_transport", lambda geo, Z, t: transport(geo, Z, np.conj(t)))
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import patch_chart, sample_flat, sample_sphere, tiny_validity_geometry
 from magtube import oracles as orc
-from magtube.flow import ComplexTime, FlowError, flow_many
+from magtube.flow import ComplexTime, FlowError, flow_many, run
 from magtube.geometry import CONTOUR_NODES, CONTOUR_RADIUS, twisted_symplectic_matrix
 from magtube import structure, suites
 from magtube.kahler import potential_f_many
@@ -85,7 +85,7 @@ def test_frame_checks_and_J_take_a_failed_frame(sphere_geo):
     Z = np.array([[0.1, -0.05, 0.3, 0.2], [0.0, 0.1, -0.2, 0.1], [0.7, 0.0, 0.0, 0.0]])
     F, ok, _, _ = frames_at_many(sphere_geo, Z, 1j)
     assert list(ok) == [True, True, False]
-    X = structure._transport(sphere_geo, Z, 1j)[0]
+    X = run(structure._transport(sphere_geo, Z, 1j))[0]
     for fn, args in ((orthonormalize, (X,)), (transversality_check, (F,)),
                      (subspace_distance, (F, F[[1, 0, 2]]))):
         whole, alone = fn(*args), fn(*(a[:2] for a in args))
@@ -145,12 +145,13 @@ def test_frames_at_many_makes_one_flow(sphere_geo, rng, monkeypatch):
     import magtube.structure as structure
 
     calls = []
+    flow_many_gen = structure.flow_many_gen
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("tangent", True))
-        return flow_many(*args, **kwargs)
+        return flow_many_gen(*args, **kwargs)
 
-    monkeypatch.setattr(structure, "flow_many", counted)
+    monkeypatch.setattr(structure, "flow_many_gen", counted)
     F, ok, _, _ = frames_at_many(sphere_geo, sample_sphere(rng, 4), 0.3 + 0.8j)
     assert ok.all() and calls == [True]
 
@@ -422,15 +423,17 @@ def test_batched_bracket_matches_loop(sphere_geo, rng):
     rows, weights = _contour_rows(Z)
     for t in (1j, 0.3 + 0.8j):
         res = integrability_residual_many(sphere_geo, Z, t)[3]
-        X_all, ok, _, _ = structure._transport(sphere_geo, rows, t)
+        X_all, ok, _, _ = run(structure._transport(sphere_geo, rows, t))
         assert ok.all()
         ref = _loop_bracket_defect(X_all, 4, weights)
         assert ref.max() > 1e-16 and np.abs(res - ref).max() < 1e-14
 
 
 def _closed_form_transport(second_column):
-    """A stand-in for the transport: X_1 = e_1, X_2 = e_2 + second_column(z)."""
+    """A stand-in for the transport: X_1 = e_1, X_2 = e_2 + second_column(z),
+    a flow generator that asks for no flow."""
     def transport(geo, Z, t):
+        yield from ()
         X = np.zeros((len(Z), 4, 2), dtype=complex)
         X[:, 0, 0] = 1.0
         X[:, 1, 1] = 1.0
