@@ -44,11 +44,12 @@ whose every term is one elementwise operation over a contiguous run of m
 rows; with the rows first, numpy runs m inner loops of length n or 2n, and
 at these sizes dispatch costs more than the arithmetic.  Elementwise terms
 also make a row's right-hand side independent of the rest of its batch; with
-per-row steps, only the last-bit rounding of the stage combinations, which
-``np.matmul`` may round differently by column position, ties a row to its
-batch.  The public functions
-(``flow_many``, ``field_components``, ``BatchFlowResult``) keep the rows
-first.
+per-row steps, two things still tie a row to its batch, both in the last
+bit: ``np.matmul`` may round the stage combinations differently by column
+position, and ``_error_norms`` sums each column of a (D, m) array, which
+numpy sums pairwise when one row moves alone and in order otherwise.  The
+public functions (``flow_many``, ``field_components``, ``BatchFlowResult``)
+keep the rows first.
 
 Each right-hand-side call reads the geometry through one ``geo.jet`` call:
 first order for the field and the quadrature, second order with the tangent
@@ -73,19 +74,17 @@ nonzero determinant at the end implies a nonzero one along the whole path.
 
 Flow generators.  Each batched operation of the library that flows is
 written once, as a generator: at each of its flows it yields a request,
-a list of ``FlowRequest`` (geometry, rows, time, tangent flag), and is
+a list of ``FlowRequest`` (geometry, rows, time path, tangent flag), and is
 sent the list of their ``BatchFlowResult``, and it returns the
 operation's value.  ``flow_many_gen`` is the one flow; the other
 generators reach their flows through it with ``yield from``.  ``run(gen)``
-answers each request at once and is the public function of every
-operation.  ``run_merged(gens)`` drives many generators in lockstep and
-answers all the pending requests of a round with one ``_integrate_path``
-call per geometry object and tangent flag, and ``gather(gens)`` is the same
-lockstep inside a generator.  Since each row takes its own steps, a row
-merged with others gets the values of its own flow, but for the last-bit
-rounding of the stage combinations by column position and, at an iteration
-where one row moves alone, the order of its error norm's sum (numpy sums a
-single column pairwise).
+is the public function of every operation and the one loop that answers
+requests: each with one ``_integrate_path`` call per geometry object and
+tangent flag (``_answer``).  ``gather(gens)`` is the one lockstep, a
+generator that runs many generators and asks for all their pending flows
+in one request, so ``run(gather(gens))`` merges them.  Since each row takes
+its own steps, a row merged with others gets the values of its own flow,
+but for the two last-bit couplings above.
 """
 
 from __future__ import annotations
@@ -111,7 +110,6 @@ __all__ = [
     "flow_many_gen",
     "gather",
     "run",
-    "run_merged",
 ]
 
 DISK_RADIUS = 1.25  # 1 + epsilon with epsilon = 0.25
@@ -193,18 +191,18 @@ class ComplexTime:
 
 
 def _time_path(t):
-    """(waypoints, target) of a time ``t``: a ComplexTime or a number gives
-    its (K,) polyline from 0 and its complex target, an (m,) array the
-    (m, 2) straight paths from 0 to its entries and the complex array of
-    them.  Raises ValueError where ``_check_disk`` fails."""
+    """The complex polyline from 0 of a time ``t``: a ComplexTime or a number
+    gives its (K,) waypoints, an (m,) array the (m, 2) straight paths from 0
+    to its entries.  The target is the last waypoint.  Raises ValueError
+    where ``_check_disk`` fails."""
     if np.ndim(t):
         target = np.asarray(t, dtype=complex)
         waypoints = np.stack([np.zeros_like(target), target], axis=1)
         _check_disk(waypoints)
-        return waypoints, target
+        return waypoints
     if not isinstance(t, ComplexTime):
         t = ComplexTime(t)
-    return t.waypoints, t.target
+    return np.asarray(t.waypoints, dtype=complex)
 
 
 @dataclass
@@ -216,9 +214,13 @@ class BatchFlowResult:
     implies nonzero along the path, see the module docstring); ``jac`` is
     None and ``det`` NaN for a tangent-free flow.  An ok row's values are
     finite; a failed row's x, p, quad and jac are NaN in both parts, and its
-    det is NaN.  ``steps`` counts the flow's iterations over the batch,
-    summed over the path's segments, ``row_steps`` the steps (accepted and
-    rejected) that each row attempted.
+    det is NaN.  ``steps`` counts the iterations over the batch of the
+    integration that answered the request, summed over the path's segments;
+    a request merged with others (``gather``) shares that count with them.
+    ``row_steps`` and ``seconds`` belong to the request itself: the steps
+    (accepted and rejected) that each of its rows attempted, and its rows'
+    share of the integration's wall time, in proportion to their steps (to
+    their number, if the integration made no step).
     """
 
     x: np.ndarray
@@ -231,6 +233,7 @@ class BatchFlowResult:
     steps: int
     row_steps: np.ndarray
     time: complex | np.ndarray
+    seconds: float
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +532,12 @@ def _integrate_path(
     or fails leaves the working rows at once: its column is written back
     into the packed start state, which becomes the end state, and the rows
     still moving are gathered into the first columns of the work arrays.
-    Each row is thus computed as it would be alone, but for the last-bit
-    rounding of the stage combinations, which ``np.matmul`` may round
-    differently by column position.  A failed row is complex NaN (NaN in
-    both parts), so its x, p, quad, jac and det are NaN: the flow gives a
-    failed row no value.
+    Each row is thus computed as it would be alone, but for two last-bit
+    couplings: ``np.matmul`` may round the stage combinations differently by
+    column position, and numpy sums ``_error_norms``' columns pairwise when
+    one row moves alone and in order otherwise.  A failed row is complex NaN
+    (NaN in both parts), so its x, p, quad, jac and det are NaN: the flow
+    gives a failed row no value.
 
     The work arrays are allocated once per call, for all m rows, and the
     working rows use their first entries (``_narrow``); every step is formed
@@ -663,28 +667,26 @@ def _integrate_path(
 class FlowRequest(NamedTuple):
     """One flow that a flow generator asks for: the rows Z0 (m, 2n) of
     ``geo`` along ``waypoints``, one (K,) polyline from 0 for every row or
-    (m, K) per row, to ``target`` (reported as the result's ``time``), with
-    the tangent map if ``tangent``."""
+    (m, K) per row, with the tangent map if ``tangent``.  The result's
+    ``time`` is the last waypoint."""
 
     geo: ChartedGeometry
     Z0: np.ndarray
     waypoints: np.ndarray
-    target: complex | np.ndarray
     tangent: bool
 
 
 def flow_many_gen(geo: ChartedGeometry, Z0: np.ndarray, t, *, tangent: bool = True):
     """``flow_many`` as a flow generator: it asks for its one flow and
     returns the BatchFlowResult it is sent (see ``run``)."""
-    waypoints, target = _time_path(t)
-    (res,) = yield [FlowRequest(geo, np.asarray(Z0, dtype=complex),
-                                np.asarray(waypoints, dtype=complex), target, tangent)]
+    (res,) = yield [FlowRequest(geo, np.asarray(Z0, dtype=complex), _time_path(t), tangent)]
     return res
 
 
-def _result(req: FlowRequest, Y, ok, reasons, det, steps, row_steps) -> BatchFlowResult:
+def _result(req: FlowRequest, Y, ok, reasons, det, steps, row_steps, seconds) -> BatchFlowResult:
     """The BatchFlowResult of ``req`` from its rows of an integration's
-    (m, D) end states and flags, and the integration's ``steps``."""
+    (m, D) end states and flags, the integration's ``steps`` and the
+    request's ``seconds``."""
     n = req.geo.dim
     return BatchFlowResult(
         x=Y[:, :n],
@@ -696,18 +698,16 @@ def _result(req: FlowRequest, Y, ok, reasons, det, steps, row_steps) -> BatchFlo
         det=det,
         steps=int(steps),
         row_steps=row_steps,
-        time=req.target,
+        time=req.waypoints[..., -1],
+        seconds=seconds,
     )
 
 
 def _stacked(reqs: list):
     """The start rows and polylines of one integration for requests on one
-    geometry and tangent flag: a single request's own, else the rows
-    stacked in order and each row's polyline padded to the longest by
-    repeating its last waypoint (a zero-length segment is never
-    entered)."""
-    if len(reqs) == 1:
-        return reqs[0].Z0, reqs[0].waypoints
+    geometry and tangent flag: the rows stacked in order and each row's
+    polyline padded to the longest by repeating its last waypoint (a
+    zero-length segment is never entered)."""
     K = max(req.waypoints.shape[-1] for req in reqs)
     paths = [np.broadcast_to(req.waypoints, (len(req.Z0), req.waypoints.shape[-1]))
              for req in reqs]
@@ -717,13 +717,13 @@ def _stacked(reqs: list):
     return np.concatenate([req.Z0 for req in reqs]), np.concatenate(paths)
 
 
-def _answer(requests: list):
-    """The BatchFlowResult of each of ``requests`` and the seconds spent on
-    it, from one ``_integrate_path`` call per geometry object and tangent
-    flag (``_stacked``): each request gets its rows of the end states, the
-    call's ``steps``, and the call's seconds in the share of its rows'
-    steps."""
-    results, seconds = [None] * len(requests), [0.0] * len(requests)
+def _answer(requests: list) -> list:
+    """The BatchFlowResult of each of ``requests``, from one
+    ``_integrate_path`` call per geometry object and tangent flag
+    (``_stacked``): each request gets its rows of the end states, the
+    call's ``steps``, and the call's wall time in the share of its rows'
+    steps (of its rows, if the call made no step) as its ``seconds``."""
+    results = [None] * len(requests)
     groups = {}
     for i, req in enumerate(requests):
         groups.setdefault((id(req.geo), req.tangent), []).append(i)
@@ -737,90 +737,58 @@ def _answer(requests: list):
         total, lo = steps.rows.sum(), 0
         for i, req in zip(members, reqs):
             hi = lo + len(req.Z0)
+            share = steps.rows[lo:hi].sum() / total if total else (hi - lo) / max(len(ok), 1)
             results[i] = _result(req, Y[lo:hi], ok[lo:hi], reasons[lo:hi], det[lo:hi], steps,
-                                 steps.rows[lo:hi])
-            seconds[i] = spent * (steps.rows[lo:hi].sum() / total if total
-                                  else (hi - lo) / max(len(ok), 1))
+                                 steps.rows[lo:hi], spent * share)
             lo = hi
-    return results, seconds
-
-
-class _Lockstep:
-    """Flow generators advanced together.  Each is run to its first request
-    in turn when the lockstep starts, and to its next one when its answer is
-    sent; ``values`` holds what each returned, ``seconds`` the time spent
-    inside each and its share of the flows that answered it, and
-    ``pending`` each unfinished generator's request, in generator order."""
-
-    def __init__(self, gens):
-        self.gens = list(gens)
-        self.values = [None] * len(self.gens)
-        self.seconds = [0.0] * len(self.gens)
-        self.pending = {}
-        for i in range(len(self.gens)):
-            self._advance(i, None)
-
-    def _advance(self, i: int, answer) -> None:
-        t0 = perf_counter()
-        try:
-            self.pending[i] = self.gens[i].send(answer)
-        except StopIteration as stop:
-            self.values[i] = stop.value
-            self.pending.pop(i, None)
-        finally:
-            self.seconds[i] += perf_counter() - t0
-
-    def requests(self) -> list:
-        """Every pending FlowRequest, in generator order."""
-        return [req for request in self.pending.values() for req in request]
-
-    def reply(self, results: list, seconds=None) -> None:
-        """Send each pending generator its results (in the order of
-        ``requests``), with their seconds if given."""
-        k = 0
-        for i, request in list(self.pending.items()):
-            n = len(request)
-            if seconds is not None:
-                self.seconds[i] += sum(seconds[k : k + n])
-            self._advance(i, results[k : k + n])
-            k += n
+    return results
 
 
 def gather(gens):
-    """A flow generator that runs the flow generators ``gens`` in lockstep:
-    each round asks for the pending flows of all of them in one request.
-    Returns their values, in order."""
-    lock = _Lockstep(gens)
-    while lock.pending:
-        lock.reply((yield lock.requests()))
-    return lock.values
-
-
-def run_merged(gens):
-    """Run the flow generators ``gens`` in lockstep to their ends.
+    """A flow generator that runs the flow generators ``gens`` in lockstep
+    and returns their values, in order.
 
     Each is run to its first request before the next one starts (a
     generator that asks for no flow runs to its end when it starts).  Each
-    round then answers the pending requests of all of them with one
-    ``_integrate_path`` call per geometry object and tangent flag
-    (``_answer``), and sends each generator its results.  A row gets the
-    values of its own flow, but for the last-bit rounding of the stage
-    combinations by column position (see ``_integrate_path``).  An exception
-    raised in a generator propagates.
-
-    Returns (values, seconds): what each generator returned, and the seconds
-    spent inside it plus its rows' share of each flow that answered it.
+    round then asks for the pending flows of all of them in one request, in
+    generator order, and sends each generator its results.
     """
-    lock = _Lockstep(gens)
-    while lock.pending:
-        lock.reply(*_answer(lock.requests()))
-    return lock.values, lock.seconds
+    gens = list(gens)
+    values, pending = [None] * len(gens), {}
+
+    def advance(i: int, results) -> None:
+        try:
+            pending[i] = gens[i].send(results)
+        except StopIteration as stop:
+            values[i] = stop.value
+            pending.pop(i, None)
+
+    for i in range(len(gens)):
+        advance(i, None)
+    while pending:
+        results = yield [req for request in pending.values() for req in request]
+        k = 0
+        for i, request in list(pending.items()):
+            advance(i, results[k : k + len(request)])
+            k += len(request)
+    return values
 
 
 def run(gen):
-    """Run the flow generator ``gen`` to its end, answering each request at
-    once, and return its value."""
-    return run_merged([gen])[0][0]
+    """Run the flow generator ``gen`` to its end and return its value.
+
+    Each request it yields is answered by ``_answer``, with one
+    ``_integrate_path`` call per geometry object and tangent flag, and the
+    results are sent back; ``run(gather(gens))`` is the flow plan of many
+    generators.  An exception raised in the generator propagates.
+    """
+    results = None
+    while True:
+        try:
+            request = gen.send(results)
+        except StopIteration as stop:
+            return stop.value
+        results = _answer(request)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,6 @@ def check_shifted_frame_intertwine(
     nu = _nu_pushforward(geo.dim)
     minus = geo.with_negated_field()
     F_plus = frames_at_many(geo, Z, t)[0]
-    shifted = flow_many(minus, Z @ nu, 2.0 * _time_path(t)[1].real)
+    shifted = flow_many(minus, Z @ nu, 2.0 * _time_path(t)[..., -1].real)
     F_minus = frames_at_many(minus, np.concatenate([shifted.x, shifted.p], axis=1), t)[0]
     return subspace_distance(shifted.jac.real @ nu @ F_plus, F_minus.conj())

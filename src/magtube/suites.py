@@ -22,24 +22,27 @@ The blocks ask for their flows; they do not make them.  A block that
 flows is a flow generator (see ``flow.run``): it yields its flow requests
 through the generators of the batched operations (``flow_many_gen``,
 ``frames_at_many_gen``, ...), and ``gather`` asks for several in one
-request.  ``_run`` makes each (block, chart) call a generator and drives
-all of a suite's calls through one flow plan, ``flow.run_merged``: each
-round answers the pending requests of every call with one integration per
-geometry object and tangent flag.  Since each row takes its own steps, a
-row gets the values of its own flow in a merged one, but for the last-bit
-rounding of the stage combinations by column position.  Two rules keep a
-suite's report what it was when each call ran alone to its end:
+request.  ``_run`` makes each (block, chart) call a generator (``_call``)
+and drives all of a suite's calls as one flow plan, ``run(gather(calls))``:
+each round answers the pending requests of every call with one integration
+per geometry object and tangent flag.  Since each row takes its own steps,
+a row gets the values of its own flow in a merged one, but for two
+last-bit couplings: ``np.matmul``'s rounding of the stage combinations by
+column position, and the order of the error norm's column sums, which
+numpy sums pairwise when one row moves alone.  Two rules keep a suite's
+report what it was when each call ran alone to its end:
 
-* draw order: ``_run`` starts the calls in registry order and runs each to
-  its first request before it starts the next (a block that never flows
+* draw order: ``gather`` starts the calls in registry order and runs each
+  to its first request before it starts the next (a block that never flows
   runs to its end when it starts), so a block draws every sample from the
   suite's generator before its first flow;
 * ``case``: a block leaves on its chart's namespace only what it sets before
   its first flow (``_kde``'s ``case.Z``); a block that needs a flow's result
   of another asks for that flow itself, and the plan merges the rows.
 
-A (block, chart) call's runtime is the time spent inside it plus its
-rows' share of the steps of each merged flow that answered it.
+A (block, chart) call's runtime is the time spent inside it plus the
+``seconds`` of the flow results it is sent: its rows' share of the steps of
+each merged flow that answered it.
 
 Each check reads a value that some engine defect can move; an identity that
 holds by construction is no check.  The engine is conjugation-equivariant
@@ -76,7 +79,7 @@ from .flow import (
     flow_many_gen,
     gather,
     raise_first_failure,
-    run_merged,
+    run,
 )
 from .geometry import (
     ChartedGeometry,
@@ -681,14 +684,28 @@ def _sphere_engine(case):
 # ---------------------------------------------------------------------------
 
 def _call(block: _Block, case, label):
-    """The block on one case as a flow generator (a block that asks for no
-    flow returns its values at once).  Failure rule: a FlowError makes the
-    block's checks NaN on that case."""
+    """The block on one case as a flow generator that returns (values,
+    seconds): what the block returns, and its runtime, the time spent inside
+    it plus the ``seconds`` of the flow results it is sent.  A block that
+    asks for no flow returns its values at once.  Failure rule: a FlowError
+    makes the block's checks NaN on that case."""
+    seconds, results = 0.0, None
+    t0 = time.perf_counter()
     try:
         out = block.fn(case)
-        return (yield from out) if isgenerator(out) else out
+        while isgenerator(out):  # until the block returns its values
+            try:
+                request = out.send(results)
+            except StopIteration as stop:
+                out = stop.value
+                break
+            seconds += time.perf_counter() - t0
+            results = yield request
+            t0 = time.perf_counter()
+            seconds += sum(res.seconds for res in results)
     except FlowError as err:
-        return {check.name: _Noted(np.nan, f"{label}: {err}") for check in block.checks}
+        out = {check.name: _Noted(np.nan, f"{label}: {err}") for check in block.checks}
+    return out, seconds + time.perf_counter() - t0
 
 
 def _rows(check: _Check, outs):
@@ -710,16 +727,10 @@ def _worst(kind: str, values) -> float:
     return float(np.max(flat) if kind == "max" else np.min(flat))
 
 
-class SuiteChecks(list):
-    """A suite's CheckResults, in report order, and ``block_runtimes``: the
-    seconds each block took on each chart (the time spent inside it plus its
-    rows' share of each merged flow that answered it), as ``{"block",
-    "chart", "runtime_sec"}`` dicts in run order."""
-
-    block_runtimes: List[dict]
-
-
-def _run(suite: str, seed: int) -> SuiteChecks:
+def _run(suite: str, seed: int):
+    """The suite's CheckResults, in report order, and its block runtimes:
+    the seconds each block took on each chart (see ``_call``), as
+    ``{"block", "chart", "runtime_sec"}`` dicts in run order."""
     rng = np.random.default_rng([seed, SUITE_NAMES.index(suite)])
     cases = {name: SimpleNamespace(rng=rng, chart=c, geo=c.build()) for name, c in _CHARTS.items()}
     calls = []  # (block, label, case) in run order
@@ -728,24 +739,24 @@ def _run(suite: str, seed: int) -> SuiteChecks:
         for build in block.extras:
             geo = build()
             calls.append((block, geo.name, SimpleNamespace(rng=rng, chart=None, geo=geo)))
-    outputs, seconds = run_merged([_call(block, case, label) for block, label, case in calls])
-    results = SuiteChecks()
-    results.block_runtimes = [{"block": block.fn.__name__.lstrip("_"), "chart": label,
-                               "runtime_sec": round(sec, 4)}
-                              for (block, label, _), sec in zip(calls, seconds)]
+    outputs = run(gather([_call(block, case, label) for block, label, case in calls]))
+    block_runtimes = [{"block": block.fn.__name__.lstrip("_"), "chart": label,
+                       "runtime_sec": round(sec, 4)}
+                      for (block, label, _), (_, sec) in zip(calls, outputs)]
+    results = []
     for block in _REGISTRY[suite]:
-        outs = [(label, out) for (b, label, _), out in zip(calls, outputs) if b is block]
+        outs = [(label, out) for (b, label, _), (out, _) in zip(calls, outputs) if b is block]
         for check in block.checks:
             for name, tol, values in _rows(check, outs):
                 notes = [v.note for v in values if isinstance(v, _Noted)]
                 values = [v.value if isinstance(v, _Noted) else v for v in values]
                 results.append(CheckResult(name, _worst(check.kind, values), tol, check.kind,
                                            notes[0] if notes else check.note))
-    return results
+    return results, block_runtimes
 
 
-# the suites, each (seed) -> SuiteChecks, as module attributes that a tracer
-# may rebind
+# the suites, each (seed) -> (CheckResults, block runtimes), as module
+# attributes that a tracer may rebind
 suite_geometry = partial(_run, "geometry")
 suite_flow = partial(_run, "flow")
 suite_frames = partial(_run, "frames")
@@ -755,7 +766,7 @@ suite_flat_oracle = partial(_run, "flat-oracle")
 suite_sphere_oracle = partial(_run, "sphere-oracle")
 
 
-def suite_functions() -> Dict[str, Callable[[int], SuiteChecks]]:
+def suite_functions() -> Dict[str, Callable[[int], tuple]]:
     """Each suite's callable, looked up by name when called."""
     return {name: globals()["suite_" + name.replace("-", "_")] for name in _REGISTRY}
 
@@ -766,7 +777,7 @@ def run_suite(name: str, seed: int = 1234) -> dict:
     The report is deterministic for a fixed seed except for the runtime
     fields: ``runtime_sec`` of the report and of each suite, and each
     suite's ``block_runtime_sec``, the seconds of each block on each chart
-    (``SuiteChecks.block_runtimes``), kept outside the check dicts.
+    (see ``_run``), kept outside the check dicts.
     """
     funcs = suite_functions()
     if name != "all" and name not in funcs:
@@ -776,10 +787,10 @@ def run_suite(name: str, seed: int = 1234) -> dict:
     sub = []
     for sname in selected:
         t1 = time.perf_counter()
-        checks = funcs[sname](seed)
+        checks, block_runtimes = funcs[sname](seed)
         sub.append({"suite": sname, "checks": [c.as_dict() for c in checks],
                     "passed": all(c.passed for c in checks),
                     "runtime_sec": round(time.perf_counter() - t1, 3),
-                    "block_runtime_sec": checks.block_runtimes})
+                    "block_runtime_sec": block_runtimes})
     return {"suite": name, "seed": seed, "suites": sub, "passed": all(s["passed"] for s in sub),
             "runtime_sec": round(time.perf_counter() - t0, 3)}

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from magtube.flow import (
     flow_many,
     flow_many_gen,
     gather,
-    run_merged,
+    run,
 )
 from magtube.geometry import FusedJet, energy, twisted_symplectic_matrix
 from magtube.kahler import phase_gradient, potential_f_many
@@ -268,9 +269,11 @@ def _disk_times(rng, m):
 @pytest.mark.parametrize("tangent", [True, False])
 def test_a_row_alone_equals_the_row_in_a_batch_of_1000(flat_geo, sphere_geo, rng, tangent):
     # each row takes its own steps by its own error norm, so the rest of
-    # the batch does not move it.  Not bit for bit: np.matmul rounds a stage
-    # combination differently by the row's column position in the batch, in
-    # the last bit.
+    # the batch does not move it.  Not bit for bit: two things couple a row
+    # to its batch in the last bit.  np.matmul rounds a stage combination
+    # differently by the row's column position in the batch, and
+    # _error_norms' column sums run pairwise when one row moves alone and
+    # in order otherwise.
     for geo, Z in ((flat_geo, sample_flat(rng, 1000)), (sphere_geo, sample_sphere(rng, 1000))):
         for t in (1j, _disk_times(rng, 1000)):
             res = flow_many(geo, Z, t, tangent=tangent)
@@ -578,9 +581,9 @@ def test_merged_requests_get_their_own_flows(flat_geo, sphere_geo, rng, monkeypa
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(flow, "_integrate_path", counting)
-    merged, seconds = run_merged(flow_many_gen(geo, Z, t, tangent=tangent)
-                                 for geo, Z, t, tangent in cases)
-    assert calls == [(9, 4)] * 4 and all(sec >= 0.0 for sec in seconds)
+    merged = run(gather(flow_many_gen(geo, Z, t, tangent=tangent)
+                        for geo, Z, t, tangent in cases))
+    assert calls == [(9, 4)] * 4 and all(res.seconds >= 0.0 for res in merged)
     for res, ref in zip(merged, alone):
         assert res.ok.all() and np.array_equal(res.row_steps, ref.row_steps)
         assert np.array_equal(res.time, ref.time) and (res.jac is None) == (ref.jac is None)
@@ -601,7 +604,7 @@ def test_a_gathered_request_is_one_round(flat_geo, rng):
     gen = gather([two_rounds(), flow_many_gen(flat_geo, Z, 1j)])
     first = next(gen)
     assert [len(req.Z0) for req in first] == [3, 3]
-    ((twice, once),), _ = run_merged([gather([two_rounds(), flow_many_gen(flat_geo, Z, 1j)])])
+    ((twice, once),) = run(gather([gather([two_rounds(), flow_many_gen(flat_geo, Z, 1j)])]))
     assert np.abs(twice.x - once.x).max() < 1e-12 and np.abs(twice.p - once.p).max() < 1e-12
 
 
@@ -610,9 +613,9 @@ def test_a_failed_row_leaves_the_other_requests_ok(sphere_geo):
     # integration it shares with the other requests' rows
     good = np.array([[0.1, -0.05, 0.3, 0.2], [0.0, 0.1, -0.2, 0.1]])
     bad = np.array([[0.7, 0.0, 0.0, 0.0]])
-    (a, b, c), _ = run_merged([flow_many_gen(sphere_geo, good, 1j),
-                               flow_many_gen(sphere_geo, bad, 1j),
-                               flow_many_gen(sphere_geo, good[::-1], 0.3 + 0.8j)])
+    a, b, c = run(gather([flow_many_gen(sphere_geo, good, 1j),
+                          flow_many_gen(sphere_geo, bad, 1j),
+                          flow_many_gen(sphere_geo, good[::-1], 0.3 + 0.8j)]))
     assert a.ok.all() and c.ok.all() and a.reasons == [None, None]
     assert not b.ok[0] and b.reasons == ["BLOWUP"] and np.isnan(b.x).all()
 
@@ -622,8 +625,8 @@ def test_requests_of_no_rows(flat_geo, sphere_geo, rng):
     # gets an empty result, alone or beside another request
     empty = np.zeros((0, 4))
     alone = flow_many(flat_geo, empty, 1j)
-    (none, some), _ = run_merged([flow_many_gen(sphere_geo, empty, np.zeros(0)),
-                                  flow_many_gen(sphere_geo, sample_sphere(rng, 2), 1j)])
+    none, some = run(gather([flow_many_gen(sphere_geo, empty, np.zeros(0)),
+                             flow_many_gen(sphere_geo, sample_sphere(rng, 2), 1j)]))
     assert alone.x.shape == none.x.shape == (0, 2) and alone.steps == 0
     assert some.ok.all()
 
@@ -636,4 +639,27 @@ def test_an_exception_in_a_generator_propagates(flat_geo, rng):
         raise ValueError("not a flow failure")
 
     with pytest.raises(ValueError, match="not a flow failure"):
-        run_merged([flow_many_gen(flat_geo, Z, 1j), broken(), flow_many_gen(flat_geo, Z, 0.5)])
+        run(gather([flow_many_gen(flat_geo, Z, 1j), broken(), flow_many_gen(flat_geo, Z, 0.5)]))
+
+
+def test_an_integration_shares_its_seconds_by_row_steps(flat_geo, sphere_geo, rng, monkeypatch):
+    # a fake clock on which each integration takes 1.0 s: the requests it
+    # answered get it in proportion to their rows' steps, a request of no
+    # rows gets 0, and an integration that makes no step (every row fails
+    # at its start) shares its second by rows
+    monkeypatch.setattr(flow, "perf_counter", itertools.count(0.0).__next__)
+    Z = sample_flat(rng, 5)
+    merged = run(gather([flow_many_gen(flat_geo, Z[:2], 1j),
+                         flow_many_gen(flat_geo, np.zeros((0, 4)), 1j),
+                         flow_many_gen(flat_geo, Z[2:], np.array([0.4, 0.3 + 0.8j, 1.2j]))]))
+    total = sum(res.row_steps.sum() for res in merged)
+    assert [res.seconds for res in merged] == [res.row_steps.sum() / total for res in merged]
+    assert merged[1].seconds == 0.0 and merged[0].seconds != merged[2].seconds
+    assert sum(res.seconds for res in merged) == pytest.approx(1.0, rel=0, abs=1e-15)
+    bad = np.array([[0.7, 0.0, 0.0, 0.0]] * 3)  # outside the sphere's complex region
+    stuck = run(gather([flow_many_gen(sphere_geo, bad[:1], 1j),
+                        flow_many_gen(sphere_geo, np.zeros((0, 4)), 1j),
+                        flow_many_gen(sphere_geo, bad[1:], 1j)]))
+    assert [res.row_steps.sum() for res in stuck] == [0, 0, 0]
+    assert [res.seconds for res in stuck] == [1 / 3, 0.0, 2 / 3]
+    assert run(flow_many_gen(sphere_geo, np.zeros((0, 4)), 1j)).seconds == 0.0

@@ -212,8 +212,8 @@ def test_geometry_suite_checks_second_derivatives(name, monkeypatch):
         fn = getattr(geo, name)
         return dataclasses.replace(geo, **{name: lambda x: (1 + 1e-6) * fn(x)})
 
-    checks = {c.name: c for c in suites.suite_geometry(1234)}
+    checks = {c.name: c for c in suites.suite_geometry(1234)[0]}
     assert checks["sphere_validation"].passed and checks["flat_validation"].passed
     patch_chart(monkeypatch, "sphere", bad_sphere)
-    checks = {c.name: c for c in suites.suite_geometry(1234)}
+    checks = {c.name: c for c in suites.suite_geometry(1234)[0]}
     assert not checks["sphere_validation"].passed

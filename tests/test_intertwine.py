@@ -111,7 +111,7 @@ def test_suite_intertwine_batches_its_flows(monkeypatch):
         return original(geo, Z0, *args, **kwargs)
 
     monkeypatch.setattr(flow, "_integrate_path", counting)
-    checks = suite_intertwine(1234)
+    checks, _ = suite_intertwine(1234)
     monkeypatch.undo()
     assert flow._integrate_path is original
     assert all(c.passed for c in checks)

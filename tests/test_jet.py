@@ -289,7 +289,7 @@ def _scaled_fused_d2g(geo, factor):
 
 
 def _check(suite, name):
-    return next(c for c in suite(1234) if c.name == name)
+    return next(c for c in suite(1234)[0] if c.name == name)
 
 
 def test_wrong_fused_second_derivative_fails_both_gates(monkeypatch):

@@ -462,7 +462,7 @@ def test_integrability_sees_a_wrong_second_derivative(name, monkeypatch):
     # the brackets see the sphere's tangent map: a 1 + 1e-6 scale of either
     # second-derivative evaluator fails the integrability_sphere check
     def check():
-        return next(c for c in suites.suite_frames(1234) if c.name == "integrability_sphere")
+        return next(c for c in suites.suite_frames(1234)[0] if c.name == "integrability_sphere")
 
     assert check().passed
 

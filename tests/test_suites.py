@@ -47,7 +47,7 @@ def test_a_third_chart_is_one_table_entry(monkeypatch):
     funcs = suites.suite_functions()
     checks = {}
     for suite in ("geometry",) + FLOWING_SUITES:
-        checks.update({c.name: c for c in funcs[suite](1234)})
+        checks.update({c.name: c for c in funcs[suite](1234)[0]})
     failed = [name for name, c in checks.items() if not c.passed]
     assert not failed
     for key in suites._CHARTS["flat"].tol:
@@ -79,9 +79,9 @@ def test_a_nan_entry_fails_its_check(monkeypatch):
 
     monkeypatch.setattr(suites, "integrability_residual_many_gen",
                         nan_sphere_row(suites.integrability_residual_many_gen, 3))
-    frames = {c.name: c for c in suites.suite_frames(1234)}
+    frames = {c.name: c for c in suites.suite_frames(1234)[0]}
     monkeypatch.setattr(suites, "flow_many_gen", nan_sphere_row(suites.flow_many_gen, None))
-    flows = {c.name: c for c in suites.suite_flow(1234)}
+    flows = {c.name: c for c in suites.suite_flow(1234)[0]}
     assert np.isnan(frames["integrability_sphere"].value)
     assert not frames["integrability_sphere"].passed and frames["integrability_flat"].passed
     assert np.isnan(flows["tangent_map_contour"].value)
@@ -89,12 +89,15 @@ def test_a_nan_entry_fails_its_check(monkeypatch):
 
 
 def _block_at_a_time(gens):
-    """A test-only stand-in for ``flow.run_merged`` in ``suites._run``:
-    each (block, chart) call runs to its end, its requests answered by
-    ``flow.run``, before the next one starts, the order of the suites
-    before the flow plan."""
-    values = [flow.run(gen) for gen in gens]
-    return values, [0.0] * len(values)
+    """A test-only stand-in for ``flow.gather`` in ``suites``.  The suite's
+    lockstep over its (block, chart) calls (``_call`` generators) runs each
+    call to its end, its requests answered by ``flow.run``, before the next
+    one starts, the order of the suites before the flow plan; a ``gather``
+    inside a block still merges its flows."""
+    gens = list(gens)
+    if any(gen.gi_code is not suites._call.__code__ for gen in gens):
+        return (yield from flow.gather(gens))
+    return [flow.run(gen) for gen in gens]
 
 
 # a number in a note, as the blocks format them (kappa1's candidate residuals)
@@ -112,12 +115,14 @@ def test_planned_suites_equal_block_at_a_time(seed, monkeypatch):
     # the same pass flags and notes.  A merged flow gives a row its own
     # values but for the last-bit rounding of the stage combinations by
     # column position, and a one-row flow also sums its error norm in
-    # another order; so a value, and a number in a note, is equal within
-    # 1e-12 relative, or, for a residual at rounding level, within 1e-15
-    # absolute (kappa1_adapted reads 1.3690e-13 planned and 1.3656e-13 from
-    # the one-row frame flow that kappa1 makes alone at seed 0)
+    # another order (the stand-in unmerges only the suite's lockstep; the
+    # blocks' own gathers still merge their flows); so a value, and a
+    # number in a note, is equal within 1e-12 relative, or, for a residual
+    # at rounding level, within 1e-15 absolute (kappa1_adapted reads
+    # 1.3690e-13 planned and 1.3656e-13 from the one-row frame flow that
+    # kappa1 makes alone at seed 0)
     planned = suites.run_suite("all", seed)
-    monkeypatch.setattr(suites, "run_merged", _block_at_a_time)
+    monkeypatch.setattr(suites, "gather", _block_at_a_time)
     alone = suites.run_suite("all", seed)
     for sub, ref in zip(planned["suites"], alone["suites"]):
         assert [c["name"] for c in sub["checks"]] == [c["name"] for c in ref["checks"]]
@@ -187,6 +192,16 @@ def test_each_block_reports_its_runtime_outside_the_checks():
             assert not [key for check in sub["checks"] for key in check if "runtime" in key]
 
 
+def test_block_runtimes_never_count_a_flow_twice():
+    # a block's runtime is its own time plus the seconds of the flow results
+    # it is sent, each counted once however many gathers they passed, so a
+    # suite's block runtimes sum to no more than its runtime (up to the
+    # rounding of the rounded fields: 4 decimals each, 3 for the suite)
+    for sub in suites.run_suite("all", 1234)["suites"]:
+        times = [t["runtime_sec"] for t in sub["block_runtime_sec"]]
+        assert sum(times) <= sub["runtime_sec"] + 5e-4 + 5e-5 * len(times), sub["suite"]
+
+
 def test_a_failed_flow_fails_its_checks_and_the_report_is_written(monkeypatch):
     # a complex region of radius 0.2 puts the sphere's sample rows outside
     # it: their flows fail BLOWUP, which fails those checks on that chart
@@ -220,8 +235,8 @@ def test_a_wrong_potential_fails_dbar_not_kde(monkeypatch):
         return dataclasses.replace(geo, potential=lambda u, _p=geo.potential: (1 + 1e-6) * _p(u))
 
     patch_chart(monkeypatch, "sphere", scaled_potential)
-    kahler = {c.name: c for c in suites.suite_kahler(1234)}
-    geometry = {c.name: c for c in suites.suite_geometry(1234)}
+    kahler = {c.name: c for c in suites.suite_kahler(1234)[0]}
+    geometry = {c.name: c for c in suites.suite_geometry(1234)[0]}
     assert not kahler["dbar_sphere"].passed
     assert not geometry["sphere_validation"].passed
     assert kahler["kde_sphere"].passed
