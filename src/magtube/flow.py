@@ -60,6 +60,25 @@ zero (``None``; dg, d2g and dbeta on the flat chart) are skipped.  A flow
 passes the jet one work dict, so a fused jet allocates its arrays once per
 flow and writes into them at every call.
 
+Recording and replay.  ``_rhs`` is the one statement of the right-hand side,
+and a working set records it once (``_Replay``): one stage runs ``_rhs`` on
+operands that compute every value as numpy does and note each ufunc call,
+view and assignment (``_Recording``), and every later stage of the set
+reads the jet and replays the noted calls.  A replayed call's operands are
+bound to the stage input and the stage slot (their views re-pointed once
+per input and slot), to the jet's arrays, and to one scratch array per
+temporary shape (temporaries whose uses overlap get one each), so a
+replayed stage has the bits of ``_rhs`` and skips its Python work.  A set
+records at the first iteration in which no row's step reaches the end of
+its segment; until then its stages call ``_rhs``, since a set that a row
+leaves after one iteration does not repay its recording.  A narrowed set
+records again.  A jet that hands back other arrays than at the recording (a
+composed jet does at every call) has its operands bound to them, and the
+set records again if one differs in shape, dtype or layout.  What wraps
+``_rhs`` or ``_field`` is recorded with them; a recording that reads a
+value (a branch on an array, a conversion) is not replayed, and its set
+calls ``_rhs`` at every stage.
+
 The integrator has one configuration: its tolerances, step budget, smallest
 step and momentum cap are the module constants ``REL_TOL``, ``ABS_TOL``,
 ``MAX_STEPS``, ``MIN_STEP`` and ``P_CAP``, not parameters; the only option of
@@ -90,6 +109,7 @@ but for the two last-bit couplings above.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from time import perf_counter
 from typing import NamedTuple, Optional, Sequence
@@ -360,6 +380,344 @@ def _rhs(geo: ChartedGeometry, Y: np.ndarray, out: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# the right-hand side of a working set, recorded once and replayed
+# ---------------------------------------------------------------------------
+
+# The groups of a recording's operands, by what they are bound to: bound once
+# per working set (the scalars, and the temporaries' scratch arrays), to the
+# stage input, to the stage slot, or to the jet's arrays; a view of an
+# operand is in its group.
+_FIXED, _INPUT, _OUTPUT, _JET = range(4)
+_SCALARS = (int, float, complex, np.generic)
+
+
+def _swapaxes(a, axes):
+    return a.swapaxes(*axes)
+
+
+def _assign(target, value):
+    """target[...] = value, as a recorded call."""
+    np.copyto(target, value, casting="unsafe")
+
+
+def _bind(entries, roots) -> list:
+    """The arrays of one group of operands: each entry (parent, fn, arg) is
+    the root ``roots[arg]`` (fn None) or the view fn(arrays[parent], arg)."""
+    vals = []
+    for parent, fn, arg in entries:
+        vals.append(roots[arg] if fn is None else fn(vals[parent], arg))
+    return vals
+
+
+class _Operand(np.lib.mixins.NDArrayOperatorsMixin):
+    """An array of a ``_Recording``: its value ``a``, computed as ``_rhs``
+    computes it, and its index ``i`` in the recording.  Ufunc calls (numpy's
+    operators among them), basic indexing, ``reshape`` and ``swapaxes`` are
+    recorded, and ``shape`` and ``len`` read; any other use reads the value
+    and leaves the recording unreplayable."""
+
+    __slots__ = ("rec", "a", "i")
+
+    def __init__(self, rec, a, i):
+        self.rec, self.a, self.i = rec, a, i
+
+    shape = property(lambda self: self.a.shape)
+
+    def __len__(self):
+        return len(self.a)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if method == "__call__" and not kwargs:
+            return self.rec.call(ufunc, inputs, out)
+        self.rec.replayable = False
+        if out is not None:
+            kwargs["out"] = tuple(o.a if o.__class__ is _Operand else o for o in out)
+        return getattr(ufunc, method)(*(x.a if x.__class__ is _Operand else x
+                                        for x in inputs), **kwargs)
+
+    # the operators that _rhs uses, without numpy's dispatch
+    def __mul__(self, other):
+        return self.rec.call(np.multiply, (self, other), None)
+
+    def __rmul__(self, other):
+        return self.rec.call(np.multiply, (other, self), None)
+
+    def __add__(self, other):
+        return self.rec.call(np.add, (self, other), None)
+
+    def __iadd__(self, other):
+        return self.rec.call(np.add, (self, other), (self,))
+
+    def __isub__(self, other):
+        return self.rec.call(np.subtract, (self, other), (self,))
+
+    def __getitem__(self, key):
+        return self.rec.view(self, operator.getitem, key, self.a[key])
+
+    def __setitem__(self, key, value):
+        self.rec.assign(self, key, value)
+
+    def reshape(self, *shape):
+        if len(shape) == 1 and isinstance(shape[0], tuple):
+            shape = shape[0]
+        value = self.a.reshape(shape)
+        return self.rec.view(self, np.ndarray.reshape, value.shape, value)
+
+    def swapaxes(self, axis1, axis2):
+        return self.rec.view(self, _swapaxes, (axis1, axis2), self.a.swapaxes(axis1, axis2))
+
+    def _value(self):
+        self.rec.replayable = False
+        return self.a
+
+    def __getattr__(self, name):
+        return getattr(self._value(), name)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self._value(), dtype=dtype)
+
+    def __bool__(self):
+        return bool(self._value())
+
+
+class _RecordingGeometry:
+    """The geometry that a recording passes ``_rhs``: its jet is the
+    recording's read of the jet, every other attribute the geometry's."""
+
+    def __init__(self, geo, rec):
+        self._geo, self._rec = geo, rec
+
+    def __getattr__(self, name):
+        return getattr(self._geo, name)
+
+    def jet(self, x, order=1, work=None):
+        return self._rec.read_jet(x, order, work)
+
+
+class _Recording:
+    """One evaluation of ``_rhs`` on operands (``_Operand``): each value is
+    computed at once, as ``_rhs`` computes it, and each ufunc call, view and
+    assignment is recorded, so that ``program`` can replay it.
+
+    ``jet`` holds the jet's arrays for this evaluation if they were read
+    already; otherwise the recording reads the geometry's jet.  A recording
+    that reads the jet twice, after a call or at a point that is not a view
+    of the stage input, or that meets a use it cannot record, is not
+    ``replayable``; its values are still those of ``_rhs``.
+    """
+
+    def __init__(self, geo, jet=None):
+        self.geo = _RecordingGeometry(geo, self)
+        self._real_geo, self._jet = geo, jet
+        self.replayable = True
+        self.nodes = []  # (group, index in the group, root) of each operand
+        self.entries = ([], [], [], [])  # each group's entries for _bind
+        self.fixed = []  # the roots of _FIXED: a scalar, or a temporary's (shape, dtype)
+        self.temps = []  # (operand, its index in fixed, the call that makes it)
+        self.calls = []  # (fn, operand indices)
+        self.jet_read = None  # (index of x in _INPUT, order, work, arrays)
+
+    def root(self, value, group, arg=0) -> _Operand:
+        """A new root operand: the stage input or slot, the jet array at
+        position ``arg``, a scalar, or a temporary (whose value is not kept:
+        it is bound to a scratch array)."""
+        entries = self.entries[group]
+        if group == _FIXED:
+            arg = len(self.fixed)
+            self.fixed.append(value if value.__class__ is not np.ndarray
+                              else (value.shape, value.dtype))
+        i = len(self.nodes)
+        self.nodes.append((group, len(entries), i))
+        entries.append((None, None, arg))
+        return _Operand(self, value, i)
+
+    def view(self, parent: _Operand, fn, arg, value):
+        """The operand of ``value``, the view fn(parent, arg); a copy or a
+        scalar is returned as it is, unrecorded."""
+        a = parent.a
+        if value.__class__ is not np.ndarray or value.base is not (a if a.base is None
+                                                                  else a.base):
+            self.replayable = False
+            return value
+        group, local, root = self.nodes[parent.i]
+        entries = self.entries[group]
+        i = len(self.nodes)
+        self.nodes.append((group, len(entries), root))
+        entries.append((local, fn, arg))
+        return _Operand(self, value, i)
+
+    def call(self, ufunc, inputs, outs):
+        """ufunc(*inputs, out=outs), computed and recorded: a call with one
+        output, into an operand or into a new temporary."""
+        real, args = [], []
+        for x in inputs:
+            if x.__class__ is _Operand:
+                real.append(x.a)
+                args.append(x.i)
+            else:
+                real.append(x)
+                if isinstance(x, _SCALARS):
+                    args.append(self.root(x, _FIXED).i)
+                else:
+                    self.replayable = False
+        if outs is None:
+            result = ufunc(*real)
+            if not self.replayable or result.__class__ is not np.ndarray:
+                self.replayable = False
+                return result
+            out = self.root(result, _FIXED)
+            self.temps.append((out.i, len(self.fixed) - 1, len(self.calls)))
+        else:
+            out = outs[0]
+            if len(outs) != 1 or out.__class__ is not _Operand:
+                self.replayable = False
+                return ufunc(*real, out=tuple(o.a if o.__class__ is _Operand else o
+                                              for o in outs))
+            ufunc(*real, out=out.a)
+            if not self.replayable:
+                return out.a
+        args.append(out.i)
+        self.calls.append((ufunc, tuple(args)))
+        return out
+
+    def assign(self, target: _Operand, key, value):
+        """target[key] = value; ``a[key] op= b`` ends with one, which numpy
+        makes a copy of the view onto itself."""
+        view = target[key]
+        if view.__class__ is not _Operand or value.__class__ is not _Operand:
+            self.replayable = False
+            target.a[key] = value.a if value.__class__ is _Operand else value
+            return
+        _assign(view.a, value.a)
+        self.calls.append((_assign, (view.i, value.i)))
+
+    def read_jet(self, x, order, work):
+        arrays, self._jet = self._jet, None
+        if arrays is None:
+            arrays = self._real_geo.jet(x.a if x.__class__ is _Operand else x, order, work)
+        if (self.jet_read is not None or self.calls or x.__class__ is not _Operand
+                or self.nodes[x.i][0] != _INPUT
+                or not all(a is None or a.__class__ is np.ndarray for a in arrays)):
+            self.replayable = False
+            return arrays
+        self.jet_read = (self.nodes[x.i][1], order, work, tuple(arrays))
+        return tuple(None if a is None else self.root(a, _JET, k) for k, a in enumerate(arrays))
+
+    def program(self) -> tuple:
+        """The recording as a program for ``_Replay``: each group's entries
+        for ``_bind``; the arrays of ``_FIXED``, bound; the calls' functions;
+        the getters of their operands from the arrays of all groups, in group
+        order; and the jet read.
+
+        Each temporary gets a scratch array, shared by the temporaries of its
+        shape and dtype whose uses do not overlap: it takes one at the call
+        that makes it and gives it back after its last use, by itself or by
+        a view of it."""
+        nodes, calls = self.nodes, self.calls
+        offsets, k = [], 0
+        for entries in self.entries:
+            offsets.append(k)
+            k += len(entries)
+        new = [offsets[g] + local for g, local, _ in nodes]
+        last = {}
+        for k, (_, idx) in enumerate(calls):
+            for i in idx:
+                last[nodes[i][2]] = k
+        made, freed = [[] for _ in calls], [[] for _ in calls]
+        for i, slot, k in self.temps:
+            made[k].append(slot)
+            freed[last[i]].append(slot)
+        roots, free = list(self.fixed), {}
+        for k in range(len(calls)):
+            for slot in made[k]:
+                pool = free.get(roots[slot])
+                roots[slot] = pool.pop() if pool else np.empty(*roots[slot])
+            for slot in freed[k]:
+                a = roots[slot]
+                free.setdefault((a.shape, a.dtype), []).append(a)
+        return (self.entries, _bind(self.entries[_FIXED], roots), tuple(fn for fn, _ in calls),
+                [operator.itemgetter(*[new[i] for i in idx]) for _, idx in calls], self.jet_read)
+
+
+class _Replay:
+    """The right-hand side of one working set, ``rhs(Y, out)``: the values
+    of ``_rhs(geo, Y, out, work)`` to the last bit.
+
+    The first call records ``_rhs`` (``_Recording``).  Every later call
+    reads the jet, as ``_rhs`` does, and replays the recorded calls on the
+    arrays bound to it: the views of its stage input Y and of its stage slot
+    out, bound once per input and slot; the jet's arrays and their views,
+    bound again when the jet hands back other arrays; and the scratch arrays
+    of the temporaries, bound once.  A jet that hands back arrays of another
+    shape, dtype or layout is recorded again.  After a recording that is not
+    replayable every call is ``_rhs``.
+    """
+
+    def __init__(self, geo: ChartedGeometry, work: dict):
+        self._geo, self._work = geo, work
+        self._replayable = None  # not recorded yet
+
+    def _record(self, Y, out, jet=None):
+        rec = _Recording(self._geo, jet)
+        _rhs(rec.geo, rec.root(Y, _INPUT), rec.root(out, _OUTPUT), self._work)
+        self._replayable = rec.replayable
+        if rec.replayable:
+            self._entries, self._fixed, self._fns, self._getters, self._read = rec.program()
+            self._jet = () if self._read is None else self._read[3]
+            self._jet_views = _bind(self._entries[_JET], self._jet)
+            self._views, self._tapes = {}, {}
+        return out
+
+    def _bound(self, group, root) -> list:
+        """The views of the stage input or slot ``root``, bound once."""
+        views = self._views.get(id(root))
+        if views is None:
+            views = self._views[id(root)] = (root, _bind(self._entries[group], (root,)))
+        return views[1]
+
+    def _tape(self, Y, out):
+        """The jet's point and each call's arrays, for Y and out."""
+        inputs = self._bound(_INPUT, Y)
+        arr = self._fixed + inputs + self._bound(_OUTPUT, out) + self._jet_views
+        return (None if self._read is None else inputs[self._read[0]],
+                [get(arr) for get in self._getters])
+
+    def _repoint(self, jet) -> bool:
+        """Bind the jet's operands to the arrays ``jet``; False if one of them
+        differs from the recorded one in shape, dtype or layout."""
+        if len(jet) != len(self._jet) or not all(
+                b is None if a is None else (a.__class__ is np.ndarray and b is not None
+                                             and a.shape == b.shape and a.dtype == b.dtype
+                                             and a.strides == b.strides)
+                for a, b in zip(jet, self._jet)):
+            return False
+        self._jet, self._jet_views = jet, _bind(self._entries[_JET], jet)
+        self._tapes.clear()
+        return True
+
+    def __call__(self, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if not self._replayable:
+            if self._replayable is None:
+                return self._record(Y, out)
+            return _rhs(self._geo, Y, out, self._work)
+        key = (id(Y), id(out))
+        tape = self._tapes.get(key)
+        if tape is None:
+            tape = self._tapes[key] = self._tape(Y, out)
+        x, args = tape
+        read = self._read
+        if read is not None:
+            jet = self._geo.jet(x, read[1], read[2])
+            if len(jet) != len(self._jet) or not all(map(operator.is_, jet, self._jet)):
+                if not self._repoint(jet):
+                    return self._record(Y, out, jet)
+                x, args = self._tapes[key] = self._tape(Y, out)
+        for fn, a in zip(self._fns, args):
+            fn(*a)
+        return out
+
+
+# ---------------------------------------------------------------------------
 # DOP853 8(5,3), complex state, batched over the rows still moving
 # ---------------------------------------------------------------------------
 
@@ -485,6 +843,20 @@ def _work_arrays(D: int, m: int) -> tuple:
             *(np.empty((D, m)) for _ in range(4)))
 
 
+def _stage_views(K: np.ndarray, S: np.ndarray, E: np.ndarray) -> tuple:
+    """The views that combine the stages of a working set's K, S and E:
+    stage 0's slot; each later stage's slot, the run of slots its input
+    reads (real view) and that run's weights (``_STAGE_RUNS``); the stage
+    input as a real view; and the step's weights, run and solution with its
+    error sums as a real view (``_STEP_RUN``)."""
+    Kr = K.reshape(_dop.N_STAGES, -1).view(np.float64)
+    lo, hi, w = _STEP_RUN
+    return (K[_SLOT[0]],
+            tuple((K[slot], Kr[a:b], weights) for slot, a, b, weights in _STAGE_RUNS),
+            S.reshape(-1).view(np.float64),
+            (w, Kr[lo:hi], E.reshape(3, -1).view(np.float64)))
+
+
 def _narrow(a: np.ndarray, k: int) -> np.ndarray:
     """The work array a, C-contiguous, for its first k rows: the first
     entries of its memory as a C-contiguous (..., k) array."""
@@ -542,7 +914,10 @@ def _integrate_path(
     The work arrays are allocated once per call, for all m rows, and the
     working rows use their first entries (``_narrow``); every step is formed
     in them (see the module docstring and ``_SLOT``), and |Y| is carried
-    over from the accepted |y_new|.
+    over from the accepted |y_new|.  Each working set makes its views that
+    combine the stages once (``_stage_views``) and records its right-hand
+    side once (``_Replay``), at the first iteration in which no row's step
+    reaches the end of its segment.
     """
     Z0 = np.asarray(Z0, dtype=complex)
     m = Z0.shape[0]
@@ -568,6 +943,9 @@ def _integrate_path(
     arrays = _work_arrays(D, m)
     jet_work = {}
 
+    def evaluate(Y, out):  # a stage of a set that is not recorded (yet)
+        return _rhs(geo, Y, out, jet_work)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(seg_length.shape[1]):
             # the working rows: column i is row rows[i], at arc position s[i]
@@ -583,7 +961,16 @@ def _integrate_path(
             s = np.zeros(rows.size)
             h = np.minimum(0.1, length)
             start = steps
+            rhs = views = None
             while True:
+                if views is None:  # a new working set
+                    views = _stage_views(K, S, E)
+                    first, runs, Sr, (w_step, K_step, Er) = views
+                # the set records its right-hand side at the first iteration
+                # in which no row's step reaches the end of its segment; a set
+                # that a row leaves after one iteration is not worth recording
+                if rhs is None and (h < length - s).all():
+                    rhs = _Replay(geo, jet_work)
                 if steps == MAX_STEPS:
                     arrived = np.zeros(rows.size, dtype=bool)
                     failed, why = ~arrived, REASON_TOL
@@ -591,17 +978,14 @@ def _integrate_path(
                     steps += 1
                     np.minimum(h, length - s, out=h)
                     H = h * direction
-                    Kr = K.reshape(_dop.N_STAGES, -1).view(np.float64)
-                    Sr = S.reshape(-1).view(np.float64)
-                    Er = E.reshape(3, -1).view(np.float64)
-                    _rhs(geo, Yw, K[_SLOT[0]], jet_work)
-                    for slot, lo, hi, w in _STAGE_RUNS:
-                        np.matmul(w, Kr[lo:hi], out=Sr)
+                    stage = evaluate if rhs is None else rhs
+                    stage(Yw, first)
+                    for out, K_run, w in runs:
+                        np.matmul(w, K_run, out=Sr)
                         np.multiply(H, S, out=S)
                         np.add(Yw, S, out=S)
-                        _rhs(geo, S, K[slot], jet_work)
-                    lo, hi, w = _STEP_RUN
-                    np.matmul(w, Kr[lo:hi], out=Er)
+                        stage(S, out)
+                    np.matmul(w_step, K_step, out=Er)
                     np.multiply(H, E[0], out=Y_new)
                     np.add(Yw, Y_new, out=Y_new)
                     np.abs(Y_new, out=abs_new)
@@ -649,6 +1033,7 @@ def _integrate_path(
                 abs_y, abs_new = (abs_y.take(keep, axis=1, out=_narrow(abs_new, k)),
                                   _narrow(abs_y, k))
                 K, S, E, scale, work = (_narrow(a, k) for a in (K, S, E, scale, work))
+                rhs = views = None
 
     ok = reasons == ""
     Y = Y.T

@@ -1,9 +1,32 @@
+import signal
+
 import numpy as np
 import pytest
 
 from magtube.geometry import ChartedGeometry, make_flat_magnetic, make_sphere_magnetic
 
 SEED = 20240811
+TIME_LIMIT = 60  # seconds per test; the slowest takes under one
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test that runs past TIME_LIMIT instead of stalling the run
+    (POSIX only: SIGALRM)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past its {TIME_LIMIT} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

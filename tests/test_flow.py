@@ -365,23 +365,101 @@ def test_a_spent_budget_fails_only_the_rows_still_moving(flat_geo, sphere_geo, r
 
 def test_rhs_gets_c_contiguous_arrays(flat_geo, sphere_geo, rng, monkeypatch):
     # the rows still moving are gathered into the first entries of the work
-    # arrays, so every state and stage the right-hand side reads or writes
-    # is C-contiguous, at every width of the batch
-    seen = []
-    rhs = flow._rhs
+    # arrays, so every stage input and slot is C-contiguous, at every width
+    # of the batch.  A working set records _rhs at the first iteration in
+    # which no row's step reaches the end of its segment and replays it
+    # after; before that its stages call _rhs.  Every stage, whichever way it
+    # is evaluated, writes into its slot exactly _rhs of its input
+    stages = []
+    call, rhs = flow._Replay.__call__, flow._rhs
 
-    def checked(geo, Y, out, work=None):
-        seen.append((Y.shape[1], Y.flags.c_contiguous, out.flags.c_contiguous))
-        return rhs(geo, Y, out, work)
+    def replayed(self, Y, out):
+        kind = "record" if self._replayable is None else "replay"
+        call(self, Y, out)
+        exact = np.array_equal(out, rhs(self._geo, Y, np.empty_like(out)))
+        stages.append((kind, Y.shape[1], Y.flags.c_contiguous and out.flags.c_contiguous, exact))
+        return out
 
-    monkeypatch.setattr(flow, "_rhs", checked)
-    t = np.array([0.2j] * 26 + [1.2j] * 4)
-    for geo, Z in ((flat_geo, sample_flat(rng, 30)), (sphere_geo, sample_sphere(rng, 30))):
-        for tangent in (True, False):
-            seen.clear()
-            assert flow_many(geo, Z, t, tangent=tangent).ok.all()
-            assert len({width for width, _, _ in seen}) > 1  # the batch was gathered
-            assert all(y and out for _, y, out in seen)
+    def called(geo, Y, out, work=None):
+        rhs(geo, Y, out, work)
+        if isinstance(Y, np.ndarray):  # a stage, not a recording
+            stages.append(("rhs", Y.shape[1], Y.flags.c_contiguous and out.flags.c_contiguous,
+                           True))
+        return out
+
+    monkeypatch.setattr(flow._Replay, "__call__", replayed)
+    monkeypatch.setattr(flow, "_rhs", called)
+    kinds = set()
+    for t in (np.array([0.2j] * 26 + [1.2j] * 4), 1j * np.linspace(0.2, 1.2, 30)):
+        for geo, Z in ((flat_geo, sample_flat(rng, 30)), (sphere_geo, sample_sphere(rng, 30))):
+            for tangent in (True, False):
+                stages.clear()
+                res = flow_many(geo, Z, t, tangent=tangent)
+                assert res.ok.all() and len(stages) == 12 * res.steps
+                assert len({width for _, width, _, _ in stages}) > 1  # the batch was gathered
+                assert all(contiguous and exact for _, _, contiguous, exact in stages)
+                kinds |= {kind for kind, _, _, _ in stages}
+    assert kinds == {"record", "replay", "rhs"}
+
+
+@pytest.mark.parametrize("tangent", [False, True])
+def test_a_wrapped_rhs_or_field_enters_every_stage(flat_geo_free, rng, monkeypatch, tangent):
+    # what a wrapper of _rhs or _field does is recorded with it, so it enters
+    # every replayed stage too: on the plane without a field (g = 1, A = 0)
+    # a constant c added to dq/ds gives quad = c t, and one added to dp/ds
+    # gives p = p0 + c t and x = x0 + p0 t + c t^2 / 2, which DOP853
+    # integrates exactly whatever its steps
+    c = 1e-3
+    Z = sample_flat(rng, 6)
+    t = 1j * np.linspace(0.2, 1.2, len(Z))
+    rhs, field = flow._rhs, flow._field
+
+    def rhs_plus_c(geo, Y, out, work=None):
+        rhs(geo, Y, out, work)
+        out[2 * geo.dim] += c
+        return out
+
+    def field_plus_c(g, dg, b, p, out):
+        T = field(g, dg, b, p, out)
+        out[len(p):] += c
+        return T
+
+    with monkeypatch.context() as mp:
+        mp.setattr(flow, "_rhs", rhs_plus_c)
+        res = flow_many(flat_geo_free, Z, t, tangent=tangent)
+    assert res.ok.all() and len(set(res.row_steps)) > 1
+    assert np.abs(res.quad - c * t).max() < 1e-14
+    with monkeypatch.context() as mp:
+        mp.setattr(flow, "_field", field_plus_c)
+        res = flow_many(flat_geo_free, Z, t, tangent=tangent)
+    T = t[:, None]
+    assert np.abs(res.p - (Z[:, 2:] + c * T)).max() < 1e-14
+    assert np.abs(res.x - (Z[:, :2] + Z[:, 2:] * T + 0.5 * c * T ** 2)).max() < 1e-14
+
+
+def test_a_recording_that_reads_a_value_is_not_replayed(flat_geo, sphere_geo, rng,
+                                                      monkeypatch):
+    # a wrapper of _rhs that branches on a value cannot be replayed: its
+    # working set calls _rhs at every later stage, with the same bits
+    rhs, calls = flow._rhs, []
+
+    def branching(geo, Y, out, work=None):
+        rhs(geo, Y, out, work)
+        calls.append(isinstance(Y, np.ndarray))  # False at a recording
+        if not np.isfinite(out[0]).all():
+            raise FloatingPointError
+        return out
+
+    t = 1j * np.linspace(0.2, 1.2, 8)
+    for geo, Z in ((flat_geo, sample_flat(rng, 8)), (sphere_geo, sample_sphere(rng, 8))):
+        ref = flow_many(geo, Z, t)
+        with monkeypatch.context() as mp:
+            mp.setattr(flow, "_rhs", branching)
+            calls.clear()
+            res = flow_many(geo, Z, t)
+        assert len(calls) == 12 * res.steps and 0 < calls.count(False) < len(calls)
+        for name in ("x", "p", "quad", "jac", "det"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name))
 
 
 def test_scalar_time_is_a_full_array_of_it(flat_geo, sphere_geo, rng):

@@ -211,6 +211,28 @@ def test_rhs_fused_matches_composed(tangent, rng):
 
 
 @pytest.mark.parametrize("tangent", [False, True])
+def test_a_composed_jet_flows_as_the_fused_jet(tangent, rng):
+    # a composed jet hands back fresh arrays at every call, a fused jet the
+    # same ones; the replayed right-hand side reads each call's arrays, so a
+    # flow on the composed jet is the fused flow bit for bit.  The per-row
+    # times make the rows leave at several iterations, the first after two,
+    # so the working set narrows several times
+    flat = make_flat_magnetic(2, [[0.0, 1.0], [-1.0, 0.0]], 1.0)
+    sphere = make_sphere_magnetic(1.0, 1.0)
+    t = 1j * np.linspace(0.2, 1.2, 8)
+    for geo, Z in ((flat, sample_flat(rng, 8)), (sphere, sample_sphere(rng, 8)),
+                   (sphere.with_negated_field(), sample_sphere(rng, 8))):
+        fused = flow_many(geo, Z, t, tangent=tangent)
+        composed = flow_many(_composed(geo), Z, t, tangent=tangent)
+        assert fused.ok.all() and composed.ok.all()
+        assert len(set(fused.row_steps)) >= 4 and fused.row_steps.min() >= 2
+        assert composed.steps == fused.steps
+        assert np.array_equal(composed.row_steps, fused.row_steps)
+        for name in ("x", "p", "quad", "det") + (("jac",) if tangent else ()):
+            assert np.array_equal(getattr(composed, name), getattr(fused, name), equal_nan=True)
+
+
+@pytest.mark.parametrize("tangent", [False, True])
 def test_rhs_reads_the_geometry_through_one_jet_call(tangent, rng):
     sphere = make_sphere_magnetic(1.0, 1.0)
     calls = []

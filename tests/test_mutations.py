@@ -3,7 +3,10 @@ verify checks (DeMillo, Lipton and Sayward, IEEE Computer 1978).
 
 A defect is a small wrong change to one piece of the engine: a chart
 evaluator, the field, the quadrature, the variational term, the integrator's
-tableau, the time of the frame transport or the -beta chart.  The battery
+tableau, the time of the frame transport or the -beta chart.  A flow
+records its right-hand side once per working set and replays it
+(``flow._Replay``); a defect that wraps ``flow._rhs`` or ``flow._field`` is
+recorded with them, so it enters every stage of every flow.  The battery
 runs only the suites that hold the checks named for it; the kill matrix over
 every check comes from running this file as a script:
 
