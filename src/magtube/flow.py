@@ -482,7 +482,9 @@ class _Operand(np.lib.mixins.NDArrayOperatorsMixin):
 
 class _RecordingGeometry:
     """The geometry that a recording passes ``_rhs``: its jet is the
-    recording's read of the jet, every other attribute the geometry's."""
+    recording's read of the jet, every other attribute the geometry's.  The
+    recording does not hold it, so no cycle keeps a recording, and the jet's
+    arrays it holds, alive for the cyclic collector."""
 
     def __init__(self, geo, rec):
         self._geo, self._rec = geo, rec
@@ -507,7 +509,6 @@ class _Recording:
     """
 
     def __init__(self, geo, jet=None):
-        self.geo = _RecordingGeometry(geo, self)
         self._real_geo, self._jet = geo, jet
         self.replayable = True
         self.nodes = []  # (group, index in the group, root) of each operand
@@ -659,7 +660,8 @@ class _Replay:
 
     def _record(self, Y, out, jet=None):
         rec = _Recording(self._geo, jet)
-        _rhs(rec.geo, rec.root(Y, _INPUT), rec.root(out, _OUTPUT), self._work)
+        _rhs(_RecordingGeometry(self._geo, rec), rec.root(Y, _INPUT), rec.root(out, _OUTPUT),
+             self._work)
         self._replayable = rec.replayable
         if rec.replayable:
             self._entries, self._fixed, self._fns, self._getters, self._read = rec.program()

@@ -23,26 +23,35 @@ flows is a flow generator (see ``flow.run``): it yields its flow requests
 through the generators of the batched operations (``flow_many_gen``,
 ``frames_at_many_gen``, ...), and ``gather`` asks for several in one
 request.  ``_run`` makes each (block, chart) call a generator (``_call``)
-and drives all of a suite's calls as one flow plan, ``run(gather(calls))``:
-each round answers the pending requests of every call with one integration
-per geometry object and tangent flag.  Since each row takes its own steps,
-a row gets the values of its own flow in a merged one, but for two
-last-bit couplings: ``np.matmul``'s rounding of the stage combinations by
-column position, and the order of the error norm's column sums, which
-numpy sums pairwise when one row moves alone.  Two rules keep a suite's
-report what it was when each call ran alone to its end:
+and drives all the calls of a run, one suite's or every suite's for
+``all``, as one flow plan, ``run(gather(calls))``: each round answers the
+pending requests of every call with one integration per geometry object and
+tangent flag.  Since each row takes its own steps, a row gets the values of
+its own flow in a merged one, but for two last-bit couplings:
+``np.matmul``'s rounding of the stage combinations by column position, and
+the order of the error norm's column sums, which numpy sums pairwise when
+one row moves alone.  Two rules keep a suite's report what it was when each
+call ran alone to its end:
 
-* draw order: ``gather`` starts the calls in registry order and runs each
-  to its first request before it starts the next (a block that never flows
-  runs to its end when it starts), so a block draws every sample from the
-  suite's generator before its first flow;
+* draw order: ``gather`` starts the calls in registry order, suite by
+  suite, and runs each to its first request before it starts the next (a
+  block that never flows runs to its end when it starts), so a block draws
+  every sample from its suite's generator before its first flow;
 * ``case``: a block leaves on its chart's namespace only what it sets before
   its first flow (``_kde``'s ``case.Z``); a block that needs a flow's result
   of another asks for that flow itself, and the plan merges the rows.
 
+Flows merge only on one geometry object, so a run builds each ``_CHARTS``
+entry once and every suite's blocks share that build, and ``_flat`` gives
+one object per plane (the table's flat chart is its (1, 1) plane).  The
+exception is the sphere-oracle block: it builds a sphere of its own, so
+that its 500-row tangent batch does not join the other suites' sphere
+tangent flow into one integration of nearly 1,400 rows.
+
 A (block, chart) call's runtime is the time spent inside it plus the
 ``seconds`` of the flow results it is sent: its rows' share of the steps of
-each merged flow that answered it.
+each merged flow that answered it.  A suite's runtime is the sum of its
+block runtimes.
 
 Each check reads a value that some engine defect can move; an identity that
 holds by construction is no check.  The engine is conjugation-equivariant
@@ -63,7 +72,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from inspect import isgenerator
 from types import SimpleNamespace
 from typing import Callable, Dict, List
@@ -151,7 +160,11 @@ class CheckResult:
 SPHERE_R, SPHERE_B = 1.0, 1.0
 
 
+@lru_cache(maxsize=None)
 def _flat(B: float, mass_freq: float) -> ChartedGeometry:
+    """The plane of field B and mass frequency mass_freq: one object per
+    (B, mass_freq) in a run (``_run`` empties the cache), so the flows of
+    every block on one plane merge."""
     return make_flat_magnetic(2, [[0.0, B], [-B, 0.0]], mass_freq)
 
 
@@ -165,9 +178,9 @@ _Chart = namedtuple("_Chart", "build wide tube validation_box analyticity_scale 
                               "kahler_rows kde_sigma point tol")
 
 
-# The charts every chart-generic check runs on, in the order of the report.
-# The oracle suites build the same two charts here: their closed forms take
-# B = mass_freq = 1 and r = B = 1.
+# The charts every chart-generic check runs on, in the order of the report,
+# each built once per run.  The oracle suites use the same two charts: their
+# closed forms take B = mass_freq = 1 and r = B = 1.
 _CHARTS: Dict[str, _Chart] = {
     "flat": _Chart(
         build=lambda: _flat(1.0, 1.0), wide=(1.0, 2.0), tube=(0.6, 1.0),
@@ -199,8 +212,8 @@ _REGISTRY: Dict[str, List[_Block]] = {name: [] for name in SUITE_NAMES if name !
 def _block(suite: str, *checks: _Check, charts=None, extras=()):
     """Register the decorated ``fn(case) -> {check name: values}`` in
     ``suite``.  ``charts`` None runs it on every table chart, a tuple of
-    names on those charts; each of ``extras`` builds one more geometry it
-    runs on (for names without ``{chart}``)."""
+    names on those charts (the run's builds), () on none; each of ``extras`` builds one
+    more geometry it runs on (for names without ``{chart}``)."""
     def register(fn):
         _REGISTRY[suite].append(_Block(fn, checks, charts, extras))
         return fn
@@ -651,11 +664,14 @@ def _geodesic_limit_and_larmor_period(case):
 @_block("sphere-oracle", _Check("engine_oracle_equivalence", 1e-8,
                                 note="100 chart points, |p| up to 2, |sigma| <= 1.2"),
         _Check("embedding_vs_engine_base", 1e-8), _Check("moment_map_conservation", 1e-9),
-        charts=("sphere",))
+        charts=(), extras=(lambda: _CHARTS["sphere"].build(),))
 def _sphere_engine(case):
     """The engine's flow against the rotation exponential, |p| up to 2 and
     |sigma| <= 1.2, with the tangent map whose error control `magtube flow`
-    uses."""
+    uses.  It runs on a sphere of its own build, so that its one 500-row
+    tangent batch stays an integration of its own: merged with the other
+    suites' sphere tangent flow it would make one of 1,371 rows at seed 1234,
+    at about 9 KB of work arrays a row."""
     rng, sph = case.rng, case.geo
     dirs = rng.normal(size=(100, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -727,43 +743,59 @@ def _worst(kind: str, values) -> float:
     return float(np.max(flat) if kind == "max" else np.min(flat))
 
 
-def _run(suite: str, seed: int):
-    """The suite's CheckResults, in report order, and its block runtimes:
-    the seconds each block took on each chart (see ``_call``), as
-    ``{"block", "chart", "runtime_sec"}`` dicts in run order."""
-    rng = np.random.default_rng([seed, SUITE_NAMES.index(suite)])
-    cases = {name: SimpleNamespace(rng=rng, chart=c, geo=c.build()) for name, c in _CHARTS.items()}
+def _run(names: tuple, seed: int) -> list:
+    """One (CheckResults, block runtimes) pair per suite of ``names``, in
+    order: the suite's CheckResults in report order, and the seconds each
+    of its blocks took on each chart (see ``_call``), as ``{"block",
+    "chart", "runtime_sec"}`` dicts in run order.  Every (block, chart) call
+    of the suites runs in one flow plan, on the run's one build of each
+    table chart and of each ``_flat`` plane."""
+    _flat.cache_clear()
+    geos = {name: c.build() for name, c in _CHARTS.items()}
     calls = []  # (block, label, case) in run order
-    for block in _REGISTRY[suite]:
-        calls += [(block, name, cases[name]) for name in block.charts or cases]
-        for build in block.extras:
-            geo = build()
-            calls.append((block, geo.name, SimpleNamespace(rng=rng, chart=None, geo=geo)))
+    for suite in names:
+        rng = np.random.default_rng([seed, SUITE_NAMES.index(suite)])
+        cases = {name: SimpleNamespace(rng=rng, chart=c, geo=geos[name])
+                 for name, c in _CHARTS.items()}
+        for block in _REGISTRY[suite]:
+            calls += [(block, name, cases[name])
+                      for name in (cases if block.charts is None else block.charts)]
+            for build in block.extras:
+                geo = build()
+                calls.append((block, geo.name, SimpleNamespace(rng=rng, chart=None, geo=geo)))
     outputs = run(gather([_call(block, case, label) for block, label, case in calls]))
-    block_runtimes = [{"block": block.fn.__name__.lstrip("_"), "chart": label,
-                       "runtime_sec": round(sec, 4)}
-                      for (block, label, _), (_, sec) in zip(calls, outputs)]
-    results = []
-    for block in _REGISTRY[suite]:
-        outs = [(label, out) for (b, label, _), (out, _) in zip(calls, outputs) if b is block]
-        for check in block.checks:
-            for name, tol, values in _rows(check, outs):
-                notes = [v.note for v in values if isinstance(v, _Noted)]
-                values = [v.value if isinstance(v, _Noted) else v for v in values]
-                results.append(CheckResult(name, _worst(check.kind, values), tol, check.kind,
-                                           notes[0] if notes else check.note))
-    return results, block_runtimes
+    reports = []
+    for suite in names:
+        block_runtimes, results = [], []
+        for block in _REGISTRY[suite]:
+            ran = [(label, out, sec) for (b, label, _), (out, sec) in zip(calls, outputs)
+                   if b is block]
+            block_runtimes += [{"block": block.fn.__name__.lstrip("_"), "chart": label,
+                                "runtime_sec": round(sec, 4)} for label, _, sec in ran]
+            outs = [(label, out) for label, out, _ in ran]
+            for check in block.checks:
+                for name, tol, values in _rows(check, outs):
+                    notes = [v.note for v in values if isinstance(v, _Noted)]
+                    values = [v.value if isinstance(v, _Noted) else v for v in values]
+                    results.append(CheckResult(name, _worst(check.kind, values), tol,
+                                               check.kind, notes[0] if notes else check.note))
+        reports.append((results, block_runtimes))
+    return reports
 
 
-# the suites, each (seed) -> (CheckResults, block runtimes), as module
-# attributes that a tracer may rebind
-suite_geometry = partial(_run, "geometry")
-suite_flow = partial(_run, "flow")
-suite_frames = partial(_run, "frames")
-suite_kahler = partial(_run, "kahler")
-suite_intertwine = partial(_run, "intertwine")
-suite_flat_oracle = partial(_run, "flat-oracle")
-suite_sphere_oracle = partial(_run, "sphere-oracle")
+def _run_one(suite: str, seed: int):
+    return _run((suite,), seed)[0]
+
+
+# the suites, each (seed) -> (CheckResults, block runtimes) run as a plan of
+# its own, as module attributes that a tracer may rebind
+suite_geometry = partial(_run_one, "geometry")
+suite_flow = partial(_run_one, "flow")
+suite_frames = partial(_run_one, "frames")
+suite_kahler = partial(_run_one, "kahler")
+suite_intertwine = partial(_run_one, "intertwine")
+suite_flat_oracle = partial(_run_one, "flat-oracle")
+suite_sphere_oracle = partial(_run_one, "sphere-oracle")
 
 
 def suite_functions() -> Dict[str, Callable[[int], tuple]]:
@@ -772,25 +804,25 @@ def suite_functions() -> Dict[str, Callable[[int], tuple]]:
 
 
 def run_suite(name: str, seed: int = 1234) -> dict:
-    """Run a named suite (or 'all') and return a JSON-serializable report.
+    """Run a named suite (or 'all', every suite in one flow plan) and return
+    a JSON-serializable report.
 
     The report is deterministic for a fixed seed except for the runtime
     fields: ``runtime_sec`` of the report and of each suite, and each
     suite's ``block_runtime_sec``, the seconds of each block on each chart
-    (see ``_run``), kept outside the check dicts.
+    (see ``_run``), kept outside the check dicts.  A suite's
+    ``runtime_sec`` is the sum of its block runtimes.
     """
     funcs = suite_functions()
     if name != "all" and name not in funcs:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     selected = list(funcs) if name == "all" else [name]
     t0 = time.perf_counter()
-    sub = []
-    for sname in selected:
-        t1 = time.perf_counter()
-        checks, block_runtimes = funcs[sname](seed)
-        sub.append({"suite": sname, "checks": [c.as_dict() for c in checks],
-                    "passed": all(c.passed for c in checks),
-                    "runtime_sec": round(time.perf_counter() - t1, 3),
-                    "block_runtime_sec": block_runtimes})
+    reports = _run(tuple(selected), seed) if name == "all" else [funcs[name](seed)]
+    sub = [{"suite": sname, "checks": [c.as_dict() for c in checks],
+            "passed": all(c.passed for c in checks),
+            "runtime_sec": round(sum(t["runtime_sec"] for t in block_runtimes), 3),
+            "block_runtime_sec": block_runtimes}
+           for sname, (checks, block_runtimes) in zip(selected, reports)]
     return {"suite": name, "seed": seed, "suites": sub, "passed": all(s["passed"] for s in sub),
             "runtime_sec": round(time.perf_counter() - t0, 3)}

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import itertools
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -460,6 +462,26 @@ def test_a_recording_that_reads_a_value_is_not_replayed(flat_geo, sphere_geo, rn
         assert len(calls) == 12 * res.steps and 0 < calls.count(False) < len(calls)
         for name in ("x", "p", "quad", "jac", "det"):
             assert np.array_equal(getattr(res, name), getattr(ref, name))
+
+
+def test_a_recording_is_freed_when_its_flow_ends(flat_geo, sphere_geo, rng, monkeypatch):
+    # reference counting frees every recording: none waits for the cyclic
+    # collector with the jet's arrays of its working set
+    alive = []
+
+    class Tracked(flow._Recording):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(flow, "_Recording", Tracked)
+    gc.disable()
+    try:
+        for geo, Z in ((flat_geo, sample_flat(rng, 8)), (sphere_geo, sample_sphere(rng, 8))):
+            flow_many(geo, Z, 1j * np.linspace(0.2, 1.2, 8))
+        assert alive and not [ref for ref in alive if ref() is not None]
+    finally:
+        gc.enable()
 
 
 def test_scalar_time_is_a_full_array_of_it(flat_geo, sphere_geo, rng):

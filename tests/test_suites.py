@@ -2,7 +2,9 @@
 entry that every chart-generic check picks up, a defect in a table chart
 reaches the checks that must see it, a NaN entry fails its check, a
 failed flow or J fails its checks without stopping the report, each suite
-keeps its flow budget and each block reports its runtime."""
+and the one plan over all suites keep their flow budgets, that plan gives
+each suite's checks as the suite alone does, and each block reports its
+runtime."""
 
 import dataclasses
 import re
@@ -89,7 +91,7 @@ def test_a_nan_entry_fails_its_check(monkeypatch):
 
 
 def _block_at_a_time(gens):
-    """A test-only stand-in for ``flow.gather`` in ``suites``.  The suite's
+    """A test-only stand-in for ``flow.gather`` in ``suites``.  The run's
     lockstep over its (block, chart) calls (``_call`` generators) runs each
     call to its end, its requests answered by ``flow.run``, before the next
     one starts, the order of the suites before the flow plan; a ``gather``
@@ -115,7 +117,7 @@ def test_planned_suites_equal_block_at_a_time(seed, monkeypatch):
     # the same pass flags and notes.  A merged flow gives a row its own
     # values but for the last-bit rounding of the stage combinations by
     # column position, and a one-row flow also sums its error norm in
-    # another order (the stand-in unmerges only the suite's lockstep; the
+    # another order (the stand-in unmerges only the run's lockstep; the
     # blocks' own gathers still merge their flows); so a value, and a
     # number in a note, is equal within 1e-12 relative, or, for a residual
     # at rounding level, within 1e-15 absolute (kappa1_adapted reads
@@ -152,7 +154,43 @@ def test_suite_flow_budget(monkeypatch):
         assert suites.run_suite(suite, 1234)["passed"], suite
         budget[suite] = len(calls)
     assert budget == {"geometry": 0, "flow": 9, "frames": 3, "kahler": 6, "intertwine": 10,
-                      "flat-oracle": 8, "sphere-oracle": 1}
+                      "flat-oracle": 7, "sphere-oracle": 1}
+
+
+def test_one_plan_flow_budget(monkeypatch):
+    # run_suite("all") answers every suite's calls in one plan, on one build
+    # of each chart and plane: at seed 1234 it makes 24 flows in 192 batch
+    # iterations, against 36 in 268 for the suites one after another, with
+    # the same row-steps.  The sphere-oracle's 500-row tangent batch runs on
+    # a sphere of its own, so it stays an integration of its own instead of
+    # joining the 871 sphere rows of the other suites' tangent flow
+    original = flow._integrate_path
+    flows = []
+
+    def counting(geo, Z0, *args, **kwargs):
+        out = original(geo, Z0, *args, **kwargs)
+        flows.append((geo.name, out[0].shape, out[4]))
+        return out
+
+    monkeypatch.setattr(flow, "_integrate_path", counting)
+    assert suites.run_suite("all", 1234)["passed"]
+    assert len(flows) == 24
+    assert sum(int(steps) for *_, steps in flows) == 192
+    assert sum(int(steps.rows.sum()) for *_, steps in flows) == 44900
+    sphere_tangent = [shape[0] for name, shape, _ in flows
+                      if name.startswith("sphere") and shape[1] == 2 * 2 + 1 + 4 * 2 * 2]
+    assert 500 in sphere_tangent and 871 in sphere_tangent
+
+
+@pytest.mark.parametrize("seed", [1234, 0])
+def test_one_plan_equals_the_suites_alone(seed):
+    # every suite keeps its own generator and its calls start in registry
+    # order, suite by suite, so the plan over all suites gives each check
+    # the name, value, tolerance, pass flag and note of its suite run alone
+    planned = suites.run_suite("all", seed)
+    alone = [suites.run_suite(name, seed)["suites"][0] for name in suites.suite_functions()]
+    assert [s["suite"] for s in planned["suites"]] == [s["suite"] for s in alone]
+    assert [s["checks"] for s in planned["suites"]] == [s["checks"] for s in alone]
 
 
 def test_sphere_engine_rows_take_their_own_steps(monkeypatch):
@@ -183,7 +221,7 @@ def test_each_block_reports_its_runtime_outside_the_checks():
         for sub in report["suites"]:
             want = []
             for block in suites._REGISTRY[sub["suite"]]:
-                charts = (list(block.charts or suites._CHARTS)
+                charts = (list(suites._CHARTS if block.charts is None else block.charts)
                           + [build().name for build in block.extras])
                 want += [(block.fn.__name__.lstrip("_"), chart) for chart in charts]
             times = sub["block_runtime_sec"]
@@ -194,10 +232,15 @@ def test_each_block_reports_its_runtime_outside_the_checks():
 
 def test_block_runtimes_never_count_a_flow_twice():
     # a block's runtime is its own time plus the seconds of the flow results
-    # it is sent, each counted once however many gathers they passed, so a
-    # suite's block runtimes sum to no more than its runtime (up to the
-    # rounding of the rounded fields: 4 decimals each, 3 for the suite)
-    for sub in suites.run_suite("all", 1234)["suites"]:
+    # it is sent, each counted once however many gathers they passed, so the
+    # block runtimes of the whole plan sum to no more than the report's
+    # runtime, and a suite's to no more than its runtime, their sum (up to
+    # the rounding of the rounded fields: 4 decimals each, 3 for a suite and
+    # the report)
+    report = suites.run_suite("all", 1234)
+    every = [t["runtime_sec"] for sub in report["suites"] for t in sub["block_runtime_sec"]]
+    assert sum(every) <= report["runtime_sec"] + 5e-4 + 5e-5 * len(every)
+    for sub in report["suites"]:
         times = [t["runtime_sec"] for t in sub["block_runtime_sec"]]
         assert sum(times) <= sub["runtime_sec"] + 5e-4 + 5e-5 * len(times), sub["suite"]
 
