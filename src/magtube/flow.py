@@ -51,9 +51,10 @@ numpy sums pairwise when one row moves alone and in order otherwise.  The
 public functions (``flow_many``, ``field_components``, ``BatchFlowResult``)
 keep the rows first.
 
-Each right-hand-side call reads the geometry through one ``geo.jet`` call:
-first order for the field and the quadrature, second order with the tangent
-map for the variational term.  That term is formed by the
+Each stage reads the geometry through one ``geo.jet`` call, which the
+integrator makes and passes to ``_rhs``: first order for the field and the
+quadrature, second order with the tangent map for the variational term.
+That term is formed by the
 blocks of DX (Hairer, Norsett and Wanner, Sec. I.14) without building DX,
 and the blocks and contractions whose factor the jet reports as identically
 zero (``None``; dg, d2g and dbeta on the flat chart) are skipped.  A flow
@@ -61,23 +62,24 @@ passes the jet one work dict, so a fused jet allocates its arrays once per
 flow and writes into them at every call.
 
 Recording and replay.  ``_rhs`` is the one statement of the right-hand side,
-and a working set records it once (``_Replay``): one stage runs ``_rhs`` on
-operands that compute every value as numpy does and note each ufunc call,
-view and assignment (``_Recording``), and every later stage of the set
-reads the jet and replays the noted calls.  A replayed call's operands are
-bound to the stage input and the stage slot (their views re-pointed once
-per input and slot), to the jet's arrays, and to one scratch array per
-temporary shape (temporaries whose uses overlap get one each), so a
-replayed stage has the bits of ``_rhs`` and skips its Python work.  A set
-records at the first iteration in which no row's step reaches the end of
-its segment; until then its stages call ``_rhs``, since a set that a row
-leaves after one iteration does not repay its recording.  A narrowed set
-records again.  A jet that hands back other arrays than at the recording (a
-composed jet does at every call) has its operands bound to them, and the
-set records again if one differs in shape, dtype or layout.  What wraps
-``_rhs`` or ``_field`` is recorded with them; a recording that reads a
-value (a branch on an array, a conversion) is not replayed, and its set
-calls ``_rhs`` at every stage.
+a function of the stage input and the jet's arrays, and a working set
+records it once (``_Replay``): one stage runs ``_rhs`` on operands that
+compute every value as numpy does and note each ufunc call, view and
+assignment (``_Recording``), and every later stage of the set reads the jet
+and replays the noted calls.  A replayed call's operands are bound to the
+stage input and the stage slot (their views bound once per input and slot)
+and, once per set, to the jet's arrays that the recording read and to one
+scratch array per temporary shape (temporaries whose uses overlap get one
+each), so a replayed stage has the bits of ``_rhs`` and skips its Python
+work.  A set records at the first iteration in which no row's step reaches
+the end of its segment; until then its stages call ``_rhs``, since a set
+that a row leaves after one iteration does not repay its recording.  A
+narrowed set records again.  A set replays only while the jet hands back
+the arrays it recorded: from the first stage whose jet hands back others (a
+composed jet does at every call) it calls ``_rhs``.  What wraps ``_rhs`` or
+``_field`` is recorded with them; a recording that reads a value (a branch
+on an array, a conversion) is not replayed, and its set calls ``_rhs`` at
+every stage.
 
 The integrator has one configuration: its tolerances, step budget, smallest
 step and momentum cap are the module constants ``REL_TOL``, ``ABS_TOL``,
@@ -322,20 +324,21 @@ def field_components(geo: ChartedGeometry, x: np.ndarray, p: np.ndarray):
     return np.moveaxis(out[: len(p)], 0, -1), np.moveaxis(out[len(p) :], 0, -1)
 
 
-def _rhs(geo: ChartedGeometry, Y: np.ndarray, out: np.ndarray,
-         work: Optional[dict] = None) -> np.ndarray:
+def _rhs(geo: ChartedGeometry, Y: np.ndarray, out: np.ndarray, jet: tuple) -> np.ndarray:
     """Right-hand side for the packed state Y of shape (D, m), one column per
     row (see ``_pack``), written into the C-contiguous (D, m) array ``out``
     (a stage slot of the integrator), which it returns.
 
-    The rows are the last axis, so each term of a contraction over the
-    small chart indices is one operation over all m rows.  The geometry is
-    read once, by one ``geo.jet`` call, with the flow's ``work`` dict; its
-    arrays are used within this call only.  A tangent-free state [x, p, q]
-    gets the field and the quadrature from the first-order jet.  With
-    [x, p, q, vec(jac)] the second-order jet also gives the variational term
-    DX @ jac, formed by blocks without building DX: with jac = [Jx; Jp],
-    T = _contract_mid(dg, p) and Q = -(1/2) d2g(p, p) + dbeta . xdot,
+    ``jet`` is the geometry's jet at Y's points, ``geo.jet(Y[:n], order,
+    work)`` with the flow's ``work`` dict, of order 2 with the tangent map
+    and 1 without, read by the caller; its arrays are used within this
+    call only.  The rows are the last axis, so each term of a contraction
+    over the small chart indices is one operation over all m rows.  A
+    tangent-free state [x, p, q] gets the field and the quadrature from the
+    first-order jet.  With [x, p, q, vec(jac)] the second-order jet also
+    gives the variational term DX @ jac, formed by blocks without building
+    DX: with jac = [Jx; Jp], T = _contract_mid(dg, p) and
+    Q = -(1/2) d2g(p, p) + dbeta . xdot,
 
         d(Jx) = T Jx + g Jp,    d(Jp) = Q Jx - T^T Jp + beta d(Jx).
 
@@ -347,15 +350,12 @@ def _rhs(geo: ChartedGeometry, Y: np.ndarray, out: np.ndarray,
     D, m = Y.shape
     n = geo.dim
     n2 = 2 * n
-    x = Y[:n]
     p = Y[n:n2]
-    tangent = D > n2 + 1
-    jet = geo.jet(x, 2 if tangent else 1, work)
     g, dg, b, A = jet[:4]
     T = _field(g, dg, b, p, out[:n2])
     xdot = out[:n]
     _dot(A, xdot, out[n2])
-    if not tangent:
+    if D == n2 + 1:
         return out
 
     J = Y[n2 + 1 :].reshape(n2, n2, m)
@@ -384,10 +384,10 @@ def _rhs(geo: ChartedGeometry, Y: np.ndarray, out: np.ndarray,
 # ---------------------------------------------------------------------------
 
 # The groups of a recording's operands, by what they are bound to: bound once
-# per working set (the scalars, and the temporaries' scratch arrays), to the
-# stage input, to the stage slot, or to the jet's arrays; a view of an
-# operand is in its group.
-_FIXED, _INPUT, _OUTPUT, _JET = range(4)
+# per working set (the scalars, the jet's arrays and the temporaries' scratch
+# arrays), to the stage input, or to the stage slot; a view of an operand is
+# in its group.
+_FIXED, _INPUT, _OUTPUT = range(3)
 _SCALARS = (int, float, complex, np.generic)
 
 
@@ -480,53 +480,32 @@ class _Operand(np.lib.mixins.NDArrayOperatorsMixin):
         return bool(self._value())
 
 
-class _RecordingGeometry:
-    """The geometry that a recording passes ``_rhs``: its jet is the
-    recording's read of the jet, every other attribute the geometry's.  The
-    recording does not hold it, so no cycle keeps a recording, and the jet's
-    arrays it holds, alive for the cyclic collector."""
-
-    def __init__(self, geo, rec):
-        self._geo, self._rec = geo, rec
-
-    def __getattr__(self, name):
-        return getattr(self._geo, name)
-
-    def jet(self, x, order=1, work=None):
-        return self._rec.read_jet(x, order, work)
-
-
 class _Recording:
     """One evaluation of ``_rhs`` on operands (``_Operand``): each value is
     computed at once, as ``_rhs`` computes it, and each ufunc call, view and
-    assignment is recorded, so that ``program`` can replay it.
-
-    ``jet`` holds the jet's arrays for this evaluation if they were read
-    already; otherwise the recording reads the geometry's jet.  A recording
-    that reads the jet twice, after a call or at a point that is not a view
-    of the stage input, or that meets a use it cannot record, is not
-    ``replayable``; its values are still those of ``_rhs``.
+    assignment is recorded, so that ``program`` can replay it.  A recording
+    that meets a use it cannot record is not ``replayable``; its values are
+    still those of ``_rhs``.
     """
 
-    def __init__(self, geo, jet=None):
-        self._real_geo, self._jet = geo, jet
+    def __init__(self):
         self.replayable = True
         self.nodes = []  # (group, index in the group, root) of each operand
-        self.entries = ([], [], [], [])  # each group's entries for _bind
-        self.fixed = []  # the roots of _FIXED: a scalar, or a temporary's (shape, dtype)
+        self.entries = ([], [], [])  # each group's entries for _bind
+        self.fixed = []  # _FIXED's roots: a scalar, a jet array or a temporary's (shape, dtype)
         self.temps = []  # (operand, its index in fixed, the call that makes it)
         self.calls = []  # (fn, operand indices)
-        self.jet_read = None  # (index of x in _INPUT, order, work, arrays)
 
-    def root(self, value, group, arg=0) -> _Operand:
-        """A new root operand: the stage input or slot, the jet array at
-        position ``arg``, a scalar, or a temporary (whose value is not kept:
-        it is bound to a scratch array)."""
+    def root(self, value, group, fixed=None) -> _Operand:
+        """A new root operand: the stage input or slot, or in ``_FIXED`` a
+        scalar or a jet array, bound as it is, or a temporary, whose value is
+        not kept: ``fixed`` is its (shape, dtype), and it is bound to a
+        scratch array."""
         entries = self.entries[group]
+        arg = 0
         if group == _FIXED:
             arg = len(self.fixed)
-            self.fixed.append(value if value.__class__ is not np.ndarray
-                              else (value.shape, value.dtype))
+            self.fixed.append(value if fixed is None else fixed)
         i = len(self.nodes)
         self.nodes.append((group, len(entries), i))
         entries.append((None, None, arg))
@@ -566,7 +545,7 @@ class _Recording:
             if not self.replayable or result.__class__ is not np.ndarray:
                 self.replayable = False
                 return result
-            out = self.root(result, _FIXED)
+            out = self.root(result, _FIXED, (result.shape, result.dtype))
             self.temps.append((out.i, len(self.fixed) - 1, len(self.calls)))
         else:
             out = outs[0]
@@ -592,23 +571,11 @@ class _Recording:
         _assign(view.a, value.a)
         self.calls.append((_assign, (view.i, value.i)))
 
-    def read_jet(self, x, order, work):
-        arrays, self._jet = self._jet, None
-        if arrays is None:
-            arrays = self._real_geo.jet(x.a if x.__class__ is _Operand else x, order, work)
-        if (self.jet_read is not None or self.calls or x.__class__ is not _Operand
-                or self.nodes[x.i][0] != _INPUT
-                or not all(a is None or a.__class__ is np.ndarray for a in arrays)):
-            self.replayable = False
-            return arrays
-        self.jet_read = (self.nodes[x.i][1], order, work, tuple(arrays))
-        return tuple(None if a is None else self.root(a, _JET, k) for k, a in enumerate(arrays))
-
     def program(self) -> tuple:
         """The recording as a program for ``_Replay``: each group's entries
         for ``_bind``; the arrays of ``_FIXED``, bound; the calls' functions;
-        the getters of their operands from the arrays of all groups, in group
-        order; and the jet read.
+        and the getters of their operands from the arrays of all groups, in
+        group order.
 
         Each temporary gets a scratch array, shared by the temporaries of its
         shape and dtype whose uses do not overlap: it takes one at the call
@@ -637,36 +604,37 @@ class _Recording:
                 a = roots[slot]
                 free.setdefault((a.shape, a.dtype), []).append(a)
         return (self.entries, _bind(self.entries[_FIXED], roots), tuple(fn for fn, _ in calls),
-                [operator.itemgetter(*[new[i] for i in idx]) for _, idx in calls], self.jet_read)
+                [operator.itemgetter(*[new[i] for i in idx]) for _, idx in calls])
 
 
 class _Replay:
     """The right-hand side of one working set, ``rhs(Y, out)``: the values
-    of ``_rhs(geo, Y, out, work)`` to the last bit.
+    of ``_rhs(geo, Y, out, geo.jet(Y[:n], order, work))`` to the last bit.
 
-    The first call records ``_rhs`` (``_Recording``).  Every later call
-    reads the jet, as ``_rhs`` does, and replays the recorded calls on the
-    arrays bound to it: the views of its stage input Y and of its stage slot
-    out, bound once per input and slot; the jet's arrays and their views,
-    bound again when the jet hands back other arrays; and the scratch arrays
-    of the temporaries, bound once.  A jet that hands back arrays of another
-    shape, dtype or layout is recorded again.  After a recording that is not
-    replayable every call is ``_rhs``.
+    Every call reads the jet.  The first call records ``_rhs`` on its
+    arrays (``_Recording``).  Every later call replays the recorded calls on
+    the arrays bound to them: the views of its stage input Y and of its
+    stage slot out, bound once per input and slot, and the recorded jet's
+    arrays and the temporaries' scratch arrays, bound once.  A call whose
+    jet hands back other arrays than the recorded ones ends the replay: it
+    and every later call is ``_rhs``, as is every call after a recording
+    that is not replayable.
     """
 
-    def __init__(self, geo: ChartedGeometry, work: dict):
-        self._geo, self._work = geo, work
+    def __init__(self, geo: ChartedGeometry, order: int, work: dict):
+        self._geo, self._order, self._work = geo, order, work
         self._replayable = None  # not recorded yet
 
-    def _record(self, Y, out, jet=None):
-        rec = _Recording(self._geo, jet)
-        _rhs(_RecordingGeometry(self._geo, rec), rec.root(Y, _INPUT), rec.root(out, _OUTPUT),
-             self._work)
+    def _record(self, Y, out, jet):
+        rec = _Recording()
+        # the jet's arrays are operands bound as they are, if each is an array or None
+        rec.replayable = all(a is None or a.__class__ is np.ndarray for a in jet)
+        ops = [None if a is None else rec.root(a, _FIXED) for a in jet] if rec.replayable else jet
+        _rhs(self._geo, rec.root(Y, _INPUT), rec.root(out, _OUTPUT), ops)
         self._replayable = rec.replayable
         if rec.replayable:
-            self._entries, self._fixed, self._fns, self._getters, self._read = rec.program()
-            self._jet = () if self._read is None else self._read[3]
-            self._jet_views = _bind(self._entries[_JET], self._jet)
+            self._jet = jet
+            self._entries, self._fixed, self._fns, self._getters = rec.program()
             self._views, self._tapes = {}, {}
         return out
 
@@ -677,43 +645,23 @@ class _Replay:
             views = self._views[id(root)] = (root, _bind(self._entries[group], (root,)))
         return views[1]
 
-    def _tape(self, Y, out):
-        """The jet's point and each call's arrays, for Y and out."""
-        inputs = self._bound(_INPUT, Y)
-        arr = self._fixed + inputs + self._bound(_OUTPUT, out) + self._jet_views
-        return (None if self._read is None else inputs[self._read[0]],
-                [get(arr) for get in self._getters])
-
-    def _repoint(self, jet) -> bool:
-        """Bind the jet's operands to the arrays ``jet``; False if one of them
-        differs from the recorded one in shape, dtype or layout."""
-        if len(jet) != len(self._jet) or not all(
-                b is None if a is None else (a.__class__ is np.ndarray and b is not None
-                                             and a.shape == b.shape and a.dtype == b.dtype
-                                             and a.strides == b.strides)
-                for a, b in zip(jet, self._jet)):
-            return False
-        self._jet, self._jet_views = jet, _bind(self._entries[_JET], jet)
-        self._tapes.clear()
-        return True
-
     def __call__(self, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        n = self._geo.dim
         if not self._replayable:
+            jet = self._geo.jet(Y[:n], self._order, self._work)
             if self._replayable is None:
-                return self._record(Y, out)
-            return _rhs(self._geo, Y, out, self._work)
+                return self._record(Y, out, jet)
+            return _rhs(self._geo, Y, out, jet)
         key = (id(Y), id(out))
         tape = self._tapes.get(key)
-        if tape is None:
-            tape = self._tapes[key] = self._tape(Y, out)
+        if tape is None:  # the jet's point and each call's arrays, for Y and out
+            arr = self._fixed + self._bound(_INPUT, Y) + self._bound(_OUTPUT, out)
+            tape = self._tapes[key] = (Y[:n], [get(arr) for get in self._getters])
         x, args = tape
-        read = self._read
-        if read is not None:
-            jet = self._geo.jet(x, read[1], read[2])
-            if len(jet) != len(self._jet) or not all(map(operator.is_, jet, self._jet)):
-                if not self._repoint(jet):
-                    return self._record(Y, out, jet)
-                x, args = self._tapes[key] = self._tape(Y, out)
+        jet = self._geo.jet(x, self._order, self._work)
+        if len(jet) != len(self._jet) or not all(map(operator.is_, jet, self._jet)):
+            self._replayable = False  # the jet handed back other arrays: the replay ends
+            return _rhs(self._geo, Y, out, jet)
         for fn, a in zip(self._fns, args):
             fn(*a)
         return out
@@ -944,9 +892,10 @@ def _integrate_path(
     # and E.  jet_work holds the geometry jet's arrays.
     arrays = _work_arrays(D, m)
     jet_work = {}
+    order = 2 if tangent else 1
 
     def evaluate(Y, out):  # a stage of a set that is not recorded (yet)
-        return _rhs(geo, Y, out, jet_work)
+        return _rhs(geo, Y, out, geo.jet(Y[:n], order, jet_work))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(seg_length.shape[1]):
@@ -972,7 +921,7 @@ def _integrate_path(
                 # in which no row's step reaches the end of its segment; a set
                 # that a row leaves after one iteration is not worth recording
                 if rhs is None and (h < length - s).all():
-                    rhs = _Replay(geo, jet_work)
+                    rhs = _Replay(geo, order, jet_work)
                 if steps == MAX_STEPS:
                     arrived = np.zeros(rows.size, dtype=bool)
                     failed, why = ~arrived, REASON_TOL

@@ -56,9 +56,8 @@ writes only the entries its formula fills, into a zeroed array from
 ``work`` (the evaluators pass a fresh dict), so the entries that vanish
 identically stay zero and both paths run the same kernel, with the same
 bits.  The jet's arrays are read-only for the caller and valid until the
-next call with the same ``work``; the flow's replay of its right-hand side
-takes an array handed back again as holding the new values (see
-``ChartedGeometry.jet``).
+next call with the same ``work``; a flow replays its right-hand side only
+while the jet hands back the arrays it recorded (``ChartedGeometry.jet``).
 
 Derivative rule: the evaluators are holomorphic, so a derivative along a real
 chart coordinate is the trapezoid rule on a circle of radius
@@ -187,11 +186,11 @@ class ChartedGeometry:
         A fused jet writes into the arrays it keeps in ``work`` (fresh ones
         without it); the caller must not write to them, and they hold until
         the next call with the same ``work``.  A composed jet ignores
-        ``work`` and hands back fresh arrays at every call.  The flow's
-        replayed right-hand side relies on array identity: an array that a
-        call hands back again (the same object) holds that call's values, in
-        the shape, dtype and layout it had; any other array is bound anew.  A
-        point x (n,) is the one-row batch, bit for bit."""
+        ``work`` and hands back fresh arrays at every call.  A flow replays
+        its recorded right-hand side only while the jet hands back the arrays
+        it recorded, each array (the same object) holding that call's values;
+        from a call that hands back others, it evaluates the right-hand side
+        afresh.  A point x (n,) is the one-row batch, bit for bit."""
         x = np.asarray(x)
         if x.ndim == 1:
             return tuple(None if a is None else a[..., 0]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import patch_chart, sample_flat, sample_sphere
-from magtube import cli, suites
+from magtube import cli, flow, suites
 from magtube.config import parse_config_text
 from magtube.flow import ComplexTime, _pack, _rhs, field_components, flow_many, run
 from magtube.geometry import (
@@ -75,6 +75,13 @@ def _fused_geometries():
 
 def _composed(geo):
     return dataclasses.replace(geo, fused_jet=None)
+
+
+def _rhs_at(geo, Y, work=None):
+    """_rhs of the packed state Y with the jet that a flow's stage reads:
+    of order 2 with the tangent map, 1 without."""
+    order = 2 if len(Y) > 2 * geo.dim + 1 else 1
+    return _rhs(geo, Y, np.empty_like(Y), geo.jet(Y[: geo.dim], order, work))
 
 
 def _complex_points(rng, m, n, scale):
@@ -171,8 +178,7 @@ def test_rhs_with_work_arrays_matches_rhs_without(geo, tangent, rng):
         Y = _pack(_complex_points(rng, 6, n2, 0.3), geo.dim, tangent)
         if tangent:
             Y[n2 + 1 :] += rng.normal(size=(n2 * n2, 6))
-        assert np.array_equal(_rhs(geo, Y, np.empty_like(Y), work),
-                              _rhs(geo, Y, np.empty_like(Y)))
+        assert np.array_equal(_rhs_at(geo, Y, work), _rhs_at(geo, Y))
 
 
 def test_a_kernel_chart_declares_its_vanishing_derivatives(rng):
@@ -206,15 +212,14 @@ def test_rhs_fused_matches_composed(tangent, rng):
         Y = _pack(Z + 0.1j * rng.uniform(-1, 1, Z.shape), geo.dim, tangent)
         if tangent:
             Y[2 * geo.dim + 1 :] += rng.normal(size=(4 * geo.dim**2, 6))
-        assert np.array_equal(_rhs(geo, Y, np.empty_like(Y)),
-                              _rhs(_composed(geo), Y, np.empty_like(Y)))
+        assert np.array_equal(_rhs_at(geo, Y), _rhs_at(_composed(geo), Y))
 
 
 @pytest.mark.parametrize("tangent", [False, True])
 def test_a_composed_jet_flows_as_the_fused_jet(tangent, rng):
     # a composed jet hands back fresh arrays at every call, a fused jet the
-    # same ones; the replayed right-hand side reads each call's arrays, so a
-    # flow on the composed jet is the fused flow bit for bit.  The per-row
+    # same ones; a working set on the composed jet calls _rhs after its
+    # recording, so a flow on it is the fused flow bit for bit.  The per-row
     # times make the rows leave at several iterations, the first after two,
     # so the working set narrows several times
     flat = make_flat_magnetic(2, [[0.0, 1.0], [-1.0, 0.0]], 1.0)
@@ -232,8 +237,74 @@ def test_a_composed_jet_flows_as_the_fused_jet(tangent, rng):
             assert np.array_equal(getattr(composed, name), getattr(fused, name), equal_nan=True)
 
 
+def _count_stages(monkeypatch):
+    """Note each call of a working set's replayed right-hand side as (was it
+    recorded before, is it replayable after, did it call _rhs on arrays)."""
+    stages, rhs_calls = [], []
+    call, rhs = flow._Replay.__call__, flow._rhs
+
+    def replayed(self, Y, out):
+        before, k = self._replayable, len(rhs_calls)
+        call(self, Y, out)
+        stages.append((before, self._replayable, len(rhs_calls) > k))
+        return out
+
+    def counted(geo, Y, out, jet):
+        if isinstance(Y, np.ndarray):  # a stage, not a recording
+            rhs_calls.append(1)
+        return rhs(geo, Y, out, jet)
+
+    monkeypatch.setattr(flow._Replay, "__call__", replayed)
+    monkeypatch.setattr(flow, "_rhs", counted)
+    return stages
+
+
 @pytest.mark.parametrize("tangent", [False, True])
-def test_rhs_reads_the_geometry_through_one_jet_call(tangent, rng):
+def test_a_jet_that_hands_back_new_arrays_ends_the_replay(tangent, rng, monkeypatch):
+    # a composed jet hands back fresh arrays at every call: each working set
+    # records, and from its next stage on calls _rhs, with the fused bits.
+    # Half the rows leave at 0.6i, so a narrowed set records again
+    sphere = make_sphere_magnetic(1.0, 1.0)
+    Z, t = sample_sphere(rng, 8), np.repeat([0.6j, 1.2j], 4)
+    fused = flow_many(sphere, Z, t, tangent=tangent)
+    stages = _count_stages(monkeypatch)
+    composed = flow_many(_composed(sphere), Z, t, tangent=tangent)
+    recorded = [after for before, after, _ in stages if before is None]
+    later = [(before, called) for before, _, called in stages if before is not None]
+    assert len(recorded) >= 2 and all(recorded) and later
+    assert all(called for _, called in later)
+    assert sum(before for before, _ in later) == len(recorded)  # one replay tried per set
+    for name in ("x", "p", "quad", "det") + (("jac",) if tangent else ()):
+        assert np.array_equal(getattr(composed, name), getattr(fused, name), equal_nan=True)
+
+
+@pytest.mark.parametrize("tangent", [False, True])
+def test_the_benchmark_charts_stay_on_the_replay(tangent, rng, monkeypatch):
+    # the built-in charts' fused jets hand back the same arrays at every
+    # call, so every working set that records is replayable and replays
+    # every later stage without calling _rhs, the narrowed set too
+    stages = _count_stages(monkeypatch)
+    flat = make_flat_magnetic(2, [[0.0, 1.0], [-1.0, 0.0]], 1.0)
+    sphere = make_sphere_magnetic(1.0, 1.0)
+    t = np.repeat([0.6j, 1.2j], 4)
+    for geo, Z in ((flat, sample_flat(rng, 8)), (sphere, sample_sphere(rng, 8)),
+                   (sphere.with_negated_field(), sample_sphere(rng, 8))):
+        stages.clear()
+        assert flow_many(geo, Z, t, tangent=tangent).ok.all()
+        recorded = [after for before, after, _ in stages if before is None]
+        later = [(before, after, called) for before, after, called in stages
+                 if before is not None]
+        assert len(recorded) >= 2 and all(recorded) and later
+        assert all(before and after and not called for before, after, called in later)
+
+
+@pytest.mark.parametrize("tangent", [False, True])
+def test_each_stage_reads_the_geometry_through_one_jet_call(tangent, rng):
+    # the integrator reads the jet once per stage, of order 2 with the
+    # tangent map and 1 without, and passes its arrays to _rhs; a recorded
+    # and a replayed stage read it once too.  With per-row times the rows
+    # leave at several iterations, so the working set narrows, and its
+    # stages call _rhs, record it and replay it
     sphere = make_sphere_magnetic(1.0, 1.0)
     calls = []
 
@@ -248,10 +319,14 @@ def test_rhs_reads_the_geometry_through_one_jet_call(tangent, rng):
     geo = ChartedGeometry(2, *evals[:4], chart_box=3.0, complex_radius=0.6,
                           inv_metric_deriv2=evals[4], beta_deriv=evals[5],
                           fused_jet=FusedJet(jet, evals))
-    Z = sample_sphere(rng, 5)
-    Y = _pack(Z, 2, tangent)
-    _rhs(geo, Y, np.empty_like(Y))
-    assert calls == [2 if tangent else 1]
+    Z = sample_sphere(rng, 8)
+    t = 1j * np.linspace(0.2, 1.2, 8)
+    res = flow_many(geo, Z, t, tangent=tangent)
+    ref = flow_many(sphere, Z, t, tangent=tangent)
+    assert res.ok.all() and len(set(res.row_steps)) >= 4
+    assert calls == [2 if tangent else 1] * (12 * res.steps)
+    for name in ("x", "p", "quad", "det") + (("jac",) if tangent else ()):
+        assert np.array_equal(getattr(res, name), getattr(ref, name), equal_nan=True)
     calls.clear()
     xdot, pdot = field_components(geo, Z[:, :2], Z[:, 2:])
     assert calls == [1]
@@ -425,7 +500,7 @@ def test_variational_term_is_the_field_jacobian_times_the_tangent_map(geo, rng):
     J = rng.normal(size=(6, n2, n2)) + 1j * rng.normal(size=(6, n2, n2))
     Y = _pack(Z, geo.dim, True)
     Y[n2 + 1 :] = _rows_last(J).reshape(-1, 6)
-    got = np.moveaxis(_rhs(geo, Y, np.empty_like(Y))[n2 + 1 :].reshape(n2, n2, 6), -1, 0)
+    got = np.moveaxis(_rhs_at(geo, Y)[n2 + 1 :].reshape(n2, n2, 6), -1, 0)
     assert np.abs(got - _field_jacobian(geo, Z) @ J).max() < 1e-10
 
 
@@ -442,11 +517,11 @@ def test_rhs_of_a_batch_is_the_rhs_of_each_row(geo, tangent, rng):
     Y = _pack(_complex_points(rng, 17, n2, 0.3), geo.dim, tangent)
     if tangent:
         Y[n2 + 1 :] += rng.normal(size=(n2 * n2, 17)) + 1j * rng.normal(size=(n2 * n2, 17))
-    batch = _rhs(geo, Y, np.empty_like(Y))
+    batch = _rhs_at(geo, Y)
     assert batch.shape == Y.shape
     for r in range(17):
         row = Y[:, r : r + 1]
-        assert np.array_equal(batch[:, r : r + 1], _rhs(geo, row, np.empty_like(row)))
+        assert np.array_equal(batch[:, r : r + 1], _rhs_at(geo, row))
 
 
 def _grid(x_half, p_half):

@@ -4,9 +4,12 @@ verify checks (DeMillo, Lipton and Sayward, IEEE Computer 1978).
 A defect is a small wrong change to one piece of the engine: a chart
 evaluator, the field, the quadrature, the variational term, the integrator's
 tableau, the time of the frame transport or the -beta chart.  A flow
-records its right-hand side once per working set and replays it
-(``flow._Replay``); a defect that wraps ``flow._rhs`` or ``flow._field`` is
-recorded with them, so it enters every stage of every flow.  The battery
+reads the jet at every stage and passes its arrays to ``flow._rhs``, which
+it records once per working set and replays (``flow._Replay``); a defect
+that wraps ``flow._rhs`` or ``flow._field`` is recorded with them, so it
+enters every stage of every flow.  On the composed jets of the evaluator
+defects a working set calls ``flow._rhs`` at every stage after its
+recording.  The battery
 runs only the suites that hold the checks named for it; the kill matrix over
 every check comes from running this file as a script:
 
@@ -82,8 +85,8 @@ def beta_term_sign(mp):
 def _after_rhs(mp, change):
     rhs = flow._rhs
 
-    def defective(geo, Y, out, work=None):
-        rhs(geo, Y, out, work)
+    def defective(geo, Y, out, jet):
+        rhs(geo, Y, out, jet)
         change(geo.dim, Y, out)
         return out
 
