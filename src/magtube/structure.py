@@ -20,6 +20,12 @@ times included, and reverses it as ``-t``.  Each operation that flows has
 one body, a flow generator (``frames_at_many_gen``,
 ``integrability_residual_many_gen``; see ``flow.run``), and its public
 function is ``flow.run`` of it.
+
+Integrability differentiates the transported columns along themselves:
+the bracket [X_a, X_b] needs the derivatives along the n columns X_a only,
+not along all 2n coordinates.  It flows in two rounds, the transport of the
+centre rows and then that of their contour rings along their own columns,
+4n rows per point; no centre flows twice.
 """
 
 from __future__ import annotations
@@ -251,11 +257,12 @@ def integrability_residual_many(
     """Bracket-closure defects for all rows of Z.
 
     The raw transported columns X_a are holomorphic in the base point, so
-    their derivatives come from ``phase_gradient``: one transport over the
-    centre rows and their contour nodes, over the 2n coordinates.  The n
-    directions X_a that the bracket contracts are known only after a
-    transport of the centre rows, a second flow that is slower at the few
-    rows of an ``acs`` grid.  The orthonormalized frame is not
+    their derivatives come from ``phase_gradient`` along the columns
+    themselves: a transport of the centre rows gives X, then one transport
+    of each row's contour nodes along its own n columns gives the
+    derivatives (X_a . grad) X_b that the bracket takes.  The second
+    round's batch is handed the first round's centre values, so it flows
+    the 4n ring rows per point only.  The orthonormalized frame is not
     differentiated, since its phase convention is not holomorphic;
     involutivity does not depend on the choice of frame.  The bracket
     [X_a, X_b] is projected off the span at z and normalised by
@@ -264,8 +271,8 @@ def integrability_residual_many(
     fails, with a NaN frame and defect; the other rows are computed.
 
     ``t`` is any time ``flow_many`` takes.  An (m,) array of per-row times
-    rides as one more column with a zero direction component, as kde
-    carries sigma, so each contour row flows to its own row's time; a
+    rides as one more column with a zero component in every direction, as
+    kde carries sigma, so each contour row flows to its own row's time; a
     number or a ComplexTime stays one flow argument.
 
     Returns (F, ok, reasons, residuals): the orthonormalized centre columns,
@@ -276,21 +283,25 @@ def integrability_residual_many(
 
 def integrability_residual_many_gen(geo: ChartedGeometry, Z: np.ndarray, t):
     """``integrability_residual_many`` as a flow generator."""
-    def transported(rows, t):
-        X, ok, reasons, _ = yield from _transport(geo, rows, t)
-        return X, ok, reasons
+    X0, ok0, reasons0, _ = yield from _transport(geo, Z, t)
+    m = len(X0)
 
-    V = np.eye(2 * geo.dim)
+    def ring_transport(ring, t):
+        # phase_gradient lays out the m centre rows first: they are X0
+        X, ok, reasons, _ = yield from _transport(geo, ring, t)
+        return np.concatenate([X0, X]), np.concatenate([ok0, ok]), reasons0 + reasons
+
+    V = X0.swapaxes(1, 2)
     if np.ndim(t):
-        X, ok, reasons, dX = yield from phase_gradient_gen(
-            lambda rows: transported(rows[:, :-1], rows[:, -1]),
-            np.column_stack([Z, t]), np.pad(V, ((0, 0), (0, 1))))
+        X, ok, reasons, D = yield from phase_gradient_gen(
+            lambda rows: ring_transport(rows[m:, :-1], rows[m:, -1]),
+            np.column_stack([Z, t]), np.pad(V, ((0, 0), (0, 0), (0, 1))))
     else:
-        X, ok, reasons, dX = yield from phase_gradient_gen(lambda rows: transported(rows, t), Z, V)
+        X, ok, reasons, D = yield from phase_gradient_gen(
+            lambda rows: ring_transport(rows[m:], t), Z, V)
     F = orthonormalize(X)
     # D[k, a, :, b] = (X_a . grad) X_b; the bracket [X_a, X_b] is
     # D[:, a, :, b] - D[:, b, :, a], projected off the frame span
-    D = np.einsum("kja,kjib->kaib", X, dX)
     bracket = D - D.transpose(0, 3, 2, 1)
     proj_out = np.eye(X.shape[1]) - F @ F.conj().swapaxes(1, 2)
     normal = np.linalg.norm(np.einsum("kij,kajb->kaib", proj_out, bracket), axis=2)

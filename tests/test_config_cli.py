@@ -361,11 +361,17 @@ CHART_CONFIGS = {
 
 
 @pytest.mark.parametrize("chart", sorted(CHART_CONFIGS))
-@pytest.mark.parametrize("command, budget", [("frame", 1), ("acs", 1), ("potential", 3)])
+@pytest.mark.parametrize("command, budget", [
+    pytest.param("frame", [4], id="frame-1"),
+    pytest.param("acs", [4, 4 * 2 * 4], id="acs-2"),
+    pytest.param("potential", [4, 4 * 9, 4 * 5], id="potential-3"),
+])
 def test_grid_command_flow_budget(tmp_path, monkeypatch, chart, command, budget):
-    # flows per chart: frames from one backward flow; acs from the
-    # integrability contour; potential from the frames, the dbar contour
-    # (which also gives f_{-i}) and the kde contour over (x, p, sigma)
+    # the rows of each flow over the 4 grid points: frames from one backward
+    # flow; acs from the centre transport, then the integrability rings
+    # along the n = 2 transported columns, 4 nodes each, which flow no
+    # centre again; potential from the frames, the dbar contour (which also
+    # gives f_{-i}) and the kde contour over (x, p, sigma)
     original = flow._integrate_path
     calls = []
 
@@ -377,7 +383,7 @@ def test_grid_command_flow_budget(tmp_path, monkeypatch, chart, command, budget)
     cfg = _write(tmp_path, "c.cfg", CHART_CONFIGS[chart]
                  + "grid = x1:-0.1:0.1:2, p1:0.2:0.3:2\ntime = i\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
-    assert len(calls) == budget, calls
+    assert calls == budget
 
 
 def test_potential_contours_skip_frame_failed_rows(tmp_path, monkeypatch):

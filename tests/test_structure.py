@@ -8,7 +8,7 @@ from magtube import oracles as orc
 from magtube.flow import ComplexTime, FlowError, flow_many, run
 from magtube.geometry import CONTOUR_NODES, CONTOUR_RADIUS, twisted_symplectic_matrix
 from magtube import structure, suites
-from magtube.kahler import potential_f_many
+from magtube.kahler import phase_gradient_gen, potential_f_many
 from magtube.intertwine import check_frame_intertwine, check_shifted_frame_intertwine
 from magtube.structure import (
     assemble_J,
@@ -385,48 +385,81 @@ def test_integrability_centre_frames_are_the_frames(flat_geo, sphere_geo, rng):
             assert np.abs(F - Fd).max() < 1e-12
 
 
-def _contour_rows(Z):
-    """The centre rows, then the contour rows in (row, coordinate, node)
-    order, as ``phase_gradient`` lays them out; also the node weights."""
-    ring = CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
-    shift = ring[None, :, None] * np.eye(Z.shape[1])[:, None, :]
-    return np.concatenate([Z, (Z[:, None, None, :] + shift).reshape(-1, Z.shape[1])]), 1 / (
-        CONTOUR_NODES * ring)
+_RING = CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
 
 
-def _loop_bracket_defect(X_all, m, weights):
+def _directional_rings(Z, X):
+    """The contour rows of each row z of Z along its own columns X_a, in
+    (row, direction, node) order, built one row at a time with
+    ``phase_gradient``'s arithmetic: z + RING_j * (X_a * (1 / |X_a|))."""
+    rows = []
+    for z, x in zip(Z, X):
+        for v in x.T:
+            unit = v * (1 / np.linalg.norm(v[None], axis=-1)[0])
+            rows.extend(z + unit * node for node in _RING)
+    return np.array(rows)
+
+
+def _loop_bracket_defect(X, X_ring):
     """Per-row loop over column pairs: the reference for the batched bracket.
-    X_all holds the raw transported columns of the contour layout of m rows.
+    X holds the raw transported columns at the m centre rows and X_ring
+    those at their directional rings (``_directional_rings``).
 
     The node sum is ``phase_gradient``'s, a product with the weights: the
     defect is of the size of the derivative's rounding (the nodes' values,
     about 1/CONTOUR_RADIUS times the derivative, cancel), so a sum over the
     nodes in another order moves it by about 1e-14."""
-    X_ring = X_all[m:].reshape(m, -1, CONTOUR_NODES, *X_all.shape[1:])
+    weights = 1 / (CONTOUR_NODES * _RING)
+    X_ring = X_ring.reshape(len(X), X.shape[2], CONTOUR_NODES, *X.shape[1:])
     out = []
-    for X, ring in zip(X_all[:m], X_ring):
-        dX = np.moveaxis(ring, 1, -1) @ weights  # d/dz^j X
-        F = orthonormalize(X)
-        proj_out = np.eye(X.shape[0]) - F @ F.conj().T
+    for x, ring in zip(X, X_ring):
+        size = np.linalg.norm(x, axis=0)
+        # dX[a] = (X_a . grad) X, the contour derivative along X_a / |X_a|
+        # scaled back by |X_a|
+        dX = [(np.moveaxis(ring[a], 0, -1) @ weights) * size[a] for a in range(x.shape[1])]
+        F = orthonormalize(x)
+        proj_out = np.eye(x.shape[0]) - F @ F.conj().T
         worst = 0.0
-        for a in range(X.shape[1]):
-            for b in range(a + 1, X.shape[1]):
-                bracket = X[:, a] @ dX[:, :, b] - X[:, b] @ dX[:, :, a]
-                size = np.linalg.norm(X[:, a]) * np.linalg.norm(X[:, b])
-                worst = max(worst, float(np.linalg.norm(proj_out @ bracket)) / size)
+        for a in range(x.shape[1]):
+            for b in range(a + 1, x.shape[1]):
+                bracket = dX[a][:, b] - dX[b][:, a]
+                worst = max(worst, float(np.linalg.norm(proj_out @ bracket)) / (size[a] * size[b]))
         out.append(worst)
     return np.array(out)
 
 
 def test_batched_bracket_matches_loop(sphere_geo, rng):
     Z = sample_sphere(rng, 4)
-    rows, weights = _contour_rows(Z)
     for t in (1j, 0.3 + 0.8j):
         res = integrability_residual_many(sphere_geo, Z, t)[3]
-        X_all, ok, _, _ = run(structure._transport(sphere_geo, rows, t))
-        assert ok.all()
-        ref = _loop_bracket_defect(X_all, 4, weights)
+        X, ok, _, _ = run(structure._transport(sphere_geo, Z, t))
+        X_ring, ok_ring, _, _ = run(structure._transport(sphere_geo, _directional_rings(Z, X), t))
+        assert ok.all() and ok_ring.all()
+        ref = _loop_bracket_defect(X, X_ring)
         assert ref.max() > 1e-16 and np.abs(res - ref).max() < 1e-14
+
+
+def test_phase_gradient_lays_out_centres_then_rings(rng):
+    # integrability hands back its centre transport for the first m rows of
+    # the ring batch, so it rests on this layout: one call, the m centre
+    # rows first, then 4 k rows per row in (row, direction, node) order
+    m, k, d = 3, 2, 5
+    Z = rng.normal(size=(m, d))
+    V = rng.normal(size=(m, k, d)) + 1j * rng.normal(size=(m, k, d))
+    calls = []
+
+    def record(rows):
+        calls.append(rows.copy())
+        return rows, True, None
+
+    run(phase_gradient_gen(record, Z, V))
+    assert len(calls) == 1
+    rows = calls[0]
+    assert rows.shape == (m + m * k * CONTOUR_NODES, d)
+    assert np.array_equal(rows[:m], Z)
+    unit = V / np.linalg.norm(V, axis=-1, keepdims=True)
+    ring = Z[:, None, None, :] + _RING[:, None] * unit[:, :, None, :]
+    assert np.abs(rows[m:] - ring.reshape(-1, d)).max() < 1e-15
 
 
 def _closed_form_transport(second_column):
